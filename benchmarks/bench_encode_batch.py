@@ -13,12 +13,13 @@ This benchmark checks the wave engine's contracts:
   migrations) and across the fault-knowledge modes;
 * **throughput** — on the paper's headline coset configurations (VCC-256
   and RCC-256 under the Opt.-SAW objective), ``replay_trace`` sustains at
-  least ``3x`` the scalar write_line lines/sec.  Scalar and batched
+  least ``3x`` the per-write ``write_line`` lines/sec.  Scalar and batched
   segments alternate and the speedup is the best scalar/batched pair, so
   epoch-scale host noise cannot masquerade as a regression.  The floor is
-  enforced only on hosts with a spare core (``os.cpu_count() >= 2``,
-  mirroring ``bench_trace_replay.py``); single-core hosts report the
-  measurement for tracking.
+  enforced only by the pytest entry point and only on hosts with a spare
+  core (``os.cpu_count() >= 2``, mirroring ``bench_trace_replay.py``);
+  running the script directly reports the measurement for tracking and
+  gates on parity alone.
 
 Each run writes ``benchmarks/results/BENCH_encode_batch.json`` with the
 measured throughputs so the perf trajectory is tracked across PRs.
@@ -313,7 +314,7 @@ def test_encode_batch_parity_and_speedup() -> None:
 
 
 def main() -> None:
-    run_benchmark(enforce_floor=os.cpu_count() is not None and os.cpu_count() >= 2)
+    run_benchmark(enforce_floor=False)
     print(
         "parity: replay waves vs write_line oracle "
         "(all encoders x SLC/MLC, wear leveling, fault knowledge) ...",

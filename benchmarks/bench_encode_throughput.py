@@ -3,10 +3,11 @@
 Measures lines/second for every registry encoder through the two
 implementations of the line API:
 
-* **scalar** — :meth:`Encoder.encode_line_scalar`, the word-at-a-time
-  reference loop (the seed repository's only path);
-* **batch** — :meth:`Encoder.encode_line`, the vectorised hot path the
-  memory controller drives.
+* **scalar** — :meth:`Encoder.encode_line_scalar` per line, the
+  word-at-a-time reference oracle;
+* **batch** — :meth:`Encoder.encode_lines` over a whole chunk of
+  ``CHUNK_LINES`` lines, the call the memory controller's replay waves
+  make.
 
 Run directly for a table::
 
@@ -21,7 +22,7 @@ keep (``vcc`` and ``rcc`` at least 3x)::
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from repro.utils.rng import make_rng
 WORDS_PER_LINE = 8
 WORD_BITS = 64
 NUM_COSETS = 256
+#: Lines per timed chunk (one encode_lines call on the batch path).
+CHUNK_LINES = 16
 #: Speedup floor enforced for the paper's coset techniques (the hot path
 #: of Figs. 7-13); the other baselines are reported for tracking only.
 SPEEDUP_FLOORS = {"vcc": 3.0, "rcc": 3.0}
@@ -51,18 +54,18 @@ def _setup(name: str, seed: int = 3):
         bits_per_cell=encoder.bits_per_cell,
     )
     lines = [
-        [random_word(rng, WORD_BITS) for _ in range(WORDS_PER_LINE)] for _ in range(16)
+        [random_word(rng, WORD_BITS) for _ in range(WORDS_PER_LINE)]
+        for _ in range(CHUNK_LINES)
     ]
     return encoder, context, lines
 
 
-def _one_trial(encode, context, lines, min_seconds: float) -> float:
+def _one_trial(encode_chunk: Callable[[], object], min_seconds: float) -> float:
     encoded = 0
     start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
     while True:
-        for words in lines:
-            encode(words, context)
-        encoded += len(lines)
+        encode_chunk()
+        encoded += CHUNK_LINES
         elapsed = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
         if elapsed >= min_seconds:
             return encoded / elapsed
@@ -75,15 +78,23 @@ def measure(name: str, min_seconds: float = 0.1, trials: int = 3) -> Tuple[float
     so CPU frequency drift and scheduler noise hit both paths alike.
     """
     encoder, context, lines = _setup(name)
+    contexts = [context] * len(lines)
+
+    def scalar_chunk() -> None:
+        for words in lines:
+            encoder.encode_line_scalar(words, context)
+
+    def batch_chunk() -> None:
+        encoder.encode_lines(lines, contexts)
+
     # Warm up allocators/caches before timing anything.
-    for words in lines[:4]:
-        encoder.encode_line_scalar(words, context)
-        encoder.encode_line(words, context)
+    scalar_chunk()
+    batch_chunk()
     scalar = 0.0
     batch = 0.0
     for _ in range(trials):
-        scalar = max(scalar, _one_trial(encoder.encode_line_scalar, context, lines, min_seconds))
-        batch = max(batch, _one_trial(encoder.encode_line, context, lines, min_seconds))
+        scalar = max(scalar, _one_trial(scalar_chunk, min_seconds))
+        batch = max(batch, _one_trial(batch_chunk, min_seconds))
     return scalar, batch
 
 
@@ -131,6 +142,7 @@ def main() -> None:
             "num_cosets": NUM_COSETS,
             "words_per_line": WORDS_PER_LINE,
             "word_bits": WORD_BITS,
+            "chunk_lines": CHUNK_LINES,
             "cost": "energy-then-saw",
             "speedup_floors": SPEEDUP_FLOORS,
         },

@@ -29,9 +29,11 @@ registry, and the hot path operates on whole cache lines::
     encoded = encoder.encode_line(line, context)
     assert encoder.decode_line(encoded.codewords, encoded.auxes) == line
 
-The word-granular API (:meth:`Encoder.encode` with a :class:`WordContext`)
-remains available; ``encode_line`` falls back to it for encoders that only
-implement the scalar interface.
+``encode_line`` is a one-line view of the batched ``encode_lines`` that the
+memory controller's replay waves call.  The word-granular API
+(:meth:`Encoder.encode` with a :class:`WordContext`) is the reference
+oracle; ``encode_lines`` falls back to it for encoders that only implement
+the scalar interface.
 """
 
 from repro.coding import (

@@ -5,10 +5,10 @@ the campaign task registry (:func:`repro.campaign.tasks.register_task`)
 are the repository's plugin seams; both have contracts the runtime only
 checks partially:
 
-* a registered encoder *class* is expected to override the batched line
-  APIs (``encode_line`` / ``encode_lines``) — a missing override silently
-  falls back to the scalar reference loop and costs 3-15x throughput —
-  and any override must keep the base-class signature so the wave-replay
+* a registered encoder *class* is expected to override the batched
+  ``encode_lines`` fast path — a missing override silently falls back to
+  the scalar reference loop and costs 3-15x throughput — and any override
+  of the line APIs must keep the base-class signature so the wave-replay
   engine can call it positionally;
 * a registered task kind must be resolvable and replayable from its
   content address: a literal kind name (the SHA-256 canonical form hashes
@@ -36,9 +36,9 @@ _ENCODER_SIGNATURES: Dict[str, List[str]] = {
 }
 
 #: Overrides required when a class derives straight from the abstract
-#: ``Encoder`` base: without them the batched paths silently degrade to
-#: the scalar per-word loop.
-_REQUIRED_OVERRIDES = ("encode_line", "encode_lines")
+#: ``Encoder`` base: without them the batched path (which ``encode_line``
+#: is a view of) silently degrades to the scalar per-word loop.
+_REQUIRED_OVERRIDES = ("encode_lines",)
 
 
 def _registered_with(node: ast.AST, decorator: str) -> Optional[ast.expr]:
@@ -64,18 +64,18 @@ def _positional_args(function: ast.FunctionDef) -> List[str]:
 
 @register_rule(
     "REG001",
-    summary="@register_encoder class missing/mismatching the batched "
-    "encode_line/encode_lines/decode_line contract",
+    summary="@register_encoder class missing the batched encode_lines "
+    "override or mismatching the encode_line/encode_lines/decode_line signatures",
 )
 def check_encoder_contract(module: ModuleContext) -> Iterator[Finding]:
     """Check every ``@register_encoder`` class against the
-    ``coding/base.py`` contract: required methods present, batched
-    overrides paired with their scalar oracles, signatures matching."""
+    ``coding/base.py`` contract: the batched ``encode_lines`` override
+    present and the line-API signatures matching."""
     for node in module.walk(ast.ClassDef):
         if _registered_with(node, "register_encoder") is None:
             continue
         methods = _method_defs(node)
-        # Signature drift: any override of the three batched APIs must keep
+        # Signature drift: any override of the three line APIs must keep
         # the base-class positional names (callers pass positionally, but
         # keyword call sites and docs rely on the shared vocabulary).
         for name, expected in _ENCODER_SIGNATURES.items():
@@ -90,7 +90,7 @@ def check_encoder_contract(module: ModuleContext) -> Iterator[Finding]:
                     f"{node.name}.{name} signature ({', '.join(actual)}) does "
                     f"not match repro/coding/base.py ({', '.join(expected)})",
                 )
-        # Missing batch overrides only matter for classes deriving straight
+        # A missing batch override only matters for classes deriving straight
         # from the abstract base; subclasses of a concrete encoder (e.g.
         # DBI/BCC on FNW) inherit the vectorised paths.
         base_names = [dotted_name(base) for base in node.bases]

@@ -65,9 +65,9 @@ class RunPolicy:
       structured :class:`TaskFailure` rows on the result instead of
       aborting the sweep;
     * ``chaos`` — optional :class:`~repro.faults.chaos.ChaosPlan`
-      injecting worker crashes / transport failures / slow tasks /
-      store-object corruption (testing only; results stay bit-identical
-      because every task's rows are a pure function of its parameters).
+      injecting worker crashes / slow tasks / store-object corruption
+      (testing only; results stay bit-identical because every task's rows
+      are a pure function of its parameters).
     """
 
     retries: int = 0

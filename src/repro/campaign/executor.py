@@ -18,14 +18,6 @@ process round-trips that made fig-sized sweeps *slower* under ``--jobs``
 (0.84x at 4 workers before this rework) disappear into one dispatch,
 one queue transit, and one result transfer per batch.
 
-Bulk results ride shared memory instead of the pool's pickle pipe: when
-a batch's pickled rows exceed :data:`SHM_MIN_BYTES` the worker copies
-the payload into a :mod:`multiprocessing.shared_memory` segment and
-sends only the descriptor; the coordinator reattaches, copies the rows
-out, and unlinks the segment.  Both sides guarantee the unlink on their
-error paths, so a crashed worker or an interrupted coordinator never
-leaks ``/dev/shm`` entries.  Small batches fall back to plain pickle.
-
 **Resilience.**  Both executors support bounded retry with exponential
 backoff, per-task wall-clock timeouts, and graceful degradation:
 
@@ -48,8 +40,8 @@ Retries, backoff, and timeouts are pure scheduling — a task's rows are
 a function of its parameters alone, so a row produced on attempt 3 is
 bit-identical to one produced on attempt 0.  The optional
 :class:`~repro.faults.chaos.ChaosPlan` injects deterministic worker
-crashes, result-transport failures, and slow tasks for testing these
-paths; see :mod:`repro.faults.chaos`.
+crashes and slow tasks for testing these paths; see
+:mod:`repro.faults.chaos`.
 
 The :class:`TaskTelemetry` handed to ``on_result`` is pure measurement —
 it never feeds back into rows or seeds.  Batch-level costs (dispatch,
@@ -74,7 +66,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 import signal
 import threading
 import time
@@ -82,7 +73,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -109,7 +99,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BATCHES_PER_WORKER",
-    "SHM_MIN_BYTES",
     "ExecutorStats",
     "ProcessExecutor",
     "SerialExecutor",
@@ -122,10 +111,6 @@ __all__ = [
 #: Oversubscription factor: tasks shard into ~this many batches per
 #: worker, so stragglers rebalance while round-trips stay amortised.
 BATCHES_PER_WORKER = 4
-
-#: Pickled-rows size (bytes) above which a batch's results travel via a
-#: shared-memory segment instead of the pool's pickle pipe.
-SHM_MIN_BYTES = 64 * 1024
 
 #: Upper bound on one backoff pause, whatever the attempt count.
 _BACKOFF_CAP_S = 5.0
@@ -152,8 +137,8 @@ class TaskTelemetry:
     * ``queue_wait_s`` — this task's share of the wait until the worker
       began the batch, plus the worker-side gap before this task;
     * ``compute_s`` — ``run_task`` itself, stamped per task in the worker;
-    * ``transfer_s`` — this task's share of result packing + queue/shared
-      -memory transit + the coordinator's completion-loop latency.
+    * ``transfer_s`` — this task's share of the result's pickle-pipe
+      transit + the coordinator's completion-loop latency.
 
     For batched execution the batch-level phases are divided evenly over
     the batch's members and each task's ``[submitted_s, received_s]``
@@ -395,50 +380,6 @@ def _worker_init() -> None:
     _ensure_builtins()
 
 
-@dataclass(frozen=True)
-class _ShmRows:
-    """Descriptor of a shared-memory segment holding pickled batch rows.
-
-    Only the descriptor crosses the process boundary; the coordinator
-    reattaches by name, copies the payload out, and unlinks.  Ownership
-    transfers with the descriptor — the worker unregisters the segment
-    from its resource tracker when it packs one (see :func:`_pack_rows`),
-    so exactly one side is responsible for the unlink.
-    """
-
-    name: str
-    size: int
-
-    def load(self) -> List[List[Dict[str, Any]]]:
-        """Attach, unpickle the rows, and unconditionally unlink."""
-        segment = shared_memory.SharedMemory(name=self.name)
-        try:
-            payload = pickle.loads(bytes(segment.buf[: self.size]))
-        finally:
-            # The unlink lives in the finally so a truncated or
-            # unpicklable payload still releases the segment.
-            segment.close()
-            segment.unlink()
-        if not isinstance(payload, list):  # pragma: no cover - defensive
-            raise ConfigurationError("shared-memory rows payload is not a list")
-        return payload
-
-    def discard(self) -> None:
-        """Release the segment without reading it (abort-path cleanup)."""
-        try:
-            segment = shared_memory.SharedMemory(name=self.name)
-        except OSError:
-            return  # already unlinked
-        segment.close()
-        try:
-            segment.unlink()
-        except OSError:  # pragma: no cover - raced with another unlink
-            pass
-
-
-#: Either inline rows (small batches) or a shared-memory descriptor.
-_RowsPayload = Union[List[List[Dict[str, Any]]], _ShmRows]
-
 #: Per-task worker measurement: compute start/finish stamps plus the
 #: worker registry's per-task metric snapshot.
 _TaskRun = Tuple[float, float, Dict[str, Dict[str, Any]]]
@@ -446,63 +387,13 @@ _TaskRun = Tuple[float, float, Dict[str, Dict[str, Any]]]
 #: One failed task inside a batch: (position, kind, message).
 _TaskFault = Tuple[int, str, str]
 
-#: What one worker batch invocation sends back.
-_BatchResult = Tuple[int, _RowsPayload, List[_TaskRun], List[_TaskFault]]
-
-
-def _untrack_segment(segment: shared_memory.SharedMemory) -> None:
-    """Detach a segment from this process's resource tracker.
-
-    The descriptor hands ownership to the coordinator, which unlinks
-    after copying the rows out.  Without this, the worker-side tracker
-    (a separate one per process under ``spawn``) would see the segment
-    as leaked at pool shutdown and spam warnings while re-unlinking.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(
-            getattr(segment, "_name", segment.name), "shared_memory"
-        )
-    # repro: allow[API001] reason=resource_tracker internals vary across CPython minors; tracker bookkeeping must never fail a batch that already computed
-    except Exception:  # pragma: no cover - tracker internals unavailable
-        pass
-
-
-def _pack_rows(
-    rows_per_task: List[List[Dict[str, Any]]], shm_threshold: int
-) -> _RowsPayload:
-    """Choose the transport for a batch's rows (worker side).
-
-    Small payloads return as-is and ride the pool's pickle pipe; bulk
-    payloads are pickled once into a fresh shared-memory segment whose
-    descriptor alone crosses the boundary.  Creation and copy-in are
-    guarded so any failure unlinks the segment before re-raising — a
-    crashing worker never leaves a stale ``/dev/shm`` entry behind.
-    """
-    blob = pickle.dumps(rows_per_task, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) < shm_threshold:
-        return rows_per_task
-    segment = shared_memory.SharedMemory(create=True, size=len(blob))
-    # Guaranteed-unlink error path: any failure between create and
-    # hand-off (including KeyboardInterrupt) releases the segment before
-    # the exception propagates, so a crashed worker cannot leak it.
-    handed_off = False
-    try:
-        segment.buf[: len(blob)] = blob
-        _untrack_segment(segment)
-        handed_off = True
-    finally:
-        if not handed_off:
-            segment.close()
-            segment.unlink()
-    segment.close()
-    return _ShmRows(name=segment.name, size=len(blob))
+#: What one worker batch invocation sends back: (batch index, rows per
+#: task, runs, faults).
+_BatchResult = Tuple[int, List[List[Dict[str, Any]]], List[_TaskRun], List[_TaskFault]]
 
 
 def _execute_batch(
     batch: TaskBatch,
-    shm_threshold: int,
     attempt: int = 0,
     task_timeout_s: Optional[float] = None,
     chaos: Optional["ChaosPlan"] = None,
@@ -520,10 +411,8 @@ def _execute_batch(
     ``task_timeout_s`` becomes a ``(position, kind, message)`` fault
     entry (with an empty rows placeholder, so positions stay aligned);
     the remaining tasks in the batch still execute.  Injected chaos
-    crashes fire *between* tasks — a real crash can land anywhere, but
-    firing at a task boundary keeps the shm pack/hand-off paths out of
-    the blast radius, which is exactly the guarantee ``_pack_rows``
-    already provides for in-task failures.
+    crashes fire *between* tasks.  The rows return over the pool's pickle
+    pipe.
     """
     rows_per_task: List[List[Dict[str, Any]]] = []
     runs: List[_TaskRun] = []
@@ -550,7 +439,7 @@ def _execute_batch(
         finished_s = monotonic()
         rows_per_task.append(rows)
         runs.append((started_s, finished_s, metrics_snapshot()))
-    return batch.index, _pack_rows(rows_per_task, shm_threshold), runs, faults
+    return batch.index, rows_per_task, runs, faults
 
 
 class ProcessExecutor:
@@ -571,9 +460,6 @@ class ProcessExecutor:
         ``ceil(n_tasks / (BATCHES_PER_WORKER * jobs))`` at run time;
         explicit values must be positive (``1`` reproduces the old
         one-round-trip-per-task behaviour).
-    shm_threshold:
-        Pickled-rows size in bytes at which a batch's results switch
-        from the pool's pickle pipe to a shared-memory segment.
     start_method:
         Optional :mod:`multiprocessing` start method override (``"fork"``
         or ``"spawn"``); ``None`` prefers ``fork`` where available.
@@ -589,7 +475,7 @@ class ProcessExecutor:
         ``n`` waits ``backoff_s * 2**n`` plus deterministic jitter.
     chaos:
         Optional :class:`~repro.faults.chaos.ChaosPlan` injecting
-        worker crashes, transport failures, and slow tasks (testing).
+        worker crashes and slow tasks (testing).
     """
 
     def __init__(
@@ -597,7 +483,6 @@ class ProcessExecutor:
         jobs: int,
         max_in_flight: Optional[int] = None,
         batch_size: Optional[int] = None,
-        shm_threshold: int = SHM_MIN_BYTES,
         start_method: Optional[str] = None,
         retries: int = 0,
         task_timeout_s: Optional[float] = None,
@@ -614,8 +499,6 @@ class ProcessExecutor:
             raise ConfigurationError(
                 "batch_size must be >= 1 (or None to derive from the task count)"
             )
-        if shm_threshold < 0:
-            raise ConfigurationError("shm_threshold must be >= 0")
         if retries < 0:
             raise ConfigurationError("retries must be >= 0")
         if task_timeout_s is not None and task_timeout_s <= 0.0:
@@ -625,7 +508,6 @@ class ProcessExecutor:
         self.jobs = jobs
         self.max_in_flight = 4 * jobs if max_in_flight is None else max_in_flight
         self.batch_size = batch_size
-        self.shm_threshold = shm_threshold
         self.start_method = start_method
         self.retries = retries
         self.task_timeout_s = task_timeout_s
@@ -696,7 +578,6 @@ class ProcessExecutor:
                         future = pool.submit(
                             _execute_batch,
                             batch,
-                            self.shm_threshold,
                             attempt,
                             self.task_timeout_s,
                             self.chaos,
@@ -722,28 +603,9 @@ class ProcessExecutor:
                         # The future stays in the in-flight map until its
                         # result is consumed, so a broken-pool error here
                         # re-queues this batch along with the others.
-                        _, payload, runs, faults = future.result()
+                        _, rows_per_task, runs, faults = future.result()
                         del in_flight[future]
                         submitted_s, dispatched_s = stamps.pop(future)
-                        if self.chaos is not None and self.chaos.should_fail_shm(
-                            batch.index, attempt
-                        ):
-                            if isinstance(payload, _ShmRows):
-                                payload.discard()
-                            self._requeue(
-                                batch,
-                                attempt,
-                                "error",
-                                "injected result-transport failure",
-                                delayed,
-                                stats,
-                                on_failure,
-                                backoff_rng,
-                            )
-                            continue
-                        rows_per_task = (
-                            payload.load() if isinstance(payload, _ShmRows) else payload
-                        )
                         received_s = monotonic()
                         delivered += _deliver_batch(
                             batch,
@@ -789,7 +651,7 @@ class ProcessExecutor:
                         delivered,
                         backoff_rng,
                     )
-        # repro: allow[API001] reason=deterministic teardown on any failure (worker crashes outside the repro.errors taxonomy, KeyboardInterrupt): cancel queued batches, stop the pool, drain stamps, release shm segments, then re-raise unchanged
+        # repro: allow[API001] reason=deterministic teardown on any failure (worker crashes outside the repro.errors taxonomy, KeyboardInterrupt): cancel queued batches, stop the pool, drain stamps, then re-raise unchanged
         except BaseException:
             self._abort(pool, in_flight, stamps)
             raise
@@ -875,26 +737,14 @@ class ProcessExecutor:
         """Rebuild the pool after a worker died; re-queue the lost batches.
 
         Every in-flight batch is charged one attempt (the pool cannot
-        say which worker held which batch), shm payloads of batches that
-        completed but were never consumed are released, and a fresh pool
-        replaces the broken one.  A batch whose budget is spent raises
+        say which worker held which batch), and a fresh pool replaces the
+        broken one.  A batch whose budget is spent raises
         :class:`WorkerCrashError` — or degrades into per-task ``"crash"``
         failures when ``on_failure`` is set.
         """
         stats.worker_crashes += 1
         _OBS_WORKER_CRASHES.inc()
         lost = list(in_flight.values())
-        for future in list(in_flight):
-            if not future.done() or future.cancelled():
-                continue
-            try:
-                result = future.result()
-            # repro: allow[API001] reason=crash-recovery sweep over sibling futures; their own errors (whatever the type) are superseded by the pool rebuild
-            except BaseException:
-                continue
-            payload = result[1]
-            if isinstance(payload, _ShmRows):
-                payload.discard()
         in_flight.clear()
         stamps.clear()
         pool.shutdown(wait=False, cancel_futures=True)
@@ -929,24 +779,12 @@ class ProcessExecutor:
         """Deterministic teardown after a failure mid-sweep.
 
         Cancels every queued batch, waits for running ones to finish (a
-        worker cannot be interrupted mid-task), releases the shared
-        -memory segments of batches that completed but were never
-        consumed, and drains the stamp map — so a crashed sweep leaves
-        no abandoned futures, no stale ``/dev/shm`` entries, and a store
-        whose already-persisted tasks resume cleanly on the next run.
+        worker cannot be interrupted mid-task), and drains the in-flight
+        and stamp maps — so a crashed sweep leaves no abandoned futures
+        and a store whose already-persisted tasks resume cleanly on the
+        next run.
         """
         pool.shutdown(wait=True, cancel_futures=True)
-        for future in list(in_flight):
-            if not future.done() or future.cancelled():
-                continue
-            try:
-                result = future.result()
-            # repro: allow[API001] reason=abort-path sweep over sibling futures; their own exceptions (whatever the type) are not the error being propagated
-            except BaseException:
-                continue
-            payload = result[1]
-            if isinstance(payload, _ShmRows):
-                payload.discard()
         in_flight.clear()
         stamps.clear()
 
@@ -965,7 +803,7 @@ def _deliver_batch(
 
     Batch-level costs are amortised evenly: ``dispatch`` (submit call),
     the wait until the worker began the first task, and the post-compute
-    transfer (result packing + transit + completion-loop latency) are
+    transfer (pickle-pipe transit + completion-loop latency) are
     each divided by the batch size.  Worker-side gaps between consecutive
     tasks (metric snapshotting, loop overhead) land in the following
     task's queue-wait.  Each task's ``[submitted_s, received_s]`` is

@@ -24,8 +24,10 @@ Every technique registers itself with the decorator-driven plugin registry
 code resolve techniques by short name through
 :func:`~repro.coding.registry.make_encoder`.  The line-granularity batch
 interface (:class:`~repro.coding.base.LineContext`,
-:meth:`~repro.coding.base.Encoder.encode_line`) is the memory controller's
-hot path; all builtins implement it with vectorised cost evaluation.
+:meth:`~repro.coding.base.Encoder.encode_lines`) is the memory controller's
+hot path; all builtins implement it with vectorised cost evaluation, and
+:meth:`~repro.coding.base.Encoder.encode_line_scalar` is its word-level
+oracle.
 """
 
 from repro.coding.base import (

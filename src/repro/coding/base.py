@@ -14,31 +14,26 @@ interface so the simulators can iterate over them uniformly:
   auxiliary bits alone (faults aside, ``decode(encode(d)) == d``).
 
 The memory controller's natural unit is the cache *line* (8 words of 64
-bits), so the interface also exposes a line-granularity batch path:
+bits; :class:`LineContext` stacks the per-word write-time knowledge of a
+whole line into ``(words, cells)`` matrices plus an auxiliary-bit vector).
+Line encoding has exactly two tiers:
 
-* :class:`LineContext` stacks the per-word write-time knowledge of a whole
-  line into ``(words, cells)`` matrices plus an auxiliary-bit vector;
-* :class:`Encoder.encode_line` maps the line's words to an
-  :class:`EncodedLine`; the base implementation is a scalar loop over
-  :meth:`Encoder.encode`, so third-party encoders keep working unchanged,
-  while every builtin technique overrides it with a vectorised
-  implementation that evaluates all candidate×word cell costs in a single
-  :meth:`repro.coding.cost.CostFunction.line_cell_costs` call;
-* :class:`Encoder.decode_line` is the inverse batch operation.
+* the **oracle** — :meth:`Encoder.encode` per word, looped over a line by
+  :meth:`Encoder.encode_line_scalar`;
+* the **fast path** — :meth:`Encoder.encode_lines` encodes a whole chunk
+  of queued writes (one :class:`LineContext` per line) in one call.  Every
+  builtin technique overrides it to evaluate the candidate×word costs of
+  all lines through a single
+  :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` kernel, bit
+  for bit equal to the oracle; the base implementation loops the oracle,
+  so third-party encoders keep working unchanged.
 
-Above the line level sits the multi-line batch path used by the memory
-controller's wave-based replay engine:
-
-* :meth:`Encoder.encode_lines` encodes a whole chunk of queued writes (one
-  :class:`LineContext` per line) in one call; the base implementation is a
-  scalar loop over :meth:`Encoder.encode_line` so third-party encoders keep
-  working, while every builtin override evaluates the candidate×word costs
-  of all lines through a single
-  :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` kernel;
-* :func:`stack_line_contexts` concatenates per-line contexts into one
-  context covering every word of the batch, which is how per-word
-  independent encoders reduce the multi-line problem to one big
-  vectorised line.
+:meth:`Encoder.encode_line` is a one-line view of the fast path and
+:meth:`Encoder.decode_line` the inverse of a line encode.
+:func:`stack_line_contexts` concatenates per-line contexts into one
+context covering every word of the batch, which is how per-word
+independent encoders reduce the multi-line problem to one big vectorised
+line.
 
 Costs are evaluated through the :class:`repro.coding.cost.CostFunction`
 interface at *cell* granularity, which lets the same encoder minimise
@@ -59,11 +54,11 @@ from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.array import cells_to_word, word_to_cells
 from repro.pcm.cell import CellTechnology
 
-# Lines encoded through the reference per-line loop instead of a builtin
-# vectorised override — the replay engine's "fallback path taken" signal.
+# Lines encoded through the word-at-a-time oracle instead of a vectorised
+# encode_lines — the replay engine's "fallback path taken" signal.
 _OBS_FALLBACK_LINES = obs.counter(
     "encode.fallback_lines",
-    "lines encoded by the reference encode_line loop (no batched override)",
+    "lines encoded by the scalar encode_line_scalar loop (no vectorised encode_lines)",
 )
 
 __all__ = [
@@ -653,21 +648,16 @@ class Encoder(abc.ABC):
     def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
         """Encode a whole cache line for the row described by ``context``.
 
-        The base implementation is the reference scalar loop over
-        :meth:`encode` (see :meth:`encode_line_scalar`), so any third-party
-        encoder that only implements the word-level interface works
-        unchanged.  Builtin techniques override this with vectorised
-        implementations that evaluate every candidate×word cell cost in a
-        single :meth:`repro.coding.cost.CostFunction.line_cell_costs` call.
+        A one-line view of :meth:`encode_lines`, so a single line takes the
+        same fast path as a replay wave.
         """
-        return self.encode_line_scalar(words, context)
+        return self.encode_lines([words], [context])[0]
 
     def encode_line_scalar(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        """Reference word-at-a-time implementation of :meth:`encode_line`.
+        """Reference word-at-a-time line encoding: :meth:`encode` per word.
 
-        Kept callable on every encoder (including those with a vectorised
-        ``encode_line``) so parity tests and benchmarks can compare the two
-        paths directly.
+        The oracle every :meth:`encode_lines` override must match bit for
+        bit; parity tests and benchmarks call it directly.
         """
         self._check_line_context(context, len(words))
         return EncodedLine.from_words(
@@ -694,18 +684,18 @@ class Encoder(abc.ABC):
         ``words_matrix`` is a ``(lines, words_per_line)`` matrix of data
         words (an integer ndarray or a sequence of per-line sequences) and
         ``contexts[l]`` describes the target row of line ``l``.  The base
-        implementation is the reference loop over :meth:`encode_line`, so
-        any third-party encoder works on the multi-line path unchanged;
-        every builtin technique overrides it so one
+        implementation is the reference loop over
+        :meth:`encode_line_scalar`, so any third-party encoder works
+        unchanged; every builtin technique overrides it so one
         :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
         evaluates the candidate×word costs of the whole chunk.  Results are
-        bit-identical to encoding each line separately — the memory
-        controller's replay waves rely on that contract.
+        bit-identical to :meth:`encode_line_scalar` on each line — the
+        memory controller's replay waves rely on that contract.
         """
         rows = self._line_batch_rows(words_matrix, contexts)
         _OBS_FALLBACK_LINES.inc(len(contexts))
         return [
-            self.encode_line(words, context)
+            self.encode_line_scalar(words, context)
             for words, context in zip(rows, contexts)
         ]
 
@@ -754,8 +744,22 @@ class Encoder(abc.ABC):
             )
         return rows
 
-    def _check_lines_batch(self, values: np.ndarray, contexts: Sequence[LineContext]) -> None:
-        """Validate a uint64 ``(lines, words)`` batch against its contexts."""
+    def _check_lines_batch(
+        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
+    ) -> np.ndarray:
+        """Convert a ``(lines, words)`` batch to uint64 and validate it.
+
+        Returns the uint64 matrix.  A word outside ``[0, 2**word_bits)``
+        raises :class:`EncodingError`, exactly like the scalar oracle.
+        """
+        try:
+            values = np.asarray(words_matrix, dtype=np.uint64)
+        except OverflowError:
+            # A negative or >= 2**64 word: name it like _check_data does.
+            for row in words_matrix:
+                for word in row:
+                    self._check_data(int(word))
+            raise
         if values.ndim != 2 or values.size == 0:
             raise EncodingError(
                 "encode_lines expects a non-empty (lines, words_per_line) word matrix"
@@ -771,6 +775,7 @@ class Encoder(abc.ABC):
             )
         for context in contexts:
             self._check_line_context(context, values.shape[1])
+        return values
 
     def _select_best(self, candidates, auxes, context: WordContext) -> EncodedWord:
         """Pick the lowest-cost candidate from parallel candidate/aux lists."""
@@ -794,49 +799,6 @@ class Encoder(abc.ABC):
             technique=self.name,
         )
 
-    def _select_best_line(
-        self, candidates, auxes, context: LineContext, cells: Optional[np.ndarray] = None
-    ) -> EncodedLine:
-        """Vectorised per-word argmin over a ``(candidates, words)`` batch.
-
-        Parameters
-        ----------
-        candidates:
-            ``(num_candidates, words)`` array of candidate codeword values
-            (every word is offered the same number of candidates).
-        auxes:
-            Either a ``(num_candidates,)`` vector shared by all words or a
-            ``(num_candidates, words)`` matrix of auxiliary values.
-        context:
-            The line context; ``old_auxes`` is charged per word.
-        cells:
-            Optional precomputed ``(num_candidates, words, cells)`` cell
-            matrix of the candidates, for encoders that can derive it more
-            cheaply than the generic word-to-cell conversion.
-        """
-        cand = np.asarray(candidates, dtype=np.uint64)
-        if cand.ndim != 2 or cand.size == 0:
-            raise EncodingError("candidates must form a non-empty (candidates, words) matrix")
-        aux = np.asarray(auxes, dtype=np.int64)
-        if aux.ndim == 1:
-            aux = np.broadcast_to(aux[:, None], cand.shape)
-        if aux.shape != cand.shape:
-            raise EncodingError("aux values must align with the candidate matrix")
-        if cells is None:
-            cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
-        data_costs = self.cost_function.line_cell_costs(cells, context).sum(axis=2)
-        aux_costs = self.cost_function.aux_costs_matrix(aux, context.old_auxes, self.aux_bits)
-        totals = data_costs + aux_costs
-        best = np.argmin(totals, axis=0)
-        word_index = np.arange(cand.shape[1])
-        return EncodedLine(
-            codewords=tuple(int(c) for c in cand[best, word_index]),
-            auxes=tuple(int(a) for a in aux[best, word_index]),
-            aux_bits=self.aux_bits,
-            costs=tuple(float(t) for t in totals[best, word_index]),
-            technique=self.name,
-        )
-
     def _select_best_lines(
         self,
         candidates: np.ndarray,
@@ -847,11 +809,11 @@ class Encoder(abc.ABC):
     ) -> List[EncodedLine]:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
 
-        The multi-line sibling of :meth:`_select_best_line`: one
+        The multi-line sibling of :meth:`_select_best`: one
         :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
         scores every candidate of every word of every line, and the
         selected codewords, auxiliary values, and costs are bit-identical
-        to running :meth:`_select_best_line` per line.
+        to running :meth:`_select_best` per word.
 
         Parameters
         ----------

@@ -28,9 +28,8 @@ __all__ = ["BCCEncoder"]
 class BCCEncoder(FNWEncoder):
     """Biased coset coding with ``N`` candidates (``log2 N`` partitions).
 
-    Inherits both batch paths from Flip-N-Write: the vectorised
-    ``encode_line`` and the multi-line ``encode_lines`` used by the memory
-    controller's replay waves.
+    Inherits Flip-N-Write's vectorised ``encode_lines``, the fast path of
+    the memory controller's replay waves.
     """
 
     name = "bcc"

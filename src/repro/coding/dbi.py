@@ -23,9 +23,8 @@ __all__ = ["DBIEncoder"]
 class DBIEncoder(FNWEncoder):
     """Whole-block conditional inversion (1 auxiliary bit per word).
 
-    Inherits both batch paths from Flip-N-Write: the vectorised
-    ``encode_line`` and the multi-line ``encode_lines`` used by the memory
-    controller's replay waves.
+    Inherits Flip-N-Write's vectorised ``encode_lines``, the fast path of
+    the memory controller's replay waves.
     """
 
     name = "dbi"

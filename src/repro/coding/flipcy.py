@@ -69,37 +69,14 @@ class FlipcyEncoder(Encoder):
         auxes = [_FORM_IDENTITY, _FORM_ONES_COMPLEMENT, _FORM_TWOS_COMPLEMENT]
         return self._select_best(candidates, auxes, context)
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        if self.word_bits > 64:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        mask = np.uint64(self._mask)
-        values = np.asarray(words, dtype=np.uint64)
-        candidates = np.stack(
-            [
-                values,
-                values ^ mask,
-                # Two's complement: unsigned wraparound then trim to width.
-                (~values + np.uint64(1)) & mask,
-            ]
-        )
-        auxes = np.array(
-            [_FORM_IDENTITY, _FORM_ONES_COMPLEMENT, _FORM_TWOS_COMPLEMENT], dtype=np.int64
-        )
-        return self._select_best_line(candidates, auxes, context)
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
         if self.word_bits > 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._check_lines_batch(words_matrix, contexts)
         mask = np.uint64(self._mask)
-        # Same three forms as encode_line, stacked along the candidate axis.
+        # Same three forms as encode, stacked along the candidate axis.
         candidates = np.stack(
             [values, values ^ mask, (~values + np.uint64(1)) & mask], axis=1
         )

@@ -118,67 +118,14 @@ class FNWEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        # The vectorized path packs codewords and flag vectors into 64-bit
-        # lanes; wider configurations use the scalar loop.
-        if self.word_bits > 64 or self.aux_bits >= 64:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        num_words = len(words)
-        p = self.partitions
-        sub_mask = np.uint64(self._sub_mask)
-        values = np.asarray(words, dtype=np.uint64)
-        shifts = np.array(
-            [self.sub_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
-        )
-        subs = (values[:, None] >> shifts) & sub_mask
-        candidates = np.stack([subs, subs ^ sub_mask])
-        cells = words_matrix_to_cells(
-            candidates.reshape(2, num_words * p), self.sub_bits, self.bits_per_cell
-        )
-        sub_context = context.split_partitions(p)
-        costs = (
-            self.cost_function.line_cell_costs(cells, sub_context)
-            .sum(axis=2)
-            .reshape(2, num_words, p)
-        )
-        flags_matrix = costs[1] < costs[0]
-        chosen_costs = np.where(flags_matrix, costs[1], costs[0])
-        # Accumulate partitions left to right, matching the scalar loop's
-        # float association exactly (bit-for-bit cost parity).
-        totals = np.zeros(num_words, dtype=np.float64)
-        for j in range(p):
-            totals += chosen_costs[:, j]
-        chosen_subs = np.where(flags_matrix, candidates[1], candidates[0])
-        codewords = np.zeros(num_words, dtype=np.uint64)
-        flags = np.zeros(num_words, dtype=np.int64)
-        for j in range(p):
-            codewords |= chosen_subs[:, j] << shifts[j]
-            flags = (flags << 1) | flags_matrix[:, j]
-        totals += self.cost_function.aux_costs_matrix(
-            flags[None, :], context.old_auxes, self.aux_bits
-        )[0]
-        return EncodedLine(
-            codewords=tuple(int(c) for c in codewords),
-            auxes=tuple(int(f) for f in flags),
-            aux_bits=self.aux_bits,
-            costs=tuple(float(t) for t in totals),
-            technique=self.name,
-        )
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
-        # Mirrors the vectorized encode_line with a leading lines axis: one
-        # batch_line_cell_costs call scores the direct and inverted form of
-        # every partition of every word of every queued write.
+        # One batch_line_cell_costs call scores the direct and inverted form
+        # of every partition of every word of every queued write.
         if self.word_bits > 64 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._check_lines_batch(words_matrix, contexts)
         lines, num_words = values.shape
         p = self.partitions
         sub_mask = np.uint64(self._sub_mask)

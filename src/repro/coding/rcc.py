@@ -128,27 +128,12 @@ class RCCEncoder(Encoder):
         auxes = list(range(self.num_cosets))
         return self._select_best(candidates, auxes, context)
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        if self._coset_array is None:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        values = np.asarray(words, dtype=np.uint64)
-        candidates = values[None, :] ^ self._coset_array[:, None]
-        auxes = np.arange(self.num_cosets, dtype=np.int64)
-        data_cells = words_matrix_to_cells(values, self.word_bits, self.bits_per_cell)
-        candidate_cells = data_cells[None, :, :] ^ self._coset_cells[:, None, :]
-        return self._select_best_line(candidates, auxes, context, cells=candidate_cells)
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
         if self._coset_array is None:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._check_lines_batch(words_matrix, contexts)
         lines, words = values.shape
         total_words = lines * words
         flat = values.reshape(total_words)
@@ -175,7 +160,7 @@ class RCCEncoder(Encoder):
         # cost row is addressed by the *coset* cells, which are fixed) and
         # score all cosets of all words with one precomputed-index gather.
         # Every gathered value is an entry the elementwise pipeline would
-        # have produced, so selection stays bit-identical to encode_line.
+        # have produced, so selection stays bit-identical to encode.
         cells_per_word = data_cells.shape[1]
         levels = tables.shape[3]
         fold = (
@@ -186,7 +171,7 @@ class RCCEncoder(Encoder):
         )
         # np.take (unlike an advanced-indexing gather) returns a C-contiguous
         # array, so the per-candidate cell sums below run the exact same
-        # contiguous pairwise reduction as the single-line reference path.
+        # contiguous pairwise reduction as the scalar reference path.
         gathered = np.take(
             folded.reshape(total_words, cells_per_word * levels),
             self._coset_gather.reshape(-1),
@@ -197,7 +182,7 @@ class RCCEncoder(Encoder):
         # Selection inline (the (words, cosets) layout of the fast path
         # saves transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
-        # _select_best_line, and only the winning candidates are built.
+        # _select_best, and only the winning candidates are built.
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         aux_costs = self.cost_function.aux_costs_matrix(
             np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.coding.base import (
     EncodedLine,
     EncodedWord,
@@ -61,28 +59,12 @@ class UnencodedEncoder(Encoder):
             codeword=data, aux=0, aux_bits=0, cost=float(cost), technique=self.name
         )
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        cells = words_matrix_to_cells([words], self.word_bits, self.bits_per_cell)
-        costs = self.cost_function.line_cell_costs(cells, context)[0].sum(axis=1)
-        return EncodedLine(
-            codewords=tuple(words),
-            auxes=(0,) * len(words),
-            aux_bits=0,
-            costs=tuple(float(c) for c in costs),
-            technique=self.name,
-        )
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
         if self.word_bits > 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._check_lines_batch(words_matrix, contexts)
         lines, words = values.shape
         # A single one-candidate batch kernel call reports the cost of
         # storing every line unchanged; there is nothing to select.

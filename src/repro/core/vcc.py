@@ -185,106 +185,6 @@ class VCCEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        config = self.config
-        if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        num_words = len(words)
-        p = config.partitions
-        r = config.num_kernels
-
-        # Batched setup: kernels may depend on the word's left digits, so
-        # they are resolved through the provider's batch interface.
-        values = np.asarray(words, dtype=np.uint64)
-        kernels_matrix = np.asarray(
-            self.kernel_provider.kernels_for_batch(values), dtype=np.uint64
-        )
-        if kernels_matrix.shape != (num_words, r):
-            raise EncodingError(
-                f"kernel provider returned shape {kernels_matrix.shape} kernels, "
-                f"expected ({num_words}, {r})"
-            )
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            left_array, region_array = split_planes_array(values, config.word_bits)
-            left_planes: List[Optional[int]] = [int(v) for v in left_array]
-        else:
-            left_array = None
-            region_array = values
-            left_planes = [None] * num_words
-        sub_shifts = np.array(
-            [config.kernel_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
-        )
-        kernel_mask = np.uint64(self._kernel_mask)
-        subs = (region_array[:, None] >> sub_shifts) & kernel_mask
-
-        # All 2r candidate encodings of every partition of every word: the
-        # first r entries along axis 0 are the XOR forms, the last r the
-        # XNOR forms, matching the scalar _partition_costs layout.
-        xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
-        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
-
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            # Each kernel bit is the right digit of one cell; the left digit
-            # comes, unchanged, from the passthrough plane.
-            shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=np.uint64)
-            right_bits = (all_values[..., None] >> shifts) & np.uint64(1)
-            left_subs = (left_array[:, None] >> sub_shifts) & kernel_mask
-            left_bits = (left_subs[..., None] >> shifts) & np.uint64(1)
-            cell_matrix = ((left_bits[None] << np.uint64(1)) | right_bits).astype(np.uint8)
-        else:
-            cell_matrix = words_matrix_to_cells(
-                all_values, config.kernel_bits, self.bits_per_cell
-            )
-
-        cells_per_partition = config.cells_per_partition
-        sub_context = context.split_partitions(p)
-        costs = (
-            self.cost_function.line_cell_costs(
-                cell_matrix.reshape(2 * r, num_words * p, cells_per_partition), sub_context
-            )
-            .sum(axis=2)
-            .reshape(2 * r, num_words, p)
-        )
-        xor_costs = costs[:r]
-        xnor_costs = costs[r:]
-        flags_matrix = xnor_costs < xor_costs
-        per_partition_best = np.where(flags_matrix, xnor_costs, xor_costs)
-        data_costs = per_partition_best.sum(axis=2)
-
-        flags = np.zeros((r, num_words), dtype=np.int64)
-        for j in range(p):
-            flags = (flags << 1) | flags_matrix[:, :, j]
-        aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
-        aux_costs = self.cost_function.aux_costs_matrix(
-            aux_values, context.old_auxes, self.aux_bits
-        )
-        totals = data_costs + aux_costs
-        best_kernel = np.argmin(totals, axis=0)
-
-        codewords = []
-        for index in range(num_words):
-            i = int(best_kernel[index])
-            codewords.append(
-                self._build_codeword(
-                    [int(s) for s in subs[index]],
-                    int(kernels_matrix[index, i]),
-                    int(flags[i, index]),
-                    left_planes[index],
-                )
-            )
-        word_index = np.arange(num_words)
-        return EncodedLine(
-            codewords=tuple(codewords),
-            auxes=tuple(int(a) for a in aux_values[best_kernel, word_index]),
-            aux_bits=self.aux_bits,
-            costs=tuple(float(t) for t in totals[best_kernel, word_index]),
-            technique=self.name,
-        )
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
@@ -296,16 +196,14 @@ class VCCEncoder(Encoder):
         costs, flags, and the per-word argmin all run once over the stacked
         word axis, with the candidate×partition costs evaluated through a
         single :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs`
-        call.  Unlike :meth:`encode_line`, the winning codewords are
-        assembled with vectorised bit arithmetic instead of the per-word
-        Python loop; the selected kernels, flags, and costs are
-        bit-identical to encoding each line separately.
+        call, and the winning codewords are assembled with vectorised bit
+        arithmetic.  The selected kernels, flags, codewords, and costs are
+        bit-identical to :meth:`encode` on each word.
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._check_lines_batch(words_matrix, contexts)
         lines, words_per_line = values.shape
         num_words = lines * words_per_line
         p = config.partitions
@@ -332,7 +230,7 @@ class VCCEncoder(Encoder):
         subs = (region_array[:, None] >> sub_shifts) & kernel_mask
 
         # All 2r candidate encodings of every partition of every word, in
-        # the same axis-0 layout as encode_line (XOR forms then XNOR).
+        # the axis-0 layout of _partition_costs (XOR forms then XNOR).
         xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
         all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
 

@@ -12,8 +12,9 @@ the same internals: bit-identical accounting, per-write results
 accumulated into the preallocated arrays of a :class:`ReplayResult`).
 
 The write path is line-granular end to end: each write issues a single
-:meth:`repro.coding.base.Encoder.encode_line` call (vectorised for every
-builtin technique), auxiliary bits live in a preallocated
+:meth:`repro.coding.base.Encoder.encode_line` call (a one-line
+``encode_lines`` batch, vectorised for every builtin technique),
+auxiliary bits live in a preallocated
 ``(rows, words_per_line)`` array, and the energy / SAW accounting is
 computed with NumPy over the whole row.
 

@@ -1,13 +1,12 @@
-"""Batched-executor contracts: determinism, shm hygiene, crash recovery.
+"""Batched-executor contracts: determinism, telemetry, crash recovery.
 
 The determinism matrix drives a real (scaled-down) fig7 sweep through
 every batching shape that matters — size 1 (the old one-round-trip-per
 -task behaviour), an uneven tail, and a single batch larger than the
 task list — under both the ``fork`` and ``spawn`` start methods, and
-checks the rows against the serial oracle bit for bit.  The
-shared-memory tests force the segment transport with a 1-byte threshold
-and assert nothing is left behind in ``/dev/shm`` on either the happy
-path or a simulated worker crash.
+checks the rows against the serial oracle bit for bit.  The crash tests
+check that a failed sweep resumes cleanly and leaves the executor
+reusable.
 """
 
 import multiprocessing
@@ -61,13 +60,6 @@ def _collect(executor, tasks):
 
     executor.run(tasks, on_result)
     return results, telemetry
-
-
-def _shm_entries():
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux host
-        return set()
 
 
 class TestConfiguration:
@@ -143,15 +135,6 @@ class TestDeterminismMatrix:
         else:
             assert sizes == {len(tasks)}  # one oversized batch
 
-    def test_shared_memory_transport_rows_identical(self):
-        """A 1-byte threshold forces every batch through shared memory."""
-        tasks = _fig7_tasks(4)
-        before = _shm_entries()
-        serial, _ = _collect(SerialExecutor(), tasks)
-        parallel, _ = _collect(ProcessExecutor(2, batch_size=2, shm_threshold=1), tasks)
-        assert parallel == serial
-        assert _shm_entries() - before == set(), "leaked /dev/shm segments"
-
     def test_run_campaign_batch_size_knob(self):
         tasks = _fig7_tasks(4)
         serial = run_campaign(tasks, jobs=1)
@@ -196,9 +179,8 @@ class TestTelemetryTiling:
 
 @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
 class TestCrashRecovery:
-    """Satellite regression: a worker crash mid-sweep must leave the
-    pool shut down, the stamp map drained, no stale shm segments, and a
-    store that resumes cleanly."""
+    """A worker crash mid-sweep must leave the pool shut down, the stamp
+    map drained, and a store that resumes cleanly."""
 
     def test_worker_exception_propagates_and_store_resumes(self, tmp_path):
         flag = tmp_path / "explode"
@@ -216,11 +198,9 @@ class TestCrashRecovery:
             grid={"index": list(range(8))},
         )
         store = ResultStore(tmp_path / "store")
-        before = _shm_entries()
         try:
             with pytest.raises(SimulationError, match="worker crash"):
                 run_campaign(spec, store=store, jobs=2, batch_size=1)
-            assert _shm_entries() - before == set(), "crash leaked shm segments"
             persisted = len(store)
             flag.unlink()  # disarm and resume
             resumed = run_campaign(spec, store=store, jobs=2, batch_size=1)
@@ -230,28 +210,22 @@ class TestCrashRecovery:
         finally:
             unregister_task("test-batch-crash-cell")
 
-    def test_crash_with_forced_shm_transport_leaks_nothing(self, tmp_path):
-        """Completed-but-unconsumed shm batches are released on abort."""
+    def test_executor_reusable_after_abort(self):
+        """The abort path leaves no state behind that breaks a fresh run."""
 
-        @register_task("test-batch-shm-crash-cell")
+        @register_task("test-batch-abort-cell")
         def _cell(params):
             if params["index"] == 0:
                 raise SimulationError("first batch dies")
-            # bulky rows so sibling batches cross the 1-byte threshold
-            return [{"index": params["index"], "blob": "x" * 2048}]
+            return [{"index": params["index"]}]
 
-        tasks = [
-            Task(kind="test-batch-shm-crash-cell", params={"index": i}) for i in range(6)
-        ]
-        before = _shm_entries()
-        executor = ProcessExecutor(2, batch_size=1, shm_threshold=1, start_method="fork")
+        tasks = [Task(kind="test-batch-abort-cell", params={"index": i}) for i in range(6)]
+        executor = ProcessExecutor(2, batch_size=1, start_method="fork")
         try:
             with pytest.raises(SimulationError, match="first batch dies"):
                 executor.run(tasks, lambda task, rows, telemetry: None)
-            assert _shm_entries() - before == set(), "abort path leaked shm segments"
-            # The executor must remain usable for a fresh run.
             survivors = tasks[1:]
             results, _ = _collect(executor, survivors)
             assert len(results) == len(survivors)
         finally:
-            unregister_task("test-batch-shm-crash-cell")
+            unregister_task("test-batch-abort-cell")

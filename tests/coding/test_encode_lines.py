@@ -1,10 +1,13 @@
-"""Multi-line batch encoding: encode_lines vs. the per-line reference.
+"""Multi-line batch encoding: encode_lines vs. the scalar oracle.
 
 The contract of :meth:`repro.coding.base.Encoder.encode_lines` is that the
 returned codewords, auxiliary values, and costs are *bit-identical* to
-calling :meth:`encode_line` once per line — for every registry encoder,
-both cell technologies, with stuck cells and non-trivial stored auxiliary
-bits in play.  The same holds one layer down for
+calling :meth:`encode_line_scalar` (``encode`` per word) once per line —
+for every registry encoder, both cell technologies, every builtin cost
+objective, with and without stuck cells and stored auxiliary bits, on
+single lines and multi-line batches.  ``encode_line`` is a one-line view
+of ``encode_lines``, so this one matrix covers it too.  The same holds
+one layer down for
 :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` against
 per-line :meth:`line_cell_costs` calls.
 """
@@ -31,6 +34,7 @@ from repro.coding.cost import (
 from repro.coding.registry import available_encoders, make_encoder
 from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
+from repro.sim.harness import make_cost
 from repro.utils.bitops import random_word
 from repro.utils.rng import make_rng
 
@@ -38,8 +42,11 @@ WORDS_PER_LINE = 8
 WORD_BITS = 64
 LINES = 5
 
+#: Write-time knowledge of the target rows: (stuck cells, stored auxes).
+KNOWLEDGE = {"fault-free": (False, False), "stuck": (True, False), "stuck+aux": (True, True)}
 
-def _contexts(rng, technology, encoder, lines=LINES):
+
+def _contexts(rng, technology, encoder, lines=LINES, stuck=True, old_aux=True):
     cells = encoder.cells_per_word
     levels = technology.levels
     aux_limit = 1 << min(encoder.aux_bits, 62)
@@ -50,9 +57,9 @@ def _contexts(rng, technology, encoder, lines=LINES):
                 old_cells=rng.integers(0, levels, size=(WORDS_PER_LINE, cells)).astype(
                     np.uint8
                 ),
-                stuck_mask=rng.random((WORDS_PER_LINE, cells)) < 0.02,
+                stuck_mask=(rng.random((WORDS_PER_LINE, cells)) < 0.02) if stuck else None,
                 bits_per_cell=technology.bits_per_cell,
-                old_auxes=rng.integers(0, aux_limit, size=WORDS_PER_LINE),
+                old_auxes=rng.integers(0, aux_limit, size=WORDS_PER_LINE) if old_aux else None,
             )
         )
     return contexts
@@ -68,29 +75,34 @@ def _lines(rng, lines=LINES):
 class TestEncodeLinesParity:
     @pytest.mark.parametrize("name", available_encoders())
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
-    @pytest.mark.parametrize("cost", ["saw-then-energy", "energy-then-saw"])
-    def test_matches_per_line_encode_line(self, name, technology, cost):
-        from repro.sim.harness import make_cost
-
-        rng = make_rng(5, f"encode-lines-{name}-{technology.value}-{cost}")
-        encoder = make_encoder(
-            name,
-            word_bits=WORD_BITS,
-            num_cosets=16,
-            technology=technology,
-            cost_function=make_cost(cost, technology),
-        )
-        contexts = _contexts(rng, technology, encoder)
-        lines = _lines(rng)
-        batched = encoder.encode_lines(lines, contexts)
-        assert len(batched) == LINES
-        for line, context, encoded in zip(lines, contexts, batched):
-            reference = encoder.encode_line(line, context)
-            assert encoded.codewords == reference.codewords
-            assert encoded.auxes == reference.auxes
-            assert encoded.aux_bits == reference.aux_bits
-            assert encoded.costs == reference.costs  # bit-identical floats
-            assert encoded.technique == reference.technique
+    @pytest.mark.parametrize(
+        "cost", ["ones", "bit-changes", "energy", "saw-then-energy", "energy-then-saw"]
+    )
+    @pytest.mark.parametrize("knowledge", list(KNOWLEDGE))
+    def test_matches_scalar_oracle(self, name, technology, cost, knowledge):
+        stuck, old_aux = KNOWLEDGE[knowledge]
+        rng = make_rng(5, f"encode-lines-{name}-{technology.value}-{cost}-{knowledge}")
+        # A single line (the encode_line view) and a multi-line batch, at
+        # two coset counts so VCC sees different kernel counts.
+        for lines, num_cosets in ((1, 32), (LINES, 16)):
+            encoder = make_encoder(
+                name,
+                word_bits=WORD_BITS,
+                num_cosets=num_cosets,
+                technology=technology,
+                cost_function=make_cost(cost, technology),
+            )
+            contexts = _contexts(rng, technology, encoder, lines, stuck, old_aux)
+            words = _lines(rng, lines)
+            batched = encoder.encode_lines(words, contexts)
+            oracle = [
+                encoder.encode_line_scalar(line, context)
+                for line, context in zip(words, contexts)
+            ]
+            # EncodedLine equality compares codewords, auxes, aux_bits,
+            # technique, and the float costs exactly (bit-identical).
+            assert batched == oracle
+            assert encoder.encode_line(words[0], contexts[0]) == oracle[0]
 
     @pytest.mark.parametrize("name", available_encoders())
     def test_decodes_back_to_data(self, name):
@@ -147,6 +159,22 @@ class TestEncodeLinesParity:
             encoder.encode_lines(_lines(rng, lines=3), contexts)
         with pytest.raises(EncodingError):
             encoder.encode_lines([], [])
+
+
+class TestOutOfRangeWords:
+    @pytest.mark.parametrize("name", available_encoders())
+    @pytest.mark.parametrize("method", ["encode_line", "encode_lines"])
+    @pytest.mark.parametrize("word", [-1, 1 << 64], ids=["negative", "2**64"])
+    def test_raises_encoding_error(self, name, method, word):
+        """Regression: encode_lines used to leak numpy's OverflowError."""
+        encoder = make_encoder(name, word_bits=WORD_BITS, num_cosets=16)
+        line = [word] + [0] * (WORDS_PER_LINE - 1)
+        context = LineContext.blank(WORDS_PER_LINE, WORD_BITS, encoder.bits_per_cell)
+        with pytest.raises(EncodingError, match=f"does not fit in {WORD_BITS} bits"):
+            if method == "encode_line":
+                encoder.encode_line(line, context)
+            else:
+                encoder.encode_lines([line], [context])
 
 
 ALL_COSTS = [
