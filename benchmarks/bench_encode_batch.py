@@ -4,7 +4,7 @@ The generic (non-identity) replay path of
 :meth:`repro.memctrl.controller.MemoryController.replay_trace` partitions
 each chunk into waves of writes targeting distinct rows and encodes every
 wave through one :meth:`repro.coding.base.Encoder.encode_lines` call.
-This benchmark checks the wave engine's contracts:
+This benchmark checks the wave engine's parity and tracks its throughput:
 
 * **parity** — every per-write accounting value of the replay is
   bit-identical to the scalar ``write_line`` oracle for *all* registry
@@ -12,14 +12,12 @@ This benchmark checks the wave engine's contracts:
   additionally under Start-Gap wear leveling (waves must flush at gap
   migrations) and across the fault-knowledge modes;
 * **throughput** — on the paper's headline coset configurations (VCC-256
-  and RCC-256 under the Opt.-SAW objective), ``replay_trace`` sustains at
-  least ``3x`` the per-write ``write_line`` lines/sec.  Scalar and batched
-  segments alternate and the speedup is the best scalar/batched pair, so
-  epoch-scale host noise cannot masquerade as a regression.  The floor is
-  enforced only by the pytest entry point and only on hosts with a spare
-  core (``os.cpu_count() >= 2``, mirroring ``bench_trace_replay.py``);
-  running the script directly reports the measurement for tracking and
-  gates on parity alone.
+  and RCC-256 under the Opt.-SAW objective), ``replay_trace`` and the
+  per-write ``write_line`` lines/sec are measured for tracking only.
+  ``write_line`` runs the same ``encode_lines`` kernels one line at a
+  time, so their ratio mostly measures host noise; the batched kernels
+  are gated against the ``encode_line_scalar`` oracle by
+  ``bench_encode_throughput.py`` instead.
 
 Each run writes ``benchmarks/results/BENCH_encode_batch.json`` with the
 measured throughputs so the perf trajectory is tracked across PRs.
@@ -28,7 +26,7 @@ Run directly for a table::
 
     PYTHONPATH=src python benchmarks/bench_encode_batch.py
 
-or under pytest to enforce the contracts::
+or under pytest to enforce the parity contract::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_encode_batch.py -q
 """
@@ -69,11 +67,6 @@ SEGMENTS = 7
 PARITY_ROWS = 16
 PARITY_TRACE = {"num_writebacks": 12, "memory_lines": PARITY_ROWS, "line_bits": 512, "word_bits": 64}
 PARITY_REPETITIONS = 2
-
-#: Wave-replay throughput floor relative to the scalar write_line path.
-#: Single-threaded work, but shared single-core hosts are too noisy to
-#: gate on (same policy as bench_trace_replay.py).
-SPEEDUP_FLOOR = 3.0
 
 THROUGHPUT_SPECS = (
     ("vcc-256", TechniqueSpec(encoder="vcc", cost="saw-then-energy", num_cosets=256)),
@@ -263,9 +256,8 @@ def measure(spec: TechniqueSpec) -> Tuple[float, float, float]:
     return SEGMENT_WRITES / best_scalar, SEGMENT_WRITES / best_replay, best_ratio
 
 
-def run_benchmark(enforce_floor: bool) -> Dict[str, Dict[str, float]]:
+def run_benchmark() -> Dict[str, Dict[str, float]]:
     """Measure every throughput spec, print a table, emit the JSON record."""
-    cores = os.cpu_count() or 1
     results: Dict[str, Dict[str, float]] = {}
     print(
         f"encode-batch benchmark: {SEGMENTS}x{SEGMENT_WRITES} writes, {ROWS} rows, "
@@ -290,31 +282,21 @@ def run_benchmark(enforce_floor: bool) -> Dict[str, Dict[str, float]]:
             "segments": SEGMENTS,
             "cost": "saw-then-energy",
             "fault_rate": 1e-2,
-            "speedup_floor": SPEEDUP_FLOOR,
         },
         results=results,
     )
-    if enforce_floor and cores >= 2:
-        for label, numbers in results.items():
-            assert numbers["speedup"] >= SPEEDUP_FLOOR, (
-                f"{label} wave-replay speedup is {numbers['speedup']:.2f}x; "
-                f"floor is {SPEEDUP_FLOOR}x"
-            )
     return results
 
 
-def test_encode_batch_parity_and_speedup() -> None:
-    # Contract 1: bit-identical per-write accounting over the full matrix
-    # (9 encoders x SLC/MLC, wear leveling, fault-knowledge modes).
+def test_encode_batch_parity() -> None:
+    # Bit-identical per-write accounting over the full matrix (9 encoders
+    # x SLC/MLC, wear leveling, fault-knowledge modes).
     checked = check_parity()
     assert checked == 2 * len(available_encoders()) + 5
 
-    # Contract 2: the coset-coded replay hot paths clear the floor.
-    run_benchmark(enforce_floor=True)
-
 
 def main() -> None:
-    run_benchmark(enforce_floor=False)
+    run_benchmark()
     print(
         "parity: replay waves vs write_line oracle "
         "(all encoders x SLC/MLC, wear leveling, fault knowledge) ...",

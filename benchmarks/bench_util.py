@@ -6,8 +6,8 @@ trajectory can be tracked across PRs (and uploaded as a CI artifact):
 
 * ``name`` / ``created_unix`` identify the measurement;
 * ``host`` stamps the machine the numbers came from (core count,
-  platform, python/numpy versions) so trajectories are comparable
-  across runners;
+  platform, python/numpy versions, BLAS library and thread count) so
+  trajectories are comparable across runners;
 * ``config`` records the knobs the numbers depend on (geometry, writes,
   encoder settings);
 * ``results`` holds the measured throughputs and speedups;
@@ -30,6 +30,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro import obs
+from repro.utils.blas import blas_info
 
 __all__ = ["host_metadata", "write_bench_json", "RESULTS_DIR"]
 
@@ -39,11 +40,14 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 def host_metadata() -> Dict[str, Any]:
     """The host facts a benchmark number depends on."""
+    blas_library, blas_threads = blas_info()
     return {
         "cpu_count": os.cpu_count() or 1,
         "platform": platform.platform(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "blas_library": blas_library,
+        "blas_threads": blas_threads,
     }
 
 

@@ -92,6 +92,7 @@ from repro.campaign.spec import Task
 from repro.campaign.tasks import _ensure_builtins, run_task
 from repro.errors import ConfigurationError, ReproError, SimulationError, WorkerCrashError
 from repro.obs import metrics_snapshot, monotonic, reset_metrics
+from repro.utils.blas import set_blas_threads
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -376,8 +377,14 @@ class SerialExecutor:
 
 
 def _worker_init() -> None:
-    """Pool initializer: make the builtin task kinds resolvable."""
+    """Pool initializer: make the builtin task kinds resolvable, pin BLAS.
+
+    ``jobs`` workers each running a BLAS thread per CPU oversubscribe the
+    host, and RCC's small coset GEMMs are fastest single-threaded anyway.
+    The coordinator's own BLAS threading is left alone.
+    """
     _ensure_builtins()
+    set_blas_threads(1)
 
 
 #: Per-task worker measurement: compute start/finish stamps plus the

@@ -805,7 +805,6 @@ class Encoder(abc.ABC):
         auxes: np.ndarray,
         contexts: Sequence[LineContext],
         cells: Optional[np.ndarray] = None,
-        data_costs: Optional[np.ndarray] = None,
     ) -> List[EncodedLine]:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
 
@@ -826,10 +825,6 @@ class Encoder(abc.ABC):
         cells:
             Optional precomputed ``(lines, num_candidates, words, cells)``
             candidate cell values.
-        data_costs:
-            Optional precomputed ``(lines, num_candidates, words)`` data
-            costs (e.g. RCC's transition-table gather), skipping the cell
-            evaluation entirely.
         """
         cand = np.asarray(candidates, dtype=np.uint64)
         if cand.ndim != 3 or cand.size == 0:
@@ -840,10 +835,9 @@ class Encoder(abc.ABC):
         aux = np.asarray(auxes, dtype=np.int64)
         if aux.shape != (num_candidates,):
             raise EncodingError("aux values must align with the candidate axis")
-        if data_costs is None:
-            if cells is None:
-                cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
-            data_costs = self.cost_function.batch_line_cell_costs(cells, contexts).sum(axis=3)
+        if cells is None:
+            cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
+        data_costs = self.cost_function.batch_line_cell_costs(cells, contexts).sum(axis=3)
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         aux_costs = self.cost_function.aux_costs_matrix(
             np.broadcast_to(aux[:, None], (num_candidates, lines * words)),

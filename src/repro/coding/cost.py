@@ -33,6 +33,18 @@ possible cell value) with a single elementwise pass, then score any number
 of candidates with one gather.  The gathered values are bit-identical to
 the elementwise pipeline because every table entry is produced by exactly
 that pipeline.
+
+RCC goes one step further and scores all its cosets with one matrix
+product: ``(words, cells*levels)`` tables times a fixed ``(cells*levels,
+cosets)`` one-hot coset matrix (:meth:`repro.coding.rcc.RCCEncoder.encode_lines`).
+Each product sums one table entry per cell plus exact zeros, so it equals
+the scalar path's pairwise sum bit for bit whenever the entries are finite
+integers with ``max|entry| * cells < 2**53``: every partial sum is then an
+exactly representable integer, whatever order BLAS adds in.  Every builtin
+cost meets that at its default energy model (the MLC LUT holds 0, 2 or
+20 pJ, SLC 1 or 2 pJ, the counts are integers, the lexicographic scale is
+1e6).  Tables that do not (a fractional LUT or scale, ``inf``, huge
+values) are detected per call and scored by the 4-D gather kernel instead.
 """
 
 from __future__ import annotations
@@ -225,8 +237,8 @@ class CostFunction(abc.ABC):
         ``c`` of word ``w`` of line ``l``.  Built with a single
         :meth:`line_cell_costs` call over the constant level planes, so
         every entry is bit-identical to the elementwise pipeline; encoders
-        with structured candidates (e.g. RCC's XOR cosets) gather from the
-        table instead of materialising every candidate cell.
+        with structured candidates (e.g. RCC's XOR cosets, scored by one
+        GEMM) read the table instead of materialising every candidate cell.
         """
         if not self.cellwise:
             return None

@@ -40,10 +40,13 @@ from repro.utils.validation import require_power_of_two
 __all__ = ["RCCEncoder"]
 
 # Same counter the batched cost kernels bump (registry get-or-create):
-# the transition-table fast path scores its candidates with a gather and
-# never enters a cost kernel, so it reports them itself.
+# the GEMM fast path never enters a cost kernel, so it reports its
+# candidates itself.
 _OBS_CANDIDATES = obs.counter(
     "encode.candidates", "candidate lines scored by the batched cost kernels"
+)
+_OBS_KERNEL_GEMMS = obs.counter(
+    "encode.kernel_gemms", "RCC encode_lines calls scored by one one-hot coset GEMM"
 )
 
 
@@ -104,18 +107,18 @@ class RCCEncoder(Encoder):
             self._coset_cells = words_to_cell_matrix(
                 cosets, word_bits, self.bits_per_cell
             )
-            # Gather index of the multi-line transition-table path: entry
-            # (c, cell) addresses slot ``cell * levels + coset_cell`` of a
-            # per-word table whose value axis was pre-XORed with the data.
+            # One-hot coset matrix of the GEMM fast path: column c has a 1
+            # in row ``cell * levels + coset_cell`` for every cell of coset c.
             levels = 1 << self.bits_per_cell
-            self._coset_gather = (
-                self._coset_cells.astype(np.intp)
-                + (np.arange(self.cells_per_word, dtype=np.intp) * levels)[None, :]
-            )
+            self._coset_onehot = np.zeros((self.cells_per_word * levels, num_cosets))
+            self._coset_onehot[
+                self._coset_cells + np.arange(self.cells_per_word) * levels,
+                np.arange(num_cosets)[:, None],
+            ] = 1.0
         else:
             self._coset_array = None
             self._coset_cells = None
-            self._coset_gather = None
+            self._coset_onehot = None
 
     @property
     def aux_bits(self) -> int:
@@ -140,9 +143,20 @@ class RCCEncoder(Encoder):
         auxes = np.arange(self.num_cosets, dtype=np.int64)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
         tables = self.cost_function.transition_tables(contexts)
-        if tables is None:
-            # Non-cellwise cost function: materialise every candidate cell
-            # and score them through the generic 4-D kernel.
+        if tables is not None:
+            tables = np.asarray(tables, np.float64).reshape(total_words, self.cells_per_word, -1)
+        # The GEMM below sums what the scalar path sums, one table entry per
+        # cell (every other term is an entry times 0.0).  With finite integer
+        # entries and max|entry| * cells < 2**53, every partial sum is an
+        # exactly representable integer, so any summation order gives the
+        # same bits.  Anything else (fractional LUTs or scales, inf, NaN,
+        # huge values, non-cellwise costs) takes the generic 4-D kernel,
+        # whose sums run in the scalar path's order.
+        if (
+            tables is None
+            or not np.abs(tables).max() * self.cells_per_word < 2.0**53
+            or not np.array_equal(tables, np.trunc(tables))
+        ):
             candidates = (
                 (flat[None, :] ^ self._coset_array[:, None])
                 .reshape(self.num_cosets, lines, words)
@@ -155,32 +169,17 @@ class RCCEncoder(Encoder):
             return self._select_best_lines(
                 candidates, auxes, contexts, cells=candidate_cells
             )
-        # Transition-table fast path: fold the data word into the table
-        # (T'[w, cell, v] = T[w, cell, v ^ data_cell], so a candidate's
-        # cost row is addressed by the *coset* cells, which are fixed) and
-        # score all cosets of all words with one precomputed-index gather.
-        # Every gathered value is an entry the elementwise pipeline would
-        # have produced, so selection stays bit-identical to encode.
-        cells_per_word = data_cells.shape[1]
-        levels = tables.shape[3]
-        fold = (
-            np.arange(levels, dtype=np.uint8)[None, None, :] ^ data_cells[:, :, None]
-        ).astype(np.intp)
-        folded = np.take_along_axis(
-            tables.reshape(total_words, cells_per_word, levels), fold, axis=2
-        )
-        # np.take (unlike an advanced-indexing gather) returns a C-contiguous
-        # array, so the per-candidate cell sums below run the exact same
-        # contiguous pairwise reduction as the scalar reference path.
-        gathered = np.take(
-            folded.reshape(total_words, cells_per_word * levels),
-            self._coset_gather.reshape(-1),
-            axis=1,
-        ).reshape(total_words, self.num_cosets, cells_per_word)
-        data_costs = gathered.sum(axis=2)
+        # GEMM fast path: fold the data word into the table (T'[w, cell, v]
+        # = T[w, cell, v ^ data_cell], so a candidate's cost row is addressed
+        # by the *coset* cells, which are fixed) and score all cosets of all
+        # words with one product against the one-hot coset matrix.
+        fold = np.arange(tables.shape[2], dtype=np.uint8)[None, None, :] ^ data_cells[:, :, None]
+        folded = np.take_along_axis(tables, fold.astype(np.intp), axis=2)
+        data_costs = folded.reshape(total_words, -1) @ self._coset_onehot
+        _OBS_KERNEL_GEMMS.inc()
         _OBS_CANDIDATES.inc(lines * self.num_cosets)
-        # Selection inline (the (words, cosets) layout of the fast path
-        # saves transposing into _select_best_lines): totals, the argmin,
+        # Selection inline (the (words, cosets) layout of the GEMM saves
+        # transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
         # _select_best, and only the winning candidates are built.
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])

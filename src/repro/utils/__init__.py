@@ -1,6 +1,6 @@
 """Low-level helpers shared by every subsystem.
 
-The module groups three concerns:
+The module groups four concerns:
 
 * :mod:`repro.utils.bitops` — bit- and symbol-level manipulation of memory
   words (popcounts, partitioning, Gray-coded MLC symbol extraction).
@@ -8,6 +8,8 @@ The module groups three concerns:
   experiment in the repository is reproducible from a seed.
 * :mod:`repro.utils.validation` — small argument-checking helpers used by
   public constructors.
+* :mod:`repro.utils.blas` — reads and sets the thread count of the
+  OpenBLAS NumPy ships (pool workers run it single-threaded).
 """
 
 from repro.utils.bitops import (

@@ -15,6 +15,7 @@ per-line :meth:`line_cell_costs` calls.
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.coding.base import (
     EncodedWord,
     Encoder,
@@ -26,6 +27,7 @@ from repro.coding.cost import (
     CellChangeCost,
     CostFunction,
     EnergyCost,
+    LexicographicCost,
     OnesCost,
     SawCost,
     energy_then_saw,
@@ -34,6 +36,7 @@ from repro.coding.cost import (
 from repro.coding.registry import available_encoders, make_encoder
 from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
+from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel
 from repro.sim.harness import make_cost
 from repro.utils.bitops import random_word
 from repro.utils.rng import make_rng
@@ -175,6 +178,70 @@ class TestOutOfRangeWords:
                 encoder.encode_line(line, context)
             else:
                 encoder.encode_lines([line], [context])
+
+
+class _HardSawCost(CostFunction):
+    """Third-party cellwise cost: rewriting a stuck cell costs +inf."""
+
+    name = "hard-saw"
+    cellwise = True
+
+    def cell_costs_matrix(self, new_cells, context):
+        new = np.asarray(new_cells)
+        changed = new != context.old_cells[-new.shape[1]:][None, :]
+        if context.stuck_mask is None:
+            return changed.astype(np.float64)
+        stuck = context.stuck_mask[-new.shape[1]:][None, :]
+        return np.where(changed & stuck, np.inf, changed.astype(np.float64))
+
+
+def _rcc_costs(technology):
+    """Costs whose transition tables rule the exact GEMM in or out."""
+    return {
+        # Builtins at their default energy models: integer-valued tables.
+        "energy": (EnergyCost(technology), True),
+        "saw-then-energy": (saw_then_energy(technology), True),
+        "cell-changes": (CellChangeCost(), True),
+        # Fractional table entries.
+        "fractional-lut": (
+            EnergyCost(
+                technology,
+                mlc_model=MLCEnergyModel(low_energy_pj=2.3, high_energy_pj=19.7),
+                slc_model=SLCEnergyModel(set_energy_pj=1.3, reset_energy_pj=2.7),
+            ),
+            False,
+        ),
+        "lex-scale-0.37": (LexicographicCost(SawCost(), EnergyCost(technology), 0.37), False),
+        # +inf entries: inf * 0.0 would be NaN inside a GEMM.
+        "inf-entries": (_HardSawCost(), False),
+        # Integer entries, but max|entry| * cells >= 2**53.
+        "huge-entries": (LexicographicCost(EnergyCost(technology), BitChangeCost(), 2.0**48), False),
+    }
+
+
+class TestRCCScoringPaths:
+    """RCC scores cosets by one GEMM only where that is exact."""
+
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    @pytest.mark.parametrize("cost_name", list(_rcc_costs(CellTechnology.MLC)))
+    def test_matches_scalar_oracle_on_either_path(self, technology, cost_name):
+        cost, takes_gemm = _rcc_costs(technology)[cost_name]
+        encoder = make_encoder(
+            "rcc", word_bits=WORD_BITS, num_cosets=32, technology=technology, cost_function=cost
+        )
+        rng = make_rng(15, f"rcc-paths-{technology.value}-{cost_name}")
+        contexts = _contexts(rng, technology, encoder)
+        words = _lines(rng)
+        gemms = obs.counter("encode.kernel_gemms")
+        candidates = obs.counter("encode.candidates")
+        gemms_before, candidates_before = gemms.value, candidates.value
+        batched = encoder.encode_lines(words, contexts)
+        assert gemms.value - gemms_before == int(takes_gemm)
+        assert candidates.value - candidates_before == LINES * encoder.num_cosets
+        oracle = [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+        assert batched == oracle
 
 
 ALL_COSTS = [

@@ -161,5 +161,11 @@ class TestCli:
     def test_metrics_glossary_lists_hot_path_counters(self, capsys):
         assert obs_main(["metrics"]) == 0
         out = capsys.readouterr().out
-        for name in ("replay.waves", "encode.candidates", "crypto.pad_chunks", "store.get_s"):
+        for name in (
+            "replay.waves",
+            "encode.candidates",
+            "encode.kernel_gemms",
+            "crypto.pad_chunks",
+            "store.get_s",
+        ):
             assert name in out
