@@ -34,17 +34,31 @@ of candidates with one gather.  The gathered values are bit-identical to
 the elementwise pipeline because every table entry is produced by exactly
 that pipeline.
 
-RCC goes one step further and scores all its cosets with one matrix
-product: ``(words, cells*levels)`` tables times a fixed ``(cells*levels,
-cosets)`` one-hot coset matrix (:meth:`repro.coding.rcc.RCCEncoder.encode_lines`).
-Each product sums one table entry per cell plus exact zeros, so it equals
-the scalar path's pairwise sum bit for bit whenever the entries are finite
-integers with ``max|entry| * cells < 2**53``: every partial sum is then an
-exactly representable integer, whatever order BLAS adds in.  Every builtin
-cost meets that at its default energy model (the MLC LUT holds 0, 2 or
-20 pJ, SLC 1 or 2 pJ, the counts are integers, the lexicographic scale is
-1e6).  Tables that do not (a fractional LUT or scale, ``inf``, huge
-values) are detected per call and scored by the 4-D gather kernel instead.
+RCC and VCC go one step further and score all their candidates with
+matrix products read straight off the tables:
+
+* RCC: ``(words, cells*levels)`` tables times a fixed ``(cells*levels,
+  cosets)`` one-hot coset matrix (:meth:`repro.coding.rcc.RCCEncoder.encode_lines`);
+* VCC with a stored ROM over the full word: the same product per
+  partition, ``(words*partitions, partition_cells*levels)`` against a
+  one-hot matrix of the ``2r`` XOR and XNOR kernel forms;
+* VCC on the right-digit plane: a cell's left digit is fixed, so it has
+  just two costs, ``a0``/``a1`` for kernel bit 0/1.  One batched product
+  ``S = (a1 - a0) @ kernel_bits`` scores every kernel of every partition:
+  the XOR form costs ``sum(a0) + S`` and the XNOR form ``sum(a1) - S``
+  (:meth:`repro.core.vcc.VCCEncoder.encode_lines`).
+
+Each product sums table entries (and their differences) times exact 0/1
+weights, so it equals the scalar path's pairwise sum bit for bit whenever
+the entries are finite integers and every partial sum stays below
+``2**53`` in magnitude: every partial sum is then an exactly representable
+integer, whatever order BLAS adds in.  :func:`exact_table_sums` checks that
+per call from the largest entry and the number of summed terms (``cells``
+for RCC, ``2 * cells`` for VCC, whose ``a1 - a0`` differences can double an
+entry).  Every builtin cost meets it at its default energy model (the MLC
+LUT holds 0, 2 or 20 pJ, SLC 1 or 2 pJ, the counts are integers, the
+lexicographic scale is 1e6).  Tables that do not (a fractional LUT or
+scale, ``inf``, huge values) are scored by the 4-D gather kernel instead.
 """
 
 from __future__ import annotations
@@ -71,6 +85,7 @@ __all__ = [
     "LexicographicCost",
     "saw_then_energy",
     "energy_then_saw",
+    "exact_table_sums",
 ]
 
 #: Popcount of every possible cell value (cells hold at most 2 bits).
@@ -100,6 +115,21 @@ _OBS_KERNEL_GATHERS = obs.counter(
 _OBS_KERNEL_LINE_LOOPS = obs.counter(
     "encode.kernel_line_loops", "batch cost calls that fell back to the per-line loop"
 )
+
+
+def exact_table_sums(tables: np.ndarray, terms: int) -> bool:
+    """True when summing up to ``terms`` entries of ``tables`` is exact.
+
+    Holds when every entry is a finite integer and ``max|entry| * terms <
+    2**53``: every partial sum of at most ``terms`` entries is then an
+    exactly representable integer, so a matrix product that adds them in
+    any order returns the scalar path's sum bit for bit.  ``inf`` and NaN
+    fail the bound.
+    """
+    return bool(
+        np.abs(tables).max() * terms < 2.0**53
+        and np.array_equal(tables, np.trunc(tables))
+    )
 
 
 def _gather_transition_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.ndarray:

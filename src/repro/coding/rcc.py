@@ -28,7 +28,7 @@ from repro.coding.base import (
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import BitChangeCost, CostFunction
+from repro.coding.cost import BitChangeCost, CostFunction, exact_table_sums
 from repro.coding.registry import register_encoder
 import repro.obs as obs
 from repro.errors import ConfigurationError
@@ -46,7 +46,8 @@ _OBS_CANDIDATES = obs.counter(
     "encode.candidates", "candidate lines scored by the batched cost kernels"
 )
 _OBS_KERNEL_GEMMS = obs.counter(
-    "encode.kernel_gemms", "RCC encode_lines calls scored by one one-hot coset GEMM"
+    "encode.kernel_gemms",
+    "RCC/VCC encode_lines calls scored by one matrix product of the cost tables",
 )
 
 
@@ -146,17 +147,13 @@ class RCCEncoder(Encoder):
         if tables is not None:
             tables = np.asarray(tables, np.float64).reshape(total_words, self.cells_per_word, -1)
         # The GEMM below sums what the scalar path sums, one table entry per
-        # cell (every other term is an entry times 0.0).  With finite integer
-        # entries and max|entry| * cells < 2**53, every partial sum is an
-        # exactly representable integer, so any summation order gives the
+        # cell (every other term is an entry times 0.0).  When exact_table_sums
+        # holds (finite integer entries, max|entry| * cells < 2**53), every
+        # partial sum is an exact integer, so any summation order gives the
         # same bits.  Anything else (fractional LUTs or scales, inf, NaN,
         # huge values, non-cellwise costs) takes the generic 4-D kernel,
         # whose sums run in the scalar path's order.
-        if (
-            tables is None
-            or not np.abs(tables).max() * self.cells_per_word < 2.0**53
-            or not np.array_equal(tables, np.trunc(tables))
-        ):
+        if tables is None or not exact_table_sums(tables, self.cells_per_word):
             candidates = (
                 (flat[None, :] ^ self._coset_array[:, None])
                 .reshape(self.num_cosets, lines, words)

@@ -35,8 +35,9 @@ from repro.coding.base import (
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import BitChangeCost, CostFunction
+from repro.coding.cost import BitChangeCost, CostFunction, exact_table_sums
 from repro.coding.registry import register_encoder
+import repro.obs as obs
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKernelProvider
 from repro.errors import ConfigurationError, EncodingError
@@ -49,6 +50,16 @@ from repro.utils.bitops import (
 )
 
 __all__ = ["VCCEncoder"]
+
+# The counters RCC's product path bumps (registry get-or-create): the
+# product paths never enter a cost kernel, so they count themselves.
+_OBS_CANDIDATES = obs.counter(
+    "encode.candidates", "candidate lines scored by the batched cost kernels"
+)
+_OBS_KERNEL_GEMMS = obs.counter(
+    "encode.kernel_gemms",
+    "RCC/VCC encode_lines calls scored by one matrix product of the cost tables",
+)
 
 
 def _narrow_uint_dtype(bits: int):
@@ -116,6 +127,28 @@ class VCCEncoder(Encoder):
         self._kernel_shifts = np.arange(
             config.kernel_bits - 1, -1, -1, dtype=np.uint32
         )
+        # One-hot matrix of the full-word ROM product (see encode_lines):
+        # column i (XOR form of kernel i) has a 1 in row ``cell * levels +
+        # kernel_cell`` for every cell of a partition; column r + i, the
+        # XNOR form, the same for the complemented kernel cells.
+        self._rom_onehot = None
+        if (
+            kernel_provider.is_stored
+            and config.encode_region is EncodeRegion.FULL_WORD
+            and config.word_bits <= 64
+        ):
+            levels = 1 << self.bits_per_cell
+            kernel_cells = words_matrix_to_cells(
+                np.asarray(kernel_provider.kernels_for(0), dtype=np.uint64),
+                config.kernel_bits,
+                self.bits_per_cell,
+            )
+            forms = np.concatenate([kernel_cells, kernel_cells ^ (levels - 1)])
+            cells = config.cells_per_partition
+            self._rom_onehot = np.zeros((cells * levels, 2 * config.num_kernels))
+            self._rom_onehot[
+                forms + np.arange(cells) * levels, np.arange(len(forms))[:, None]
+            ] = 1.0
 
     # ----------------------------------------------------------- properties
     @property
@@ -194,11 +227,34 @@ class VCCEncoder(Encoder):
         one stacked "line" of ``lines * words_per_line`` words (see
         :func:`repro.coding.base.stack_line_contexts`): kernels, partition
         costs, flags, and the per-word argmin all run once over the stacked
-        word axis, with the candidate×partition costs evaluated through a
-        single :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs`
-        call, and the winning codewords are assembled with vectorised bit
-        arithmetic.  The selected kernels, flags, codewords, and costs are
-        bit-identical to :meth:`encode` on each word.
+        word axis, and the winning codewords are assembled with vectorised
+        bit arithmetic.
+
+        The ``2r`` XOR/XNOR costs of every partition come from the cost
+        function's transition tables (one cost per cell and cell value) and
+        one matrix product, without building any candidate cell:
+
+        * right-digit plane: a cell's left digit is fixed, so the cell
+          costs ``a0`` or ``a1`` for kernel bit 0 or 1 (the data's digits
+          folded in).  ``S = (a1 - a0) @ kernel_bits`` over the partition
+          gives every kernel at once: the XOR form costs ``sum(a0) + S``,
+          the XNOR form ``sum(a1) - S``.  The bits may differ per word, so
+          this holds for any kernel provider;
+        * full word with a stored ROM: the data cells are XOR-folded into
+          the tables, so a candidate's costs are addressed by the fixed
+          kernel cells, and one product against a one-hot matrix of the
+          ``2r`` kernel forms (built once per encoder) scores them.
+
+        The products add table entries (and their differences) times exact
+        0/1 weights, so they are exact, and bit-identical to the scalar
+        path's sums, whenever :func:`repro.coding.cost.exact_table_sums`
+        holds for ``2 * cells`` terms (finite integer entries, every partial
+        sum below ``2**53``).  Every other case (fractional or huge
+        entries, ``inf``/NaN, non-cellwise costs, a full-word provider
+        without a ROM) scores the candidate cells through one
+        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` gather.
+        The selected kernels, flags, codewords, and costs are bit-identical
+        to :meth:`encode` on each word.
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
@@ -229,43 +285,12 @@ class VCCEncoder(Encoder):
         kernel_mask = np.uint64(self._kernel_mask)
         subs = (region_array[:, None] >> sub_shifts) & kernel_mask
 
-        # All 2r candidate encodings of every partition of every word, in
-        # the axis-0 layout of _partition_costs (XOR forms then XNOR).
-        xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
-        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
-
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            # Kernel-sized values fit a narrow dtype; extracting the digit
-            # bits there instead of in uint64 cuts the memory traffic of
-            # the (2r, words, partitions, bits) temporaries several-fold.
-            narrow = _narrow_uint_dtype(config.kernel_bits)
-            shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=narrow)
-            one = narrow(1)
-            right_bits = (all_values.astype(narrow)[..., None] >> shifts) & one
-            left_subs = ((left_array[:, None] >> sub_shifts) & kernel_mask).astype(narrow)
-            left_bits = (left_subs[..., None] >> shifts) & one
-            cell_matrix = np.asarray(
-                (left_bits[None] << one) | right_bits, dtype=np.uint8
-            )
-        else:
-            cell_matrix = words_matrix_to_cells(
-                all_values, config.kernel_bits, self.bits_per_cell
-            )
-
-        cells_per_partition = config.cells_per_partition
         stacked = stack_line_contexts(list(contexts))
-        # The batch views all lines as one stacked line: word w of line l is
-        # stacked word l * words_per_line + w, so the one-line 4-D kernel
-        # call below scores every partition of every queued write at once.
-        costs = (
-            self.cost_function.batch_line_cell_costs(
-                cell_matrix.reshape(1, 2 * r, num_words * p, cells_per_partition),
-                [stacked.split_partitions(p)],
-            )
-            .reshape(2 * r, num_words * p, cells_per_partition)
-            .sum(axis=2)
-            .reshape(2 * r, num_words, p)
-        )
+        # (2r, words, partitions) costs, in the axis-0 layout of
+        # _partition_costs (XOR forms then XNOR).
+        costs = self._product_costs(flat, kernels_matrix, stacked)
+        if costs is None:
+            costs = self._gather_costs(subs, sub_shifts, kernels_matrix, left_array, stacked)
         xor_costs = costs[:r]
         xnor_costs = costs[r:]
         flags_matrix = xnor_costs < xor_costs
@@ -359,6 +384,111 @@ class VCCEncoder(Encoder):
         """Cell index range ``[start, stop)`` covered by partition ``j``."""
         cells = self.config.cells_per_partition
         return j * cells, (j + 1) * cells
+
+    def _product_costs(
+        self, flat: np.ndarray, kernels_matrix: np.ndarray, stacked: LineContext
+    ) -> Optional[np.ndarray]:
+        """Candidate costs from the transition tables and one matrix product.
+
+        Returns the ``(2r, words, partitions)`` costs, or None when no
+        product shape applies or the tables fail the exactness check (see
+        :meth:`encode_lines`).
+        """
+        config = self.config
+        right_plane = config.encode_region is EncodeRegion.RIGHT_PLANE
+        if not right_plane and self._rom_onehot is None:
+            return None
+        tables = self.cost_function.transition_tables([stacked])
+        if tables is None:
+            return None
+        num_words = flat.shape[0]
+        p = config.partitions
+        r = config.num_kernels
+        cells = self.cells_per_word
+        tables = np.asarray(tables, np.float64).reshape(num_words, cells, -1)
+        if not exact_table_sums(tables, 2 * cells):
+            return None
+        levels = tables.shape[2]
+        data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
+        if right_plane:
+            # A data cell (left << 1) | right becomes (left << 1) | (right ^
+            # kernel bit); flipping the index's low bit flips the right digit.
+            index = np.arange(num_words * cells, dtype=np.intp) * levels + data_cells.ravel()
+            flat_tables = tables.reshape(-1)
+            a0 = flat_tables[index].reshape(num_words, p, -1)
+            a1 = flat_tables[index ^ 1].reshape(num_words, p, -1)
+            kernel_bits = (
+                (kernels_matrix[:, None, :] >> self._kernel_shifts[None, :, None]) & np.uint64(1)
+            ).astype(np.float64)
+            flips = (a1 - a0) @ kernel_bits
+            costs = np.concatenate(
+                [a0.sum(axis=2)[:, :, None] + flips, a1.sum(axis=2)[:, :, None] - flips],
+                axis=2,
+            )
+        else:
+            # T'[w, cell, v] = T[w, cell, v ^ data_cell]: candidate cells are
+            # data_cells ^ kernel_cells, so T' is addressed by the ROM alone.
+            fold = np.arange(levels, dtype=np.intp)[None, None, :] ^ data_cells[:, :, None]
+            folded = np.take_along_axis(tables, fold, axis=2)
+            costs = folded.reshape(num_words * p, -1) @ self._rom_onehot
+        _OBS_KERNEL_GEMMS.inc()
+        # What the gather path's batch_line_cell_costs call counts.
+        _OBS_CANDIDATES.inc(2 * r)
+        return costs.reshape(num_words, p, 2 * r).transpose(2, 0, 1)
+
+    def _gather_costs(
+        self,
+        subs: np.ndarray,
+        sub_shifts: np.ndarray,
+        kernels_matrix: np.ndarray,
+        left_array: Optional[np.ndarray],
+        stacked: LineContext,
+    ) -> np.ndarray:
+        """Candidate costs gathered cell by cell from every candidate's cells.
+
+        The fallback of :meth:`_product_costs`, for any cost function and
+        kernel provider; same ``(2r, words, partitions)`` layout.
+        """
+        config = self.config
+        p = config.partitions
+        r = config.num_kernels
+        num_words = subs.shape[0]
+        kernel_mask = np.uint64(self._kernel_mask)
+        # All 2r candidate encodings of every partition of every word.
+        xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
+        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
+
+        if config.encode_region is EncodeRegion.RIGHT_PLANE:
+            # Kernel-sized values fit a narrow dtype; extracting the digit
+            # bits there instead of in uint64 cuts the memory traffic of
+            # the (2r, words, partitions, bits) temporaries several-fold.
+            narrow = _narrow_uint_dtype(config.kernel_bits)
+            shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=narrow)
+            one = narrow(1)
+            right_bits = (all_values.astype(narrow)[..., None] >> shifts) & one
+            left_subs = ((left_array[:, None] >> sub_shifts) & kernel_mask).astype(narrow)
+            left_bits = (left_subs[..., None] >> shifts) & one
+            cell_matrix = np.asarray(
+                (left_bits[None] << one) | right_bits, dtype=np.uint8
+            )
+        else:
+            cell_matrix = words_matrix_to_cells(
+                all_values, config.kernel_bits, self.bits_per_cell
+            )
+
+        cells_per_partition = config.cells_per_partition
+        # The batch views all lines as one stacked line: word w of line l is
+        # stacked word l * words_per_line + w, so the one-line 4-D kernel
+        # call below scores every partition of every queued write at once.
+        return (
+            self.cost_function.batch_line_cell_costs(
+                cell_matrix.reshape(1, 2 * r, num_words * p, cells_per_partition),
+                [stacked.split_partitions(p)],
+            )
+            .reshape(2 * r, num_words * p, cells_per_partition)
+            .sum(axis=2)
+            .reshape(2 * r, num_words, p)
+        )
 
     def _partition_costs(
         self,

@@ -34,6 +34,9 @@ from repro.coding.cost import (
     saw_then_energy,
 )
 from repro.coding.registry import available_encoders, make_encoder
+from repro.core.config import EncodeRegion, VCCConfig
+from repro.core.kernels import KernelProvider, StoredKernelProvider
+from repro.core.vcc import VCCEncoder
 from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel
@@ -238,6 +241,90 @@ class TestRCCScoringPaths:
         batched = encoder.encode_lines(words, contexts)
         assert gemms.value - gemms_before == int(takes_gemm)
         assert candidates.value - candidates_before == LINES * encoder.num_cosets
+        oracle = [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+        assert batched == oracle
+
+
+class _FixedKernels(KernelProvider):
+    """Third-party provider: fixed kernels, but not declared a stored ROM."""
+
+    def kernels_for(self, word):
+        del word
+        return [0x1234, 0xBEEF, 0x0F0F, 0x5A5A]
+
+
+#: VCC encoders by scoring shape: name -> (build(technology, cost), takes
+#: the matrix product when the tables are exact).
+_VCC_SHAPES = {
+    "vcc": (
+        lambda technology, cost: make_encoder(
+            "vcc", word_bits=WORD_BITS, num_cosets=32, technology=technology,
+            cost_function=cost,
+        ),
+        True,
+    ),
+    "vcc-stored": (
+        lambda technology, cost: make_encoder(
+            "vcc-stored", word_bits=WORD_BITS, num_cosets=32, technology=technology,
+            cost_function=cost,
+        ),
+        True,
+    ),
+    "right-plane-stored": (
+        lambda technology, cost: VCCEncoder(
+            VCCConfig(
+                word_bits=WORD_BITS, kernel_bits=8, num_kernels=4, technology=technology,
+                encode_region=EncodeRegion.RIGHT_PLANE, stored_kernels=True,
+            ),
+            cost_function=cost,
+            kernel_provider=StoredKernelProvider(8, 4, seed=3),
+        ),
+        True,
+    ),
+    "full-word-custom": (
+        lambda technology, cost: VCCEncoder(
+            VCCConfig(
+                word_bits=WORD_BITS, kernel_bits=16, num_kernels=4, technology=technology,
+                encode_region=EncodeRegion.FULL_WORD, stored_kernels=True,
+            ),
+            cost_function=cost,
+            kernel_provider=_FixedKernels(16, 4),
+        ),
+        False,
+    ),
+}
+
+_VCC_CASES = [
+    ("vcc", CellTechnology.MLC),
+    ("vcc-stored", CellTechnology.MLC),
+    ("vcc-stored", CellTechnology.SLC),
+    ("right-plane-stored", CellTechnology.MLC),
+    ("full-word-custom", CellTechnology.MLC),
+]
+
+
+class TestVCCScoringPaths:
+    """VCC scores partitions by one matrix product only where that is exact."""
+
+    @pytest.mark.parametrize(
+        "shape,technology", _VCC_CASES, ids=[f"{s}-{t.value}" for s, t in _VCC_CASES]
+    )
+    @pytest.mark.parametrize("cost_name", list(_rcc_costs(CellTechnology.MLC)))
+    def test_matches_scalar_oracle_on_either_path(self, shape, technology, cost_name):
+        build, has_product = _VCC_SHAPES[shape]
+        cost, exact = _rcc_costs(technology)[cost_name]
+        encoder = build(technology, cost)
+        rng = make_rng(16, f"vcc-paths-{shape}-{technology.value}-{cost_name}")
+        contexts = _contexts(rng, technology, encoder)
+        words = _lines(rng)
+        gemms = obs.counter("encode.kernel_gemms")
+        candidates = obs.counter("encode.candidates")
+        gemms_before, candidates_before = gemms.value, candidates.value
+        batched = encoder.encode_lines(words, contexts)
+        assert gemms.value - gemms_before == int(has_product and exact)
+        assert candidates.value - candidates_before == 2 * encoder.config.num_kernels
         oracle = [
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
