@@ -109,6 +109,15 @@ class CounterModeEngine:
         else:
             self._aes = None
 
+    @property
+    def batchable(self) -> bool:
+        """Whether :meth:`encrypt_lines` can encrypt this word width.
+
+        Only widths with a fixed-width byte layout (8/16/32/64 bits) pack
+        into the batched pad matrix; other widths need :meth:`encrypt_line`.
+        """
+        return self.word_bits in (8, 16, 32, 64)
+
     # ------------------------------------------------------------- counters
     def counter_for(self, address: int) -> int:
         """Return the current write counter for ``address`` (0 if never written)."""
@@ -248,7 +257,7 @@ class CounterModeEngine:
         layout (not one of 8/16/32/64) — callers then fall back to the
         scalar :meth:`encrypt_line`.
         """
-        if self.word_bits not in (8, 16, 32, 64):
+        if not self.batchable:
             return None
         matrix = np.ascontiguousarray(plaintext_words, dtype=np.uint64)
         if matrix.ndim != 2 or matrix.shape[1] != self.words_per_line:

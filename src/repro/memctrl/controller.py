@@ -9,7 +9,7 @@ trace at once through the batched :meth:`MemoryController.replay_trace`
 engine, or a stream of uniformly random lines through
 :meth:`MemoryController.write_random_lines` (both batched drivers share
 the same internals: bit-identical accounting, per-write results
-accumulated into the preallocated arrays of a :class:`ReplayResult`).
+accumulated into the arrays of a :class:`ReplayResult`).
 
 The write path is line-granular end to end: each write issues a single
 :meth:`repro.coding.base.Encoder.encode_line` call (a one-line
@@ -18,21 +18,27 @@ auxiliary bits live in a preallocated
 ``(rows, words_per_line)`` array, and the energy / SAW accounting is
 computed with NumPy over the whole row.
 
-The batched drivers go one level further: the generic (non-identity)
-replay path partitions each chunk into *waves* of queued writes targeting
-distinct rows, gathers the old-cell state of the whole wave in one
-:meth:`repro.pcm.array.PCMArray.read_rows` call, encodes every line of the
-wave through a single :meth:`repro.coding.base.Encoder.encode_lines` call,
-and flushes the wave's accounting with row-wise NumPy reductions — all
-bit-identical to the scalar :meth:`MemoryController.write_line` sequence,
-because writes within a wave cannot observe each other's rows and
-wear-leveling gap migrations always land on a wave's last write.
+The batched drivers go one level further.  For every non-identity encoder
+a wave scheduler works like a reorder buffer, since per-row write order is
+the only true dependency between writes.  It executes out of order: each
+*wave* takes, from a look-ahead window of queued writes, the earliest
+pending write of each distinct row, gathers their old-cell state in one
+:meth:`repro.pcm.array.PCMArray.read_rows` call, encrypts and encodes them
+through single ``encrypt_lines`` / :meth:`repro.coding.base.Encoder.encode_lines`
+calls, and applies them with one
+:meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter.  It retires in
+order: the early-stop predicate and Start-Gap bookkeeping see the writes
+in trace order, a window never reaches past the next gap migration, and
+writes that ran ahead of an early stop are squashed by restoring their
+rows from per-wave snapshots.  The outcome is bit-identical to the scalar
+:meth:`MemoryController.write_line` sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.traces
     from repro.faults.models import FaultModel
@@ -52,7 +58,7 @@ from repro.crypto.counter_mode import CounterModeEngine
 from repro.ecc.base import ErrorCorrector
 from repro.errors import ConfigurationError, MemoryModelError
 from repro.memctrl.config import ControllerConfig
-from repro.pcm.array import PCMArray
+from repro.pcm.array import PCMArray, RowSnapshot
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import DEFAULT_MLC_ENERGY, DEFAULT_SLC_ENERGY, MLCEnergyModel, SLCEnergyModel
 from repro.pcm.faultrepo import FaultRepository
@@ -72,6 +78,19 @@ FAULT_KNOWLEDGE_MODES = ("oracle", "discovered", "none")
 #: per-call overhead of the batched encode kernels.
 REPLAY_WAVE_LINES = 32
 
+#: Look-ahead of the wave scheduler, in waves: a wave picks its writes from
+#: the next ``REPLAY_LOOKAHEAD_WAVES * replay_wave_lines`` writes after the
+#: oldest pending one.  A longer window fills waves past hot rows; under an
+#: early stop it also lets more writes run ahead only to be squashed.
+REPLAY_LOOKAHEAD_WAVES = 2
+
+#: Replay chunking: writes are issued in chunks ramping from _FIRST_CHUNK
+#: to _MAX_CHUNK, or in fixed chunks of _STOP_CHUNK writes when an identity
+#: encoder replays under an early-stop predicate.
+_FIRST_CHUNK = 512
+_MAX_CHUNK = 8192
+_STOP_CHUNK = 256
+
 #: Early-stop predicate for :meth:`MemoryController.replay_trace`, called
 #: after every write as ``stop(index, row_index, saw_cells,
 #: saw_bits_per_word)``; returning True ends the replay after that write.
@@ -83,10 +102,13 @@ ReplayStop = Callable[[int, int, int, np.ndarray], bool]
 _OBS_WAVES = obs.counter("replay.waves", "encode waves executed by the generic replay path")
 _OBS_WAVE_LINES = obs.histogram("replay.wave_lines", "lines encoded per replay wave")
 _OBS_CONFLICT_CUTS = obs.counter(
-    "replay.conflict_cuts", "waves cut short by a write to an already-queued row"
+    "replay.conflict_cuts", "waves that deferred a write whose row was already in the wave"
 )
 _OBS_GAP_FLUSHES = obs.counter(
-    "replay.gap_flushes", "waves capped by a pending Start-Gap gap migration"
+    "replay.gap_flushes", "waves whose look-ahead window ended at a pending Start-Gap move"
+)
+_OBS_SQUASHED_WRITES = obs.counter(
+    "replay.squashed_writes", "speculatively executed writes undone by an early stop"
 )
 _OBS_IDENTITY_CHUNKS = obs.counter(
     "replay.identity_chunks", "chunks taken by the identity-encoder fast path"
@@ -156,8 +178,9 @@ class LineWriteResult:
 class ReplayResult:
     """Per-write accounting of one :meth:`MemoryController.replay_trace` call.
 
-    Each attribute is a preallocated array with one entry per performed
-    write, in replay order; every value is bit-identical to what the
+    Each attribute is an array with one entry per performed write, in
+    replay order (grown as the replay issues writes, then trimmed to the
+    writes performed); every value is bit-identical to what the
     corresponding :class:`LineWriteResult` of a scalar
     :meth:`MemoryController.write_line` sequence would carry.
 
@@ -260,12 +283,28 @@ class ReplayResult:
             words_per_line=words_per_line,
         )
 
+    def _reserve(self, writes: int, limit: int) -> None:
+        """Grow every array to hold at least ``writes`` entries.
+
+        Capacity at least doubles on each growth (never past ``limit``), so
+        a replay copies O(writes) entries in total while an early-stopped
+        replay only ever allocates for the chunks it issued.
+        """
+        capacity = len(self.addresses)
+        if writes <= capacity:
+            return
+        capacity = min(max(writes, 2 * capacity), limit)
+        for name in _REPLAY_ARRAYS:
+            array = getattr(self, name)
+            grown = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
+            grown[: len(array)] = array
+            setattr(self, name, grown)
+
     def _trim(self, writes: int, stopped_early: bool) -> "ReplayResult":
         """Shrink every array down to the writes actually performed.
 
-        A copy (not a view) when the replay ended early, so a result of a
-        few hundred writes does not pin the full-capacity arrays of a
-        200k-write preallocation in memory.
+        A copy (not a view) when the arrays hold spare capacity, so a
+        result of a few hundred writes does not pin larger arrays in memory.
         """
         compact = (
             (lambda array: array[:writes].copy())
@@ -284,6 +323,37 @@ class ReplayResult:
         self.writes = writes
         self.stopped_early = stopped_early
         return self
+
+
+#: The per-write arrays of a :class:`ReplayResult`.
+_REPLAY_ARRAYS = (
+    "addresses",
+    "row_indices",
+    "data_energy_pj",
+    "aux_energy_pj",
+    "cells_changed",
+    "bits_changed",
+    "saw_cells",
+    "saw_bits_per_word",
+    "newly_stuck_cells",
+)
+
+
+@dataclass(frozen=True)
+class _WaveSnapshot:
+    """The state of one replay wave's rows before the wave was applied.
+
+    ``writes`` lists the wave's chunk-local write indices (ascending); the
+    other fields hold, per wave line, the row's device state, auxiliary
+    bits, fault-repository table and transient-sense read count (``None``
+    when the controller has no repository or transient model).
+    """
+
+    writes: List[int]
+    array_rows: RowSnapshot
+    auxes: np.ndarray
+    faults: Optional[Dict[int, Optional[Dict[int, int]]]]
+    sense_counts: Optional[np.ndarray]
 
 
 class MemoryController:
@@ -574,14 +644,15 @@ class MemoryController:
 
         The batched sibling of a :meth:`write_line` loop: the whole replay
         runs inside the controller, accumulating per-write accounting into
-        the preallocated arrays of a :class:`ReplayResult` instead of one
+        the arrays of a :class:`ReplayResult` instead of one
         :class:`LineWriteResult` (plus several lists and tuples) per write.
         Every accounting value is bit-identical to the scalar path — the
-        generic path runs the exact same :meth:`_apply_line_write` core,
-        and the identity-encoder fast path skips only work whose outcome
-        is fixed (the unencoded baseline stores the ciphertext unchanged
-        with no auxiliary bits).  The controller's running
-        :attr:`stats` are updated once at the end with the batch totals.
+        wave scheduler runs the same encode / write / accounting steps on
+        batches of writes whose rows cannot observe each other, and the
+        identity-encoder fast path skips only work whose outcome is fixed
+        (the unencoded baseline stores the ciphertext unchanged with no
+        auxiliary bits).  The controller's running :attr:`stats` are
+        updated once at the end with the batch totals.
 
         Parameters
         ----------
@@ -595,7 +666,9 @@ class MemoryController:
             ``stop(index, row_index, saw_cells, saw_bits_per_word)``;
             returning True ends the replay after that write (lifetime
             studies stop on the Nth failed row instead of paying for the
-            remaining writes).
+            remaining writes).  It sees the writes in trace order, and the
+            controller state after the replay is exactly the state after
+            write ``index``.
         max_writes:
             Optional hard cap on the total number of writes, applied on
             top of ``repetitions`` (the last repetition may be partial).
@@ -619,64 +692,45 @@ class MemoryController:
         total = num_records * repetitions
         if max_writes is not None:
             total = min(total, max_writes)
-        words_per_line = self.config.words_per_line
-        replay = ReplayResult.empty(total, words_per_line)
+        replay = ReplayResult.empty(0, self.config.words_per_line)
         if total == 0:
             return replay._trim(0, False)
 
-        reps_needed = -(-total // num_records)
-        addresses = np.tile(trace.addresses_array(), reps_needed)[:total]
+        trace_addresses = trace.addresses_array()
         words = trace.words_array()
 
         def plaintext_for(index: int) -> List[int]:
             # Wide/odd word sizes: per-record scalar fallback.
             return list(trace[index % num_records].words)
 
-        # Chunked execution: pads and cell conversions are produced only
-        # for writes about to be performed.  The geometric chunk ramp
-        # bounds the work wasted when an early stop ends the replay after
-        # a few hundred writes (lifetime cells stop at a tiny fraction of
-        # their max_writes cap) without costing long replays anything,
-        # and an early stop rolls the encryption counters of the unused
-        # chunk tail back so controller state matches the scalar path
-        # exactly.
-        chunk = 512
+        # Chunked issue: addresses, plaintexts and result arrays exist only
+        # for the writes about to run, so a lifetime cell that stops after
+        # a few hundred writes never materialises its 200k-write cap.
+        # Chunks ramp geometrically, except for an early-stoppable replay
+        # on the identity path: that path derives a whole chunk's pads up
+        # front, and a ramp would throw away up to half of them at the
+        # stop.  (The wave scheduler derives pads per wave and only rolls
+        # back the writes a stop squashes.)
+        ramp = stop is None or not self.encoder.is_identity
+        chunk = _FIRST_CHUNK if ramp else _STOP_CHUNK
         start = 0
         performed = 0
         stopped = False
-        batch_capable = words is not None
         with _OBS_SPAN("replay.trace", total_writes=total) as trace_span:
             while start < total and not stopped:
                 end = min(start + chunk, total)
-                chunk = min(chunk * 2, 8192)
-                encrypted_chunk: Optional[np.ndarray] = None
-                if batch_capable:
-                    record_indices = np.arange(start, end, dtype=np.int64) % num_records
-                    chunk_words = words[record_indices]
-                    if self.encryption is None:
-                        encrypted_chunk = chunk_words
-                    else:
-                        encrypted_chunk = self.encryption.encrypt_lines(
-                            addresses[start:end], chunk_words
-                        )
-                        if encrypted_chunk is None:
-                            batch_capable = False
-                if encrypted_chunk is not None and self.encoder.is_identity:
-                    _OBS_IDENTITY_CHUNKS.inc()
-                    performed, stopped = self._replay_identity(
-                        replay, addresses, encrypted_chunk, start, end, stop
-                    )
-                else:
-                    performed, stopped = self._replay_generic(
-                        replay, plaintext_for, addresses, encrypted_chunk, start, end, stop
-                    )
-                if (
-                    stopped
-                    and performed < end
-                    and encrypted_chunk is not None
-                    and self.encryption is not None
-                ):
-                    self.encryption.rollback_counters(addresses[performed:end])
+                if ramp:
+                    chunk = min(chunk * 2, _MAX_CHUNK)
+                replay._reserve(end, total)
+                record_indices = np.arange(start, end, dtype=np.int64) % num_records
+                performed, stopped = self._replay_chunk(
+                    replay,
+                    trace_addresses[record_indices],
+                    None if words is None else words[record_indices],
+                    start,
+                    stop,
+                    plaintext_for,
+                )
                 start = end
             if stopped:
                 _OBS_EARLY_STOPS.inc()
@@ -686,16 +740,59 @@ class MemoryController:
         self.stats.absorb(replay.write_stats())
         return replay
 
+    def _replay_chunk(
+        self,
+        replay: ReplayResult,
+        chunk_addresses: np.ndarray,
+        plaintext: Optional[np.ndarray],
+        start: int,
+        stop: Optional[ReplayStop],
+        plaintext_for: Callable[[int], List[int]],
+    ):
+        """Run the writes ``[start, start + len(chunk_addresses))`` of a replay.
+
+        ``plaintext`` is the chunk's ``(writes, words_per_line)`` ``uint64``
+        word matrix, or ``None`` when the words do not fit one.  Identity
+        encoders take :meth:`_replay_identity`, every other encoder the
+        wave scheduler :meth:`_replay_generic`; words without a matrix, or
+        a word width the counter-mode engine cannot batch, fall back to
+        :meth:`_replay_generic_scalar` with the words of
+        ``plaintext_for(index)``.  Returns ``(performed, stopped)`` with
+        ``performed`` the global write count.
+        """
+        encryption = self.encryption
+        if plaintext is None or (encryption is not None and not encryption.batchable):
+            _OBS_SCALAR_FALLBACKS.inc()
+            return self._replay_generic_scalar(
+                replay, plaintext_for, chunk_addresses, start, stop
+            )
+        if not self.encoder.is_identity:
+            return self._replay_generic(replay, chunk_addresses, plaintext, start, stop)
+        _OBS_IDENTITY_CHUNKS.inc()
+        encrypted = (
+            plaintext
+            if encryption is None
+            else encryption.encrypt_lines(chunk_addresses, plaintext)
+        )
+        performed, stopped = self._replay_identity(
+            replay, chunk_addresses, encrypted, start, stop
+        )
+        unused = chunk_addresses[performed - start:]
+        if stopped and len(unused) and encryption is not None:
+            # The chunk tail was encrypted but never stored: undo its
+            # counter bumps so the state matches the scalar path exactly.
+            encryption.rollback_counters(unused)
+        return performed, stopped
+
     def _replay_identity(
         self,
         replay: ReplayResult,
-        addresses: np.ndarray,
+        chunk_addresses: np.ndarray,
         encrypted_chunk: np.ndarray,
         start: int,
-        end: int,
         stop: Optional[ReplayStop],
     ):
-        """Replay fast path for identity encoders over writes [start, end).
+        """Replay fast path for identity encoders over one chunk of writes.
 
         The stored values are the ciphertext words themselves and no
         auxiliary bits exist, so the per-write work reduces to the array
@@ -705,7 +802,7 @@ class MemoryController:
         bit-identical to the scalar path's per-row reductions.  Returns
         ``(performed, stopped)`` with ``performed`` the global write count.
         """
-        count = end - start
+        count = len(chunk_addresses)
         array = self.array
         bits_per_cell = array.bits_per_cell
         words_per_line = self.config.words_per_line
@@ -716,9 +813,8 @@ class MemoryController:
         write_row_fast = array.write_row_fast
         repository = self.fault_repository
         leveler = self.wear_leveler
-        chunk_addresses = addresses[start:end]
         row_indices = None if leveler is not None else chunk_addresses % array.rows
-        np.copyto(replay.addresses[start:end], chunk_addresses)
+        np.copyto(replay.addresses[start:start + count], chunk_addresses)
         out_rows = replay.row_indices
         out_newly = replay.newly_stuck_cells
 
@@ -769,141 +865,174 @@ class MemoryController:
         done = performed - start
         # Identity encoders store no auxiliary bits: aux energy stays 0.
         self._flush_replay_accounting(
-            replay, start, performed, old_buffer[:done], stored_buffer[:done], cells_chunk[:done]
+            replay,
+            slice(start, performed),
+            old_buffer[:done],
+            stored_buffer[:done],
+            cells_chunk[:done],
         )
         return performed, stopped
 
     def _flush_replay_accounting(
         self,
         replay: ReplayResult,
-        lo: int,
-        hi: int,
+        at,
         old_rows: np.ndarray,
         stored_rows: np.ndarray,
         intended_rows: np.ndarray,
     ) -> None:
-        """Vectorised accounting flush for applied replay writes ``[lo, hi)``.
+        """Vectorised accounting flush for applied replay writes.
 
-        Energy, changed bits/cells, and SAW counts are pure functions of
-        the (old, stored, intended) cell rows; row-wise NumPy reductions
-        over the buffered rows are bit-identical to the scalar path's
-        per-row reductions.  A stored cell differs from the intended value
-        exactly at the stuck-at-wrong positions, so SAW counts fall out of
-        the xor.
+        ``at`` selects the writes' entries in ``replay`` (a slice or an
+        index vector, one entry per buffered row).  Energy, changed
+        bits/cells, and SAW counts are pure functions of the (old, stored,
+        intended) cell rows; row-wise NumPy reductions over the buffered
+        rows are bit-identical to the scalar path's per-row reductions.  A
+        stored cell differs from the intended value exactly at the
+        stuck-at-wrong positions, so SAW counts fall out of the xor.
         """
-        if lo >= hi:
+        lines = len(old_rows)
+        if lines == 0:
             return
         popcount = self._bit_popcount
         bits_per_cell = self.array.bits_per_cell
-        replay.data_energy_pj[lo:hi] = self._energy_lut[old_rows, intended_rows].sum(axis=1)  # repro: allow[NUM001] reason=advanced indexing copies into a fresh C-contiguous (rows, cells) block, so the axis-1 pairwise sums match the per-row oracle (parity-locked by test_replay_parity)
+        replay.data_energy_pj[at] = self._energy_lut[old_rows, intended_rows].sum(axis=1)  # repro: allow[NUM001] reason=advanced indexing copies into a fresh C-contiguous (rows, cells) block, so the axis-1 pairwise sums match the per-row oracle (parity-locked by test_replay_parity)
         changed = stored_rows != old_rows
-        replay.cells_changed[lo:hi] = np.count_nonzero(changed, axis=1)
+        replay.cells_changed[at] = np.count_nonzero(changed, axis=1)
         if bits_per_cell == 1:
-            replay.bits_changed[lo:hi] = np.count_nonzero(old_rows ^ stored_rows, axis=1)
+            replay.bits_changed[at] = np.count_nonzero(old_rows ^ stored_rows, axis=1)
         else:
-            replay.bits_changed[lo:hi] = popcount[old_rows ^ stored_rows].sum(axis=1)
+            replay.bits_changed[at] = popcount[old_rows ^ stored_rows].sum(axis=1)
         wrong_xor = stored_rows ^ intended_rows
-        replay.saw_cells[lo:hi] = np.count_nonzero(wrong_xor, axis=1)
+        replay.saw_cells[at] = np.count_nonzero(wrong_xor, axis=1)
         wrong_bits = (
             popcount[wrong_xor]
             if bits_per_cell == 2
             else (wrong_xor != 0).astype(np.int64)
         )
-        replay.saw_bits_per_word[lo:hi] = wrong_bits.reshape(
-            hi - lo, self.config.words_per_line, -1
+        replay.saw_bits_per_word[at] = wrong_bits.reshape(
+            lines, self.config.words_per_line, -1
         ).sum(axis=2)
 
     def _replay_generic(
         self,
         replay: ReplayResult,
-        plaintext_for: Callable[[int], List[int]],
-        addresses: np.ndarray,
-        encrypted_chunk: Optional[np.ndarray],
+        chunk_addresses: np.ndarray,
+        plaintext: np.ndarray,
         start: int,
-        end: int,
         stop: Optional[ReplayStop],
     ):
-        """Replay path for arbitrary encoders over writes [start, end).
+        """Wave scheduler for arbitrary encoders over one chunk of writes.
 
-        Wave execution: the chunk is partitioned into runs of writes
-        targeting *distinct* rows.  Within such a wave no write can observe
-        another's row, stuck mask, or auxiliary bits, so the old-cell state
-        of every line is gathered up front in one
-        :meth:`repro.pcm.array.PCMArray.read_rows` call and all lines are
-        encoded through a single :meth:`repro.coding.base.Encoder.encode_lines`
-        call — the selected codewords are bit-identical to encoding at each
-        write's turn.  A write to a row already queued in the wave starts
-        the next wave, and with Start-Gap wear leveling a wave never spans
-        a gap migration (the mapping rotation and the migration write land
-        strictly after the wave's last write).  The writes themselves then
-        apply sequentially through the array's stuck/wear semantics, with
-        the per-write accounting flushed wave-at-a-time by the same
-        vectorised reductions as the identity fast path.  Returns
-        ``(performed, stopped)`` like :meth:`_replay_identity`.
+        The only true dependency between writes is per-row order, so the
+        scheduler works like a reorder buffer: it executes out of order
+        and retires in order.
 
-        ``plaintext_for`` supplies the plaintext word list of one write for
-        the scalar-encryption fallback (odd word widths, where no batched
-        ciphertext chunk exists and :meth:`_replay_generic_scalar` runs
-        instead).
+        * **Wave rule.**  The look-ahead window spans
+          ``REPLAY_LOOKAHEAD_WAVES * replay_wave_lines`` writes from the
+          oldest pending write.  A wave takes, in trace order, the earliest
+          pending write of each distinct row in the window, up to
+          ``replay_wave_lines`` lines; a later write to a row already in
+          the wave is deferred to a later wave instead of ending this one.
+          Every earlier write to a picked row has therefore executed, so
+          encoding the wave against one :meth:`repro.pcm.array.PCMArray.read_rows`
+          gather through a single :meth:`repro.coding.base.Encoder.encode_lines`
+          call, encrypting its lines with one
+          :meth:`repro.crypto.counter_mode.CounterModeEngine.encrypt_lines`
+          call, and applying it with one
+          :meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter is
+          bit-identical to running those writes one by one in trace order.
+        * **Retirement.**  After each wave the oldest writes retire in
+          trace order while they have executed: Start-Gap's
+          ``record_write`` and any gap migration run here, then ``stop``.
+          Under Start-Gap the window ends at the write that triggers the
+          next gap move, so no write executes under a mapping that a
+          migration is about to rotate.
+        * **Squash.**  When ``stop`` fires at write ``k``, every executed
+          write past ``k`` ran speculatively: each wave snapshots its rows
+          (cells, wear, stuck mask, aux bits, fault-repository entries and
+          transient-sense read counts) before applying, and the earliest
+          squashed write of each row restores that row from its snapshot.
+          The squashed writes' counter bumps are rolled back, so the
+          controller ends in exactly the state of the ``write_line``
+          sequence stopped at ``k``.  Without a ``stop`` nothing is
+          snapshotted.
+
+        Accounting is flushed per wave into the writes' entries of
+        ``replay`` by the same vectorised reductions as the identity fast
+        path.  Returns ``(performed, stopped)`` like :meth:`_replay_identity`.
         """
-        if encrypted_chunk is None:
-            _OBS_SCALAR_FALLBACKS.inc()
-            return self._replay_generic_scalar(
-                replay, plaintext_for, addresses, start, end, stop
-            )
         array = self.array
         leveler = self.wear_leveler
         repository = self.fault_repository
+        encryption = self.encryption
         words_per_line = self.config.words_per_line
         bits_per_cell = array.bits_per_cell
-        popcount = self._bit_popcount
-        zero_saw_bits = np.zeros(words_per_line, dtype=np.int64)
-        np.copyto(replay.addresses[start:end], addresses[start:end])
+        cap = self.replay_wave_lines
+        lookahead = cap * REPLAY_LOOKAHEAD_WAVES
+        count = len(chunk_addresses)
+        np.copyto(replay.addresses[start:start + count], chunk_addresses)
         # Without wear leveling the address-to-row mapping is fixed, so the
-        # whole chunk's rows are computed in one vectorised modulo.
-        row_lookup = (
-            None if leveler is not None else (addresses[start:end] % array.rows).tolist()
+        # whole chunk's rows come from one vectorised modulo; under
+        # Start-Gap each write is mapped as it enters the window.
+        rows_of: List[int] = (
+            (chunk_addresses % array.rows).tolist() if leveler is None else []
         )
-
-        index = start
-        performed = start
-        stopped = False
-        while index < end and not stopped:
-            # ---- wave selection: a maximal run of writes to distinct rows.
-            limit = min(end - index, self.replay_wave_lines)
+        executed = bytearray(count)
+        pending: List[int] = []
+        snapshots: Deque[_WaveSnapshot] = deque()
+        admitted = 0
+        retired = 0
+        while retired < count:
+            # ---- admission: the window starts at the oldest pending write.
+            head = pending[0] if pending else admitted
+            limit = min(count, head + lookahead)
             gap_capped = False
             if leveler is not None:
-                # The next gap migration rewrites a row and rotates the
-                # mapping; capping the wave at the write that triggers it
-                # keeps the migration strictly after the wave's last write.
-                until_gap = leveler.writes_until_gap_move
-                if until_gap < limit:
-                    limit = until_gap
+                gap_end = retired + leveler.writes_until_gap_move
+                if gap_end < limit:
+                    limit = gap_end
                     gap_capped = True
+                for local in range(admitted, limit):
+                    rows_of.append(self.row_for_address(int(chunk_addresses[local])))
+            if limit > admitted:
+                pending.extend(range(admitted, limit))
+                admitted = limit
+
+            # ---- selection: the earliest pending write of each distinct row.
+            picked: List[int] = []
             rows: List[int] = []
             seen = set()
-            scan = index
-            while scan < end and len(rows) < limit:
-                if row_lookup is not None:
-                    row_index = row_lookup[scan - start]
-                else:
-                    row_index = self.row_for_address(int(addresses[scan]))
-                if row_index in seen:
+            deferred: List[int] = []
+            conflicted = False
+            for position, local in enumerate(pending):
+                if len(picked) == cap:
+                    deferred.extend(pending[position:])
                     break
+                row_index = rows_of[local]
+                if row_index in seen:
+                    deferred.append(local)
+                    conflicted = True
+                    continue
                 seen.add(row_index)
+                picked.append(local)
                 rows.append(row_index)
-                scan += 1
-            count = len(rows)
-            row_array = np.asarray(rows, dtype=np.intp)
+            pending = deferred
+            lines = len(picked)
             _OBS_WAVES.inc()
-            _OBS_WAVE_LINES.observe(count)
-            if scan < end and count < limit:
+            _OBS_WAVE_LINES.observe(lines)
+            if conflicted:
                 _OBS_CONFLICT_CUTS.inc()
-            elif gap_capped and count == limit:
+            if gap_capped:
                 _OBS_GAP_FLUSHES.inc()
 
-            with _OBS_SPAN("replay.wave", lines=count):
-                # ---- one gather per wave: rows, stuck knowledge, aux bits.
+            # ---- execution: one gather, encrypt, encode and scatter.
+            local_array = np.asarray(picked, dtype=np.intp)
+            at = local_array + start
+            row_array = np.asarray(rows, dtype=np.intp)
+            with _OBS_SPAN("replay.wave", lines=lines):
+                if stop is not None:
+                    snapshots.append(self._snapshot_wave(picked, row_array))
                 old_rows = array.read_rows(row_array)
                 stuck_rows = self._stuck_rows(row_array)
                 old_auxes = self._aux_store[row_array]
@@ -912,94 +1041,119 @@ class MemoryController:
                     LineContext.from_rows(
                         sensed_rows, words_per_line, bits_per_cell, stuck_rows, old_auxes, line
                     )
-                    for line in range(count)
+                    for line in range(lines)
                 ]
-                encoded = self.encoder.encode_lines(
-                    encrypted_chunk[index - start: scan - start], contexts
-                )
+                wave_words = plaintext[local_array]
+                if encryption is not None:
+                    wave_words = encryption.encrypt_lines(
+                        chunk_addresses[local_array], wave_words
+                    )
+                encoded = self.encoder.encode_lines(wave_words, contexts)
                 intended_rows = words_matrix_to_cells(
                     np.array([line.codewords for line in encoded], dtype=np.uint64),
                     self.config.word_bits,
                     bits_per_cell,
-                ).reshape(count, array.cells_per_row)
+                ).reshape(lines, array.cells_per_row)
                 new_auxes = self._wave_aux_values(encoded)
-                replay.row_indices[index:scan] = rows
-
-                if stop is None and leveler is None:
-                    # ---- whole-wave apply: with no early-stop predicate and no
-                    # gap migrations pending, the distinct-row writes commute
-                    # into one fancy-index scatter (write_rows_fast is
-                    # bit-identical to looping write_row_fast in order).
-                    _old, stored_rows, _changed, _saw, newly = array.write_rows_fast(
-                        row_array, intended_rows
-                    )
-                    self._aux_store[row_array] = new_auxes
-                    replay.newly_stuck_cells[index:scan] = newly
-                    if repository is not None:
-                        # observe_write is a no-op for rows whose stored cells
-                        # all match; only mismatching rows carry discoveries.
-                        for line in np.nonzero((stored_rows != intended_rows).any(axis=1))[0]:
-                            repository.observe_write(
-                                rows[line], intended_rows[line], stored_rows[line]
-                            )
-                    applied = count
-                    performed = scan
-                    self._flush_replay_accounting(
-                        replay, index, performed, old_rows, stored_rows, intended_rows
-                    )
-                    self._flush_aux_energy(replay, index, performed, new_auxes, old_auxes)
-                    index = scan
-                    continue
-
-                # ---- apply sequentially; accounting flushes once per wave.
-                stored_rows = np.empty_like(old_rows)
-                write_row_fast = array.write_row_fast
-                applied = 0
-                for line in range(count):
-                    index_global = index + line
-                    row_index = rows[line]
-                    intended = intended_rows[line]
-                    _old, stored, _changed, saw_mask, newly_stuck = write_row_fast(
-                        row_index, intended
-                    )
-                    stored_rows[line] = stored
-                    self._aux_store[row_index] = new_auxes[line]
-                    replay.newly_stuck_cells[index_global] = newly_stuck
-                    if repository is not None:
-                        repository.observe_write(row_index, intended, stored)
-                    if leveler is not None:
-                        movement = leveler.record_write()
-                        if movement is not None:
-                            self._migrate_row(*movement)
-                    applied = line + 1
-                    performed = index_global + 1
-                    if stop is not None:
-                        saw_count = int(saw_mask.sum())
-                        if saw_count:
-                            wrong = stored ^ intended
-                            saw_bits = (
-                                popcount[wrong]
-                                if bits_per_cell == 2
-                                else (wrong != 0).astype(np.int64)
-                            ).reshape(words_per_line, -1).sum(axis=1)
-                        else:
-                            saw_bits = zero_saw_bits
-                        if stop(index_global, int(row_index), saw_count, saw_bits):
-                            stopped = True
-                            break
+                _old, stored_rows, _changed, _saw, newly = array.write_rows_fast(
+                    row_array, intended_rows
+                )
+                self._aux_store[row_array] = new_auxes
+                replay.row_indices[at] = rows
+                replay.newly_stuck_cells[at] = newly
+                if repository is not None:
+                    # observe_write is a no-op for rows whose stored cells
+                    # all match; only mismatching rows carry discoveries.
+                    for line in np.nonzero((stored_rows != intended_rows).any(axis=1))[0]:
+                        repository.observe_write(
+                            rows[line], intended_rows[line], stored_rows[line]
+                        )
                 self._flush_replay_accounting(
-                    replay,
-                    index,
-                    performed,
-                    old_rows[:applied],
-                    stored_rows[:applied],
-                    intended_rows[:applied],
+                    replay, at, old_rows, stored_rows, intended_rows
                 )
-                self._flush_aux_energy(
-                    replay, index, performed, new_auxes[:applied], old_auxes[:applied]
+                self._flush_aux_energy(replay, at, new_auxes, old_auxes)
+            for local in picked:
+                executed[local] = 1
+
+            # ---- retirement, in trace order.
+            while retired < admitted and executed[retired]:
+                local = retired
+                retired += 1
+                if leveler is not None:
+                    movement = leveler.record_write()
+                    if movement is not None:
+                        self._migrate_row(*movement)
+                if stop is not None:
+                    index = start + local
+                    if stop(
+                        index,
+                        rows_of[local],
+                        int(replay.saw_cells[index]),
+                        replay.saw_bits_per_word[index],
+                    ):
+                        self._squash(snapshots, local, chunk_addresses)
+                        return index + 1, True
+            while snapshots and snapshots[0].writes[-1] < retired:
+                snapshots.popleft()
+        return start + count, False
+
+    def _snapshot_wave(self, picked: List[int], row_array: np.ndarray) -> "_WaveSnapshot":
+        """Save the state of a wave's rows before the wave is applied."""
+        return _WaveSnapshot(
+            writes=picked,
+            array_rows=self.array.snapshot_rows(row_array),
+            auxes=self._aux_store[row_array],
+            faults=(
+                None
+                if self.fault_repository is None
+                else self.fault_repository.snapshot_rows(row_array)
+            ),
+            sense_counts=(
+                None if self._sense_counts is None else self._sense_counts[row_array]
+            ),
+        )
+
+    def _squash(
+        self,
+        snapshots: "Deque[_WaveSnapshot]",
+        stop_local: int,
+        chunk_addresses: np.ndarray,
+    ) -> None:
+        """Undo every executed write of the chunk past ``stop_local``.
+
+        Waves are visited in execution order, so the first squashed write
+        met for a row is that row's earliest one and its snapshot holds the
+        row's state at the stop.
+        """
+        restored = set()
+        squashed: List[int] = []
+        for snapshot in snapshots:
+            positions = []
+            for position, local in enumerate(snapshot.writes):
+                if local <= stop_local:
+                    continue
+                squashed.append(local)
+                row_index = int(snapshot.array_rows.rows[position])
+                if row_index not in restored:
+                    restored.add(row_index)
+                    positions.append(position)
+            if not positions:
+                continue
+            chosen = np.asarray(positions, dtype=np.intp)
+            saved = snapshot.array_rows.select(chosen)
+            self.array.restore_rows(saved)
+            self._aux_store[saved.rows] = snapshot.auxes[chosen]
+            if snapshot.faults is not None and self.fault_repository is not None:
+                self.fault_repository.restore_rows(
+                    {int(row): snapshot.faults[int(row)] for row in saved.rows}
                 )
-                index = scan
-        return performed, stopped
+            if snapshot.sense_counts is not None and self._sense_counts is not None:
+                self._sense_counts[saved.rows] = snapshot.sense_counts[chosen]
+        if not squashed:
+            return
+        _OBS_SQUASHED_WRITES.inc(len(squashed))
+        if self.encryption is not None:
+            self.encryption.rollback_counters(chunk_addresses[squashed])
 
     def _wave_aux_values(self, encoded_lines: List[EncodedLine]) -> np.ndarray:
         """The wave's auxiliary values as a ``(lines, words)`` aux-store block."""
@@ -1011,31 +1165,31 @@ class MemoryController:
     def _flush_aux_energy(
         self,
         replay: ReplayResult,
-        lo: int,
-        hi: int,
+        at,
         new_auxes: np.ndarray,
         old_auxes: np.ndarray,
     ) -> None:
-        """Auxiliary-bit write energy for applied wave writes ``[lo, hi)``.
+        """Auxiliary-bit write energy for applied wave writes selected by ``at``.
 
         Charges the bits that changed between the stored and the new
         auxiliary values, exactly as :meth:`_apply_line_write` does per
         write (same popcounts, same float multiply).
         """
-        if lo >= hi:
+        if len(new_auxes) == 0:
             return
         if self._wide_aux:
-            for line in range(hi - lo):
-                changed = sum(
-                    bin(int(new) ^ int(old)).count("1")
-                    for new, old in zip(new_auxes[line], old_auxes[line])
-                )
-                replay.aux_energy_pj[lo + line] = self._aux_bit_energy * changed
-            return
-        changed = popcount64_array(
-            new_auxes.astype(np.uint64) ^ old_auxes.astype(np.uint64)
-        ).sum(axis=1)
-        replay.aux_energy_pj[lo:hi] = self._aux_bit_energy * changed
+            changed = np.array(
+                [
+                    sum(bin(int(new) ^ int(old)).count("1") for new, old in zip(news, olds))
+                    for news, olds in zip(new_auxes, old_auxes)
+                ],
+                dtype=np.int64,
+            )
+        else:
+            changed = popcount64_array(
+                new_auxes.astype(np.uint64) ^ old_auxes.astype(np.uint64)
+            ).sum(axis=1)
+        replay.aux_energy_pj[at] = self._aux_bit_energy * changed
 
     def _sensed_view(self, old_row: np.ndarray, row_index: int) -> np.ndarray:
         """The old-row state the encoder observes for one read-before-write.
@@ -1104,9 +1258,8 @@ class MemoryController:
         self,
         replay: ReplayResult,
         plaintext_for: Callable[[int], List[int]],
-        addresses: np.ndarray,
+        chunk_addresses: np.ndarray,
         start: int,
-        end: int,
         stop: Optional[ReplayStop],
     ):
         """Per-write fallback of :meth:`_replay_generic` (odd word widths).
@@ -1117,12 +1270,11 @@ class MemoryController:
         encryption = self.encryption
         performed = start
         stopped = False
-        for index in range(start, end):
+        for local, address in enumerate(chunk_addresses.tolist()):
+            index = start + local
             words = plaintext_for(index)
             if encryption is not None:
-                encrypted = list(
-                    encryption.encrypt_line(int(addresses[index]), words).words
-                )
+                encrypted = list(encryption.encrypt_line(address, words).words)
             else:
                 encrypted = [int(w) for w in words]
             (
@@ -1134,8 +1286,8 @@ class MemoryController:
                 saw_count,
                 saw_bits,
                 newly_stuck,
-            ) = self._apply_line_write(int(addresses[index]), encrypted)
-            replay.addresses[index] = addresses[index]
+            ) = self._apply_line_write(address, encrypted)
+            replay.addresses[index] = address
             replay.row_indices[index] = row_index
             replay.data_energy_pj[index] = data_energy
             replay.aux_energy_pj[index] = aux_energy
@@ -1165,9 +1317,9 @@ class MemoryController:
         per word, then :meth:`write_line`): line data is drawn in chunks
         with the *exact same generator call sequence* — so the addresses
         and words are bit-identical to the scalar loop's — and driven
-        through :meth:`replay_trace`'s internals: chunked counter-mode
-        pads, the identity-encoder fast path for the unencoded baselines,
-        and per-write accounting in the preallocated arrays of a
+        through :meth:`replay_trace`'s internals: batched counter-mode
+        pads, the wave scheduler, the identity-encoder fast path for the
+        unencoded baselines, and per-write accounting in the arrays of a
         :class:`ReplayResult`.  Controller state (array contents,
         encryption counters, auxiliary bits, wear) after the call matches
         the scalar sequence exactly, so scalar and batched drives can
@@ -1196,41 +1348,32 @@ class MemoryController:
         if num_lines == 0:
             return replay._trim(0, False)
 
-        # Chunked like replay_trace: pads and cell conversions are only
-        # produced for a bounded window of writes at a time, with the same
-        # geometric ramp.  There is no early-stop predicate here (the
-        # random-line studies always run to completion), so no counter
-        # rollback is ever needed.
-        addresses = np.empty(num_lines, dtype=np.int64)
-        chunk = 512
+        # Chunked like a replay_trace that runs to completion: line data
+        # and cell conversions are only produced for a bounded window of
+        # writes at a time, with the same geometric ramp.  There is no
+        # early-stop predicate here (the random-line studies always run to
+        # completion), so no write is ever squashed or rolled back.
+        chunk = _FIRST_CHUNK
         start = 0
         performed = 0
         while start < num_lines:
             end = min(start + chunk, num_lines)
-            chunk = min(chunk * 2, 8192)
+            chunk = min(chunk * 2, _MAX_CHUNK)
             chunk_addresses, plaintext = self._draw_random_lines(
                 rng, end - start, address_space
             )
-            addresses[start:end] = chunk_addresses
-            encrypted_chunk: Optional[np.ndarray] = None
-            if isinstance(plaintext, np.ndarray):
-                if self.encryption is None:
-                    encrypted_chunk = plaintext
-                else:
-                    encrypted_chunk = self.encryption.encrypt_lines(
-                        chunk_addresses, plaintext
-                    )
-            if encrypted_chunk is not None and self.encoder.is_identity:
-                performed, _ = self._replay_identity(
-                    replay, addresses, encrypted_chunk, start, end, None
-                )
-            else:
-                def plaintext_for(index: int, _base=start, _rows=plaintext) -> List[int]:
-                    return [int(word) for word in _rows[index - _base]]
 
-                performed, _ = self._replay_generic(
-                    replay, plaintext_for, addresses, encrypted_chunk, start, end, None
-                )
+            def plaintext_for(index: int, _base=start, _rows=plaintext) -> List[int]:
+                return [int(word) for word in _rows[index - _base]]
+
+            performed, _ = self._replay_chunk(
+                replay,
+                chunk_addresses,
+                plaintext if isinstance(plaintext, np.ndarray) else None,
+                start,
+                None,
+                plaintext_for,
+            )
             start = end
         replay._trim(performed, False)
         self.stats.absorb(replay.write_stats())

@@ -22,7 +22,7 @@ from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel, DEFAULT_MLC_ENERGY
 from repro.pcm.endurance import EnduranceModel
 from repro.pcm.faultmap import FaultMap, RowFaults
 from repro.pcm.faultrepo import FaultRepository
-from repro.pcm.array import PCMArray, RowWriteResult
+from repro.pcm.array import PCMArray, RowSnapshot, RowWriteResult
 from repro.pcm.stats import WriteStats
 from repro.pcm.wearlevel import StartGapWearLeveler
 
@@ -36,6 +36,7 @@ __all__ = [
     "MLC_GRAY_LEVELS",
     "PCMArray",
     "RowFaults",
+    "RowSnapshot",
     "RowWriteResult",
     "SLCEnergyModel",
     "StartGapWearLeveler",

@@ -35,7 +35,7 @@ from repro.utils.validation import require, require_divisible
 if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.faults imports repro.pcm
     from repro.faults.models import FaultModel
 
-__all__ = ["PCMArray", "RowWriteResult", "word_to_cells", "cells_to_word"]
+__all__ = ["PCMArray", "RowSnapshot", "RowWriteResult", "word_to_cells", "cells_to_word"]
 
 
 def word_to_cells(word: int, word_bits: int, bits_per_cell: int) -> np.ndarray:
@@ -115,6 +115,30 @@ class RowWriteResult:
     def saw_count(self) -> int:
         """Number of stuck-at-wrong cells produced by this write."""
         return int(self.saw_mask.sum())
+
+
+@dataclass(frozen=True)
+class RowSnapshot:
+    """Saved device state of several rows, for undoing speculative writes.
+
+    Taken by :meth:`PCMArray.snapshot_rows` and put back by
+    :meth:`PCMArray.restore_rows`.  ``wear`` is ``None`` when the array
+    tracks no wear (snapshot mode).
+    """
+
+    rows: np.ndarray
+    cells: np.ndarray
+    stuck: np.ndarray
+    wear: Optional[np.ndarray]
+
+    def select(self, positions: np.ndarray) -> "RowSnapshot":
+        """The snapshot restricted to the entries at ``positions``."""
+        return RowSnapshot(
+            rows=self.rows[positions],
+            cells=self.cells[positions],
+            stuck=self.stuck[positions],
+            wear=None if self.wear is None else self.wear[positions],
+        )
 
 
 class PCMArray:
@@ -360,6 +384,31 @@ class PCMArray:
         self._cells[row_indices] = stored
         saw_mask = self._stuck[row_indices] & (stored != intended)
         return old, stored, changed, saw_mask, newly_stuck
+
+    def snapshot_rows(self, row_indices: np.ndarray) -> RowSnapshot:
+        """Copies of the cells, stuck masks and wear of several rows.
+
+        The memory controller snapshots each replay wave before applying
+        it, so writes that ran ahead of an early stop can be undone with
+        :meth:`restore_rows`.
+        """
+        indices = self._check_rows(row_indices)
+        return RowSnapshot(
+            rows=indices,
+            cells=self._cells[indices],
+            stuck=self._stuck[indices],
+            wear=None if self._wear is None else self._wear[indices],
+        )
+
+    def restore_rows(self, snapshot: RowSnapshot) -> None:
+        """Put the rows of ``snapshot`` back to the state it recorded.
+
+        The snapshot's rows must be pairwise distinct.
+        """
+        self._cells[snapshot.rows] = snapshot.cells
+        self._stuck[snapshot.rows] = snapshot.stuck
+        if self._wear is not None and snapshot.wear is not None:
+            self._wear[snapshot.rows] = snapshot.wear
 
     def write_word(self, row_index: int, word_index: int, word: int) -> RowWriteResult:
         """Write a single word, leaving the rest of the row untouched."""

@@ -23,7 +23,7 @@ experiments that want to isolate encoder quality from discovery latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,26 @@ class FaultRepository:
             table[position] = value
             discovered += 1
         return discovered
+
+    def snapshot_rows(self, row_indices: Iterable[int]) -> Dict[int, Optional[Dict[int, int]]]:
+        """Copies of the fault tables of several rows (``None``: no table).
+
+        Paired with :meth:`restore_rows` to undo the discoveries of writes
+        that the memory controller performed speculatively.
+        """
+        snapshot: Dict[int, Optional[Dict[int, int]]] = {}
+        for row_index in row_indices:
+            table = self._known.get(int(row_index))
+            snapshot[int(row_index)] = None if table is None else dict(table)
+        return snapshot
+
+    def restore_rows(self, snapshot: Dict[int, Optional[Dict[int, int]]]) -> None:
+        """Put back the row tables recorded by :meth:`snapshot_rows`."""
+        for row_index, table in snapshot.items():
+            if table is None:
+                self._known.pop(row_index, None)
+            else:
+                self._known[row_index] = dict(table)
 
     # --------------------------------------------------------------- access
     def known_faults(self, row_index: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -35,10 +35,9 @@ from repro.campaign.tasks import register_task
 from repro.errors import ConfigurationError, SimulationError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
-from repro.sim.harness import TechniqueSpec, build_controller, make_read_corrector
+from repro.sim.harness import TechniqueSpec, build_controller, cached_trace, make_read_corrector
 from repro.sim.repetition import kaplan_meier_mean
 from repro.sim.results import ResultTable
-from repro.traces.synthetic import generate_trace
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -130,7 +129,9 @@ def simulate_lifetime(
     The seed depends on the benchmark and the repetition, but *not* on the
     technique, so every technique faces the identical endurance landscape,
     trace, and encryption pads — the comparison is paired, as in the paper
-    where all techniques replay the same captured trace.
+    where all techniques replay the same captured trace.  The trace comes
+    from the per-process :func:`~repro.sim.harness.cached_trace` memo, so
+    the cells of one benchmark and repetition generate it once.
 
     The replay runs through the batched
     :meth:`~repro.memctrl.controller.MemoryController.replay_trace` engine
@@ -153,13 +154,13 @@ def simulate_lifetime(
         seed=seed,
         encrypt=True,
     )
-    trace = generate_trace(
+    trace = cached_trace(
         benchmark,
-        num_writebacks=config.trace_writebacks,
-        memory_lines=config.rows,
-        line_bits=config.line_bits,
-        word_bits=config.word_bits,
-        seed=derive_seed(seed, "trace"),
+        config.trace_writebacks,
+        config.rows,
+        config.line_bits,
+        config.word_bits,
+        derive_seed(seed, "trace"),
     )
     if len(trace) == 0:
         raise SimulationError("lifetime simulation needs a non-empty trace")

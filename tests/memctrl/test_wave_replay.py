@@ -1,11 +1,15 @@
-"""Wave-partitioned generic replay: conflicts, gap flushes, batch shapes.
+"""Out-of-order wave replay: wave rule, gap windows, squash, batch shapes.
 
-The wave engine of :meth:`MemoryController._replay_generic` batches queued
-writes targeting distinct rows into one ``encode_lines`` call.  These
-tests pin the scheduling contracts the parity suite alone would not catch
-red-handed: a repeated row must split the wave, a Start-Gap migration must
-land on a wave's last write, and the batches the encoder sees must follow
-exactly those rules.
+The wave scheduler of :meth:`MemoryController._replay_generic` picks, from
+a look-ahead window, the earliest pending write of each distinct row and
+runs them as one ``encode_lines`` call and one ``write_rows_fast``
+scatter; writes retire in trace order, and an early stop squashes the
+writes that ran ahead of it.  These tests pin the scheduling contracts the
+parity suite alone would not catch red-handed: a repeated row is deferred
+rather than cutting the wave, the window is ``REPLAY_LOOKAHEAD_WAVES *
+replay_wave_lines`` writes long, no wave spans a Start-Gap migration, and
+a squash leaves the whole controller exactly where the scalar
+``write_line`` sequence would.
 """
 
 from typing import List
@@ -13,8 +17,11 @@ from typing import List
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.coding.registry import make_encoder
-from repro.memctrl.controller import MemoryController
+from repro.ecc import HammingSecded
+from repro.faults.registry import make_fault_model
+from repro.memctrl.controller import REPLAY_LOOKAHEAD_WAVES, MemoryController
 from repro.pcm.array import PCMArray
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
@@ -118,9 +125,10 @@ class TestRowConflicts:
         controller = _controller()
         batches = _spy_batches(controller)
         controller.replay_trace(trace, repetitions=1)
-        # First wave ends before the repeated row 1: [0,1,2,3] then [1,4,...].
-        assert batches[0] == 4
-        assert sum(batches) == len(addresses)
+        # The repeated row 1 is deferred, not a cut: the first wave takes
+        # the earliest write of each of the 9 distinct rows, the second
+        # wave the second write to row 1.
+        assert batches == [9, 1]
 
     def test_distinct_rows_form_one_wave(self):
         addresses = list(range(ROWS))
@@ -129,6 +137,47 @@ class TestRowConflicts:
         batches = _spy_batches(controller)
         controller.replay_trace(trace, repetitions=1)
         assert batches[0] == ROWS
+
+
+def _spy_wave_rows(controller) -> List[List[int]]:
+    """Record the rows of every write_rows_fast scatter the replay makes."""
+    waves: List[List[int]] = []
+    original = controller.array.write_rows_fast
+
+    def spy(row_indices, intended):
+        waves.append([int(row) for row in row_indices])
+        return original(row_indices, intended)
+
+    controller.array.write_rows_fast = spy
+    return waves
+
+
+class TestWaveRule:
+    def test_earliest_pending_write_per_row(self):
+        """Cap 3, window 6: deferred rows wait, later distinct rows fill in."""
+        assert REPLAY_LOOKAHEAD_WAVES == 2
+        trace = _conflict_trace([0, 0, 1, 0, 2, 3, 4, 5])
+        controller = _controller()
+        controller.replay_wave_lines = 3
+        waves = _spy_wave_rows(controller)
+        replay = controller.replay_trace(trace, repetitions=1)
+        # Wave 1 sees writes 0-5 and fills its 3 lines with the first
+        # write of rows 0, 1, 2.  Wave 2 starts its window at the second
+        # write to row 0 and takes rows 3 and 4 past the still-deferred
+        # third write to row 0, which goes in wave 3 with row 5.
+        assert waves == [[0, 1, 2], [0, 3, 4], [0, 5]]
+        assert_parity(_drive_scalar(_controller(), trace, repetitions=1), replay)
+
+    def test_window_bounds_the_lookahead(self):
+        """A distinct row joins a wave only once it is inside the window."""
+        trace = _conflict_trace([0] * 7 + [1])
+        controller = _controller()
+        controller.replay_wave_lines = 3
+        waves = _spy_wave_rows(controller)
+        controller.replay_trace(trace, repetitions=1)
+        # The window spans 6 writes from the oldest pending one, so row 1
+        # (write 7) first becomes eligible when write 2 is the oldest.
+        assert waves == [[0], [0], [0, 1], [0], [0], [0], [0]]
 
 
 class TestWearLevelingWaves:
@@ -274,3 +323,133 @@ class TestBatchedArrayHelpers:
         assert np.array_equal(batched_array._cells, sequential._cells)
         assert np.array_equal(batched_array._stuck, sequential._stuck)
         assert np.array_equal(batched_array._wear, sequential._wear)
+
+
+# ---------------------------------------------------------------- squash
+SQUASH_ENCODERS = ["rcc", "vcc", "vcc-stored", "flipcy", "dbi/fnw", "bcc"]
+SQUASH_STOP = 50
+
+
+def _hot_row_trace(writes=120):
+    """Row 0 takes every other write; the others cycle through rows 1-11.
+
+    The hot row limits every wave to one of its writes, so the cold rows
+    run up to a full look-ahead window ahead of the oldest pending write.
+    """
+    return _conflict_trace(
+        [0 if index % 2 == 0 else 1 + (index // 2) % (ROWS - 1) for index in range(writes)]
+    )
+
+
+def _squash_controller(name, fault_knowledge="oracle", leveler=False, transient=False):
+    wear_leveler = StartGapWearLeveler(rows=ROWS, gap_write_interval=20) if leveler else None
+    rows = ROWS + 1 if leveler else ROWS
+    array = PCMArray(
+        rows=rows,
+        row_bits=512,
+        technology=CellTechnology.MLC,
+        fault_map=FaultMap(
+            rows=rows, cells_per_row=256, technology=CellTechnology.MLC,
+            fault_rate=2e-2, seed=4,
+        ),
+        endurance_model=EnduranceModel(mean_writes=12, coefficient_of_variation=0.3),
+        seed=4,
+    )
+    encoder = make_encoder(name, word_bits=64, num_cosets=16, technology=CellTechnology.MLC)
+    return MemoryController(
+        array=array,
+        encoder=encoder,
+        fault_knowledge=fault_knowledge,
+        wear_leveler=wear_leveler,
+        fault_model=make_fault_model("transient", rate=2e-2) if transient else None,
+        read_corrector=HammingSecded() if transient else None,
+    )
+
+
+def _controller_state(controller):
+    """Everything a later write or read can observe, as comparable values."""
+    array = controller.array
+    saved = array.snapshot_rows(np.arange(array.rows))
+    repository = controller.fault_repository
+    leveler = controller.wear_leveler
+    stats = controller.stats
+    return {
+        "cells": saved.cells.tolist(),
+        "stuck": saved.stuck.tolist(),
+        "wear": None if saved.wear is None else saved.wear.tolist(),
+        "aux": controller._aux_store.tolist(),
+        "counters": {
+            address: controller.encryption.counter_for(address) for address in range(4 * ROWS)
+        },
+        "faults": None if repository is None else [
+            tuple(part.tolist() for part in repository.known_faults(row))
+            for row in range(array.rows)
+        ] + [repository.rows_with_faults()],
+        "sense": None if controller._sense_counts is None else controller._sense_counts.tolist(),
+        "leveler": None if leveler is None else (
+            leveler.mapping_snapshot(),
+            leveler.gap_position,
+            leveler.writes_until_gap_move,
+            leveler.gap_moves,
+        ),
+        "stats": (stats.rows_written, stats.cells_changed, stats.bits_changed, stats.saw_cells),
+    }
+
+
+def _assert_squash_parity(build, min_squashed=ROWS):
+    trace = _hot_row_trace()
+    scalar = build()
+    scalar_results = [
+        scalar.write_line(record.address, list(record.words))
+        for record in list(trace)[: SQUASH_STOP + 1]
+    ]
+    replayed = build()
+    squashed = obs.counter("replay.squashed_writes")
+    before = squashed.value
+    replay = replayed.replay_trace(
+        trace, repetitions=2, stop=lambda index, row, saw, bits: index == SQUASH_STOP
+    )
+    assert replay.stopped_early
+    assert_parity(scalar_results, replay)
+    # Speculation ran well past the stop before it was undone.
+    assert squashed.value - before >= min_squashed
+    assert _controller_state(replayed) == _controller_state(scalar)
+    follow_up = trace[SQUASH_STOP + 1]
+    assert replayed.write_line(follow_up.address, list(follow_up.words)) == (
+        scalar.write_line(follow_up.address, list(follow_up.words))
+    )
+
+
+class TestSquash:
+    @pytest.mark.parametrize("fault_knowledge", ["oracle", "discovered", "none"])
+    @pytest.mark.parametrize("name", SQUASH_ENCODERS)
+    def test_stop_deep_in_hot_row_trace(self, name, fault_knowledge):
+        _assert_squash_parity(lambda: _squash_controller(name, fault_knowledge))
+
+    @pytest.mark.parametrize("name", ["rcc", "vcc-stored"])
+    def test_transient_reads_with_ecc(self, name):
+        """Squashed writes give back the sensed reads they consumed."""
+        _assert_squash_parity(lambda: _squash_controller(name, transient=True))
+
+    @pytest.mark.parametrize("fault_knowledge", ["oracle", "discovered"])
+    @pytest.mark.parametrize("name", ["rcc", "vcc"])
+    def test_start_gap(self, name, fault_knowledge):
+        """Gap moves retire in order; speculation never crosses one.
+
+        The move at write 39 ends the window at write 59, so the writes
+        that ran past the stop at 50 must all lie below 60.
+        """
+        _assert_squash_parity(
+            lambda: _squash_controller(name, fault_knowledge, leveler=True), min_squashed=3
+        )
+
+    def test_no_squash_without_speculation(self):
+        """A stop on the last write of a wave squashes nothing."""
+        trace = _conflict_trace(list(range(ROWS)))
+        squashed = obs.counter("replay.squashed_writes")
+        before = squashed.value
+        replay = _controller().replay_trace(
+            trace, repetitions=1, stop=lambda index, row, saw, bits: index == ROWS - 1
+        )
+        assert replay.writes == ROWS and replay.stopped_early
+        assert squashed.value == before

@@ -163,6 +163,9 @@ class TestCli:
         out = capsys.readouterr().out
         for name in (
             "replay.waves",
+            "replay.wave_lines",
+            "replay.conflict_cuts",
+            "replay.squashed_writes",
             "encode.candidates",
             "encode.kernel_gemms",
             "crypto.pad_chunks",
