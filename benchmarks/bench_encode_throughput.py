@@ -5,9 +5,9 @@ implementations of the line API:
 
 * **scalar** — :meth:`Encoder.encode_line_scalar` per line, the
   word-at-a-time reference oracle;
-* **batch** — :meth:`Encoder.encode_lines` over a whole chunk of
-  ``CHUNK_LINES`` lines, the call the memory controller's replay waves
-  make.
+* **batch** — :meth:`Encoder.encode_lines` over one
+  :class:`~repro.coding.base.LineBatch` of ``CHUNK_LINES`` lines, the
+  call the memory controller's replay waves make.
 
 Run directly for a table::
 
@@ -26,7 +26,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.coding.base import LineContext
+from repro.coding.base import LineBatch, LineContext
 from repro.coding.cost import energy_then_saw
 from repro.coding.registry import encoder_plugins, make_encoder
 from repro.utils.bitops import random_word
@@ -78,14 +78,14 @@ def measure(name: str, min_seconds: float = 0.1, trials: int = 3) -> Tuple[float
     so CPU frequency drift and scheduler noise hit both paths alike.
     """
     encoder, context, lines = _setup(name)
-    contexts = [context] * len(lines)
+    line_batch = LineBatch.from_lines([context] * len(lines))
 
     def scalar_chunk() -> None:
         for words in lines:
             encoder.encode_line_scalar(words, context)
 
     def batch_chunk() -> None:
-        encoder.encode_lines(lines, contexts)
+        encoder.encode_lines(lines, line_batch)
 
     # Warm up allocators/caches before timing anything.
     scalar_chunk()

@@ -20,7 +20,7 @@ The package is organised bottom-up:
 Quick start — encoders are resolved by short name through the plugin
 registry, and the hot path operates on whole cache lines::
 
-    from repro import LineContext, make_encoder
+    from repro import LineBatch, LineContext, make_encoder
     from repro.coding.cost import EnergyCost
 
     encoder = make_encoder("vcc", num_cosets=256, cost_function=EnergyCost())
@@ -29,21 +29,30 @@ registry, and the hot path operates on whole cache lines::
     encoded = encoder.encode_line(line, context)
     assert encoder.decode_line(encoded.codewords, encoded.auxes) == line
 
+    # Many lines at once: a LineBatch in, (lines, words) arrays out.
+    batch = LineBatch.from_lines([context, context])
+    result = encoder.encode_lines([line, line], batch)
+    assert result.codewords.shape == (2, 8) and result[1] == encoded
+
 ``encode_line`` is a one-line view of the batched ``encode_lines`` that the
-memory controller's replay waves call.  The word-granular API
-(:meth:`Encoder.encode` with a :class:`WordContext`) is the reference
-oracle; ``encode_lines`` falls back to it for encoders that only implement
-the scalar interface.
+memory controller's replay waves call with one :class:`LineBatch` of
+stacked ``(lines, words, cells)`` row gathers, reading the codewords and
+auxiliary values straight from the returned :class:`EncodedBatch` arrays.
+The word-granular API (:meth:`Encoder.encode` with a :class:`WordContext`)
+is the reference oracle; ``encode_lines`` falls back to it for encoders
+that only implement the scalar interface.
 """
 
 from repro.coding import (
     BCCEncoder,
     DBIEncoder,
+    EncodedBatch,
     EncodedLine,
     EncodedWord,
     Encoder,
     FNWEncoder,
     FlipcyEncoder,
+    LineBatch,
     LineContext,
     RCCEncoder,
     UnencodedEncoder,
@@ -65,6 +74,7 @@ __all__ = [
     "CellTechnology",
     "ControllerConfig",
     "DBIEncoder",
+    "EncodedBatch",
     "EncodedLine",
     "EncodedWord",
     "Encoder",
@@ -72,6 +82,7 @@ __all__ = [
     "FNWEncoder",
     "FaultMap",
     "FlipcyEncoder",
+    "LineBatch",
     "LineContext",
     "MLCEnergyModel",
     "MemoryController",

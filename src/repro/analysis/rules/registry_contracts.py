@@ -31,7 +31,7 @@ from repro.analysis.rules.common import decorator_name, dotted_name
 #: them uniformly.
 _ENCODER_SIGNATURES: Dict[str, List[str]] = {
     "encode_line": ["words", "context"],
-    "encode_lines": ["words_matrix", "contexts"],
+    "encode_lines": ["words", "batch"],
     "decode_line": ["codewords", "auxes"],
 }
 

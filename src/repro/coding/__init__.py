@@ -22,18 +22,21 @@ interface so simulators can swap techniques freely.
 Every technique registers itself with the decorator-driven plugin registry
 (:func:`~repro.coding.registry.register_encoder`); simulators and external
 code resolve techniques by short name through
-:func:`~repro.coding.registry.make_encoder`.  The line-granularity batch
-interface (:class:`~repro.coding.base.LineContext`,
-:meth:`~repro.coding.base.Encoder.encode_lines`) is the memory controller's
+:func:`~repro.coding.registry.make_encoder`.  The columnar batch
+interface (:meth:`~repro.coding.base.Encoder.encode_lines`: a
+:class:`~repro.coding.base.LineBatch` in, an
+:class:`~repro.coding.base.EncodedBatch` out) is the memory controller's
 hot path; all builtins implement it with vectorised cost evaluation, and
 :meth:`~repro.coding.base.Encoder.encode_line_scalar` is its word-level
 oracle.
 """
 
 from repro.coding.base import (
+    EncodedBatch,
     EncodedLine,
     EncodedWord,
     Encoder,
+    LineBatch,
     LineContext,
     WordContext,
     cells_matrix_to_words,
@@ -73,6 +76,7 @@ __all__ = [
     "CellChangeCost",
     "CostFunction",
     "DBIEncoder",
+    "EncodedBatch",
     "EncodedLine",
     "EncodedWord",
     "Encoder",
@@ -81,6 +85,7 @@ __all__ = [
     "FNWEncoder",
     "FlipcyEncoder",
     "LexicographicCost",
+    "LineBatch",
     "LineContext",
     "OnesCost",
     "RCCEncoder",

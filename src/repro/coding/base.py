@@ -20,20 +20,18 @@ Line encoding has exactly two tiers:
 
 * the **oracle** — :meth:`Encoder.encode` per word, looped over a line by
   :meth:`Encoder.encode_line_scalar`;
-* the **fast path** — :meth:`Encoder.encode_lines` encodes a whole chunk
-  of queued writes (one :class:`LineContext` per line) in one call.  Every
-  builtin technique overrides it to evaluate the candidate×word costs of
-  all lines through a single
-  :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` kernel, bit
-  for bit equal to the oracle; the base implementation loops the oracle,
-  so third-party encoders keep working unchanged.
+* the **fast path** — :meth:`Encoder.encode_lines` encodes a whole batch
+  of queued writes in one call.  Its boundary is columnar: a
+  :class:`LineBatch` (``(lines, words, cells)`` old cells and stuck mask,
+  ``(lines, words)`` old auxiliary values) goes in, and an
+  :class:`EncodedBatch` (``(lines, words)`` codeword, auxiliary-value and
+  cost arrays) comes out.  Every builtin technique overrides it to score
+  the candidates of every word of every line at once, bit for bit equal
+  to the oracle; the base implementation loops the oracle over
+  :meth:`LineBatch.line`, so third-party encoders keep working unchanged.
 
 :meth:`Encoder.encode_line` is a one-line view of the fast path and
 :meth:`Encoder.decode_line` the inverse of a line encode.
-:func:`stack_line_contexts` concatenates per-line contexts into one
-context covering every word of the batch, which is how per-word
-independent encoders reduce the multi-line problem to one big vectorised
-line.
 
 Costs are evaluated through the :class:`repro.coding.cost.CostFunction`
 interface at *cell* granularity, which lets the same encoder minimise
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,11 +62,12 @@ _OBS_FALLBACK_LINES = obs.counter(
 __all__ = [
     "WordContext",
     "LineContext",
+    "LineBatch",
     "EncodedWord",
     "EncodedLine",
+    "EncodedBatch",
     "Encoder",
     "WordsMatrix",
-    "stack_line_contexts",
     "words_to_cell_matrix",
     "words_matrix_to_cells",
     "cells_matrix_to_words",
@@ -147,6 +146,63 @@ def cells_matrix_to_words(cells: np.ndarray, bits_per_cell: int) -> List[int]:
     return [cells_to_word(row, bits_per_cell) for row in matrix]
 
 
+def _init_cells(context, ndim: Optional[int] = None, layout: str = "") -> np.ndarray:
+    """Normalise and validate a context's cells, stuck mask and cell width.
+
+    Shared by :class:`WordContext`, :class:`LineContext` and
+    :class:`LineBatch`; ``ndim`` (None: any) is the required rank of
+    ``old_cells``, named ``layout`` in the error.  Returns the uint8 cells.
+    """
+    old = np.asarray(context.old_cells, dtype=np.uint8)
+    if ndim is not None and old.ndim != ndim:
+        raise ConfigurationError(f"old_cells must be a {layout} array")
+    object.__setattr__(context, "old_cells", old)
+    if context.stuck_mask is not None:
+        mask = np.asarray(context.stuck_mask, dtype=bool)
+        if mask.shape != old.shape:
+            raise ConfigurationError("stuck_mask must match old_cells shape")
+        object.__setattr__(context, "stuck_mask", mask)
+    if context.bits_per_cell not in (1, 2):
+        raise ConfigurationError("bits_per_cell must be 1 (SLC) or 2 (MLC)")
+    return old
+
+
+def _int_array(values, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array, or Python ints when they do not fit.
+
+    Techniques with >= 64 auxiliary bits per word (e.g. FNW over wide
+    words) and words wider than 64 bits carry Python ints in object arrays.
+    """
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _old_aux_array(old_auxes, shape: Tuple[int, ...]) -> np.ndarray:
+    """Stored auxiliary values as a non-negative array of ``shape`` (None: zeros)."""
+    if old_auxes is None:
+        return np.zeros(shape, dtype=np.int64)
+    auxes = _int_array(old_auxes, np.int64)
+    if auxes.shape != shape:
+        raise ConfigurationError("old_auxes must hold one value per word")
+    if auxes.size and auxes.min() < 0:
+        raise ConfigurationError("auxiliary values must be non-negative")
+    return auxes
+
+
+def _stacked_stuck(contexts) -> Optional[np.ndarray]:
+    """Stack the contexts' stuck masks, all-False where one has none (None if all do)."""
+    if all(c.stuck_mask is None for c in contexts):
+        return None
+    return np.stack(
+        [
+            c.stuck_mask if c.stuck_mask is not None else np.zeros_like(c.old_cells, dtype=bool)
+            for c in contexts
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class WordContext:
     """Write-time knowledge about the target word location.
@@ -173,15 +229,7 @@ class WordContext:
     old_aux: int = 0
 
     def __post_init__(self) -> None:
-        old = np.asarray(self.old_cells, dtype=np.uint8)
-        object.__setattr__(self, "old_cells", old)
-        if self.stuck_mask is not None:
-            mask = np.asarray(self.stuck_mask, dtype=bool)
-            if mask.shape != old.shape:
-                raise ConfigurationError("stuck_mask must match old_cells shape")
-            object.__setattr__(self, "stuck_mask", mask)
-        if self.bits_per_cell not in (1, 2):
-            raise ConfigurationError("bits_per_cell must be 1 (SLC) or 2 (MLC)")
+        _init_cells(self)
 
     @property
     def word_bits(self) -> int:
@@ -251,36 +299,8 @@ class LineContext:
     old_auxes: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        old = np.asarray(self.old_cells, dtype=np.uint8)
-        if old.ndim != 2:
-            raise ConfigurationError("old_cells must be a (words, cells) matrix")
-        object.__setattr__(self, "old_cells", old)
-        if self.stuck_mask is not None:
-            mask = np.asarray(self.stuck_mask, dtype=bool)
-            if mask.shape != old.shape:
-                raise ConfigurationError("stuck_mask must match old_cells shape")
-            object.__setattr__(self, "stuck_mask", mask)
-        if self.bits_per_cell not in (1, 2):
-            raise ConfigurationError("bits_per_cell must be 1 (SLC) or 2 (MLC)")
-        if self.old_auxes is None:
-            auxes = np.zeros(old.shape[0], dtype=np.int64)
-        else:
-            try:
-                auxes = np.asarray(self.old_auxes, dtype=np.int64)
-            except OverflowError:
-                # Techniques with >= 64 auxiliary bits per word (e.g. FNW
-                # over wide words) carry Python ints instead.
-                auxes = np.array([int(a) for a in self.old_auxes], dtype=object)
-            if auxes.shape != (old.shape[0],):
-                raise ConfigurationError("old_auxes must hold one value per word")
-            negative = (
-                bool((auxes < 0).any())
-                if auxes.dtype != object
-                else any(int(a) < 0 for a in auxes)
-            )
-            if negative:
-                raise ConfigurationError("auxiliary values must be non-negative")
-        object.__setattr__(self, "old_auxes", auxes)
+        old = _init_cells(self, 2, "(words, cells)")
+        object.__setattr__(self, "old_auxes", _old_aux_array(self.old_auxes, old.shape[:1]))
 
     @property
     def words_per_line(self) -> int:
@@ -309,31 +329,6 @@ class LineContext:
             stuck_mask=stuck,
             bits_per_cell=self.bits_per_cell,
             old_aux=int(self.old_auxes[word_index]),
-        )
-
-    def split_partitions(self, partitions: int) -> "LineContext":
-        """View each word as ``partitions`` contiguous sub-blocks.
-
-        Returns a context of ``words * partitions`` shorter "words", which
-        is how partition-based encoders (FNW, BCC, VCC) evaluate all
-        sub-block candidates of a line in one batched cost call.  Auxiliary
-        values do not map onto sub-blocks and are reset to zero.
-        """
-        words, cells = self.old_cells.shape
-        if partitions <= 0 or cells % partitions != 0:
-            raise ConfigurationError(
-                f"cannot split {cells} cells into {partitions} partitions"
-            )
-        sub_cells = cells // partitions
-        stuck = (
-            None
-            if self.stuck_mask is None
-            else self.stuck_mask.reshape(words * partitions, sub_cells)
-        )
-        return LineContext(
-            old_cells=self.old_cells.reshape(words * partitions, sub_cells),
-            stuck_mask=stuck,
-            bits_per_cell=self.bits_per_cell,
         )
 
     @classmethod
@@ -375,48 +370,6 @@ class LineContext:
         )
 
     @classmethod
-    def from_rows(
-        cls,
-        rows_cells: np.ndarray,
-        words_per_line: int,
-        bits_per_cell: int = 2,
-        stuck_masks: Optional[np.ndarray] = None,
-        old_auxes: Optional[np.ndarray] = None,
-        line_index: int = 0,
-    ) -> "LineContext":
-        """Build the context of one line from batched wave gathers.
-
-        ``rows_cells`` (and the optional ``stuck_masks`` / ``old_auxes``)
-        hold one entry per line of a wave — the result of a single
-        :meth:`repro.pcm.array.PCMArray.read_rows` gather — and
-        ``line_index`` selects the line this context describes.  Like
-        :meth:`repro.pcm.array.PCMArray.write_row_fast`, this is the
-        validation-free core for batch drivers: the gathered arrays already
-        satisfy every ``__post_init__`` invariant (uint8 cell rows, aligned
-        boolean masks, non-negative auxiliary values), so re-checking each
-        line of every wave would only burn the time the batching saves.
-        """
-        row = rows_cells[line_index]
-        context = object.__new__(cls)
-        object.__setattr__(context, "old_cells", row.reshape(words_per_line, -1))
-        object.__setattr__(
-            context,
-            "stuck_mask",
-            None
-            if stuck_masks is None
-            else stuck_masks[line_index].reshape(words_per_line, -1),
-        )
-        object.__setattr__(context, "bits_per_cell", bits_per_cell)
-        object.__setattr__(
-            context,
-            "old_auxes",
-            np.zeros(words_per_line, dtype=np.int64)
-            if old_auxes is None
-            else old_auxes[line_index],
-        )
-        return context
-
-    @classmethod
     def from_contexts(cls, contexts: Sequence[WordContext]) -> "LineContext":
         """Stack per-word contexts (all sharing a geometry) into a line context."""
         if not contexts:
@@ -426,59 +379,108 @@ class LineContext:
             raise ConfigurationError("word contexts must share bits_per_cell")
         if any(c.old_cells.shape != contexts[0].old_cells.shape for c in contexts):
             raise ConfigurationError("word contexts must share the word geometry")
-        stuck = None
-        if any(c.stuck_mask is not None for c in contexts):
-            stuck = np.stack(
-                [
-                    c.stuck_mask
-                    if c.stuck_mask is not None
-                    else np.zeros_like(c.old_cells, dtype=bool)
-                    for c in contexts
-                ]
-            )
         return cls(
             old_cells=np.stack([c.old_cells for c in contexts]),
-            stuck_mask=stuck,
+            stuck_mask=_stacked_stuck(contexts),
             bits_per_cell=bits_per_cell,
             old_auxes=np.array([c.old_aux for c in contexts], dtype=np.int64),
         )
 
 
-def stack_line_contexts(contexts: Sequence[LineContext]) -> LineContext:
-    """Concatenate per-line contexts into one context over all their words.
+@dataclass(frozen=True, eq=False)
+class LineBatch:
+    """Write-time knowledge about a batch of cache lines, one per queued write.
 
-    The stacked context views a batch of ``lines`` cache lines as a single
-    ``lines * words_per_line``-word line, which is how per-word independent
-    encoders (every builtin) evaluate the candidates of many queued writes
-    in one vectorised kernel call: word ``w`` of line ``l`` becomes word
-    ``l * words_per_line + w`` of the stacked context, and the per-word
-    results are bit-identical to encoding each line separately.
+    The input of :meth:`Encoder.encode_lines`.  Every array carries the
+    lines on its first axis, so a replay wave's row gathers become a batch
+    by reshaping alone; shapes are validated once per batch.  Line ``l`` is
+    the :class:`LineContext` ``batch.line(l)`` and ``len(batch)`` counts
+    the lines.
+
+    Attributes
+    ----------
+    old_cells:
+        ``(lines, words, cells_per_word)`` current cell values of the
+        target rows.
+    stuck_mask:
+        Optional boolean array aligned with ``old_cells``; True marks cells
+        that are stuck at their ``old_cells`` value.
+    bits_per_cell:
+        1 for SLC, 2 for MLC.
+    old_auxes:
+        ``(lines, words)`` previously stored auxiliary values (int64, or
+        Python ints for >= 64 auxiliary bits).  Defaults to all zeros.
     """
-    if not contexts:
-        raise ConfigurationError("at least one line context is required")
-    if len(contexts) == 1:
-        return contexts[0]
-    first = contexts[0]
-    if any(c.bits_per_cell != first.bits_per_cell for c in contexts):
-        raise ConfigurationError("line contexts must share bits_per_cell")
-    if any(c.old_cells.shape != first.old_cells.shape for c in contexts):
-        raise ConfigurationError("line contexts must share the line geometry")
-    stuck = None
-    if any(c.stuck_mask is not None for c in contexts):
-        stuck = np.concatenate(
-            [
-                c.stuck_mask
-                if c.stuck_mask is not None
-                else np.zeros_like(c.old_cells, dtype=bool)
-                for c in contexts
-            ]
+
+    old_cells: np.ndarray
+    stuck_mask: Optional[np.ndarray] = None
+    bits_per_cell: int = 2
+    old_auxes: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        old = _init_cells(self, 3, "(lines, words, cells)")
+        if old.shape[0] == 0:
+            raise ConfigurationError("a line batch must hold at least one line")
+        object.__setattr__(self, "old_auxes", _old_aux_array(self.old_auxes, old.shape[:2]))
+
+    def __len__(self) -> int:
+        return self.old_cells.shape[0]
+
+    @property
+    def words_per_line(self) -> int:
+        """Number of words per line."""
+        return self.old_cells.shape[1]
+
+    @property
+    def word_bits(self) -> int:
+        """Width of each word, in bits."""
+        return self.old_cells.shape[2] * self.bits_per_cell
+
+    def line(self, index: int) -> LineContext:
+        """The :class:`LineContext` of one line of the batch."""
+        return LineContext(
+            old_cells=self.old_cells[index],
+            stuck_mask=None if self.stuck_mask is None else self.stuck_mask[index],
+            bits_per_cell=self.bits_per_cell,
+            old_auxes=self.old_auxes[index],
         )
-    return LineContext(
-        old_cells=np.concatenate([c.old_cells for c in contexts]),
-        stuck_mask=stuck,
-        bits_per_cell=first.bits_per_cell,
-        old_auxes=np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
-    )
+
+    def split_partitions(self, partitions: int) -> "LineBatch":
+        """View each word as ``partitions`` contiguous sub-blocks.
+
+        Returns a batch of ``words * partitions`` shorter "words" per line,
+        which is how partition-based encoders (FNW, BCC, VCC) score all
+        sub-block candidates in one batched cost call.  Auxiliary values do
+        not map onto sub-blocks and are reset to zero.
+        """
+        lines, words, cells = self.old_cells.shape
+        if partitions <= 0 or cells % partitions != 0:
+            raise ConfigurationError(
+                f"cannot split {cells} cells into {partitions} partitions"
+            )
+        shape = (lines, words * partitions, cells // partitions)
+        return LineBatch(
+            old_cells=self.old_cells.reshape(shape),
+            stuck_mask=None if self.stuck_mask is None else self.stuck_mask.reshape(shape),
+            bits_per_cell=self.bits_per_cell,
+        )
+
+    @classmethod
+    def from_lines(cls, contexts: Sequence[LineContext]) -> "LineBatch":
+        """Stack per-line contexts (all sharing a geometry) into a batch."""
+        if not contexts:
+            raise ConfigurationError("at least one line context is required")
+        first = contexts[0]
+        if any(c.bits_per_cell != first.bits_per_cell for c in contexts):
+            raise ConfigurationError("line contexts must share bits_per_cell")
+        if any(c.old_cells.shape != first.old_cells.shape for c in contexts):
+            raise ConfigurationError("line contexts must share the line geometry")
+        return cls(
+            old_cells=np.stack([c.old_cells for c in contexts]),
+            stuck_mask=_stacked_stuck(contexts),
+            bits_per_cell=first.bits_per_cell,
+            old_auxes=np.stack([c.old_auxes for c in contexts]),
+        )
 
 
 @dataclass(frozen=True)
@@ -507,20 +509,27 @@ class EncodedWord:
     technique: str
 
     def __post_init__(self) -> None:
-        _validate_aux(self.aux, self.aux_bits)
+        _validate_aux((self.aux,), self.aux_bits)
 
 
-def _validate_aux(aux: int, aux_bits: int) -> None:
+def _validate_aux(auxes: Union[np.ndarray, Sequence[int]], aux_bits: int) -> None:
     """Reject auxiliary values that do not fit in ``aux_bits`` bits.
 
-    In particular ``aux_bits == 0`` admits only ``aux == 0``: a technique
-    that stores no auxiliary bits cannot smuggle information through them.
+    The one aux-range check of every encode result: ``auxes`` is a
+    non-empty sequence or array, checked through its extremes (vectorised
+    for arrays).  In particular ``aux_bits == 0`` admits only ``aux == 0``:
+    a technique that stores no auxiliary bits cannot smuggle information
+    through them.
     """
     if aux_bits < 0:
         raise ConfigurationError("aux_bits must be non-negative")
-    if aux < 0 or aux >= (1 << aux_bits):
+    if isinstance(auxes, np.ndarray):
+        low, high = int(auxes.min()), int(auxes.max())
+    else:
+        low, high = min(auxes), max(auxes)
+    if low < 0 or high >= (1 << aux_bits):
         raise ConfigurationError(
-            f"aux value {aux} does not fit in {aux_bits} bits"
+            f"aux value {low if low < 0 else high} does not fit in {aux_bits} bits"
         )
 
 
@@ -559,14 +568,7 @@ class EncodedLine:
             )
         if not self.codewords:
             raise ConfigurationError("an encoded line must hold at least one word")
-        if self.aux_bits < 0:
-            raise ConfigurationError("aux_bits must be non-negative")
-        limit = 1 << self.aux_bits
-        for aux in self.auxes:
-            if aux < 0 or aux >= limit:
-                raise ConfigurationError(
-                    f"aux value {aux} does not fit in {self.aux_bits} bits"
-                )
+        _validate_aux(self.auxes, self.aux_bits)
 
     @property
     def words_per_line(self) -> int:
@@ -599,6 +601,75 @@ class EncodedLine:
             aux_bits=words[0].aux_bits,
             costs=tuple(w.cost for w in words),
             technique=words[0].technique,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedBatch:
+    """Result of :meth:`Encoder.encode_lines`: one encoded line per batch line.
+
+    Columnar: ``result[l]`` is line ``l`` as an :class:`EncodedLine` and
+    ``len(result)`` counts the lines.
+
+    Attributes
+    ----------
+    codewords:
+        ``(lines, words)`` values to store in the data cells (uint64, or
+        Python ints for words wider than 64 bits).
+    auxes:
+        ``(lines, words)`` auxiliary values (int64, or Python ints for
+        >= 64 auxiliary bits).
+    aux_bits:
+        Number of auxiliary bits per word used by the technique.
+    costs:
+        ``(lines, words)`` float64 costs of the selected candidates (each
+        includes its auxiliary-bit cost).
+    technique:
+        Name of the encoder that produced the batch.
+    """
+
+    codewords: np.ndarray
+    auxes: np.ndarray
+    aux_bits: int
+    costs: np.ndarray
+    technique: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codewords", np.asarray(self.codewords))
+        object.__setattr__(self, "auxes", np.asarray(self.auxes))
+        object.__setattr__(self, "costs", np.asarray(self.costs, dtype=np.float64))
+        shape = self.codewords.shape
+        if len(shape) != 2 or 0 in shape or not self.auxes.shape == self.costs.shape == shape:
+            raise ConfigurationError(
+                "codewords, auxes, and costs must be non-empty (lines, words) arrays "
+                "of one shape"
+            )
+        _validate_aux(self.auxes, self.aux_bits)
+
+    def __len__(self) -> int:
+        return self.codewords.shape[0]
+
+    def __getitem__(self, line: int) -> EncodedLine:
+        return EncodedLine(
+            codewords=self.codewords[line].tolist(),
+            auxes=self.auxes[line].tolist(),
+            aux_bits=self.aux_bits,
+            costs=self.costs[line].tolist(),
+            technique=self.technique,
+        )
+
+    def __iter__(self) -> Iterator[EncodedLine]:
+        return (self[line] for line in range(len(self)))
+
+    @classmethod
+    def from_lines(cls, lines: Sequence[EncodedLine]) -> "EncodedBatch":
+        """Stack per-line results (of one technique) into a batch result."""
+        return cls(
+            codewords=_int_array([line.codewords for line in lines], np.uint64),
+            auxes=_int_array([line.auxes for line in lines], np.int64),
+            aux_bits=lines[0].aux_bits,
+            costs=[line.costs for line in lines],
+            technique=lines[0].technique,
         )
 
 
@@ -651,7 +722,7 @@ class Encoder(abc.ABC):
         A one-line view of :meth:`encode_lines`, so a single line takes the
         same fast path as a replay wave.
         """
-        return self.encode_lines([words], [context])[0]
+        return self.encode_lines([words], LineBatch.from_lines([context]))[0]
 
     def encode_line_scalar(self, words: Sequence[int], context: LineContext) -> EncodedLine:
         """Reference word-at-a-time line encoding: :meth:`encode` per word.
@@ -676,28 +747,28 @@ class Encoder(abc.ABC):
         return [self.decode(int(c), int(a)) for c, a in zip(codewords, auxes)]
 
     # ----------------------------------------------------- multi-line batch
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
-        """Encode a chunk of queued line writes, one context per line.
+    def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
+        """Encode a batch of queued line writes.
 
-        ``words_matrix`` is a ``(lines, words_per_line)`` matrix of data
-        words (an integer ndarray or a sequence of per-line sequences) and
-        ``contexts[l]`` describes the target row of line ``l``.  The base
+        ``words`` is a ``(lines, words_per_line)`` matrix of data words (an
+        integer ndarray or a sequence of per-line sequences) and line ``l``
+        is written to the row described by ``batch.line(l)``.  The base
         implementation is the reference loop over
         :meth:`encode_line_scalar`, so any third-party encoder works
-        unchanged; every builtin technique overrides it so one
-        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
-        evaluates the candidate×word costs of the whole chunk.  Results are
+        unchanged; every builtin technique overrides it to score the
+        candidates of every word of the batch at once, reading the batch's
+        arrays directly and returning the result arrays.  Results are
         bit-identical to :meth:`encode_line_scalar` on each line — the
         memory controller's replay waves rely on that contract.
         """
-        rows = self._line_batch_rows(words_matrix, contexts)
-        _OBS_FALLBACK_LINES.inc(len(contexts))
-        return [
-            self.encode_line_scalar(words, context)
-            for words, context in zip(rows, contexts)
-        ]
+        values = self._check_lines_batch(words, batch, dtype=object)
+        _OBS_FALLBACK_LINES.inc(len(batch))
+        return EncodedBatch.from_lines(
+            [
+                self.encode_line_scalar(row, batch.line(line))
+                for line, row in enumerate(values.tolist())
+            ]
+        )
 
     # ------------------------------------------------------------- helpers
     def _check_data(self, data: int) -> None:
@@ -706,7 +777,7 @@ class Encoder(abc.ABC):
                 f"data word {data:#x} does not fit in {self.word_bits} bits"
             )
 
-    def _check_context(self, context: WordContext) -> None:
+    def _check_context(self, context: Union[WordContext, LineContext, LineBatch]) -> None:
         if context.word_bits != self.word_bits or context.bits_per_cell != self.bits_per_cell:
             raise EncodingError(
                 "context geometry does not match the encoder "
@@ -715,48 +786,37 @@ class Encoder(abc.ABC):
             )
 
     def _check_line_context(self, context: LineContext, num_words: int) -> None:
-        if context.word_bits != self.word_bits or context.bits_per_cell != self.bits_per_cell:
-            raise EncodingError(
-                "line context geometry does not match the encoder "
-                f"(context: {context.word_bits} bits / {context.bits_per_cell} bpc, "
-                f"encoder: {self.word_bits} bits / {self.bits_per_cell} bpc)"
-            )
+        self._check_context(context)
         if context.words_per_line != num_words:
             raise EncodingError(
                 f"line context covers {context.words_per_line} words, "
                 f"but {num_words} words were supplied"
             )
 
-    def _line_batch_rows(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[List[int]]:
-        """Normalise a multi-line word matrix to per-line Python-int lists."""
-        if isinstance(words_matrix, np.ndarray) and words_matrix.ndim != 2:
-            raise EncodingError(
-                "encode_lines expects a (lines, words_per_line) word matrix"
-            )
-        rows = [[int(word) for word in row] for row in words_matrix]
-        if not rows:
-            raise EncodingError("encode_lines needs at least one line")
-        if len(rows) != len(contexts):
-            raise EncodingError(
-                f"encode_lines got {len(rows)} lines but {len(contexts)} contexts"
-            )
-        return rows
-
     def _check_lines_batch(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
+        self, words: WordsMatrix, batch: LineBatch, dtype=np.uint64
     ) -> np.ndarray:
-        """Convert a ``(lines, words)`` batch to uint64 and validate it.
+        """Validate a ``(lines, words)`` data batch against ``batch``.
 
-        Returns the uint64 matrix.  A word outside ``[0, 2**word_bits)``
-        raises :class:`EncodingError`, exactly like the scalar oracle.
+        Returns the words as a ``dtype`` matrix: uint64 for the vectorised
+        paths, object (Python ints) for the scalar fallback, whose
+        :meth:`encode` range-checks each word itself.  A uint64 word outside
+        ``[0, 2**word_bits)`` raises :class:`EncodingError`, exactly like
+        the scalar oracle, and so does a negative entry of a signed array.
         """
+        if not isinstance(batch, LineBatch):
+            raise EncodingError("encode_lines expects a LineBatch (see LineBatch.from_lines)")
+        self._check_context(batch)
+        if isinstance(words, np.ndarray) and words.dtype.kind == "i" and words.size:
+            # Casting a signed array to uint64 would wrap -1 to 2**64 - 1.
+            lowest = int(words.min())
+            if lowest < 0:
+                self._check_data(lowest)
         try:
-            values = np.asarray(words_matrix, dtype=np.uint64)
+            values = np.asarray(words, dtype=dtype)
         except OverflowError:
             # A negative or >= 2**64 word: name it like _check_data does.
-            for row in words_matrix:
+            for row in words:
                 for word in row:
                     self._check_data(int(word))
             raise
@@ -764,18 +824,31 @@ class Encoder(abc.ABC):
             raise EncodingError(
                 "encode_lines expects a non-empty (lines, words_per_line) word matrix"
             )
-        if len(contexts) != values.shape[0]:
+        if values.shape != (len(batch), batch.words_per_line):
             raise EncodingError(
-                f"encode_lines got {values.shape[0]} lines but {len(contexts)} contexts"
+                f"encode_lines got {values.shape[0]} lines of {values.shape[1]} words "
+                f"for a batch of {len(batch)} lines of {batch.words_per_line} words"
             )
-        if self.word_bits < 64 and bool((values >> np.uint64(self.word_bits)).any()):
+        if (
+            values.dtype == np.uint64
+            and self.word_bits < 64
+            and bool((values >> np.uint64(self.word_bits)).any())
+        ):
             bad = values[(values >> np.uint64(self.word_bits)) != 0].flat[0]
             raise EncodingError(
                 f"data word {int(bad):#x} does not fit in {self.word_bits} bits"
             )
-        for context in contexts:
-            self._check_line_context(context, values.shape[1])
         return values
+
+    def _encoded(self, codewords: np.ndarray, auxes: np.ndarray, costs: np.ndarray) -> EncodedBatch:
+        """This encoder's :class:`EncodedBatch` of ``(lines, words)`` arrays."""
+        return EncodedBatch(
+            codewords=codewords,
+            auxes=auxes,
+            aux_bits=self.aux_bits,
+            costs=costs,
+            technique=self.name,
+        )
 
     def _select_best(self, candidates, auxes, context: WordContext) -> EncodedWord:
         """Pick the lowest-cost candidate from parallel candidate/aux lists."""
@@ -803,9 +876,9 @@ class Encoder(abc.ABC):
         self,
         candidates: np.ndarray,
         auxes: np.ndarray,
-        contexts: Sequence[LineContext],
+        batch: LineBatch,
         cells: Optional[np.ndarray] = None,
-    ) -> List[EncodedLine]:
+    ) -> EncodedBatch:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
 
         The multi-line sibling of :meth:`_select_best`: one
@@ -820,8 +893,8 @@ class Encoder(abc.ABC):
             ``(lines, num_candidates, words)`` candidate codeword values.
         auxes:
             ``(num_candidates,)`` auxiliary values shared by all words.
-        contexts:
-            One line context per line; ``old_auxes`` is charged per word.
+        batch:
+            The lines' write-time knowledge; ``old_auxes`` is charged per word.
         cells:
             Optional precomputed ``(lines, num_candidates, words, cells)``
             candidate cell values.
@@ -837,30 +910,19 @@ class Encoder(abc.ABC):
             raise EncodingError("aux values must align with the candidate axis")
         if cells is None:
             cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
-        data_costs = self.cost_function.batch_line_cell_costs(cells, contexts).sum(axis=3)
-        old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
+        data_costs = self.cost_function.batch_line_cell_costs(cells, batch).sum(axis=3)
         aux_costs = self.cost_function.aux_costs_matrix(
             np.broadcast_to(aux[:, None], (num_candidates, lines * words)),
-            old_auxes,
+            batch.old_auxes.reshape(-1),
             self.aux_bits,
         )
         totals = data_costs + aux_costs.reshape(num_candidates, lines, words).transpose(1, 0, 2)
-        best = np.argmin(totals, axis=1)
-        line_index = np.arange(lines)[:, None]
-        word_index = np.arange(words)[None, :]
-        codeword_rows = cand[line_index, best, word_index].tolist()
-        aux_rows = aux[best].tolist()
-        cost_rows = totals[line_index, best, word_index].tolist()
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=aux_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        best = np.argmin(totals, axis=1)[:, None, :]
+        return self._encoded(
+            np.take_along_axis(cand, best, axis=1)[:, 0],
+            aux[best[:, 0]],
+            np.take_along_axis(totals, best, axis=1)[:, 0],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

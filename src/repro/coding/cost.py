@@ -21,9 +21,11 @@ points exist above the word level:
   cells)`` batch against one :class:`~repro.coding.base.LineContext` (one
   cache line);
 * :meth:`CostFunction.batch_line_cell_costs` scores a ``(lines,
-  candidates, words, cells)`` batch against one context *per line*, which
-  is how :meth:`repro.coding.base.Encoder.encode_lines` evaluates the
-  candidate×word costs of a whole chunk of queued writes in one kernel.
+  candidates, words, cells)`` batch against one
+  :class:`~repro.coding.base.LineBatch`, whose ``(lines, words, cells)``
+  arrays it reads directly; this is how
+  :meth:`repro.coding.base.Encoder.encode_lines` evaluates the
+  candidate×word costs of a whole batch of queued writes in one kernel.
 
 Every builtin cost is *cellwise* — the cost of a cell depends only on that
 cell's new value and the write-time context of that cell — which admits an
@@ -64,12 +66,12 @@ scale, ``inf``, huge values) are scored by the 4-D gather kernel instead.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 import repro.obs as obs
-from repro.coding.base import LineContext, WordContext, stack_line_contexts
+from repro.coding.base import LineBatch, LineContext, WordContext
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel, DEFAULT_MLC_ENERGY, DEFAULT_SLC_ENERGY
@@ -104,16 +106,23 @@ _XOR_POPCOUNT_FLAT = {
 
 
 # Batched-kernel telemetry, bumped once per batch call (never per cell):
-# how many candidate lines the cost kernels scored and which evaluation
-# strategy scored them.
+# how many candidates the cost kernels scored (each line's candidates per
+# word, summed over the batch's lines) and which evaluation strategy
+# scored them.  RCC's and VCC's matrix-product paths bump the candidate
+# and GEMM counters themselves.
 _OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
+    "encode.candidates",
+    "candidates scored by the batched encoders: lines x candidates per word",
 )
 _OBS_KERNEL_GATHERS = obs.counter(
     "encode.kernel_gathers", "batch cost calls served by one transition-table gather"
 )
 _OBS_KERNEL_LINE_LOOPS = obs.counter(
     "encode.kernel_line_loops", "batch cost calls that fell back to the per-line loop"
+)
+_OBS_KERNEL_GEMMS = obs.counter(
+    "encode.kernel_gemms",
+    "RCC/VCC encode_lines calls scored by one matrix product of the cost tables",
 )
 
 
@@ -221,19 +230,17 @@ class CostFunction(abc.ABC):
             )
         return out
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
         """Per-cell costs for a batch of candidates over many lines at once.
 
         Parameters
         ----------
         new_cells:
             ``(lines, candidates, words, cells)`` array of candidate cell
-            values; line ``l`` is scored against ``contexts[l]``.
-        contexts:
-            One :class:`~repro.coding.base.LineContext` per line, all
-            sharing the line geometry.
+            values; line ``l`` is scored against ``batch.line(l)``.
+        batch:
+            The :class:`~repro.coding.base.LineBatch` of the lines'
+            ``(lines, words, cells)`` old cells and stuck mask.
 
         Returns
         -------
@@ -245,47 +252,52 @@ class CostFunction(abc.ABC):
             third-party cost functions work on the multi-line path
             unchanged.
         """
-        new = self._validate_batch(new_cells, contexts)
-        tables = self.transition_tables(contexts)
+        new = self._validate_batch(new_cells, batch)
+        tables = self.transition_tables(batch)
         if tables is not None:
             _OBS_KERNEL_GATHERS.inc()
             return _gather_transition_costs(tables, new)
         _OBS_KERNEL_LINE_LOOPS.inc()
         out: Optional[np.ndarray] = None
-        for index, context in enumerate(contexts):
-            costs = self.line_cell_costs(new[index], context)
+        for index in range(len(batch)):
+            costs = self.line_cell_costs(new[index], batch.line(index))
             if out is None:
                 out = np.empty(new.shape, dtype=costs.dtype)
             out[index] = costs
         return out
 
-    def transition_tables(self, contexts: Sequence[LineContext]) -> Optional[np.ndarray]:
+    def transition_tables(self, batch: LineBatch) -> Optional[np.ndarray]:
         """Per-cell write-cost tables, or None for non-cellwise costs.
 
         Returns a ``(lines, words, cells, levels)`` array whose entry
         ``[l, w, c, v]`` is the cost of writing cell value ``v`` to cell
         ``c`` of word ``w`` of line ``l``.  Built with a single
-        :meth:`line_cell_costs` call over the constant level planes, so
-        every entry is bit-identical to the elementwise pipeline; encoders
-        with structured candidates (e.g. RCC's XOR cosets, scored by one
-        GEMM) read the table instead of materialising every candidate cell.
+        :meth:`line_cell_costs` call over the constant level planes of a
+        context covering every word of the batch, so every entry is
+        bit-identical to the elementwise pipeline; encoders with structured
+        candidates (e.g. RCC's XOR cosets, scored by one GEMM) read the
+        table instead of materialising every candidate cell.
         """
         if not self.cellwise:
             return None
-        stacked = stack_line_contexts(list(contexts))
-        levels = 1 << stacked.bits_per_cell
-        total_words, cells = stacked.old_cells.shape
-        planes = np.empty((levels, total_words, cells), dtype=np.uint8)
+        lines, words, cells = batch.old_cells.shape
+        flat = (lines * words, cells)
+        stacked = LineContext(
+            old_cells=batch.old_cells.reshape(flat),
+            stuck_mask=None if batch.stuck_mask is None else batch.stuck_mask.reshape(flat),
+            bits_per_cell=batch.bits_per_cell,
+        )
+        levels = 1 << batch.bits_per_cell
+        planes = np.empty((levels, lines * words, cells), dtype=np.uint8)
         for value in range(levels):
             planes[value] = value
         table = self.line_cell_costs(planes, stacked)
-        lines = len(contexts)
         return np.ascontiguousarray(np.transpose(table, (1, 2, 0))).reshape(
-            lines, total_words // lines, cells, levels
+            lines, words, cells, levels
         )
 
     @staticmethod
-    def _validate_batch(new_cells: np.ndarray, contexts: Sequence[LineContext]) -> np.ndarray:
+    def _validate_batch(new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
         """Shared argument validation of :meth:`batch_line_cell_costs`."""
         new = np.asarray(new_cells, dtype=np.uint8)
         if new.ndim != 4 or new.shape[0] == 0:
@@ -293,14 +305,14 @@ class CostFunction(abc.ABC):
                 "batch_line_cell_costs expects a non-empty "
                 "(lines, candidates, words, cells) array"
             )
-        if len(contexts) != new.shape[0]:
+        if new.shape[0] != len(batch) or new.shape[2:] != batch.old_cells.shape[1:]:
             raise ConfigurationError(
-                f"batch of {new.shape[0]} lines needs {new.shape[0]} contexts, "
-                f"got {len(contexts)}"
+                f"candidate cells of shape {new.shape} do not match a batch of "
+                f"shape {batch.old_cells.shape}"
             )
         # Every batched cost path (base kernel and subclass overrides)
         # validates here, so this is the one chokepoint that sees all
-        # candidate-line evaluations.
+        # candidate evaluations.
         _OBS_CANDIDATES.inc(int(new.shape[0]) * int(new.shape[1]))
         return new
 
@@ -350,11 +362,6 @@ def _changed_aux_bits(new_auxes: np.ndarray, old_auxes: np.ndarray) -> np.ndarra
     return popcount64_array(new ^ old).astype(np.float64)
 
 
-def _stacked_old_cells(contexts: Sequence[LineContext]) -> np.ndarray:
-    """``(lines, words, cells)`` stack of the contexts' old cell values."""
-    return np.stack([context.old_cells for context in contexts])
-
-
 class OnesCost(CostFunction):
     """Number of '1' bits written (the Fig. 3 objective)."""
 
@@ -369,11 +376,9 @@ class OnesCost(CostFunction):
         del context
         return _CELL_POPCOUNT[np.asarray(new_cells, dtype=np.int64)]
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
         # Context-free: the popcount LUT applies directly to the 4-D batch.
-        new = self._validate_batch(new_cells, contexts)
+        new = self._validate_batch(new_cells, batch)
         return _CELL_POPCOUNT[new.astype(np.int64)]
 
     def aux_costs_matrix(
@@ -399,12 +404,10 @@ class BitChangeCost(CostFunction):
         old_scaled = context.old_cells.astype(np.intp) << context.bits_per_cell
         return lut[old_scaled[None, :, :] + np.asarray(new_cells)]
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        lut = _XOR_POPCOUNT_FLAT[contexts[0].bits_per_cell]
-        old_scaled = _stacked_old_cells(contexts).astype(np.intp) << contexts[0].bits_per_cell
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
+        new = self._validate_batch(new_cells, batch)
+        lut = _XOR_POPCOUNT_FLAT[batch.bits_per_cell]
+        old_scaled = batch.old_cells.astype(np.intp) << batch.bits_per_cell
         return lut[old_scaled[:, None, :, :] + new]
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
@@ -433,11 +436,9 @@ class CellChangeCost(CostFunction):
         # Boolean 0/1 costs, promoted on demand (see SawCost).
         return np.asarray(new_cells) != context.old_cells[None, :, :]
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        return new != _stacked_old_cells(contexts)[:, None, :, :]
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
+        new = self._validate_batch(new_cells, batch)
+        return new != batch.old_cells[:, None, :, :]
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -500,15 +501,13 @@ class EnergyCost(CostFunction):
         old_scaled = context.old_cells.astype(np.intp) * self._levels
         return self._lut_flat[old_scaled[None, :, :] + np.asarray(new_cells)]
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        if contexts[0].bits_per_cell != self.technology.bits_per_cell:
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
+        new = self._validate_batch(new_cells, batch)
+        if batch.bits_per_cell != self.technology.bits_per_cell:
             raise ConfigurationError(
                 "EnergyCost technology does not match the context's cell technology"
             )
-        old_scaled = _stacked_old_cells(contexts).astype(np.intp) * self._levels
+        old_scaled = batch.old_cells.astype(np.intp) * self._levels
         return self._lut_flat[old_scaled[:, None, :, :] + new]
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
@@ -551,21 +550,11 @@ class SawCost(CostFunction):
         # float costs promotes it without an explicit conversion pass.
         return (new != context.old_cells[None, :, :]) & context.stuck_mask[None, :, :]
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        if all(context.stuck_mask is None for context in contexts):
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
+        new = self._validate_batch(new_cells, batch)
+        if batch.stuck_mask is None:
             return np.zeros(new.shape, dtype=np.float64)
-        stuck = np.stack(
-            [
-                context.stuck_mask
-                if context.stuck_mask is not None
-                else np.zeros_like(context.old_cells, dtype=bool)
-                for context in contexts
-            ]
-        )
-        return (new != _stacked_old_cells(contexts)[:, None, :, :]) & stuck[:, None, :, :]
+        return (new != batch.old_cells[:, None, :, :]) & batch.stuck_mask[:, None, :, :]
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del new_aux, old_aux, aux_bits
@@ -617,23 +606,21 @@ class LexicographicCost(CostFunction):
         out += self.secondary.line_cell_costs(new_cells, context)
         return out
 
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        tables = self.transition_tables(contexts)
+    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
+        new = self._validate_batch(new_cells, batch)
+        tables = self.transition_tables(batch)
         if tables is not None:
             # One fused gather replaces the scale-multiply-accumulate
             # pipeline: each table entry already holds primary * scale +
             # secondary for its (cell, value) pair.
             return _gather_transition_costs(tables, new)
-        primary = self.primary.batch_line_cell_costs(new, contexts)
+        primary = self.primary.batch_line_cell_costs(new, batch)
         if primary.dtype == np.float64:
             primary *= self.scale
             out = primary
         else:
             out = primary * self.scale
-        out += self.secondary.batch_line_cell_costs(new, contexts)
+        out += self.secondary.batch_line_cell_costs(new, batch)
         return out
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:

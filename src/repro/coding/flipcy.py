@@ -10,15 +10,13 @@ which is why the paper finds it close to the unencoded baseline.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
 from repro.coding.base import (
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineBatch,
     WordContext,
     WordsMatrix,
 )
@@ -69,12 +67,10 @@ class FlipcyEncoder(Encoder):
         auxes = [_FORM_IDENTITY, _FORM_ONES_COMPLEMENT, _FORM_TWOS_COMPLEMENT]
         return self._select_best(candidates, auxes, context)
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
         if self.word_bits > 64:
-            return super().encode_lines(words_matrix, contexts)
-        values = self._check_lines_batch(words_matrix, contexts)
+            return super().encode_lines(words, batch)
+        values = self._check_lines_batch(words, batch)
         mask = np.uint64(self._mask)
         # Same three forms as encode, stacked along the candidate axis.
         candidates = np.stack(
@@ -83,7 +79,7 @@ class FlipcyEncoder(Encoder):
         auxes = np.array(
             [_FORM_IDENTITY, _FORM_ONES_COMPLEMENT, _FORM_TWOS_COMPLEMENT], dtype=np.int64
         )
-        return self._select_best_lines(candidates, auxes, contexts)
+        return self._select_best_lines(candidates, auxes, batch)
 
     def decode(self, codeword: int, aux: int) -> int:
         if aux == _FORM_IDENTITY:

@@ -14,18 +14,15 @@ DBI/FNW baseline is driven in the lifetime experiments (Figs. 11/12).
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
 from repro.coding.base import (
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineBatch,
     WordContext,
     WordsMatrix,
-    stack_line_contexts,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
@@ -118,14 +115,12 @@ class FNWEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
         # One batch_line_cell_costs call scores the direct and inverted form
         # of every partition of every word of every queued write.
         if self.word_bits > 64 or self.aux_bits >= 64:
-            return super().encode_lines(words_matrix, contexts)
-        values = self._check_lines_batch(words_matrix, contexts)
+            return super().encode_lines(words, batch)
+        values = self._check_lines_batch(words, batch)
         lines, num_words = values.shape
         p = self.partitions
         sub_mask = np.uint64(self._sub_mask)
@@ -133,19 +128,15 @@ class FNWEncoder(Encoder):
             [self.sub_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
         )
         subs = (values[:, :, None] >> shifts) & sub_mask
-        subs_flat = subs.reshape(1, lines * num_words * p)
-        candidates = np.stack([subs_flat, subs_flat ^ sub_mask], axis=1)
+        subs_flat = subs.reshape(lines, 1, num_words * p)
+        candidates = np.concatenate([subs_flat, subs_flat ^ sub_mask], axis=1)
         cells = words_matrix_to_cells(candidates, self.sub_bits, self.bits_per_cell)
-        # The batch views all lines as one stacked line (word w of line l is
-        # stacked word l * words_per_line + w), so a one-line 4-D kernel
-        # call scores both forms of every partition of every queued write.
-        stacked_split = stack_line_contexts(list(contexts)).split_partitions(p)
+        # Each line's partitions are the "words" of the split batch, so one
+        # kernel call scores both forms of every partition of the batch.
         costs = (
-            self.cost_function.batch_line_cell_costs(cells, [stacked_split])
-            .reshape(2, lines * num_words * p, -1)
-            .sum(axis=2)
-            .reshape(2, lines, num_words, p)
-            .swapaxes(0, 1)
+            self.cost_function.batch_line_cell_costs(cells, batch.split_partitions(p))
+            .sum(axis=3)
+            .reshape(lines, 2, num_words, p)
         )
         flags_matrix = costs[:, 1] < costs[:, 0]
         chosen_costs = np.where(flags_matrix, costs[:, 1], costs[:, 0])
@@ -162,22 +153,10 @@ class FNWEncoder(Encoder):
             flags = (flags << 1) | flags_matrix[:, :, j]
         totals += self.cost_function.aux_costs_matrix(
             flags.reshape(1, lines * num_words),
-            np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
+            batch.old_auxes.reshape(-1),
             self.aux_bits,
         )[0].reshape(lines, num_words)
-        codeword_rows = codewords.tolist()
-        flag_rows = flags.tolist()
-        cost_rows = totals.tolist()
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=flag_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        return self._encoded(codewords, flags, totals)
 
     # ---------------------------------------------------------------- decode
     def decode(self, codeword: int, aux: int) -> int:

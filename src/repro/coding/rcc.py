@@ -14,23 +14,30 @@ linearly with N (Fig. 6), which is what motivates VCC.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.coding.base import (
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineBatch,
     WordContext,
     WordsMatrix,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import BitChangeCost, CostFunction, exact_table_sums
+# The product paths never enter a cost kernel, so they bump the cost
+# kernels' counters themselves.
+from repro.coding.cost import (
+    _OBS_CANDIDATES,
+    _OBS_KERNEL_GEMMS,
+    BitChangeCost,
+    CostFunction,
+    exact_table_sums,
+)
 from repro.coding.registry import register_encoder
-import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.utils.bitops import random_word
@@ -38,18 +45,6 @@ from repro.utils.rng import make_rng
 from repro.utils.validation import require_power_of_two
 
 __all__ = ["RCCEncoder"]
-
-# Same counter the batched cost kernels bump (registry get-or-create):
-# the GEMM fast path never enters a cost kernel, so it reports its
-# candidates itself.
-_OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
-)
-_OBS_KERNEL_GEMMS = obs.counter(
-    "encode.kernel_gemms",
-    "RCC/VCC encode_lines calls scored by one matrix product of the cost tables",
-)
-
 
 @register_encoder(
     "rcc",
@@ -132,18 +127,16 @@ class RCCEncoder(Encoder):
         auxes = list(range(self.num_cosets))
         return self._select_best(candidates, auxes, context)
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
         if self._coset_array is None:
-            return super().encode_lines(words_matrix, contexts)
-        values = self._check_lines_batch(words_matrix, contexts)
-        lines, words = values.shape
-        total_words = lines * words
+            return super().encode_lines(words, batch)
+        values = self._check_lines_batch(words, batch)
+        lines, words_per_line = values.shape
+        total_words = lines * words_per_line
         flat = values.reshape(total_words)
         auxes = np.arange(self.num_cosets, dtype=np.int64)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
-        tables = self.cost_function.transition_tables(contexts)
+        tables = self.cost_function.transition_tables(batch)
         if tables is not None:
             tables = np.asarray(tables, np.float64).reshape(total_words, self.cells_per_word, -1)
         # The GEMM below sums what the scalar path sums, one table entry per
@@ -154,18 +147,12 @@ class RCCEncoder(Encoder):
         # huge values, non-cellwise costs) takes the generic 4-D kernel,
         # whose sums run in the scalar path's order.
         if tables is None or not exact_table_sums(tables, self.cells_per_word):
-            candidates = (
-                (flat[None, :] ^ self._coset_array[:, None])
-                .reshape(self.num_cosets, lines, words)
-                .transpose(1, 0, 2)
-            )
+            candidates = values[:, None, :] ^ self._coset_array[None, :, None]
             candidate_cells = (
-                data_cells.reshape(lines, 1, words, -1)
+                data_cells.reshape(lines, 1, words_per_line, -1)
                 ^ self._coset_cells[None, :, None, :]
             )
-            return self._select_best_lines(
-                candidates, auxes, contexts, cells=candidate_cells
-            )
+            return self._select_best_lines(candidates, auxes, batch, cells=candidate_cells)
         # GEMM fast path: fold the data word into the table (T'[w, cell, v]
         # = T[w, cell, v ^ data_cell], so a candidate's cost row is addressed
         # by the *coset* cells, which are fixed) and score all cosets of all
@@ -179,29 +166,19 @@ class RCCEncoder(Encoder):
         # transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
         # _select_best, and only the winning candidates are built.
-        old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         aux_costs = self.cost_function.aux_costs_matrix(
             np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),
-            old_auxes,
+            batch.old_auxes.reshape(-1),
             self.aux_bits,
         )
         totals = data_costs + aux_costs.T
         best = np.argmin(totals, axis=1)
-        codeword_rows = (flat ^ self._coset_array[best]).reshape(lines, words).tolist()
-        aux_rows = best.reshape(lines, words).tolist()
-        cost_rows = (
-            totals[np.arange(total_words), best].reshape(lines, words).tolist()
+        shape = (lines, words_per_line)
+        return self._encoded(
+            (flat ^ self._coset_array[best]).reshape(shape),
+            best.reshape(shape),
+            totals[np.arange(total_words), best].reshape(shape),
         )
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=aux_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
 
     def decode(self, codeword: int, aux: int) -> int:
         if not 0 <= aux < self.num_cosets:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.coding.base import (
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineBatch,
     WordContext,
     WordsMatrix,
     words_matrix_to_cells,
@@ -59,29 +61,18 @@ class UnencodedEncoder(Encoder):
             codeword=data, aux=0, aux_bits=0, cost=float(cost), technique=self.name
         )
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
         if self.word_bits > 64:
-            return super().encode_lines(words_matrix, contexts)
-        values = self._check_lines_batch(words_matrix, contexts)
-        lines, words = values.shape
+            return super().encode_lines(words, batch)
+        values = self._check_lines_batch(words, batch)
+        lines, words_per_line = values.shape
         # A single one-candidate batch kernel call reports the cost of
         # storing every line unchanged; there is nothing to select.
         cells = words_matrix_to_cells(
-            values.reshape(lines, 1, words), self.word_bits, self.bits_per_cell
+            values.reshape(lines, 1, words_per_line), self.word_bits, self.bits_per_cell
         )
-        costs = self.cost_function.batch_line_cell_costs(cells, contexts)[:, 0].sum(axis=2)
-        return [
-            EncodedLine(
-                codewords=tuple(int(w) for w in values[line]),
-                auxes=(0,) * words,
-                aux_bits=0,
-                costs=tuple(float(c) for c in costs[line]),
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        costs = self.cost_function.batch_line_cell_costs(cells, batch)[:, 0].sum(axis=2)
+        return self._encoded(values.copy(), np.zeros(values.shape, dtype=np.int64), costs)
 
     def decode(self, codeword: int, aux: int) -> int:
         del aux

@@ -20,24 +20,30 @@ Two operating modes are supported (see :class:`repro.core.config.VCCConfig`):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.coding.base import (
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineBatch,
     WordContext,
     WordsMatrix,
-    stack_line_contexts,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import BitChangeCost, CostFunction, exact_table_sums
+# The product paths never enter a cost kernel, so they bump the cost
+# kernels' counters themselves.
+from repro.coding.cost import (
+    _OBS_CANDIDATES,
+    _OBS_KERNEL_GEMMS,
+    BitChangeCost,
+    CostFunction,
+    exact_table_sums,
+)
 from repro.coding.registry import register_encoder
-import repro.obs as obs
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKernelProvider
 from repro.errors import ConfigurationError, EncodingError
@@ -50,17 +56,6 @@ from repro.utils.bitops import (
 )
 
 __all__ = ["VCCEncoder"]
-
-# The counters RCC's product path bumps (registry get-or-create): the
-# product paths never enter a cost kernel, so they count themselves.
-_OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
-)
-_OBS_KERNEL_GEMMS = obs.counter(
-    "encode.kernel_gemms",
-    "RCC/VCC encode_lines calls scored by one matrix product of the cost tables",
-)
-
 
 def _narrow_uint_dtype(bits: int):
     """Smallest unsigned dtype holding ``bits``-bit values."""
@@ -218,17 +213,13 @@ class VCCEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
-        """Encode a whole chunk of queued writes in one vectorised pass.
+    def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
+        """Encode a whole batch of queued writes in one vectorised pass.
 
-        VCC selects candidates per word, so the multi-line batch reduces to
-        one stacked "line" of ``lines * words_per_line`` words (see
-        :func:`repro.coding.base.stack_line_contexts`): kernels, partition
-        costs, flags, and the per-word argmin all run once over the stacked
-        word axis, and the winning codewords are assembled with vectorised
-        bit arithmetic.
+        VCC selects candidates per word, so kernels, partition costs,
+        flags, and the per-word argmin all run once over the
+        ``lines * words_per_line`` words of the batch, and the winning
+        codewords are assembled with vectorised bit arithmetic.
 
         The ``2r`` XOR/XNOR costs of every partition come from the cost
         function's transition tables (one cost per cell and cell value) and
@@ -258,8 +249,8 @@ class VCCEncoder(Encoder):
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
-            return super().encode_lines(words_matrix, contexts)
-        values = self._check_lines_batch(words_matrix, contexts)
+            return super().encode_lines(words, batch)
+        values = self._check_lines_batch(words, batch)
         lines, words_per_line = values.shape
         num_words = lines * words_per_line
         p = config.partitions
@@ -285,12 +276,11 @@ class VCCEncoder(Encoder):
         kernel_mask = np.uint64(self._kernel_mask)
         subs = (region_array[:, None] >> sub_shifts) & kernel_mask
 
-        stacked = stack_line_contexts(list(contexts))
         # (2r, words, partitions) costs, in the axis-0 layout of
         # _partition_costs (XOR forms then XNOR).
-        costs = self._product_costs(flat, kernels_matrix, stacked)
+        costs = self._product_costs(flat, kernels_matrix, batch)
         if costs is None:
-            costs = self._gather_costs(subs, sub_shifts, kernels_matrix, left_array, stacked)
+            costs = self._gather_costs(subs, sub_shifts, kernels_matrix, left_array, batch)
         xor_costs = costs[:r]
         xnor_costs = costs[r:]
         flags_matrix = xnor_costs < xor_costs
@@ -302,7 +292,7 @@ class VCCEncoder(Encoder):
             flags = (flags << 1) | flags_matrix[:, :, j]
         aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
         aux_costs = self.cost_function.aux_costs_matrix(
-            aux_values, stacked.old_auxes, self.aux_bits
+            aux_values, batch.old_auxes.reshape(-1), self.aux_bits
         )
         totals = data_costs + aux_costs
         best_kernel = np.argmin(totals, axis=0)
@@ -326,19 +316,12 @@ class VCCEncoder(Encoder):
         else:
             codewords = region
 
-        codeword_rows = codewords.reshape(lines, words_per_line).tolist()
-        aux_rows = aux_values[best_kernel, word_index].reshape(lines, words_per_line).tolist()
-        cost_rows = totals[best_kernel, word_index].reshape(lines, words_per_line).tolist()
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=aux_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        shape = (lines, words_per_line)
+        return self._encoded(
+            codewords.reshape(shape),
+            aux_values[best_kernel, word_index].reshape(shape),
+            totals[best_kernel, word_index].reshape(shape),
+        )
 
     # --------------------------------------------------------------- decode
     def decode(self, codeword: int, aux: int) -> int:
@@ -386,7 +369,7 @@ class VCCEncoder(Encoder):
         return j * cells, (j + 1) * cells
 
     def _product_costs(
-        self, flat: np.ndarray, kernels_matrix: np.ndarray, stacked: LineContext
+        self, flat: np.ndarray, kernels_matrix: np.ndarray, batch: LineBatch
     ) -> Optional[np.ndarray]:
         """Candidate costs from the transition tables and one matrix product.
 
@@ -398,7 +381,7 @@ class VCCEncoder(Encoder):
         right_plane = config.encode_region is EncodeRegion.RIGHT_PLANE
         if not right_plane and self._rom_onehot is None:
             return None
-        tables = self.cost_function.transition_tables([stacked])
+        tables = self.cost_function.transition_tables(batch)
         if tables is None:
             return None
         num_words = flat.shape[0]
@@ -433,7 +416,7 @@ class VCCEncoder(Encoder):
             costs = folded.reshape(num_words * p, -1) @ self._rom_onehot
         _OBS_KERNEL_GEMMS.inc()
         # What the gather path's batch_line_cell_costs call counts.
-        _OBS_CANDIDATES.inc(2 * r)
+        _OBS_CANDIDATES.inc(len(batch) * 2 * r)
         return costs.reshape(num_words, p, 2 * r).transpose(2, 0, 1)
 
     def _gather_costs(
@@ -442,7 +425,7 @@ class VCCEncoder(Encoder):
         sub_shifts: np.ndarray,
         kernels_matrix: np.ndarray,
         left_array: Optional[np.ndarray],
-        stacked: LineContext,
+        batch: LineBatch,
     ) -> np.ndarray:
         """Candidate costs gathered cell by cell from every candidate's cells.
 
@@ -452,42 +435,42 @@ class VCCEncoder(Encoder):
         config = self.config
         p = config.partitions
         r = config.num_kernels
-        num_words = subs.shape[0]
+        lines, words_per_line = len(batch), batch.words_per_line
         kernel_mask = np.uint64(self._kernel_mask)
-        # All 2r candidate encodings of every partition of every word.
-        xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
-        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
+        # All 2r candidate encodings of every partition of every word, as
+        # (lines, 2r, words, partitions).
+        kernels = kernels_matrix.reshape(lines, words_per_line, r).transpose(0, 2, 1)
+        xor_values = kernels[..., None] ^ subs.reshape(lines, 1, words_per_line, p)
+        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=1)
 
         if config.encode_region is EncodeRegion.RIGHT_PLANE:
             # Kernel-sized values fit a narrow dtype; extracting the digit
             # bits there instead of in uint64 cuts the memory traffic of
-            # the (2r, words, partitions, bits) temporaries several-fold.
+            # the (lines, 2r, words, partitions, bits) temporaries several-fold.
             narrow = _narrow_uint_dtype(config.kernel_bits)
             shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=narrow)
             one = narrow(1)
             right_bits = (all_values.astype(narrow)[..., None] >> shifts) & one
             left_subs = ((left_array[:, None] >> sub_shifts) & kernel_mask).astype(narrow)
-            left_bits = (left_subs[..., None] >> shifts) & one
-            cell_matrix = np.asarray(
-                (left_bits[None] << one) | right_bits, dtype=np.uint8
+            left_bits = ((left_subs[..., None] >> shifts) & one).reshape(
+                lines, 1, words_per_line, p, -1
             )
+            cell_matrix = np.asarray((left_bits << one) | right_bits, dtype=np.uint8)
         else:
             cell_matrix = words_matrix_to_cells(
                 all_values, config.kernel_bits, self.bits_per_cell
             )
 
-        cells_per_partition = config.cells_per_partition
-        # The batch views all lines as one stacked line: word w of line l is
-        # stacked word l * words_per_line + w, so the one-line 4-D kernel
-        # call below scores every partition of every queued write at once.
+        # Each line's partitions are the "words" of the split batch, so one
+        # kernel call scores every partition of every queued write at once.
+        costs = self.cost_function.batch_line_cell_costs(
+            cell_matrix.reshape(lines, 2 * r, words_per_line * p, config.cells_per_partition),
+            batch.split_partitions(p),
+        ).sum(axis=3)
         return (
-            self.cost_function.batch_line_cell_costs(
-                cell_matrix.reshape(1, 2 * r, num_words * p, cells_per_partition),
-                [stacked.split_partitions(p)],
-            )
-            .reshape(2 * r, num_words * p, cells_per_partition)
-            .sum(axis=2)
-            .reshape(2 * r, num_words, p)
+            costs.reshape(lines, 2 * r, words_per_line, p)
+            .transpose(1, 0, 2, 3)
+            .reshape(2 * r, lines * words_per_line, p)
         )
 
     def _partition_costs(

@@ -48,8 +48,8 @@ import numpy as np
 
 import repro.obs as obs
 from repro.coding.base import (
-    EncodedLine,
     Encoder,
+    LineBatch,
     LineContext,
     cells_matrix_to_words,
     words_matrix_to_cells,
@@ -1037,24 +1037,23 @@ class MemoryController:
                 stuck_rows = self._stuck_rows(row_array)
                 old_auxes = self._aux_store[row_array]
                 sensed_rows = self._sensed_rows(old_rows, rows)
-                contexts = [
-                    LineContext.from_rows(
-                        sensed_rows, words_per_line, bits_per_cell, stuck_rows, old_auxes, line
-                    )
-                    for line in range(lines)
-                ]
+                line_shape = (lines, words_per_line, -1)
+                batch = LineBatch(
+                    old_cells=sensed_rows.reshape(line_shape),
+                    stuck_mask=None if stuck_rows is None else stuck_rows.reshape(line_shape),
+                    bits_per_cell=bits_per_cell,
+                    old_auxes=old_auxes,
+                )
                 wave_words = plaintext[local_array]
                 if encryption is not None:
                     wave_words = encryption.encrypt_lines(
                         chunk_addresses[local_array], wave_words
                     )
-                encoded = self.encoder.encode_lines(wave_words, contexts)
+                encoded = self.encoder.encode_lines(wave_words, batch)
                 intended_rows = words_matrix_to_cells(
-                    np.array([line.codewords for line in encoded], dtype=np.uint64),
-                    self.config.word_bits,
-                    bits_per_cell,
+                    encoded.codewords, self.config.word_bits, bits_per_cell
                 ).reshape(lines, array.cells_per_row)
-                new_auxes = self._wave_aux_values(encoded)
+                new_auxes = encoded.auxes
                 _old, stored_rows, _changed, _saw, newly = array.write_rows_fast(
                     row_array, intended_rows
                 )
@@ -1154,13 +1153,6 @@ class MemoryController:
         _OBS_SQUASHED_WRITES.inc(len(squashed))
         if self.encryption is not None:
             self.encryption.rollback_counters(chunk_addresses[squashed])
-
-    def _wave_aux_values(self, encoded_lines: List[EncodedLine]) -> np.ndarray:
-        """The wave's auxiliary values as a ``(lines, words)`` aux-store block."""
-        rows = [encoded.auxes for encoded in encoded_lines]
-        if self._wide_aux:
-            return np.array(rows, dtype=object)
-        return np.array(rows, dtype=np.int64)
 
     def _flush_aux_energy(
         self,

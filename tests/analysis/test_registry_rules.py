@@ -45,7 +45,8 @@ class TestREG001EncoderContract:
         assert codes(findings) == ["REG001"]
         assert "signature" in findings[0].message
 
-    def test_clean_full_contract(self):
+    def test_violating_per_line_context_signature(self):
+        # The batch boundary takes one LineBatch, not a list of contexts.
         findings = run(
             """
             from repro.coding.registry import register_encoder
@@ -54,6 +55,20 @@ class TestREG001EncoderContract:
             class ToyEncoder(Encoder):
                 def encode_lines(self, words_matrix, contexts):
                     return words_matrix
+            """
+        )
+        assert codes(findings) == ["REG001"]
+        assert "signature" in findings[0].message
+
+    def test_clean_full_contract(self):
+        findings = run(
+            """
+            from repro.coding.registry import register_encoder
+
+            @register_encoder("toy")
+            class ToyEncoder(Encoder):
+                def encode_lines(self, words, batch):
+                    return words
             """
         )
         assert findings == []

@@ -1,15 +1,17 @@
 """Multi-line batch encoding: encode_lines vs. the scalar oracle.
 
 The contract of :meth:`repro.coding.base.Encoder.encode_lines` is that the
-returned codewords, auxiliary values, and costs are *bit-identical* to
+codewords, auxiliary values, and costs of every line of the returned
+:class:`repro.coding.base.EncodedBatch` are *bit-identical* to
 calling :meth:`encode_line_scalar` (``encode`` per word) once per line —
 for every registry encoder, both cell technologies, every builtin cost
 objective, with and without stuck cells and stored auxiliary bits, on
 single lines and multi-line batches.  ``encode_line`` is a one-line view
 of ``encode_lines``, so this one matrix covers it too.  The same holds
 one layer down for
-:meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` against
-per-line :meth:`line_cell_costs` calls.
+:meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` on a
+:class:`repro.coding.base.LineBatch` against per-line
+:meth:`line_cell_costs` calls.
 """
 
 import numpy as np
@@ -17,10 +19,11 @@ import pytest
 
 import repro.obs as obs
 from repro.coding.base import (
+    EncodedBatch,
     EncodedWord,
     Encoder,
+    LineBatch,
     LineContext,
-    stack_line_contexts,
 )
 from repro.coding.cost import (
     BitChangeCost,
@@ -100,14 +103,15 @@ class TestEncodeLinesParity:
             )
             contexts = _contexts(rng, technology, encoder, lines, stuck, old_aux)
             words = _lines(rng, lines)
-            batched = encoder.encode_lines(words, contexts)
+            batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
             oracle = [
                 encoder.encode_line_scalar(line, context)
                 for line, context in zip(words, contexts)
             ]
             # EncodedLine equality compares codewords, auxes, aux_bits,
             # technique, and the float costs exactly (bit-identical).
-            assert batched == oracle
+            assert len(batched) == lines
+            assert list(batched) == oracle
             assert encoder.encode_line(words[0], contexts[0]) == oracle[0]
 
     @pytest.mark.parametrize("name", available_encoders())
@@ -116,7 +120,8 @@ class TestEncodeLinesParity:
         encoder = make_encoder(name, word_bits=WORD_BITS, num_cosets=16)
         contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=2)
         lines = _lines(rng, lines=2)
-        for line, encoded in zip(lines, encoder.encode_lines(lines, contexts)):
+        batched = encoder.encode_lines(lines, LineBatch.from_lines(contexts))
+        for line, encoded in zip(lines, batched):
             assert encoder.decode_line(encoded.codewords, encoded.auxes) == line
 
     def test_accepts_ndarray_word_matrix(self):
@@ -125,9 +130,11 @@ class TestEncodeLinesParity:
         contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=3)
         lines = _lines(rng, lines=3)
         matrix = np.array(lines, dtype=np.uint64)
-        from_list = encoder.encode_lines(lines, contexts)
-        from_array = encoder.encode_lines(matrix, contexts)
-        assert [e.codewords for e in from_list] == [e.codewords for e in from_array]
+        batch = LineBatch.from_lines(contexts)
+        from_list = encoder.encode_lines(lines, batch)
+        from_array = encoder.encode_lines(matrix, batch)
+        assert np.array_equal(from_list.codewords, from_array.codewords)
+        assert from_array.codewords.shape == (3, WORDS_PER_LINE)
 
     def test_third_party_encoder_uses_reference_loop(self):
         class XorEncoder(Encoder):
@@ -153,18 +160,102 @@ class TestEncodeLinesParity:
         rng = make_rng(8, "third-party")
         contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=2)
         lines = _lines(rng, lines=2)
-        batched = encoder.encode_lines(lines, contexts)
-        for line, encoded in zip(lines, batched):
-            assert list(encoded.codewords) == [w ^ 0x5A5A for w in line]
+        batched = encoder.encode_lines(lines, LineBatch.from_lines(contexts))
+        assert batched.codewords.tolist() == [[w ^ 0x5A5A for w in line] for line in lines]
 
     def test_line_count_mismatch_rejected(self):
         rng = make_rng(9, "mismatch")
         encoder = make_encoder("flipcy", word_bits=WORD_BITS)
         contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=2)
         with pytest.raises(EncodingError):
-            encoder.encode_lines(_lines(rng, lines=3), contexts)
+            encoder.encode_lines(_lines(rng, lines=3), LineBatch.from_lines(contexts))
         with pytest.raises(EncodingError):
-            encoder.encode_lines([], [])
+            encoder.encode_lines([], LineBatch.from_lines(contexts))
+        # The boundary takes one LineBatch, not a list of per-line contexts.
+        with pytest.raises(EncodingError, match="LineBatch"):
+            encoder.encode_lines(_lines(rng, lines=2), contexts)
+
+
+class _OutOfRangeAuxEncoder(Encoder):
+    """Third-party encoder whose batch path returns a 3 in a 1-bit aux."""
+
+    name = "bad-aux"
+
+    @property
+    def aux_bits(self):
+        return 1
+
+    def encode(self, data, context):
+        return EncodedWord(codeword=data, aux=0, aux_bits=1, cost=0.0, technique=self.name)
+
+    def encode_lines(self, words, batch):
+        values = self._check_lines_batch(words, batch)
+        return self._encoded(values, np.full(values.shape, 3), np.zeros(values.shape))
+
+    def decode(self, codeword, aux):
+        return codeword
+
+
+class TestEncodedBatch:
+    def test_out_of_range_aux_from_encode_lines_rejected(self):
+        encoder = _OutOfRangeAuxEncoder(WORD_BITS, CellTechnology.MLC, BitChangeCost())
+        batch = LineBatch.from_lines([LineContext.blank(WORDS_PER_LINE, WORD_BITS)])
+        with pytest.raises(ConfigurationError, match="aux value 3 does not fit in 1 bits"):
+            encoder.encode_lines([[0] * WORDS_PER_LINE], batch)
+
+    def test_columns_and_line_views(self):
+        rng = make_rng(10, "encoded-batch")
+        encoder = make_encoder("vcc", word_bits=WORD_BITS, num_cosets=16)
+        contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=3)
+        words = _lines(rng, lines=3)
+        result = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert len(result) == 3
+        for array in (result.codewords, result.auxes, result.costs):
+            assert array.shape == (3, WORDS_PER_LINE)
+        assert result.costs.dtype == np.float64
+        assert result[2].codewords == tuple(result.codewords[2].tolist())
+        assert result[-1] == result[2]
+        assert [line.technique for line in result] == [encoder.name] * 3
+
+    def test_shape_guards(self):
+        with pytest.raises(ConfigurationError):
+            EncodedBatch(
+                codewords=np.zeros((2, 3), np.uint64), auxes=np.zeros((2, 2), np.int64),
+                aux_bits=1, costs=np.zeros((2, 3)), technique="x",
+            )
+        with pytest.raises(ConfigurationError):
+            EncodedBatch(
+                codewords=np.zeros((0, 3), np.uint64), auxes=np.zeros((0, 3), np.int64),
+                aux_bits=1, costs=np.zeros((0, 3)), technique="x",
+            )
+
+
+#: Candidates every builtin scores per word at 256 cosets on 64-bit MLC
+#: words: ``encode.candidates`` counts lines x this, for every encoder.
+CANDIDATES_PER_WORD = {
+    "unencoded": 1,
+    "dbi": 2,
+    "fnw": 2,
+    "dbi/fnw": 2,
+    "bcc": 2,
+    "flipcy": 3,
+    "rcc": 256,
+    "vcc": 32,
+    "vcc-stored": 32,
+}
+
+
+class TestCandidateCounter:
+    @pytest.mark.parametrize("name", available_encoders())
+    @pytest.mark.parametrize("lines", [1, 8])
+    def test_counts_lines_times_candidates_per_word(self, name, lines):
+        encoder = make_encoder(name, word_bits=WORD_BITS, num_cosets=256)
+        rng = make_rng(17, f"candidates-{name}-{lines}")
+        batch = LineBatch.from_lines(_contexts(rng, CellTechnology.MLC, encoder, lines))
+        candidates = obs.counter("encode.candidates")
+        before = candidates.value
+        encoder.encode_lines(_lines(rng, lines), batch)
+        assert candidates.value - before == lines * CANDIDATES_PER_WORD[name]
 
 
 class TestOutOfRangeWords:
@@ -180,7 +271,16 @@ class TestOutOfRangeWords:
             if method == "encode_line":
                 encoder.encode_line(line, context)
             else:
-                encoder.encode_lines([line], [context])
+                encoder.encode_lines([line], LineBatch.from_lines([context]))
+
+    @pytest.mark.parametrize("name", available_encoders())
+    def test_negative_signed_array_raises(self, name):
+        """Regression: a negative int64 word used to wrap to 2**64 - 1."""
+        encoder = make_encoder(name, word_bits=WORD_BITS, num_cosets=16)
+        context = LineContext.blank(WORDS_PER_LINE, WORD_BITS, encoder.bits_per_cell)
+        words = np.full((1, WORDS_PER_LINE), -1, dtype=np.int64)
+        with pytest.raises(EncodingError, match=f"does not fit in {WORD_BITS} bits"):
+            encoder.encode_lines(words, LineBatch.from_lines([context]))
 
 
 class _HardSawCost(CostFunction):
@@ -238,13 +338,13 @@ class TestRCCScoringPaths:
         gemms = obs.counter("encode.kernel_gemms")
         candidates = obs.counter("encode.candidates")
         gemms_before, candidates_before = gemms.value, candidates.value
-        batched = encoder.encode_lines(words, contexts)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
         assert gemms.value - gemms_before == int(takes_gemm)
         assert candidates.value - candidates_before == LINES * encoder.num_cosets
         oracle = [
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
-        assert batched == oracle
+        assert list(batched) == oracle
 
 
 class _FixedKernels(KernelProvider):
@@ -322,13 +422,13 @@ class TestVCCScoringPaths:
         gemms = obs.counter("encode.kernel_gemms")
         candidates = obs.counter("encode.candidates")
         gemms_before, candidates_before = gemms.value, candidates.value
-        batched = encoder.encode_lines(words, contexts)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
         assert gemms.value - gemms_before == int(has_product and exact)
-        assert candidates.value - candidates_before == 2 * encoder.config.num_kernels
+        assert candidates.value - candidates_before == LINES * 2 * encoder.config.num_kernels
         oracle = [
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
-        assert batched == oracle
+        assert list(batched) == oracle
 
 
 ALL_COSTS = [
@@ -359,7 +459,7 @@ class TestBatchLineCellCosts:
             )
             for _ in range(lines)
         ]
-        batched = cost.batch_line_cell_costs(new_cells, contexts)
+        batched = cost.batch_line_cell_costs(new_cells, LineBatch.from_lines(contexts))
         assert batched.shape == new_cells.shape
         for index, context in enumerate(contexts):
             per_line = cost.line_cell_costs(new_cells[index], context)
@@ -380,11 +480,11 @@ class TestBatchLineCellCosts:
 
         cost = WeirdCost()
         assert not cost.cellwise
-        assert cost.transition_tables([LineContext.blank()]) is None
+        assert cost.transition_tables(LineBatch.from_lines([LineContext.blank()])) is None
         rng = make_rng(12, "weird-cost")
         new_cells = rng.integers(0, 4, size=(3, 2, 8, 32)).astype(np.uint8)
         contexts = [LineContext.blank() for _ in range(3)]
-        batched = cost.batch_line_cell_costs(new_cells, contexts)
+        batched = cost.batch_line_cell_costs(new_cells, LineBatch.from_lines(contexts))
         for index, context in enumerate(contexts):
             assert np.array_equal(batched[index], cost.line_cell_costs(new_cells[index], context))
 
@@ -399,7 +499,7 @@ class TestBatchLineCellCosts:
             )
             for _ in range(2)
         ]
-        tables = cost.transition_tables(contexts)
+        tables = cost.transition_tables(LineBatch.from_lines(contexts))
         assert tables.shape == (2, 8, 32, 4)
         for line, context in enumerate(contexts):
             for value in range(4):
@@ -409,47 +509,19 @@ class TestBatchLineCellCosts:
 
     def test_shape_validation(self):
         cost = OnesCost()
+        one_line = LineBatch.from_lines([LineContext.blank()])
         with pytest.raises(ConfigurationError):
-            cost.batch_line_cell_costs(np.zeros((2, 8, 32), dtype=np.uint8), [])
+            cost.batch_line_cell_costs(np.zeros((2, 8, 32), dtype=np.uint8), one_line)
         with pytest.raises(ConfigurationError):
-            cost.batch_line_cell_costs(
-                np.zeros((2, 3, 8, 32), dtype=np.uint8), [LineContext.blank()]
-            )
-
-
-class TestStackAndSplitHelpers:
-    def test_stack_line_contexts_concatenates_words(self):
-        rng = make_rng(14, "stack")
-        contexts = [
-            LineContext(
-                old_cells=rng.integers(0, 4, size=(4, 16)).astype(np.uint8),
-                stuck_mask=rng.random((4, 16)) < 0.1,
-                bits_per_cell=2,
-                old_auxes=rng.integers(0, 8, size=4),
-            )
-            for _ in range(3)
-        ]
-        stacked = stack_line_contexts(contexts)
-        assert stacked.words_per_line == 12
-        assert np.array_equal(
-            stacked.old_cells, np.concatenate([c.old_cells for c in contexts])
-        )
-        assert np.array_equal(
-            stacked.stuck_mask, np.concatenate([c.stuck_mask for c in contexts])
-        )
-        assert np.array_equal(
-            stacked.old_auxes, np.concatenate([c.old_auxes for c in contexts])
-        )
-
-    def test_stack_rejects_mixed_geometry(self):
-        narrow = LineContext.blank(words_per_line=4)
-        wide = LineContext.blank(words_per_line=8)
+            cost.batch_line_cell_costs(np.zeros((2, 3, 8, 32), dtype=np.uint8), one_line)
+        # Words and cells must match the batch's geometry too.
         with pytest.raises(ConfigurationError):
-            stack_line_contexts([narrow, wide])
-        with pytest.raises(ConfigurationError):
-            stack_line_contexts([])
+            cost.batch_line_cell_costs(np.zeros((1, 3, 4, 32), dtype=np.uint8), one_line)
 
     def test_empty_batch_rejected_by_cost_kernel(self):
         cost = BitChangeCost()
         with pytest.raises(ConfigurationError):
-            cost.batch_line_cell_costs(np.zeros((0, 3, 8, 32), dtype=np.uint8), [])
+            cost.batch_line_cell_costs(
+                np.zeros((0, 3, 8, 32), dtype=np.uint8),
+                LineBatch.from_lines([LineContext.blank()]),
+            )

@@ -15,6 +15,7 @@ from repro.coding.base import (
     EncodedLine,
     EncodedWord,
     Encoder,
+    LineBatch,
     LineContext,
     WordContext,
     cells_matrix_to_words,
@@ -84,7 +85,9 @@ class TestWideAuxFallback:
         batch = encoder.encode_line(words, context)
         scalar = encoder.encode_line_scalar(words, context)
         assert batch == scalar
-        assert encoder.encode_lines([words, words], [context, context]) == [scalar, scalar]
+        batched = encoder.encode_lines([words, words], LineBatch.from_lines([context, context]))
+        assert batched.auxes.dtype == object
+        assert list(batched) == [scalar, scalar]
         assert encoder.decode_line(batch.codewords, batch.auxes) == words
 
 
@@ -173,15 +176,6 @@ class TestLineContext:
             assert np.array_equal(line.old_cells[index], contexts[index].old_cells)
             assert line.old_auxes[index] == index
 
-    def test_split_partitions(self, rng):
-        old = rng.integers(0, 4, size=(8, 32)).astype(np.uint8)
-        stuck = rng.random((8, 32)) < 0.1
-        context = LineContext(old_cells=old, stuck_mask=stuck, bits_per_cell=2)
-        split = context.split_partitions(4)
-        assert split.old_cells.shape == (32, 8)
-        assert split.stuck_mask.shape == (32, 8)
-        assert np.array_equal(split.old_cells.reshape(8, 32), old)
-
     def test_bad_shapes_rejected(self):
         with pytest.raises(ConfigurationError):
             LineContext(old_cells=np.zeros(8, dtype=np.uint8))
@@ -195,6 +189,73 @@ class TestLineContext:
                 old_cells=np.zeros((2, 4), dtype=np.uint8),
                 old_auxes=np.zeros(3, dtype=np.int64),
             )
+
+
+class TestLineBatch:
+    def test_from_lines_stacks_lines(self, rng):
+        contexts = [
+            LineContext(
+                old_cells=rng.integers(0, 4, size=(4, 16)).astype(np.uint8),
+                stuck_mask=(rng.random((4, 16)) < 0.1) if index else None,
+                bits_per_cell=2,
+                old_auxes=rng.integers(0, 8, size=4),
+            )
+            for index in range(3)
+        ]
+        batch = LineBatch.from_lines(contexts)
+        assert len(batch) == 3
+        assert batch.words_per_line == 4 and batch.word_bits == 32
+        assert batch.old_cells.shape == batch.stuck_mask.shape == (3, 4, 16)
+        assert batch.old_auxes.shape == (3, 4)
+        # A line without a mask stacks as all-False next to masked lines.
+        assert not batch.stuck_mask[0].any()
+        for index, context in enumerate(contexts):
+            line = batch.line(index)
+            assert np.array_equal(line.old_cells, context.old_cells)
+            assert np.array_equal(line.old_auxes, context.old_auxes)
+        assert np.array_equal(batch.line(1).stuck_mask, contexts[1].stuck_mask)
+
+    def test_from_lines_rejects_mixed_or_empty(self):
+        with pytest.raises(ConfigurationError):
+            LineBatch.from_lines([])
+        with pytest.raises(ConfigurationError):
+            LineBatch.from_lines([LineContext.blank(words_per_line=4), LineContext.blank()])
+        with pytest.raises(ConfigurationError):
+            LineBatch.from_lines(
+                [LineContext.blank(bits_per_cell=2), LineContext.blank(bits_per_cell=1)]
+            )
+
+    def test_construction_validates_shapes(self):
+        cells = np.zeros((2, 8, 32), dtype=np.uint8)
+        with pytest.raises(ConfigurationError):
+            LineBatch(old_cells=np.zeros((8, 32), dtype=np.uint8))
+        with pytest.raises(ConfigurationError):
+            LineBatch(old_cells=np.zeros((0, 8, 32), dtype=np.uint8))
+        with pytest.raises(ConfigurationError):
+            LineBatch(old_cells=cells, stuck_mask=np.zeros((2, 8, 16), dtype=bool))
+        with pytest.raises(ConfigurationError):
+            LineBatch(old_cells=cells, old_auxes=np.zeros((2, 4), dtype=np.int64))
+        with pytest.raises(ConfigurationError):
+            LineBatch(old_cells=cells, old_auxes=np.full((2, 8), -1, dtype=np.int64))
+        with pytest.raises(ConfigurationError):
+            LineBatch(old_cells=cells, bits_per_cell=3)
+
+    def test_wide_auxes_kept_as_python_ints(self):
+        auxes = np.array([[1 << 63, 1]], dtype=object)
+        batch = LineBatch(old_cells=np.zeros((1, 2, 4), dtype=np.uint8), old_auxes=auxes)
+        assert batch.old_auxes.dtype == object
+        assert batch.line(0).word_context(0).old_aux == 1 << 63
+
+    def test_split_partitions(self, rng):
+        old = rng.integers(0, 4, size=(2, 8, 32)).astype(np.uint8)
+        stuck = rng.random((2, 8, 32)) < 0.1
+        batch = LineBatch(old_cells=old, stuck_mask=stuck, bits_per_cell=2)
+        split = batch.split_partitions(4)
+        assert split.old_cells.shape == split.stuck_mask.shape == (2, 32, 8)
+        assert np.array_equal(split.old_cells.reshape(2, 8, 32), old)
+        assert not split.old_auxes.any()
+        with pytest.raises(ConfigurationError):
+            batch.split_partitions(5)
 
 
 class TestAuxValidation:

@@ -90,9 +90,9 @@ def _spy_batches(controller) -> List[int]:
     batches: List[int] = []
     original = controller.encoder.encode_lines
 
-    def spy(words_matrix, contexts):
-        batches.append(len(contexts))
-        return original(words_matrix, contexts)
+    def spy(words, batch):
+        batches.append(len(batch))
+        return original(words, batch)
 
     controller.encoder.encode_lines = spy
     return batches
