@@ -34,8 +34,10 @@ __all__ = ["Task", "SweepSpec", "canonical_json"]
 #: so stale result stores invalidate themselves instead of serving rows
 #: computed under the old semantics.  Version 2: lifetime-cell rows carry
 #: a ``censored`` flag (hitting ``max_line_writes`` is no longer silently
-#: reported as a failure time).
-TASK_SCHEMA_VERSION = 2
+#: reported as a failure time).  Version 3: one ``lifetime-cell`` kind
+#: replaces the Fig. 11/12 kinds; its params hold only what the cell
+#: simulates (no display label, no coset count for encoders that ignore it).
+TASK_SCHEMA_VERSION = 3
 
 
 def _canonical_value(value: Any, path: str) -> Any:
@@ -125,8 +127,10 @@ class Task:
         """Short human-readable label for progress reporting."""
         hints = [
             str(self.params[key])
-            for key in ("benchmark", "label", "series", "technique", "rep", "seed")
-            if key in self.params
+            for key in (
+                "benchmark", "label", "series", "technique", "encoder", "corrector", "rep", "seed"
+            )
+            if self.params.get(key) is not None
         ]
         suffix = f" ({', '.join(hints)})" if hints else ""
         return f"{self.kind}{suffix} [{self.task_hash[:10]}]"

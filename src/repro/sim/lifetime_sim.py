@@ -24,7 +24,7 @@ preserves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,6 +32,7 @@ from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
 from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
+from repro.coding.registry import get_encoder_plugin
 from repro.errors import ConfigurationError, SimulationError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
@@ -190,41 +191,113 @@ def simulate_lifetime(
     return LifetimeOutcome(writes=replay.writes, censored=not replay.stopped_early)
 
 
-@register_task(
-    "fig11-lifetime-cell",
-    description="writes-to-failure of one technique × benchmark × repetition (Fig. 11 cell)",
-)
-def _fig11_lifetime_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """One (benchmark × technique × repetition) cell of the Fig. 11 sweep."""
+def _check_repetitions(repetitions: int) -> None:
+    """Reject a repetition count that would leave the tables without cells."""
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be at least 1, got {repetitions}")
+
+
+def _lifetime_cell_task(
+    spec: TechniqueSpec,
+    benchmark: str,
+    num_cosets: int,
+    config: LifetimeStudyConfig,
+    rep: int,
+    fault_model: Optional[str],
+) -> Task:
+    """One lifetime cell as a task whose params are exactly what it simulates.
+
+    ``num_cosets`` enters the params only when the encoder's registry entry
+    consumes it, and the display label never does, so cells that simulate
+    the same thing share one content hash: the campaign engine runs them
+    once per sweep, and a shared store once across Figs. 11 and 12.
+    ``fault_model`` (or the spec's own) is recorded only when set.
+    """
+    params: Dict[str, Any] = dict(asdict(config), technology=config.technology.value)
+    params.update(
+        benchmark=benchmark,
+        encoder=spec.encoder,
+        cost=spec.cost,
+        corrector=spec.corrector,
+        rep=rep,
+    )
+    if "num_cosets" in get_encoder_plugin(spec.encoder).params:
+        params["num_cosets"] = num_cosets
+    model = fault_model or spec.fault_model
+    if model is not None:
+        params["fault_model"] = model
+    return Task(kind="lifetime-cell", params=params)
+
+
+def _lifetime_cell_inputs(params: Dict[str, Any]) -> Tuple[TechniqueSpec, LifetimeStudyConfig]:
+    """Decode ``lifetime-cell`` params back into the simulation's inputs."""
+    optional = {key: params[key] for key in ("num_cosets", "fault_model") if key in params}
     spec = TechniqueSpec(
-        encoder=params["encoder"],
-        cost=params["cost"],
-        num_cosets=params["num_cosets"],
-        label=params["label"],
-        corrector=params["corrector"],
-        fault_model=params.get("fault_model"),
+        encoder=params["encoder"], cost=params["cost"], corrector=params["corrector"], **optional
     )
-    config = LifetimeStudyConfig(
-        rows=params["rows"],
-        word_bits=params["word_bits"],
-        line_bits=params["line_bits"],
-        technology=CellTechnology(params["technology"]),
-        mean_endurance_writes=params["mean_endurance_writes"],
-        endurance_cov=params["endurance_cov"],
-        failed_rows_limit=params["failed_rows_limit"],
-        max_line_writes=params["max_line_writes"],
-        trace_writebacks=params["trace_writebacks"],
-        seed=params["seed"],
-    )
+    values = {knob.name: params[knob.name] for knob in fields(LifetimeStudyConfig)}
+    values["technology"] = CellTechnology(values["technology"])
+    return spec, LifetimeStudyConfig(**values)
+
+
+@register_task(
+    "lifetime-cell",
+    description="writes-to-failure of one technique × benchmark × repetition (Figs. 11-12 cell)",
+)
+def _lifetime_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """One lifetime cell; the study that built the task places its row.
+
+    Seed derivation is :func:`simulate_lifetime`'s (benchmark and
+    repetition only), so repetitions are paired across techniques.
+    """
+    spec, config = _lifetime_cell_inputs(params)
     outcome = simulate_lifetime(spec, params["benchmark"], config, seed_offset=params["rep"])
+    return [{"writes_to_failure": int(outcome.writes), "censored": bool(outcome.censored)}]
+
+
+#: One sweep occurrence: the table cell it feeds and the task computing it.
+_Cell = Tuple[Tuple[Any, str], Task]
+
+
+def _run_cells(
+    cells: Sequence[_Cell],
+    jobs: int,
+    store: Union[ResultStore, str, Path, None],
+    progress: Optional[ProgressCallback],
+) -> Tuple[Dict[Tuple[Any, str], List[Tuple[int, bool]]], int]:
+    """Run the cells' tasks; group outcomes per table cell, count censored ones.
+
+    Duplicate tasks execute once but are counted once per occurrence, so
+    the means and the censoring note match a sweep that ran every cell.
+    """
+    result = run_campaign([task for _, task in cells], store=store, jobs=jobs, progress=progress)
+    outcomes: Dict[Tuple[Any, str], List[Tuple[int, bool]]] = {}
+    censored = 0
+    for key, task in cells:
+        (row,) = result.rows_for(task)
+        outcomes.setdefault(key, []).append((row["writes_to_failure"], row["censored"]))
+        censored += row["censored"]
+    return outcomes, censored
+
+
+def _fig11_cells(
+    benchmarks: Sequence[str],
+    techniques: Sequence[TechniqueSpec],
+    num_cosets: int,
+    config: LifetimeStudyConfig,
+    repetitions: int,
+    fault_model: Optional[str],
+) -> List[_Cell]:
+    """Fig. 11 occurrences keyed by (benchmark, technique), in table order."""
+    _check_repetitions(repetitions)
     return [
-        {
-            "benchmark": params["benchmark"],
-            "technique": spec.display_name(),
-            "rep": params["rep"],
-            "writes_to_failure": int(outcome.writes),
-            "censored": bool(outcome.censored),
-        }
+        (
+            (benchmark, spec.display_name()),
+            _lifetime_cell_task(spec, benchmark, num_cosets, config, rep, fault_model),
+        )
+        for benchmark in benchmarks
+        for spec in techniques
+        for rep in range(repetitions)
     ]
 
 
@@ -239,40 +312,10 @@ def lifetime_study_tasks(
     """The Fig. 11 sweep as campaign tasks (benchmark × technique × rep).
 
     ``fault_model`` (or a per-spec ``TechniqueSpec.fault_model``) selects
-    a :mod:`repro.faults` model; ``None`` keeps the historical behaviour
-    and the historical task hashes.
+    a :mod:`repro.faults` model; ``None`` keeps the static stuck-at model.
     """
-    base = {
-        "num_cosets": num_cosets,
-        "rows": config.rows,
-        "word_bits": config.word_bits,
-        "line_bits": config.line_bits,
-        "technology": config.technology.value,
-        "mean_endurance_writes": config.mean_endurance_writes,
-        "endurance_cov": config.endurance_cov,
-        "failed_rows_limit": config.failed_rows_limit,
-        "max_line_writes": config.max_line_writes,
-        "trace_writebacks": config.trace_writebacks,
-        "seed": config.seed,
-    }
-    tasks: List[Task] = []
-    for benchmark in benchmarks:
-        for spec in techniques:
-            for rep in range(repetitions):
-                params = dict(base)
-                params.update(
-                    benchmark=benchmark,
-                    encoder=spec.encoder,
-                    cost=spec.cost,
-                    label=spec.label,
-                    corrector=spec.corrector,
-                    rep=rep,
-                )
-                model = fault_model or spec.fault_model
-                if model is not None:
-                    params["fault_model"] = model
-                tasks.append(Task(kind="fig11-lifetime-cell", params=params))
-    return tasks
+    cells = _fig11_cells(benchmarks, techniques, num_cosets, config, repetitions, fault_model)
+    return [task for _, task in cells]
 
 
 def lifetime_study(
@@ -294,23 +337,14 @@ def lifetime_study(
     ``fault_model`` runs the whole line-up under one :mod:`repro.faults`
     model.
     """
-    tasks = lifetime_study_tasks(
-        benchmarks, techniques, num_cosets, config, repetitions, fault_model=fault_model
-    )
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
-    values_by_cell: Dict[Tuple[str, str], List[Tuple[int, bool]]] = {}
-    censored_cells = 0
-    for row in result.rows():
-        values_by_cell.setdefault((row["benchmark"], row["technique"]), []).append(
-            (row["writes_to_failure"], bool(row.get("censored")))
-        )
-        censored_cells += bool(row.get("censored"))
+    cells = _fig11_cells(benchmarks, techniques, num_cosets, config, repetitions, fault_model)
+    outcomes, censored_cells = _run_cells(cells, jobs, store, progress)
     notes = (
         f"{num_cosets} cosets for coset techniques; memory and endurance are scaled "
         "down so absolute counts are not comparable to the paper, ratios are"
     )
     if censored_cells:
-        notes += _censoring_note(censored_cells, len(tasks), config.max_line_writes)
+        notes += _censoring_note(censored_cells, len(cells), config.max_line_writes)
     table = ResultTable(
         title="Fig. 11 — writes to failure per benchmark (scaled memory)",
         columns=["benchmark", "technique", "writes_to_failure", "improvement_vs_unencoded"],
@@ -318,9 +352,7 @@ def lifetime_study(
     )
     for benchmark in benchmarks:
         lifetimes: Dict[str, float] = {
-            spec.display_name(): _survival_mean(
-                values_by_cell[(benchmark, spec.display_name())]
-            )
+            spec.display_name(): _survival_mean(outcomes[(benchmark, spec.display_name())])
             for spec in techniques
         }
         baseline = lifetimes.get("Unencoded", 0.0)
@@ -356,47 +388,25 @@ def _censoring_note(censored: int, total: int, cap: int) -> str:
     )
 
 
-@register_task(
-    "fig12-lifetime-cell",
-    description="writes-to-failure at one coset count × technique × benchmark × repetition (Fig. 12 cell)",
-)
-def _fig12_lifetime_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """One (coset count × technique × benchmark × repetition) Fig. 12 cell.
-
-    Seed derivation matches :func:`simulate_lifetime` exactly (benchmark
-    and repetition only), so rows are bit-identical to the serial path and
-    repetitions are paired across techniques like the Fig. 11 sweep.
-    """
-    spec = TechniqueSpec(
-        encoder=params["encoder"],
-        cost=params["cost"],
-        num_cosets=params["cosets"],
-        label=params["label"],
-        corrector=params["corrector"],
-        fault_model=params.get("fault_model"),
-    )
-    config = LifetimeStudyConfig(
-        rows=params["rows"],
-        word_bits=params["word_bits"],
-        line_bits=params["line_bits"],
-        technology=CellTechnology(params["technology"]),
-        mean_endurance_writes=params["mean_endurance_writes"],
-        endurance_cov=params["endurance_cov"],
-        failed_rows_limit=params["failed_rows_limit"],
-        max_line_writes=params["max_line_writes"],
-        trace_writebacks=params["trace_writebacks"],
-        seed=params["seed"],
-    )
-    outcome = simulate_lifetime(spec, params["benchmark"], config, seed_offset=params["rep"])
+def _fig12_cells(
+    coset_counts: Sequence[int],
+    benchmarks: Sequence[str],
+    techniques: Sequence[TechniqueSpec],
+    config: LifetimeStudyConfig,
+    repetitions: int,
+    fault_model: Optional[str],
+) -> List[_Cell]:
+    """Fig. 12 occurrences keyed by (coset count, technique), in table order."""
+    _check_repetitions(repetitions)
     return [
-        {
-            "cosets": params["cosets"],
-            "benchmark": params["benchmark"],
-            "technique": spec.display_name(),
-            "rep": params["rep"],
-            "writes_to_failure": int(outcome.writes),
-            "censored": bool(outcome.censored),
-        }
+        (
+            (cosets, spec.display_name()),
+            _lifetime_cell_task(spec, benchmark, cosets, config, rep, fault_model),
+        )
+        for cosets in coset_counts
+        for spec in techniques
+        for benchmark in benchmarks
+        for rep in range(repetitions)
     ]
 
 
@@ -408,39 +418,14 @@ def mean_lifetime_tasks(
     repetitions: int = 1,
     fault_model: Optional[str] = None,
 ) -> List[Task]:
-    """The Fig. 12 sweep as campaign tasks (cosets × technique × benchmark × rep)."""
-    base = {
-        "rows": config.rows,
-        "word_bits": config.word_bits,
-        "line_bits": config.line_bits,
-        "technology": config.technology.value,
-        "mean_endurance_writes": config.mean_endurance_writes,
-        "endurance_cov": config.endurance_cov,
-        "failed_rows_limit": config.failed_rows_limit,
-        "max_line_writes": config.max_line_writes,
-        "trace_writebacks": config.trace_writebacks,
-        "seed": config.seed,
-    }
-    tasks: List[Task] = []
-    for cosets in coset_counts:
-        for spec in techniques:
-            for benchmark in benchmarks:
-                for rep in range(repetitions):
-                    params = dict(base)
-                    params.update(
-                        cosets=cosets,
-                        encoder=spec.encoder,
-                        cost=spec.cost,
-                        label=spec.label,
-                        corrector=spec.corrector,
-                        benchmark=benchmark,
-                        rep=rep,
-                    )
-                    model = fault_model or spec.fault_model
-                    if model is not None:
-                        params["fault_model"] = model
-                    tasks.append(Task(kind="fig12-lifetime-cell", params=params))
-    return tasks
+    """The Fig. 12 sweep as campaign tasks (cosets × technique × benchmark × rep).
+
+    One task per occurrence; occurrences that simulate the same cell
+    (a coset-independent technique at several counts, or a cell Fig. 11
+    also runs) are equal tasks.
+    """
+    cells = _fig12_cells(coset_counts, benchmarks, techniques, config, repetitions, fault_model)
+    return [task for _, task in cells]
 
 
 def mean_lifetime_by_coset_count(
@@ -456,33 +441,27 @@ def mean_lifetime_by_coset_count(
 ) -> ResultTable:
     """Fig. 12: mean writes-to-failure across benchmarks vs. coset count.
 
-    Techniques that do not depend on the coset count (Unencoded, SECDED,
-    ECP3, Flipcy, DBI/FNW) are still re-simulated per count so every column
-    of the paper's figure is present.
+    Techniques whose encoder does not consume the coset count (Unencoded,
+    SECDED, ECP3, Flipcy, DBI/FNW) are simulated once per benchmark and
+    repetition: their tasks omit ``num_cosets``, so every count shares one
+    task, and the same value fills each column of the paper's figure.
 
     The (cosets × technique × benchmark × repetition) cross-product runs
-    through the campaign engine exactly like the Fig. 11 sweep: ``jobs``
-    worker processes produce bit-identical rows at any count, ``store``
-    enables cached resume, and ``repetitions`` adds paired seeds (the
-    repetition offsets the seed identically for every technique).
-    Censored cells enter the means through the Kaplan–Meier estimator
-    (:func:`repro.sim.repetition.kaplan_meier_mean`) rather than being
-    silently averaged in as failure times, and are counted in the notes.
+    through the campaign engine exactly like the Fig. 11 sweep, with the
+    same ``lifetime-cell`` tasks, so a ``store`` Fig. 11 filled serves its
+    256-coset cells: ``jobs`` worker processes produce bit-identical rows
+    at any count, ``store`` enables cached resume, and ``repetitions`` adds
+    paired seeds (the repetition offsets the seed identically for every
+    technique).  Censored cells enter the means through the Kaplan–Meier
+    estimator (:func:`repro.sim.repetition.kaplan_meier_mean`) rather than
+    being silently averaged in as failure times, and are counted, once per
+    occurrence, in the notes.
     """
-    tasks = mean_lifetime_tasks(
-        coset_counts, benchmarks, techniques, config, repetitions, fault_model=fault_model
-    )
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
-    values_by_cell: Dict[Tuple[int, str], List[Tuple[int, bool]]] = {}
-    censored_cells = 0
-    for row in result.rows():
-        values_by_cell.setdefault((row["cosets"], row["technique"]), []).append(
-            (row["writes_to_failure"], bool(row.get("censored")))
-        )
-        censored_cells += bool(row.get("censored"))
+    cells = _fig12_cells(coset_counts, benchmarks, techniques, config, repetitions, fault_model)
+    outcomes, censored_cells = _run_cells(cells, jobs, store, progress)
     notes = "mean across " + ", ".join(benchmarks)
     if censored_cells:
-        notes += _censoring_note(censored_cells, len(tasks), config.max_line_writes)
+        notes += _censoring_note(censored_cells, len(cells), config.max_line_writes)
     table = ResultTable(
         title="Fig. 12 — mean writes to failure vs. coset count (scaled memory)",
         columns=["cosets", "technique", "mean_writes_to_failure"],
@@ -490,10 +469,9 @@ def mean_lifetime_by_coset_count(
     )
     for cosets in coset_counts:
         for spec in techniques:
-            outcomes = values_by_cell[(cosets, spec.display_name())]
             table.append(
                 cosets=cosets,
                 technique=spec.display_name(),
-                mean_writes_to_failure=_survival_mean(outcomes),
+                mean_writes_to_failure=_survival_mean(outcomes[(cosets, spec.display_name())]),
             )
     return table

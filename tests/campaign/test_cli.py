@@ -92,6 +92,11 @@ class TestCampaignCli:
         assert main(args) == 0
         assert "0 executed, 8 from cache" in capsys.readouterr().out
 
+    def test_zero_repetitions_exits_2(self, capsys):
+        """A lifetime sweep with no repetitions is a configuration error."""
+        assert main(["fig11", "--repetitions", "0", "--quiet", "--no-store"]) == 2
+        assert "repetitions must be at least 1" in capsys.readouterr().err
+
     def test_inapplicable_option_exits_2(self, capsys):
         assert main(["fig13", "--writebacks", "5", "--quiet", "--no-store"]) == 2
         assert "--writebacks" in capsys.readouterr().err

@@ -51,6 +51,12 @@ class TestTask:
         task = Task(kind="demo", params={"benchmark": "lbm"})
         text = task.describe()
         assert "demo" in text and "lbm" in text and task.task_hash[:10] in text
+        # Encoder and corrector hints tell cells of one encoder apart; an
+        # unset corrector is left out.
+        plain = Task(kind="demo", params={"encoder": "unencoded", "corrector": None})
+        secded = Task(kind="demo", params={"encoder": "unencoded", "corrector": "secded"})
+        assert "(unencoded)" in plain.describe()
+        assert "(unencoded, secded)" in secded.describe()
 
 
 class TestSweepSpec:

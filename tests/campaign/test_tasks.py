@@ -23,8 +23,7 @@ class TestRegistry:
             "fig8-saw-cell",
             "fig9-energy-cell",
             "fig10-saw-cell",
-            "fig11-lifetime-cell",
-            "fig12-lifetime-cell",
+            "lifetime-cell",
             "fig13-ipc-cell",
         } <= names
 

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.campaign.store import ResultStore
+from repro.campaign.tasks import run_task
+from repro.coding.registry import get_encoder_plugin, register_encoder, unregister_encoder
+from repro.errors import ConfigurationError
 from repro.sim.harness import TechniqueSpec
 from repro.sim.lifetime_sim import (
     DEFAULT_LIFETIME_TECHNIQUES,
     LifetimeStudyConfig,
     _row_failure,
     lifetime_study,
+    lifetime_study_tasks,
     mean_lifetime_by_coset_count,
     mean_lifetime_tasks,
     simulate_lifetime,
@@ -205,7 +209,7 @@ class TestFig12Campaign:
         assert len(tasks) == len(_FIG12_TECHNIQUES) * 2
         reps_by_technique = {}
         for task in tasks:
-            reps_by_technique.setdefault(task.params["label"], set()).add(task.params["rep"])
+            reps_by_technique.setdefault(task.params["encoder"], set()).add(task.params["rep"])
         assert all(reps == {0, 1} for reps in reps_by_technique.values())
         # The rep-th repetition of any technique replays the same trace on
         # the same endurance landscape: both values change together when
@@ -229,3 +233,113 @@ class TestFig12Campaign:
         ]
         expected = sum(values) / len(values)
         assert one.rows[0]["mean_writes_to_failure"] == pytest.approx(expected)
+
+
+class TestRepetitionCount:
+    """A sweep with no repetitions is rejected before any task is built."""
+
+    def test_lifetime_study_rejects_zero(self):
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            lifetime_study(benchmarks=("lbm",), config=_TINY, repetitions=0)
+
+    def test_mean_lifetime_rejects_zero(self):
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            mean_lifetime_by_coset_count(benchmarks=("lbm",), config=_TINY, repetitions=0)
+
+
+def _distinct(tasks):
+    return {task.task_hash for task in tasks}
+
+
+class TestDistinctLifetimeCells:
+    """Figs. 11 and 12 share one ``lifetime-cell`` task per distinct cell."""
+
+    def test_default_fig12_grid_has_26_distinct_cells(self):
+        tasks = mean_lifetime_tasks()
+        assert len(tasks) == 56
+        assert len(_distinct(tasks)) == 26
+
+    def test_fig12_after_fig11_reuses_its_cells(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        lifetime_study(benchmarks=("lbm", "mcf"), config=_TINY, store=store)
+        events = []
+        mean_lifetime_by_coset_count(config=_TINY, store=store, progress=events.append)
+        assert len(events) == 26
+        assert sum(event.from_cache for event in events) == 14
+        assert sum(not event.from_cache for event in events) == 12
+
+    def test_cell_simulates_what_its_params_say(self):
+        spec = TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=16)
+        (task,) = lifetime_study_tasks(
+            benchmarks=("lbm",), techniques=(spec,), num_cosets=16, config=_TINY
+        )
+        outcome = simulate_lifetime(spec, "lbm", _TINY)
+        assert run_task(task) == [
+            {"writes_to_failure": outcome.writes, "censored": outcome.censored}
+        ]
+
+    @pytest.mark.parametrize(
+        "params, merged",
+        [
+            (("word_bits", "technology", "cost_function"), True),
+            (("word_bits", "num_cosets", "technology", "cost_function"), False),
+            (None, False),  # third-party default: every shared parameter
+        ],
+    )
+    def test_coset_count_enters_the_hash_only_when_consumed(self, params, merged):
+        factory = get_encoder_plugin("unencoded").factory
+        register_encoder("test-lifetime-coder", params=params)(factory)
+        try:
+            tasks = mean_lifetime_tasks(
+                coset_counts=(32, 256),
+                benchmarks=("lbm",),
+                techniques=(TechniqueSpec(encoder="test-lifetime-coder"),),
+                config=_TINY,
+            )
+        finally:
+            unregister_encoder("test-lifetime-coder")
+        assert len(_distinct(tasks)) == (1 if merged else 2)
+
+    def test_corrector_and_fault_model_separate_cells(self):
+        techniques = (
+            TechniqueSpec(encoder="unencoded", label="Unencoded"),
+            TechniqueSpec(encoder="unencoded", label="SECDED", corrector="secded"),
+            TechniqueSpec(encoder="unencoded", label="Drift", fault_model="wear-drift"),
+        )
+        tasks = lifetime_study_tasks(benchmarks=("lbm",), techniques=techniques, config=_TINY)
+        assert len(_distinct(tasks)) == 3
+        # A study-wide fault model overrides the specs' own, so only the
+        # corrector still tells its cells apart; none matches a cell above.
+        transient = lifetime_study_tasks(
+            benchmarks=("lbm",), techniques=techniques, config=_TINY, fault_model="transient"
+        )
+        assert len(_distinct(transient)) == 2
+        assert not _distinct(tasks) & _distinct(transient)
+
+    def test_label_does_not_separate_cells(self):
+        techniques = (
+            TechniqueSpec(encoder="flipcy", label="Flipcy"),
+            TechniqueSpec(encoder="flipcy", label="Flipcy again"),
+        )
+        tasks = lifetime_study_tasks(benchmarks=("lbm",), techniques=techniques, config=_TINY)
+        assert len(_distinct(tasks)) == 1
+
+    def test_repetitions_stay_paired_and_distinct(self):
+        tasks = mean_lifetime_tasks(
+            coset_counts=(16, 32),
+            benchmarks=("lbm",),
+            techniques=_FIG12_TECHNIQUES,
+            config=_TINY,
+            repetitions=2,
+        )
+        assert len(tasks) == 8
+        by_encoder = {}
+        for task in tasks:
+            by_encoder.setdefault(task.params["encoder"], set()).add(
+                (task.params.get("num_cosets"), task.params["rep"])
+            )
+        # Unencoded: one cell per repetition, shared by both counts; RCC:
+        # one per count and repetition.  Every technique sees reps 0 and 1.
+        assert by_encoder["unencoded"] == {(None, 0), (None, 1)}
+        assert by_encoder["rcc"] == {(16, 0), (16, 1), (32, 0), (32, 1)}
+        assert len(_distinct(tasks)) == 6
