@@ -8,8 +8,9 @@ This benchmark checks the wave engine's parity and tracks its throughput:
 
 * **parity** — every per-write accounting value of the replay is
   bit-identical to the scalar ``write_line`` oracle for *all* registry
-  encoders × SLC/MLC, with stuck cells, wear, and encryption in play, and
-  additionally under Start-Gap wear leveling (waves must flush at gap
+  encoders × SLC/MLC under the Opt.-SAW objective and × MLC under the
+  energy and Opt.-Energy objectives, with stuck cells, wear, and
+  encryption in play, and additionally under Start-Gap wear leveling (waves must flush at gap
   migrations) and across the fault-knowledge modes;
 * **throughput** — on the paper's headline coset configurations (VCC-256,
   the stored-ROM VCC-256 of the lifetime figures' "VCC" series, and
@@ -80,9 +81,11 @@ THROUGHPUT_SPECS = (
 
 
 # ----------------------------------------------------------------- parity
-def _parity_controller(name: str, technology: CellTechnology, seed: int = 9):
+def _parity_controller(
+    name: str, technology: CellTechnology, seed: int = 9, cost: str = "saw-then-energy"
+):
     return build_controller(
-        TechniqueSpec(encoder=name, cost="saw-then-energy", num_cosets=16),
+        TechniqueSpec(encoder=name, cost=cost, num_cosets=16),
         rows=PARITY_ROWS,
         technology=technology,
         fault_map=FaultMap(
@@ -140,6 +143,20 @@ def check_parity() -> int:
                 _parity_controller(name, technology), trace, PARITY_REPETITIONS
             )
             replay = _parity_controller(name, technology).replay_trace(
+                trace, repetitions=PARITY_REPETITIONS
+            )
+            _assert_replay_parity(scalar, replay)
+            checked += 1
+
+    # The energy-first objectives Figs. 7 and 9 replay under, on MLC.
+    for cost in ("energy", "energy-then-saw"):
+        for name in available_encoders():
+            scalar = _drive_scalar(
+                _parity_controller(name, CellTechnology.MLC, cost=cost),
+                trace,
+                PARITY_REPETITIONS,
+            )
+            replay = _parity_controller(name, CellTechnology.MLC, cost=cost).replay_trace(
                 trace, repetitions=PARITY_REPETITIONS
             )
             _assert_replay_parity(scalar, replay)
@@ -295,16 +312,17 @@ def run_benchmark() -> Dict[str, Dict[str, float]]:
 
 def test_encode_batch_parity() -> None:
     # Bit-identical per-write accounting over the full matrix (9 encoders
-    # x SLC/MLC, wear leveling, fault-knowledge modes).
+    # x SLC/MLC under Opt. SAW, x MLC under energy and Opt. Energy, wear
+    # leveling, fault-knowledge modes).
     checked = check_parity()
-    assert checked == 2 * len(available_encoders()) + 5
+    assert checked == 4 * len(available_encoders()) + 5
 
 
 def main() -> None:
     run_benchmark()
     print(
         "parity: replay waves vs write_line oracle "
-        "(all encoders x SLC/MLC, wear leveling, fault knowledge) ...",
+        "(all encoders x SLC/MLC and energy objectives, wear leveling, fault knowledge) ...",
         end=" ",
     )
     checked = check_parity()

@@ -13,31 +13,32 @@ paper exercises several:
 * lexicographic combinations — "optimise energy first, SAW second" and
   vice versa — via :class:`LexicographicCost` (Section VI-B).
 
-Costs are evaluated per cell so the same function can score a whole word,
-a 16-bit sub-block, or a batch of candidates at once.  Two batched entry
-points exist above the word level:
+The whole data-cell contract of a cost is one small table:
+:meth:`CostFunction.cell_table` returns a ``(2, levels, levels)`` float
+array whose entry ``[stuck, old, new]`` is the cost of writing ``new`` over
+a cell holding ``old`` that is stuck (1) or not (0).  Every cell-cost
+evaluation is a gather from it, so the scalar and batched paths agree bit
+for bit by construction:
 
-* :meth:`CostFunction.line_cell_costs` scores a ``(candidates, words,
-  cells)`` batch against one :class:`~repro.coding.base.LineContext` (one
-  cache line);
+* :meth:`CostFunction.cell_costs_matrix`, the scalar oracles' entry point,
+  scores ``(candidates, cells)`` against one
+  :class:`~repro.coding.base.WordContext`;
 * :meth:`CostFunction.batch_line_cell_costs` scores a ``(lines,
   candidates, words, cells)`` batch against one
-  :class:`~repro.coding.base.LineBatch`, whose ``(lines, words, cells)``
-  arrays it reads directly; this is how
-  :meth:`repro.coding.base.Encoder.encode_lines` evaluates the
-  candidate×word costs of a whole batch of queued writes in one kernel.
+  :class:`~repro.coding.base.LineBatch` with one flat gather; this is how
+  :meth:`repro.coding.base.Encoder.encode_lines` scores a whole batch;
+* :meth:`CostFunction.transition_tables` is ``table[stuck, old]`` for every
+  cell of a batch, ``(lines, words, cells, levels)``.
 
-Every builtin cost is *cellwise* — the cost of a cell depends only on that
-cell's new value and the write-time context of that cell — which admits an
-evaluation trick the multi-line path leans on: build a tiny per-cell
-transition table (:meth:`CostFunction.transition_tables`, one entry per
-possible cell value) with a single elementwise pass, then score any number
-of candidates with one gather.  The gathered values are bit-identical to
-the elementwise pipeline because every table entry is produced by exactly
-that pipeline.
+A third-party cost that used to override ``cell_costs_matrix`` (and set
+``cellwise``) implements :meth:`~CostFunction.cell_table` instead, evaluating
+its per-cell rule once per ``(stuck, old, new)``; a cost that depends on
+more than one cell of a candidate cannot be expressed.  Auxiliary bits keep
+their own :meth:`~CostFunction.aux_cost`/:meth:`~CostFunction.aux_costs_matrix`
+hooks.
 
 RCC and VCC go one step further and score all their candidates with
-matrix products read straight off the tables:
+matrix products read straight off the transition tables:
 
 * RCC: ``(words, cells*levels)`` tables times a fixed ``(cells*levels,
   cosets)`` one-hot coset matrix (:meth:`repro.coding.rcc.RCCEncoder.encode_lines`);
@@ -60,18 +61,21 @@ for RCC, ``2 * cells`` for VCC, whose ``a1 - a0`` differences can double an
 entry).  Every builtin cost meets it at its default energy model (the MLC
 LUT holds 0, 2 or 20 pJ, SLC 1 or 2 pJ, the counts are integers, the
 lexicographic scale is 1e6).  Tables that do not (a fractional LUT or
-scale, ``inf``, huge values) are scored by the 4-D gather kernel instead.
+scale, ``inf``, huge values) are scored by gathering every candidate cell
+through :meth:`CostFunction.batch_line_cell_costs` instead, whose sums run
+in the scalar path's order.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+import math
+from typing import Dict, Optional
 
 import numpy as np
 
 import repro.obs as obs
-from repro.coding.base import LineBatch, LineContext, WordContext
+from repro.coding.base import LineBatch, WordContext
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel, DEFAULT_MLC_ENERGY, DEFAULT_SLC_ENERGY
@@ -90,35 +94,14 @@ __all__ = [
     "exact_table_sums",
 ]
 
-#: Popcount of every possible cell value (cells hold at most 2 bits).
-_CELL_POPCOUNT = np.array([0, 1, 1, 2], dtype=np.float64)
-
-#: Flattened per-(old, new) LUTs of popcount(old ^ new), indexed by
-#: ``(old << bits_per_cell) | new``; used by the batched cost paths.
-_XOR_POPCOUNT_FLAT = {
-    1: np.array(
-        [bin((i >> 1) ^ (i & 1)).count("1") for i in range(4)], dtype=np.float64
-    ),
-    2: np.array(
-        [bin((i >> 2) ^ (i & 3)).count("1") for i in range(16)], dtype=np.float64
-    ),
-}
-
 
 # Batched-kernel telemetry, bumped once per batch call (never per cell):
 # how many candidates the cost kernels scored (each line's candidates per
-# word, summed over the batch's lines) and which evaluation strategy
-# scored them.  RCC's and VCC's matrix-product paths bump the candidate
-# and GEMM counters themselves.
+# word, summed over the batch's lines) and how many RCC/VCC calls were
+# scored by a matrix product, whose paths bump both counters themselves.
 _OBS_CANDIDATES = obs.counter(
     "encode.candidates",
     "candidates scored by the batched encoders: lines x candidates per word",
-)
-_OBS_KERNEL_GATHERS = obs.counter(
-    "encode.kernel_gathers", "batch cost calls served by one transition-table gather"
-)
-_OBS_KERNEL_LINE_LOOPS = obs.counter(
-    "encode.kernel_line_loops", "batch cost calls that fell back to the per-line loop"
 )
 _OBS_KERNEL_GEMMS = obs.counter(
     "encode.kernel_gemms",
@@ -141,19 +124,27 @@ def exact_table_sums(tables: np.ndarray, terms: int) -> bool:
     )
 
 
-def _gather_transition_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.ndarray:
-    """Score a ``(lines, candidates, words, cells)`` batch from cost tables.
+def _table_rows(levels: int, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray]) -> np.ndarray:
+    """Row ``stuck * levels + old`` of a ``(2 * levels, levels)`` cell table, per cell."""
+    rows = old_cells.astype(np.intp)
+    if stuck_mask is not None:
+        rows += stuck_mask * levels
+    return rows
 
-    ``tables`` is the ``(lines, words, cells, levels)`` output of
-    :meth:`CostFunction.transition_tables`; the result has the shape and
-    dtype the per-line pipeline would produce, with every element gathered
-    from the table instead of recomputed.
-    """
-    lines, words, cells, levels = tables.shape
-    base = np.arange(lines * words * cells, dtype=np.intp).reshape(lines, 1, words, cells)
-    base *= levels
-    # A flat 1-D take hits numpy's fast contiguous-gather path.
-    return np.take(tables.reshape(-1), (base + new_cells).ravel()).reshape(new_cells.shape)
+
+def _transitions(bits_per_cell: int) -> np.ndarray:
+    """The ``old`` and ``new`` index grids of a ``(levels, levels)`` table."""
+    return np.indices((1 << bits_per_cell,) * 2)
+
+
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Popcount of every entry of a small integer array."""
+    return popcount64_array(values.astype(np.uint64))
+
+
+def _ignoring_stuck(costs: np.ndarray) -> np.ndarray:
+    """A ``(2, levels, levels)`` table whose stuck and free halves are both ``costs``."""
+    return np.broadcast_to(costs, (2,) + costs.shape)
 
 
 class CostFunction(abc.ABC):
@@ -162,16 +153,35 @@ class CostFunction(abc.ABC):
     #: Short name used in result tables.
     name: str = "cost"
 
-    #: True when the cost of a cell depends only on that cell's new value
-    #: and the context of that cell (old value, stuck flag) — i.e. not on
-    #: the other cells of the candidate.  Enables the transition-table
-    #: evaluation of :meth:`batch_line_cell_costs`.  Third-party subclasses
-    #: inherit the conservative default and keep the per-line loop.
-    cellwise: bool = False
-
     @abc.abstractmethod
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        """Cost of every cell transition, indexed ``[stuck, old, new]``.
+
+        Returns a ``(2, levels, levels)`` array for ``levels = 2 **
+        bits_per_cell``: entry ``[s, o, n]`` is the cost of writing value
+        ``n`` to a cell that holds ``o`` and is stuck (``s = 1``) or not
+        (``s = 0``).  Raise :class:`~repro.errors.ConfigurationError` for a
+        cell technology the cost does not model.
+        """
+
+    def _table(self, bits_per_cell: int) -> np.ndarray:
+        """:meth:`cell_table` as read-only float64, checked and cached per technology."""
+        cache: Dict[int, np.ndarray] = self.__dict__.setdefault("_cell_tables", {})
+        table = cache.get(bits_per_cell)
+        if table is None:
+            levels = 1 << bits_per_cell
+            table = np.array(self.cell_table(bits_per_cell), dtype=np.float64)
+            if table.shape != (2, levels, levels):
+                raise ConfigurationError(
+                    f"{type(self).__name__}.cell_table({bits_per_cell}) has shape "
+                    f"{table.shape}, expected {(2, levels, levels)}"
+                )
+            table.setflags(write=False)
+            cache[bits_per_cell] = table
+        return table
+
     def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        """Per-cell costs for a batch of candidates.
+        """Per-cell costs for a batch of candidates: ``table[stuck, old, new]``.
 
         Parameters
         ----------
@@ -183,6 +193,13 @@ class CostFunction(abc.ABC):
             candidate covers a sub-block rather than a whole word; callers
             slice the context themselves via :meth:`slice_context`.
         """
+        new = np.asarray(new_cells, dtype=np.intp)
+        cells = new.shape[-1]
+        table = self._table(context.bits_per_cell)
+        levels = table.shape[2]
+        stuck = None if context.stuck_mask is None else context.stuck_mask[-cells:]
+        offsets = _table_rows(levels, context.old_cells[-cells:], stuck) * levels
+        return np.take(table.reshape(-1), offsets + new)
 
     def cell_costs(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
         """Per-cell costs for a single candidate (1-D convenience wrapper)."""
@@ -192,43 +209,6 @@ class CostFunction(abc.ABC):
     def word_cost(self, new_cells: np.ndarray, context: WordContext) -> float:
         """Total data-cell cost of a single candidate."""
         return float(self.cell_costs(new_cells, context).sum())
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        """Per-cell costs for a batch of candidates over a whole line.
-
-        Parameters
-        ----------
-        new_cells:
-            ``(num_candidates, num_words, num_cells)`` array of candidate
-            cell values; every word of the line is offered the same number
-            of candidates, each scored against that word's old cells.
-        context:
-            The line context (``(num_words, num_cells)`` old-cell and
-            stuck matrices).
-
-        Returns
-        -------
-        numpy.ndarray
-            Costs of the same ``(num_candidates, num_words, num_cells)``
-            shape.  The array must be freshly allocated (callers may
-            accumulate into it in place) but may use any numeric dtype —
-            e.g. :class:`SawCost` returns its boolean mismatch mask
-            directly.  The default loops over the words of the line through
-            :meth:`cell_costs_matrix`, so third-party cost functions work
-            on the batched path unchanged; every builtin overrides it with
-            a single broadcast evaluation.
-        """
-        new = np.asarray(new_cells, dtype=np.uint8)
-        if new.ndim != 3:
-            raise ConfigurationError(
-                "line_cell_costs expects a (candidates, words, cells) array"
-            )
-        out = np.empty(new.shape, dtype=np.float64)
-        for word_index in range(new.shape[1]):
-            out[:, word_index, :] = self.cell_costs_matrix(
-                new[:, word_index, :], context.word_context(word_index)
-            )
-        return out
 
     def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
         """Per-cell costs for a batch of candidates over many lines at once.
@@ -245,60 +225,10 @@ class CostFunction(abc.ABC):
         Returns
         -------
         numpy.ndarray
-            Costs of the same 4-D shape, dtype-compatible with what
-            :meth:`line_cell_costs` returns per line.  For cellwise cost
-            functions the default evaluates one transition-table gather;
-            otherwise it loops :meth:`line_cell_costs` per line, so
-            third-party cost functions work on the multi-line path
-            unchanged.
+            Fresh float64 costs of the same 4-D shape, gathered from
+            :meth:`cell_table` at ``((stuck * levels + old) * levels +
+            new)``.
         """
-        new = self._validate_batch(new_cells, batch)
-        tables = self.transition_tables(batch)
-        if tables is not None:
-            _OBS_KERNEL_GATHERS.inc()
-            return _gather_transition_costs(tables, new)
-        _OBS_KERNEL_LINE_LOOPS.inc()
-        out: Optional[np.ndarray] = None
-        for index in range(len(batch)):
-            costs = self.line_cell_costs(new[index], batch.line(index))
-            if out is None:
-                out = np.empty(new.shape, dtype=costs.dtype)
-            out[index] = costs
-        return out
-
-    def transition_tables(self, batch: LineBatch) -> Optional[np.ndarray]:
-        """Per-cell write-cost tables, or None for non-cellwise costs.
-
-        Returns a ``(lines, words, cells, levels)`` array whose entry
-        ``[l, w, c, v]`` is the cost of writing cell value ``v`` to cell
-        ``c`` of word ``w`` of line ``l``.  Built with a single
-        :meth:`line_cell_costs` call over the constant level planes of a
-        context covering every word of the batch, so every entry is
-        bit-identical to the elementwise pipeline; encoders with structured
-        candidates (e.g. RCC's XOR cosets, scored by one GEMM) read the
-        table instead of materialising every candidate cell.
-        """
-        if not self.cellwise:
-            return None
-        lines, words, cells = batch.old_cells.shape
-        flat = (lines * words, cells)
-        stacked = LineContext(
-            old_cells=batch.old_cells.reshape(flat),
-            stuck_mask=None if batch.stuck_mask is None else batch.stuck_mask.reshape(flat),
-            bits_per_cell=batch.bits_per_cell,
-        )
-        levels = 1 << batch.bits_per_cell
-        planes = np.empty((levels, lines * words, cells), dtype=np.uint8)
-        for value in range(levels):
-            planes[value] = value
-        table = self.line_cell_costs(planes, stacked)
-        return np.ascontiguousarray(np.transpose(table, (1, 2, 0))).reshape(
-            lines, words, cells, levels
-        )
-
-    @staticmethod
-    def _validate_batch(new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        """Shared argument validation of :meth:`batch_line_cell_costs`."""
         new = np.asarray(new_cells, dtype=np.uint8)
         if new.ndim != 4 or new.shape[0] == 0:
             raise ConfigurationError(
@@ -310,11 +240,28 @@ class CostFunction(abc.ABC):
                 f"candidate cells of shape {new.shape} do not match a batch of "
                 f"shape {batch.old_cells.shape}"
             )
-        # Every batched cost path (base kernel and subclass overrides)
-        # validates here, so this is the one chokepoint that sees all
-        # candidate evaluations.
+        table = self._table(batch.bits_per_cell)
+        levels = table.shape[2]
+        offsets = _table_rows(levels, batch.old_cells, batch.stuck_mask) * levels
+        # Every batched gather path scores here, so this is the one
+        # chokepoint that sees all gathered candidate evaluations.
         _OBS_CANDIDATES.inc(int(new.shape[0]) * int(new.shape[1]))
-        return new
+        # A flat 1-D take hits numpy's fast contiguous-gather path.
+        return np.take(table.reshape(-1), offsets[:, None] + new)
+
+    def transition_tables(self, batch: LineBatch) -> np.ndarray:
+        """Per-cell write-cost tables: ``table[stuck, old]`` for every cell of a batch.
+
+        Returns a ``(lines, words, cells, levels)`` array whose entry
+        ``[l, w, c, v]`` is the cost of writing cell value ``v`` to cell
+        ``c`` of word ``w`` of line ``l``.  Encoders with structured
+        candidates (e.g. RCC's XOR cosets, scored by one GEMM) read these
+        rows instead of materialising every candidate cell.
+        """
+        table = self._table(batch.bits_per_cell)
+        levels = table.shape[2]
+        rows = _table_rows(levels, batch.old_cells, batch.stuck_mask)
+        return np.take(table.reshape(2 * levels, levels), rows, axis=0)
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         """Cost of storing the auxiliary bits.
@@ -366,20 +313,10 @@ class OnesCost(CostFunction):
     """Number of '1' bits written (the Fig. 3 objective)."""
 
     name = "ones"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        return _CELL_POPCOUNT[new]
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        del context
-        return _CELL_POPCOUNT[np.asarray(new_cells, dtype=np.int64)]
-
-    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        # Context-free: the popcount LUT applies directly to the 4-D batch.
-        new = self._validate_batch(new_cells, batch)
-        return _CELL_POPCOUNT[new.astype(np.int64)]
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        _, new = _transitions(bits_per_cell)
+        return _ignoring_stuck(_popcount(new))
 
     def aux_costs_matrix(
         self, new_auxes: np.ndarray, old_auxes: np.ndarray, aux_bits: int
@@ -392,23 +329,10 @@ class BitChangeCost(CostFunction):
     """Number of bits that differ from the current cell contents."""
 
     name = "bit-changes"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        return _CELL_POPCOUNT[new ^ old[None, :]]
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        lut = _XOR_POPCOUNT_FLAT[context.bits_per_cell]
-        old_scaled = context.old_cells.astype(np.intp) << context.bits_per_cell
-        return lut[old_scaled[None, :, :] + np.asarray(new_cells)]
-
-    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        new = self._validate_batch(new_cells, batch)
-        lut = _XOR_POPCOUNT_FLAT[batch.bits_per_cell]
-        old_scaled = batch.old_cells.astype(np.intp) << batch.bits_per_cell
-        return lut[old_scaled[:, None, :, :] + new]
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        old, new = _transitions(bits_per_cell)
+        return _ignoring_stuck(_popcount(old ^ new))
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -425,20 +349,10 @@ class CellChangeCost(CostFunction):
     """Number of cells (symbols) that must be reprogrammed."""
 
     name = "cell-changes"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        return (new != old[None, :]).astype(np.float64)
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        # Boolean 0/1 costs, promoted on demand (see SawCost).
-        return np.asarray(new_cells) != context.old_cells[None, :, :]
-
-    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        new = self._validate_batch(new_cells, batch)
-        return new != batch.old_cells[:, None, :, :]
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        old, new = _transitions(bits_per_cell)
+        return _ignoring_stuck(old != new)
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -455,7 +369,6 @@ class EnergyCost(CostFunction):
     """Write energy of the transition from the current to the new cell values."""
 
     name = "energy"
-    cellwise = True
 
     def __init__(
         self,
@@ -477,38 +390,13 @@ class EnergyCost(CostFunction):
                 ]
             )
             self._aux_bit_energy = slc_model.aux_bit_energy_pj
-        # Flattened LUT for the batched path: a single uint8 gather index
-        # (old << bits) | new is cheaper than two-array fancy indexing.
-        self._levels = self._lut.shape[1]
-        self._lut_flat = np.ascontiguousarray(self._lut.reshape(-1))
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        if context.bits_per_cell != self.technology.bits_per_cell:
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        if bits_per_cell != self.technology.bits_per_cell:
             raise ConfigurationError(
                 "EnergyCost technology does not match the context's cell technology"
             )
-        new = np.asarray(new_cells, dtype=np.int64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        return self._lut[old[None, :], new]
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        if context.bits_per_cell != self.technology.bits_per_cell:
-            raise ConfigurationError(
-                "EnergyCost technology does not match the context's cell technology"
-            )
-        # An intp gather index skips the int-conversion pass that fancy
-        # indexing performs on small-integer index arrays.
-        old_scaled = context.old_cells.astype(np.intp) * self._levels
-        return self._lut_flat[old_scaled[None, :, :] + np.asarray(new_cells)]
-
-    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        new = self._validate_batch(new_cells, batch)
-        if batch.bits_per_cell != self.technology.bits_per_cell:
-            raise ConfigurationError(
-                "EnergyCost technology does not match the context's cell technology"
-            )
-        old_scaled = batch.old_cells.astype(np.intp) * self._levels
-        return self._lut_flat[old_scaled[:, None, :, :] + new]
+        return _ignoring_stuck(self._lut)
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -526,35 +414,15 @@ class SawCost(CostFunction):
     """Number of stuck cells whose intended value differs from the stuck value.
 
     A location without fault information (``context.stuck_mask is None``)
-    costs zero everywhere, so SAW-aware optimisation degrades gracefully to
-    a no-op on healthy rows.
+    reads only the free half of the table, which is zero everywhere, so
+    SAW-aware optimisation degrades gracefully to a no-op on healthy rows.
     """
 
     name = "saw"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        if context.stuck_mask is None:
-            return np.zeros(new.shape, dtype=np.float64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        stuck = np.asarray(context.stuck_mask[-new.shape[1]:], dtype=bool)
-        mismatch = (new != old[None, :]) & stuck[None, :]
-        return mismatch.astype(np.float64)
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        new = np.asarray(new_cells)
-        if context.stuck_mask is None:
-            return np.zeros(new.shape, dtype=np.float64)
-        # Returned as a boolean 0/1 cost array; summing and combining with
-        # float costs promotes it without an explicit conversion pass.
-        return (new != context.old_cells[None, :, :]) & context.stuck_mask[None, :, :]
-
-    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        new = self._validate_batch(new_cells, batch)
-        if batch.stuck_mask is None:
-            return np.zeros(new.shape, dtype=np.float64)
-        return (new != batch.old_cells[:, None, :, :]) & batch.stuck_mask[:, None, :, :]
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        old, new = _transitions(bits_per_cell)
+        return np.stack([np.zeros(old.shape), old != new])
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del new_aux, old_aux, aux_bits
@@ -577,51 +445,19 @@ class LexicographicCost(CostFunction):
     """
 
     def __init__(self, primary: CostFunction, secondary: CostFunction, scale: float = 1.0e6):
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ConfigurationError(f"scale must be finite and positive, got {scale!r}")
         self.primary = primary
         self.secondary = secondary
         self.scale = scale
         self.name = f"{primary.name}>{secondary.name}"
-        # The combination is cellwise exactly when both parts are, in which
-        # case the multi-line path fuses primary and secondary into a
-        # single transition-table gather.
-        self.cellwise = primary.cellwise and secondary.cellwise
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        return (
-            self.primary.cell_costs_matrix(new_cells, context) * self.scale
-            + self.secondary.cell_costs_matrix(new_cells, context)
+    def cell_table(self, bits_per_cell: int) -> np.ndarray:
+        # Each entry is primary * scale + secondary, computed once here, so
+        # every gather of the table reads the fused lexicographic cost.
+        return self.primary._table(bits_per_cell) * self.scale + self.secondary._table(
+            bits_per_cell
         )
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        # line_cell_costs returns a fresh array, so float64 primaries can
-        # be scaled and accumulated in place without extra temporaries.
-        primary = self.primary.line_cell_costs(new_cells, context)
-        if primary.dtype == np.float64:
-            primary *= self.scale
-            out = primary
-        else:
-            out = primary * self.scale
-        out += self.secondary.line_cell_costs(new_cells, context)
-        return out
-
-    def batch_line_cell_costs(self, new_cells: np.ndarray, batch: LineBatch) -> np.ndarray:
-        new = self._validate_batch(new_cells, batch)
-        tables = self.transition_tables(batch)
-        if tables is not None:
-            # One fused gather replaces the scale-multiply-accumulate
-            # pipeline: each table entry already holds primary * scale +
-            # secondary for its (cell, value) pair.
-            return _gather_transition_costs(tables, new)
-        primary = self.primary.batch_line_cell_costs(new, batch)
-        if primary.dtype == np.float64:
-            primary *= self.scale
-            out = primary
-        else:
-            out = primary * self.scale
-        out += self.secondary.batch_line_cell_costs(new, batch)
-        return out
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         return (

@@ -136,17 +136,17 @@ class RCCEncoder(Encoder):
         flat = values.reshape(total_words)
         auxes = np.arange(self.num_cosets, dtype=np.int64)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
-        tables = self.cost_function.transition_tables(batch)
-        if tables is not None:
-            tables = np.asarray(tables, np.float64).reshape(total_words, self.cells_per_word, -1)
+        tables = self.cost_function.transition_tables(batch).reshape(
+            total_words, self.cells_per_word, -1
+        )
         # The GEMM below sums what the scalar path sums, one table entry per
         # cell (every other term is an entry times 0.0).  When exact_table_sums
         # holds (finite integer entries, max|entry| * cells < 2**53), every
         # partial sum is an exact integer, so any summation order gives the
         # same bits.  Anything else (fractional LUTs or scales, inf, NaN,
-        # huge values, non-cellwise costs) takes the generic 4-D kernel,
-        # whose sums run in the scalar path's order.
-        if tables is None or not exact_table_sums(tables, self.cells_per_word):
+        # huge values) takes the generic 4-D gather, whose sums run in the
+        # scalar path's order.
+        if not exact_table_sums(tables, self.cells_per_word):
             candidates = values[:, None, :] ^ self._coset_array[None, :, None]
             candidate_cells = (
                 data_cells.reshape(lines, 1, words_per_line, -1)

@@ -241,8 +241,8 @@ class VCCEncoder(Encoder):
         path's sums, whenever :func:`repro.coding.cost.exact_table_sums`
         holds for ``2 * cells`` terms (finite integer entries, every partial
         sum below ``2**53``).  Every other case (fractional or huge
-        entries, ``inf``/NaN, non-cellwise costs, a full-word provider
-        without a ROM) scores the candidate cells through one
+        entries, ``inf``/NaN, a full-word provider without a ROM) scores
+        the candidate cells through one
         :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` gather.
         The selected kernels, flags, codewords, and costs are bit-identical
         to :meth:`encode` on each word.
@@ -381,14 +381,11 @@ class VCCEncoder(Encoder):
         right_plane = config.encode_region is EncodeRegion.RIGHT_PLANE
         if not right_plane and self._rom_onehot is None:
             return None
-        tables = self.cost_function.transition_tables(batch)
-        if tables is None:
-            return None
         num_words = flat.shape[0]
         p = config.partitions
         r = config.num_kernels
         cells = self.cells_per_word
-        tables = np.asarray(tables, np.float64).reshape(num_words, cells, -1)
+        tables = self.cost_function.transition_tables(batch).reshape(num_words, cells, -1)
         if not exact_table_sums(tables, 2 * cells):
             return None
         levels = tables.shape[2]

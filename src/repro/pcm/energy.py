@@ -19,7 +19,8 @@ SET/RESET).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +29,20 @@ from repro.errors import ConfigurationError
 from repro.utils.bitops import split_symbols
 
 __all__ = ["MLCEnergyModel", "SLCEnergyModel", "DEFAULT_MLC_ENERGY", "DEFAULT_SLC_ENERGY"]
+
+
+def _check_energies(model) -> None:
+    """Reject any energy field that is negative, NaN or infinite.
+
+    Every field becomes a cost-table entry verbatim, so one NaN would
+    silently poison every candidate's cost.
+    """
+    for item in fields(model):
+        value = getattr(model, item.name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{item.name} must be a finite non-negative energy, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -57,8 +72,7 @@ class MLCEnergyModel:
     aux_bit_energy_pj: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.low_energy_pj < 0 or self.high_energy_pj < 0 or self.same_state_energy_pj < 0:
-            raise ConfigurationError("energies must be non-negative")
+        _check_energies(self)
         if self.high_energy_pj < self.low_energy_pj:
             raise ConfigurationError(
                 "high_energy_pj must be >= low_energy_pj (intermediate states are the "
@@ -132,8 +146,7 @@ class SLCEnergyModel:
     aux_bit_energy_pj: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.set_energy_pj < 0 or self.reset_energy_pj < 0:
-            raise ConfigurationError("energies must be non-negative")
+        _check_energies(self)
 
     def bit_energy(self, old_bit: int, new_bit: int) -> float:
         """Energy (pJ) to program one SLC cell from ``old_bit`` to ``new_bit``."""

@@ -1,5 +1,7 @@
 """Tests for the cost functions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,9 +129,10 @@ class TestLexicographic:
         more_ones = np.array([3, 3], dtype=np.uint8)
         assert combined.word_cost(fewer_ones, context) < combined.word_cost(more_ones, context)
 
-    def test_invalid_scale(self):
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_scale(self, scale):
         with pytest.raises(ConfigurationError):
-            LexicographicCost(SawCost(), OnesCost(), scale=0.0)
+            LexicographicCost(SawCost(), OnesCost(), scale=scale)
 
     def test_name_combines(self):
         assert saw_then_energy().name == "saw>energy"
@@ -139,3 +142,46 @@ class TestLexicographic:
         combined = LexicographicCost(BitChangeCost(), OnesCost(), scale=10.0)
         # bit changes 0b11 vs 0b00 -> 2, ones of 0b11 -> 2: 2*10 + 2
         assert combined.aux_cost(0b11, 0b00, 2) == pytest.approx(22.0)
+
+
+#: Every builtin cost with each ``bits_per_cell`` it models.
+_BUILTIN_TABLES = [
+    *[
+        (cost, bits)
+        for cost in (OnesCost(), BitChangeCost(), CellChangeCost(), SawCost())
+        for bits in (1, 2)
+    ],
+    *[
+        (make(technology), technology.bits_per_cell)
+        for make in (EnergyCost, saw_then_energy, energy_then_saw)
+        for technology in (CellTechnology.SLC, CellTechnology.MLC)
+    ],
+]
+
+
+class TestCellTable:
+    @pytest.mark.parametrize(
+        "cost,bits_per_cell", _BUILTIN_TABLES, ids=[f"{c.name}-{b}" for c, b in _BUILTIN_TABLES]
+    )
+    def test_shape_is_stuck_old_new(self, cost, bits_per_cell):
+        levels = 2**bits_per_cell
+        assert np.shape(cost.cell_table(bits_per_cell)) == (2, levels, levels)
+
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    def test_energy_rejects_other_technology(self, technology):
+        other = 3 - technology.bits_per_cell
+        for cost in (
+            EnergyCost(technology),
+            saw_then_energy(technology),
+            energy_then_saw(technology),
+        ):
+            with pytest.raises(ConfigurationError):
+                cost.cell_table(other)
+
+    def test_wrong_table_shape_rejected(self):
+        class FlatCost(OnesCost):
+            def cell_table(self, bits_per_cell):
+                return np.zeros((4, 4))
+
+        with pytest.raises(ConfigurationError, match="expected"):
+            FlatCost().cell_costs(np.zeros(4, dtype=np.uint8), _context([0] * 4))

@@ -10,8 +10,8 @@ single lines and multi-line batches.  ``encode_line`` is a one-line view
 of ``encode_lines``, so this one matrix covers it too.  The same holds
 one layer down for
 :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` on a
-:class:`repro.coding.base.LineBatch` against per-line
-:meth:`line_cell_costs` calls.
+:class:`repro.coding.base.LineBatch` against per-word
+:meth:`cell_costs_matrix` calls.
 """
 
 import numpy as np
@@ -85,7 +85,16 @@ class TestEncodeLinesParity:
     @pytest.mark.parametrize("name", available_encoders())
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
     @pytest.mark.parametrize(
-        "cost", ["ones", "bit-changes", "energy", "saw-then-energy", "energy-then-saw"]
+        "cost",
+        [
+            "ones",
+            "bit-changes",
+            "cell-changes",
+            "energy",
+            "saw",
+            "saw-then-energy",
+            "energy-then-saw",
+        ],
     )
     @pytest.mark.parametrize("knowledge", list(KNOWLEDGE))
     def test_matches_scalar_oracle(self, name, technology, cost, knowledge):
@@ -284,18 +293,14 @@ class TestOutOfRangeWords:
 
 
 class _HardSawCost(CostFunction):
-    """Third-party cellwise cost: rewriting a stuck cell costs +inf."""
+    """Third-party cost: changing a cell costs 1, rewriting a stuck cell +inf."""
 
     name = "hard-saw"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells, context):
-        new = np.asarray(new_cells)
-        changed = new != context.old_cells[-new.shape[1]:][None, :]
-        if context.stuck_mask is None:
-            return changed.astype(np.float64)
-        stuck = context.stuck_mask[-new.shape[1]:][None, :]
-        return np.where(changed & stuck, np.inf, changed.astype(np.float64))
+    def cell_table(self, bits_per_cell):
+        old, new = np.indices((2**bits_per_cell,) * 2)
+        changed = (old != new).astype(np.float64)
+        return np.stack([changed, np.where(old != new, np.inf, 0.0)])
 
 
 def _rcc_costs(technology):
@@ -431,81 +436,80 @@ class TestVCCScoringPaths:
         assert list(batched) == oracle
 
 
+#: Every builtin cost with the ``bits_per_cell`` of the cells it scores.
 ALL_COSTS = [
-    OnesCost(),
-    BitChangeCost(),
-    CellChangeCost(),
-    EnergyCost(CellTechnology.MLC),
-    SawCost(),
-    saw_then_energy(CellTechnology.MLC),
-    energy_then_saw(CellTechnology.MLC),
+    (OnesCost(), 2),
+    (BitChangeCost(), 2),
+    (CellChangeCost(), 2),
+    (EnergyCost(CellTechnology.MLC), 2),
+    (SawCost(), 2),
+    (saw_then_energy(CellTechnology.MLC), 2),
+    (energy_then_saw(CellTechnology.MLC), 2),
+    (EnergyCost(CellTechnology.SLC), 1),
+    (saw_then_energy(CellTechnology.SLC), 1),
+    (energy_then_saw(CellTechnology.SLC), 1),
 ]
+_ALL_COST_IDS = [cost.name + ("" if bits == 2 else "-slc") for cost, bits in ALL_COSTS]
+
+
+def _random_line_contexts(rng, lines, words, cells, bits_per_cell, with_stuck):
+    return [
+        LineContext(
+            old_cells=rng.integers(0, 2**bits_per_cell, size=(words, cells)).astype(np.uint8),
+            stuck_mask=(rng.random((words, cells)) < 0.05) if with_stuck else None,
+            bits_per_cell=bits_per_cell,
+        )
+        for _ in range(lines)
+    ]
 
 
 class TestBatchLineCellCosts:
-    @pytest.mark.parametrize("cost", ALL_COSTS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("cost,bits_per_cell", ALL_COSTS, ids=_ALL_COST_IDS)
     @pytest.mark.parametrize("with_stuck", [True, False])
-    def test_matches_per_line_kernel(self, cost, with_stuck):
-        rng = make_rng(11, f"batch-costs-{cost.name}-{with_stuck}")
-        lines, candidates, words, cells = 4, 6, 8, 32
-        new_cells = rng.integers(0, 4, size=(lines, candidates, words, cells)).astype(
-            np.uint8
-        )
-        contexts = [
-            LineContext(
-                old_cells=rng.integers(0, 4, size=(words, cells)).astype(np.uint8),
-                stuck_mask=(rng.random((words, cells)) < 0.05) if with_stuck else None,
-                bits_per_cell=2,
-            )
-            for _ in range(lines)
-        ]
+    def test_matches_per_line_kernel(self, cost, bits_per_cell, with_stuck):
+        # Each line of the batched gather equals the scalar oracle per word.
+        rng = make_rng(11, f"batch-costs-{cost.name}-{bits_per_cell}-{with_stuck}")
+        lines, candidates, words = 4, 6, 8
+        cells = WORD_BITS // bits_per_cell
+        new_cells = rng.integers(
+            0, 2**bits_per_cell, size=(lines, candidates, words, cells)
+        ).astype(np.uint8)
+        contexts = _random_line_contexts(rng, lines, words, cells, bits_per_cell, with_stuck)
         batched = cost.batch_line_cell_costs(new_cells, LineBatch.from_lines(contexts))
         assert batched.shape == new_cells.shape
         for index, context in enumerate(contexts):
-            per_line = cost.line_cell_costs(new_cells[index], context)
-            assert np.array_equal(
-                np.asarray(batched[index], dtype=np.float64),
-                np.asarray(per_line, dtype=np.float64),
-            )
+            for word in range(words):
+                expected = cost.cell_costs_matrix(
+                    new_cells[index, :, word], context.word_context(word)
+                )
+                assert np.array_equal(batched[index, :, word], expected)
 
-    def test_non_cellwise_cost_falls_back_to_loop(self):
-        class WeirdCost(CostFunction):
-            """Depends on the whole candidate word: not cellwise."""
-
-            name = "weird"
-
-            def cell_costs_matrix(self, new_cells, context):
-                new = np.asarray(new_cells, dtype=np.float64)
-                return new + new.sum(axis=1, keepdims=True)
-
-        cost = WeirdCost()
-        assert not cost.cellwise
-        assert cost.transition_tables(LineBatch.from_lines([LineContext.blank()])) is None
-        rng = make_rng(12, "weird-cost")
-        new_cells = rng.integers(0, 4, size=(3, 2, 8, 32)).astype(np.uint8)
-        contexts = [LineContext.blank() for _ in range(3)]
-        batched = cost.batch_line_cell_costs(new_cells, LineBatch.from_lines(contexts))
-        for index, context in enumerate(contexts):
-            assert np.array_equal(batched[index], cost.line_cell_costs(new_cells[index], context))
-
-    def test_transition_tables_match_elementwise_pipeline(self):
-        cost = saw_then_energy(CellTechnology.MLC)
-        rng = make_rng(13, "tables")
-        contexts = [
-            LineContext(
-                old_cells=rng.integers(0, 4, size=(8, 32)).astype(np.uint8),
-                stuck_mask=rng.random((8, 32)) < 0.05,
-                bits_per_cell=2,
-            )
-            for _ in range(2)
-        ]
+    @pytest.mark.parametrize("cost,bits_per_cell", ALL_COSTS, ids=_ALL_COST_IDS)
+    def test_transition_tables_match_elementwise_pipeline(self, cost, bits_per_cell):
+        rng = make_rng(13, f"tables-{cost.name}-{bits_per_cell}")
+        levels, cells = 2**bits_per_cell, WORD_BITS // bits_per_cell
+        contexts = _random_line_contexts(rng, 2, 8, cells, bits_per_cell, with_stuck=True)
         tables = cost.transition_tables(LineBatch.from_lines(contexts))
-        assert tables.shape == (2, 8, 32, 4)
+        assert tables.shape == (2, 8, cells, levels)
+        planes = np.repeat(np.arange(levels, dtype=np.uint8)[:, None], cells, axis=1)
         for line, context in enumerate(contexts):
-            for value in range(4):
-                plane = np.full((1, 8, 32), value, dtype=np.uint8)
-                expected = cost.line_cell_costs(plane, context)[0]
-                assert np.array_equal(tables[line, :, :, value], expected)
+            for word in range(8):
+                expected = cost.cell_costs_matrix(planes, context.word_context(word))
+                assert np.array_equal(tables[line, word].T, expected)
+
+    def test_inf_entries_gather_exactly(self):
+        # Rewriting a stuck cell under _HardSawCost reads +inf straight from
+        # the table; the gather path never multiplies it by zero.
+        cost = _HardSawCost()
+        context = LineContext(
+            old_cells=np.zeros((1, 32), dtype=np.uint8),
+            stuck_mask=np.eye(1, 32, dtype=bool),
+            bits_per_cell=2,
+        )
+        new_cells = np.ones((1, 1, 1, 32), dtype=np.uint8)
+        costs = cost.batch_line_cell_costs(new_cells, LineBatch.from_lines([context]))
+        assert costs[0, 0, 0, 0] == np.inf
+        assert costs[0, 0, 0, 1:].tolist() == [1.0] * 31
 
     def test_shape_validation(self):
         cost = OnesCost()

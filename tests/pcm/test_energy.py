@@ -1,5 +1,7 @@
 """Tests for the Table I energy model and the SLC energy model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +48,15 @@ class TestMLCValidation:
     def test_negative_energy_rejected(self):
         with pytest.raises(ConfigurationError):
             MLCEnergyModel(low_energy_pj=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["low_energy_pj", "high_energy_pj", "same_state_energy_pj", "aux_bit_energy_pj"]
+    )
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_non_finite_or_negative_energy_rejected(self, field, value):
+        # Every field becomes a cost-table entry verbatim.
+        with pytest.raises(ConfigurationError, match=field):
+            MLCEnergyModel(**{field: value})
 
     def test_high_below_low_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -112,6 +123,12 @@ class TestSLCEnergy:
     def test_negative_energy_rejected(self):
         with pytest.raises(ConfigurationError):
             SLCEnergyModel(set_energy_pj=-0.5)
+
+    @pytest.mark.parametrize("field", ["set_energy_pj", "reset_energy_pj", "aux_bit_energy_pj"])
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_non_finite_or_negative_energy_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SLCEnergyModel(**{field: value})
 
     def test_aux_energy(self):
         model = SLCEnergyModel(aux_bit_energy_pj=2.0)
