@@ -1,5 +1,6 @@
 """Static analysis for the repro codebase: determinism, numeric safety,
-registry contracts, and API hygiene — enforced at lint time.
+registry contracts, parallel safety, and API hygiene — enforced at lint
+time.
 
 Every result table in this repository must be bit-identical at any
 ``--jobs``, across cached resumes, and between the batched kernels and
@@ -18,6 +19,9 @@ statically, before the code runs:
   content-addressable task names);
 * ``API`` — blanket ``except Exception``, mutable defaults, missing type
   hints on public functions;
+* ``OBS`` — raw stopwatch pairs that belong in ``repro.obs`` spans;
+* ``RES`` — unbounded retry loops that bypass the executor's bounded
+  retry/backoff;
 * ``PAR`` — parallel-safety hazards only a whole-program view can see:
   task kinds transitively mutating module globals, closures handed to
   executors, module-level RNGs reached from workers, unsanctioned writes
@@ -28,28 +32,22 @@ The engine runs two passes: per-module AST rules first, then the
 project-scope ``PAR``/``IMP`` rules over a
 :class:`~repro.analysis.project.ProjectContext` assembled from every
 module's summary (symbol tables, import graph, conservative call graph,
-transitive global-mutation closure).  Repeat runs are incremental — a
-content-hash cache skips re-parsing unchanged files.
+transitive global-mutation closure).  Every run is cold and walks each
+module's tree once.
 
 Rules register through the same decorator idiom as encoders and task
 kinds (:func:`register_rule`, with ``scope="module"`` or
-``scope="project"``); findings are suppressed per line with
-``# repro: allow[RULE] reason=...`` (the reason is mandatory) or
-grandfathered in the committed ``analysis-baseline.json``.  The CLI is
-``python -m repro.analysis`` — see :mod:`repro.analysis.cli`.
+``scope="project"``); the only way to suppress a finding is an inline
+``# repro: allow[RULE] reason=...`` waiver (the reason is mandatory).
+The CLI is ``python -m repro.analysis`` — see :mod:`repro.analysis.cli`.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main
 from repro.analysis.engine import (
-    AnalysisReport,
-    AnalysisStats,
     ModuleContext,
-    analyze_file,
     analyze_paths,
     analyze_source,
     analyze_sources,
-    run_analysis,
 )
 from repro.analysis.finding import Finding
 from repro.analysis.project import ProjectContext
@@ -60,17 +58,12 @@ from repro.analysis.registry import (
     rule_specs,
     unregister_rule,
 )
-from repro.analysis.sarif import sarif_report
 
 __all__ = [
-    "AnalysisReport",
-    "AnalysisStats",
-    "Baseline",
     "Finding",
     "ModuleContext",
     "ProjectContext",
     "RuleSpec",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
@@ -78,7 +71,5 @@ __all__ = [
     "main",
     "register_rule",
     "rule_specs",
-    "run_analysis",
-    "sarif_report",
     "unregister_rule",
 ]

@@ -5,22 +5,27 @@ The engine runs in two passes.  Pass 1 parses each module, runs the
 into a :class:`~repro.analysis.project.ModuleSummary`.  Pass 2 assembles
 every summary into a :class:`~repro.analysis.project.ProjectContext` and
 runs the ``scope="project"`` rules (the ``PAR``/``IMP`` families), whose
-findings are waived through the same per-module waiver tables.
+findings each module's :class:`~repro.analysis.waivers.WaiverTable`
+waives the same way.
+
+Every run is cold: each module's tree is walked once and the node list
+memoised (:meth:`ModuleContext.walk`), which keeps a full pass over the
+repository fast enough to need no cache.
 
 Public entry points: :func:`analyze_source` (one in-memory module, what
-the per-rule test fixtures use; module scope only), :func:`analyze_file`,
-:func:`analyze_sources` (an in-memory *set* of modules, both passes),
-:func:`analyze_paths` (recursive over directories), and
-:func:`run_analysis` (what the CLI uses — adds the incremental cache and
-returns cache statistics).  All report :class:`~repro.analysis.finding.Finding`
-lists sorted by location; baseline filtering happens one layer up
-(:mod:`repro.analysis.cli`) so the API always reports the full picture.
+the per-rule test fixtures use; module scope only), :func:`analyze_sources`
+(an in-memory *set* of modules, both passes), and :func:`analyze_paths`
+(reads every ``.py`` file under files/directories, then runs
+:func:`analyze_sources`).  All return :class:`~repro.analysis.finding.Finding`
+lists sorted by location.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import importlib.util
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Any,
@@ -34,32 +39,28 @@ from typing import (
     Union,
 )
 
-from repro.analysis.cache import AnalysisCache, CachedModule, file_sha256, ruleset_signature
-from repro.analysis.finding import Finding, fingerprint
+from repro.analysis.finding import Finding
 from repro.analysis.project import ModuleSummary, ProjectContext, summarize_module
 from repro.analysis.registry import RuleSpec, select_rules
 from repro.analysis.waivers import WaiverTable, parse_waivers
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "AnalysisReport",
-    "AnalysisStats",
     "ModuleContext",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
     "iter_python_files",
-    "run_analysis",
 ]
 
-#: Rule code used for files the parser rejects; never waivable or baselined
-#: away silently (a file that does not parse cannot be analyzed at all).
+#: Rule code used for files that cannot be decoded or parsed; never
+#: waivable (a file that does not parse cannot be analyzed at all).
 PARSE_RULE = "SYN001"
 
 #: Rule code for malformed waivers (missing reason); emitted by the engine
 #: itself so a reasonless waiver can never be excused by another waiver.
 WAIVER_RULE = "WVR001"
+
 
 @dataclass
 class ModuleContext:
@@ -69,13 +70,7 @@ class ModuleContext:
     ----------
     path:
         Display path of the module (POSIX-style, relative to the analysis
-        root when possible); used in findings and fingerprints.
-    relpath:
-        Same as ``path`` — kept separate so path-scoped rules (e.g. the
-        ``utils/rng.py`` whitelist) match on a normalised value even if
-        display conventions change.
-    source:
-        Full module source text.
+        root when possible); used in findings and path-scoped rules.
     tree:
         Parsed AST of the module.
     lines:
@@ -83,10 +78,8 @@ class ModuleContext:
     """
 
     path: str
-    relpath: str
-    source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
+    lines: List[str]
 
     def line_text(self, line: int) -> str:
         """The stripped source text of 1-based ``line`` ('' out of range)."""
@@ -94,16 +87,22 @@ class ModuleContext:
             return self.lines[line - 1].strip()
         return ""
 
-    def walk(self, *types: type) -> Iterator[Any]:
-        """Walk the AST yielding nodes of the requested types.
+    @cached_property
+    def _nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once."""
+        return list(ast.walk(self.tree))
 
-        Typed ``Iterator[Any]`` deliberately: callers pass several node
-        classes at once (``walk(ast.FunctionDef, ast.Lambda)``) and read
-        their shared-but-unrelated attributes, which no common AST base
-        class can express.
+    def walk(self, *types: type) -> Iterator[Any]:
+        """Yield the tree's nodes of the requested types, in ``ast.walk`` order.
+
+        The tree is walked once per module; every call filters the
+        memoised node list.  Typed ``Iterator[Any]`` deliberately: callers
+        pass several node classes at once (``walk(ast.FunctionDef,
+        ast.Lambda)``) and read their shared-but-unrelated attributes,
+        which no common AST base class can express.
         """
-        for node in ast.walk(self.tree):
-            if isinstance(node, tuple(types)):
+        for node in self._nodes:
+            if isinstance(node, types):
                 yield node
 
     def finding(
@@ -127,28 +126,15 @@ class ModuleContext:
     def in_path(self, *fragments: str) -> bool:
         """True when the module lives under any of the given path fragments.
 
-        Fragments are POSIX-style and match against the module's relative
+        Fragments are POSIX-style and match against the module's display
         path (``module.in_path("repro/experiments/")``).
         """
-        normalised = self.relpath.replace("\\", "/")
+        normalised = self.path.replace("\\", "/")
         return any(fragment in normalised for fragment in fragments)
 
 
-@dataclass
-class AnalysisStats:
-    """How much work a :func:`run_analysis` call actually did."""
-
-    files: int = 0
-    parsed: int = 0
-    cache_hits: int = 0
-
-
-@dataclass
-class AnalysisReport:
-    """Findings plus the work statistics of one analyzer run."""
-
-    findings: List[Finding]
-    stats: AnalysisStats = field(default_factory=AnalysisStats)
+def _location(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.column, finding.rule)
 
 
 def _code_lines(lines: Sequence[str]) -> List[int]:
@@ -160,39 +146,15 @@ def _code_lines(lines: Sequence[str]) -> List[int]:
     ]
 
 
-def _assign_fingerprints(findings: List[Finding]) -> List[Finding]:
-    """Fill in baseline fingerprints, indexing duplicate snippets per file."""
-    counts: Dict[Tuple[str, str, str], int] = {}
-    out: List[Finding] = []
-    for item in sorted(findings, key=lambda f: (f.path, f.line, f.column, f.rule)):
-        key = (item.rule, item.path, item.snippet.strip())
-        index = counts.get(key, 0)
-        counts[key] = index + 1
-        out.append(
-            Finding(
-                rule=item.rule,
-                path=item.path,
-                line=item.line,
-                column=item.column,
-                message=item.message,
-                snippet=item.snippet,
-                fingerprint=fingerprint(item.rule, item.path, item.snippet, index),
-            )
-        )
-    return out
+def _parse_module(source: Union[str, bytes], path: str) -> Union[ModuleContext, Finding]:
+    """Parse one module, or the SYN001 finding when it does not parse.
 
-
-def _split_scopes(specs: Sequence[RuleSpec]) -> Tuple[List[RuleSpec], List[RuleSpec]]:
-    module_specs = [spec for spec in specs if spec.scope == "module"]
-    project_specs = [spec for spec in specs if spec.scope == "project"]
-    return module_specs, project_specs
-
-
-def _parse_module(source: str, path: str) -> Union[ModuleContext, Finding]:
-    """Parse one module, or the SYN001 finding when it does not parse."""
-    lines = source.splitlines()
+    Bytes are decoded the way the interpreter decodes a source file: a
+    PEP 263 coding cookie or a UTF-8 BOM picks the codec, UTF-8 otherwise.
+    """
     try:
-        tree = ast.parse(source)
+        text = source if isinstance(source, str) else importlib.util.decode_source(source)
+        tree = ast.parse(text)
     except SyntaxError as error:
         return Finding(
             rule=PARSE_RULE,
@@ -202,7 +164,15 @@ def _parse_module(source: str, path: str) -> Union[ModuleContext, Finding]:
             message=f"file does not parse: {error.msg}",
             snippet=(error.text or "").strip(),
         )
-    return ModuleContext(path=path, relpath=path, source=source, tree=tree, lines=lines)
+    except UnicodeDecodeError as error:
+        return Finding(
+            rule=PARSE_RULE,
+            path=path,
+            line=error.object.count(b"\n", 0, error.start) + 1,
+            column=0,
+            message=f"file does not decode as {error.encoding}: {error.reason}",
+        )
+    return ModuleContext(path=path, tree=tree, lines=text.splitlines())
 
 
 def _pass1(
@@ -232,21 +202,18 @@ def _pass1(
 def _pass2(
     summaries: Sequence[ModuleSummary],
     project_specs: Sequence[RuleSpec],
-    waiver_maps: Mapping[str, Mapping[int, Sequence[str]]],
+    tables: Mapping[str, WaiverTable],
 ) -> List[Finding]:
     """Run the project-scope rules over the assembled whole-program view."""
     if not project_specs:
         return []
     project = ProjectContext(summaries)
-    findings: List[Finding] = []
-    for spec in project_specs:
-        for item in spec.check(project):
-            covered = waiver_maps.get(item.path, {}).get(item.line, ())
-            family = item.rule.rstrip("0123456789")
-            if any(code in (item.rule, family) for code in covered):
-                continue
-            findings.append(item)
-    return findings
+    return [
+        item
+        for spec in project_specs
+        for item in spec.check(project)
+        if not (item.path in tables and tables[item.path].waives(item.rule, item.line))
+    ]
 
 
 def analyze_source(
@@ -259,73 +226,54 @@ def analyze_source(
 
     Runs the selected rules, drops findings covered by a valid inline
     waiver, reports reasonless waivers under ``WVR001``, and returns the
-    remaining findings sorted by location with fingerprints assigned.
-    Project-scope rules need a whole program — use :func:`analyze_sources`
-    or :func:`analyze_paths` for those.
+    remaining findings sorted by location.  Project-scope rules need a
+    whole program — use :func:`analyze_sources` or :func:`analyze_paths`
+    for those.
     """
     parsed = _parse_module(source, path)
     if isinstance(parsed, Finding):
-        return _assign_fingerprints([parsed])
-    module_specs, _ = _split_scopes(select_rules(select, ignore))
+        return [parsed]
+    module_specs = [spec for spec in select_rules(select, ignore) if spec.scope == "module"]
     findings, _table = _pass1(parsed, module_specs)
-    return _assign_fingerprints(findings)
+    return sorted(findings, key=_location)
 
 
 def analyze_sources(
-    sources: Mapping[str, str],
+    sources: Mapping[str, Union[str, bytes]],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Analyze an in-memory set of modules with both passes.
+    """Analyze a set of modules with both passes.
 
     ``sources`` maps display paths (used for module-name derivation, e.g.
-    ``"src/mypkg/worker.py"``) to module source text.  This is how the
+    ``"src/mypkg/worker.py"``) to module source: text, or the raw bytes
+    of a file, decoded as the interpreter would.  This is how the
     project-rule tests seed synthetic packages without touching disk.
     """
-    module_specs, project_specs = _split_scopes(select_rules(select, ignore))
+    specs = select_rules(select, ignore)
+    module_specs = [spec for spec in specs if spec.scope == "module"]
+    project_specs = [spec for spec in specs if spec.scope == "project"]
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
-    waiver_maps: Dict[str, Dict[int, List[str]]] = {}
+    tables: Dict[str, WaiverTable] = {}
     for path in sorted(sources):
         parsed = _parse_module(sources[path], path)
         if isinstance(parsed, Finding):
-            findings.extend(_assign_fingerprints([parsed]))
+            findings.append(parsed)
             continue
-        module_findings, table = _pass1(parsed, module_specs)
-        findings.extend(_assign_fingerprints(module_findings))
-        summaries.append(summarize_module(parsed.relpath, parsed.tree, parsed.lines))
-        waiver_maps[path] = table.covered_codes_by_line()
-    findings.extend(_assign_fingerprints(_pass2(summaries, project_specs, waiver_maps)))
-    return sorted(findings, key=lambda f: (f.path, f.line, f.column, f.rule))
+        module_findings, tables[path] = _pass1(parsed, module_specs)
+        findings.extend(module_findings)
+        summaries.append(summarize_module(path, parsed.tree, parsed.lines))
+    findings.extend(_pass2(summaries, project_specs, tables))
+    return sorted(findings, key=_location)
 
 
-def analyze_file(
-    path: Union[str, Path],
-    root: Optional[Path] = None,
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Analyze one file on disk (module scope), reporting paths
-    relative to ``root``."""
-    file_path = Path(path)
-    try:
-        source = file_path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise ConfigurationError(f"cannot read {file_path}: {error}") from error
-    return analyze_source(
-        source, path=_display_path(file_path, root), select=select, ignore=ignore
-    )
-
-
-def _display_path(path: Path, root: Optional[Path]) -> str:
+def _display_path(path: Path, root: Path) -> str:
     """POSIX-style path relative to ``root`` when possible."""
-    resolved = path.resolve()
-    if root is not None:
-        try:
-            return resolved.relative_to(root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return path.as_posix()
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -349,119 +297,22 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return unique
 
 
-def run_analysis(
-    paths: Sequence[Union[str, Path]],
-    root: Optional[Union[str, Path]] = None,
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    cache_path: Optional[Union[str, Path]] = None,
-) -> AnalysisReport:
-    """Analyze every ``.py`` file under ``paths`` with both passes.
-
-    ``root`` (default: the current working directory) anchors the relative
-    paths used in reports and baseline fingerprints.  When ``cache_path``
-    is given, pass-1 results for files whose content hash matches the
-    cache are reused without re-parsing, and the cache file is rewritten
-    at the end of the run; the project pass always runs (it is summary-
-    based and cheap) so cross-module findings stay correct.
-    """
-    base = Path(root) if root is not None else Path.cwd()
-    specs = select_rules(select, ignore)
-    module_specs, project_specs = _split_scopes(specs)
-
-    cache: Optional[AnalysisCache] = None
-    if cache_path is not None:
-        cache = AnalysisCache.load(
-            cache_path, ruleset_signature([spec.cache_key for spec in specs])
-        )
-
-    stats = AnalysisStats()
-    findings: List[Finding] = []
-    summaries: List[ModuleSummary] = []
-    waiver_maps: Dict[str, Dict[int, List[str]]] = {}
-    live_paths: List[str] = []
-
-    for file_path in iter_python_files(paths):
-        stats.files += 1
-        display = _display_path(file_path, base)
-        live_paths.append(display)
-        try:
-            data = file_path.read_bytes()
-        except OSError as error:
-            raise ConfigurationError(f"cannot read {file_path}: {error}") from error
-        sha = file_sha256(data)
-
-        if cache is not None:
-            cached = cache.lookup(display, sha)
-            if cached is not None:
-                stats.cache_hits += 1
-                findings.extend(cached.findings)
-                summaries.append(cached.summary)
-                waiver_maps[display] = {
-                    line: list(codes) for line, codes in cached.waiver_lines.items()
-                }
-                continue
-
-        stats.parsed += 1
-        source = data.decode("utf-8")
-        parsed = _parse_module(source, display)
-        if isinstance(parsed, Finding):
-            file_findings = _assign_fingerprints([parsed])
-            findings.extend(file_findings)
-            # A non-parsing file still occupies a cache slot so a warm run
-            # does not re-raise the same SyntaxError parse.
-            if cache is not None:
-                cache.store(
-                    display,
-                    CachedModule(
-                        sha256=sha,
-                        findings=file_findings,
-                        summary=ModuleSummary(module="", path=display),
-                        waiver_lines={},
-                    ),
-                )
-            continue
-        module_findings, table = _pass1(parsed, module_specs)
-        file_findings = _assign_fingerprints(module_findings)
-        findings.extend(file_findings)
-        summary = summarize_module(parsed.relpath, parsed.tree, parsed.lines)
-        summaries.append(summary)
-        waiver_map = table.covered_codes_by_line()
-        waiver_maps[display] = waiver_map
-        if cache is not None:
-            cache.store(
-                display,
-                CachedModule(
-                    sha256=sha,
-                    findings=file_findings,
-                    summary=summary,
-                    waiver_lines=waiver_map,
-                ),
-            )
-
-    real_summaries = [summary for summary in summaries if summary.module]
-    findings.extend(
-        _assign_fingerprints(_pass2(real_summaries, project_specs, waiver_maps))
-    )
-
-    if cache is not None and cache_path is not None:
-        cache.prune(live_paths)
-        try:
-            cache.save(cache_path)
-        except OSError:
-            pass  # the cache is an accelerator; failing to persist it is not an error
-
-    return AnalysisReport(
-        findings=sorted(findings, key=lambda f: (f.path, f.line, f.column, f.rule)),
-        stats=stats,
-    )
-
-
 def analyze_paths(
     paths: Sequence[Union[str, Path]],
     root: Optional[Union[str, Path]] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Analyze every ``.py`` file under ``paths`` (both passes, no cache)."""
-    return run_analysis(paths, root=root, select=select, ignore=ignore).findings
+    """Analyze every ``.py`` file under ``paths`` with both passes.
+
+    ``root`` (default: the current working directory) anchors the
+    relative paths findings report.
+    """
+    base = Path(root) if root is not None else Path.cwd()
+    sources: Dict[str, bytes] = {}
+    for file_path in iter_python_files(paths):
+        try:
+            sources[_display_path(file_path, base)] = file_path.read_bytes()
+        except OSError as error:
+            raise ConfigurationError(f"cannot read {file_path}: {error}") from error
+    return analyze_sources(sources, select=select, ignore=ignore)

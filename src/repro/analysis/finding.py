@@ -1,31 +1,14 @@
 """The :class:`Finding` record produced by every analysis rule.
 
-A finding pins one rule violation to one source location.  Its
-``fingerprint`` — a content hash of the rule, the file, and the offending
-source line (plus an occurrence index for duplicates) — deliberately
-excludes the line *number*, so unrelated edits above a grandfathered
-finding do not invalidate the committed baseline.
+A finding pins one rule violation to one source location.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
-__all__ = ["Finding", "fingerprint"]
-
-
-def fingerprint(rule: str, relpath: str, snippet: str, index: int) -> str:
-    """Stable identity of a finding for baseline matching.
-
-    ``index`` disambiguates identical snippets violating the same rule in
-    the same file (0 for the first occurrence in line order).
-    """
-    digest = hashlib.sha256(
-        f"{rule}|{relpath}|{snippet.strip()}|{index}".encode("utf-8")
-    ).hexdigest()
-    return digest[:16]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +28,6 @@ class Finding:
         Human-readable description of the violation and the expected fix.
     snippet:
         The stripped source line the finding points at.
-    fingerprint:
-        Baseline identity (see :func:`fingerprint`); filled in by the
-        engine once per-file occurrence indices are known.
     """
 
     rule: str
@@ -56,24 +36,10 @@ class Finding:
     column: int
     message: str
     snippet: str = ""
-    fingerprint: str = ""
-
-    @property
-    def family(self) -> str:
-        """The rule family prefix (letters before the rule number)."""
-        return self.rule.rstrip("0123456789")
 
     def to_json(self) -> Dict[str, Any]:
-        """JSON-serialisable representation used by the CLI and baseline."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
+        """JSON-serialisable representation used by the CLI."""
+        return asdict(self)
 
     def render(self) -> str:
         """One-line ``path:line:col CODE message`` text rendering."""

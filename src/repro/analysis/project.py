@@ -9,11 +9,6 @@ graph, a conservative call graph over statically-resolvable ``repro.*``
 calls, and transitive global-mutation closures, which the project-scope
 rules (the ``PAR`` and ``IMP`` families) consume.
 
-Summaries are deliberately plain data — every record serialises to JSON
-and back — so the incremental cache (:mod:`repro.analysis.cache`) can
-skip re-parsing unchanged files while the project pass still sees the
-whole program.
-
 The call graph is *conservative in the practical sense*: an edge exists
 only when the callee is statically nameable and resolves to a function in
 an analyzed module (a local ``def``, an imported name, or a dotted
@@ -28,12 +23,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -118,17 +111,6 @@ class ImportRecord:
     lineno: int
     snippet: str
 
-    def to_json(self) -> Dict[str, Any]:
-        return {"target": self.target, "lineno": self.lineno, "snippet": self.snippet}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ImportRecord":
-        return cls(
-            target=str(payload["target"]),
-            lineno=int(payload["lineno"]),
-            snippet=str(payload["snippet"]),
-        )
-
 
 @dataclass(frozen=True)
 class GlobalBinding:
@@ -140,25 +122,6 @@ class GlobalBinding:
     mutable: bool
     is_rng: bool
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "snippet": self.snippet,
-            "mutable": self.mutable,
-            "is_rng": self.is_rng,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "GlobalBinding":
-        return cls(
-            name=str(payload["name"]),
-            lineno=int(payload["lineno"]),
-            snippet=str(payload["snippet"]),
-            mutable=bool(payload["mutable"]),
-            is_rng=bool(payload["is_rng"]),
-        )
-
 
 @dataclass(frozen=True)
 class WriteSite:
@@ -168,23 +131,6 @@ class WriteSite:
     lineno: int
     snippet: str
     kind: str  # rebind | augment | mutate-call | subscript | attribute | delete
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "snippet": self.snippet,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "WriteSite":
-        return cls(
-            name=str(payload["name"]),
-            lineno=int(payload["lineno"]),
-            snippet=str(payload["snippet"]),
-            kind=str(payload["kind"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -197,27 +143,6 @@ class SubmitSite:
     receiver: str
     callable_kind: str  # lambda | nested-function | bound-method | name | unknown
     callable_name: str
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "lineno": self.lineno,
-            "snippet": self.snippet,
-            "method": self.method,
-            "receiver": self.receiver,
-            "callable_kind": self.callable_kind,
-            "callable_name": self.callable_name,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "SubmitSite":
-        return cls(
-            lineno=int(payload["lineno"]),
-            snippet=str(payload["snippet"]),
-            method=str(payload["method"]),
-            receiver=str(payload["receiver"]),
-            callable_kind=str(payload["callable_kind"]),
-            callable_name=str(payload["callable_name"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -252,41 +177,6 @@ class FunctionSummary:
         """Name of the outermost definition (sanction checks key on it)."""
         return self.name.split(".", 1)[0]
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "module": self.module,
-            "lineno": self.lineno,
-            "snippet": self.snippet,
-            "decorators": list(self.decorators),
-            "task_kind": self.task_kind,
-            "global_reads": sorted(self.global_reads),
-            "global_writes": [site.to_json() for site in self.global_writes],
-            "calls": list(self.calls),
-            "submits": [site.to_json() for site in self.submits],
-            "nested_names": sorted(self.nested_names),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=str(payload["name"]),
-            module=str(payload["module"]),
-            lineno=int(payload["lineno"]),
-            snippet=str(payload["snippet"]),
-            decorators=tuple(str(item) for item in payload["decorators"]),
-            task_kind=(
-                str(payload["task_kind"]) if payload["task_kind"] is not None else None
-            ),
-            global_reads=frozenset(str(item) for item in payload["global_reads"]),
-            global_writes=tuple(
-                WriteSite.from_json(item) for item in payload["global_writes"]
-            ),
-            calls=tuple(str(item) for item in payload["calls"]),
-            submits=tuple(SubmitSite.from_json(item) for item in payload["submits"]),
-            nested_names=frozenset(str(item) for item in payload["nested_names"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -298,40 +188,6 @@ class ModuleSummary:
     import_bindings: Dict[str, str] = field(default_factory=dict)
     globals_: Dict[str, GlobalBinding] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": [record.to_json() for record in self.imports],
-            "import_bindings": dict(self.import_bindings),
-            "globals": {
-                name: binding.to_json() for name, binding in self.globals_.items()
-            },
-            "functions": {
-                name: summary.to_json() for name, summary in self.functions.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=str(payload["module"]),
-            path=str(payload["path"]),
-            imports=[ImportRecord.from_json(item) for item in payload["imports"]],
-            import_bindings={
-                str(key): str(value)
-                for key, value in payload["import_bindings"].items()
-            },
-            globals_={
-                str(name): GlobalBinding.from_json(item)
-                for name, item in payload["globals"].items()
-            },
-            functions={
-                str(name): FunctionSummary.from_json(item)
-                for name, item in payload["functions"].items()
-            },
-        )
 
 
 # --------------------------------------------------------------- extraction

@@ -15,7 +15,7 @@ on first resolution, and everything resolves by code::
 
 A check function receives one :class:`repro.analysis.engine.ModuleContext`
 and yields :class:`repro.analysis.finding.Finding` objects; the engine
-handles waivers, baselines, and ordering.
+handles waivers and ordering.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class RuleSpec:
     code:
         Rule code, e.g. ``DET001``; the leading letters are the family.
     summary:
-        One-line description shown by ``--list-rules`` and the catalog.
+        One-line description shown in the rule catalog.
     check:
         For ``scope="module"`` rules, a function mapping a
         :class:`~repro.analysis.engine.ModuleContext` to findings; for
@@ -90,11 +90,6 @@ class RuleSpec:
     def family(self) -> str:
         """The rule family prefix (letters before the rule number)."""
         return self.code.rstrip("0123456789")
-
-    @property
-    def cache_key(self) -> str:
-        """Identity the incremental cache signs the rule set with."""
-        return f"{self.code}:{self.scope}"
 
 
 _RULES: Dict[str, RuleSpec] = {}

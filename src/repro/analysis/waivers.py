@@ -107,18 +107,6 @@ class WaiverTable:
         """True when a valid waiver covers ``rule`` at ``line``."""
         return any(waiver.covers(rule) for waiver in self._by_line.get(line, ()))
 
-    def covered_codes_by_line(self) -> Dict[int, List[str]]:
-        """line → waiver codes (rules or families) valid on that line.
-
-        This is the serialisable form the incremental cache stores so
-        project-scope findings anchored in a cached (un-parsed) file can
-        still be waived.
-        """
-        return {
-            line: sorted({code for waiver in waivers for code in waiver.codes})
-            for line, waivers in self._by_line.items()
-        }
-
     def invalid(self) -> List[Waiver]:
         """Waivers missing their mandatory reason string."""
         return [waiver for waiver in self.waivers if not waiver.valid]

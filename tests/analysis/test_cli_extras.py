@@ -1,24 +1,9 @@
-"""The CLI surface added with the project pass: the ``rules`` catalog
-subcommand, SARIF output, and the incremental-cache flags."""
+"""The ``rules`` catalog subcommand."""
 
 import json
 
-import pytest
-
 from repro.analysis.cli import main
 from repro.analysis.registry import rule_specs
-from repro.analysis.sarif import SARIF_VERSION, sarif_report
-from repro.analysis.finding import Finding
-
-
-@pytest.fixture
-def violating_file(tmp_path):
-    path = tmp_path / "mod.py"
-    path.write_text(
-        "import time\n\n\ndef stamp() -> float:\n    return time.time()\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 class TestRulesSubcommand:
@@ -53,91 +38,3 @@ class TestRulesSubcommand:
         for spec in rule_specs():
             assert spec.doc.strip(), f"{spec.code} check function is missing its docstring"
             assert spec.summary.strip(), f"{spec.code} is missing a summary"
-
-
-class TestSarifOutput:
-    def test_terminal_sarif_format(self, violating_file, capsys):
-        code = main([str(violating_file), "--no-baseline", "--no-cache", "--format", "sarif"])
-        assert code == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == SARIF_VERSION
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        results = run["results"]
-        assert any(result["ruleId"] == "DET003" for result in results)
-        assert all(result["baselineState"] == "new" for result in results)
-
-    def test_output_format_alias(self, violating_file, capsys):
-        code = main(
-            [str(violating_file), "--no-baseline", "--no-cache", "--output-format", "sarif"]
-        )
-        assert code == 1
-        assert json.loads(capsys.readouterr().out)["version"] == SARIF_VERSION
-
-    def test_sarif_file_written_alongside_text_output(self, violating_file, tmp_path, capsys):
-        sarif_path = tmp_path / "findings.sarif"
-        json_path = tmp_path / "findings.json"
-        main(
-            [
-                str(violating_file),
-                "--no-baseline",
-                "--no-cache",
-                "--sarif",
-                str(sarif_path),
-                "--output",
-                str(json_path),
-            ]
-        )
-        capsys.readouterr()
-        log = json.loads(sarif_path.read_text(encoding="utf-8"))
-        assert log["runs"][0]["results"]
-        assert json.loads(json_path.read_text(encoding="utf-8"))["counts"]["new"] >= 1
-
-    def test_result_locations_are_one_based(self):
-        finding = Finding(
-            rule="DET003", path="src/mod.py", line=5, column=0, message="m", snippet="s",
-            fingerprint="abc",
-        )
-        log = sarif_report([finding])
-        location = log["runs"][0]["results"][0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/mod.py"
-        assert location["region"]["startLine"] == 5
-        assert location["region"]["startColumn"] == 1
-
-    def test_rules_catalog_covers_engine_rules(self):
-        log = sarif_report([])
-        ids = {rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"SYN001", "WVR001", "PAR001", "IMP001"} <= ids
-
-    def test_baselined_findings_marked_unchanged(self):
-        finding = Finding(
-            rule="DET003", path="src/mod.py", line=5, column=0, message="m", snippet="s",
-        )
-        log = sarif_report([], [finding])
-        assert log["runs"][0]["results"][0]["baselineState"] == "unchanged"
-
-
-class TestCacheFlags:
-    def test_summary_reports_cache_stats(self, violating_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        main([str(violating_file), "--no-baseline", "--quiet"])
-        first = capsys.readouterr().out
-        assert "(0/1 cached, 1 parsed)" in first
-        main([str(violating_file), "--no-baseline", "--quiet"])
-        second = capsys.readouterr().out
-        assert "(1/1 cached, 0 parsed)" in second
-        assert (tmp_path / ".repro-analysis-cache.json").is_file()
-
-    def test_no_cache_never_writes_the_file(self, violating_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        main([str(violating_file), "--no-baseline", "--no-cache", "--quiet"])
-        capsys.readouterr()
-        assert not (tmp_path / ".repro-analysis-cache.json").exists()
-
-    def test_cache_path_flag_relocates_the_file(self, violating_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "elsewhere.json"
-        main([str(violating_file), "--no-baseline", "--cache", str(target), "--quiet"])
-        capsys.readouterr()
-        assert target.is_file()
-        assert not (tmp_path / ".repro-analysis-cache.json").exists()

@@ -7,8 +7,8 @@ graph (PAR001), unpicklable callables handed to executors (PAR002),
 module-level RNGs reached from worker code (PAR003), unsanctioned writes
 to guarded package state (PAR004), and module-level import cycles
 (IMP001).  The committed real tree stays quiet — that is pinned by
-``test_baseline.py``'s exact-baseline meta-test, which runs both passes
-over src/, benchmarks/, and examples/.
+``test_lint_config.py``'s analyzer gate, which runs both passes over
+src/, benchmarks/, and examples/.
 """
 
 import textwrap
