@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 from repro.campaign import ResultStore, run_campaign
 from repro.campaign.engine import CampaignTelemetry, last_campaign_telemetry
 from repro.campaign.spec import Task
-from repro.sim.energy_sim import EnergyStudyConfig, benchmark_energy_tasks
+from repro.sim.energy_sim import benchmark_energy_tasks
 
 #: Sweep size: 5 benchmarks x 5 techniques = 25 tasks, a couple of
 #: seconds of serial work — enough per-task weight for pool overheads to
@@ -44,6 +44,7 @@ BENCHMARKS = ("lbm", "mcf", "bwaves", "xalancbmk", "xz")
 WRITEBACKS = 100
 ROWS = 96
 NUM_COSETS = 256
+SEED = 2022
 PARALLEL_JOBS = 4
 
 #: Speedup floors by available core count; the multi-core floor is
@@ -63,7 +64,8 @@ def _sweep_tasks() -> List[Task]:
         benchmarks=BENCHMARKS,
         num_cosets=NUM_COSETS,
         writebacks_per_benchmark=WRITEBACKS,
-        config=EnergyStudyConfig(rows=ROWS),
+        rows=ROWS,
+        seed=SEED,
     )
 
 

@@ -4,11 +4,13 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig01_coding_analysis import run
+from repro.experiments import run_experiment
 
 
 def test_fig01_rcc_vs_bcc(benchmark: Any, record_table: TableRecorder) -> None:
-    table = run_once(benchmark, lambda: run(n=64, coset_counts=(2, 4, 16, 256)))
+    table = run_once(
+        benchmark, lambda: run_experiment("fig1", n=64, coset_counts=(2, 4, 16, 256))
+    )
     record_table("fig01", table)
 
     rows = {row["cosets"]: row for row in table}

@@ -4,13 +4,15 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig02_fault_masking import run
+from repro.experiments import run_experiment
 
 
 def test_fig02_fault_masking(benchmark: Any, record_table: TableRecorder) -> None:
     table = run_once(
         benchmark,
-        lambda: run(coset_counts=(1, 2, 4, 8, 16, 32, 64, 128), rows=96, num_writes=150, seed=7),
+        lambda: run_experiment(
+            "fig2", coset_counts=(1, 2, 4, 8, 16, 32, 64, 128), rows=96, num_writes=150, seed=7
+        ),
     )
     record_table("fig02", table)
 

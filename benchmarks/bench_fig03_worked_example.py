@@ -4,11 +4,11 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig03_worked_example import run
+from repro.experiments import run_experiment
 
 
 def test_fig03_worked_example(benchmark: Any, record_table: TableRecorder) -> None:
-    table = run_once(benchmark, run)
+    table = run_once(benchmark, lambda: run_experiment("fig3"))
     record_table("fig03", table)
 
     values = {row["quantity"]: row["value"] for row in table}

@@ -4,11 +4,13 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig06_hardware import run
+from repro.experiments import run_experiment
 
 
 def test_fig06_hardware(benchmark: Any, record_table: TableRecorder) -> None:
-    table = run_once(benchmark, lambda: run(coset_counts=(32, 64, 128, 256)))
+    table = run_once(
+        benchmark, lambda: run_experiment("fig6", coset_counts=(32, 64, 128, 256))
+    )
     record_table("fig06", table)
 
     def series(design, column):

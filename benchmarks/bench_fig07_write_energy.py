@@ -4,12 +4,15 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig07_write_energy import run
+from repro.experiments import run_experiment
 
 
 def test_fig07_write_energy(benchmark: Any, record_table: TableRecorder) -> None:
     table = run_once(
-        benchmark, lambda: run(coset_counts=(32, 64, 128, 256), rows=96, num_writes=200, seed=2022)
+        benchmark,
+        lambda: run_experiment(
+            "fig7", coset_counts=(32, 64, 128, 256), rows=96, num_writes=200, seed=2022
+        ),
     )
     record_table("fig07", table)
 

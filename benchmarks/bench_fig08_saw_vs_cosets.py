@@ -4,12 +4,15 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig08_saw_cosets import run
+from repro.experiments import run_experiment
 
 
 def test_fig08_saw_vs_cosets(benchmark: Any, record_table: TableRecorder) -> None:
     table = run_once(
-        benchmark, lambda: run(coset_counts=(32, 64, 128, 256), rows=96, num_writes=150, seed=7)
+        benchmark,
+        lambda: run_experiment(
+            "fig8", coset_counts=(32, 64, 128, 256), rows=96, num_writes=150, seed=7
+        ),
     )
     record_table("fig08", table)
 

@@ -4,7 +4,7 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig09_energy_benchmarks import run
+from repro.experiments import run_experiment
 
 BENCHMARKS = ("lbm", "mcf", "bwaves", "xalancbmk", "xz")
 
@@ -12,7 +12,9 @@ BENCHMARKS = ("lbm", "mcf", "bwaves", "xalancbmk", "xz")
 def test_fig09_energy_per_benchmark(benchmark: Any, record_table: TableRecorder) -> None:
     table = run_once(
         benchmark,
-        lambda: run(benchmarks=BENCHMARKS, num_cosets=256, writebacks_per_benchmark=120, rows=96),
+        lambda: run_experiment(
+            "fig9", benchmarks=BENCHMARKS, num_cosets=256, writebacks_per_benchmark=120, rows=96
+        ),
     )
     record_table("fig09", table)
 

@@ -4,7 +4,7 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig11_lifetime_benchmarks import run
+from repro.experiments import run_experiment
 from repro.sim.lifetime_sim import LifetimeStudyConfig
 
 BENCHMARKS = ("lbm", "mcf", "xalancbmk")
@@ -20,7 +20,8 @@ CONFIG = LifetimeStudyConfig(
 
 def test_fig11_lifetime_per_benchmark(benchmark: Any, record_table: TableRecorder) -> None:
     table = run_once(
-        benchmark, lambda: run(benchmarks=BENCHMARKS, num_cosets=256, config=CONFIG)
+        benchmark,
+        lambda: run_experiment("fig11", benchmarks=BENCHMARKS, num_cosets=256, config=CONFIG),
     )
     record_table("fig11", table)
 

@@ -4,7 +4,7 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig12_lifetime_cosets import run
+from repro.experiments import run_experiment
 from repro.sim.lifetime_sim import LifetimeStudyConfig
 
 CONFIG = LifetimeStudyConfig(
@@ -18,7 +18,10 @@ CONFIG = LifetimeStudyConfig(
 
 def test_fig12_lifetime_vs_cosets(benchmark: Any, record_table: TableRecorder) -> None:
     table = run_once(
-        benchmark, lambda: run(coset_counts=(32, 256), benchmarks=("lbm",), config=CONFIG)
+        benchmark,
+        lambda: run_experiment(
+            "fig12", coset_counts=(32, 256), benchmarks=("lbm",), config=CONFIG
+        ),
     )
     record_table("fig12", table)
 

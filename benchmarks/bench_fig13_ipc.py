@@ -4,11 +4,11 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.fig13_ipc import run
+from repro.experiments import run_experiment
 
 
 def test_fig13_ipc(benchmark: Any, record_table: TableRecorder) -> None:
-    table = run_once(benchmark, lambda: run(num_cosets=256))
+    table = run_once(benchmark, lambda: run_experiment("fig13", num_cosets=256))
     record_table("fig13", table)
 
     by_technique = {}

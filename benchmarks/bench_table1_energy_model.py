@@ -4,11 +4,11 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.table1_energy_model import run
+from repro.experiments import run_experiment
 
 
 def test_table1_energy_model(benchmark: Any, record_table: TableRecorder) -> None:
-    table = run_once(benchmark, run)
+    table = run_once(benchmark, lambda: run_experiment("table1"))
     record_table("table1", table)
 
     for row in table:

@@ -6,11 +6,11 @@ from typing import Any
 
 from conftest import TableRecorder, run_once
 
-from repro.experiments.table2_system import run
+from repro.experiments import run_experiment
 
 
 def test_table2_system(benchmark: Any, record_table: TableRecorder) -> None:
-    table = run_once(benchmark, run)
+    table = run_once(benchmark, lambda: run_experiment("table2"))
     record_table("table2", table)
 
     parameters = {row["parameter"]: row["value"] for row in table}

@@ -8,7 +8,7 @@ This walks the campaign subsystem end to end:
    (:func:`~repro.campaign.run_campaign`);
 3. re-run it to show every task coming back from the cache;
 4. regenerate a paper figure (Fig. 10) through the same engine via its
-   experiment entry point.
+   entry in the experiment table.
 
 Run with ``python examples/campaign_sweep.py``.  The equivalent command
 lines are::
@@ -22,7 +22,7 @@ from __future__ import annotations
 import tempfile
 
 from repro.campaign import SweepSpec, run_campaign
-from repro.experiments.fig10_saw_benchmarks import run as run_fig10
+from repro.experiments import run_experiment
 
 
 def main() -> None:
@@ -60,7 +60,8 @@ def main() -> None:
 
         # The paper's benchmark sweeps go through the same engine; the
         # rows are bit-identical to a serial run for any jobs count.
-        table = run_fig10(
+        table = run_experiment(
+            "fig10",
             benchmarks=("lbm", "mcf"),
             num_cosets=32,
             writebacks_per_benchmark=40,

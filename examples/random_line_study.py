@@ -16,7 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.sim.energy_sim import EnergyStudyConfig, random_data_energy_study
+from repro.experiments import run_experiment
 from repro.sim.harness import TechniqueSpec, build_controller
 from repro.utils.rng import make_rng
 
@@ -44,15 +44,9 @@ def batched_driver_demo() -> None:
 
 def fig7_campaign_demo(store: Path) -> None:
     """The Fig. 7 sweep as a two-worker campaign with cached resume."""
-    config = EnergyStudyConfig(rows=96, num_writes=150, seed=2022)
     for attempt in ("first run (executes every cell)", "second run (all from cache)"):
         start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=demo throughput printout; elapsed time never enters stored results
-        table = random_data_energy_study(
-            coset_counts=(32, 64, 128, 256),
-            config=config,
-            jobs=2,
-            store=store,
-        )
+        table = run_experiment("fig7", num_writes=150, jobs=2, store_dir=store)
         print(f"{attempt}: {time.perf_counter() - start:.2f}s")  # repro: allow[DET003,OBS001] reason=demo throughput printout; elapsed time never enters stored results
     print()
     print(table.format())

@@ -2,11 +2,13 @@
 
 Two ways to name the work:
 
-* a **named sweep** — one of the campaign-backed figures: the benchmark
-  sweeps (``fig9``, ``fig10``, ``fig11``, ``fig12``, ``fig13``) and the
-  coset-count studies (``fig1``, ``fig2``, ``fig7``, ``fig8``), expanded
-  exactly as the experiment registry expands them, printed as the
-  figure's result table::
+* a **named sweep** — an entry of the experiment table
+  (:mod:`repro.experiments.registry`) that runs campaign tasks: the
+  benchmark sweeps (``fig9``, ``fig10``, ``fig11``, ``fig12``, ``fig13``)
+  and the coset-count studies (``fig1``, ``fig2``, ``fig7``, ``fig8``),
+  printed as the figure's result table.  Each knob flag overrides one of
+  the figure's parameters and is rejected if the figure does not take
+  it::
 
       python -m repro.campaign fig9 --jobs 4 --store .campaign-store
       python -m repro.campaign fig10 --benchmarks lbm mcf --writebacks 60
@@ -29,10 +31,9 @@ disk and the next invocation resumes from it.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.campaign.engine import (
@@ -46,15 +47,13 @@ from repro.campaign.engine import (
 from repro.campaign.spec import SweepSpec
 from repro.campaign.tasks import available_task_kinds
 from repro.errors import ReproError
+from repro.experiments.registry import get_experiment, run_experiment, sweep_names
 from repro.sim.results import ResultTable
 
 __all__ = ["main"]
 
-#: Named sweeps the CLI exposes — the campaign-backed figure experiments.
-NAMED_SWEEPS = ("fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
 
-
-def _progress_printer(quiet: bool):
+def _progress_printer(quiet: bool) -> Optional[Callable[[CampaignProgress], None]]:
     if quiet:
         return None
 
@@ -64,40 +63,34 @@ def _progress_printer(quiet: bool):
     return printer
 
 
-def _named_sweep_table(args: argparse.Namespace, progress) -> ResultTable:
-    """Run one of the figure sweeps via its experiment entry point."""
-    from repro.experiments.registry import get_experiment
-
-    if args.sweep.lower() not in NAMED_SWEEPS:
+def _named_sweep_table(
+    args: argparse.Namespace,
+    knobs: Sequence[argparse.Action],
+    progress: Callable[[CampaignProgress], None],
+) -> ResultTable:
+    """Run one figure of the experiment table with the knobs given on the command line."""
+    name = args.sweep.lower()
+    if name not in sweep_names():
         raise ReproError(
-            f"unknown sweep {args.sweep!r}; campaign sweeps: {', '.join(NAMED_SWEEPS)} "
+            f"unknown sweep {args.sweep!r}; campaign sweeps: {', '.join(sweep_names())} "
             "(other experiments run via python -m repro.experiments.runner)"
         )
-    entry = get_experiment(args.sweep)
-    parameters = inspect.signature(entry).parameters
-    kwargs = {
-        "jobs": args.jobs,
-        "store_dir": None if args.no_store else args.store,
-        "progress": progress,
-    }
-    option_map = {
-        "benchmarks": args.benchmarks,
-        "num_cosets": args.num_cosets,
-        "coset_counts": args.coset_counts,
-        "writebacks_per_benchmark": args.writebacks,
-        "num_writes": args.num_writes,
-        "rows": args.rows,
-        "seed": args.seed,
-        "repetitions": args.repetitions,
-        "fault_model": args.fault_model,
-    }
-    for name, value in option_map.items():
+    defaults = get_experiment(name).defaults
+    overrides: Dict[str, Any] = {}
+    for knob in knobs:
+        value = getattr(args, knob.dest)
         if value is None:
             continue
-        if name not in parameters:
-            raise ReproError(f"sweep {args.sweep!r} does not take a --{name.replace('_', '-')}")
-        kwargs[name] = value
-    return entry(**kwargs)
+        if knob.dest not in defaults:
+            raise ReproError(f"sweep {args.sweep!r} does not take a {knob.option_strings[0]}")
+        overrides[knob.dest] = value
+    return run_experiment(
+        name,
+        jobs=args.jobs,
+        store_dir=None if args.no_store else args.store,
+        progress=progress,
+        **overrides,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -109,7 +102,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "sweep",
         nargs="?",
-        help=f"named sweep ({', '.join(NAMED_SWEEPS)}) — or use --spec for an ad-hoc grid",
+        help=f"named sweep ({', '.join(sweep_names())}) — or use --spec for an ad-hoc grid",
     )
     parser.add_argument("--spec", type=Path, default=None, help="JSON SweepSpec file to run")
     parser.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
@@ -148,37 +141,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--list-kinds", action="store_true", help="list registered task kinds and exit"
     )
-    # Named-sweep knobs (each is rejected if the sweep does not take it).
-    parser.add_argument("--benchmarks", nargs="+", default=None, help="benchmark subset")
-    parser.add_argument("--num-cosets", type=int, default=None, help="coset candidate count")
-    parser.add_argument(
-        "--coset-counts",
-        nargs="+",
-        type=int,
-        default=None,
-        help="coset-count axis (fig1/fig2/fig7/fig8/fig12)",
-    )
-    parser.add_argument(
-        "--writebacks", type=int, default=None, help="writebacks per benchmark trace"
-    )
-    parser.add_argument(
-        "--num-writes",
-        type=int,
-        default=None,
-        help="random line writes per cell (fig2/fig7/fig8)",
-    )
-    parser.add_argument("--rows", type=int, default=None, help="memory rows")
-    parser.add_argument("--seed", type=int, default=None, help="campaign seed")
-    parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions (lifetime sweeps)"
-    )
-    parser.add_argument(
-        "--fault-model",
-        default=None,
-        metavar="NAME",
-        help="repro.faults model for the sweep (fig2/fig11/fig12; "
-        "see repro.faults.available_fault_models)",
-    )
+    # Named-sweep knobs: each dest is a figure parameter, and a knob is
+    # rejected if the figure's defaults do not list it.
+    knobs = [
+        parser.add_argument("--benchmarks", nargs="+", default=None, help="benchmark subset"),
+        parser.add_argument("--num-cosets", type=int, default=None, help="coset candidate count"),
+        parser.add_argument(
+            "--coset-counts",
+            nargs="+",
+            type=int,
+            default=None,
+            help="coset-count axis (fig1/fig2/fig7/fig8/fig12)",
+        ),
+        parser.add_argument(
+            "--writebacks",
+            dest="writebacks_per_benchmark",
+            type=int,
+            default=None,
+            help="writebacks per benchmark trace",
+        ),
+        parser.add_argument(
+            "--num-writes",
+            type=int,
+            default=None,
+            help="random line writes per cell (fig2/fig7/fig8)",
+        ),
+        parser.add_argument("--rows", type=int, default=None, help="memory rows"),
+        parser.add_argument("--seed", type=int, default=None, help="campaign seed"),
+        parser.add_argument(
+            "--repetitions", type=int, default=None, help="repetitions (lifetime sweeps)"
+        ),
+        parser.add_argument(
+            "--fault-model",
+            default=None,
+            metavar="NAME",
+            help="repro.faults model for the sweep (fig2/fig11/fig12; "
+            "see repro.faults.available_fault_models)",
+        ),
+    ]
     # Resilience knobs (see repro.campaign.engine.RunPolicy).  Any of
     # them arms graceful degradation: tasks that exhaust their retry
     # budget become structured failure rows instead of aborting the run.
@@ -326,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "--batch-size applies only to --spec runs (figure sweeps "
                     "use the derived batching)"
                 )
-            table = _named_sweep_table(args, progress)
+            table = _named_sweep_table(args, knobs, progress)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

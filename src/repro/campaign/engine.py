@@ -34,7 +34,6 @@ from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import would be circular
     from repro.faults.chaos import ChaosPlan
-    from repro.sim.results import ResultTable
 
 __all__ = [
     "CampaignProgress",
@@ -55,7 +54,7 @@ class RunPolicy:
 
     The process-wide default (see :func:`set_run_policy`) lets the CLI
     arm retries/timeouts for the figure sweeps without threading new
-    keyword arguments through every experiment entry point; explicit
+    keyword arguments through the experiment table; explicit
     ``run_campaign`` keywords override it field by field.
 
     * ``retries`` — re-queue attempts per failed task / crash-lost batch;
@@ -259,20 +258,10 @@ class CampaignResult:
         except KeyError:
             raise SimulationError(f"task {task.describe()} is not part of this campaign")
 
-    def to_table(self, title: str, columns: Sequence[str], notes: str = "") -> "ResultTable":
-        """Collect the flattened rows into a :class:`ResultTable`."""
-        # Imported lazily: the sim package registers campaign task kinds,
-        # so a module-level import here would be circular.
-        from repro.sim.results import ResultTable
-
-        table = ResultTable(title=title, columns=list(columns), notes=notes)
-        table.extend(self.rows())
-        return table
-
 
 # The telemetry of the most recent run_campaign call in this process.
-# Kept so callers one level removed from the CampaignResult (the figure
-# entry points return ResultTables) can still report the run breakdown.
+# Kept so callers one level removed from the CampaignResult (the
+# experiment table returns ResultTables) can still report the run breakdown.
 _last_telemetry: Optional[CampaignTelemetry] = None
 
 

@@ -7,12 +7,14 @@ the parameters (conventionally a ``seed`` entry fed through
 :func:`repro.utils.rng.derive_seed`), which is what makes campaign
 results independent of worker count and scheduling order.
 
-Builtin kinds — one cell of each benchmark-sweep figure — live next to
-the simulators they wrap (:mod:`repro.sim.energy_sim`,
+Builtin kinds — one cell of each campaign-backed figure — live next to
+the task builders and tables of those figures (:mod:`repro.sim.energy_sim`,
 :mod:`repro.sim.saw_sim`, :mod:`repro.sim.lifetime_sim`,
-:mod:`repro.experiments.fig13_ipc`) and are imported lazily on first
-resolution, mirroring :mod:`repro.coding.registry`.  Third-party kinds
-register the same way::
+:mod:`repro.experiments.fig01_coding_analysis`,
+:mod:`repro.experiments.fig13_ipc`; the experiment table in
+:mod:`repro.experiments.registry` pairs them with each figure's
+defaults) and are imported lazily on first resolution, mirroring
+:mod:`repro.coding.registry`.  Third-party kinds register the same way::
 
     from repro.campaign import register_task
 

@@ -3,25 +3,22 @@
 The closed forms (Eq. (1)/(2) of the paper, :mod:`repro.core.analytical`)
 are cheap, but the figure is still a sweep over coset counts — so it runs
 through the campaign engine like every other figure grid: one
-``fig1-analysis-cell`` task per count, bit-identical rows at any
-``jobs`` value, and cached resume when a store is supplied.
+``fig1-analysis-cell`` task per count (:func:`coding_analysis_tasks`),
+gathered by :func:`coding_analysis_table`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence
 
-from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
-from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
 from repro.core.analytical import reduction_percent_bcc, reduction_percent_rcc
 from repro.errors import ConfigurationError
 from repro.sim.harness import checked_coset_counts
 from repro.sim.results import ResultTable
 
-__all__ = ["coding_analysis_tasks", "run"]
+__all__ = ["coding_analysis_table", "coding_analysis_tasks"]
 
 
 @register_task(
@@ -41,9 +38,7 @@ def _fig1_analysis_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     ]
 
 
-def coding_analysis_tasks(
-    n: int = 64, coset_counts: Sequence[int] = (2, 4, 16, 256)
-) -> List[Task]:
+def coding_analysis_tasks(*, n: int, coset_counts: Sequence[int]) -> List[Task]:
     """The Fig. 1 series as campaign tasks, one per coset count."""
     if n <= 0:
         raise ConfigurationError(f"block size n must be positive, got {n}")
@@ -53,28 +48,18 @@ def coding_analysis_tasks(
     ]
 
 
-def run(
-    n: int = 64,
-    coset_counts: Sequence[int] = (2, 4, 16, 256),
-    jobs: int = 1,
-    store_dir: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
+def coding_analysis_table(
+    results: Sequence[Dict[str, Any]], *, n: int, **_: Any
 ) -> ResultTable:
-    """Regenerate Fig. 1: % reduction in changed bits vs. coset count.
+    """Fig. 1: % reduction in changed bits vs. coset count.
 
     BCC wins for small candidate counts; RCC overtakes at N = 16 and wins
     clearly at N = 256, which is the observation motivating random cosets
     for encrypted data.
-
-    ``jobs`` fans the per-count cells out over worker processes through
-    the campaign engine (rows are bit-identical for any count);
-    ``store_dir`` enables cached resume across runs.
     """
-    tasks = coding_analysis_tasks(n, coset_counts)
-    result = run_campaign(tasks, store=store_dir, jobs=jobs, progress=progress)
     table = ResultTable(
         title="Fig. 1 — reduction in changed bits (random data, closed form)",
         columns=["cosets", "bcc_reduction_percent", "rcc_reduction_percent"],
         notes=f"block size n = {n} bits; Eq. (1)/(2) of the paper",
     )
-    return table.extend(result.rows())
+    return table.extend(results)

@@ -1,22 +1,24 @@
-"""Fig. 13 — normalised IPC of DBI/Flipcy, VCC, and RCC (Table II system)."""
+"""Fig. 13 — normalised IPC of DBI/Flipcy, VCC, and RCC (Table II system).
+
+One ``fig13-ipc-cell`` task per benchmark (:func:`sweep_tasks`) runs the
+analytic timing model for every technique; :func:`ipc_table` gathers
+the rows.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
-from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
 from repro.hardware.synthesis import DesignPoint, estimate_design
-from repro.perf.config import TABLE_II_SYSTEM, SystemConfig
+from repro.perf.config import SystemConfig
 from repro.perf.timing import PerformanceModel
 from repro.sim.results import ResultTable
 from repro.traces.spec import list_benchmarks
 
-__all__ = ["run", "sweep_tasks", "technique_delays_ns"]
+__all__ = ["ipc_table", "sweep_tasks", "technique_delays_ns"]
 
 
 def technique_delays_ns(num_cosets: int = 256) -> Dict[str, float]:
@@ -55,11 +57,9 @@ def _fig13_ipc_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def sweep_tasks(
-    benchmarks: Optional[Sequence[str]] = None,
-    num_cosets: int = 256,
-    system: SystemConfig = TABLE_II_SYSTEM,
+    *, benchmarks: Optional[Sequence[str]], num_cosets: int, system: SystemConfig
 ) -> List[Task]:
-    """The Fig. 13 sweep as campaign tasks, one per benchmark."""
+    """The Fig. 13 sweep as campaign tasks, one per benchmark (all when ``None``)."""
     names = list(benchmarks) if benchmarks is not None else list_benchmarks()
     base = {"num_cosets": num_cosets, "system": dataclasses.asdict(system)}
     return [
@@ -68,20 +68,11 @@ def sweep_tasks(
     ]
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    num_cosets: int = 256,
-    system: SystemConfig = TABLE_II_SYSTEM,
-    jobs: int = 1,
-    store_dir: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> ResultTable:
-    """Regenerate Fig. 13: normalised IPC per benchmark and technique."""
-    result = run_campaign(
-        sweep_tasks(benchmarks, num_cosets, system), store=store_dir, jobs=jobs, progress=progress
-    )
-    return result.to_table(
+def ipc_table(results: Sequence[Dict[str, Any]], **_: Any) -> ResultTable:
+    """Fig. 13: normalised IPC per benchmark and technique."""
+    table = ResultTable(
         title="Fig. 13 — IPC normalised to unencoded writeback (256 cosets)",
         columns=["benchmark", "technique", "encode_delay_ns", "normalized_ipc"],
         notes="analytic timing model parameterised by Table II (see DESIGN.md)",
     )
+    return table.extend(results)

@@ -7,13 +7,12 @@ Usage::
     python -m repro.experiments.runner all --json-dir results/
     python -m repro.experiments.runner fig9 fig10 --jobs 4 --store-dir .campaign-store
 
-``--jobs N`` fans the campaign-backed experiments (fig1/fig2/fig7/fig8
-and fig9/fig10/fig11/fig12/fig13) out over N worker processes through
-the campaign engine (:mod:`repro.campaign`); results are bit-identical
-to a serial run.
-``--store-dir`` caches completed sweep cells on disk, so re-running an
-interrupted sweep resumes instead of starting over.  Experiments whose
-entry points take no ``jobs`` parameter simply run serially.
+All requested experiments run as one campaign (:mod:`repro.campaign`),
+so figures that share cells — Figs. 11 and 12 share lifetime cells —
+simulate each distinct cell once.  ``--jobs N`` fans the campaign out
+over N worker processes; results are bit-identical to a serial run.
+``--store-dir`` also caches completed cells on disk, so re-running an
+interrupted sweep resumes instead of starting over.
 
 Unknown experiment identifiers exit with status 2 and the list of
 available experiments instead of a traceback.
@@ -22,26 +21,14 @@ available experiments instead of a traceback.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.registry import available_experiments, get_experiment, run_experiment
+from repro.experiments.registry import available_experiments, run_experiments
 
 __all__ = ["main"]
-
-
-def _sweep_kwargs(name: str, jobs: int, store_dir: Optional[Path]) -> dict:
-    """Campaign keyword arguments accepted by this experiment's entry point."""
-    parameters = inspect.signature(get_experiment(name)).parameters
-    kwargs = {}
-    if "jobs" in parameters:
-        kwargs["jobs"] = jobs
-    if "store_dir" in parameters and store_dir is not None:
-        kwargs["store_dir"] = store_dir
-    return kwargs
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -64,13 +51,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the benchmark-sweep experiments (default: 1, serial)",
+        help="worker processes for the experiments' campaign (default: 1, serial)",
     )
     parser.add_argument(
         "--store-dir",
         type=Path,
         default=None,
-        help="campaign result store for the sweep experiments (enables caching and resume)",
+        help="campaign result store for the experiments (enables caching and resume)",
     )
     args = parser.parse_args(argv)
 
@@ -88,20 +75,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         names = available_experiments()
 
     try:
-        for name in names:
-            kwargs = _sweep_kwargs(name, args.jobs, args.store_dir)
-            table = run_experiment(name, **kwargs)
-            print(table.format())
-            print()
-            if args.json_dir is not None:
-                args.json_dir.mkdir(parents=True, exist_ok=True)
-                table.to_json(args.json_dir / f"{name}.json")
+        tables = run_experiments(
+            [(name, {}) for name in names], jobs=args.jobs, store_dir=args.store_dir
+        )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         print("available experiments:", file=sys.stderr)
         for name in available_experiments():
             print(f"  {name}", file=sys.stderr)
         return 2
+    for name, table in zip(names, tables):
+        print(table.format())
+        print()
+        if args.json_dir is not None:
+            args.json_dir.mkdir(parents=True, exist_ok=True)
+            table.to_json(args.json_dir / f"{name}.json")
     return 0
 
 

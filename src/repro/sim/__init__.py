@@ -1,7 +1,9 @@
 """Experiment simulators.
 
-Each module drives the memory-controller pipeline against the PCM array
-model for one family of experiments:
+Each module holds the campaign task kinds of one family of figures, the
+task builders that expand a figure's parameters into its grid, and the
+tables that aggregate the grid's rows; :mod:`repro.experiments.registry`
+pairs them with each figure's defaults.
 
 * :mod:`repro.sim.energy_sim` — dynamic write energy (Figs. 7 and 9);
 * :mod:`repro.sim.saw_sim` — stuck-at-wrong mitigation against a fixed
@@ -9,47 +11,18 @@ model for one family of experiments:
 * :mod:`repro.sim.lifetime_sim` — wear-out lifetime with per-cell
   endurance (Figs. 11 and 12);
 * :mod:`repro.sim.results` — the result containers and table formatting
-  shared by the experiment entry points and the benchmark harness.
+  shared by the experiment table and the benchmark harness.
 """
 
 from repro.sim.results import ResultTable
-from repro.sim.energy_sim import (
-    EnergyStudyConfig,
-    benchmark_energy_study,
-    benchmark_energy_tasks,
-    random_data_energy_study,
-)
-from repro.sim.saw_sim import (
-    SawStudyConfig,
-    benchmark_saw_study,
-    benchmark_saw_tasks,
-    fault_masking_study,
-    saw_vs_coset_count_study,
-)
-from repro.sim.lifetime_sim import (
-    LifetimeStudyConfig,
-    lifetime_study,
-    lifetime_study_tasks,
-    mean_lifetime_by_coset_count,
-)
+from repro.sim.lifetime_sim import LifetimeStudyConfig, simulate_lifetime
 from repro.sim.repetition import RepeatedMetric, aggregate_columns, repeat_metric
 
 __all__ = [
-    "EnergyStudyConfig",
     "LifetimeStudyConfig",
     "RepeatedMetric",
     "ResultTable",
-    "SawStudyConfig",
     "aggregate_columns",
     "repeat_metric",
-    "benchmark_energy_study",
-    "benchmark_energy_tasks",
-    "benchmark_saw_study",
-    "benchmark_saw_tasks",
-    "fault_masking_study",
-    "lifetime_study",
-    "lifetime_study_tasks",
-    "mean_lifetime_by_coset_count",
-    "random_data_energy_study",
-    "saw_vs_coset_count_study",
+    "simulate_lifetime",
 ]

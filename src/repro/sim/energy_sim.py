@@ -1,41 +1,33 @@
-"""Dynamic write-energy studies (Figs. 7 and 9).
+"""Dynamic write-energy figures (Figs. 7 and 9): task kinds, grids, tables.
 
-Two experiments share this module:
+* Fig. 7 — the preliminary study of Section V-B: uniformly random data
+  is written repeatedly to a small MLC memory and the total write energy
+  of RCC, VCC with generated kernels, VCC with stored kernels, and the
+  unencoded baseline is compared across coset counts.
+* Fig. 9 — the full evaluation of Section VI-B: encrypted writeback
+  traces of the SPEC-like benchmarks are written to a memory with a
+  fixed 1e-2 stuck-at fault snapshot, and the write energy of VCC / RCC
+  under both cost-function orderings ("Opt. Energy" = energy first, SAW
+  second; "Opt. SAW" = the reverse) is compared with the unencoded
+  baseline.  Energy accounting includes the auxiliary bits, as in the
+  paper.
 
-* :func:`random_data_energy_study` — the preliminary study of Section V-B
-  (Fig. 7): uniformly random data is written repeatedly to a small MLC
-  memory and the total write energy of RCC, VCC with generated kernels,
-  VCC with stored kernels, and the unencoded baseline is compared across
-  coset counts.
-* :func:`benchmark_energy_study` — the full evaluation of Section VI-B
-  (Fig. 9): encrypted writeback traces of the SPEC-like benchmarks are
-  written to a memory with a fixed 1e-2 stuck-at fault snapshot, and the
-  write energy of VCC / RCC under both cost-function orderings
-  ("Opt. Energy" = energy first, SAW second; "Opt. SAW" = the reverse) is
-  compared with the unencoded baseline.  Energy accounting includes the
-  auxiliary bits, as in the paper.
-
-Both run through the campaign engine as grids of per-cell task kinds
-(``fig7-energy-cell``, ``fig9-energy-cell``): ``jobs`` worker processes
-produce bit-identical rows at any count, and a ``store`` enables cached
-resume.  The Fig. 7 cells drive the batched
-:meth:`~repro.memctrl.controller.MemoryController.write_random_lines`
-engine, whose accounting is bit-identical to the scalar ``write_line``
-loop the study historically ran.
+Each figure is a task kind, a task builder expanding the figure's
+parameters into its grid, and a table aggregating the grid's rows;
+:mod:`repro.experiments.registry` pairs them with the figure's defaults
+(scaled down from the paper's 2 GB memory and 100,000 writes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
-from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
 from repro.pcm.cell import CellTechnology
 from repro.sim.harness import (
+    FIGURE_GEOMETRY,
+    SNAPSHOT_FAULT_RATE,
     TechniqueSpec,
     build_controller,
     cached_fault_map,
@@ -45,40 +37,14 @@ from repro.sim.harness import (
     drive_trace,
 )
 from repro.sim.results import ResultTable
-from repro.traces.spec import list_benchmarks
 from repro.utils.rng import derive_seed
 
 __all__ = [
-    "EnergyStudyConfig",
-    "random_data_energy_study",
-    "random_energy_tasks",
-    "benchmark_energy_study",
+    "benchmark_energy_table",
     "benchmark_energy_tasks",
+    "random_energy_table",
+    "random_energy_tasks",
 ]
-
-#: Benchmarks used by default in the per-benchmark studies (a subset keeps
-#: pure-Python runtimes reasonable; pass ``benchmarks=list_benchmarks()``
-#: for the full suite).
-DEFAULT_BENCHMARKS = ("lbm", "mcf", "bwaves", "fotonik3d", "xalancbmk", "xz")
-
-
-@dataclass(frozen=True)
-class EnergyStudyConfig:
-    """Shared knobs of the energy studies (scaled down from the paper).
-
-    The paper writes 100,000 random lines to a 2 GB memory; the defaults
-    here use a far smaller memory and write count so the study runs in
-    seconds of pure Python while preserving the relative energy savings.
-    """
-
-    rows: int = 128
-    num_writes: int = 400
-    word_bits: int = 64
-    line_bits: int = 512
-    technology: CellTechnology = CellTechnology.MLC
-    fault_rate: float = 1e-2
-    seed: int = 2022
-
 
 #: The Fig. 7 technique line-up, in table order (the unencoded baseline
 #: leads so aggregation can normalise the coset techniques against it).
@@ -97,10 +63,9 @@ _FIG7_TECHNIQUES = (
 def _fig7_energy_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """One (coset count × technique) cell of the Fig. 7 sweep.
 
-    Seed derivation labels (``fig7-{label}-{cosets}`` for the stack,
-    ``fig7-writes-{cosets}`` for the random lines) match the historical
-    serial study exactly, so campaign rows are bit-identical to the
-    in-process loop.  The random lines run through the batched
+    Seed derivation labels are ``fig7-{label}-{cosets}`` for the stack and
+    ``fig7-writes-{cosets}`` for the random lines.  The random lines run
+    through the batched
     :meth:`~repro.memctrl.controller.MemoryController.write_random_lines`
     driver (accounting bit-identical to the scalar ``write_line`` loop).
     """
@@ -134,48 +99,31 @@ def _fig7_energy_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def random_energy_tasks(
-    coset_counts: Sequence[int] = (32, 64, 128, 256),
-    config: EnergyStudyConfig = EnergyStudyConfig(),
+    *, coset_counts: Sequence[int], rows: int, num_writes: int, seed: int
 ) -> List[Task]:
     """The Fig. 7 sweep as campaign tasks, one per coset count × technique."""
-    base = {
-        "rows": config.rows,
-        "num_writes": config.num_writes,
-        "word_bits": config.word_bits,
-        "line_bits": config.line_bits,
-        "technology": config.technology.value,
-        "seed": config.seed,
-    }
-    tasks: List[Task] = []
-    for cosets in checked_coset_counts(coset_counts, minimum=2):
-        for encoder, label in _FIG7_TECHNIQUES:
-            params = dict(base)
-            params.update(cosets=cosets, encoder=encoder, cost="energy", label=label)
-            tasks.append(Task(kind="fig7-energy-cell", params=params))
-    return tasks
+    base = dict(FIGURE_GEOMETRY, rows=rows, num_writes=num_writes, seed=seed)
+    return [
+        Task(
+            kind="fig7-energy-cell",
+            params=dict(base, cosets=cosets, encoder=encoder, cost="energy", label=label),
+        )
+        for cosets in checked_coset_counts(coset_counts, minimum=2)
+        for encoder, label in _FIG7_TECHNIQUES
+    ]
 
 
-def random_data_energy_study(
-    coset_counts: Sequence[int] = (32, 64, 128, 256),
-    config: EnergyStudyConfig = EnergyStudyConfig(),
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
+def random_energy_table(
+    results: Sequence[Dict[str, Any]], *, coset_counts: Sequence[int], **_: Any
 ) -> ResultTable:
     """Fig. 7: write energy of RCC / VCC-generated / VCC-stored / unencoded.
 
-    Returns a table with one row per (coset count, technique) holding the
-    total write energy (data + auxiliary bits) and the saving relative to
-    the unencoded baseline.
-
-    The (coset count × technique) cells run through the campaign engine:
-    ``jobs`` worker processes (bit-identical rows for any count) with
-    optional result caching and resume via ``store``.
+    One row per (coset count, technique) holding the total write energy
+    (data + auxiliary bits) and the saving relative to the unencoded
+    baseline at the same count.
     """
-    tasks = random_energy_tasks(coset_counts, config)
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
     energy_by_cell: Dict[Any, float] = {
-        (row["cosets"], row["technique"]): row["total_energy_pj"] for row in result.rows()
+        (row["cosets"], row["technique"]): row["total_energy_pj"] for row in results
     }
     table = ResultTable(
         title="Fig. 7 — write energy vs. coset count (random data, MLC PCM)",
@@ -219,9 +167,9 @@ def _fig9_energy_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """One (benchmark × technique) cell of the Fig. 9 sweep.
 
     All randomness (trace, fault snapshot, encryption pads, kernels)
-    derives from ``params['seed']`` with the same labels the serial study
-    always used, so the cell computes identical energies whether it runs
-    in-process, on a worker, or from a previous campaign's cache.
+    derives from ``params['seed']``, so the cell computes identical
+    energies whether it runs in-process, on a worker, or from a previous
+    campaign's cache.
     """
     benchmark = params["benchmark"]
     seed = params["seed"]
@@ -270,57 +218,47 @@ def _fig9_energy_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def benchmark_energy_tasks(
-    benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-    num_cosets: int = 256,
-    writebacks_per_benchmark: int = 300,
-    config: EnergyStudyConfig = EnergyStudyConfig(),
+    *,
+    benchmarks: Sequence[str],
+    num_cosets: int,
+    writebacks_per_benchmark: int,
+    rows: int,
+    seed: int,
 ) -> List[Task]:
     """The Fig. 9 sweep as campaign tasks, one per benchmark × technique."""
-    base = {
-        "writebacks": writebacks_per_benchmark,
-        "rows": config.rows,
-        "word_bits": config.word_bits,
-        "line_bits": config.line_bits,
-        "technology": config.technology.value,
-        "fault_rate": config.fault_rate,
-        "seed": config.seed,
-    }
-    tasks: List[Task] = []
-    for benchmark in benchmarks:
-        for spec in _fig9_techniques(num_cosets):
-            params = dict(base)
-            params.update(
+    base = dict(
+        FIGURE_GEOMETRY,
+        writebacks=writebacks_per_benchmark,
+        rows=rows,
+        fault_rate=SNAPSHOT_FAULT_RATE,
+        seed=seed,
+    )
+    return [
+        Task(
+            kind="fig9-energy-cell",
+            params=dict(
+                base,
                 benchmark=benchmark,
                 encoder=spec.encoder,
                 cost=spec.cost,
                 num_cosets=spec.num_cosets,
                 label=spec.label,
-            )
-            tasks.append(Task(kind="fig9-energy-cell", params=params))
-    return tasks
+            ),
+        )
+        for benchmark in benchmarks
+        for spec in _fig9_techniques(num_cosets)
+    ]
 
 
-def benchmark_energy_study(
-    benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-    num_cosets: int = 256,
-    writebacks_per_benchmark: int = 300,
-    config: EnergyStudyConfig = EnergyStudyConfig(),
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
+def benchmark_energy_table(
+    results: Sequence[Dict[str, Any]], *, num_cosets: int, **_: Any
 ) -> ResultTable:
     """Fig. 9: per-benchmark write energy for both cost-function orderings.
 
     For each benchmark the table holds the unencoded baseline, VCC and RCC
     optimising energy first ("Opt. Energy") and SAW first ("Opt. SAW"),
     against a memory snapshot with a fixed stuck-at fault rate.
-
-    The sweep runs through the campaign engine: ``jobs`` worker processes
-    (bit-identical rows for any count) with optional result caching and
-    resume via ``store``.
     """
-    tasks = benchmark_energy_tasks(benchmarks, num_cosets, writebacks_per_benchmark, config)
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
     table = ResultTable(
         title="Fig. 9 — per-benchmark write energy (fixed 1e-2 fault snapshot, MLC PCM)",
         columns=["benchmark", "technique", "total_energy_pj", "saving_percent"],
@@ -328,7 +266,7 @@ def benchmark_energy_study(
     )
     baseline_energy: Optional[float] = None
     current_benchmark: Optional[str] = None
-    for row in result.rows():
+    for row in results:
         if row["benchmark"] != current_benchmark:
             current_benchmark = row["benchmark"]
             baseline_energy = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from repro.utils.bitops import random_word
 from repro.utils.rng import make_rng
 
 __all__ = [
+    "FIGURE_GEOMETRY",
+    "SNAPSHOT_FAULT_RATE",
     "TechniqueSpec",
     "build_controller",
     "cached_fault_map",
@@ -55,6 +57,17 @@ __all__ = [
     "make_read_corrector",
     "scalar_random_line_results",
 ]
+
+#: The memory geometry every energy and SAW figure cell records in its
+#: task params (scaled down from the paper's 2 GB memory only in rows).
+FIGURE_GEOMETRY: Dict[str, Any] = {
+    "word_bits": 64,
+    "line_bits": 512,
+    "technology": CellTechnology.MLC.value,
+}
+
+#: The paper's extreme stuck-at incidence of the fault-snapshot figures.
+SNAPSHOT_FAULT_RATE = 1e-2
 
 #: Cost-function spellings accepted by :class:`TechniqueSpec.cost`.
 _COST_NAMES = (

@@ -1,4 +1,4 @@
-"""Memory-lifetime studies with accumulated wear (Figs. 11 and 12).
+"""Memory-lifetime figures with accumulated wear (Figs. 11 and 12).
 
 Every cell receives an endurance sampled from the process-variation
 distribution; each state-changing write increments the cell's wear, and a
@@ -20,17 +20,20 @@ failure.  The paper's 2 GB memory and 1e8-write mean endurance are scaled
 down (see DESIGN.md) so the study runs in pure Python; results are always
 interpreted relative to the unencoded baseline, which the scaling
 preserves.
+
+Both figures run the one ``lifetime-cell`` task kind: their task
+builders (:func:`lifetime_study_tasks`, :func:`mean_lifetime_tasks`)
+expand the figure's parameters into cells, and their tables
+(:func:`lifetime_table`, :func:`mean_lifetime_table`) aggregate the
+cells' rows (the entries of :mod:`repro.experiments.registry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
-from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
 from repro.coding.registry import get_encoder_plugin
 from repro.errors import ConfigurationError, SimulationError
@@ -45,9 +48,9 @@ __all__ = [
     "LifetimeOutcome",
     "LifetimeStudyConfig",
     "DEFAULT_LIFETIME_TECHNIQUES",
-    "lifetime_study",
     "lifetime_study_tasks",
-    "mean_lifetime_by_coset_count",
+    "lifetime_table",
+    "mean_lifetime_table",
     "mean_lifetime_tasks",
     "simulate_lifetime",
 ]
@@ -70,7 +73,7 @@ DEFAULT_BENCHMARKS = ("lbm", "mcf", "bwaves", "xalancbmk")
 
 @dataclass(frozen=True)
 class LifetimeStudyConfig:
-    """Shared knobs of the lifetime studies (scaled down from the paper)."""
+    """Shared knobs of the lifetime figures (scaled down from the paper)."""
 
     rows: int = 48
     word_bits: int = 64
@@ -245,7 +248,7 @@ def _lifetime_cell_inputs(params: Dict[str, Any]) -> Tuple[TechniqueSpec, Lifeti
     description="writes-to-failure of one technique × benchmark × repetition (Figs. 11-12 cell)",
 )
 def _lifetime_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """One lifetime cell; the study that built the task places its row.
+    """One lifetime cell; the figure table that built the task places its row.
 
     Seed derivation is :func:`simulate_lifetime`'s (benchmark and
     repetition only), so repetitions are paired across techniques.
@@ -255,100 +258,97 @@ def _lifetime_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     return [{"writes_to_failure": int(outcome.writes), "censored": bool(outcome.censored)}]
 
 
-#: One sweep occurrence: the table cell it feeds and the task computing it.
-_Cell = Tuple[Tuple[Any, str], Task]
+#: The cells' rows in task order: one ``{writes_to_failure, censored}``
+#: row per occurrence.
+_Results = Sequence[Dict[str, Any]]
 
 
-def _run_cells(
-    cells: Sequence[_Cell],
-    jobs: int,
-    store: Union[ResultStore, str, Path, None],
-    progress: Optional[ProgressCallback],
-) -> Tuple[Dict[Tuple[Any, str], List[Tuple[int, bool]]], int]:
-    """Run the cells' tasks; group outcomes per table cell, count censored ones.
-
-    Duplicate tasks execute once but are counted once per occurrence, so
-    the means and the censoring note match a sweep that ran every cell.
-    """
-    result = run_campaign([task for _, task in cells], store=store, jobs=jobs, progress=progress)
+def _outcomes(
+    keys: Iterable[Tuple[Any, str]], results: _Results
+) -> Dict[Tuple[Any, str], List[Tuple[int, bool]]]:
+    """Group the occurrences' outcomes under their table cells' keys."""
     outcomes: Dict[Tuple[Any, str], List[Tuple[int, bool]]] = {}
-    censored = 0
-    for key, task in cells:
-        (row,) = result.rows_for(task)
+    for key, row in zip(keys, results):
         outcomes.setdefault(key, []).append((row["writes_to_failure"], row["censored"]))
-        censored += row["censored"]
-    return outcomes, censored
+    return outcomes
 
 
-def _fig11_cells(
+def _censoring_note(results: _Results, cap: int) -> str:
+    """Censored-cell reporting, counted once per occurrence ('' when none)."""
+    censored = sum(row["censored"] for row in results)
+    if not censored:
+        return ""
+    return (
+        f"; {censored} of {len(results)} cells censored at the {cap}-write cap "
+        "(means are Kaplan-Meier restricted means, lower bounds there)"
+    )
+
+
+def _survival_mean(outcomes: Sequence[Tuple[int, bool]]) -> float:
+    """Kaplan–Meier (restricted) mean of ``(writes, censored)`` repetitions.
+
+    Censored repetitions keep the survival curve up instead of entering
+    the average as failure times; with no censoring this is the ordinary
+    sample mean the figures always reported.
+    """
+    durations = [writes for writes, _ in outcomes]
+    flags = [flag for _, flag in outcomes]
+    return kaplan_meier_mean(durations, flags).mean
+
+
+def lifetime_study_tasks(
+    *,
     benchmarks: Sequence[str],
     techniques: Sequence[TechniqueSpec],
     num_cosets: int,
     config: LifetimeStudyConfig,
     repetitions: int,
     fault_model: Optional[str],
-) -> List[_Cell]:
-    """Fig. 11 occurrences keyed by (benchmark, technique), in table order."""
-    _check_repetitions(repetitions)
-    return [
-        (
-            (benchmark, spec.display_name()),
-            _lifetime_cell_task(spec, benchmark, num_cosets, config, rep, fault_model),
-        )
-        for benchmark in benchmarks
-        for spec in techniques
-        for rep in range(repetitions)
-    ]
-
-
-def lifetime_study_tasks(
-    benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-    techniques: Sequence[TechniqueSpec] = DEFAULT_LIFETIME_TECHNIQUES,
-    num_cosets: int = 256,
-    config: LifetimeStudyConfig = LifetimeStudyConfig(),
-    repetitions: int = 1,
-    fault_model: Optional[str] = None,
 ) -> List[Task]:
     """The Fig. 11 sweep as campaign tasks (benchmark × technique × rep).
 
     ``fault_model`` (or a per-spec ``TechniqueSpec.fault_model``) selects
     a :mod:`repro.faults` model; ``None`` keeps the static stuck-at model.
     """
-    cells = _fig11_cells(benchmarks, techniques, num_cosets, config, repetitions, fault_model)
-    return [task for _, task in cells]
+    _check_repetitions(repetitions)
+    return [
+        _lifetime_cell_task(spec, benchmark, num_cosets, config, rep, fault_model)
+        for benchmark in benchmarks
+        for spec in techniques
+        for rep in range(repetitions)
+    ]
 
 
-def lifetime_study(
-    benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-    techniques: Sequence[TechniqueSpec] = DEFAULT_LIFETIME_TECHNIQUES,
-    num_cosets: int = 256,
-    config: LifetimeStudyConfig = LifetimeStudyConfig(),
-    repetitions: int = 1,
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
-    fault_model: Optional[str] = None,
+def lifetime_table(
+    results: _Results,
+    *,
+    benchmarks: Sequence[str],
+    techniques: Sequence[TechniqueSpec],
+    num_cosets: int,
+    config: LifetimeStudyConfig,
+    repetitions: int,
+    **_: Any,
 ) -> ResultTable:
     """Fig. 11: per-benchmark writes-to-failure for every technique.
 
-    The (benchmark × technique × repetition) cross-product runs through
-    the campaign engine: ``jobs`` worker processes (bit-identical rows for
-    any count) with optional result caching and resume via ``store``.
-    ``fault_model`` runs the whole line-up under one :mod:`repro.faults`
-    model.
+    Repetitions of one (benchmark, technique) enter its Kaplan–Meier mean;
+    the improvement column is relative to the Unencoded line-up entry.
     """
-    cells = _fig11_cells(benchmarks, techniques, num_cosets, config, repetitions, fault_model)
-    outcomes, censored_cells = _run_cells(cells, jobs, store, progress)
+    keys = (
+        (benchmark, spec.display_name())
+        for benchmark in benchmarks
+        for spec in techniques
+        for _ in range(repetitions)
+    )
+    outcomes = _outcomes(keys, results)
     notes = (
         f"{num_cosets} cosets for coset techniques; memory and endurance are scaled "
         "down so absolute counts are not comparable to the paper, ratios are"
     )
-    if censored_cells:
-        notes += _censoring_note(censored_cells, len(cells), config.max_line_writes)
     table = ResultTable(
         title="Fig. 11 — writes to failure per benchmark (scaled memory)",
         columns=["benchmark", "technique", "writes_to_failure", "improvement_vs_unencoded"],
-        notes=notes,
+        notes=notes + _censoring_note(results, config.max_line_writes),
     )
     for benchmark in benchmarks:
         lifetimes: Dict[str, float] = {
@@ -368,41 +368,24 @@ def lifetime_study(
     return table
 
 
-def _survival_mean(outcomes: Sequence[Tuple[int, bool]]) -> float:
-    """Kaplan–Meier (restricted) mean of ``(writes, censored)`` repetitions.
-
-    Censored repetitions keep the survival curve up instead of entering
-    the average as failure times; with no censoring this is the ordinary
-    sample mean the figures always reported.
-    """
-    durations = [writes for writes, _ in outcomes]
-    flags = [flag for _, flag in outcomes]
-    return kaplan_meier_mean(durations, flags).mean
-
-
-def _censoring_note(censored: int, total: int, cap: int) -> str:
-    """Shared phrasing for censored-cell reporting in the lifetime tables."""
-    return (
-        f"; {censored} of {total} cells censored at the {cap}-write cap "
-        "(means are Kaplan-Meier restricted means, lower bounds there)"
-    )
-
-
-def _fig12_cells(
+def mean_lifetime_tasks(
+    *,
     coset_counts: Sequence[int],
     benchmarks: Sequence[str],
     techniques: Sequence[TechniqueSpec],
     config: LifetimeStudyConfig,
     repetitions: int,
     fault_model: Optional[str],
-) -> List[_Cell]:
-    """Fig. 12 occurrences keyed by (coset count, technique), in table order."""
+) -> List[Task]:
+    """The Fig. 12 sweep as campaign tasks (cosets × technique × benchmark × rep).
+
+    One task per occurrence; occurrences that simulate the same cell
+    (a coset-independent technique at several counts, or a cell Fig. 11
+    also runs) are equal tasks, which the campaign engine runs once.
+    """
     _check_repetitions(repetitions)
     return [
-        (
-            (cosets, spec.display_name()),
-            _lifetime_cell_task(spec, benchmark, cosets, config, rep, fault_model),
-        )
+        _lifetime_cell_task(spec, benchmark, cosets, config, rep, fault_model)
         for cosets in coset_counts
         for spec in techniques
         for benchmark in benchmarks
@@ -410,34 +393,15 @@ def _fig12_cells(
     ]
 
 
-def mean_lifetime_tasks(
-    coset_counts: Sequence[int] = (32, 64, 128, 256),
-    benchmarks: Sequence[str] = ("lbm", "mcf"),
-    techniques: Sequence[TechniqueSpec] = DEFAULT_LIFETIME_TECHNIQUES,
-    config: LifetimeStudyConfig = LifetimeStudyConfig(),
-    repetitions: int = 1,
-    fault_model: Optional[str] = None,
-) -> List[Task]:
-    """The Fig. 12 sweep as campaign tasks (cosets × technique × benchmark × rep).
-
-    One task per occurrence; occurrences that simulate the same cell
-    (a coset-independent technique at several counts, or a cell Fig. 11
-    also runs) are equal tasks.
-    """
-    cells = _fig12_cells(coset_counts, benchmarks, techniques, config, repetitions, fault_model)
-    return [task for _, task in cells]
-
-
-def mean_lifetime_by_coset_count(
-    coset_counts: Sequence[int] = (32, 64, 128, 256),
-    benchmarks: Sequence[str] = ("lbm", "mcf"),
-    techniques: Sequence[TechniqueSpec] = DEFAULT_LIFETIME_TECHNIQUES,
-    config: LifetimeStudyConfig = LifetimeStudyConfig(),
-    repetitions: int = 1,
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
-    fault_model: Optional[str] = None,
+def mean_lifetime_table(
+    results: _Results,
+    *,
+    coset_counts: Sequence[int],
+    benchmarks: Sequence[str],
+    techniques: Sequence[TechniqueSpec],
+    config: LifetimeStudyConfig,
+    repetitions: int,
+    **_: Any,
 ) -> ResultTable:
     """Fig. 12: mean writes-to-failure across benchmarks vs. coset count.
 
@@ -445,27 +409,23 @@ def mean_lifetime_by_coset_count(
     SECDED, ECP3, Flipcy, DBI/FNW) are simulated once per benchmark and
     repetition: their tasks omit ``num_cosets``, so every count shares one
     task, and the same value fills each column of the paper's figure.
-
-    The (cosets × technique × benchmark × repetition) cross-product runs
-    through the campaign engine exactly like the Fig. 11 sweep, with the
-    same ``lifetime-cell`` tasks, so a ``store`` Fig. 11 filled serves its
-    256-coset cells: ``jobs`` worker processes produce bit-identical rows
-    at any count, ``store`` enables cached resume, and ``repetitions`` adds
-    paired seeds (the repetition offsets the seed identically for every
-    technique).  Censored cells enter the means through the Kaplan–Meier
-    estimator (:func:`repro.sim.repetition.kaplan_meier_mean`) rather than
-    being silently averaged in as failure times, and are counted, once per
+    Censored cells enter the means through the Kaplan–Meier estimator
+    (:func:`repro.sim.repetition.kaplan_meier_mean`) rather than being
+    silently averaged in as failure times, and are counted, once per
     occurrence, in the notes.
     """
-    cells = _fig12_cells(coset_counts, benchmarks, techniques, config, repetitions, fault_model)
-    outcomes, censored_cells = _run_cells(cells, jobs, store, progress)
-    notes = "mean across " + ", ".join(benchmarks)
-    if censored_cells:
-        notes += _censoring_note(censored_cells, len(cells), config.max_line_writes)
+    keys = (
+        (cosets, spec.display_name())
+        for cosets in coset_counts
+        for spec in techniques
+        for _ in range(len(benchmarks) * repetitions)
+    )
+    outcomes = _outcomes(keys, results)
     table = ResultTable(
         title="Fig. 12 — mean writes to failure vs. coset count (scaled memory)",
         columns=["cosets", "technique", "mean_writes_to_failure"],
-        notes=notes,
+        notes="mean across " + ", ".join(benchmarks)
+        + _censoring_note(results, config.max_line_writes),
     )
     for cosets in coset_counts:
         for spec in techniques:

@@ -1,40 +1,31 @@
-"""Stuck-at-wrong (SAW) mitigation studies against a fixed fault snapshot.
+"""Stuck-at-wrong (SAW) mitigation figures against a fixed fault snapshot.
 
-Three experiments share this module:
-
-* :func:`fault_masking_study` — the motivation study of Fig. 2: how the
-  mean observed fault rate (wrong cells per written cell) drops as the
-  number of random coset candidates grows;
-* :func:`saw_vs_coset_count_study` — Fig. 8: the total SAW cell count of
-  VCC versus the unencoded baseline as a function of coset cardinality;
-* :func:`benchmark_saw_study` — Fig. 10: the per-benchmark SAW cell count
-  of VCC(64, 256, 16) versus the unencoded baseline.
+* Fig. 2 — the motivation study: how the mean observed fault rate (wrong
+  cells per written cell) drops as the number of random coset candidates
+  grows (``fig2-masking-cell``);
+* Fig. 8 — the total SAW cell count of VCC versus the unencoded baseline
+  as a function of coset cardinality (``fig8-saw-cell``);
+* Fig. 10 — the per-benchmark SAW cell count of VCC(64, 256, 16) versus
+  the unencoded baseline (``fig10-saw-cell``).
 
 All three use a pre-generated stuck-at fault map at the paper's extreme
 1e-2 incidence rate and accumulate no additional wear during the run.
-
-All three run through the campaign engine as grids of per-cell task
-kinds (``fig2-masking-cell``, ``fig8-saw-cell``, ``fig10-saw-cell``):
-``jobs`` worker processes produce bit-identical rows at any count, and a
-``store`` enables cached resume.  The random-line cells drive the
-batched :meth:`~repro.memctrl.controller.MemoryController.write_random_lines`
-engine, whose accounting is bit-identical to the scalar ``write_line``
-loop the studies historically ran.
+Each figure is a task kind, a task builder and a table, as in
+:mod:`repro.sim.energy_sim`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
-from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
 from repro.pcm.cell import CellTechnology
 from repro.pcm.faultmap import FaultMap
+from repro.pcm.stats import WriteStats
 from repro.sim.harness import (
+    FIGURE_GEOMETRY,
+    SNAPSHOT_FAULT_RATE,
     TechniqueSpec,
     build_controller,
     cached_fault_map,
@@ -44,86 +35,70 @@ from repro.sim.harness import (
     drive_trace,
 )
 from repro.sim.results import ResultTable
+from repro.traces.trace import Trace
 from repro.utils.rng import derive_seed
 
 __all__ = [
-    "SawStudyConfig",
-    "benchmark_saw_study",
+    "benchmark_saw_table",
     "benchmark_saw_tasks",
-    "fault_masking_study",
+    "fault_masking_table",
     "fault_masking_tasks",
-    "saw_vs_coset_count_study",
+    "saw_vs_coset_count_table",
     "saw_vs_coset_count_tasks",
 ]
 
-DEFAULT_BENCHMARKS = ("lbm", "mcf", "bwaves", "fotonik3d", "xalancbmk", "xz")
+
+def _cells_per_row(params: Dict[str, Any]) -> int:
+    """Cells per row implied by one task's geometry."""
+    return params["line_bits"] // CellTechnology(params["technology"]).bits_per_cell
 
 
-@dataclass(frozen=True)
-class SawStudyConfig:
-    """Shared knobs of the SAW studies (scaled down from the paper)."""
-
-    rows: int = 128
-    num_writes: int = 300
-    word_bits: int = 64
-    line_bits: int = 512
-    technology: CellTechnology = CellTechnology.MLC
-    fault_rate: float = 1e-2
-    seed: int = 7
-
-    @property
-    def cells_per_row(self) -> int:
-        """Cells per row implied by the geometry."""
-        return self.line_bits // self.technology.bits_per_cell
+def _snapshot(params: Dict[str, Any], label: str, model: Optional[str] = None) -> FaultMap:
+    """The fault snapshot one task's geometry and seed label describe."""
+    return cached_fault_map(
+        rows=params["rows"],
+        cells_per_row=_cells_per_row(params),
+        technology=CellTechnology(params["technology"]),
+        fault_rate=params["fault_rate"],
+        seed=derive_seed(params["seed"], label),
+        model=model or "static-stuck-at",
+    )
 
 
 def _run_spec(
     spec: TechniqueSpec,
-    config: SawStudyConfig,
+    params: Dict[str, Any],
     fault_map: FaultMap,
     seed_label: str,
-    trace=None,
-):
+    trace: Optional[Trace] = None,
+) -> WriteStats:
+    """Write random lines (or ``trace``) through ``spec``'s stack; return its stats."""
+    seed = params["seed"]
     controller = build_controller(
         spec,
-        rows=config.rows,
-        technology=config.technology,
-        word_bits=config.word_bits,
-        line_bits=config.line_bits,
+        rows=params["rows"],
+        technology=CellTechnology(params["technology"]),
+        word_bits=params["word_bits"],
+        line_bits=params["line_bits"],
         fault_map=fault_map,
-        seed=derive_seed(config.seed, seed_label),
+        seed=derive_seed(seed, seed_label),
         encrypt=True,
     )
     if trace is None:
         return drive_random_lines(
-            controller, config.num_writes, seed=derive_seed(config.seed, seed_label + "-writes")
+            controller, params["num_writes"], seed=derive_seed(seed, seed_label + "-writes")
         )
     return drive_trace(controller, trace).write_stats()
 
 
-def _random_study_base(config: SawStudyConfig) -> Dict[str, Any]:
+def _random_base(rows: int, num_writes: int, seed: int) -> Dict[str, Any]:
     """The shared task parameters of the random-line SAW cells."""
-    return {
-        "rows": config.rows,
-        "num_writes": config.num_writes,
-        "word_bits": config.word_bits,
-        "line_bits": config.line_bits,
-        "technology": config.technology.value,
-        "fault_rate": config.fault_rate,
-        "seed": config.seed,
-    }
-
-
-def _random_study_config(params: Dict[str, Any]) -> SawStudyConfig:
-    """Rebuild a :class:`SawStudyConfig` from one task's parameters."""
-    return SawStudyConfig(
-        rows=params["rows"],
-        num_writes=params["num_writes"],
-        word_bits=params["word_bits"],
-        line_bits=params["line_bits"],
-        technology=CellTechnology(params["technology"]),
-        fault_rate=params["fault_rate"],
-        seed=params["seed"],
+    return dict(
+        FIGURE_GEOMETRY,
+        rows=rows,
+        num_writes=num_writes,
+        fault_rate=SNAPSHOT_FAULT_RATE,
+        seed=seed,
     )
 
 
@@ -134,24 +109,14 @@ def _random_study_config(params: Dict[str, Any]) -> SawStudyConfig:
 def _fig2_masking_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """One coset-count cell of the Fig. 2 sweep.
 
-    Seed derivation labels (``fig2-faults``, ``fig2-{cosets}``) match the
-    historical serial study exactly, so campaign rows are bit-identical
-    to the in-process loop — every cell rebuilds the same shared fault
-    snapshot from the study seed.
+    Every cell rebuilds the same shared fault snapshot (seed label
+    ``fig2-faults``) and writes its own random lines (``fig2-{cosets}``).
     """
-    config = _random_study_config(params)
     cosets = params["cosets"]
     # Optional zoo selection: absent for legacy tasks (so their hashes —
     # and any stored results — are unchanged), a model name otherwise.
     fault_model = params.get("fault_model")
-    fault_map = cached_fault_map(
-        rows=config.rows,
-        cells_per_row=config.cells_per_row,
-        technology=config.technology,
-        fault_rate=config.fault_rate,
-        seed=derive_seed(config.seed, "fig2-faults"),
-        model=fault_model or "static-stuck-at",
-    )
+    fault_map = _snapshot(params, "fig2-faults", fault_model)
     if cosets <= 1:
         spec = TechniqueSpec(
             encoder="unencoded",
@@ -167,8 +132,8 @@ def _fig2_masking_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
             label=f"{cosets} cosets",
             fault_model=fault_model,
         )
-    stats = _run_spec(spec, config, fault_map, f"fig2-{cosets}")
-    cells_written = stats.rows_written * config.cells_per_row
+    stats = _run_spec(spec, params, fault_map, f"fig2-{cosets}")
+    cells_written = stats.rows_written * _cells_per_row(params)
     rate = stats.saw_cells / cells_written if cells_written else 0.0
     return [
         {
@@ -181,9 +146,12 @@ def _fig2_masking_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def fault_masking_tasks(
-    coset_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    config: SawStudyConfig = SawStudyConfig(),
-    fault_model: Optional[str] = None,
+    *,
+    coset_counts: Sequence[int],
+    rows: int,
+    num_writes: int,
+    seed: int,
+    fault_model: Optional[str],
 ) -> List[Task]:
     """The Fig. 2 sweep as campaign tasks, one per coset count.
 
@@ -193,24 +161,17 @@ def fault_masking_tasks(
     """
     if fault_model is not None:
         TechniqueSpec(encoder="unencoded", fault_model=fault_model)  # eager name check
-    base = _random_study_base(config)
-    tasks: List[Task] = []
-    for cosets in checked_coset_counts(coset_counts, minimum=1):
-        params = dict(base)
-        params.update(cosets=cosets)
-        if fault_model is not None:
-            params["fault_model"] = fault_model
-        tasks.append(Task(kind="fig2-masking-cell", params=params))
-    return tasks
+    base = _random_base(rows, num_writes, seed)
+    if fault_model is not None:
+        base["fault_model"] = fault_model
+    return [
+        Task(kind="fig2-masking-cell", params=dict(base, cosets=cosets))
+        for cosets in checked_coset_counts(coset_counts, minimum=1)
+    ]
 
 
-def fault_masking_study(
-    coset_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    config: SawStudyConfig = SawStudyConfig(),
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
-    fault_model: Optional[str] = None,
+def fault_masking_table(
+    results: Sequence[Dict[str, Any]], *, fault_model: Optional[str], **_: Any
 ) -> ResultTable:
     """Fig. 2: mean observed fault rate as the coset candidate count grows.
 
@@ -218,14 +179,8 @@ def fault_masking_study(
     by the number of cells written; applying more random coset candidates
     lets more faulty cells be matched, so the rate falls monotonically (on
     average) with N.
-
-    The per-count cells run through the campaign engine: ``jobs`` worker
-    processes (bit-identical rows for any count) with optional result
-    caching and resume via ``store``.
     """
-    tasks = fault_masking_tasks(coset_counts, config, fault_model=fault_model)
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
-    notes = f"pre-generated fault map at rate {config.fault_rate}"
+    notes = f"pre-generated fault map at rate {SNAPSHOT_FAULT_RATE}"
     if fault_model is not None:
         notes += f"; fault model {fault_model}"
     table = ResultTable(
@@ -233,7 +188,22 @@ def fault_masking_study(
         columns=["cosets", "observed_fault_rate", "saw_cells", "cells_written"],
         notes=notes,
     )
-    return table.extend(result.rows())
+    return table.extend(results)
+
+
+def _vcc_series(num_cosets: int) -> TechniqueSpec:
+    """The "VCC" series of Figs. 8 and 10: stored kernels over the full word.
+
+    The generated-kernel variant cannot change the left digit of a symbol
+    and therefore cannot reach the paper's masking coverage (see DESIGN.md,
+    data-representation notes).
+    """
+    return TechniqueSpec(
+        encoder="vcc-stored", cost="saw-then-energy", num_cosets=num_cosets, label="VCC"
+    )
+
+
+_UNENCODED_SERIES = TechniqueSpec(encoder="unencoded", cost="saw-then-energy", label="Unencoded")
 
 
 @register_task(
@@ -243,84 +213,60 @@ def fault_masking_study(
 def _fig8_saw_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """One (coset count × series) cell of the Fig. 8 sweep.
 
-    ``series`` is ``"unencoded"`` or ``"vcc"``; seed derivation labels
-    (``fig8-faults``, ``fig8-{series}-{cosets}``) match the historical
-    serial study exactly, so campaign rows are bit-identical to the
-    in-process loop.
+    ``series`` is ``"unencoded"`` or ``"vcc"``; seed derivation labels are
+    ``fig8-faults`` and ``fig8-{series}-{cosets}``.
     """
-    config = _random_study_config(params)
     cosets = params["cosets"]
     series = params["series"]
-    fault_map = cached_fault_map(
-        rows=config.rows,
-        cells_per_row=config.cells_per_row,
-        technology=config.technology,
-        fault_rate=config.fault_rate,
-        seed=derive_seed(config.seed, "fig8-faults"),
-    )
-    if series == "unencoded":
-        spec = TechniqueSpec(encoder="unencoded", cost="saw-then-energy", label="Unencoded")
-    else:
-        # The "VCC" series uses stored kernels over the full word: the
-        # generated-kernel variant cannot change the left digit of a symbol
-        # and therefore cannot reach the paper's masking coverage (see
-        # DESIGN.md, data-representation notes).
-        spec = TechniqueSpec(
-            encoder="vcc-stored", cost="saw-then-energy", num_cosets=cosets, label="VCC"
-        )
-    stats = _run_spec(spec, config, fault_map, f"fig8-{series}-{cosets}")
+    fault_map = _snapshot(params, "fig8-faults")
+    spec = _UNENCODED_SERIES if series == "unencoded" else _vcc_series(cosets)
+    stats = _run_spec(spec, params, fault_map, f"fig8-{series}-{cosets}")
     return [{"cosets": cosets, "series": series, "saw_cells": int(stats.saw_cells)}]
 
 
 def saw_vs_coset_count_tasks(
-    coset_counts: Sequence[int] = (32, 64, 128, 256),
-    config: SawStudyConfig = SawStudyConfig(),
+    *, coset_counts: Sequence[int], rows: int, num_writes: int, seed: int
 ) -> List[Task]:
     """The Fig. 8 sweep as campaign tasks, one per coset count × series."""
-    base = _random_study_base(config)
-    tasks: List[Task] = []
-    for cosets in checked_coset_counts(coset_counts, minimum=2):
-        for series in ("unencoded", "vcc"):
-            params = dict(base)
-            params.update(cosets=cosets, series=series)
-            tasks.append(Task(kind="fig8-saw-cell", params=params))
-    return tasks
+    base = _random_base(rows, num_writes, seed)
+    return [
+        Task(kind="fig8-saw-cell", params=dict(base, cosets=cosets, series=series))
+        for cosets in checked_coset_counts(coset_counts, minimum=2)
+        for series in ("unencoded", "vcc")
+    ]
 
 
-def saw_vs_coset_count_study(
-    coset_counts: Sequence[int] = (32, 64, 128, 256),
-    config: SawStudyConfig = SawStudyConfig(),
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
+def _reduction_table(
+    results: Sequence[Dict[str, Any]], axis: str, vcc_label: str, title: str, notes: str
 ) -> ResultTable:
-    """Fig. 8: SAW cell count of VCC vs. unencoded across coset cardinalities.
-
-    The (coset count × series) cells run through the campaign engine:
-    ``jobs`` worker processes (bit-identical rows for any count) with
-    optional result caching and resume via ``store``.
-    """
-    tasks = saw_vs_coset_count_tasks(coset_counts, config)
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
-    saw_cells: Dict[Any, int] = {
-        (row["cosets"], row["series"]): row["saw_cells"] for row in result.rows()
-    }
+    """Pair each axis value's unencoded and VCC cells (in task order) into rows."""
     table = ResultTable(
-        title="Fig. 8 — SAW cells vs. coset cardinality (fixed 1e-2 fault snapshot)",
-        columns=["cosets", "technique", "saw_cells", "reduction_percent"],
-        notes="reduction is relative to the unencoded writeback at the same coset count",
+        title=title, columns=[axis, "technique", "saw_cells", "reduction_percent"], notes=notes
     )
-    for cosets in checked_coset_counts(coset_counts, minimum=2):
-        unencoded = saw_cells[(cosets, "unencoded")]
-        vcc = saw_cells[(cosets, "vcc")]
-        reduction = 100.0 * (unencoded - vcc) / unencoded if unencoded else 0.0
+    for unencoded, vcc in zip(results[::2], results[1::2]):
+        before, after = unencoded["saw_cells"], vcc["saw_cells"]
+        reduction = 100.0 * (before - after) / before if before else 0.0
         table.append(
-            cosets=cosets, technique="Unencoded", saw_cells=unencoded, reduction_percent=0.0
+            **{axis: unencoded[axis]},
+            technique="Unencoded",
+            saw_cells=before,
+            reduction_percent=0.0,
         )
         table.append(
-            cosets=cosets, technique="VCC", saw_cells=vcc, reduction_percent=reduction
+            **{axis: vcc[axis]}, technique=vcc_label, saw_cells=after, reduction_percent=reduction
         )
     return table
+
+
+def saw_vs_coset_count_table(results: Sequence[Dict[str, Any]], **_: Any) -> ResultTable:
+    """Fig. 8: SAW cell count of VCC vs. unencoded across coset cardinalities."""
+    return _reduction_table(
+        results,
+        "cosets",
+        "VCC",
+        title="Fig. 8 — SAW cells vs. coset cardinality (fixed 1e-2 fault snapshot)",
+        notes="reduction is relative to the unencoded writeback at the same coset count",
+    )
 
 
 @register_task(
@@ -330,115 +276,58 @@ def saw_vs_coset_count_study(
 def _fig10_saw_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """One (benchmark × series) cell of the Fig. 10 sweep.
 
-    ``series`` is ``"unencoded"`` or ``"vcc"``; seed derivation labels
-    match the serial study exactly, so campaign rows are bit-identical
-    to the in-process path.
+    ``series`` is ``"unencoded"`` or ``"vcc"``; the trace and the fault
+    snapshot derive from the benchmark only, so both series see the same.
     """
     benchmark = params["benchmark"]
     series = params["series"]
-    config = SawStudyConfig(
-        rows=params["rows"],
-        word_bits=params["word_bits"],
-        line_bits=params["line_bits"],
-        technology=CellTechnology(params["technology"]),
-        fault_rate=params["fault_rate"],
-        seed=params["seed"],
-    )
     trace = cached_trace(
         benchmark,
         num_writebacks=params["writebacks"],
-        memory_lines=config.rows,
-        line_bits=config.line_bits,
-        word_bits=config.word_bits,
-        seed=derive_seed(config.seed, f"fig10-trace-{benchmark}"),
+        memory_lines=params["rows"],
+        line_bits=params["line_bits"],
+        word_bits=params["word_bits"],
+        seed=derive_seed(params["seed"], f"fig10-trace-{benchmark}"),
     )
-    fault_map = cached_fault_map(
-        rows=config.rows,
-        cells_per_row=config.cells_per_row,
-        technology=config.technology,
-        fault_rate=config.fault_rate,
-        seed=derive_seed(config.seed, f"fig10-faults-{benchmark}"),
-    )
-    if series == "unencoded":
-        spec = TechniqueSpec(encoder="unencoded", cost="saw-then-energy", label="Unencoded")
-    else:
-        # Stored kernels / full-word encoding for the same reason as in
-        # :func:`saw_vs_coset_count_study`.
-        spec = TechniqueSpec(
-            encoder="vcc-stored",
-            cost="saw-then-energy",
-            num_cosets=params["num_cosets"],
-            label="VCC",
-        )
-    stats = _run_spec(spec, config, fault_map, f"fig10-{series}-{benchmark}", trace=trace)
+    fault_map = _snapshot(params, f"fig10-faults-{benchmark}")
+    spec = _UNENCODED_SERIES if series == "unencoded" else _vcc_series(params["num_cosets"])
+    stats = _run_spec(spec, params, fault_map, f"fig10-{series}-{benchmark}", trace=trace)
     return [{"benchmark": benchmark, "series": series, "saw_cells": int(stats.saw_cells)}]
 
 
 def benchmark_saw_tasks(
-    benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-    num_cosets: int = 256,
-    writebacks_per_benchmark: int = 250,
-    config: SawStudyConfig = SawStudyConfig(),
+    *,
+    benchmarks: Sequence[str],
+    num_cosets: int,
+    writebacks_per_benchmark: int,
+    rows: int,
+    seed: int,
 ) -> List[Task]:
     """The Fig. 10 sweep as campaign tasks, one per benchmark × series."""
-    base = {
-        "num_cosets": num_cosets,
-        "writebacks": writebacks_per_benchmark,
-        "rows": config.rows,
-        "word_bits": config.word_bits,
-        "line_bits": config.line_bits,
-        "technology": config.technology.value,
-        "fault_rate": config.fault_rate,
-        "seed": config.seed,
-    }
-    tasks: List[Task] = []
-    for benchmark in benchmarks:
-        for series in ("unencoded", "vcc"):
-            params = dict(base)
-            params.update(benchmark=benchmark, series=series)
-            tasks.append(Task(kind="fig10-saw-cell", params=params))
-    return tasks
+    base = dict(
+        FIGURE_GEOMETRY,
+        num_cosets=num_cosets,
+        writebacks=writebacks_per_benchmark,
+        rows=rows,
+        fault_rate=SNAPSHOT_FAULT_RATE,
+        seed=seed,
+    )
+    return [
+        Task(kind="fig10-saw-cell", params=dict(base, benchmark=benchmark, series=series))
+        for benchmark in benchmarks
+        for series in ("unencoded", "vcc")
+    ]
 
 
-def benchmark_saw_study(
-    benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-    num_cosets: int = 256,
-    writebacks_per_benchmark: int = 250,
-    config: SawStudyConfig = SawStudyConfig(),
-    jobs: int = 1,
-    store: Union[ResultStore, str, Path, None] = None,
-    progress: Optional[ProgressCallback] = None,
+def benchmark_saw_table(
+    results: Sequence[Dict[str, Any]], *, num_cosets: int, **_: Any
 ) -> ResultTable:
-    """Fig. 10: per-benchmark SAW cells, unencoded vs. VCC(64, N, N/16).
-
-    The sweep runs through the campaign engine: ``jobs`` worker processes
-    (bit-identical rows for any count) with optional result caching and
-    resume via ``store``.
-    """
-    tasks = benchmark_saw_tasks(benchmarks, num_cosets, writebacks_per_benchmark, config)
-    result = run_campaign(tasks, store=store, jobs=jobs, progress=progress)
-    saw_cells: Dict[Any, int] = {
-        (row["benchmark"], row["series"]): row["saw_cells"] for row in result.rows()
-    }
-    table = ResultTable(
+    """Fig. 10: per-benchmark SAW cells, unencoded vs. VCC(64, N, N/16)."""
+    word_bits = FIGURE_GEOMETRY["word_bits"]
+    return _reduction_table(
+        results,
+        "benchmark",
+        f"VCC({word_bits},{num_cosets},{max(1, num_cosets // 16)})",
         title="Fig. 10 — per-benchmark SAW cells (fixed 1e-2 fault snapshot)",
-        columns=["benchmark", "technique", "saw_cells", "reduction_percent"],
         notes=f"VCC uses {num_cosets} virtual cosets",
     )
-    for benchmark in benchmarks:
-        unencoded = saw_cells[(benchmark, "unencoded")]
-        vcc = saw_cells[(benchmark, "vcc")]
-        reduction = 100.0 * (unencoded - vcc) / unencoded if unencoded else 0.0
-        table.append(
-            benchmark=benchmark,
-            technique="Unencoded",
-            saw_cells=unencoded,
-            reduction_percent=0.0,
-        )
-        table.append(
-            benchmark=benchmark,
-            technique=f"VCC({config.word_bits},{num_cosets},{max(1, num_cosets // 16)})",
-            saw_cells=vcc,
-            reduction_percent=reduction,
-        )
-    return table

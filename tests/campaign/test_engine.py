@@ -12,7 +12,7 @@ from repro.campaign.spec import SweepSpec, Task
 from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task, unregister_task
 from repro.errors import SimulationError
-from repro.sim.saw_sim import SawStudyConfig, benchmark_saw_tasks
+from repro.sim.saw_sim import benchmark_saw_tasks
 
 
 def _tiny_fig10_tasks():
@@ -20,7 +20,8 @@ def _tiny_fig10_tasks():
         benchmarks=("lbm", "mcf"),
         num_cosets=16,
         writebacks_per_benchmark=12,
-        config=SawStudyConfig(rows=32),
+        rows=32,
+        seed=7,
     )
 
 

@@ -1,22 +1,22 @@
-"""Tests for the energy studies (Figs. 7 and 9), run at reduced scale."""
+"""Tests for the energy figures (Figs. 7 and 9), run at reduced scale."""
 
 import pytest
 
-from repro.sim.energy_sim import EnergyStudyConfig, benchmark_energy_study, random_data_energy_study
+from repro.experiments.registry import run_experiment
 
-#: A deliberately tiny configuration so the full study logic runs in seconds.
-_TINY = EnergyStudyConfig(rows=24, num_writes=40, seed=5)
+#: A deliberately tiny memory so the full figure logic runs in seconds.
+_TINY = {"rows": 24, "seed": 5}
 
 
 @pytest.fixture(scope="module")
 def fig7_table():
-    return random_data_energy_study(coset_counts=(32, 256), config=_TINY)
+    return run_experiment("fig7", coset_counts=(32, 256), num_writes=40, **_TINY)
 
 
 @pytest.fixture(scope="module")
 def fig9_table():
-    return benchmark_energy_study(
-        benchmarks=("lbm", "xz"), num_cosets=64, writebacks_per_benchmark=30, config=_TINY
+    return run_experiment(
+        "fig9", benchmarks=("lbm", "xz"), num_cosets=64, writebacks_per_benchmark=30, **_TINY
     )
 
 

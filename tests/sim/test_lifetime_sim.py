@@ -6,17 +6,9 @@ from repro.campaign.store import ResultStore
 from repro.campaign.tasks import run_task
 from repro.coding.registry import get_encoder_plugin, register_encoder, unregister_encoder
 from repro.errors import ConfigurationError
+from repro.experiments.registry import get_experiment, run_experiment, run_experiments
 from repro.sim.harness import TechniqueSpec
-from repro.sim.lifetime_sim import (
-    DEFAULT_LIFETIME_TECHNIQUES,
-    LifetimeStudyConfig,
-    _row_failure,
-    lifetime_study,
-    lifetime_study_tasks,
-    mean_lifetime_by_coset_count,
-    mean_lifetime_tasks,
-    simulate_lifetime,
-)
+from repro.sim.lifetime_sim import LifetimeStudyConfig, _row_failure, simulate_lifetime
 
 #: A deliberately tiny configuration: small memory, short endurance, short
 #: trace.  Lifetimes are a few hundred writes, so the whole module runs in
@@ -29,6 +21,12 @@ _TINY = LifetimeStudyConfig(
     max_line_writes=20_000,
     seed=21,
 )
+
+
+def _tasks(figure, **overrides):
+    """The figure's task grid at its defaults updated by ``overrides``."""
+    entry = get_experiment(figure)
+    return entry.tasks(**{**entry.defaults, **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +125,8 @@ class TestLifetimeOrdering:
 
 class TestLifetimeStudyTable:
     def test_table_structure(self):
-        table = lifetime_study(
+        table = run_experiment(
+            "fig11",
             benchmarks=("lbm",),
             techniques=(
                 TechniqueSpec(encoder="unencoded", cost="saw-then-energy", label="Unencoded"),
@@ -150,7 +149,8 @@ class TestLifetimeStudyTable:
             max_line_writes=120,
             seed=21,
         )
-        table = lifetime_study(
+        table = run_experiment(
+            "fig11",
             benchmarks=("lbm",),
             techniques=(
                 TechniqueSpec(encoder="unencoded", cost="saw-then-energy", label="Unencoded"),
@@ -176,8 +176,8 @@ class TestFig12Campaign:
             techniques=_FIG12_TECHNIQUES,
             config=_TINY,
         )
-        serial = mean_lifetime_by_coset_count(jobs=1, **kwargs)
-        parallel = mean_lifetime_by_coset_count(jobs=3, **kwargs)
+        serial = run_experiment("fig12", jobs=1, **kwargs)
+        parallel = run_experiment("fig12", jobs=3, **kwargs)
         assert serial.rows == parallel.rows
 
     def test_cached_resume_executes_nothing(self, tmp_path):
@@ -187,19 +187,23 @@ class TestFig12Campaign:
             benchmarks=("lbm",),
             techniques=_FIG12_TECHNIQUES,
             config=_TINY,
-            store=store,
         )
-        first = mean_lifetime_by_coset_count(**kwargs)
-        tasks = mean_lifetime_tasks(
-            coset_counts=(16,), benchmarks=("lbm",), techniques=_FIG12_TECHNIQUES, config=_TINY
+        first = run_experiment("fig12", store_dir=store, **kwargs)
+        tasks = _tasks(
+            "fig12",
+            coset_counts=(16,),
+            benchmarks=("lbm",),
+            techniques=_FIG12_TECHNIQUES,
+            config=_TINY,
         )
         assert all(store.get(task) is not None for task in tasks)
-        second = mean_lifetime_by_coset_count(**kwargs)
+        second = run_experiment("fig12", store_dir=store, **kwargs)
         assert first.rows == second.rows
 
     def test_repetitions_produce_paired_seeds(self):
         """Repetition N offsets the seed identically for every technique."""
-        tasks = mean_lifetime_tasks(
+        tasks = _tasks(
+            "fig12",
             coset_counts=(16,),
             benchmarks=("lbm",),
             techniques=_FIG12_TECHNIQUES,
@@ -220,7 +224,8 @@ class TestFig12Campaign:
             assert base.writes != other.writes
 
     def test_mean_spans_benchmarks_and_repetitions(self):
-        one = mean_lifetime_by_coset_count(
+        one = run_experiment(
+            "fig12",
             coset_counts=(16,),
             benchmarks=("lbm",),
             techniques=_FIG12_TECHNIQUES[:1],
@@ -240,11 +245,11 @@ class TestRepetitionCount:
 
     def test_lifetime_study_rejects_zero(self):
         with pytest.raises(ConfigurationError, match="repetitions"):
-            lifetime_study(benchmarks=("lbm",), config=_TINY, repetitions=0)
+            run_experiment("fig11", benchmarks=("lbm",), config=_TINY, repetitions=0)
 
     def test_mean_lifetime_rejects_zero(self):
         with pytest.raises(ConfigurationError, match="repetitions"):
-            mean_lifetime_by_coset_count(benchmarks=("lbm",), config=_TINY, repetitions=0)
+            run_experiment("fig12", benchmarks=("lbm",), config=_TINY, repetitions=0)
 
 
 def _distinct(tasks):
@@ -255,23 +260,41 @@ class TestDistinctLifetimeCells:
     """Figs. 11 and 12 share one ``lifetime-cell`` task per distinct cell."""
 
     def test_default_fig12_grid_has_26_distinct_cells(self):
-        tasks = mean_lifetime_tasks()
+        tasks = _tasks("fig12")
         assert len(tasks) == 56
         assert len(_distinct(tasks)) == 26
 
     def test_fig12_after_fig11_reuses_its_cells(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        lifetime_study(benchmarks=("lbm", "mcf"), config=_TINY, store=store)
+        run_experiment("fig11", benchmarks=("lbm", "mcf"), config=_TINY, store_dir=store)
         events = []
-        mean_lifetime_by_coset_count(config=_TINY, store=store, progress=events.append)
+        run_experiment("fig12", config=_TINY, store_dir=store, progress=events.append)
         assert len(events) == 26
         assert sum(event.from_cache for event in events) == 14
         assert sum(not event.from_cache for event in events) == 12
 
+    def test_default_fig11_and_fig12_share_cells_in_one_campaign(self):
+        """One call runs each distinct cell of both default grids once: 28 + 26 - 14."""
+        assert len(_distinct(_tasks("fig11")) | _distinct(_tasks("fig12"))) == 40
+
+    def test_fig11_and_fig12_in_one_campaign_match_separate_runs(self):
+        """Run together with no store, the two figures execute their shared cells once.
+
+        Fig. 11 on lbm and bwaves (14 cells) and Fig. 12 on lbm and mcf at
+        two counts (18 cells) share lbm's seven 256-coset cells.
+        """
+        fig11 = {"benchmarks": ("lbm", "bwaves"), "config": _TINY}
+        fig12 = {"coset_counts": (32, 256), "config": _TINY}
+        events = []
+        together = run_experiments([("fig11", fig11), ("fig12", fig12)], progress=events.append)
+        assert len(events) == 14 + 18 - 7
+        assert not any(event.from_cache for event in events)
+        assert together == [run_experiment("fig11", **fig11), run_experiment("fig12", **fig12)]
+
     def test_cell_simulates_what_its_params_say(self):
         spec = TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=16)
-        (task,) = lifetime_study_tasks(
-            benchmarks=("lbm",), techniques=(spec,), num_cosets=16, config=_TINY
+        (task,) = _tasks(
+            "fig11", benchmarks=("lbm",), techniques=(spec,), num_cosets=16, config=_TINY
         )
         outcome = simulate_lifetime(spec, "lbm", _TINY)
         assert run_task(task) == [
@@ -290,7 +313,8 @@ class TestDistinctLifetimeCells:
         factory = get_encoder_plugin("unencoded").factory
         register_encoder("test-lifetime-coder", params=params)(factory)
         try:
-            tasks = mean_lifetime_tasks(
+            tasks = _tasks(
+                "fig12",
                 coset_counts=(32, 256),
                 benchmarks=("lbm",),
                 techniques=(TechniqueSpec(encoder="test-lifetime-coder"),),
@@ -306,12 +330,16 @@ class TestDistinctLifetimeCells:
             TechniqueSpec(encoder="unencoded", label="SECDED", corrector="secded"),
             TechniqueSpec(encoder="unencoded", label="Drift", fault_model="wear-drift"),
         )
-        tasks = lifetime_study_tasks(benchmarks=("lbm",), techniques=techniques, config=_TINY)
+        tasks = _tasks("fig11", benchmarks=("lbm",), techniques=techniques, config=_TINY)
         assert len(_distinct(tasks)) == 3
         # A study-wide fault model overrides the specs' own, so only the
         # corrector still tells its cells apart; none matches a cell above.
-        transient = lifetime_study_tasks(
-            benchmarks=("lbm",), techniques=techniques, config=_TINY, fault_model="transient"
+        transient = _tasks(
+            "fig11",
+            benchmarks=("lbm",),
+            techniques=techniques,
+            config=_TINY,
+            fault_model="transient",
         )
         assert len(_distinct(transient)) == 2
         assert not _distinct(tasks) & _distinct(transient)
@@ -321,11 +349,12 @@ class TestDistinctLifetimeCells:
             TechniqueSpec(encoder="flipcy", label="Flipcy"),
             TechniqueSpec(encoder="flipcy", label="Flipcy again"),
         )
-        tasks = lifetime_study_tasks(benchmarks=("lbm",), techniques=techniques, config=_TINY)
+        tasks = _tasks("fig11", benchmarks=("lbm",), techniques=techniques, config=_TINY)
         assert len(_distinct(tasks)) == 1
 
     def test_repetitions_stay_paired_and_distinct(self):
-        tasks = mean_lifetime_tasks(
+        tasks = _tasks(
+            "fig12",
             coset_counts=(16, 32),
             benchmarks=("lbm",),
             techniques=_FIG12_TECHNIQUES,

@@ -1,31 +1,26 @@
-"""Tests for the SAW studies (Figs. 2, 8, 10), run at reduced scale."""
+"""Tests for the SAW figures (Figs. 2, 8, 10), run at reduced scale."""
 
 import pytest
 
-from repro.sim.saw_sim import (
-    SawStudyConfig,
-    benchmark_saw_study,
-    fault_masking_study,
-    saw_vs_coset_count_study,
-)
+from repro.experiments.registry import run_experiment
 
-_TINY = SawStudyConfig(rows=32, num_writes=60, seed=9)
+_TINY = {"rows": 32, "seed": 9}
 
 
 @pytest.fixture(scope="module")
 def fig2_table():
-    return fault_masking_study(coset_counts=(1, 4, 32), config=_TINY)
+    return run_experiment("fig2", coset_counts=(1, 4, 32), num_writes=60, **_TINY)
 
 
 @pytest.fixture(scope="module")
 def fig8_table():
-    return saw_vs_coset_count_study(coset_counts=(32, 256), config=_TINY)
+    return run_experiment("fig8", coset_counts=(32, 256), num_writes=60, **_TINY)
 
 
 @pytest.fixture(scope="module")
 def fig10_table():
-    return benchmark_saw_study(
-        benchmarks=("lbm", "xz"), num_cosets=256, writebacks_per_benchmark=40, config=_TINY
+    return run_experiment(
+        "fig10", benchmarks=("lbm", "xz"), num_cosets=256, writebacks_per_benchmark=40, **_TINY
     )
 
 
