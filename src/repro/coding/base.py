@@ -911,7 +911,7 @@ class Encoder(abc.ABC):
         if cells is None:
             cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
         data_costs = self.cost_function.batch_line_cell_costs(cells, batch).sum(axis=3)
-        aux_costs = self.cost_function.aux_costs_matrix(
+        aux_costs = self.cost_function._aux_costs(
             np.broadcast_to(aux[:, None], (num_candidates, lines * words)),
             batch.old_auxes.reshape(-1),
             self.aux_bits,

@@ -26,51 +26,68 @@ for bit by construction:
 * :meth:`CostFunction.batch_line_cell_costs` scores a ``(lines,
   candidates, words, cells)`` batch against one
   :class:`~repro.coding.base.LineBatch` with one flat gather; this is how
-  :meth:`repro.coding.base.Encoder.encode_lines` scores a whole batch;
-* :meth:`CostFunction.transition_tables` is ``table[stuck, old]`` for every
-  cell of a batch, ``(lines, words, cells, levels)``.
+  :meth:`repro.coding.base.Encoder.encode_lines` scores a whole batch.
 
 A third-party cost that used to override ``cell_costs_matrix`` (and set
 ``cellwise``) implements :meth:`~CostFunction.cell_table` instead, evaluating
-its per-cell rule once per ``(stuck, old, new)``; a cost that depends on
-more than one cell of a candidate cannot be expressed.  Auxiliary bits keep
+its per-cell rule once per ``(stuck, old, new)``; a cost that depends on more
+than one cell of a candidate cannot be expressed.  Auxiliary bits keep
 their own :meth:`~CostFunction.aux_cost`/:meth:`~CostFunction.aux_costs_matrix`
 hooks.
 
 RCC and VCC go one step further and score all their candidates with
-matrix products read straight off the transition tables:
+matrix products read off two tables that each cost derives on first use
+and keeps on the instance next to its cell table:
 
-* RCC: ``(words, cells*levels)`` tables times a fixed ``(cells*levels,
+* the *folded* table (:meth:`CostFunction._folded_table`), whose row
+  ``(stuck * levels + old) * levels + data`` holds ``table[stuck, old, v ^
+  data]`` at column ``v``, so one ``np.take`` at :func:`_folded_rows` gives
+  every cell's costs addressed by the fixed coset or kernel cell ``v``;
+* the aux table (:meth:`CostFunction._aux_table`), one
+  :meth:`~CostFunction.aux_costs_matrix` call over every ``(old, new)``
+  pair of a field up to :data:`AUX_TABLE_MAX_BITS` wide.  RCC, whose
+  cosets are every aux value, reads one row per word; VCC, FNW and
+  ``_select_best_lines`` take at ``old << aux_bits | new``
+  (:meth:`CostFunction._aux_costs`).  Wider fields call
+  :meth:`~CostFunction.aux_costs_matrix` per batch.
+
+The products are:
+
+* RCC: ``(words, cells*levels)`` folded rows times a fixed ``(cells*levels,
   cosets)`` one-hot coset matrix (:meth:`repro.coding.rcc.RCCEncoder.encode_lines`);
 * VCC with a stored ROM over the full word: the same product per
   partition, ``(words*partitions, partition_cells*levels)`` against a
   one-hot matrix of the ``2r`` XOR and XNOR kernel forms;
 * VCC on the right-digit plane: a cell's left digit is fixed, so it has
-  just two costs, ``a0``/``a1`` for kernel bit 0/1.  One batched product
-  ``S = (a1 - a0) @ kernel_bits`` scores every kernel of every partition:
-  the XOR form costs ``sum(a0) + S`` and the XNOR form ``sum(a1) - S``
-  (:meth:`repro.core.vcc.VCCEncoder.encode_lines`).
+  just two costs, ``a0``/``a1`` for kernel bit 0/1, columns 0 and 1 of its
+  folded row.  One batched product ``S = (a1 - a0) @ kernel_bits`` scores
+  every kernel of every partition: the XOR form costs ``sum(a0) + S`` and
+  the XNOR form ``sum(a1) - S`` (:meth:`repro.core.vcc.VCCEncoder.encode_lines`).
 
 Each product sums table entries (and their differences) times exact 0/1
 weights, so it equals the scalar path's pairwise sum bit for bit whenever
 the entries are finite integers and every partial sum stays below
 ``2**53`` in magnitude: every partial sum is then an exactly representable
-integer, whatever order BLAS adds in.  :func:`exact_table_sums` checks that
-per call from the largest entry and the number of summed terms (``cells``
-for RCC, ``2 * cells`` for VCC, whose ``a1 - a0`` differences can double an
-entry).  Every builtin cost meets it at its default energy model (the MLC
-LUT holds 0, 2 or 20 pJ, SLC 1 or 2 pJ, the counts are integers, the
-lexicographic scale is 1e6).  Tables that do not (a fractional LUT or
-scale, ``inf``, huge values) are scored by gathering every candidate cell
-through :meth:`CostFunction.batch_line_cell_costs` instead, whose sums run
-in the scalar path's order.
+integer, whatever order BLAS adds in.  :meth:`CostFunction._exact_sums`
+decides that once per table and term count, by :func:`exact_table_sums`
+over the whole cell table, stuck half included, from the largest entry and
+the number of summed terms (``cells`` for RCC, ``2 * cells`` for VCC, whose
+``a1 - a0`` differences can double an entry).  Every builtin cost meets it
+at its default energy model (the MLC LUT holds 0, 2 or 20 pJ, SLC 1 or 2
+pJ, the counts are integers, the lexicographic scale is 1e6).  Tables that
+do not (a fractional LUT or scale, ``inf``, huge values) are scored by
+gathering every candidate cell through
+:meth:`CostFunction.batch_line_cell_costs` instead, whose sums run in the
+scalar path's order.  The scalar oracles never read the derived tables:
+they gather :meth:`~CostFunction.cell_table` entries and call
+:meth:`~CostFunction.aux_cost` directly.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, cast
 
 import numpy as np
 
@@ -92,7 +109,15 @@ __all__ = [
     "saw_then_energy",
     "energy_then_saw",
     "exact_table_sums",
+    "AUX_TABLE_MAX_BITS",
 ]
+
+_T = TypeVar("_T")
+
+#: Widest auxiliary field whose whole ``(old, new)`` cost table is cached:
+#: ``4**aux_bits <= 2**16`` entries, 512 KiB of float64 at 8 bits (RCC-256
+#: and VCC-256, the widest fields of the figures).
+AUX_TABLE_MAX_BITS = 8
 
 
 # Batched-kernel telemetry, bumped once per batch call (never per cell):
@@ -132,6 +157,20 @@ def _table_rows(levels: int, old_cells: np.ndarray, stuck_mask: Optional[np.ndar
     return rows
 
 
+def _folded_rows(batch: LineBatch, data_cells: np.ndarray) -> np.ndarray:
+    """Each cell's row ``(stuck * levels + old) * levels + data`` of a folded table.
+
+    ``data_cells`` holds the ``(lines * words, cells)`` data cells of the
+    batch's words; the rows index :meth:`CostFunction._folded_table` in the
+    same shape.
+    """
+    levels = 1 << batch.bits_per_cell
+    rows = _table_rows(levels, batch.old_cells, batch.stuck_mask).reshape(data_cells.shape)
+    rows *= levels
+    rows += data_cells
+    return rows
+
+
 def _transitions(bits_per_cell: int) -> np.ndarray:
     """The ``old`` and ``new`` index grids of a ``(levels, levels)`` table."""
     return np.indices((1 << bits_per_cell,) * 2)
@@ -164,11 +203,17 @@ class CostFunction(abc.ABC):
         cell technology the cost does not model.
         """
 
+    def _derived(self, key: Tuple[Any, ...], build: Callable[[], _T]) -> _T:
+        """``build()``, computed on first use and kept on the instance under ``key``."""
+        cache: Dict[Tuple[Any, ...], Any] = self.__dict__.setdefault("_derived_tables", {})
+        if key not in cache:
+            cache[key] = build()
+        return cast(_T, cache[key])
+
     def _table(self, bits_per_cell: int) -> np.ndarray:
         """:meth:`cell_table` as read-only float64, checked and cached per technology."""
-        cache: Dict[int, np.ndarray] = self.__dict__.setdefault("_cell_tables", {})
-        table = cache.get(bits_per_cell)
-        if table is None:
+
+        def build() -> np.ndarray:
             levels = 1 << bits_per_cell
             table = np.array(self.cell_table(bits_per_cell), dtype=np.float64)
             if table.shape != (2, levels, levels):
@@ -177,8 +222,35 @@ class CostFunction(abc.ABC):
                     f"{table.shape}, expected {(2, levels, levels)}"
                 )
             table.setflags(write=False)
-            cache[bits_per_cell] = table
-        return table
+            return table
+
+        return self._derived(("cell", bits_per_cell), build)
+
+    def _folded_table(self, bits_per_cell: int) -> np.ndarray:
+        """The cell table with a data cell XOR-folded in, cached per technology.
+
+        A read-only ``(2 * levels * levels, levels)`` array whose row
+        ``(stuck * levels + old) * levels + data`` (see :func:`_folded_rows`)
+        holds ``table[stuck, old, v ^ data]`` at column ``v``: the cost of
+        writing ``data ^ v``, addressed by the mask cell ``v`` alone.
+        """
+
+        def build() -> np.ndarray:
+            table = self._table(bits_per_cell)
+            levels = table.shape[2]
+            values = np.arange(levels)
+            folded = table[:, :, values[:, None] ^ values].reshape(-1, levels)
+            folded.setflags(write=False)
+            return folded
+
+        return self._derived(("folded", bits_per_cell), build)
+
+    def _exact_sums(self, bits_per_cell: int, terms: int) -> bool:
+        """:func:`exact_table_sums` of the whole cell table, decided once per ``terms``."""
+        return self._derived(
+            ("exact", bits_per_cell, terms),
+            lambda: exact_table_sums(self._table(bits_per_cell), terms),
+        )
 
     def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
         """Per-cell costs for a batch of candidates: ``table[stuck, old, new]``.
@@ -249,20 +321,6 @@ class CostFunction(abc.ABC):
         # A flat 1-D take hits numpy's fast contiguous-gather path.
         return np.take(table.reshape(-1), offsets[:, None] + new)
 
-    def transition_tables(self, batch: LineBatch) -> np.ndarray:
-        """Per-cell write-cost tables: ``table[stuck, old]`` for every cell of a batch.
-
-        Returns a ``(lines, words, cells, levels)`` array whose entry
-        ``[l, w, c, v]`` is the cost of writing cell value ``v`` to cell
-        ``c`` of word ``w`` of line ``l``.  Encoders with structured
-        candidates (e.g. RCC's XOR cosets, scored by one GEMM) read these
-        rows instead of materialising every candidate cell.
-        """
-        table = self._table(batch.bits_per_cell)
-        levels = table.shape[2]
-        rows = _table_rows(levels, batch.old_cells, batch.stuck_mask)
-        return np.take(table.reshape(2 * levels, levels), rows, axis=0)
-
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         """Cost of storing the auxiliary bits.
 
@@ -289,6 +347,45 @@ class CostFunction(abc.ABC):
         for position in np.ndindex(new.shape):
             out[position] = self.aux_cost(int(new[position]), int(old[position[-1]]), aux_bits)
         return out
+
+    def _aux_table(self, aux_bits: int, old_auxes: np.ndarray) -> Optional[np.ndarray]:
+        """:meth:`aux_costs_matrix` of every ``(old, new)`` pair, as ``table[old, new]``.
+
+        Built by one :meth:`aux_costs_matrix` call and cached per width;
+        that method scores each ``(new, old)`` pair on its own, so every
+        entry is the float64 it returns for the pair in any batch.  None
+        when ``aux_bits`` exceeds :data:`AUX_TABLE_MAX_BITS` or a stored
+        value in ``old_auxes`` does not fit the field; callers then call
+        :meth:`aux_costs_matrix` themselves.
+        """
+        if aux_bits > AUX_TABLE_MAX_BITS or old_auxes.max(initial=0) >> aux_bits:
+            return None
+
+        def build() -> np.ndarray:
+            values = np.arange(1 << aux_bits, dtype=np.int64)
+            # Candidates are the new values and words the old ones: [new, old].
+            costs = self.aux_costs_matrix(
+                np.broadcast_to(values[:, None], (values.size, values.size)), values, aux_bits
+            )
+            table = np.array(np.asarray(costs).T, dtype=np.float64, order="C")
+            table.setflags(write=False)
+            return table
+
+        return self._derived(("aux", aux_bits), build)
+
+    def _aux_costs(
+        self, new_auxes: np.ndarray, old_auxes: np.ndarray, aux_bits: int
+    ) -> np.ndarray:
+        """:meth:`aux_costs_matrix`, read from :meth:`_aux_table` where it applies.
+
+        Same ``(candidates, words)`` contract and the same entries: one
+        take at ``old << aux_bits | new`` when the table is cached and
+        every value fits the field.
+        """
+        table = self._aux_table(aux_bits, old_auxes)
+        if table is None or new_auxes.min(initial=0) < 0 or new_auxes.max(initial=0) >> aux_bits:
+            return self.aux_costs_matrix(new_auxes, old_auxes, aux_bits)
+        return np.take(table.reshape(-1), (old_auxes << aux_bits) | new_auxes)
 
     @staticmethod
     def slice_context(context: WordContext, start: int, stop: int) -> WordContext:

@@ -151,7 +151,7 @@ class FNWEncoder(Encoder):
         for j in range(p):
             codewords |= chosen_subs[:, :, j] << shifts[j]
             flags = (flags << 1) | flags_matrix[:, :, j]
-        totals += self.cost_function.aux_costs_matrix(
+        totals += self.cost_function._aux_costs(
             flags.reshape(1, lines * num_words),
             batch.old_auxes.reshape(-1),
             self.aux_bits,

@@ -35,7 +35,7 @@ from repro.coding.cost import (
     _OBS_KERNEL_GEMMS,
     BitChangeCost,
     CostFunction,
-    exact_table_sums,
+    _folded_rows,
 )
 from repro.coding.registry import register_encoder
 from repro.errors import ConfigurationError
@@ -135,43 +135,50 @@ class RCCEncoder(Encoder):
         total_words = lines * words_per_line
         flat = values.reshape(total_words)
         auxes = np.arange(self.num_cosets, dtype=np.int64)
+        cost = self.cost_function
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
-        tables = self.cost_function.transition_tables(batch).reshape(
-            total_words, self.cells_per_word, -1
-        )
         # The GEMM below sums what the scalar path sums, one table entry per
-        # cell (every other term is an entry times 0.0).  When exact_table_sums
-        # holds (finite integer entries, max|entry| * cells < 2**53), every
-        # partial sum is an exact integer, so any summation order gives the
-        # same bits.  Anything else (fractional LUTs or scales, inf, NaN,
-        # huge values) takes the generic 4-D gather, whose sums run in the
-        # scalar path's order.
-        if not exact_table_sums(tables, self.cells_per_word):
+        # cell (every other term is an entry times 0.0).  When the cell
+        # table passes exact_table_sums (finite integer entries, max|entry| *
+        # cells < 2**53, decided once per cost), every partial sum is an
+        # exact integer, so any summation order gives the same bits.
+        # Anything else (fractional LUTs or scales, inf, NaN, huge values)
+        # takes the generic 4-D gather, whose sums run in the scalar path's
+        # order.
+        if not cost._exact_sums(self.bits_per_cell, self.cells_per_word):
             candidates = values[:, None, :] ^ self._coset_array[None, :, None]
             candidate_cells = (
                 data_cells.reshape(lines, 1, words_per_line, -1)
                 ^ self._coset_cells[None, :, None, :]
             )
             return self._select_best_lines(candidates, auxes, batch, cells=candidate_cells)
-        # GEMM fast path: fold the data word into the table (T'[w, cell, v]
-        # = T[w, cell, v ^ data_cell], so a candidate's cost row is addressed
-        # by the *coset* cells, which are fixed) and score all cosets of all
-        # words with one product against the one-hot coset matrix.
-        fold = np.arange(tables.shape[2], dtype=np.uint8)[None, None, :] ^ data_cells[:, :, None]
-        folded = np.take_along_axis(tables, fold.astype(np.intp), axis=2)
+        # GEMM fast path: each cell's row of the folded table holds its cost
+        # for every coset cell v (the data cell XOR-folded in), so all cosets
+        # of all words are scored by one product against the one-hot coset
+        # matrix.
+        folded = np.take(
+            cost._folded_table(self.bits_per_cell), _folded_rows(batch, data_cells), axis=0
+        )
         data_costs = folded.reshape(total_words, -1) @ self._coset_onehot
         _OBS_KERNEL_GEMMS.inc()
         _OBS_CANDIDATES.inc(lines * self.num_cosets)
         # Selection inline (the (words, cosets) layout of the GEMM saves
         # transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
-        # _select_best, and only the winning candidates are built.
-        aux_costs = self.cost_function.aux_costs_matrix(
-            np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),
-            batch.old_auxes.reshape(-1),
-            self.aux_bits,
-        )
-        totals = data_costs + aux_costs.T
+        # _select_best, and only the winning candidates are built.  The
+        # cosets are every aux value, so a word's aux costs are the row of
+        # its stored aux in the cached aux table.
+        old_auxes = batch.old_auxes.reshape(-1)
+        aux_table = cost._aux_table(self.aux_bits, old_auxes)
+        if aux_table is not None:
+            aux_costs = aux_table[old_auxes]
+        else:
+            aux_costs = cost.aux_costs_matrix(
+                np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),
+                old_auxes,
+                self.aux_bits,
+            ).T
+        totals = data_costs + aux_costs
         best = np.argmin(totals, axis=1)
         shape = (lines, words_per_line)
         return self._encoded(

@@ -41,7 +41,7 @@ from repro.coding.cost import (
     _OBS_KERNEL_GEMMS,
     BitChangeCost,
     CostFunction,
-    exact_table_sums,
+    _folded_rows,
 )
 from repro.coding.registry import register_encoder
 from repro.core.config import EncodeRegion, VCCConfig
@@ -222,30 +222,34 @@ class VCCEncoder(Encoder):
         codewords are assembled with vectorised bit arithmetic.
 
         The ``2r`` XOR/XNOR costs of every partition come from the cost
-        function's transition tables (one cost per cell and cell value) and
-        one matrix product, without building any candidate cell:
+        function's folded table (each cell's cost for every XOR mask cell,
+        the data cell folded in; derived once per cost) and one matrix
+        product, without building any candidate cell:
 
         * right-digit plane: a cell's left digit is fixed, so the cell
-          costs ``a0`` or ``a1`` for kernel bit 0 or 1 (the data's digits
-          folded in).  ``S = (a1 - a0) @ kernel_bits`` over the partition
-          gives every kernel at once: the XOR form costs ``sum(a0) + S``,
-          the XNOR form ``sum(a1) - S``.  The bits may differ per word, so
-          this holds for any kernel provider;
-        * full word with a stored ROM: the data cells are XOR-folded into
-          the tables, so a candidate's costs are addressed by the fixed
-          kernel cells, and one product against a one-hot matrix of the
-          ``2r`` kernel forms (built once per encoder) scores them.
+          costs ``a0`` or ``a1`` for kernel bit 0 or 1, columns 0 and 1 of
+          its folded row.  ``S = (a1 - a0) @ kernel_bits`` over the
+          partition gives every kernel at once: the XOR form costs
+          ``sum(a0) + S``, the XNOR form ``sum(a1) - S``.  The bits may
+          differ per word, so this holds for any kernel provider;
+        * full word with a stored ROM: a candidate's cell costs are
+          addressed by the fixed kernel cells, and one product of the
+          folded rows against a one-hot matrix of the ``2r`` kernel forms
+          (built once per encoder) scores them.
 
         The products add table entries (and their differences) times exact
         0/1 weights, so they are exact, and bit-identical to the scalar
-        path's sums, whenever :func:`repro.coding.cost.exact_table_sums`
-        holds for ``2 * cells`` terms (finite integer entries, every partial
-        sum below ``2**53``).  Every other case (fractional or huge
+        path's sums, whenever the whole cell table passes
+        :func:`repro.coding.cost.exact_table_sums` for ``2 * cells`` terms
+        (finite integer entries, every partial sum below ``2**53``), which
+        the cost decides once.  Every other case (fractional or huge
         entries, ``inf``/NaN, a full-word provider without a ROM) scores
         the candidate cells through one
         :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` gather.
-        The selected kernels, flags, codewords, and costs are bit-identical
-        to :meth:`encode` on each word.
+        The auxiliary costs come from the cost's cached ``(old, new)`` aux
+        table where the field is narrow enough.  The selected kernels,
+        flags, codewords, and costs are bit-identical to :meth:`encode` on
+        each word.
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
@@ -291,7 +295,7 @@ class VCCEncoder(Encoder):
         for j in range(p):
             flags = (flags << 1) | flags_matrix[:, :, j]
         aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
-        aux_costs = self.cost_function.aux_costs_matrix(
+        aux_costs = self.cost_function._aux_costs(
             aux_values, batch.old_auxes.reshape(-1), self.aux_bits
         )
         totals = data_costs + aux_costs
@@ -371,32 +375,33 @@ class VCCEncoder(Encoder):
     def _product_costs(
         self, flat: np.ndarray, kernels_matrix: np.ndarray, batch: LineBatch
     ) -> Optional[np.ndarray]:
-        """Candidate costs from the transition tables and one matrix product.
+        """Candidate costs from the folded cell table and one matrix product.
 
         Returns the ``(2r, words, partitions)`` costs, or None when no
-        product shape applies or the tables fail the exactness check (see
-        :meth:`encode_lines`).
+        product shape applies or the cell table fails the exactness check
+        (see :meth:`encode_lines`).
         """
         config = self.config
         right_plane = config.encode_region is EncodeRegion.RIGHT_PLANE
         if not right_plane and self._rom_onehot is None:
             return None
+        cost = self.cost_function
+        cells = self.cells_per_word
+        if not cost._exact_sums(self.bits_per_cell, 2 * cells):
+            return None
         num_words = flat.shape[0]
         p = config.partitions
         r = config.num_kernels
-        cells = self.cells_per_word
-        tables = self.cost_function.transition_tables(batch).reshape(num_words, cells, -1)
-        if not exact_table_sums(tables, 2 * cells):
-            return None
-        levels = tables.shape[2]
+        folded = cost._folded_table(self.bits_per_cell)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
+        rows = _folded_rows(batch, data_cells)
         if right_plane:
             # A data cell (left << 1) | right becomes (left << 1) | (right ^
-            # kernel bit); flipping the index's low bit flips the right digit.
-            index = np.arange(num_words * cells, dtype=np.intp) * levels + data_cells.ravel()
-            flat_tables = tables.reshape(-1)
-            a0 = flat_tables[index].reshape(num_words, p, -1)
-            a1 = flat_tables[index ^ 1].reshape(num_words, p, -1)
+            # kernel bit): folded columns 0 and 1 of the cell's row.
+            index = rows * folded.shape[1]
+            flat_folded = folded.reshape(-1)
+            a0 = np.take(flat_folded, index).reshape(num_words, p, -1)
+            a1 = np.take(flat_folded, index + 1).reshape(num_words, p, -1)
             kernel_bits = (
                 (kernels_matrix[:, None, :] >> self._kernel_shifts[None, :, None]) & np.uint64(1)
             ).astype(np.float64)
@@ -406,11 +411,9 @@ class VCCEncoder(Encoder):
                 axis=2,
             )
         else:
-            # T'[w, cell, v] = T[w, cell, v ^ data_cell]: candidate cells are
-            # data_cells ^ kernel_cells, so T' is addressed by the ROM alone.
-            fold = np.arange(levels, dtype=np.intp)[None, None, :] ^ data_cells[:, :, None]
-            folded = np.take_along_axis(tables, fold, axis=2)
-            costs = folded.reshape(num_words * p, -1) @ self._rom_onehot
+            # Candidate cells are data_cells ^ kernel_cells, so each cell's
+            # folded row is addressed by the ROM alone.
+            costs = np.take(folded, rows, axis=0).reshape(num_words * p, -1) @ self._rom_onehot
         _OBS_KERNEL_GEMMS.inc()
         # What the gather path's batch_line_cell_costs call counts.
         _OBS_CANDIDATES.inc(len(batch) * 2 * r)

@@ -17,6 +17,7 @@ one layer down for
 import numpy as np
 import pytest
 
+import repro.coding.cost as cost_module
 import repro.obs as obs
 from repro.coding.base import (
     EncodedBatch,
@@ -26,6 +27,7 @@ from repro.coding.base import (
     LineContext,
 )
 from repro.coding.cost import (
+    AUX_TABLE_MAX_BITS,
     BitChangeCost,
     CellChangeCost,
     CostFunction,
@@ -33,6 +35,7 @@ from repro.coding.cost import (
     LexicographicCost,
     OnesCost,
     SawCost,
+    _folded_rows,
     energy_then_saw,
     saw_then_energy,
 )
@@ -485,17 +488,23 @@ class TestBatchLineCellCosts:
                 assert np.array_equal(batched[index, :, word], expected)
 
     @pytest.mark.parametrize("cost,bits_per_cell", ALL_COSTS, ids=_ALL_COST_IDS)
-    def test_transition_tables_match_elementwise_pipeline(self, cost, bits_per_cell):
+    def test_folded_rows_match_elementwise_pipeline(self, cost, bits_per_cell):
+        # Row _folded_rows(batch, data) of the folded table, at column v, is
+        # what the scalar oracle charges for writing data ^ v to that cell.
         rng = make_rng(13, f"tables-{cost.name}-{bits_per_cell}")
         levels, cells = 2**bits_per_cell, WORD_BITS // bits_per_cell
         contexts = _random_line_contexts(rng, 2, 8, cells, bits_per_cell, with_stuck=True)
-        tables = cost.transition_tables(LineBatch.from_lines(contexts))
-        assert tables.shape == (2, 8, cells, levels)
-        planes = np.repeat(np.arange(levels, dtype=np.uint8)[:, None], cells, axis=1)
+        data = rng.integers(0, levels, size=(2 * 8, cells)).astype(np.uint8)
+        rows = _folded_rows(LineBatch.from_lines(contexts), data)
+        folded = np.take(cost._folded_table(bits_per_cell), rows, axis=0)
+        assert folded.shape == (2 * 8, cells, levels)
+        masks = np.repeat(np.arange(levels, dtype=np.uint8)[:, None], cells, axis=1)
         for line, context in enumerate(contexts):
             for word in range(8):
-                expected = cost.cell_costs_matrix(planes, context.word_context(word))
-                assert np.array_equal(tables[line, word].T, expected)
+                expected = cost.cell_costs_matrix(
+                    data[line * 8 + word] ^ masks, context.word_context(word)
+                )
+                assert np.array_equal(folded[line * 8 + word].T, expected)
 
     def test_inf_entries_gather_exactly(self):
         # Rewriting a stuck cell under _HardSawCost reads +inf straight from
@@ -529,3 +538,190 @@ class TestBatchLineCellCosts:
                 np.zeros((0, 3, 8, 32), dtype=np.uint8),
                 LineBatch.from_lines([LineContext.blank()]),
             )
+
+
+class _MixedAuxCost(CostFunction):
+    """Third-party cost that overrides only the scalar ``aux_cost``."""
+
+    name = "mixed-aux"
+
+    def cell_table(self, bits_per_cell):
+        old, new = np.indices((2**bits_per_cell,) * 2)
+        return np.stack([old != new] * 2)
+
+    def aux_cost(self, new_aux, old_aux, aux_bits):
+        del aux_bits
+        return float((3 * new_aux + old_aux) % 7)
+
+
+class _StuckInfCost(CostFunction):
+    """Finite free half, ``inf`` only where a stuck cell would be rewritten."""
+
+    name = "stuck-inf"
+
+    def cell_table(self, bits_per_cell):
+        old, new = np.indices((2**bits_per_cell,) * 2)
+        return np.stack([np.abs(old - new) * 2.0, np.where(old != new, np.inf, 0.0)])
+
+
+def _derived_keys(cost, kind):
+    """Keys of the derived tables of one kind a cost has cached."""
+    return [key for key in cost.__dict__.get("_derived_tables", {}) if key[0] == kind]
+
+
+#: Every builtin cost plus the two third-party shapes of the aux contract.
+_AUX_COSTS = [cost for cost, _ in ALL_COSTS] + [_MixedAuxCost(), _HardSawCost()]
+
+
+class TestDerivedTables:
+    """The folded and aux tables are re-indexings of the costs' own hooks."""
+
+    @pytest.mark.parametrize(
+        "cost,bits_per_cell",
+        ALL_COSTS + [(_HardSawCost(), 1), (_HardSawCost(), 2)],
+        ids=_ALL_COST_IDS + ["hard-saw-slc", "hard-saw"],
+    )
+    def test_folded_entry_is_cell_table_at_mask_xor_data(self, cost, bits_per_cell):
+        levels = 2**bits_per_cell
+        table = np.asarray(cost.cell_table(bits_per_cell), dtype=np.float64)
+        folded = cost._folded_table(bits_per_cell)
+        assert folded.shape == (2 * levels * levels, levels)
+        assert not folded.flags.writeable
+        for stuck, old, data, value in np.ndindex(2, levels, levels, levels):
+            entry = folded[(stuck * levels + old) * levels + data, value]
+            assert entry == table[stuck, old, value ^ data]
+        if isinstance(cost, _HardSawCost):
+            assert np.isinf(folded).any()
+
+    @pytest.mark.parametrize("cost", _AUX_COSTS, ids=[c.name for c in _AUX_COSTS])
+    @pytest.mark.parametrize("aux_bits", [1, 4, AUX_TABLE_MAX_BITS])
+    def test_aux_table_matches_aux_costs_matrix(self, cost, aux_bits):
+        values = np.arange(2**aux_bits, dtype=np.int64)
+        table = cost._aux_table(aux_bits, values)
+        assert table.shape == (values.size, values.size)
+        assert not table.flags.writeable
+        # One (values, 1) call per stored value: a different layout from
+        # the single call that built the table.
+        for old in values:
+            row = cost.aux_costs_matrix(values[:, None], np.array([old]), aux_bits)[:, 0]
+            assert np.array_equal(table[old], row)
+
+    @pytest.mark.parametrize("cost", _AUX_COSTS, ids=[c.name for c in _AUX_COSTS])
+    def test_aux_table_matches_per_pair_calls(self, cost):
+        # (1, 1) calls: an energy-first lexicographic cost sees an all-zero
+        # primary on the diagonal and takes its .any() short-circuit there.
+        aux_bits = 4
+        table = cost._aux_table(aux_bits, np.zeros(1, dtype=np.int64))
+        for old, new in np.ndindex(table.shape):
+            pair = cost.aux_costs_matrix(np.array([[new]]), np.array([old]), aux_bits)
+            assert table[old, new] == pair[0, 0] == cost.aux_cost(new, old, aux_bits)
+
+    def test_all_zero_primary_short_circuits_in_the_table(self):
+        cost = saw_then_energy(CellTechnology.MLC)
+        values = np.arange(2**AUX_TABLE_MAX_BITS, dtype=np.int64)
+        assert not cost.primary._aux_table(AUX_TABLE_MAX_BITS, values).any()
+        assert np.array_equal(
+            cost._aux_table(AUX_TABLE_MAX_BITS, values),
+            cost.secondary._aux_table(AUX_TABLE_MAX_BITS, values),
+        )
+
+    def test_aux_costs_match_matrix_and_fall_back_out_of_range(self):
+        cost = energy_then_saw(CellTechnology.MLC)
+        rng = make_rng(21, "aux-costs")
+        new = rng.integers(0, 16, size=(6, 9))
+        for old in (rng.integers(0, 16, size=9), np.array([17] + [0] * 8)):
+            assert np.array_equal(cost._aux_costs(new, old, 4), cost.aux_costs_matrix(new, old, 4))
+        # A stored value wider than the field rules the table out.
+        assert cost._aux_table(4, np.array([16])) is None
+
+    def test_wide_fields_are_not_tabulated(self):
+        cost = BitChangeCost()
+        assert cost._aux_table(AUX_TABLE_MAX_BITS + 1, np.zeros(1, dtype=np.int64)) is None
+        assert _derived_keys(cost, "aux") == []
+
+    def test_tables_are_kept_per_instance(self):
+        cost = EnergyCost(CellTechnology.MLC)
+        assert cost._folded_table(2) is cost._folded_table(2)
+        zeros = np.zeros(1, dtype=np.int64)
+        assert cost._aux_table(8, zeros) is cost._aux_table(8, zeros)
+        assert EnergyCost(CellTechnology.MLC)._folded_table(2) is not cost._folded_table(2)
+
+
+class TestTableDrivenScoring:
+    """RCC, VCC and FNW read the derived tables and stay on the oracle."""
+
+    def test_wide_aux_rcc_matches_oracle_without_an_aux_table(self):
+        cost = saw_then_energy(CellTechnology.MLC)
+        encoder = make_encoder(
+            "rcc", word_bits=WORD_BITS, num_cosets=1024, technology=CellTechnology.MLC,
+            cost_function=cost,
+        )
+        assert encoder.aux_bits == 10
+        rng = make_rng(17, "rcc-wide-aux")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=2)
+        words = _lines(rng, lines=2)
+        gemms = obs.counter("encode.kernel_gemms")
+        before = gemms.value
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert gemms.value - before == 1
+        assert list(batched) == [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+        assert _derived_keys(cost, "aux") == []
+
+    @pytest.mark.parametrize("name", ["rcc", "vcc", "vcc-stored", "fnw", "flipcy"])
+    def test_scalar_aux_cost_override_matches_oracle(self, name):
+        encoder = make_encoder(
+            name, word_bits=WORD_BITS, num_cosets=32, technology=CellTechnology.MLC,
+            cost_function=_MixedAuxCost(),
+        )
+        rng = make_rng(18, f"mixed-aux-{name}")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder)
+        words = _lines(rng)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert list(batched) == [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+        assert _derived_keys(encoder.cost_function, "aux") == [("aux", encoder.aux_bits)]
+
+    @pytest.mark.parametrize("name", ["rcc", "vcc", "vcc-stored"])
+    def test_stuck_half_inf_takes_the_gather_path_without_stuck_cells(self, name):
+        # The whole table decides exactness: the inf entries rule the
+        # product out even for a batch whose rows never read them.
+        encoder = make_encoder(
+            name, word_bits=WORD_BITS, num_cosets=32, technology=CellTechnology.MLC,
+            cost_function=_StuckInfCost(),
+        )
+        rng = make_rng(19, f"stuck-inf-{name}")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder, stuck=False)
+        words = _lines(rng)
+        gemms = obs.counter("encode.kernel_gemms")
+        before = gemms.value
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert gemms.value == before
+        assert list(batched) == [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+
+    @pytest.mark.parametrize("name", ["rcc", "vcc", "vcc-stored"])
+    def test_exactness_is_decided_once(self, name, monkeypatch):
+        calls = []
+        real = cost_module.exact_table_sums
+
+        def counting(table, terms):
+            calls.append(terms)
+            return real(table, terms)
+
+        monkeypatch.setattr(cost_module, "exact_table_sums", counting)
+        encoder = make_encoder(
+            name, word_bits=WORD_BITS, num_cosets=32, technology=CellTechnology.MLC,
+            cost_function=saw_then_energy(CellTechnology.MLC),
+        )
+        rng = make_rng(20, f"exact-once-{name}")
+        gemms = obs.counter("encode.kernel_gemms")
+        before = gemms.value
+        for _ in range(3):
+            contexts = _contexts(rng, CellTechnology.MLC, encoder)
+            encoder.encode_lines(_lines(rng), LineBatch.from_lines(contexts))
+        assert gemms.value - before == 3
+        assert len(calls) == 1
