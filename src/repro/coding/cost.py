@@ -60,19 +60,22 @@ The products are:
   one-hot matrix of the ``2r`` XOR and XNOR kernel forms;
 * VCC on the right-digit plane: a cell's left digit is fixed, so it has
   just two costs, ``a0``/``a1`` for kernel bit 0/1, columns 0 and 1 of its
-  folded row.  One batched product ``S = (a1 - a0) @ kernel_bits`` scores
-  every kernel of every partition: the XOR form costs ``sum(a0) + S`` and
-  the XNOR form ``sum(a1) - S`` (:meth:`repro.core.vcc.VCCEncoder.encode_lines`).
+  folded row.  The XOR form of a partition costs ``A0 + F`` and the XNOR
+  form ``A1 - F``, so one batched product ``g = (a1 - a0) @ signs``, the
+  kernel bits as +1/-1, is the margin ``xor - xnor`` of every kernel of
+  every partition: the XNOR form wins where ``g > 0``, and the cheaper
+  forms sum to ``(sum(a0 + a1) - sum(|g|)) / 2``
+  (:meth:`repro.core.vcc.VCCEncoder._product_costs`).
 
 Each product sums table entries (and their differences) times exact 0/1
-weights, so it equals the scalar path's pairwise sum bit for bit whenever
-the entries are finite integers and every partial sum stays below
+or +1/-1 weights, so it equals the scalar path's pairwise sum bit for bit
+whenever the entries are finite integers and every partial sum stays below
 ``2**53`` in magnitude: every partial sum is then an exactly representable
 integer, whatever order BLAS adds in.  :meth:`CostFunction._exact_sums`
 decides that once per table and term count, by :func:`exact_table_sums`
 over the whole cell table, stuck half included, from the largest entry and
-the number of summed terms (``cells`` for RCC, ``2 * cells`` for VCC, whose
-``a1 - a0`` differences can double an entry).  Every builtin cost meets it
+the number of summed terms (``cells`` for RCC, ``2 * cells`` for VCC,
+whose ``a0 + a1`` sums and ``a1 - a0`` differences can double an entry).  Every builtin cost meets it
 at its default energy model (the MLC LUT holds 0, 2 or 20 pJ, SLC 1 or 2
 pJ, the counts are integers, the lexicographic scale is 1e6).  Tables that
 do not (a fractional LUT or scale, ``inf``, huge values) are scored by

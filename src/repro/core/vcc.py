@@ -49,13 +49,19 @@ from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKe
 from repro.errors import ConfigurationError, EncodingError
 from repro.utils.bitops import (
     interleave_planes,
-    interleave_planes_array,
     split_planes,
     split_planes_array,
     split_subblocks,
+    spread_even_bits,
 )
 
 __all__ = ["VCCEncoder"]
+
+#: Widest kernel whose +1/-1 bits are tabulated per kernel value for the
+#: right-plane product: ``2**8 x 8`` entries.  A table for the 16-bit ROM
+#: kernels would hold ``2**16 x 16``, more memory than it saves time.
+_SIGN_TABLE_MAX_BITS = 8
+
 
 def _narrow_uint_dtype(bits: int):
     """Smallest unsigned dtype holding ``bits``-bit values."""
@@ -122,6 +128,15 @@ class VCCEncoder(Encoder):
         self._kernel_shifts = np.arange(
             config.kernel_bits - 1, -1, -1, dtype=np.uint32
         )
+        # Column v holds kernel value v's bits, MSB first, as +1/-1 (see
+        # _kernel_signs).
+        self._sign_table = None
+        if (
+            config.encode_region is EncodeRegion.RIGHT_PLANE
+            and config.kernel_bits <= _SIGN_TABLE_MAX_BITS
+        ):
+            values = np.arange(1 << config.kernel_bits, dtype=np.uint32)
+            self._sign_table = ((values >> self._kernel_shifts[:, None]) & 1) * 2.0 - 1.0
         # One-hot matrix of the full-word ROM product (see encode_lines):
         # column i (XOR form of kernel i) has a 1 in row ``cell * levels +
         # kernel_cell`` for every cell of a partition; column r + i, the
@@ -218,38 +233,24 @@ class VCCEncoder(Encoder):
 
         VCC selects candidates per word, so kernels, partition costs,
         flags, and the per-word argmin all run once over the
-        ``lines * words_per_line`` words of the batch, and the winning
-        codewords are assembled with vectorised bit arithmetic.
+        ``lines * words_per_line`` words of the batch, word-major.  A
+        scoring path returns ``(flags, data_costs)``: the ``(words,
+        partitions, r)`` choices, true where the XNOR form of a partition
+        is strictly cheaper than its XOR form (a tie keeps XOR, like
+        :meth:`encode`), and each kernel's ``(words, r)`` data cost, the
+        sum of the cheaper form over the partitions.  One tail then packs
+        the flags into aux values, adds their costs, takes the argmin
+        (lowest kernel on ties), and XORs one mask into every word: the
+        winning kernel tiled over the partitions, complemented where its
+        flag is set, and on the right plane spread onto the right digits
+        so the left digits pass through.
 
-        The ``2r`` XOR/XNOR costs of every partition come from the cost
-        function's folded table (each cell's cost for every XOR mask cell,
-        the data cell folded in; derived once per cost) and one matrix
-        product, without building any candidate cell:
-
-        * right-digit plane: a cell's left digit is fixed, so the cell
-          costs ``a0`` or ``a1`` for kernel bit 0 or 1, columns 0 and 1 of
-          its folded row.  ``S = (a1 - a0) @ kernel_bits`` over the
-          partition gives every kernel at once: the XOR form costs
-          ``sum(a0) + S``, the XNOR form ``sum(a1) - S``.  The bits may
-          differ per word, so this holds for any kernel provider;
-        * full word with a stored ROM: a candidate's cell costs are
-          addressed by the fixed kernel cells, and one product of the
-          folded rows against a one-hot matrix of the ``2r`` kernel forms
-          (built once per encoder) scores them.
-
-        The products add table entries (and their differences) times exact
-        0/1 weights, so they are exact, and bit-identical to the scalar
-        path's sums, whenever the whole cell table passes
-        :func:`repro.coding.cost.exact_table_sums` for ``2 * cells`` terms
-        (finite integer entries, every partial sum below ``2**53``), which
-        the cost decides once.  Every other case (fractional or huge
-        entries, ``inf``/NaN, a full-word provider without a ROM) scores
-        the candidate cells through one
-        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` gather.
-        The auxiliary costs come from the cost's cached ``(old, new)`` aux
-        table where the field is narrow enough.  The selected kernels,
-        flags, codewords, and costs are bit-identical to :meth:`encode` on
-        each word.
+        :meth:`_product_costs` scores from the cost function's folded
+        table (see there); every case it does not cover goes through
+        :meth:`_gather_costs`.  The auxiliary costs come from the cost's
+        cached ``(old, new)`` aux table where the field is narrow enough.
+        The selected kernels, flags, codewords, and costs are
+        bit-identical to :meth:`encode` on each word.
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
@@ -269,62 +270,41 @@ class VCCEncoder(Encoder):
                 f"kernel provider returned shape {kernels_matrix.shape} kernels, "
                 f"expected ({num_words}, {r})"
             )
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            left_array, region_array = split_planes_array(flat, config.word_bits)
-        else:
-            left_array = None
-            region_array = flat
-        sub_shifts = np.array(
-            [config.kernel_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
+        scores = self._product_costs(flat, kernels_matrix, batch)
+        if scores is None:
+            scores = self._gather_costs(flat, kernels_matrix, batch)
+        flags, data_costs = scores
+
+        # Partition j's flag is aux bit p - 1 - j, as in encode.
+        flag_weights = np.int64(1) << np.arange(p - 1, -1, -1, dtype=np.int64)
+        aux_values = (np.arange(r, dtype=np.int64) << p) | np.einsum(
+            "wpr,p->wr", flags, flag_weights
         )
-        kernel_mask = np.uint64(self._kernel_mask)
-        subs = (region_array[:, None] >> sub_shifts) & kernel_mask
-
-        # (2r, words, partitions) costs, in the axis-0 layout of
-        # _partition_costs (XOR forms then XNOR).
-        costs = self._product_costs(flat, kernels_matrix, batch)
-        if costs is None:
-            costs = self._gather_costs(subs, sub_shifts, kernels_matrix, left_array, batch)
-        xor_costs = costs[:r]
-        xnor_costs = costs[r:]
-        flags_matrix = xnor_costs < xor_costs
-        per_partition_best = np.where(flags_matrix, xnor_costs, xor_costs)
-        data_costs = per_partition_best.sum(axis=2)
-
-        flags = np.zeros((r, num_words), dtype=np.int64)
-        for j in range(p):
-            flags = (flags << 1) | flags_matrix[:, :, j]
-        aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
         aux_costs = self.cost_function._aux_costs(
-            aux_values, batch.old_auxes.reshape(-1), self.aux_bits
+            aux_values.T, batch.old_auxes.reshape(-1), self.aux_bits
         )
-        totals = data_costs + aux_costs
-        best_kernel = np.argmin(totals, axis=0)
+        totals = data_costs + aux_costs.T
+        best = np.argmin(totals, axis=1)
 
-        # Vectorised codeword assembly: apply the winning kernel (or its
-        # complement, per flag bit) to every partition at once, pack the
-        # partitions, and re-interleave the passthrough plane.
+        # Partition j sits at bit kernel_bits * (p - 1 - j), so the kernel
+        # tiled over the region is kernel * sum(units) and the complement
+        # mask kernel_mask * sum(units where flagged), with no carries.
         word_index = np.arange(num_words)
-        best_flags = flags[best_kernel, word_index]
-        best_kernels = kernels_matrix[word_index, best_kernel]
-        flag_bits = (
-            best_flags[:, None] >> np.arange(p - 1, -1, -1, dtype=np.int64)[None, :]
-        ) & 1
-        masks = best_kernels[:, None] ^ (flag_bits.astype(np.uint64) * kernel_mask)
-        encoded_subs = subs ^ masks
-        region = np.zeros(num_words, dtype=np.uint64)
-        for j in range(p):
-            region |= encoded_subs[:, j] << sub_shifts[j]
+        units = np.uint64(1) << (
+            np.arange(p - 1, -1, -1, dtype=np.uint64) * np.uint64(config.kernel_bits)
+        )
+        complemented = (flags[word_index, :, best] * units).sum(axis=1, dtype=np.uint64)
+        mask = (kernels_matrix[word_index, best] * units.sum(dtype=np.uint64)) ^ (
+            complemented * np.uint64(self._kernel_mask)
+        )
         if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            codewords = interleave_planes_array(left_array, region, config.word_bits)
-        else:
-            codewords = region
+            mask = spread_even_bits(mask)
 
         shape = (lines, words_per_line)
         return self._encoded(
-            codewords.reshape(shape),
-            aux_values[best_kernel, word_index].reshape(shape),
-            totals[best_kernel, word_index].reshape(shape),
+            (flat ^ mask).reshape(shape),
+            aux_values[word_index, best].reshape(shape),
+            totals[word_index, best].reshape(shape),
         )
 
     # --------------------------------------------------------------- decode
@@ -374,12 +354,40 @@ class VCCEncoder(Encoder):
 
     def _product_costs(
         self, flat: np.ndarray, kernels_matrix: np.ndarray, batch: LineBatch
-    ) -> Optional[np.ndarray]:
-        """Candidate costs from the folded cell table and one matrix product.
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(flags, data_costs)`` from the folded cell table and one matrix product.
 
-        Returns the ``(2r, words, partitions)`` costs, or None when no
-        product shape applies or the cell table fails the exactness check
-        (see :meth:`encode_lines`).
+        The folded table holds each cell's cost for every XOR mask cell,
+        the data cell folded in (derived once per cost), so no candidate
+        cell is built:
+
+        * right-digit plane: a cell's left digit is fixed, so the cell
+          costs ``a0`` or ``a1`` for kernel bit 0 or 1, columns 0 and 1 of
+          its folded row.  Over a partition the XOR form costs ``A0 + F``
+          and the XNOR form ``A1 - F``, with ``F = (a1 - a0) @ bits``, so
+          one batched product ``g = (a1 - a0) @ signs``, where ``signs``
+          is +1 for a kernel bit 1 and -1 for a 0, is the margin ``xor -
+          xnor`` of every word, partition, and kernel.  The flags are ``g
+          > 0`` (a tie keeps XOR) and ``sum(min(xor, xnor))`` over the
+          partitions is ``(sum(a0 + a1) - sum(|g|)) / 2``.  The bits may
+          differ per word, so this holds for any kernel provider;
+        * full word with a stored ROM: a candidate's cell costs are
+          addressed by the fixed kernel cells, and one product of the
+          folded rows against a one-hot matrix of the ``2r`` kernel forms
+          (built once per encoder) gives the ``xor``/``xnor`` halves.
+
+        Both are exact, and bit-identical to :meth:`encode`'s sums, when
+        the whole cell table passes :func:`repro.coding.cost.exact_table_sums`
+        for ``2 * cells`` terms (finite integer entries, ``2 * cells *
+        max|entry| < 2**53``), which the cost decides once: every term
+        above (``a0 + a1`` summed over the word, ``g`` over a partition,
+        ``sum(|g|)`` over the word, a product's partial sums) is then an
+        exactly representable integer of magnitude at most ``2 * cells *
+        max|entry|``, whatever order it is added in, and ``sum(a0 + a1) -
+        sum(|g|)`` is ``2 * sum(min(xor, xnor))``, even, so halving it is
+        exact.  Returns None when no product shape applies or the table
+        fails that check (fractional or huge entries, ``inf``/NaN, a
+        full-word provider without a ROM).
         """
         config = self.config
         right_plane = config.encode_region is EncodeRegion.RIGHT_PLANE
@@ -402,48 +410,67 @@ class VCCEncoder(Encoder):
             flat_folded = folded.reshape(-1)
             a0 = np.take(flat_folded, index).reshape(num_words, p, -1)
             a1 = np.take(flat_folded, index + 1).reshape(num_words, p, -1)
-            kernel_bits = (
-                (kernels_matrix[:, None, :] >> self._kernel_shifts[None, :, None]) & np.uint64(1)
-            ).astype(np.float64)
-            flips = (a1 - a0) @ kernel_bits
-            costs = np.concatenate(
-                [a0.sum(axis=2)[:, :, None] + flips, a1.sum(axis=2)[:, :, None] - flips],
-                axis=2,
-            )
+            margins = (a1 - a0) @ self._kernel_signs(kernels_matrix)
+            flags = margins > 0
+            data_costs = (
+                (a0 + a1).sum(axis=(1, 2))[:, None] - np.abs(margins).sum(axis=1)
+            ) / 2
         else:
             # Candidate cells are data_cells ^ kernel_cells, so each cell's
             # folded row is addressed by the ROM alone.
-            costs = np.take(folded, rows, axis=0).reshape(num_words * p, -1) @ self._rom_onehot
+            costs = (
+                np.take(folded, rows, axis=0).reshape(num_words * p, -1) @ self._rom_onehot
+            ).reshape(num_words, p, 2 * r)
+            xor_costs, xnor_costs = costs[:, :, :r], costs[:, :, r:]
+            flags = xnor_costs < xor_costs
+            data_costs = np.where(flags, xnor_costs, xor_costs).sum(axis=1)
         _OBS_KERNEL_GEMMS.inc()
         # What the gather path's batch_line_cell_costs call counts.
         _OBS_CANDIDATES.inc(len(batch) * 2 * r)
-        return costs.reshape(num_words, p, 2 * r).transpose(2, 0, 1)
+        return flags, data_costs
+
+    def _kernel_signs(self, kernels_matrix: np.ndarray) -> np.ndarray:
+        """The ``(words, kernel_bits, r)`` kernel bits, MSB first, as +1/-1.
+
+        Read from a per-kernel-value table when kernels are at most
+        :data:`_SIGN_TABLE_MAX_BITS` wide, derived bit by bit otherwise.
+        """
+        if self._sign_table is not None:
+            return np.take(self._sign_table, kernels_matrix, axis=1).transpose(1, 0, 2)
+        bits = (kernels_matrix[:, None, :] >> self._kernel_shifts[None, :, None]) & np.uint64(1)
+        return bits.astype(np.float64) * 2.0 - 1.0
 
     def _gather_costs(
-        self,
-        subs: np.ndarray,
-        sub_shifts: np.ndarray,
-        kernels_matrix: np.ndarray,
-        left_array: Optional[np.ndarray],
-        batch: LineBatch,
-    ) -> np.ndarray:
-        """Candidate costs gathered cell by cell from every candidate's cells.
+        self, flat: np.ndarray, kernels_matrix: np.ndarray, batch: LineBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flags, data_costs)`` gathered cell by cell from every candidate's cells.
 
         The fallback of :meth:`_product_costs`, for any cost function and
-        kernel provider; same ``(2r, words, partitions)`` layout.
+        kernel provider.  Each kernel's partition costs are summed over a
+        contiguous partition axis, the order :meth:`encode` sums in:
+        NumPy adds eight or more terms pairwise, so with fractional costs
+        another order could change the last bits.
         """
         config = self.config
         p = config.partitions
         r = config.num_kernels
         lines, words_per_line = len(batch), batch.words_per_line
         kernel_mask = np.uint64(self._kernel_mask)
+        if config.encode_region is EncodeRegion.RIGHT_PLANE:
+            left_array, region_array = split_planes_array(flat, config.word_bits)
+        else:
+            left_array, region_array = None, flat
+        sub_shifts = np.array(
+            [config.kernel_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
+        )
+        subs = (region_array[:, None] >> sub_shifts) & kernel_mask
         # All 2r candidate encodings of every partition of every word, as
         # (lines, 2r, words, partitions).
         kernels = kernels_matrix.reshape(lines, words_per_line, r).transpose(0, 2, 1)
         xor_values = kernels[..., None] ^ subs.reshape(lines, 1, words_per_line, p)
         all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=1)
 
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
+        if left_array is not None:
             # Kernel-sized values fit a narrow dtype; extracting the digit
             # bits there instead of in uint64 cuts the memory traffic of
             # the (lines, 2r, words, partitions, bits) temporaries several-fold.
@@ -467,11 +494,15 @@ class VCCEncoder(Encoder):
             cell_matrix.reshape(lines, 2 * r, words_per_line * p, config.cells_per_partition),
             batch.split_partitions(p),
         ).sum(axis=3)
-        return (
+        costs = (
             costs.reshape(lines, 2 * r, words_per_line, p)
-            .transpose(1, 0, 2, 3)
-            .reshape(2 * r, lines * words_per_line, p)
+            .transpose(0, 2, 1, 3)
+            .reshape(lines * words_per_line, 2 * r, p)
         )
+        xor_costs, xnor_costs = costs[:, :r], costs[:, r:]
+        flags = xnor_costs < xor_costs
+        data_costs = np.where(flags, xnor_costs, xor_costs).sum(axis=2)
+        return flags.transpose(0, 2, 1), data_costs
 
     def _partition_costs(
         self,

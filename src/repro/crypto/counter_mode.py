@@ -103,11 +103,14 @@ class CounterModeEngine:
         self.words_per_line = line_bits // word_bits
         self.fast_pad = fast_pad
         self._counters: Dict[int, int] = {}
-        if not fast_pad:
-            aes_key = (self.key + b"\x00" * 16)[:16]
-            self._aes = AES128(aes_key)
+        self._aes: Optional[AES128] = None
+        # The keyed PRF with its key block already compressed; encrypt_lines
+        # copies it per pad block instead of re-keying.
+        self._prf: Optional[hashlib.blake2b] = None
+        if fast_pad:
+            self._prf = hashlib.blake2b(key=self.key[:64], digest_size=32)
         else:
-            self._aes = None
+            self._aes = AES128((self.key + b"\x00" * 16)[:16])
 
     @property
     def batchable(self) -> bool:
@@ -217,6 +220,35 @@ class CounterModeEngine:
             cipher.reshape(count, blocks_per_line * block_size)[:, :needed]
         )
 
+    def _prf_pad_chunk(
+        self, address_values: np.ndarray, counter_values: np.ndarray
+    ) -> np.ndarray:
+        """Pad bytes for a whole chunk from the engine's keyed BLAKE2b state.
+
+        hashlib has no batched entry point, so blocks stay one digest
+        each, but every block copies the keyed state built once per
+        engine rather than compressing the key block again, and the
+        chunk's digests are decoded together.  Returns ``(lines,
+        line_bits // 8)`` uint8 pad bytes, bit-identical to
+        :meth:`_pad_bytes`.
+        """
+        prf = self._prf
+        if prf is None:  # pragma: no cover - callers gate on fast_pad=True
+            raise ConfigurationError("PRF pad chunking requires fast_pad=True")
+        needed = self.line_bits // 8
+        block_suffixes = [
+            index.to_bytes(4, "big") for index in range(-(-needed // prf.digest_size))
+        ]
+        digests = []
+        for address, counter in zip(address_values.tolist(), counter_values.tolist()):
+            prefix = address.to_bytes(8, "big") + counter.to_bytes(8, "big")
+            for suffix in block_suffixes:
+                block = prf.copy()
+                block.update(prefix + suffix)
+                digests.append(block.digest())
+        pads = np.frombuffer(b"".join(digests), dtype=np.uint8)
+        return np.ascontiguousarray(pads.reshape(address_values.shape[0], -1)[:, :needed])
+
     # -------------------------------------------------------------- encrypt
     def encrypt_line(self, address: int, plaintext_words: List[int]) -> EncryptedLine:
         """Encrypt one cache line, bumping the per-line counter.
@@ -281,24 +313,13 @@ class CounterModeEngine:
             address_values[index] = address
             counter_values[index] = counter
         if self.fast_pad:
-            # The keyed-PRF pads come from hashlib, which has no batched
-            # entry point; derivation stays per line.
-            pads = np.empty((count, self.words_per_line), dtype=np.uint64)
-            for index in range(count):
-                pads[index] = np.frombuffer(
-                    self._pad_bytes(int(address_values[index]), int(counter_values[index])),
-                    dtype=pad_dtype,
-                )
+            pad_bytes = self._prf_pad_chunk(address_values, counter_values)
         else:
             # Vectorised counter-block assembly + one multi-block AES
             # call for the whole chunk — bit-identical to the per-line
             # _pad_bytes stream (see _aes_pad_chunk).
-            pads = (
-                self._aes_pad_chunk(address_values, counter_values)
-                .view(pad_dtype)
-                .astype(np.uint64)
-            )
-        cipher = matrix ^ pads
+            pad_bytes = self._aes_pad_chunk(address_values, counter_values)
+        cipher = matrix ^ pad_bytes.view(pad_dtype).astype(np.uint64)
         if self.word_bits < 64:
             cipher &= np.uint64((1 << self.word_bits) - 1)
         return cipher

@@ -30,7 +30,6 @@ __all__ = [
     "hamming_weight",
     "int_to_bits",
     "interleave_planes",
-    "interleave_planes_array",
     "merge_symbols",
     "popcount64_array",
     "random_word",
@@ -38,6 +37,7 @@ __all__ = [
     "split_planes_array",
     "split_subblocks",
     "split_symbols",
+    "spread_even_bits",
     "to_uint64_array",
 ]
 
@@ -254,33 +254,18 @@ _SPREAD_BIT_MASKS = (
 )
 
 
-def _spread_to_even_bits(values: np.ndarray) -> np.ndarray:
-    """Scatter the low 32 bits of each uint64 onto the even positions."""
-    out = values & np.uint64(0xFFFFFFFF)
+def spread_even_bits(values: np.ndarray) -> np.ndarray:
+    """Scatter the low 32 bits of each uint64 onto the even positions.
+
+    Bit ``k`` of a right-digit plane value lands on bit ``2k``, the right
+    digit of its MLC cell, so ``word ^ spread_even_bits(plane_mask)`` flips
+    right digits only (the inverse of the right half of
+    :func:`split_planes_array`).
+    """
+    out = np.asarray(values, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
     for shift, mask in _SPREAD_BIT_MASKS:
         out = (out | (out << np.uint64(shift))) & np.uint64(mask)
     return out
-
-
-def interleave_planes_array(
-    left: np.ndarray, right: np.ndarray, width: int
-) -> np.ndarray:
-    """Vectorised :func:`interleave_planes` over arrays of plane values.
-
-    ``width`` is the full word width in bits (each plane holds
-    ``width // 2`` bits); the result is bit-compatible with the scalar
-    helper.
-    """
-    if width % 2 != 0 or width > 64:
-        raise ConfigurationError(
-            f"interleave_planes_array needs an even width of at most 64 bits, got {width}"
-        )
-    left = np.asarray(left, dtype=np.uint64)
-    right = np.asarray(right, dtype=np.uint64)
-    half = np.uint64(width // 2)
-    if bool(((left >> half) != 0).any()) or bool(((right >> half) != 0).any()):
-        raise ConfigurationError("bitplane value does not fit in width // 2 bits")
-    return (_spread_to_even_bits(left) << np.uint64(1)) | _spread_to_even_bits(right)
 
 
 def random_word(rng: np.random.Generator, width: int = 64) -> int:

@@ -47,7 +47,7 @@ from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel
 from repro.sim.harness import make_cost
-from repro.utils.bitops import random_word
+from repro.utils.bitops import interleave_planes, random_word
 from repro.utils.rng import make_rng
 
 WORDS_PER_LINE = 8
@@ -725,3 +725,145 @@ class TestTableDrivenScoring:
             encoder.encode_lines(_lines(rng), LineBatch.from_lines(contexts))
         assert gemms.value - before == 3
         assert len(calls) == 1
+
+
+class _FreeAuxBitChangeCost(BitChangeCost):
+    """Bit changes on data cells; storing any aux value costs nothing."""
+
+    name = "free-aux-bit-changes"
+
+    def aux_cost(self, new_aux, old_aux, aux_bits):
+        del new_aux, old_aux, aux_bits
+        return 0.0
+
+    def aux_costs_matrix(self, new_auxes, old_auxes, aux_bits):
+        del old_auxes, aux_bits
+        return np.zeros(np.shape(new_auxes))
+
+
+class _ZeroCost(_FreeAuxBitChangeCost):
+    """Every cell and aux value costs nothing: every margin and total ties."""
+
+    name = "zero"
+
+    def cell_table(self, bits_per_cell):
+        return np.zeros((2,) + (2**bits_per_cell,) * 2)
+
+
+def _encode_per_word(encoder, words, contexts):
+    """``encode`` on every word: (codewords, auxes, costs as uint64 bits)."""
+    results = [
+        encoder.encode(data, context.word_context(word))
+        for line, context in zip(words, contexts)
+        for word, data in enumerate(line)
+    ]
+    return (
+        [result.codeword for result in results],
+        [result.aux for result in results],
+        np.array([result.cost for result in results]).view(np.uint64).tolist(),
+    )
+
+
+def _batched(result):
+    """An EncodedBatch flattened like :func:`_encode_per_word`."""
+    return (
+        [int(value) for value in result.codewords.reshape(-1)],
+        [int(value) for value in result.auxes.reshape(-1)],
+        np.asarray(result.costs, dtype=np.float64).reshape(-1).view(np.uint64).tolist(),
+    )
+
+
+def _right_plane_vcc(kernel_bits, num_kernels, cost, kernels=None):
+    """A right-plane VCC: generated kernels, or a ROM of ``kernels``."""
+    config = VCCConfig(
+        word_bits=WORD_BITS, kernel_bits=kernel_bits, num_kernels=num_kernels,
+        technology=CellTechnology.MLC, encode_region=EncodeRegion.RIGHT_PLANE,
+        stored_kernels=kernels is not None,
+    )
+    provider = (
+        None if kernels is None
+        else StoredKernelProvider(kernel_bits, num_kernels, kernels=kernels)
+    )
+    return VCCEncoder(config, cost_function=cost, kernel_provider=provider)
+
+
+class TestVCCSelection:
+    """Word-major flags, argmin and one-mask assembly against ``encode`` per word."""
+
+    @pytest.mark.parametrize("name", ["vcc", "vcc-stored"])
+    @pytest.mark.parametrize("cost,bits_per_cell", ALL_COSTS, ids=_ALL_COST_IDS)
+    @pytest.mark.parametrize("with_stuck", [True, False])
+    def test_matches_encode_per_word(self, name, cost, bits_per_cell, with_stuck):
+        technology = CellTechnology.MLC if bits_per_cell == 2 else CellTechnology.SLC
+        encoder = make_encoder(
+            name, word_bits=WORD_BITS, num_cosets=64, technology=technology,
+            cost_function=cost,
+        )
+        rng = make_rng(21, f"vcc-select-{name}-{cost.name}-{bits_per_cell}-{with_stuck}")
+        contexts = _contexts(rng, technology, encoder, stuck=with_stuck)
+        words = _lines(rng)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert _batched(batched) == _encode_per_word(encoder, words, contexts)
+
+    @pytest.mark.parametrize("kernel_bits", [8, 16])
+    def test_zero_margins_keep_the_xor_form_of_the_first_kernel(self, kernel_bits):
+        # Every margin is 0 and every total ties: flag 0 everywhere and
+        # kernel 0, so each codeword is the word XOR kernel 0 tiled over
+        # the right digits.
+        kernels = [0xA5, 0x3C, 0x0F, 0xFF] if kernel_bits == 8 else [0xA5C3, 0x0F0F, 0x1, 0xFFFF]
+        encoder = _right_plane_vcc(kernel_bits, 4, _ZeroCost(), kernels)
+        rng = make_rng(22, f"vcc-zero-{kernel_bits}")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder)
+        words = _lines(rng)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert not batched.auxes.any() and not batched.costs.any()
+        plane_mask = sum(kernels[0] << shift for shift in range(0, 32, kernel_bits))
+        spread = interleave_planes(0, plane_mask, WORD_BITS)
+        assert (batched.codewords ^ np.array(words, dtype=np.uint64) == spread).all()
+        assert _batched(batched) == _encode_per_word(encoder, words, contexts)
+
+    def test_equal_totals_pick_the_lowest_kernel_index(self):
+        # Kernels 2 and 3 repeat kernels 0 and 1 and aux values are free,
+        # so every total has a twin and only indices 0 and 1 may win.
+        encoder = _right_plane_vcc(8, 4, _FreeAuxBitChangeCost(), [0x5A, 0xC3, 0x5A, 0xC3])
+        rng = make_rng(23, "vcc-equal-totals")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder)
+        words = _lines(rng)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        kernel_indices = batched.auxes >> encoder.config.partitions
+        assert set(kernel_indices.reshape(-1).tolist()) == {0, 1}
+        assert _batched(batched) == _encode_per_word(encoder, words, contexts)
+
+    @pytest.mark.parametrize("cost", [BitChangeCost(), EnergyCost(CellTechnology.MLC)])
+    def test_right_plane_codewords_keep_the_left_digits(self, cost):
+        encoder = make_encoder(
+            "vcc", word_bits=WORD_BITS, num_cosets=256, technology=CellTechnology.MLC,
+            cost_function=cost,
+        )
+        rng = make_rng(24, f"vcc-left-digits-{cost.name}")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder)
+        words = np.array(_lines(rng), dtype=np.uint64)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        changed = batched.codewords ^ words
+        assert not (changed & np.uint64(0xAAAAAAAAAAAAAAAA)).any()
+        assert changed.any()
+
+    @pytest.mark.parametrize("kernel_bits", [4, 2], ids=["8-partitions", "16-partitions"])
+    def test_many_partitions_under_a_fractional_cost_keep_the_oracle_sum_order(
+        self, kernel_bits
+    ):
+        # Eight or more partition costs are summed pairwise by NumPy, so
+        # only the oracle's order reproduces the fractional bits.
+        cost = EnergyCost(
+            CellTechnology.MLC, mlc_model=MLCEnergyModel(low_energy_pj=2.3, high_energy_pj=19.7)
+        )
+        encoder = _right_plane_vcc(kernel_bits, 4, cost)
+        assert encoder.config.partitions == 32 // kernel_bits
+        rng = make_rng(25, f"vcc-gather-order-{kernel_bits}")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder)
+        words = _lines(rng)
+        gemms = obs.counter("encode.kernel_gemms")
+        before = gemms.value
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert gemms.value == before
+        assert _batched(batched) == _encode_per_word(encoder, words, contexts)

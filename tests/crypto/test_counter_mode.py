@@ -125,6 +125,44 @@ class TestBatchedEncryptLines:
         assert [tuple(int(w) for w in row) for row in cipher] == expected
         assert batched._counters == scalar._counters
 
+    @pytest.mark.parametrize("key_length", [1, 32, 64, 80])
+    @pytest.mark.parametrize("line_bits", [512, 320, 192])
+    @pytest.mark.parametrize("word_bits", [8, 16, 32, 64])
+    def test_prf_pads_match_pad_bytes(self, key_length, line_bits, word_bits):
+        # Zero plaintext encrypts to the pad itself.  320- and 192-bit
+        # lines end in a truncated 256-bit BLAKE2b block; keys past 64
+        # bytes are cut to the 64 BLAKE2b takes.
+        engine = CounterModeEngine(
+            key=bytes(range(7, 7 + key_length)), line_bits=line_bits, word_bits=word_bits
+        )
+        addresses = [0x40, 0x80, 0x40, 0x0, 0x40]
+        pads = engine.encrypt_lines(
+            addresses, np.zeros((len(addresses), engine.words_per_line), dtype=np.uint64)
+        )
+        assert pads is not None
+        counters: dict = {}
+        for row, address in zip(pads, addresses):
+            counters[address] = counters.get(address, 0) + 1
+            expected = np.frombuffer(
+                engine._pad_bytes(address, counters[address]), dtype=f">u{word_bits // 8}"
+            )
+            assert row.tolist() == expected.tolist()
+        assert engine._counters == counters
+
+    def test_counters_follow_the_scalar_sequence_across_chunks(self):
+        addresses = [0x40 * (i % 3) for i in range(10)]
+        matrix = np.arange(80, dtype=np.uint64).reshape(10, 8)
+        scalar, batched = CounterModeEngine(key=b"chunks"), CounterModeEngine(key=b"chunks")
+        expected = [
+            scalar.encrypt_line(address, [int(w) for w in row]).words
+            for address, row in zip(addresses, matrix)
+        ]
+        cipher = [batched.encrypt_lines(addresses[:4], matrix[:4])]
+        cipher.append(batched.encrypt_lines(addresses[4:], matrix[4:]))
+        assert [tuple(row) for chunk in cipher for row in chunk.tolist()] == expected
+        assert batched._counters == scalar._counters
+        assert [batched.counter_for(a) for a in (0, 0x40, 0x80, 0xC0)] == [4, 3, 3, 0]
+
     def test_unsupported_word_width_falls_back(self):
         engine = CounterModeEngine(line_bits=512, word_bits=128)
         assert engine.encrypt_lines([0], np.zeros((1, 4), dtype=np.uint64)) is None

@@ -145,6 +145,11 @@ class TestPlanes:
         left, right = bitops.split_planes(value, 64)
         assert bitops.interleave_planes(left, right, 64) == value
 
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_spread_even_bits_places_a_right_plane(self, right):
+        spread = bitops.spread_even_bits(np.array([right], dtype=np.uint64))
+        assert int(spread[0]) == bitops.interleave_planes(0, right, 64)
+
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
     def test_left_plane_is_msb_of_each_symbol(self, value):
         left, _right = bitops.split_planes(value, 64)
