@@ -57,12 +57,6 @@ from repro.utils.bitops import (
 
 __all__ = ["VCCEncoder"]
 
-#: Widest kernel whose +1/-1 bits are tabulated per kernel value for the
-#: right-plane product: ``2**8 x 8`` entries.  A table for the 16-bit ROM
-#: kernels would hold ``2**16 x 16``, more memory than it saves time.
-_SIGN_TABLE_MAX_BITS = 8
-
-
 def _narrow_uint_dtype(bits: int):
     """Smallest unsigned dtype holding ``bits``-bit values."""
     if bits <= 8:
@@ -128,15 +122,6 @@ class VCCEncoder(Encoder):
         self._kernel_shifts = np.arange(
             config.kernel_bits - 1, -1, -1, dtype=np.uint32
         )
-        # Column v holds kernel value v's bits, MSB first, as +1/-1 (see
-        # _kernel_signs).
-        self._sign_table = None
-        if (
-            config.encode_region is EncodeRegion.RIGHT_PLANE
-            and config.kernel_bits <= _SIGN_TABLE_MAX_BITS
-        ):
-            values = np.arange(1 << config.kernel_bits, dtype=np.uint32)
-            self._sign_table = ((values >> self._kernel_shifts[:, None]) & 1) * 2.0 - 1.0
         # One-hot matrix of the full-word ROM product (see encode_lines):
         # column i (XOR form of kernel i) has a 1 in row ``cell * levels +
         # kernel_cell`` for every cell of a partition; column r + i, the
@@ -430,13 +415,7 @@ class VCCEncoder(Encoder):
         return flags, data_costs
 
     def _kernel_signs(self, kernels_matrix: np.ndarray) -> np.ndarray:
-        """The ``(words, kernel_bits, r)`` kernel bits, MSB first, as +1/-1.
-
-        Read from a per-kernel-value table when kernels are at most
-        :data:`_SIGN_TABLE_MAX_BITS` wide, derived bit by bit otherwise.
-        """
-        if self._sign_table is not None:
-            return np.take(self._sign_table, kernels_matrix, axis=1).transpose(1, 0, 2)
+        """The ``(words, kernel_bits, r)`` kernel bits, MSB first, as +1/-1."""
         bits = (kernels_matrix[:, None, :] >> self._kernel_shifts[None, :, None]) & np.uint64(1)
         return bits.astype(np.float64) * 2.0 - 1.0
 

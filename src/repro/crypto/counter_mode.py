@@ -247,7 +247,8 @@ class CounterModeEngine:
                 block.update(prefix + suffix)
                 digests.append(block.digest())
         pads = np.frombuffer(b"".join(digests), dtype=np.uint8)
-        return np.ascontiguousarray(pads.reshape(address_values.shape[0], -1)[:, :needed])
+        width = len(block_suffixes) * prf.digest_size
+        return np.ascontiguousarray(pads.reshape(address_values.shape[0], width)[:, :needed])
 
     # -------------------------------------------------------------- encrypt
     def encrypt_line(self, address: int, plaintext_words: List[int]) -> EncryptedLine:

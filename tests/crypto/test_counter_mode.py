@@ -163,6 +163,14 @@ class TestBatchedEncryptLines:
         assert batched._counters == scalar._counters
         assert [batched.counter_for(a) for a in (0, 0x40, 0x80, 0xC0)] == [4, 3, 3, 0]
 
+    @pytest.mark.parametrize("fast_pad", [True, False])
+    def test_zero_lines_give_an_empty_matrix(self, fast_pad):
+        engine = CounterModeEngine(fast_pad=fast_pad)
+        cipher = engine.encrypt_lines([], np.zeros((0, engine.words_per_line), dtype=np.uint64))
+        assert cipher is not None
+        assert cipher.shape == (0, engine.words_per_line)
+        assert engine._counters == {}
+
     def test_unsupported_word_width_falls_back(self):
         engine = CounterModeEngine(line_bits=512, word_bits=128)
         assert engine.encrypt_lines([0], np.zeros((1, 4), dtype=np.uint64)) is None
