@@ -700,6 +700,17 @@ class Encoder(abc.ABC):
         self.bits_per_cell = technology.bits_per_cell
         self.cells_per_word = word_bits // self.bits_per_cell
         self.cost_function = cost_function
+        # The cost's cell table holds finite integers (checked when it is
+        # built), so a sum of entries is exact in any order while it stays
+        # below 2**53.  The batched paths sum at most 2 * cells entries
+        # (VCC's a0 + a1), which bounds every partial sum.
+        largest = float(np.abs(cost_function._table(self.bits_per_cell)).max())
+        if largest * 2 * self.cells_per_word >= 2.0**53:
+            raise ConfigurationError(
+                f"{type(cost_function).__name__} cell costs up to {largest:g}, summed "
+                f"over 2 x {self.cells_per_word} cells, reach 2**53; rescale the cost "
+                "to a smaller integer unit"
+            )
 
     # ------------------------------------------------------------ interface
     @property
@@ -873,11 +884,7 @@ class Encoder(abc.ABC):
         )
 
     def _select_best_lines(
-        self,
-        candidates: np.ndarray,
-        auxes: np.ndarray,
-        batch: LineBatch,
-        cells: Optional[np.ndarray] = None,
+        self, candidates: np.ndarray, auxes: np.ndarray, batch: LineBatch
     ) -> EncodedBatch:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
 
@@ -895,9 +902,6 @@ class Encoder(abc.ABC):
             ``(num_candidates,)`` auxiliary values shared by all words.
         batch:
             The lines' write-time knowledge; ``old_auxes`` is charged per word.
-        cells:
-            Optional precomputed ``(lines, num_candidates, words, cells)``
-            candidate cell values.
         """
         cand = np.asarray(candidates, dtype=np.uint64)
         if cand.ndim != 3 or cand.size == 0:
@@ -908,8 +912,7 @@ class Encoder(abc.ABC):
         aux = np.asarray(auxes, dtype=np.int64)
         if aux.shape != (num_candidates,):
             raise EncodingError("aux values must align with the candidate axis")
-        if cells is None:
-            cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
+        cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
         data_costs = self.cost_function.batch_line_cell_costs(cells, batch).sum(axis=3)
         aux_costs = self.cost_function._aux_costs(
             np.broadcast_to(aux[:, None], (num_candidates, lines * words)),

@@ -68,22 +68,22 @@ The products are:
   (:meth:`repro.core.vcc.VCCEncoder._product_costs`).
 
 Each product sums table entries (and their differences) times exact 0/1
-or +1/-1 weights, so it equals the scalar path's pairwise sum bit for bit
-whenever the entries are finite integers and every partial sum stays below
-``2**53`` in magnitude: every partial sum is then an exactly representable
-integer, whatever order BLAS adds in.  :meth:`CostFunction._exact_sums`
-decides that once per table and term count, by :func:`exact_table_sums`
-over the whole cell table, stuck half included, from the largest entry and
-the number of summed terms (``cells`` for RCC, ``2 * cells`` for VCC,
-whose ``a0 + a1`` sums and ``a1 - a0`` differences can double an entry).  Every builtin cost meets it
-at its default energy model (the MLC LUT holds 0, 2 or 20 pJ, SLC 1 or 2
-pJ, the counts are integers, the lexicographic scale is 1e6).  Tables that
-do not (a fractional LUT or scale, ``inf``, huge values) are scored by
-gathering every candidate cell through
-:meth:`CostFunction.batch_line_cell_costs` instead, whose sums run in the
-scalar path's order.  The scalar oracles never read the derived tables:
-they gather :meth:`~CostFunction.cell_table` entries and call
-:meth:`~CostFunction.aux_cost` directly.
+or +1/-1 weights, so it equals the scalar path's sum bit for bit because
+every cell table holds finite integers: :meth:`CostFunction._table` checks
+that once per technology and raises
+:class:`~repro.errors.ConfigurationError` otherwise, so a cost with
+fractional energies is rescaled to integers (fractional pJ to integer fJ,
+say) before any encoder uses it.  Every encoder also bounds the table at
+construction, ``2 * cells_per_word * max|entry| < 2**53``
+(:class:`repro.coding.base.Encoder`): every partial sum, including VCC's
+``a0 + a1`` sums and ``a1 - a0`` differences, is then an exactly
+representable integer, whatever order BLAS adds in.  Every builtin cost
+meets both at its default energy model (the MLC LUT holds 0, 2 or 20 pJ,
+SLC 1 or 2 pJ, the counts are integers, the lexicographic scale is 1e6).
+Auxiliary costs need no such check: the scalar and batched totals both add
+them to the data cost with one float add.  The scalar oracles never read
+the derived tables: they gather :meth:`~CostFunction.cell_table` entries
+and call :meth:`~CostFunction.aux_cost` directly.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ __all__ = [
     "LexicographicCost",
     "saw_then_energy",
     "energy_then_saw",
-    "exact_table_sums",
     "AUX_TABLE_MAX_BITS",
 ]
 
@@ -125,31 +124,12 @@ AUX_TABLE_MAX_BITS = 8
 
 # Batched-kernel telemetry, bumped once per batch call (never per cell):
 # how many candidates the cost kernels scored (each line's candidates per
-# word, summed over the batch's lines) and how many RCC/VCC calls were
-# scored by a matrix product, whose paths bump both counters themselves.
+# word, summed over the batch's lines).  The RCC/VCC matrix products never
+# enter a cost kernel, so they bump it themselves.
 _OBS_CANDIDATES = obs.counter(
     "encode.candidates",
     "candidates scored by the batched encoders: lines x candidates per word",
 )
-_OBS_KERNEL_GEMMS = obs.counter(
-    "encode.kernel_gemms",
-    "RCC/VCC encode_lines calls scored by one matrix product of the cost tables",
-)
-
-
-def exact_table_sums(tables: np.ndarray, terms: int) -> bool:
-    """True when summing up to ``terms`` entries of ``tables`` is exact.
-
-    Holds when every entry is a finite integer and ``max|entry| * terms <
-    2**53``: every partial sum of at most ``terms`` entries is then an
-    exactly representable integer, so a matrix product that adds them in
-    any order returns the scalar path's sum bit for bit.  ``inf`` and NaN
-    fail the bound.
-    """
-    return bool(
-        np.abs(tables).max() * terms < 2.0**53
-        and np.array_equal(tables, np.trunc(tables))
-    )
 
 
 def _table_rows(levels: int, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray]) -> np.ndarray:
@@ -214,15 +194,25 @@ class CostFunction(abc.ABC):
         return cast(_T, cache[key])
 
     def _table(self, bits_per_cell: int) -> np.ndarray:
-        """:meth:`cell_table` as read-only float64, checked and cached per technology."""
+        """:meth:`cell_table` as read-only float64, checked and cached per technology.
+
+        Every entry must be a finite integer, so that a sum of entries is
+        exact in any order (see the module docstring); anything else raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
 
         def build() -> np.ndarray:
             levels = 1 << bits_per_cell
             table = np.array(self.cell_table(bits_per_cell), dtype=np.float64)
+            name = f"{type(self).__name__}.cell_table({bits_per_cell})"
             if table.shape != (2, levels, levels):
                 raise ConfigurationError(
-                    f"{type(self).__name__}.cell_table({bits_per_cell}) has shape "
-                    f"{table.shape}, expected {(2, levels, levels)}"
+                    f"{name} has shape {table.shape}, expected {(2, levels, levels)}"
+                )
+            if not (np.isfinite(table).all() and (table == np.trunc(table)).all()):
+                raise ConfigurationError(
+                    f"{name} must hold finite integers; rescale fractional costs to "
+                    "an integer unit (e.g. pJ to fJ, or an integer lexicographic scale)"
                 )
             table.setflags(write=False)
             return table
@@ -247,13 +237,6 @@ class CostFunction(abc.ABC):
             return folded
 
         return self._derived(("folded", bits_per_cell), build)
-
-    def _exact_sums(self, bits_per_cell: int, terms: int) -> bool:
-        """:func:`exact_table_sums` of the whole cell table, decided once per ``terms``."""
-        return self._derived(
-            ("exact", bits_per_cell, terms),
-            lambda: exact_table_sums(self._table(bits_per_cell), terms),
-        )
 
     def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
         """Per-cell costs for a batch of candidates: ``table[stuck, old, new]``.

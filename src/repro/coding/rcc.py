@@ -28,15 +28,9 @@ from repro.coding.base import (
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-# The product paths never enter a cost kernel, so they bump the cost
-# kernels' counters themselves.
-from repro.coding.cost import (
-    _OBS_CANDIDATES,
-    _OBS_KERNEL_GEMMS,
-    BitChangeCost,
-    CostFunction,
-    _folded_rows,
-)
+# The product path never enters a cost kernel, so it bumps the cost
+# kernels' candidate counter itself.
+from repro.coding.cost import _OBS_CANDIDATES, BitChangeCost, CostFunction, _folded_rows
 from repro.coding.registry import register_encoder
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
@@ -84,6 +78,10 @@ class RCCEncoder(Encoder):
         require_power_of_two(num_cosets, "num_cosets")
         if num_cosets < 2:
             raise ConfigurationError("RCC needs at least 2 coset candidates")
+        if num_cosets > 1 << word_bits:
+            raise ConfigurationError(
+                f"RCC cannot draw {num_cosets} distinct cosets of {word_bits} bits"
+            )
         self.num_cosets = num_cosets
         self.seed = seed
         rng = make_rng(seed, "rcc-cosets")
@@ -98,22 +96,17 @@ class RCCEncoder(Encoder):
         self.cosets: List[int] = cosets
         if word_bits <= 64:
             self._coset_array = np.array(cosets, dtype=np.uint64)
-            # Cell decomposition distributes over XOR, so candidate cells
-            # are data_cells ^ coset_cells — precompute the latter once.
-            self._coset_cells = words_to_cell_matrix(
-                cosets, word_bits, self.bits_per_cell
-            )
-            # One-hot coset matrix of the GEMM fast path: column c has a 1
+            # One-hot coset matrix of the scoring product: column c has a 1
             # in row ``cell * levels + coset_cell`` for every cell of coset c.
+            coset_cells = words_to_cell_matrix(cosets, word_bits, self.bits_per_cell)
             levels = 1 << self.bits_per_cell
             self._coset_onehot = np.zeros((self.cells_per_word * levels, num_cosets))
             self._coset_onehot[
-                self._coset_cells + np.arange(self.cells_per_word) * levels,
+                coset_cells + np.arange(self.cells_per_word) * levels,
                 np.arange(num_cosets)[:, None],
             ] = 1.0
         else:
             self._coset_array = None
-            self._coset_cells = None
             self._coset_onehot = None
 
     @property
@@ -134,33 +127,19 @@ class RCCEncoder(Encoder):
         lines, words_per_line = values.shape
         total_words = lines * words_per_line
         flat = values.reshape(total_words)
-        auxes = np.arange(self.num_cosets, dtype=np.int64)
         cost = self.cost_function
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
-        # The GEMM below sums what the scalar path sums, one table entry per
-        # cell (every other term is an entry times 0.0).  When the cell
-        # table passes exact_table_sums (finite integer entries, max|entry| *
-        # cells < 2**53, decided once per cost), every partial sum is an
-        # exact integer, so any summation order gives the same bits.
-        # Anything else (fractional LUTs or scales, inf, NaN, huge values)
-        # takes the generic 4-D gather, whose sums run in the scalar path's
-        # order.
-        if not cost._exact_sums(self.bits_per_cell, self.cells_per_word):
-            candidates = values[:, None, :] ^ self._coset_array[None, :, None]
-            candidate_cells = (
-                data_cells.reshape(lines, 1, words_per_line, -1)
-                ^ self._coset_cells[None, :, None, :]
-            )
-            return self._select_best_lines(candidates, auxes, batch, cells=candidate_cells)
-        # GEMM fast path: each cell's row of the folded table holds its cost
-        # for every coset cell v (the data cell XOR-folded in), so all cosets
-        # of all words are scored by one product against the one-hot coset
-        # matrix.
+        # Each cell's row of the folded table holds its cost for every coset
+        # cell v (the data cell XOR-folded in), so all cosets of all words
+        # are scored by one product against the one-hot coset matrix.  The
+        # product sums what the scalar path sums, one table entry per cell
+        # plus entries times 0.0; the entries are integers bounded when the
+        # encoder was built (see repro.coding.cost), so every partial sum is
+        # exact and any summation order gives the same bits.
         folded = np.take(
             cost._folded_table(self.bits_per_cell), _folded_rows(batch, data_cells), axis=0
         )
         data_costs = folded.reshape(total_words, -1) @ self._coset_onehot
-        _OBS_KERNEL_GEMMS.inc()
         _OBS_CANDIDATES.inc(lines * self.num_cosets)
         # Selection inline (the (words, cosets) layout of the GEMM saves
         # transposing into _select_best_lines): totals, the argmin,
@@ -173,6 +152,7 @@ class RCCEncoder(Encoder):
         if aux_table is not None:
             aux_costs = aux_table[old_auxes]
         else:
+            auxes = np.arange(self.num_cosets, dtype=np.int64)
             aux_costs = cost.aux_costs_matrix(
                 np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),
                 old_auxes,

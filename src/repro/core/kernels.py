@@ -115,6 +115,14 @@ class StoredKernelProvider(KernelProvider):
                     )
             self._kernels = values
             return
+        # Random picks exclude 0, all-ones and each other's complements: one
+        # kernel per complementary pair, plus the identity when biased.
+        available = (1 << (kernel_bits - 1)) - 1 + int(include_biased)
+        if num_kernels > available:
+            raise ConfigurationError(
+                f"a ROM of {kernel_bits}-bit kernels holds at most {available} "
+                f"kernels, not {num_kernels}"
+            )
         rng = make_rng(seed, "vcc-stored-kernels")
         chosen: List[int] = []
         seen = set()

@@ -35,37 +35,15 @@ from repro.coding.base import (
     words_to_cell_matrix,
 )
 # The product paths never enter a cost kernel, so they bump the cost
-# kernels' counters themselves.
-from repro.coding.cost import (
-    _OBS_CANDIDATES,
-    _OBS_KERNEL_GEMMS,
-    BitChangeCost,
-    CostFunction,
-    _folded_rows,
-)
+# kernels' candidate counter themselves.
+from repro.coding.cost import _OBS_CANDIDATES, BitChangeCost, CostFunction, _folded_rows
 from repro.coding.registry import register_encoder
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKernelProvider
 from repro.errors import ConfigurationError, EncodingError
-from repro.utils.bitops import (
-    interleave_planes,
-    split_planes,
-    split_planes_array,
-    split_subblocks,
-    spread_even_bits,
-)
+from repro.utils.bitops import interleave_planes, split_planes, split_subblocks, spread_even_bits
 
 __all__ = ["VCCEncoder"]
-
-def _narrow_uint_dtype(bits: int):
-    """Smallest unsigned dtype holding ``bits``-bit values."""
-    if bits <= 8:
-        return np.uint8
-    if bits <= 16:
-        return np.uint16
-    if bits <= 32:
-        return np.uint32
-    return np.uint64
 
 
 class VCCEncoder(Encoder):
@@ -84,7 +62,9 @@ class VCCEncoder(Encoder):
         when an explicit ``kernel_provider`` is supplied).
     kernel_provider:
         Override the kernel source, e.g. to pin the exact kernels of the
-        Fig. 3 worked example.
+        Fig. 3 worked example.  A full-word configuration needs a stored
+        ROM (``is_stored``): its decoder cannot regenerate data-dependent
+        kernels from a codeword whose every bit may have changed.
     """
 
     name = "vcc"
@@ -114,6 +94,11 @@ class VCCEncoder(Encoder):
                 raise ConfigurationError(
                     "kernel provider count does not match the configuration"
                 )
+            if config.encode_region is EncodeRegion.FULL_WORD and not kernel_provider.is_stored:
+                raise ConfigurationError(
+                    "full-word encoding needs a stored kernel ROM: decode cannot "
+                    "regenerate data-dependent kernels from the codeword"
+                )
         self.kernel_provider = kernel_provider
         if kernel_provider.is_stored:
             self.name = "vcc-stored"
@@ -127,11 +112,7 @@ class VCCEncoder(Encoder):
         # kernel_cell`` for every cell of a partition; column r + i, the
         # XNOR form, the same for the complemented kernel cells.
         self._rom_onehot = None
-        if (
-            kernel_provider.is_stored
-            and config.encode_region is EncodeRegion.FULL_WORD
-            and config.word_bits <= 64
-        ):
+        if config.encode_region is EncodeRegion.FULL_WORD and config.word_bits <= 64:
             levels = 1 << self.bits_per_cell
             kernel_cells = words_matrix_to_cells(
                 np.asarray(kernel_provider.kernels_for(0), dtype=np.uint64),
@@ -218,24 +199,22 @@ class VCCEncoder(Encoder):
 
         VCC selects candidates per word, so kernels, partition costs,
         flags, and the per-word argmin all run once over the
-        ``lines * words_per_line`` words of the batch, word-major.  A
-        scoring path returns ``(flags, data_costs)``: the ``(words,
-        partitions, r)`` choices, true where the XNOR form of a partition
-        is strictly cheaper than its XOR form (a tie keeps XOR, like
-        :meth:`encode`), and each kernel's ``(words, r)`` data cost, the
-        sum of the cheaper form over the partitions.  One tail then packs
-        the flags into aux values, adds their costs, takes the argmin
+        ``lines * words_per_line`` words of the batch, word-major.
+        :meth:`_product_costs` scores every candidate from the cost
+        function's folded table with one matrix product and returns
+        ``(flags, data_costs)``: the ``(words, partitions, r)`` choices,
+        true where the XNOR form of a partition is strictly cheaper than
+        its XOR form (a tie keeps XOR, like :meth:`encode`), and each
+        kernel's ``(words, r)`` data cost, the sum of the cheaper form
+        over the partitions.  The tail then packs the flags into aux
+        values, adds their costs (from the cost's cached ``(old, new)``
+        aux table where the field is narrow enough), takes the argmin
         (lowest kernel on ties), and XORs one mask into every word: the
         winning kernel tiled over the partitions, complemented where its
         flag is set, and on the right plane spread onto the right digits
-        so the left digits pass through.
-
-        :meth:`_product_costs` scores from the cost function's folded
-        table (see there); every case it does not cover goes through
-        :meth:`_gather_costs`.  The auxiliary costs come from the cost's
-        cached ``(old, new)`` aux table where the field is narrow enough.
-        The selected kernels, flags, codewords, and costs are
-        bit-identical to :meth:`encode` on each word.
+        so the left digits pass through.  The selected kernels, flags,
+        codewords, and costs are bit-identical to :meth:`encode` on each
+        word.
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
@@ -255,10 +234,7 @@ class VCCEncoder(Encoder):
                 f"kernel provider returned shape {kernels_matrix.shape} kernels, "
                 f"expected ({num_words}, {r})"
             )
-        scores = self._product_costs(flat, kernels_matrix, batch)
-        if scores is None:
-            scores = self._gather_costs(flat, kernels_matrix, batch)
-        flags, data_costs = scores
+        flags, data_costs = self._product_costs(flat, kernels_matrix, batch)
 
         # Partition j's flag is aux bit p - 1 - j, as in encode.
         flag_weights = np.int64(1) << np.arange(p - 1, -1, -1, dtype=np.int64)
@@ -339,7 +315,7 @@ class VCCEncoder(Encoder):
 
     def _product_costs(
         self, flat: np.ndarray, kernels_matrix: np.ndarray, batch: LineBatch
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """``(flags, data_costs)`` from the folded cell table and one matrix product.
 
         The folded table holds each cell's cost for every XOR mask cell,
@@ -361,34 +337,27 @@ class VCCEncoder(Encoder):
           folded rows against a one-hot matrix of the ``2r`` kernel forms
           (built once per encoder) gives the ``xor``/``xnor`` halves.
 
-        Both are exact, and bit-identical to :meth:`encode`'s sums, when
-        the whole cell table passes :func:`repro.coding.cost.exact_table_sums`
-        for ``2 * cells`` terms (finite integer entries, ``2 * cells *
-        max|entry| < 2**53``), which the cost decides once: every term
-        above (``a0 + a1`` summed over the word, ``g`` over a partition,
+        A full-word encoder always has that ROM (see the class
+        docstring).  Both shapes are exact, and bit-identical to
+        :meth:`encode`'s sums, because the cell table holds finite integers
+        with ``2 * cells * max|entry| < 2**53`` (checked when the cost
+        builds the table and when the encoder is built): every term above
+        (``a0 + a1`` summed over the word, ``g`` over a partition,
         ``sum(|g|)`` over the word, a product's partial sums) is then an
         exactly representable integer of magnitude at most ``2 * cells *
         max|entry|``, whatever order it is added in, and ``sum(a0 + a1) -
         sum(|g|)`` is ``2 * sum(min(xor, xnor))``, even, so halving it is
-        exact.  Returns None when no product shape applies or the table
-        fails that check (fractional or huge entries, ``inf``/NaN, a
-        full-word provider without a ROM).
+        exact.
         """
         config = self.config
-        right_plane = config.encode_region is EncodeRegion.RIGHT_PLANE
-        if not right_plane and self._rom_onehot is None:
-            return None
         cost = self.cost_function
-        cells = self.cells_per_word
-        if not cost._exact_sums(self.bits_per_cell, 2 * cells):
-            return None
         num_words = flat.shape[0]
         p = config.partitions
         r = config.num_kernels
         folded = cost._folded_table(self.bits_per_cell)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
         rows = _folded_rows(batch, data_cells)
-        if right_plane:
+        if config.encode_region is EncodeRegion.RIGHT_PLANE:
             # A data cell (left << 1) | right becomes (left << 1) | (right ^
             # kernel bit): folded columns 0 and 1 of the cell's row.
             index = rows * folded.shape[1]
@@ -409,8 +378,6 @@ class VCCEncoder(Encoder):
             xor_costs, xnor_costs = costs[:, :, :r], costs[:, :, r:]
             flags = xnor_costs < xor_costs
             data_costs = np.where(flags, xnor_costs, xor_costs).sum(axis=1)
-        _OBS_KERNEL_GEMMS.inc()
-        # What the gather path's batch_line_cell_costs call counts.
         _OBS_CANDIDATES.inc(len(batch) * 2 * r)
         return flags, data_costs
 
@@ -418,70 +385,6 @@ class VCCEncoder(Encoder):
         """The ``(words, kernel_bits, r)`` kernel bits, MSB first, as +1/-1."""
         bits = (kernels_matrix[:, None, :] >> self._kernel_shifts[None, :, None]) & np.uint64(1)
         return bits.astype(np.float64) * 2.0 - 1.0
-
-    def _gather_costs(
-        self, flat: np.ndarray, kernels_matrix: np.ndarray, batch: LineBatch
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(flags, data_costs)`` gathered cell by cell from every candidate's cells.
-
-        The fallback of :meth:`_product_costs`, for any cost function and
-        kernel provider.  Each kernel's partition costs are summed over a
-        contiguous partition axis, the order :meth:`encode` sums in:
-        NumPy adds eight or more terms pairwise, so with fractional costs
-        another order could change the last bits.
-        """
-        config = self.config
-        p = config.partitions
-        r = config.num_kernels
-        lines, words_per_line = len(batch), batch.words_per_line
-        kernel_mask = np.uint64(self._kernel_mask)
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            left_array, region_array = split_planes_array(flat, config.word_bits)
-        else:
-            left_array, region_array = None, flat
-        sub_shifts = np.array(
-            [config.kernel_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
-        )
-        subs = (region_array[:, None] >> sub_shifts) & kernel_mask
-        # All 2r candidate encodings of every partition of every word, as
-        # (lines, 2r, words, partitions).
-        kernels = kernels_matrix.reshape(lines, words_per_line, r).transpose(0, 2, 1)
-        xor_values = kernels[..., None] ^ subs.reshape(lines, 1, words_per_line, p)
-        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=1)
-
-        if left_array is not None:
-            # Kernel-sized values fit a narrow dtype; extracting the digit
-            # bits there instead of in uint64 cuts the memory traffic of
-            # the (lines, 2r, words, partitions, bits) temporaries several-fold.
-            narrow = _narrow_uint_dtype(config.kernel_bits)
-            shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=narrow)
-            one = narrow(1)
-            right_bits = (all_values.astype(narrow)[..., None] >> shifts) & one
-            left_subs = ((left_array[:, None] >> sub_shifts) & kernel_mask).astype(narrow)
-            left_bits = ((left_subs[..., None] >> shifts) & one).reshape(
-                lines, 1, words_per_line, p, -1
-            )
-            cell_matrix = np.asarray((left_bits << one) | right_bits, dtype=np.uint8)
-        else:
-            cell_matrix = words_matrix_to_cells(
-                all_values, config.kernel_bits, self.bits_per_cell
-            )
-
-        # Each line's partitions are the "words" of the split batch, so one
-        # kernel call scores every partition of every queued write at once.
-        costs = self.cost_function.batch_line_cell_costs(
-            cell_matrix.reshape(lines, 2 * r, words_per_line * p, config.cells_per_partition),
-            batch.split_partitions(p),
-        ).sum(axis=3)
-        costs = (
-            costs.reshape(lines, 2 * r, words_per_line, p)
-            .transpose(0, 2, 1, 3)
-            .reshape(lines * words_per_line, 2 * r, p)
-        )
-        xor_costs, xnor_costs = costs[:, :r], costs[:, r:]
-        flags = xnor_costs < xor_costs
-        data_costs = np.where(flags, xnor_costs, xor_costs).sum(axis=2)
-        return flags.transpose(0, 2, 1), data_costs
 
     def _partition_costs(
         self,

@@ -10,6 +10,7 @@ from repro.coding.dbi import DBIEncoder
 from repro.coding.flipcy import FlipcyEncoder
 from repro.coding.fnw import FNWEncoder
 from repro.coding.rcc import RCCEncoder
+from repro.coding.registry import make_encoder
 from repro.coding.unencoded import UnencodedEncoder
 from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
@@ -193,6 +194,14 @@ class TestRCC:
     def test_cosets_distinct(self):
         encoder = RCCEncoder(num_cosets=128)
         assert len(set(encoder.cosets)) == 128
+
+    def test_more_cosets_than_words_rejected(self):
+        # Every 2-bit word is a coset; an eighth distinct one cannot exist.
+        assert sorted(RCCEncoder(word_bits=2, num_cosets=4).cosets) == [0, 1, 2, 3]
+        with pytest.raises(ConfigurationError, match="8 distinct cosets of 2 bits"):
+            RCCEncoder(word_bits=2, num_cosets=8)
+        with pytest.raises(ConfigurationError, match="32 distinct cosets of 4 bits"):
+            make_encoder("rcc", word_bits=4, num_cosets=32)
 
     def test_roundtrip(self, rng):
         encoder = RCCEncoder(num_cosets=64)

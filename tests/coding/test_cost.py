@@ -178,6 +178,17 @@ class TestCellTable:
             with pytest.raises(ConfigurationError):
                 cost.cell_table(other)
 
+    @pytest.mark.parametrize("entry", [0.5, math.inf, -math.inf, math.nan])
+    def test_non_integer_entries_rejected_with_a_rescale_hint(self, entry):
+        class OddCost(OnesCost):
+            def cell_table(self, bits_per_cell):
+                table = np.zeros((2, 4, 4))
+                table[1, 2, 3] = entry  # only a stuck cell ever reads it
+                return table
+
+        with pytest.raises(ConfigurationError, match="finite integers.*rescale"):
+            OddCost().cell_costs(np.zeros(4, dtype=np.uint8), _context([0] * 4))
+
     def test_wrong_table_shape_rejected(self):
         class FlatCost(OnesCost):
             def cell_table(self, bits_per_cell):

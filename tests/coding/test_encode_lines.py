@@ -17,7 +17,6 @@ one layer down for
 import numpy as np
 import pytest
 
-import repro.coding.cost as cost_module
 import repro.obs as obs
 from repro.coding.base import (
     EncodedBatch,
@@ -41,7 +40,7 @@ from repro.coding.cost import (
 )
 from repro.coding.registry import available_encoders, make_encoder
 from repro.core.config import EncodeRegion, VCCConfig
-from repro.core.kernels import KernelProvider, StoredKernelProvider
+from repro.core.kernels import StoredKernelProvider
 from repro.core.vcc import VCCEncoder
 from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
@@ -295,112 +294,135 @@ class TestOutOfRangeWords:
             encoder.encode_lines(words, LineBatch.from_lines([context]))
 
 
-class _HardSawCost(CostFunction):
-    """Third-party cost: changing a cell costs 1, rewriting a stuck cell +inf."""
+class _RewriteCost(CostFunction):
+    """Third-party cost with the base class's aux hooks: changing a cell
+    costs ``free``, or ``stuck`` if the cell is stuck."""
 
-    name = "hard-saw"
+    def __init__(self, free, stuck):
+        self.name = f"rewrite-{free:g}-{stuck:g}"
+        self.free, self.stuck = free, stuck
 
     def cell_table(self, bits_per_cell):
         old, new = np.indices((2**bits_per_cell,) * 2)
-        changed = (old != new).astype(np.float64)
-        return np.stack([changed, np.where(old != new, np.inf, 0.0)])
+        changed = old != new
+        return np.stack([np.where(changed, self.free, 0.0), np.where(changed, self.stuck, 0.0)])
 
 
-def _rcc_costs(technology):
-    """Costs whose transition tables rule the exact GEMM in or out."""
-    return {
-        # Builtins at their default energy models: integer-valued tables.
-        "energy": (EnergyCost(technology), True),
-        "saw-then-energy": (saw_then_energy(technology), True),
-        "cell-changes": (CellChangeCost(), True),
-        # Fractional table entries.
-        "fractional-lut": (
-            EnergyCost(
-                technology,
-                mlc_model=MLCEnergyModel(low_energy_pj=2.3, high_energy_pj=19.7),
-                slc_model=SLCEnergyModel(set_energy_pj=1.3, reset_energy_pj=2.7),
-            ),
-            False,
+#: Costs whose cell tables break the integer contract:
+#: name -> (build(technology), error pattern).
+_REJECTED_COSTS = {
+    "fractional-lut": (
+        lambda technology: EnergyCost(
+            technology,
+            mlc_model=MLCEnergyModel(low_energy_pj=2.3, high_energy_pj=19.7),
+            slc_model=SLCEnergyModel(set_energy_pj=1.3, reset_energy_pj=2.7),
         ),
-        "lex-scale-0.37": (LexicographicCost(SawCost(), EnergyCost(technology), 0.37), False),
-        # +inf entries: inf * 0.0 would be NaN inside a GEMM.
-        "inf-entries": (_HardSawCost(), False),
-        # Integer entries, but max|entry| * cells >= 2**53.
-        "huge-entries": (LexicographicCost(EnergyCost(technology), BitChangeCost(), 2.0**48), False),
+        "finite integers",
+    ),
+    "fractional-scale": (
+        lambda technology: LexicographicCost(SawCost(), EnergyCost(technology), 0.37),
+        "finite integers",
+    ),
+    "inf-free-half": (
+        lambda technology: _RewriteCost(np.inf, 1.0),
+        "finite integers",
+    ),
+    # Finite wherever a fault-free row reads: the whole table is checked.
+    "inf-stuck-half": (
+        lambda technology: _RewriteCost(1.0, np.inf),
+        "finite integers",
+    ),
+    # Integer entries, but 2 * cells * max|entry| >= 2**53.
+    "over-bound": (
+        lambda technology: LexicographicCost(EnergyCost(technology), BitChangeCost(), 2.0**48),
+        r"2\*\*53",
+    ),
+}
+
+
+class TestIntegerTableContract:
+    """Cost tables that matrix products could not sum exactly fail at construction."""
+
+    @pytest.mark.parametrize("name", available_encoders())
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    @pytest.mark.parametrize("cost_name", list(_REJECTED_COSTS))
+    def test_make_encoder_rejects(self, name, technology, cost_name):
+        build, pattern = _REJECTED_COSTS[cost_name]
+        with pytest.raises(ConfigurationError, match=pattern):
+            make_encoder(
+                name, word_bits=WORD_BITS, num_cosets=32, technology=technology,
+                cost_function=build(technology),
+            )
+
+    @pytest.mark.parametrize("name", ["unencoded", "rcc", "vcc", "vcc-stored"])
+    def test_bound_is_two_sums_of_every_cell(self, name):
+        # 64-bit MLC words hold 32 cells: 2 * 32 * 2**47 is exactly 2**53.
+        def build(largest):
+            return make_encoder(
+                name, word_bits=WORD_BITS, num_cosets=32, technology=CellTechnology.MLC,
+                cost_function=_RewriteCost(1.0, largest),
+            )
+
+        with pytest.raises(ConfigurationError, match=r"2\*\*53"):
+            build(2.0**47)
+        encoder = build(2.0**47 - 1)
+        rng = make_rng(14, f"bound-edge-{name}")
+        contexts = _contexts(rng, CellTechnology.MLC, encoder, stuck=True)
+        words = _lines(rng)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        assert list(batched) == [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+
+
+def _integer_costs(technology):
+    """Builtin costs at their default energy models: integer-valued tables."""
+    return {
+        "energy": EnergyCost(technology),
+        "saw-then-energy": saw_then_energy(technology),
+        "cell-changes": CellChangeCost(),
     }
 
 
 class TestRCCScoringPaths:
-    """RCC scores cosets by one GEMM only where that is exact."""
+    """RCC scores every coset of a batch with one matrix product."""
 
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
-    @pytest.mark.parametrize("cost_name", list(_rcc_costs(CellTechnology.MLC)))
-    def test_matches_scalar_oracle_on_either_path(self, technology, cost_name):
-        cost, takes_gemm = _rcc_costs(technology)[cost_name]
+    @pytest.mark.parametrize("cost_name", list(_integer_costs(CellTechnology.MLC)))
+    def test_matches_scalar_oracle(self, technology, cost_name):
         encoder = make_encoder(
-            "rcc", word_bits=WORD_BITS, num_cosets=32, technology=technology, cost_function=cost
+            "rcc", word_bits=WORD_BITS, num_cosets=32, technology=technology,
+            cost_function=_integer_costs(technology)[cost_name],
         )
         rng = make_rng(15, f"rcc-paths-{technology.value}-{cost_name}")
         contexts = _contexts(rng, technology, encoder)
         words = _lines(rng)
-        gemms = obs.counter("encode.kernel_gemms")
         candidates = obs.counter("encode.candidates")
-        gemms_before, candidates_before = gemms.value, candidates.value
+        before = candidates.value
         batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
-        assert gemms.value - gemms_before == int(takes_gemm)
-        assert candidates.value - candidates_before == LINES * encoder.num_cosets
+        assert candidates.value - before == LINES * encoder.num_cosets
         oracle = [
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
         assert list(batched) == oracle
 
 
-class _FixedKernels(KernelProvider):
-    """Third-party provider: fixed kernels, but not declared a stored ROM."""
-
-    def kernels_for(self, word):
-        del word
-        return [0x1234, 0xBEEF, 0x0F0F, 0x5A5A]
-
-
-#: VCC encoders by scoring shape: name -> (build(technology, cost), takes
-#: the matrix product when the tables are exact).
+#: VCC encoders by scoring shape: name -> build(technology, cost).
 _VCC_SHAPES = {
-    "vcc": (
-        lambda technology, cost: make_encoder(
-            "vcc", word_bits=WORD_BITS, num_cosets=32, technology=technology,
-            cost_function=cost,
-        ),
-        True,
+    "vcc": lambda technology, cost: make_encoder(
+        "vcc", word_bits=WORD_BITS, num_cosets=32, technology=technology, cost_function=cost,
     ),
-    "vcc-stored": (
-        lambda technology, cost: make_encoder(
-            "vcc-stored", word_bits=WORD_BITS, num_cosets=32, technology=technology,
-            cost_function=cost,
-        ),
-        True,
+    "vcc-stored": lambda technology, cost: make_encoder(
+        "vcc-stored", word_bits=WORD_BITS, num_cosets=32, technology=technology,
+        cost_function=cost,
     ),
-    "right-plane-stored": (
-        lambda technology, cost: VCCEncoder(
-            VCCConfig(
-                word_bits=WORD_BITS, kernel_bits=8, num_kernels=4, technology=technology,
-                encode_region=EncodeRegion.RIGHT_PLANE, stored_kernels=True,
-            ),
-            cost_function=cost,
-            kernel_provider=StoredKernelProvider(8, 4, seed=3),
+    "right-plane-stored": lambda technology, cost: VCCEncoder(
+        VCCConfig(
+            word_bits=WORD_BITS, kernel_bits=8, num_kernels=4, technology=technology,
+            encode_region=EncodeRegion.RIGHT_PLANE, stored_kernels=True,
         ),
-        True,
-    ),
-    "full-word-custom": (
-        lambda technology, cost: VCCEncoder(
-            VCCConfig(
-                word_bits=WORD_BITS, kernel_bits=16, num_kernels=4, technology=technology,
-                encode_region=EncodeRegion.FULL_WORD, stored_kernels=True,
-            ),
-            cost_function=cost,
-            kernel_provider=_FixedKernels(16, 4),
-        ),
-        False,
+        cost_function=cost,
+        kernel_provider=StoredKernelProvider(8, 4, seed=3),
     ),
 }
 
@@ -409,30 +431,25 @@ _VCC_CASES = [
     ("vcc-stored", CellTechnology.MLC),
     ("vcc-stored", CellTechnology.SLC),
     ("right-plane-stored", CellTechnology.MLC),
-    ("full-word-custom", CellTechnology.MLC),
 ]
 
 
 class TestVCCScoringPaths:
-    """VCC scores partitions by one matrix product only where that is exact."""
+    """VCC scores the partitions of a batch with one matrix product, in either shape."""
 
     @pytest.mark.parametrize(
         "shape,technology", _VCC_CASES, ids=[f"{s}-{t.value}" for s, t in _VCC_CASES]
     )
-    @pytest.mark.parametrize("cost_name", list(_rcc_costs(CellTechnology.MLC)))
-    def test_matches_scalar_oracle_on_either_path(self, shape, technology, cost_name):
-        build, has_product = _VCC_SHAPES[shape]
-        cost, exact = _rcc_costs(technology)[cost_name]
-        encoder = build(technology, cost)
+    @pytest.mark.parametrize("cost_name", list(_integer_costs(CellTechnology.MLC)))
+    def test_matches_scalar_oracle(self, shape, technology, cost_name):
+        encoder = _VCC_SHAPES[shape](technology, _integer_costs(technology)[cost_name])
         rng = make_rng(16, f"vcc-paths-{shape}-{technology.value}-{cost_name}")
         contexts = _contexts(rng, technology, encoder)
         words = _lines(rng)
-        gemms = obs.counter("encode.kernel_gemms")
         candidates = obs.counter("encode.candidates")
-        gemms_before, candidates_before = gemms.value, candidates.value
+        before = candidates.value
         batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
-        assert gemms.value - gemms_before == int(has_product and exact)
-        assert candidates.value - candidates_before == LINES * 2 * encoder.config.num_kernels
+        assert candidates.value - before == LINES * 2 * encoder.config.num_kernels
         oracle = [
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
@@ -506,20 +523,6 @@ class TestBatchLineCellCosts:
                 )
                 assert np.array_equal(folded[line * 8 + word].T, expected)
 
-    def test_inf_entries_gather_exactly(self):
-        # Rewriting a stuck cell under _HardSawCost reads +inf straight from
-        # the table; the gather path never multiplies it by zero.
-        cost = _HardSawCost()
-        context = LineContext(
-            old_cells=np.zeros((1, 32), dtype=np.uint8),
-            stuck_mask=np.eye(1, 32, dtype=bool),
-            bits_per_cell=2,
-        )
-        new_cells = np.ones((1, 1, 1, 32), dtype=np.uint8)
-        costs = cost.batch_line_cell_costs(new_cells, LineBatch.from_lines([context]))
-        assert costs[0, 0, 0, 0] == np.inf
-        assert costs[0, 0, 0, 1:].tolist() == [1.0] * 31
-
     def test_shape_validation(self):
         cost = OnesCost()
         one_line = LineBatch.from_lines([LineContext.blank()])
@@ -554,23 +557,13 @@ class _MixedAuxCost(CostFunction):
         return float((3 * new_aux + old_aux) % 7)
 
 
-class _StuckInfCost(CostFunction):
-    """Finite free half, ``inf`` only where a stuck cell would be rewritten."""
-
-    name = "stuck-inf"
-
-    def cell_table(self, bits_per_cell):
-        old, new = np.indices((2**bits_per_cell,) * 2)
-        return np.stack([np.abs(old - new) * 2.0, np.where(old != new, np.inf, 0.0)])
-
-
 def _derived_keys(cost, kind):
     """Keys of the derived tables of one kind a cost has cached."""
     return [key for key in cost.__dict__.get("_derived_tables", {}) if key[0] == kind]
 
 
 #: Every builtin cost plus the two third-party shapes of the aux contract.
-_AUX_COSTS = [cost for cost, _ in ALL_COSTS] + [_MixedAuxCost(), _HardSawCost()]
+_AUX_COSTS = [cost for cost, _ in ALL_COSTS] + [_MixedAuxCost(), _RewriteCost(2.0, 100.0)]
 
 
 class TestDerivedTables:
@@ -578,8 +571,8 @@ class TestDerivedTables:
 
     @pytest.mark.parametrize(
         "cost,bits_per_cell",
-        ALL_COSTS + [(_HardSawCost(), 1), (_HardSawCost(), 2)],
-        ids=_ALL_COST_IDS + ["hard-saw-slc", "hard-saw"],
+        ALL_COSTS + [(_RewriteCost(2.0, 100.0), 1), (_RewriteCost(2.0, 100.0), 2)],
+        ids=_ALL_COST_IDS + ["rewrite-slc", "rewrite"],
     )
     def test_folded_entry_is_cell_table_at_mask_xor_data(self, cost, bits_per_cell):
         levels = 2**bits_per_cell
@@ -590,8 +583,6 @@ class TestDerivedTables:
         for stuck, old, data, value in np.ndindex(2, levels, levels, levels):
             entry = folded[(stuck * levels + old) * levels + data, value]
             assert entry == table[stuck, old, value ^ data]
-        if isinstance(cost, _HardSawCost):
-            assert np.isinf(folded).any()
 
     @pytest.mark.parametrize("cost", _AUX_COSTS, ids=[c.name for c in _AUX_COSTS])
     @pytest.mark.parametrize("aux_bits", [1, 4, AUX_TABLE_MAX_BITS])
@@ -660,10 +651,7 @@ class TestTableDrivenScoring:
         rng = make_rng(17, "rcc-wide-aux")
         contexts = _contexts(rng, CellTechnology.MLC, encoder, lines=2)
         words = _lines(rng, lines=2)
-        gemms = obs.counter("encode.kernel_gemms")
-        before = gemms.value
         batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
-        assert gemms.value - before == 1
         assert list(batched) == [
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
@@ -683,48 +671,6 @@ class TestTableDrivenScoring:
             encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
         ]
         assert _derived_keys(encoder.cost_function, "aux") == [("aux", encoder.aux_bits)]
-
-    @pytest.mark.parametrize("name", ["rcc", "vcc", "vcc-stored"])
-    def test_stuck_half_inf_takes_the_gather_path_without_stuck_cells(self, name):
-        # The whole table decides exactness: the inf entries rule the
-        # product out even for a batch whose rows never read them.
-        encoder = make_encoder(
-            name, word_bits=WORD_BITS, num_cosets=32, technology=CellTechnology.MLC,
-            cost_function=_StuckInfCost(),
-        )
-        rng = make_rng(19, f"stuck-inf-{name}")
-        contexts = _contexts(rng, CellTechnology.MLC, encoder, stuck=False)
-        words = _lines(rng)
-        gemms = obs.counter("encode.kernel_gemms")
-        before = gemms.value
-        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
-        assert gemms.value == before
-        assert list(batched) == [
-            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
-        ]
-
-    @pytest.mark.parametrize("name", ["rcc", "vcc", "vcc-stored"])
-    def test_exactness_is_decided_once(self, name, monkeypatch):
-        calls = []
-        real = cost_module.exact_table_sums
-
-        def counting(table, terms):
-            calls.append(terms)
-            return real(table, terms)
-
-        monkeypatch.setattr(cost_module, "exact_table_sums", counting)
-        encoder = make_encoder(
-            name, word_bits=WORD_BITS, num_cosets=32, technology=CellTechnology.MLC,
-            cost_function=saw_then_energy(CellTechnology.MLC),
-        )
-        rng = make_rng(20, f"exact-once-{name}")
-        gemms = obs.counter("encode.kernel_gemms")
-        before = gemms.value
-        for _ in range(3):
-            contexts = _contexts(rng, CellTechnology.MLC, encoder)
-            encoder.encode_lines(_lines(rng), LineBatch.from_lines(contexts))
-        assert gemms.value - before == 3
-        assert len(calls) == 1
 
 
 class _FreeAuxBitChangeCost(BitChangeCost):
@@ -849,21 +795,13 @@ class TestVCCSelection:
         assert changed.any()
 
     @pytest.mark.parametrize("kernel_bits", [4, 2], ids=["8-partitions", "16-partitions"])
-    def test_many_partitions_under_a_fractional_cost_keep_the_oracle_sum_order(
-        self, kernel_bits
-    ):
-        # Eight or more partition costs are summed pairwise by NumPy, so
-        # only the oracle's order reproduces the fractional bits.
-        cost = EnergyCost(
-            CellTechnology.MLC, mlc_model=MLCEnergyModel(low_energy_pj=2.3, high_energy_pj=19.7)
-        )
-        encoder = _right_plane_vcc(kernel_bits, 4, cost)
+    def test_many_partitions_match_encode_per_word(self, kernel_bits):
+        # Eight or more partition costs are summed pairwise by NumPy, in
+        # another order than the product's: integer costs make both exact.
+        encoder = _right_plane_vcc(kernel_bits, 4, EnergyCost(CellTechnology.MLC))
         assert encoder.config.partitions == 32 // kernel_bits
         rng = make_rng(25, f"vcc-gather-order-{kernel_bits}")
         contexts = _contexts(rng, CellTechnology.MLC, encoder)
         words = _lines(rng)
-        gemms = obs.counter("encode.kernel_gemms")
-        before = gemms.value
         batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
-        assert gemms.value == before
         assert _batched(batched) == _encode_per_word(encoder, words, contexts)

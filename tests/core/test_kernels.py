@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coding.registry import make_encoder
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, StoredKernelProvider
 from repro.errors import ConfigurationError
@@ -50,6 +51,26 @@ class TestStoredKernels:
 
     def test_is_stored_flag(self):
         assert StoredKernelProvider(8, 2, seed=0).is_stored
+
+    @pytest.mark.parametrize(
+        "kernel_bits,largest,include_biased",
+        [(2, 1, False), (3, 3, False), (3, 4, True), (4, 7, False)],
+    )
+    def test_rom_holds_one_kernel_per_complementary_pair(
+        self, kernel_bits, largest, include_biased
+    ):
+        # 0, all-ones and complements are never drawn, so a fuller ROM
+        # would loop forever; it is refused before the draw instead.
+        full = StoredKernelProvider(kernel_bits, largest, seed=5, include_biased=include_biased)
+        assert len(set(full.kernels)) == largest
+        with pytest.raises(ConfigurationError, match=f"at most {largest} kernels"):
+            StoredKernelProvider(kernel_bits, largest + 1, seed=5, include_biased=include_biased)
+
+    def test_vcc_stored_refuses_more_kernels_than_the_rom_holds(self):
+        # 16-bit words, 4 partitions: 4-bit kernels, at most 7 in a ROM.
+        assert make_encoder("vcc-stored", word_bits=16, num_cosets=64).config.num_kernels == 4
+        with pytest.raises(ConfigurationError, match="at most 7 kernels"):
+            make_encoder("vcc-stored", word_bits=16, num_cosets=128)
 
 
 class TestGeneratedKernels:

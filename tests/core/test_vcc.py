@@ -8,7 +8,7 @@ from repro.coding.cost import BitChangeCost, EnergyCost, OnesCost, SawCost, saw_
 from repro.coding.rcc import RCCEncoder
 from repro.coding.unencoded import UnencodedEncoder
 from repro.core.config import EncodeRegion, VCCConfig
-from repro.core.kernels import StoredKernelProvider
+from repro.core.kernels import KernelProvider, StoredKernelProvider
 from repro.core.vcc import VCCEncoder
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
@@ -22,6 +22,14 @@ def _context(old_word, stuck=None, old_aux=0):
 
 def _random_word(rng):
     return int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
+
+
+class _DataKernels(KernelProvider):
+    """Third-party kernels read from the word itself, not a stored ROM."""
+
+    def kernels_for(self, word):
+        mask = (1 << self.kernel_bits) - 1
+        return [(word >> index) & mask for index in range(self.num_kernels)]
 
 
 class TestRoundTrip:
@@ -84,9 +92,15 @@ class TestStructure:
 
     def test_provider_mismatch_rejected(self):
         config = VCCConfig.for_cosets(64, stored_kernels=True)
-        provider = StoredKernelProvider(8, config.num_kernels, seed=0)  # wrong width
-        with pytest.raises(ConfigurationError):
-            VCCEncoder(config, kernel_provider=provider)
+        providers = [
+            StoredKernelProvider(8, config.num_kernels, seed=0),  # wrong width
+            # Data-dependent kernels over the full word: decode could not
+            # regenerate them from the codeword.
+            _DataKernels(config.kernel_bits, config.num_kernels),
+        ]
+        for provider in providers:
+            with pytest.raises(ConfigurationError):
+                VCCEncoder(config, kernel_provider=provider)
 
     def test_decode_rejects_bad_aux(self):
         encoder = VCCEncoder(VCCConfig.for_cosets(64))

@@ -167,7 +167,6 @@ class TestCli:
             "replay.conflict_cuts",
             "replay.squashed_writes",
             "encode.candidates",
-            "encode.kernel_gemms",
             "crypto.pad_chunks",
             "store.get_s",
         ):
