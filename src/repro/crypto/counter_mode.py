@@ -17,13 +17,25 @@ are available:
   counter-unique) pads at a fraction of the cost.  The downstream encoders
   only care that the ciphertext is unbiased, so this substitution does not
   change any experimental conclusion; it is documented in DESIGN.md.
+
+:meth:`CounterModeEngine.encrypt_line` is the per-line oracle and
+:meth:`CounterModeEngine.encrypt_lines` its batched twin.  A replayed
+trace is encrypted once, not once per controller: the ciphertext of a
+trace repeated end to end, from one set of starting counters, is a fixed
+sequence, so :meth:`CounterModeEngine.replay_stream` keeps it as a
+:class:`CiphertextStream` on the trace, extended lazily through
+``encrypt_lines``.  Every engine with the same key, geometry and
+starting counters on the trace's addresses reads the same stream, and
+its counters after a replay are a stream position
+(:meth:`CounterModeEngine.seek`): each address's counter is its start
+plus its occurrences among the writes performed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,16 +44,22 @@ from repro.crypto.aes import AES128
 from repro.errors import ConfigurationError
 from repro.utils.validation import require
 
-__all__ = ["CounterModeEngine", "EncryptedLine"]
+if TYPE_CHECKING:  # runtime import would be circular via repro.traces
+    from repro.traces.trace import Trace
 
-# Encryption-engine telemetry, bumped per batch/rollback call (the pads
-# counter adds the whole chunk's line count in one increment).
+__all__ = ["CiphertextStream", "CounterModeEngine", "EncryptedLine"]
+
+# Encryption-engine telemetry, bumped per call (the derived-pads counter
+# adds a whole chunk's line count in one increment).  The pads applied to
+# performed writes are counted by the memory controller as ``crypto.pads``.
 _OBS_PAD_CHUNKS = obs.counter(
     "crypto.pad_chunks", "batched encrypt_lines calls (one pad chunk each)"
 )
-_OBS_PADS = obs.counter("crypto.pads", "one-time pads derived for line writes")
+_OBS_DERIVED_PADS = obs.counter(
+    "crypto.derived_pads", "one-time pads derived by the PRF or AES (encrypt_line/encrypt_lines)"
+)
 _OBS_ROLLBACKS = obs.counter(
-    "crypto.rollbacks", "rollback_counters calls after an early-stopped chunk"
+    "crypto.rollbacks", "rollback_counters calls (no replay path makes one)"
 )
 _OBS_ROLLED_BACK = obs.counter(
     "crypto.rolled_back_counters", "per-line counter bumps undone by rollbacks"
@@ -129,11 +147,10 @@ class CounterModeEngine:
     def rollback_counters(self, addresses: Sequence[int]) -> None:
         """Un-bump the counters of lines that were encrypted but not stored.
 
-        The batched replay engine encrypts a chunk of writes ahead of
-        performing them; when an early-stop predicate ends the replay
-        mid-chunk, the tail of the chunk was never written and its counter
-        bumps must be undone so subsequent reads and writes see exactly
-        the state a scalar :meth:`encrypt_line` sequence would have left.
+        Undoes one :meth:`encrypt_line`/:meth:`encrypt_lines` bump per
+        listed address.  The replay drivers never call it: a trace replay
+        reads a :class:`CiphertextStream` and sets the counters of the
+        writes it performed with :meth:`seek`.
         """
         counters = self._counters
         for address in addresses:
@@ -150,6 +167,59 @@ class CounterModeEngine:
     def reset_counters(self) -> None:
         """Forget all per-line counters (used between experiment repetitions)."""
         self._counters.clear()
+
+    # --------------------------------------------------------------- streams
+    def replay_stream(self, trace: "Trace") -> Tuple["CiphertextStream", int]:
+        """The ciphertext stream a replay of ``trace`` from these counters reads.
+
+        Returns ``(stream, position)``: the replay's ``i``-th write is
+        stored as ``stream.upto(position + i + 1)[position + i]``.  The
+        stream is kept on the trace (:meth:`repro.traces.trace.Trace.derived`),
+        keyed by this engine's key, geometry and *base* counters on the
+        trace's addresses.  The base is the current counters minus as
+        many whole passes over the trace as they hold, and ``position``
+        skips those passes, so a fresh engine and one that already
+        replayed the trace ``k`` times read the same stream.  Requires a
+        :attr:`batchable` word width.
+        """
+        addresses, inverse, per_pass = trace.derived(
+            "address-index",
+            lambda: np.unique(trace.addresses_array(), return_inverse=True, return_counts=True),
+        )
+        counters = self._counters
+        current = np.fromiter(
+            (counters.get(address, 0) for address in addresses.tolist()),
+            dtype=np.int64,
+            count=len(addresses),
+        )
+        passes = int((current // per_pass).min()) if len(addresses) else 0
+        base = current - passes * per_pass
+        key = ("ciphertext", self.key, self.line_bits, self.word_bits, self.fast_pad, base.tobytes())
+
+        def build() -> CiphertextStream:
+            engine = CounterModeEngine(self.key, self.line_bits, self.word_bits, self.fast_pad)
+            engine._counters = {
+                address: start
+                for address, start in zip(addresses.tolist(), base.tolist())
+                if start
+            }
+            return CiphertextStream(engine, trace, addresses, inverse, per_pass, base)
+
+        return trace.derived(key, build), passes * len(trace)
+
+    def seek(self, stream: "CiphertextStream", position: int) -> None:
+        """Set the counters of the stream's addresses to their values at ``position``.
+
+        That is the state of this engine after a replay that started on
+        ``stream`` (see :meth:`replay_stream`) and performed writes up to
+        ``position``: each address's counter is its base counter plus
+        its occurrences among the stream's first ``position`` writes.
+        """
+        counters = stream.counters_at(position)
+        touched = np.nonzero(counters)[0]
+        self._counters.update(
+            zip(stream.addresses[touched].tolist(), counters[touched].tolist())
+        )
 
     # ------------------------------------------------------------------ pad
     def pad_words(self, address: int, counter: int) -> List[int]:
@@ -269,7 +339,7 @@ class CounterModeEngine:
         counter = self._counters.get(address, 0) + 1
         self._counters[address] = counter
         pad = self.pad_words(address, counter)
-        _OBS_PADS.inc()
+        _OBS_DERIVED_PADS.inc()
         cipher = tuple((int(w) ^ p) & word_mask for w, p in zip(plaintext_words, pad))
         return EncryptedLine(address=address, counter=counter, words=cipher)
 
@@ -302,7 +372,7 @@ class CounterModeEngine:
             raise ConfigurationError("one address per plaintext line is required")
         pad_dtype = np.dtype(f">u{self.word_bits // 8}")
         _OBS_PAD_CHUNKS.inc()
-        _OBS_PADS.inc(matrix.shape[0])
+        _OBS_DERIVED_PADS.inc(matrix.shape[0])
         counters = self._counters
         count = matrix.shape[0]
         address_values = np.empty(count, dtype=np.uint64)
@@ -330,3 +400,74 @@ class CounterModeEngine:
         word_mask = (1 << self.word_bits) - 1
         pad = self.pad_words(line.address, line.counter)
         return [(int(w) ^ p) & word_mask for w, p in zip(line.words, pad)]
+
+
+class CiphertextStream:
+    """The ciphertext of one trace replayed end to end, pass after pass.
+
+    Position ``p`` holds the encryption of trace record ``p % len(trace)``
+    as the ``p``-th write of a replay whose engine starts from the
+    stream's base counters.  Positions are derived on demand, in order,
+    by :meth:`CounterModeEngine.encrypt_lines` on a private engine that
+    holds the counters reached so far, so the stream is bit-identical to
+    encrypting the same writes one by one with :meth:`CounterModeEngine.encrypt_line`.
+    Build streams with :meth:`CounterModeEngine.replay_stream`.
+    """
+
+    def __init__(
+        self,
+        engine: CounterModeEngine,
+        trace: "Trace",
+        addresses: np.ndarray,
+        inverse: np.ndarray,
+        per_pass: np.ndarray,
+        base: np.ndarray,
+    ):
+        words = trace.words_array()
+        if words is None or not engine.batchable:
+            raise ConfigurationError("a ciphertext stream needs a batchable word width")
+        #: Distinct addresses of the trace, ascending.
+        self.addresses = addresses
+        self._engine = engine
+        self._record_addresses = trace.addresses_array()
+        self._words = words
+        self._inverse = inverse.reshape(-1)
+        self._per_pass = per_pass
+        self._base = base
+        self._cipher = np.empty((0, engine.words_per_line), dtype=np.uint64)
+        #: Positions derived so far.
+        self.length = 0
+
+    def upto(self, end: int) -> np.ndarray:
+        """The stream's first ``end`` positions as a read-only ``(end, words_per_line)`` view.
+
+        Read-only because every controller replaying the trace shares it.
+        Derives the missing positions with one ``encrypt_lines`` call; the
+        buffer at least doubles when it grows, so extending a stream one
+        chunk at a time copies O(length) words in total.
+        """
+        if end > self.length:
+            if end > len(self._cipher):
+                grown = np.empty(
+                    (max(end, 2 * len(self._cipher)), self._engine.words_per_line),
+                    dtype=np.uint64,
+                )
+                grown[: self.length] = self._cipher[: self.length]
+                self._cipher = grown
+            records = np.arange(self.length, end, dtype=np.int64) % len(self._record_addresses)
+            self._cipher[self.length:end] = self._engine.encrypt_lines(
+                self._record_addresses[records], self._words[records]
+            )
+            self.length = end
+        view = self._cipher[:end]
+        view.flags.writeable = False
+        return view
+
+    def counters_at(self, position: int) -> np.ndarray:
+        """Each address's counter after the stream's first ``position`` writes."""
+        passes, partial = divmod(position, len(self._record_addresses))
+        return (
+            self._base
+            + passes * self._per_pass
+            + np.bincount(self._inverse[:partial], minlength=len(self.addresses))
+        )

@@ -23,15 +23,21 @@ a wave scheduler works like a reorder buffer, since per-row write order is
 the only true dependency between writes.  It executes out of order: each
 *wave* takes, from a look-ahead window of queued writes, the earliest
 pending write of each distinct row, gathers their old-cell state in one
-:meth:`repro.pcm.array.PCMArray.read_rows` call, encrypts and encodes them
-through single ``encrypt_lines`` / :meth:`repro.coding.base.Encoder.encode_lines`
-calls, and applies them with one
-:meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter.  It retires in
-order: the early-stop predicate and Start-Gap bookkeeping see the writes
-in trace order, a window never reaches past the next gap migration, and
-writes that ran ahead of an early stop are squashed by restoring their
-rows from per-wave snapshots.  The outcome is bit-identical to the scalar
-:meth:`MemoryController.write_line` sequence.
+:meth:`repro.pcm.array.PCMArray.read_rows` call, encodes them through
+one :meth:`repro.coding.base.Encoder.encode_lines` call, and applies them with one :meth:`repro.pcm.array.PCMArray.write_rows_fast`
+scatter.  It retires in order: the early-stop predicate and Start-Gap
+bookkeeping see the writes in trace order, a window never reaches past the
+next gap migration, and writes that ran ahead of an early stop are
+squashed by restoring their rows from per-wave snapshots.  The outcome is
+bit-identical to the scalar :meth:`MemoryController.write_line` sequence.
+
+Encryption happens before scheduling.  A trace replay slices its
+ciphertext from the trace's shared
+:class:`repro.crypto.counter_mode.CiphertextStream`, so controllers that
+replay one trace under one key derive its pads once, and the engine's
+counters are set from the stream position the replay reached.  The
+random-line driver encrypts each chunk it draws with one ``encrypt_lines``
+call.
 """
 
 from __future__ import annotations
@@ -85,11 +91,15 @@ REPLAY_WAVE_LINES = 32
 REPLAY_LOOKAHEAD_WAVES = 2
 
 #: Replay chunking: writes are issued in chunks ramping from _FIRST_CHUNK
-#: to _MAX_CHUNK, or in fixed chunks of _STOP_CHUNK writes when an identity
-#: encoder replays under an early-stop predicate.
+#: to _MAX_CHUNK.
 _FIRST_CHUNK = 512
 _MAX_CHUNK = 8192
-_STOP_CHUNK = 256
+
+#: Bit offset between the packed fields of the controller's cell tally
+#: table (see ``_flush_replay_accounting``); every field's per-row sum must
+#: stay below ``2**_TALLY_SHIFT``.
+_TALLY_SHIFT = 16
+_TALLY_MASK = (1 << _TALLY_SHIFT) - 1
 
 #: Early-stop predicate for :meth:`MemoryController.replay_trace`, called
 #: after every write as ``stop(index, row_index, saw_cells,
@@ -130,6 +140,11 @@ _OBS_TRANSIENT_CORRECTED = obs.counter(
 )
 _OBS_TRANSIENT_ESCAPED = obs.counter(
     "faults.transient_escaped", "sensed reads whose flips escaped ECC into the encoder"
+)
+_OBS_PADS = obs.counter(
+    "crypto.pads",
+    "one-time pads applied to performed line writes (one per encrypted write, "
+    "derived for it or sliced from a shared ciphertext stream)",
 )
 _OBS_SPAN = obs.span
 
@@ -339,6 +354,33 @@ _REPLAY_ARRAYS = (
 )
 
 
+def _cell_tally_table(bits_per_cell: int) -> np.ndarray:
+    """The packed integer accounting of one cell write, per (old, stored, intended).
+
+    Entry ``(old << 2b) | (stored << b) | intended`` (``b`` bits per
+    cell) packs four fields ``_TALLY_SHIFT`` bits apart, lowest first:
+    cell changed (``stored != old``), bits changed (popcount of
+    ``old ^ stored``), stuck-at-wrong cell (``stored != intended``)
+    and stuck-at-wrong bits (popcount of ``stored ^ intended`` for
+    MLC, the wrong-cell flag otherwise), the same quantities the
+    scalar path counts row by row.
+    """
+    levels = 1 << bits_per_cell
+    old, stored, intended = (
+        axis.reshape(-1).astype(np.int64)
+        for axis in np.meshgrid(*(np.arange(levels),) * 3, indexing="ij")
+    )
+    popcount = np.array([bin(value).count("1") for value in range(levels)], dtype=np.int64)
+    wrong = stored ^ intended
+    fields = (
+        (stored != old).astype(np.int64),
+        popcount[old ^ stored],
+        (wrong != 0).astype(np.int64),
+        popcount[wrong] if bits_per_cell == 2 else (wrong != 0).astype(np.int64),
+    )
+    return sum(field << (position * _TALLY_SHIFT) for position, field in enumerate(fields))
+
+
 @dataclass(frozen=True)
 class _WaveSnapshot:
     """The state of one replay wave's rows before the wave was applied.
@@ -468,6 +510,12 @@ class MemoryController:
                 (array.rows, self.config.words_per_line), dtype=np.int64
             )
         self._bit_popcount = np.array([0, 1, 1, 2], dtype=np.int64)
+        if array.row_bits >= 1 << _TALLY_SHIFT:
+            raise ConfigurationError(
+                f"rows of {array.row_bits} bits exceed the {(1 << _TALLY_SHIFT) - 1}-bit "
+                "limit of the replay accounting"
+            )
+        self._cell_tally = _cell_tally_table(array.bits_per_cell)
         self._energy_lut = (
             self.mlc_energy.lut()
             if array.technology is CellTechnology.MLC
@@ -529,6 +577,7 @@ class MemoryController:
             )
         if self.encryption is not None:
             encrypted = list(self.encryption.encrypt_line(address, words).words)
+            _OBS_PADS.inc()
         else:
             encrypted = [int(w) for w in words]
 
@@ -668,7 +717,11 @@ class MemoryController:
             studies stop on the Nth failed row instead of paying for the
             remaining writes).  It sees the writes in trace order, and the
             controller state after the replay is exactly the state after
-            write ``index``.
+            write ``index``.  Writes that ran ahead of the stop are undone
+            row by row; the encryption counters never ran ahead, because
+            they are set once, at the end, from the stream position the
+            replay performed (see
+            :meth:`repro.crypto.counter_mode.CounterModeEngine.seek`).
         max_writes:
             Optional hard cap on the total number of writes, applied on
             top of ``repetitions`` (the last repetition may be partial).
@@ -698,44 +751,50 @@ class MemoryController:
 
         trace_addresses = trace.addresses_array()
         words = trace.words_array()
+        encryption = self.encryption
+        # An encrypted replay reads the trace's shared ciphertext stream
+        # from the position this engine's counters stand at; an odd word
+        # width has no stream and encrypts write by write.
+        stream = None
+        offset = 0
+        if words is not None and encryption is not None and encryption.batchable:
+            stream, offset = encryption.replay_stream(trace)
 
         def plaintext_for(index: int) -> List[int]:
             # Wide/odd word sizes: per-record scalar fallback.
             return list(trace[index % num_records].words)
 
-        # Chunked issue: addresses, plaintexts and result arrays exist only
-        # for the writes about to run, so a lifetime cell that stops after
-        # a few hundred writes never materialises its 200k-write cap.
-        # Chunks ramp geometrically, except for an early-stoppable replay
-        # on the identity path: that path derives a whole chunk's pads up
-        # front, and a ramp would throw away up to half of them at the
-        # stop.  (The wave scheduler derives pads per wave and only rolls
-        # back the writes a stop squashes.)
-        ramp = stop is None or not self.encoder.is_identity
-        chunk = _FIRST_CHUNK if ramp else _STOP_CHUNK
+        # Chunked issue: addresses, stored words and result arrays exist
+        # only for the writes about to run, so a lifetime cell that stops
+        # after a few hundred writes never materialises its 200k-write cap.
+        chunk = _FIRST_CHUNK
         start = 0
         performed = 0
         stopped = False
         with _OBS_SPAN("replay.trace", total_writes=total) as trace_span:
             while start < total and not stopped:
                 end = min(start + chunk, total)
-                if ramp:
-                    chunk = min(chunk * 2, _MAX_CHUNK)
+                chunk = min(chunk * 2, _MAX_CHUNK)
                 replay._reserve(end, total)
                 record_indices = np.arange(start, end, dtype=np.int64) % num_records
+                if stream is not None:
+                    stored = stream.upto(offset + end)[offset + start:]
+                elif encryption is None and words is not None:
+                    stored = words[record_indices]
+                else:
+                    stored = None
                 performed, stopped = self._replay_chunk(
-                    replay,
-                    trace_addresses[record_indices],
-                    None if words is None else words[record_indices],
-                    start,
-                    stop,
-                    plaintext_for,
+                    replay, trace_addresses[record_indices], stored, start, stop, plaintext_for
                 )
                 start = end
             if stopped:
                 _OBS_EARLY_STOPS.inc()
                 _OBS_EARLY_STOP_INDEX.set(performed)
             trace_span.set(performed=performed, stopped=stopped)
+        if encryption is not None:
+            _OBS_PADS.inc(performed)
+            if stream is not None:
+                encryption.seek(stream, offset + performed)
         replay._trim(performed, stopped)
         self.stats.absorb(replay.write_stats())
         return replay
@@ -744,45 +803,32 @@ class MemoryController:
         self,
         replay: ReplayResult,
         chunk_addresses: np.ndarray,
-        plaintext: Optional[np.ndarray],
+        stored: Optional[np.ndarray],
         start: int,
         stop: Optional[ReplayStop],
         plaintext_for: Callable[[int], List[int]],
     ):
         """Run the writes ``[start, start + len(chunk_addresses))`` of a replay.
 
-        ``plaintext`` is the chunk's ``(writes, words_per_line)`` ``uint64``
-        word matrix, or ``None`` when the words do not fit one.  Identity
-        encoders take :meth:`_replay_identity`, every other encoder the
-        wave scheduler :meth:`_replay_generic`; words without a matrix, or
-        a word width the counter-mode engine cannot batch, fall back to
-        :meth:`_replay_generic_scalar` with the words of
-        ``plaintext_for(index)``.  Returns ``(performed, stopped)`` with
-        ``performed`` the global write count.
+        ``stored`` is the chunk's ``(writes, words_per_line)`` ``uint64``
+        matrix of words to store: the ciphertext, or the plaintext when
+        the controller does not encrypt.  Identity encoders take
+        :meth:`_replay_identity`, every other encoder the wave scheduler
+        :meth:`_replay_generic`.  ``stored`` is ``None`` when the words do
+        not fit a matrix or the counter-mode engine cannot batch their
+        width; the chunk then falls back to :meth:`_replay_generic_scalar`
+        with the words of ``plaintext_for(index)``.  Returns ``(performed,
+        stopped)`` with ``performed`` the global write count.
         """
-        encryption = self.encryption
-        if plaintext is None or (encryption is not None and not encryption.batchable):
+        if stored is None:
             _OBS_SCALAR_FALLBACKS.inc()
             return self._replay_generic_scalar(
                 replay, plaintext_for, chunk_addresses, start, stop
             )
         if not self.encoder.is_identity:
-            return self._replay_generic(replay, chunk_addresses, plaintext, start, stop)
+            return self._replay_generic(replay, chunk_addresses, stored, start, stop)
         _OBS_IDENTITY_CHUNKS.inc()
-        encrypted = (
-            plaintext
-            if encryption is None
-            else encryption.encrypt_lines(chunk_addresses, plaintext)
-        )
-        performed, stopped = self._replay_identity(
-            replay, chunk_addresses, encrypted, start, stop
-        )
-        unused = chunk_addresses[performed - start:]
-        if stopped and len(unused) and encryption is not None:
-            # The chunk tail was encrypted but never stored: undo its
-            # counter bumps so the state matches the scalar path exactly.
-            encryption.rollback_counters(unused)
-        return performed, stopped
+        return self._replay_identity(replay, chunk_addresses, stored, start, stop)
 
     def _replay_identity(
         self,
@@ -886,39 +932,34 @@ class MemoryController:
         ``at`` selects the writes' entries in ``replay`` (a slice or an
         index vector, one entry per buffered row).  Energy, changed
         bits/cells, and SAW counts are pure functions of the (old, stored,
-        intended) cell rows; row-wise NumPy reductions over the buffered
-        rows are bit-identical to the scalar path's per-row reductions.  A
-        stored cell differs from the intended value exactly at the
-        stuck-at-wrong positions, so SAW counts fall out of the xor.
+        intended) cell rows.  The energy is the same float gather-sum per
+        row as the scalar path.  The integer counts come from one gather
+        of the packed cell tally table (see :func:`_cell_tally_table`):
+        summing packed values per word and per row sums every field at
+        once, exactly, since no field's sum reaches the next field.
         """
         lines = len(old_rows)
         if lines == 0:
             return
-        popcount = self._bit_popcount
         bits_per_cell = self.array.bits_per_cell
         replay.data_energy_pj[at] = self._energy_lut[old_rows, intended_rows].sum(axis=1)  # repro: allow[NUM001] reason=advanced indexing copies into a fresh C-contiguous (rows, cells) block, so the axis-1 pairwise sums match the per-row oracle (parity-locked by test_replay_parity)
-        changed = stored_rows != old_rows
-        replay.cells_changed[at] = np.count_nonzero(changed, axis=1)
-        if bits_per_cell == 1:
-            replay.bits_changed[at] = np.count_nonzero(old_rows ^ stored_rows, axis=1)
-        else:
-            replay.bits_changed[at] = popcount[old_rows ^ stored_rows].sum(axis=1)
-        wrong_xor = stored_rows ^ intended_rows
-        replay.saw_cells[at] = np.count_nonzero(wrong_xor, axis=1)
-        wrong_bits = (
-            popcount[wrong_xor]
-            if bits_per_cell == 2
-            else (wrong_xor != 0).astype(np.int64)
+        triples = (old_rows << (2 * bits_per_cell)) | (stored_rows << bits_per_cell) | intended_rows
+        per_word = (
+            np.take(self._cell_tally, triples)
+            .reshape(lines, self.config.words_per_line, -1)
+            .sum(axis=2)
         )
-        replay.saw_bits_per_word[at] = wrong_bits.reshape(
-            lines, self.config.words_per_line, -1
-        ).sum(axis=2)
+        per_row = per_word.sum(axis=1)
+        replay.cells_changed[at] = per_row & _TALLY_MASK
+        replay.bits_changed[at] = (per_row >> _TALLY_SHIFT) & _TALLY_MASK
+        replay.saw_cells[at] = (per_row >> 2 * _TALLY_SHIFT) & _TALLY_MASK
+        replay.saw_bits_per_word[at] = per_word >> 3 * _TALLY_SHIFT
 
     def _replay_generic(
         self,
         replay: ReplayResult,
         chunk_addresses: np.ndarray,
-        plaintext: np.ndarray,
+        stored: np.ndarray,
         start: int,
         stop: Optional[ReplayStop],
     ):
@@ -935,12 +976,11 @@ class MemoryController:
           ``replay_wave_lines`` lines; a later write to a row already in
           the wave is deferred to a later wave instead of ending this one.
           Every earlier write to a picked row has therefore executed, so
-          encoding the wave against one :meth:`repro.pcm.array.PCMArray.read_rows`
-          gather through a single :meth:`repro.coding.base.Encoder.encode_lines`
-          call, encrypting its lines with one
-          :meth:`repro.crypto.counter_mode.CounterModeEngine.encrypt_lines`
+          encoding the wave's rows of ``stored`` (the chunk's ciphertext)
+          against one :meth:`repro.pcm.array.PCMArray.read_rows` gather
+          through a single :meth:`repro.coding.base.Encoder.encode_lines`
           call, and applying it with one
-          :meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter is
+          :meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter, is
           bit-identical to running those writes one by one in trace order.
         * **Retirement.**  After each wave the oldest writes retire in
           trace order while they have executed: Start-Gap's
@@ -953,10 +993,11 @@ class MemoryController:
           (cells, wear, stuck mask, aux bits, fault-repository entries and
           transient-sense read counts) before applying, and the earliest
           squashed write of each row restores that row from its snapshot.
-          The squashed writes' counter bumps are rolled back, so the
-          controller ends in exactly the state of the ``write_line``
-          sequence stopped at ``k``.  Without a ``stop`` nothing is
-          snapshotted.
+          Encryption counters need no undo: the chunk's ciphertext came
+          precomputed and the caller sets the counters from the number of
+          writes performed, so the controller ends in exactly the state
+          of the ``write_line`` sequence stopped at ``k``.  Without a
+          ``stop`` nothing is snapshotted.
 
         Accounting is flushed per wave into the writes' entries of
         ``replay`` by the same vectorised reductions as the identity fast
@@ -965,7 +1006,6 @@ class MemoryController:
         array = self.array
         leveler = self.wear_leveler
         repository = self.fault_repository
-        encryption = self.encryption
         words_per_line = self.config.words_per_line
         bits_per_cell = array.bits_per_cell
         cap = self.replay_wave_lines
@@ -1026,7 +1066,7 @@ class MemoryController:
             if gap_capped:
                 _OBS_GAP_FLUSHES.inc()
 
-            # ---- execution: one gather, encrypt, encode and scatter.
+            # ---- execution: one gather, encode and scatter.
             local_array = np.asarray(picked, dtype=np.intp)
             at = local_array + start
             row_array = np.asarray(rows, dtype=np.intp)
@@ -1044,12 +1084,7 @@ class MemoryController:
                     bits_per_cell=bits_per_cell,
                     old_auxes=old_auxes,
                 )
-                wave_words = plaintext[local_array]
-                if encryption is not None:
-                    wave_words = encryption.encrypt_lines(
-                        chunk_addresses[local_array], wave_words
-                    )
-                encoded = self.encoder.encode_lines(wave_words, batch)
+                encoded = self.encoder.encode_lines(stored[local_array], batch)
                 intended_rows = words_matrix_to_cells(
                     encoded.codewords, self.config.word_bits, bits_per_cell
                 ).reshape(lines, array.cells_per_row)
@@ -1090,7 +1125,7 @@ class MemoryController:
                         int(replay.saw_cells[index]),
                         replay.saw_bits_per_word[index],
                     ):
-                        self._squash(snapshots, local, chunk_addresses)
+                        self._squash(snapshots, local)
                         return index + 1, True
             while snapshots and snapshots[0].writes[-1] < retired:
                 snapshots.popleft()
@@ -1112,26 +1147,22 @@ class MemoryController:
             ),
         )
 
-    def _squash(
-        self,
-        snapshots: "Deque[_WaveSnapshot]",
-        stop_local: int,
-        chunk_addresses: np.ndarray,
-    ) -> None:
+    def _squash(self, snapshots: "Deque[_WaveSnapshot]", stop_local: int) -> None:
         """Undo every executed write of the chunk past ``stop_local``.
 
         Waves are visited in execution order, so the first squashed write
         met for a row is that row's earliest one and its snapshot holds the
-        row's state at the stop.
+        row's state at the stop.  Only rows are restored: encryption
+        counters are set by the replay from the writes it performed.
         """
         restored = set()
-        squashed: List[int] = []
+        squashed = 0
         for snapshot in snapshots:
             positions = []
             for position, local in enumerate(snapshot.writes):
                 if local <= stop_local:
                     continue
-                squashed.append(local)
+                squashed += 1
                 row_index = int(snapshot.array_rows.rows[position])
                 if row_index not in restored:
                     restored.add(row_index)
@@ -1148,11 +1179,7 @@ class MemoryController:
                 )
             if snapshot.sense_counts is not None and self._sense_counts is not None:
                 self._sense_counts[saved.rows] = snapshot.sense_counts[chosen]
-        if not squashed:
-            return
-        _OBS_SQUASHED_WRITES.inc(len(squashed))
-        if self.encryption is not None:
-            self.encryption.rollback_counters(chunk_addresses[squashed])
+        _OBS_SQUASHED_WRITES.inc(squashed)
 
     def _flush_aux_energy(
         self,
@@ -1309,8 +1336,9 @@ class MemoryController:
         per word, then :meth:`write_line`): line data is drawn in chunks
         with the *exact same generator call sequence* — so the addresses
         and words are bit-identical to the scalar loop's — and driven
-        through :meth:`replay_trace`'s internals: batched counter-mode
-        pads, the wave scheduler, the identity-encoder fast path for the
+        through :meth:`replay_trace`'s internals: one batched counter-mode
+        ``encrypt_lines`` call per chunk, the wave scheduler, the
+        identity-encoder fast path for the
         unencoded baselines, and per-write accounting in the arrays of a
         :class:`ReplayResult`.  Controller state (array contents,
         encryption counters, auxiliary bits, wear) after the call matches
@@ -1344,7 +1372,9 @@ class MemoryController:
         # and cell conversions are only produced for a bounded window of
         # writes at a time, with the same geometric ramp.  There is no
         # early-stop predicate here (the random-line studies always run to
-        # completion), so no write is ever squashed or rolled back.
+        # completion), so every write of a chunk is performed and the
+        # whole chunk is encrypted up front.
+        encryption = self.encryption
         chunk = _FIRST_CHUNK
         start = 0
         performed = 0
@@ -1358,15 +1388,19 @@ class MemoryController:
             def plaintext_for(index: int, _base=start, _rows=plaintext) -> List[int]:
                 return [int(word) for word in _rows[index - _base]]
 
+            if not isinstance(plaintext, np.ndarray):
+                stored = None
+            elif encryption is None:
+                stored = plaintext
+            else:
+                # None for a word width encrypt_lines cannot batch.
+                stored = encryption.encrypt_lines(chunk_addresses, plaintext)
             performed, _ = self._replay_chunk(
-                replay,
-                chunk_addresses,
-                plaintext if isinstance(plaintext, np.ndarray) else None,
-                start,
-                None,
-                plaintext_for,
+                replay, chunk_addresses, stored, start, None, plaintext_for
             )
             start = end
+        if encryption is not None:
+            _OBS_PADS.inc(performed)
         replay._trim(performed, False)
         self.stats.absorb(replay.write_stats())
         return replay

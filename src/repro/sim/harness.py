@@ -176,6 +176,10 @@ class TechniqueSpec:
             from repro.faults.registry import get_fault_model_class
 
             get_fault_model_class(self.fault_model)
+        if self.corrector is not None:
+            # Likewise a misspelt corrector, which would otherwise fail
+            # only at the first stuck-at-wrong write (or never).
+            make_read_corrector(self.corrector)
         count = self.num_cosets
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise ConfigurationError(
@@ -200,12 +204,15 @@ def make_read_corrector(name: Optional[str], line_bits: int = 512) -> Optional[E
     """
     if name is None:
         return None
-    key = name.lower()
+    key = name.lower() if isinstance(name, str) else ""
     if key == "secded":
         return HammingSecded()
-    if key.startswith("ecp"):
-        return ECP(entries_per_row=int(key[3:] or 3), row_bits=line_bits)
-    raise ConfigurationError(f"unknown corrector {name!r}; expected 'secded' or 'ecpN'")
+    entries = key[3:] or "3"
+    if key.startswith("ecp") and entries.isdecimal():
+        return ECP(entries_per_row=int(entries), row_bits=line_bits)
+    raise ConfigurationError(
+        f"unknown corrector {name!r}; expected 'secded' or 'ecpN' (N a non-negative integer)"
+    )
 
 
 def build_controller(

@@ -31,7 +31,7 @@ cells' rows (the entries of :mod:`repro.experiments.registry`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import Task
 from repro.campaign.tasks import register_task
@@ -87,16 +87,21 @@ class LifetimeStudyConfig:
     seed: int = 11
 
 
+def _failure_judge(spec: TechniqueSpec, line_bits: int) -> Callable[[Sequence[int]], bool]:
+    """The fatal-write test of ``spec``'s corrector, built once per cell.
+
+    Without a corrector any residual wrong bit kills the row; otherwise
+    the row dies when the corrector cannot recover the write.
+    """
+    corrector = make_read_corrector(spec.corrector, line_bits)
+    if corrector is None:
+        return any
+    return lambda saw_bits_per_word: not corrector.row_outcome(saw_bits_per_word).correctable
+
+
 def _row_failure(spec: TechniqueSpec, saw_bits_per_word: Sequence[int], line_bits: int) -> bool:
     """Decide whether a row write with residual wrong bits is fatal."""
-    if spec.corrector is None:
-        return any(saw_bits_per_word)
-    try:
-        corrector = make_read_corrector(spec.corrector, line_bits)
-    except ConfigurationError as error:
-        raise SimulationError(str(error)) from error
-    assert corrector is not None
-    return not corrector.row_outcome(saw_bits_per_word).correctable
+    return _failure_judge(spec, line_bits)(saw_bits_per_word)
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,7 @@ def simulate_lifetime(
 
     failed_rows: set = set()
     limit = config.failed_rows_limit
-    line_bits = config.line_bits
+    fatal = _failure_judge(spec, config.line_bits)
 
     def stop(index: int, row_index: int, saw_cells: int, saw_bits_per_word) -> bool:
         # A write with no residual wrong bits can never fail a row under
@@ -179,7 +184,7 @@ def simulate_lifetime(
         # saw-cell count the replay engine already has at hand.
         if saw_cells == 0 or row_index in failed_rows:
             return False
-        if _row_failure(spec, saw_bits_per_word, line_bits):
+        if fatal(saw_bits_per_word):
             failed_rows.add(row_index)
             return len(failed_rows) >= limit
         return False

@@ -13,13 +13,15 @@ import gzip
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro.errors import TraceError
 
 __all__ = ["WritebackRecord", "Trace"]
+
+_Derived = TypeVar("_Derived")
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,10 @@ class Trace:
     #: Cached array views of the records (see :meth:`addresses_array`).
     _addresses: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _words: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    #: Values derived from the records (see :meth:`derived`).
+    _derived: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.line_bits <= 0 or self.word_bits <= 0:
@@ -112,6 +118,24 @@ class Trace:
             self._words = matrix
         return self._words
 
+    def derived(self, key: Hashable, build: Callable[[], _Derived]) -> _Derived:
+        """The value stored under ``key``, built by ``build()`` on first use.
+
+        A store for values computed from the records, such as the
+        ciphertext streams of :meth:`repro.crypto.counter_mode.CounterModeEngine.replay_stream`.
+        It lives and dies with the trace, and :meth:`append` empties it
+        like the array views.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Derived values are rebuilt on demand and may not pickle (a
+        # ciphertext stream holds a keyed hash state), so copies start
+        # without them.
+        return dict(self.__dict__, _derived={})
+
     # ------------------------------------------------------------ mutation
     def append(self, record: WritebackRecord) -> None:
         """Append one record, validating its geometry."""
@@ -126,6 +150,7 @@ class Trace:
         self.records.append(record)
         self._addresses = None
         self._words = None
+        self._derived.clear()
 
     # --------------------------------------------------------------- stats
     def unique_addresses(self) -> int:

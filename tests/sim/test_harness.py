@@ -15,6 +15,7 @@ from repro.sim.harness import (
     drive_random_lines_scalar,
     drive_trace,
     make_cost,
+    make_read_corrector,
 )
 from repro.traces.synthetic import generate_trace
 
@@ -91,6 +92,36 @@ class TestTechniqueSpec:
         spec = TechniqueSpec(encoder="rcc", num_cosets=np.int64(32))
         assert spec.num_cosets == 32
         assert type(spec.num_cosets) is int
+
+    @pytest.mark.parametrize("bad", ["secdd", "ecpx", "ecp-1", "raid", ""])
+    def test_unknown_corrector_rejected_at_construction(self, bad):
+        """A misspelt corrector fails when the spec is built, not at the
+        first stuck-at-wrong write of a simulation (or never)."""
+        with pytest.raises(ConfigurationError, match="ecpN"):
+            TechniqueSpec(encoder="unencoded", corrector=bad)
+
+    @pytest.mark.parametrize("name", [None, "secded", "SECDED", "ecp", "ecp3", "ECP6", "ecp0"])
+    def test_known_correctors_accepted(self, name):
+        assert TechniqueSpec(encoder="unencoded", corrector=name).corrector == name
+
+
+class TestMakeReadCorrector:
+    def test_ecp_entries_parsed(self):
+        from repro.ecc import ECP
+
+        assert make_read_corrector("ecp").entries_per_row == 3
+        corrector = make_read_corrector("ECP5", line_bits=256)
+        assert isinstance(corrector, ECP)
+        assert (corrector.entries_per_row, corrector.row_bits) == (5, 256)
+
+    @pytest.mark.parametrize("bad", ["ecpx", "ecp-2", "ecp3.5", "ecp 3"])
+    def test_malformed_ecp_is_a_configuration_error(self, bad):
+        """Not the bare ValueError of ``int("x")``."""
+        with pytest.raises(ConfigurationError, match=repr(bad)):
+            make_read_corrector(bad)
+
+    def test_none_means_no_corrector(self):
+        assert make_read_corrector(None) is None
 
 
 class TestBuildController:

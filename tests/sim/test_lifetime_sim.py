@@ -63,10 +63,26 @@ class TestFailureCriteria:
         assert _row_failure(spec, [2, 2, 0, 0, 0, 0, 0, 0], 512)
 
     def test_unknown_corrector_rejected(self):
-        from repro.errors import SimulationError
+        """Rejected when the spec is built, before any write is judged."""
+        with pytest.raises(ConfigurationError):
+            TechniqueSpec(encoder="unencoded", corrector="raid")
 
-        with pytest.raises(SimulationError):
-            _row_failure(TechniqueSpec(encoder="unencoded", corrector="raid"), [1], 512)
+    def test_corrector_built_once_per_cell(self, monkeypatch):
+        """One corrector per simulate_lifetime call, not one per SAW write."""
+        import repro.sim.lifetime_sim as lifetime_sim
+
+        built = []
+        original = lifetime_sim.make_read_corrector
+
+        def counting(name, line_bits=512):
+            built.append(name)
+            return original(name, line_bits)
+
+        monkeypatch.setattr(lifetime_sim, "make_read_corrector", counting)
+        spec = TechniqueSpec(encoder="unencoded", cost="saw-then-energy", corrector="ecp3")
+        outcome = simulate_lifetime(spec, "lbm", _TINY)
+        assert not outcome.censored
+        assert built == ["ecp3"]
 
 
 class TestLifetimeOrdering:
