@@ -24,9 +24,9 @@ trace is encrypted once, not once per controller: the ciphertext of a
 trace repeated end to end, from one set of starting counters, is a fixed
 sequence, so :meth:`CounterModeEngine.replay_stream` keeps it as a
 :class:`CiphertextStream` on the trace, extended lazily through
-``encrypt_lines``.  Every engine with the same key, geometry and
-starting counters on the trace's addresses reads the same stream, and
-its counters after a replay are a stream position
+``encrypt_lines`` and kept up to a bounded prefix.  Every engine with the
+same key, geometry and starting counters on the trace's addresses reads
+the same stream, and its counters after a replay are a stream position
 (:meth:`CounterModeEngine.seek`): each address's counter is its start
 plus its occurrences among the writes performed.
 """
@@ -64,6 +64,11 @@ _OBS_ROLLBACKS = obs.counter(
 _OBS_ROLLED_BACK = obs.counter(
     "crypto.rolled_back_counters", "per-line counter bumps undone by rollbacks"
 )
+
+#: Ciphertext a :class:`CiphertextStream` keeps, per stream: 16,384
+#: positions of 512-bit lines.  A cached trace holds its streams, so
+#: this bounds what a long replay leaves behind.
+_STREAM_RETAINED_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ class CounterModeEngine:
         """The ciphertext stream a replay of ``trace`` from these counters reads.
 
         Returns ``(stream, position)``: the replay's ``i``-th write is
-        stored as ``stream.upto(position + i + 1)[position + i]``.  The
+        stored as ``stream.segment(position + i, position + i + 1)[0]``.  The
         stream is kept on the trace (:meth:`repro.traces.trace.Trace.derived`),
         keyed by this engine's key, geometry and *base* counters on the
         trace's addresses.  The base is the current counters minus as
@@ -198,11 +203,6 @@ class CounterModeEngine:
 
         def build() -> CiphertextStream:
             engine = CounterModeEngine(self.key, self.line_bits, self.word_bits, self.fast_pad)
-            engine._counters = {
-                address: start
-                for address, start in zip(addresses.tolist(), base.tolist())
-                if start
-            }
             return CiphertextStream(engine, trace, addresses, inverse, per_pass, base)
 
         return trace.derived(key, build), passes * len(trace)
@@ -407,11 +407,19 @@ class CiphertextStream:
 
     Position ``p`` holds the encryption of trace record ``p % len(trace)``
     as the ``p``-th write of a replay whose engine starts from the
-    stream's base counters.  Positions are derived on demand, in order,
-    by :meth:`CounterModeEngine.encrypt_lines` on a private engine that
-    holds the counters reached so far, so the stream is bit-identical to
-    encrypting the same writes one by one with :meth:`CounterModeEngine.encrypt_line`.
-    Build streams with :meth:`CounterModeEngine.replay_stream`.
+    stream's base counters.  Positions are derived on demand by
+    :meth:`CounterModeEngine.encrypt_lines` on a private engine whose
+    counters are first set to their values at the first derived
+    position (:meth:`counters_at`), so the stream is bit-identical to
+    encrypting the same writes one by one with
+    :meth:`CounterModeEngine.encrypt_line`, and a derivation cut short
+    (a timeout, an interrupt) leaves nothing that a later one reads.
+
+    The first :data:`_STREAM_RETAINED_BYTES` of ciphertext are kept and
+    shared; later positions are derived for each request and dropped, so
+    a replay that outlives many passes does not pin its whole ciphertext
+    to a cached trace.  Build streams with
+    :meth:`CounterModeEngine.replay_stream`.
     """
 
     def __init__(
@@ -435,33 +443,47 @@ class CiphertextStream:
         self._per_pass = per_pass
         self._base = base
         self._cipher = np.empty((0, engine.words_per_line), dtype=np.uint64)
-        #: Positions derived so far.
+        #: Positions kept so far.
         self.length = 0
+        #: Positions past this one are never kept.
+        self.retained = _STREAM_RETAINED_BYTES // (8 * engine.words_per_line)
 
-    def upto(self, end: int) -> np.ndarray:
-        """The stream's first ``end`` positions as a read-only ``(end, words_per_line)`` view.
+    def segment(self, start: int, end: int) -> np.ndarray:
+        """Positions ``[start, end)`` as a read-only ``(end - start, words_per_line)`` array.
 
-        Read-only because every controller replaying the trace shares it.
-        Derives the missing positions with one ``encrypt_lines`` call; the
-        buffer at least doubles when it grows, so extending a stream one
-        chunk at a time copies O(length) words in total.
+        Read-only because every controller replaying the trace may share
+        it.  Within the retained prefix the missing positions are derived
+        with one ``encrypt_lines`` call and kept; the buffer at least
+        doubles when it grows, so extending a stream one chunk at a time
+        copies O(length) words in total.  A segment that ends past the
+        prefix is derived whole and not kept.
         """
-        if end > self.length:
-            if end > len(self._cipher):
-                grown = np.empty(
-                    (max(end, 2 * len(self._cipher)), self._engine.words_per_line),
-                    dtype=np.uint64,
-                )
-                grown[: self.length] = self._cipher[: self.length]
-                self._cipher = grown
-            records = np.arange(self.length, end, dtype=np.int64) % len(self._record_addresses)
-            self._cipher[self.length:end] = self._engine.encrypt_lines(
-                self._record_addresses[records], self._words[records]
-            )
-            self.length = end
-        view = self._cipher[:end]
-        view.flags.writeable = False
-        return view
+        if end > self.retained:
+            segment = self._derive(start, end)
+        else:
+            if end > self.length:
+                if end > len(self._cipher):
+                    grown = np.empty(
+                        (min(max(end, 2 * len(self._cipher)), self.retained),
+                         self._engine.words_per_line),
+                        dtype=np.uint64,
+                    )
+                    grown[: self.length] = self._cipher[: self.length]
+                    self._cipher = grown
+                self._cipher[self.length:end] = self._derive(self.length, end)
+                self.length = end
+            segment = self._cipher[start:end]
+        segment.flags.writeable = False
+        return segment
+
+    def _derive(self, start: int, end: int) -> np.ndarray:
+        """Encrypt positions ``[start, end)`` from the counters at ``start``."""
+        engine = self._engine
+        engine._counters = dict(
+            zip(self.addresses.tolist(), self.counters_at(start).tolist())
+        )
+        records = np.arange(start, end, dtype=np.int64) % len(self._record_addresses)
+        return engine.encrypt_lines(self._record_addresses[records], self._words[records])
 
     def counters_at(self, position: int) -> np.ndarray:
         """Each address's counter after the stream's first ``position`` writes."""

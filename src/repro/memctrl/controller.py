@@ -95,12 +95,6 @@ REPLAY_LOOKAHEAD_WAVES = 2
 _FIRST_CHUNK = 512
 _MAX_CHUNK = 8192
 
-#: Bit offset between the packed fields of the controller's cell tally
-#: table (see ``_flush_replay_accounting``); every field's per-row sum must
-#: stay below ``2**_TALLY_SHIFT``.
-_TALLY_SHIFT = 16
-_TALLY_MASK = (1 << _TALLY_SHIFT) - 1
-
 #: Early-stop predicate for :meth:`MemoryController.replay_trace`, called
 #: after every write as ``stop(index, row_index, saw_cells,
 #: saw_bits_per_word)``; returning True ends the replay after that write.
@@ -354,33 +348,6 @@ _REPLAY_ARRAYS = (
 )
 
 
-def _cell_tally_table(bits_per_cell: int) -> np.ndarray:
-    """The packed integer accounting of one cell write, per (old, stored, intended).
-
-    Entry ``(old << 2b) | (stored << b) | intended`` (``b`` bits per
-    cell) packs four fields ``_TALLY_SHIFT`` bits apart, lowest first:
-    cell changed (``stored != old``), bits changed (popcount of
-    ``old ^ stored``), stuck-at-wrong cell (``stored != intended``)
-    and stuck-at-wrong bits (popcount of ``stored ^ intended`` for
-    MLC, the wrong-cell flag otherwise), the same quantities the
-    scalar path counts row by row.
-    """
-    levels = 1 << bits_per_cell
-    old, stored, intended = (
-        axis.reshape(-1).astype(np.int64)
-        for axis in np.meshgrid(*(np.arange(levels),) * 3, indexing="ij")
-    )
-    popcount = np.array([bin(value).count("1") for value in range(levels)], dtype=np.int64)
-    wrong = stored ^ intended
-    fields = (
-        (stored != old).astype(np.int64),
-        popcount[old ^ stored],
-        (wrong != 0).astype(np.int64),
-        popcount[wrong] if bits_per_cell == 2 else (wrong != 0).astype(np.int64),
-    )
-    return sum(field << (position * _TALLY_SHIFT) for position, field in enumerate(fields))
-
-
 @dataclass(frozen=True)
 class _WaveSnapshot:
     """The state of one replay wave's rows before the wave was applied.
@@ -510,12 +477,6 @@ class MemoryController:
                 (array.rows, self.config.words_per_line), dtype=np.int64
             )
         self._bit_popcount = np.array([0, 1, 1, 2], dtype=np.int64)
-        if array.row_bits >= 1 << _TALLY_SHIFT:
-            raise ConfigurationError(
-                f"rows of {array.row_bits} bits exceed the {(1 << _TALLY_SHIFT) - 1}-bit "
-                "limit of the replay accounting"
-            )
-        self._cell_tally = _cell_tally_table(array.bits_per_cell)
         self._energy_lut = (
             self.mlc_energy.lut()
             if array.technology is CellTechnology.MLC
@@ -778,7 +739,7 @@ class MemoryController:
                 replay._reserve(end, total)
                 record_indices = np.arange(start, end, dtype=np.int64) % num_records
                 if stream is not None:
-                    stored = stream.upto(offset + end)[offset + start:]
+                    stored = stream.segment(offset + start, offset + end)
                 elif encryption is None and words is not None:
                     stored = words[record_indices]
                 else:
@@ -828,7 +789,17 @@ class MemoryController:
         if not self.encoder.is_identity:
             return self._replay_generic(replay, chunk_addresses, stored, start, stop)
         _OBS_IDENTITY_CHUNKS.inc()
-        return self._replay_identity(replay, chunk_addresses, stored, start, stop)
+        # The identity path holds (writes, cells) matrices for the writes
+        # it runs, so it takes a long chunk in blocks of _FIRST_CHUNK
+        # writes: a few MB at most, instead of ~16 MB per matrix.
+        for first in range(0, len(chunk_addresses), _FIRST_CHUNK):
+            block = slice(first, first + _FIRST_CHUNK)
+            performed, stopped = self._replay_identity(
+                replay, chunk_addresses[block], stored[block], start + first, stop
+            )
+            if stopped:
+                break
+        return performed, stopped
 
     def _replay_identity(
         self,
@@ -932,28 +903,33 @@ class MemoryController:
         ``at`` selects the writes' entries in ``replay`` (a slice or an
         index vector, one entry per buffered row).  Energy, changed
         bits/cells, and SAW counts are pure functions of the (old, stored,
-        intended) cell rows.  The energy is the same float gather-sum per
-        row as the scalar path.  The integer counts come from one gather
-        of the packed cell tally table (see :func:`_cell_tally_table`):
-        summing packed values per word and per row sums every field at
-        once, exactly, since no field's sum reaches the next field.
+        intended) cell rows; row-wise NumPy reductions over the buffered
+        rows are bit-identical to the scalar path's per-row reductions.  A
+        stored cell differs from the intended value exactly at the
+        stuck-at-wrong positions, so SAW counts fall out of the xor.
         """
         lines = len(old_rows)
         if lines == 0:
             return
+        popcount = self._bit_popcount
         bits_per_cell = self.array.bits_per_cell
         replay.data_energy_pj[at] = self._energy_lut[old_rows, intended_rows].sum(axis=1)  # repro: allow[NUM001] reason=advanced indexing copies into a fresh C-contiguous (rows, cells) block, so the axis-1 pairwise sums match the per-row oracle (parity-locked by test_replay_parity)
-        triples = (old_rows << (2 * bits_per_cell)) | (stored_rows << bits_per_cell) | intended_rows
-        per_word = (
-            np.take(self._cell_tally, triples)
-            .reshape(lines, self.config.words_per_line, -1)
-            .sum(axis=2)
+        changed = stored_rows != old_rows
+        replay.cells_changed[at] = np.count_nonzero(changed, axis=1)
+        if bits_per_cell == 1:
+            replay.bits_changed[at] = np.count_nonzero(old_rows ^ stored_rows, axis=1)
+        else:
+            replay.bits_changed[at] = popcount[old_rows ^ stored_rows].sum(axis=1)
+        wrong_xor = stored_rows ^ intended_rows
+        replay.saw_cells[at] = np.count_nonzero(wrong_xor, axis=1)
+        wrong_bits = (
+            popcount[wrong_xor]
+            if bits_per_cell == 2
+            else (wrong_xor != 0).astype(np.int64)
         )
-        per_row = per_word.sum(axis=1)
-        replay.cells_changed[at] = per_row & _TALLY_MASK
-        replay.bits_changed[at] = (per_row >> _TALLY_SHIFT) & _TALLY_MASK
-        replay.saw_cells[at] = (per_row >> 2 * _TALLY_SHIFT) & _TALLY_MASK
-        replay.saw_bits_per_word[at] = per_word >> 3 * _TALLY_SHIFT
+        replay.saw_bits_per_word[at] = wrong_bits.reshape(
+            lines, self.config.words_per_line, -1
+        ).sum(axis=2)
 
     def _replay_generic(
         self,

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.crypto import counter_mode
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.memctrl.controller import MemoryController
 from repro.pcm.cell import CellTechnology
@@ -123,11 +124,66 @@ class TestSharedStream:
         expected = oracle.encrypt_lines(
             trace.addresses_array()[records], trace.words_array()[records]
         )
-        np.testing.assert_array_equal(stream.upto(30), expected)
-        np.testing.assert_array_equal(stream.upto(7), expected[:7])
+        np.testing.assert_array_equal(stream.segment(0, 30), expected)
+        np.testing.assert_array_equal(stream.segment(7, 19), expected[7:19])
         assert stream.length == 30
         with pytest.raises(ValueError):
-            stream.upto(30)[0, 0] = 0
+            stream.segment(0, 30)[0, 0] = 0
+
+    def test_positions_past_the_retained_prefix_are_not_kept(self, monkeypatch):
+        """A segment ending past the kept prefix is derived whole, matches
+        the in-order encryption, and leaves the buffer at the prefix."""
+        monkeypatch.setattr(counter_mode, "_STREAM_RETAINED_BYTES", 20 * 64)
+        trace = _trace(writebacks=12)
+        stream, _ = CounterModeEngine().replay_stream(trace)
+        assert stream.retained == 20
+        records = np.arange(60) % len(trace)
+        expected = CounterModeEngine().encrypt_lines(
+            trace.addresses_array()[records], trace.words_array()[records]
+        )
+        np.testing.assert_array_equal(stream.segment(0, 16), expected[:16])
+        np.testing.assert_array_equal(stream.segment(16, 45), expected[16:45])
+        np.testing.assert_array_equal(stream.segment(45, 60), expected[45:])
+        np.testing.assert_array_equal(stream.segment(5, 20), expected[5:20])
+        assert stream.length == 20 and len(stream._cipher) == 20
+
+    def test_long_replay_past_the_retained_prefix(self, monkeypatch):
+        """A replay that outruns the kept prefix still matches a cold run
+        with the whole stream kept."""
+        trace = _trace()
+        cold = _controller()
+        cold_replay = cold.replay_trace(_copy(trace), repetitions=40)
+        monkeypatch.setattr(counter_mode, "_STREAM_RETAINED_BYTES", 600 * 64)
+        warm = _controller()
+        warm_replay = warm.replay_trace(trace, repetitions=40)
+        stream, _ = CounterModeEngine().replay_stream(trace)
+        assert stream.length == 512  # the first replay chunk; the later ones end past 600
+        _assert_same_replay(warm_replay, cold_replay)
+        assert _counters(warm, trace) == _counters(cold, trace)
+
+    def test_interrupted_extension_leaves_the_stream_sound(self, monkeypatch):
+        """A derivation cut short after bumping some counters (a task
+        timeout, an interrupt) must not shift the pads of a retried replay
+        that reads the same cached trace."""
+        trace = _trace()
+        _controller().replay_trace(trace)  # keeps the first pass
+        encrypt_lines = CounterModeEngine.encrypt_lines
+
+        def interrupted(engine, addresses, words):
+            encrypt_lines(engine, addresses[: len(addresses) // 2], words[: len(words) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CounterModeEngine, "encrypt_lines", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _controller().replay_trace(trace, repetitions=3)
+        monkeypatch.undo()
+
+        retried = _controller()
+        retried_replay = retried.replay_trace(trace, repetitions=3)
+        cold = _controller()
+        cold_replay = cold.replay_trace(_copy(trace), repetitions=3)
+        _assert_same_replay(retried_replay, cold_replay)
+        assert _counters(retried, trace) == _counters(cold, trace)
 
     @pytest.mark.parametrize("name", ["unencoded", "dbi/fnw", "rcc"])
     def test_nonzero_start_counters_match_write_line(self, name):

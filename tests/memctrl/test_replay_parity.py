@@ -187,6 +187,33 @@ class TestReplayParity:
         b = replayed.write_line(follow_up.address, list(follow_up.words))
         assert a == b
 
+    @pytest.mark.parametrize("cut", [1700, None])
+    def test_identity_path_across_chunks_and_blocks(self, cut):
+        """The identity path runs long chunks in blocks; a replay over
+        several chunks, stopped inside a later block or run to its end,
+        matches write_line and leaves the same counters."""
+        trace = _trace()
+        writes = 2000
+        performed = writes if cut is None else cut
+        scalar = _controller("unencoded", CellTechnology.MLC)
+        expected = [
+            scalar.write_line(record.address, list(record.words))
+            for record in (list(trace) * -(-writes // len(trace)))[:performed]
+        ]
+        replayed = _controller("unencoded", CellTechnology.MLC)
+        replay = replayed.replay_trace(
+            trace,
+            repetitions=-(-writes // len(trace)),
+            max_writes=writes,
+            stop=None if cut is None else (lambda index, row, saw, bits: index == cut - 1),
+        )
+        assert replay.stopped_early == (cut is not None)
+        assert_parity(expected, replay)
+        for record in trace:
+            assert scalar.encryption.counter_for(record.address) == (
+                replayed.encryption.counter_for(record.address)
+            )
+
 
 class TestReplayControls:
     def test_early_stop_truncates_and_flags(self):
