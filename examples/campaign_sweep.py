@@ -10,11 +10,12 @@ This walks the campaign subsystem end to end:
 4. regenerate a paper figure (Fig. 10) through the same engine via its
    entry in the experiment table.
 
-Run with ``python examples/campaign_sweep.py``.  The equivalent command
-lines are::
+Run with ``python examples/campaign_sweep.py``.  The command line for
+step 4 is::
 
-    python -m repro.campaign fig10 --jobs 4 --store .campaign-store
-    python -m repro.campaign --spec sweep.json --jobs 4
+    python -m repro.experiments.runner fig10 --jobs 2 --store-dir .campaign-store \
+        --set benchmarks=lbm,mcf --set num_cosets=32 \
+        --set writebacks_per_benchmark=40 --set rows=64
 """
 
 from __future__ import annotations

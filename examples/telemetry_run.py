@@ -7,7 +7,7 @@ This walks the telemetry layer end to end:
    :func:`repro.obs.metrics_snapshot`;
 2. enable the **span tracer** and run a small campaign with workers,
    producing a JSONL trace file (the CLI equivalent is
-   ``python -m repro.campaign fig7 --trace trace.jsonl``);
+   ``python -m repro.experiments.runner fig7 --trace trace.jsonl``);
 3. build the **run report** from the trace — top spans by self-time and
    the executor phase breakdown (queue-wait / dispatch / compute /
    result-transfer) — the same rollup as

@@ -14,8 +14,8 @@ The package is organised bottom-up:
   memory controller) and :mod:`repro.sim` / :mod:`repro.experiments`
   (the per-figure experiment harness);
 * orchestration — :mod:`repro.campaign` (declarative sweep grids run on
-  worker processes with content-addressed caching and resume;
-  ``python -m repro.campaign``).
+  worker processes with content-addressed caching and resume), driven
+  for the paper's figures by ``python -m repro.experiments.runner``.
 
 Quick start — encoders are resolved by short name through the plugin
 registry, and the hot path operates on whole cache lines::

@@ -20,8 +20,7 @@ statically, before the code runs:
 * ``API`` — blanket ``except Exception``, mutable defaults, missing type
   hints on public functions;
 * ``OBS`` — raw stopwatch pairs that belong in ``repro.obs`` spans;
-* ``RES`` — unbounded retry loops that bypass the executor's bounded
-  retry/backoff;
+* ``RES`` — unbounded retry loops with no attempt counter;
 * ``PAR`` — parallel-safety hazards only a whole-program view can see:
   task kinds transitively mutating module globals, closures handed to
   executors, module-level RNGs reached from workers, unsanctioned writes

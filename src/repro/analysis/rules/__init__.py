@@ -16,7 +16,7 @@
 * :mod:`repro.analysis.rules.imports` — ``IMP`` (project scope):
   module-level import cycles.
 * :mod:`repro.analysis.rules.resilience` — ``RES``: unbounded retry
-  loops that bypass the executor's bounded retry/backoff machinery.
+  loops with no attempt counter.
 
 Each module registers its rules on import via
 :func:`repro.analysis.registry.register_rule`; the registry imports them

@@ -1,19 +1,20 @@
 """RES — campaign-resilience rules.
 
-The retry/timeout/degradation machinery in :mod:`repro.campaign.executor`
-exists precisely so that nobody hand-rolls recovery loops around the
-executors.  A hand-rolled loop almost always gets the bounding wrong:
-``while True: pool.submit(...)`` with a ``time.sleep`` and no attempt
-counter retries a permanently-failing task forever, turning one bad
-parameter point into a hung sweep.
+Campaign tasks are pure functions of their parameters, so a task that
+failed fails again: :mod:`repro.campaign.executor` never retries one,
+and re-runs a batch only once after its worker died.  A hand-rolled
+recovery loop almost always gets the bounding wrong: ``while True:
+pool.submit(...)`` with a ``time.sleep`` and no attempt counter retries
+a permanently-failing task forever, turning one bad parameter point into
+a hung sweep.
 
 RES001 flags unbounded retry loops: a ``while True`` / ``while 1`` loop
 whose body both re-submits work (an executor ``submit``/``run``/
 ``run_task`` call) or backs off (``time.sleep``) *and* never mentions an
 attempt-budget name (``attempt`` / ``retries`` / ``tries`` / ``budget``
 / ``deadline``).  Loops bounded by a real condition (``while queue or
-in_flight``) or iterating ``for attempt in range(retries + 1)`` — the
-shapes the executors themselves use — are not flagged.
+in_flight``, the shape the process executor uses) or iterating ``for
+attempt in range(retries + 1)`` are not flagged.
 """
 
 from __future__ import annotations
@@ -67,13 +68,12 @@ def _resubmits_work(node: ast.While) -> bool:
 @register_rule(
     "RES001",
     summary="unbounded retry loop (while True around submit/sleep with no "
-    "attempt budget) — use the executor retries/backoff knobs",
+    "attempt budget) — bound it with an attempt counter",
 )
 def check_unbounded_retry_loop(module: ModuleContext) -> Iterator[Finding]:
     """Flag ``while True`` loops that re-submit work or back off with
-    ``time.sleep`` without ever consulting an attempt/retry budget; the
-    campaign executors provide bounded retry with backoff for exactly
-    this, and an unbounded loop hangs the sweep on a permanent failure."""
+    ``time.sleep`` without ever consulting an attempt/retry budget; an
+    unbounded loop hangs the sweep on a permanent failure."""
     for node in module.walk(ast.While):
         if not _is_while_true(node):
             continue
@@ -86,7 +86,6 @@ def check_unbounded_retry_loop(module: ModuleContext) -> Iterator[Finding]:
             node,
             "while-True loop re-submits work (or sleeps between attempts) "
             "with no attempt budget in sight; a permanently-failing task "
-            "spins here forever — bound it (for attempt in range(retries "
-            "+ 1)) or use the executor's retries/backoff_s/task_timeout_s "
-            "knobs instead",
+            "spins here forever — bound it with an attempt counter (for "
+            "attempt in range(retries + 1))",
         )

@@ -16,21 +16,19 @@ Entry points:
 
 * :func:`run_campaign` — expand, execute, resume, and aggregate;
 * :func:`register_task` — plug in a new task kind;
-* ``python -m repro.campaign`` — the sweep CLI with progress reporting.
+* ``python -m repro.experiments.runner`` — regenerates the paper's
+  figures through this engine (``--jobs``, ``--store-dir``, ``--set``).
 """
 
 from repro.campaign.engine import (
+    CampaignFailed,
     CampaignProgress,
     CampaignResult,
     CampaignTelemetry,
-    RunPolicy,
     last_campaign_telemetry,
-    reset_run_policy,
     run_campaign,
-    set_run_policy,
 )
 from repro.campaign.executor import (
-    ExecutorStats,
     ProcessExecutor,
     SerialExecutor,
     TaskFailure,
@@ -49,13 +47,12 @@ from repro.campaign.tasks import (
 )
 
 __all__ = [
+    "CampaignFailed",
     "CampaignProgress",
     "CampaignResult",
     "CampaignTelemetry",
-    "ExecutorStats",
     "ProcessExecutor",
     "ResultStore",
-    "RunPolicy",
     "SerialExecutor",
     "SweepSpec",
     "Task",
@@ -67,9 +64,7 @@ __all__ = [
     "last_campaign_telemetry",
     "make_executor",
     "register_task",
-    "reset_run_policy",
     "run_campaign",
     "run_task",
-    "set_run_policy",
     "unregister_task",
 ]

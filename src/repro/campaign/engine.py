@@ -1,14 +1,15 @@
 """Campaign orchestration: cache lookup, execution, resume, aggregation.
 
-:func:`run_campaign` is the single entry point the experiments, the CLI,
-and the benchmarks share.  It expands a :class:`~repro.campaign.spec.SweepSpec`
-(or takes an explicit task list), serves whatever the
-:class:`~repro.campaign.store.ResultStore` already holds, executes the
-remainder on a :mod:`repro.campaign.executor` (persisting each result as
-it completes, so an interrupted campaign resumes for free), and returns
-the rows re-ordered into task-submission order — making the output a
-pure function of the task list, independent of worker count, scheduling,
-and how many runs it took to finish the sweep.
+:func:`run_campaign` is the single entry point the experiment table (and
+so the runner) and the benchmarks share.  It expands a
+:class:`~repro.campaign.spec.SweepSpec` (or takes an explicit task list),
+serves whatever the :class:`~repro.campaign.store.ResultStore` already
+holds, executes the remainder on a :mod:`repro.campaign.executor`
+(persisting each result as it completes, so an interrupted campaign
+resumes for free), and returns the rows re-ordered into task-submission
+order — making the output a pure function of the task list, independent
+of worker count, scheduling, and how many runs it took to finish the
+sweep.
 
 Every run also produces a :class:`CampaignTelemetry`: the per-phase time
 breakdown (queue-wait / dispatch / compute / result-transfer) summed over
@@ -24,83 +25,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import repro.obs as obs
 from repro.campaign.executor import TaskFailure, TaskTelemetry, make_executor
 from repro.campaign.spec import SweepSpec, Task
 from repro.campaign.store import ResultStore
-from repro.errors import ConfigurationError, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - the runtime import would be circular
-    from repro.faults.chaos import ChaosPlan
+from repro.errors import SimulationError
 
 __all__ = [
+    "CampaignFailed",
     "CampaignProgress",
     "CampaignResult",
     "CampaignTelemetry",
-    "RunPolicy",
     "TaskFailure",
     "last_campaign_telemetry",
-    "reset_run_policy",
     "run_campaign",
-    "set_run_policy",
 ]
 
 
-@dataclass(frozen=True)
-class RunPolicy:
-    """Resilience knobs one :func:`run_campaign` call runs under.
+class CampaignFailed(SimulationError):
+    """Some tasks of a campaign produced no rows; every other task finished.
 
-    The process-wide default (see :func:`set_run_policy`) lets the CLI
-    arm retries/timeouts for the figure sweeps without threading new
-    keyword arguments through the experiment table; explicit
-    ``run_campaign`` keywords override it field by field.
-
-    * ``retries`` — re-queue attempts per failed task / crash-lost batch;
-    * ``task_timeout_s`` — per-task wall-clock budget (``None`` = off);
-    * ``backoff_s`` — base of the exponential re-queue backoff;
-    * ``degrade`` — when ``True``, tasks that exhaust their budget become
-      structured :class:`TaskFailure` rows on the result instead of
-      aborting the sweep;
-    * ``chaos`` — optional :class:`~repro.faults.chaos.ChaosPlan`
-      injecting worker crashes / slow tasks / store-object corruption
-      (testing only; results stay bit-identical because every task's rows
-      are a pure function of its parameters).
+    Raised by :func:`run_campaign` after the whole sweep has run, so every
+    completed task is already persisted and a rerun executes only the
+    failed ones.  ``failures`` lists the :class:`TaskFailure` records in
+    task-submission order.
     """
 
-    retries: int = 0
-    task_timeout_s: Optional[float] = None
-    backoff_s: float = 0.05
-    degrade: bool = False
-    chaos: Optional["ChaosPlan"] = None
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError("retries must be >= 0")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0.0:
-            raise ConfigurationError("task_timeout_s must be positive (or None)")
-        if self.backoff_s < 0.0:
-            raise ConfigurationError("backoff_s must be >= 0")
-
-
-#: Process-wide default policy; plain historical behaviour unless the
-#: CLI (or a test) installs something else via :func:`set_run_policy`.
-_run_policy = RunPolicy()
-
-
-def set_run_policy(policy: RunPolicy) -> RunPolicy:
-    """Install the default :class:`RunPolicy`; returns the previous one."""
-    global _run_policy
-    previous = _run_policy
-    _run_policy = policy
-    return previous
-
-
-def reset_run_policy() -> None:
-    """Restore the plain (no-retry, no-timeout, fail-fast) default policy."""
-    global _run_policy
-    _run_policy = RunPolicy()
+    def __init__(self, failures: Sequence[TaskFailure], total: int):
+        super().__init__(
+            f"{len(failures)} of {total} tasks failed: {failures[0].describe()}"
+        )
+        self.failures = list(failures)
 
 
 @dataclass(frozen=True)
@@ -114,21 +71,8 @@ class CampaignProgress:
     #: Submission-to-receipt wall time of this task (store-lookup time for
     #: cache hits).  Measurement only — never part of the result rows.
     wall_s: float = 0.0
-    #: The task exhausted its retry budget and was surrendered (degraded
-    #: runs only — fail-fast runs abort instead of reporting this).
+    #: The task produced no rows (see :class:`TaskFailure`).
     failed: bool = False
-
-    def format(self) -> str:
-        """Render as the one-line form the CLI prints."""
-        width = len(str(self.total))
-        origin = "failed" if self.failed else ("cached" if self.from_cache else "ran")
-        wall = (
-            f"{self.wall_s * 1e3:.1f}ms" if self.wall_s < 1.0 else f"{self.wall_s:.2f}s"
-        )
-        return (
-            f"[{self.done:{width}d}/{self.total}] {origin:6s} "
-            f"{self.task.describe()} ({wall})"
-        )
 
 
 ProgressCallback = Callable[[CampaignProgress], None]
@@ -161,11 +105,8 @@ class CampaignTelemetry:
     #: (empty at ``jobs=1``, where increments land in the coordinator's
     #: process registry directly).
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Resilience accounting (see :class:`RunPolicy`): re-queued batches,
-    #: per-task timeout expiries, tasks surrendered as failures, and pool
-    #: rebuilds after a worker death.  All zero on a clean run.
-    retried: int = 0
-    timeouts: int = 0
+    #: Failed tasks and pool rebuilds after a worker death; both zero on
+    #: a clean run.
     degraded: int = 0
     worker_crashes: int = 0
 
@@ -194,13 +135,6 @@ class CampaignTelemetry:
             f"(executor overhead {self.overhead_fraction * 100.0:.1f}%)"
         )
 
-    def resilience_summary(self) -> str:
-        """Deterministic one-line retry/timeout/degradation account."""
-        return (
-            f"{self.retried} retried, {self.timeouts} timed out, "
-            f"{self.degraded} degraded, {self.worker_crashes} worker crashes"
-        )
-
 
 @dataclass
 class CampaignResult:
@@ -211,10 +145,6 @@ class CampaignResult:
     executed: int
     cached: int
     telemetry: CampaignTelemetry = field(default_factory=CampaignTelemetry)
-    #: Tasks surrendered after exhausting their retry budget (degraded
-    #: runs only).  Their hashes are absent from ``rows_by_hash`` and
-    #: never persisted, so a rerun re-executes exactly these tasks.
-    failures: List[TaskFailure] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -222,33 +152,10 @@ class CampaignResult:
         return len(self.rows_by_hash)
 
     def rows(self) -> List[Dict[str, Any]]:
-        """All result rows flattened in task-submission order.
-
-        Failed tasks (degraded runs) contribute no rows — consult
-        :attr:`failures` / :meth:`failure_rows` for their record.
-        """
+        """All result rows flattened in task-submission order."""
         out: List[Dict[str, Any]] = []
         for task in self.tasks:
-            out.extend(self.rows_by_hash.get(task.task_hash, []))
-        return out
-
-    def failure_rows(self) -> List[Dict[str, Any]]:
-        """Structured failure records in task-submission order."""
-        by_hash = {failure.task.task_hash: failure for failure in self.failures}
-        out = []
-        for task in self.tasks:
-            failure = by_hash.get(task.task_hash)
-            if failure is None:
-                continue
-            out.append(
-                {
-                    "task": failure.task.describe(),
-                    "task_hash": failure.task.task_hash,
-                    "kind": failure.kind,
-                    "attempts": failure.attempts,
-                    "message": failure.message,
-                }
-            )
+            out.extend(self.rows_by_hash[task.task_hash])
         return out
 
     def rows_for(self, task: Task) -> List[Dict[str, Any]]:
@@ -280,14 +187,7 @@ def run_campaign(
     work: Union[SweepSpec, Iterable[Task]],
     store: Union[ResultStore, str, Path, None] = None,
     jobs: int = 1,
-    resume: bool = True,
     progress: Optional[ProgressCallback] = None,
-    batch_size: Optional[int] = None,
-    retries: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
-    backoff_s: Optional[float] = None,
-    degrade: Optional[bool] = None,
-    chaos: Optional["ChaosPlan"] = None,
 ) -> CampaignResult:
     """Run a sweep to completion and return its rows in deterministic order.
 
@@ -305,31 +205,17 @@ def run_campaign(
         Worker processes; ``1`` runs serially in-process.  The result is
         bit-identical for every value because each task derives all of
         its randomness from its own parameters.
-    resume:
-        When ``False``, stored results are ignored (and overwritten):
-        every task re-executes.
     progress:
         Optional callback invoked once per task completion, cache hits
-        included, with a :class:`CampaignProgress` event.
-    batch_size:
-        Tasks per executor batch when ``jobs > 1``; ``None`` (the
-        default) derives a size that gives every worker several batches.
-        Purely a scheduling knob — rows are bit-identical at any value.
-    retries / task_timeout_s / backoff_s / degrade / chaos:
-        Resilience knobs; each defaults to the process-wide
-        :class:`RunPolicy` (see :func:`set_run_policy`) when ``None``.
-        With ``degrade`` on, tasks that exhaust their retry budget land
-        in :attr:`CampaignResult.failures` instead of aborting the run —
-        and because failures are never persisted, a later run heals them
-        from the store.  All of these are scheduling-only: the rows of
-        every task that completes are bit-identical whatever the knobs.
+        and failures included, with a :class:`CampaignProgress` event.
+
+    Raises
+    ------
+    CampaignFailed
+        After the whole sweep has run, when any task produced no rows
+        (see :mod:`repro.campaign.executor` for the failure policy).  The
+        completed tasks are already in the store.
     """
-    policy = _run_policy
-    retries = policy.retries if retries is None else retries
-    task_timeout_s = policy.task_timeout_s if task_timeout_s is None else task_timeout_s
-    backoff_s = policy.backoff_s if backoff_s is None else backoff_s
-    degrade = policy.degrade if degrade is None else degrade
-    chaos = policy.chaos if chaos is None else chaos
     if isinstance(work, SweepSpec):
         tasks = work.expand()
     else:
@@ -353,12 +239,11 @@ def run_campaign(
         pending: List[Task] = []
         cache_walls: Dict[str, float] = {}
         for task in unique:
-            if store is not None and resume:
+            cached_rows = None
+            if store is not None:
                 lookup_begin = obs.monotonic()
                 cached_rows = store.get(task)
                 cache_walls[task.task_hash] = obs.monotonic() - lookup_begin
-            else:
-                cached_rows = None
             if cached_rows is not None:
                 rows_by_hash[task.task_hash] = cached_rows
             else:
@@ -409,12 +294,6 @@ def run_campaign(
             rows_by_hash[task.task_hash] = rows
             if store is not None:
                 store.put(task, rows)
-                if chaos is not None and chaos.should_corrupt(task.task_hash):
-                    # Chaos injection: mangle the just-persisted object.
-                    # This run's rows are already in memory, so the sweep
-                    # is unaffected; the *next* run quarantines the
-                    # object and recomputes — the healing path under test.
-                    store.corrupt_object(task.task_hash)
             telemetry.absorb(task_telemetry)
             batch_indices.add(task_telemetry.batch_index)
             telemetry.batches = len(batch_indices)
@@ -436,39 +315,25 @@ def run_campaign(
             )
             emit(task, from_cache=False, wall_s=task_telemetry.wall_s)
 
-        failures: List[TaskFailure] = []
+        failures: Dict[str, TaskFailure] = {}
 
         def on_failure(failure: TaskFailure) -> None:
-            # Graceful degradation: the task exhausted its retry budget.
-            # Record it (never persist it — the next run re-executes it
-            # from the store's point of view) and keep the sweep going.
-            failures.append(failure)
+            # Never persisted: the next run re-executes exactly this task.
+            failures[failure.task.task_hash] = failure
             now = obs.monotonic()
             obs.emit_span(
-                "campaign.degraded",
+                "campaign.failed",
                 now,
                 now,
                 task=failure.task.describe(),
                 kind=failure.kind,
-                attempts=failure.attempts,
                 message=failure.message,
             )
             emit(failure.task, from_cache=False, wall_s=0.0, failed=True)
 
         if pending:
-            executor = make_executor(
-                jobs,
-                batch_size=batch_size,
-                retries=retries,
-                task_timeout_s=task_timeout_s,
-                backoff_s=backoff_s,
-                chaos=chaos,
-            )
-            stats = executor.run(pending, on_result, on_failure if degrade else None)
-            telemetry.retried = stats.retried
-            telemetry.timeouts = stats.timeouts
-            telemetry.degraded = stats.degraded
-            telemetry.worker_crashes = stats.worker_crashes
+            telemetry.worker_crashes = make_executor(jobs).run(pending, on_result, on_failure)
+        telemetry.degraded = len(failures)
         run_span.set(
             executed=len(pending) - len(failures),
             cached=cached,
@@ -478,13 +343,15 @@ def run_campaign(
 
     telemetry.wall_s = obs.monotonic() - run_begin
     _set_last_telemetry(telemetry)
+    if failures:
+        ordered = [failures[task.task_hash] for task in pending if task.task_hash in failures]
+        raise CampaignFailed(ordered, total)
     return CampaignResult(
         tasks=tuple(tasks),
         rows_by_hash=rows_by_hash,
-        executed=len(pending) - len(failures),
+        executed=len(pending),
         cached=cached,
         telemetry=telemetry,
-        failures=failures,
     )
 
 

@@ -22,11 +22,9 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import json_payload
 
 __all__ = ["Task", "SweepSpec", "canonical_json"]
 
@@ -184,35 +182,3 @@ class SweepSpec:
 
     def __len__(self) -> int:
         return len(self.expand())
-
-    # ----------------------------------------------------------------- I/O
-    def to_json(self, path: Union[str, Path, None] = None) -> str:
-        """Serialise the spec (optionally also writing it to ``path``)."""
-        payload = json.dumps(
-            {
-                "kind": self.kind,
-                "base": _canonical_value(dict(self.base), "base"),
-                "grid": {
-                    name: _canonical_value(list(values), f"grid.{name}")
-                    for name, values in self.grid.items()
-                },
-                "seeds": [int(seed) for seed in self.seeds],
-            },
-            indent=2,
-        )
-        if path is not None:
-            Path(path).write_text(payload, encoding="utf-8")
-        return payload
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "SweepSpec":
-        """Load a spec from a JSON string or a path to a JSON file."""
-        payload = json_payload(source, ConfigurationError, "sweep spec")
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise ConfigurationError("sweep spec JSON must be an object with a 'kind' key")
-        return cls(
-            kind=payload["kind"],
-            base=payload.get("base", {}),
-            grid=payload.get("grid", {}),
-            seeds=tuple(payload.get("seeds", ())),
-        )

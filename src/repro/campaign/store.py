@@ -177,26 +177,3 @@ class ResultStore:
                 pass
             raise
         return path
-
-    def discard(self, task: Task) -> bool:
-        """Remove one stored result; returns whether anything was deleted."""
-        path = self._path(task.task_hash)
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
-
-    def corrupt_object(self, task_hash: str) -> bool:
-        """Chaos-testing hook: truncate one stored object to garbage.
-
-        Used by the campaign engine's :class:`~repro.faults.chaos.ChaosPlan`
-        injection to exercise the quarantine/recompute path end to end;
-        returns whether an object was present to mangle.  Never called
-        outside chaos runs.
-        """
-        path = self._path(task_hash)
-        if not path.is_file():
-            return False
-        path.write_text('{"schema": 1, "task_hash": "', encoding="utf-8")
-        return True

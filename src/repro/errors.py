@@ -32,20 +32,6 @@ class SimulationError(ReproError):
     """An experiment or simulator was driven with invalid inputs."""
 
 
-class WorkerCrashError(SimulationError):
-    """A campaign worker process died (pool broken) and retries ran out.
-
-    Raised instead of the raw ``BrokenProcessPool`` so callers see which
-    batch was in flight and how much of the sweep had already completed
-    (everything completed is persisted — a rerun resumes from the store).
-    """
-
-    def __init__(self, message: str, batch_index: int = -1, completed: int = 0):
-        super().__init__(message)
-        self.batch_index = batch_index
-        self.completed = completed
-
-
 class UncorrectableError(ReproError):
     """An ECC substrate was presented with more errors than it can correct.
 

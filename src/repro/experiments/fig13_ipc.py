@@ -8,7 +8,7 @@ the rows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.campaign.spec import Task
 from repro.campaign.tasks import register_task
@@ -16,7 +16,6 @@ from repro.hardware.synthesis import DesignPoint, estimate_design
 from repro.perf.config import SystemConfig
 from repro.perf.timing import PerformanceModel
 from repro.sim.results import ResultTable
-from repro.traces.spec import list_benchmarks
 
 __all__ = ["ipc_table", "sweep_tasks", "technique_delays_ns"]
 
@@ -57,14 +56,13 @@ def _fig13_ipc_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def sweep_tasks(
-    *, benchmarks: Optional[Sequence[str]], num_cosets: int, system: SystemConfig
+    *, benchmarks: Sequence[str], num_cosets: int, system: SystemConfig
 ) -> List[Task]:
-    """The Fig. 13 sweep as campaign tasks, one per benchmark (all when ``None``)."""
-    names = list(benchmarks) if benchmarks is not None else list_benchmarks()
+    """The Fig. 13 sweep as campaign tasks, one per benchmark."""
     base = {"num_cosets": num_cosets, "system": dataclasses.asdict(system)}
     return [
         Task(kind="fig13-ipc-cell", params={**base, "benchmark": benchmark})
-        for benchmark in names
+        for benchmark in benchmarks
     ]
 
 

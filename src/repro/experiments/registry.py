@@ -11,8 +11,8 @@ Each :class:`Experiment` is three things:
 :func:`run_experiments` runs any list of entries as one campaign, so
 figures that share cells (Figs. 11 and 12 share lifetime cells) simulate
 each distinct cell once; :func:`run_experiment` is its one-entry form.
-The runner, the campaign CLI (whose named sweeps are the entries with
-``tasks``) and the benchmarks all read this table.
+The runner (whose ``--set key=value`` overrides are parsed by the type of
+the entry's default) and the benchmarks read this table.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ import repro.experiments.table2_system as table2
 import repro.sim.energy_sim as energy
 import repro.sim.lifetime_sim as lifetime
 import repro.sim.saw_sim as saw
-from repro.campaign.engine import ProgressCallback, TaskFailure, run_campaign
+from repro.campaign.engine import CampaignFailed, ProgressCallback, TaskFailure, run_campaign
 from repro.campaign.spec import Task
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigurationError, SimulationError
 from repro.pcm.energy import DEFAULT_MLC_ENERGY
 from repro.perf.config import TABLE_II_SYSTEM
 from repro.sim.results import ResultTable
+from repro.traces.spec import list_benchmarks
 
 __all__ = [
     "Experiment",
@@ -149,7 +150,11 @@ _EXPERIMENTS: Dict[str, Experiment] = {
         table=lifetime.mean_lifetime_table,
     ),
     "fig13": Experiment(
-        defaults={"benchmarks": None, "num_cosets": 256, "system": TABLE_II_SYSTEM},
+        defaults={
+            "benchmarks": tuple(list_benchmarks()),
+            "num_cosets": 256,
+            "system": TABLE_II_SYSTEM,
+        },
         tasks=fig13.sweep_tasks,
         table=fig13.ipc_table,
     ),
@@ -205,9 +210,10 @@ def run_experiments(
     Every entry's tasks go into a single campaign, so a cell two figures
     share runs once.  ``jobs`` worker processes give bit-identical rows
     at any count; ``store_dir`` serves and keeps completed tasks, so an
-    interrupted run resumes.  When tasks exhaust their retries (a
-    degraded run), one :class:`SimulationError` names each figure with
-    failed tasks; the completed tasks are already in the store.
+    interrupted run resumes.  When tasks fail (the campaign raises
+    :class:`~repro.campaign.engine.CampaignFailed`), one
+    :class:`SimulationError` names each figure with failed tasks; the
+    completed tasks are already in the store.
     """
     plans: List[_Plan] = []
     for name, overrides in requests:
@@ -217,10 +223,11 @@ def run_experiments(
     tasks = [task for *_, grid in plans for task in grid]
     rows_by_hash: Dict[str, List[Dict[str, Any]]] = {}
     if tasks:
-        result = run_campaign(tasks, store=store_dir, jobs=jobs, progress=progress)
-        if result.failures:
+        try:
+            result = run_campaign(tasks, store=store_dir, jobs=jobs, progress=progress)
+        except CampaignFailed as failed:
             stored = store_dir is not None
-            raise SimulationError(_failure_message(plans, result.failures, stored))
+            raise SimulationError(_failure_message(plans, failed.failures, stored)) from None
         rows_by_hash = result.rows_by_hash
     return [
         entry.table([row for task in grid for row in rows_by_hash[task.task_hash]], **params)
@@ -231,14 +238,19 @@ def run_experiments(
 def _failure_message(
     plans: Sequence[_Plan], failures: Sequence[TaskFailure], stored: bool
 ) -> str:
-    """Name each figure that lost tasks and how many of its distinct tasks it lost."""
-    failed = {failure.task.task_hash for failure in failures}
+    """Name each figure that lost tasks, how many of its distinct tasks it
+    lost, and its first failure."""
+    failed = {failure.task.task_hash: failure for failure in failures}
     counts = []
     for name, _, _, grid in plans:
         hashes = {task.task_hash for task in grid}
-        if hashes & failed:
-            counts.append(f"{name}: {len(hashes & failed)} of {len(hashes)} tasks failed")
-    message = "; ".join(counts) + " after exhausting their retries"
+        lost = [failed[task.task_hash] for task in grid if task.task_hash in failed]
+        if lost:
+            counts.append(
+                f"{name}: {len(hashes & failed.keys())} of {len(hashes)} tasks failed: "
+                f"{lost[0].describe()}"
+            )
+    message = "; ".join(counts)
     if stored:
         message += " (the completed tasks are in the store: a rerun executes only the failed ones)"
     return message

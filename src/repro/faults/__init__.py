@@ -1,24 +1,16 @@
-"""Unified fault-injection subsystem with two faces.
+"""Device fault models for the simulated PCM array.
 
-**Device face** — :mod:`repro.faults.models`: a decorator registry of
+:mod:`repro.faults.models` is a decorator registry of
 :class:`~repro.faults.models.FaultModel` classes describing how PCM cells
 fail (static stuck-at snapshots, row-correlated weak rows, transient
 sensing flips corrected by :mod:`repro.ecc`, wear-drift mid-replay).
 Experiments select a model by name through ``TechniqueSpec.fault_model``
-or the ``--fault-model`` CLI flag.
+or the runner's ``--set fault_model=NAME``.
 
-**Runtime face** — :mod:`repro.faults.chaos`: a seeded
-:class:`~repro.faults.chaos.ChaosPlan` injecting worker crashes, slow
-tasks, and store corruption into the campaign executor, used to test
-the retry / timeout / graceful-degradation machinery in
-:mod:`repro.campaign`.
-
-Both faces share the determinism contract: every injected fault — in the
-simulated device or in the real process pool — derives from
-:func:`repro.utils.rng.make_rng` labels, so runs are bit-reproducible.
+Every injected fault derives from :func:`repro.utils.rng.make_rng`
+labels, so runs are bit-reproducible.
 """
 
-from repro.faults.chaos import ChaosPlan
 from repro.faults.models import (
     FaultModel,
     RowCorrelatedFaults,
@@ -35,7 +27,6 @@ from repro.faults.registry import (
 )
 
 __all__ = [
-    "ChaosPlan",
     "FaultModel",
     "RowCorrelatedFaults",
     "StaticStuckAtFaults",

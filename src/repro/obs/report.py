@@ -27,10 +27,9 @@ __all__ = ["build_report", "load_trace", "render_text"]
 #: Executor phases stamped on ``campaign.task`` spans, in pipeline order.
 TASK_PHASES = ("queue_wait_s", "dispatch_s", "compute_s", "transfer_s")
 
-#: Zero-duration resilience markers the campaign runtime emits: batch
-#: re-queues, tasks surrendered after exhausting retries, and corrupt
-#: store objects quarantined aside.
-RESILIENCE_EVENTS = ("campaign.retry", "campaign.degraded", "store.quarantine")
+#: Zero-duration failure markers the campaign runtime emits: tasks that
+#: produced no rows, and corrupt store objects quarantined aside.
+FAILURE_EVENTS = ("campaign.failed", "store.quarantine")
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
@@ -136,26 +135,16 @@ def _aggregate_tasks(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _aggregate_resilience(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """Count the resilience markers; ``None`` on a clean trace."""
-    counts = {name: 0 for name in RESILIENCE_EVENTS}
-    timeouts = 0
+def _aggregate_failures(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """Count the failure markers; ``None`` on a clean trace."""
+    counts = {name: 0 for name in FAILURE_EVENTS}
     for event in events:
         name = event.get("name")
         if name in counts:
             counts[str(name)] += 1
-            if name == "campaign.retry":
-                attrs = event.get("attrs") or {}
-                if attrs.get("reason") == "timeout":
-                    timeouts += 1
     if not any(counts.values()):
         return None
-    return {
-        "retries": counts["campaign.retry"],
-        "timeout_retries": timeouts,
-        "degraded": counts["campaign.degraded"],
-        "quarantined": counts["store.quarantine"],
-    }
+    return {"failed": counts["campaign.failed"], "quarantined": counts["store.quarantine"]}
 
 
 def build_report(events: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -172,9 +161,9 @@ def build_report(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     tasks = _aggregate_tasks(events)
     if tasks is not None:
         report["executor"] = tasks
-    resilience = _aggregate_resilience(events)
-    if resilience is not None:
-        report["resilience"] = resilience
+    failures = _aggregate_failures(events)
+    if failures is not None:
+        report["failures"] = failures
     return report
 
 
@@ -240,12 +229,10 @@ def render_text(report: Dict[str, Any], stream: TextIO, top: int = 10) -> None:
             file=stream,
         )
 
-    resilience = report.get("resilience")
-    if resilience is not None:
+    failures = report.get("failures")
+    if failures is not None:
         print(
-            f"\nresilience: {resilience['retries']} retries"
-            f" ({resilience['timeout_retries']} after timeouts),"
-            f" {resilience['degraded']} tasks degraded to failure rows,"
-            f" {resilience['quarantined']} corrupt store objects quarantined",
+            f"\nfailures: {failures['failed']} tasks failed,"
+            f" {failures['quarantined']} corrupt store objects quarantined",
             file=stream,
         )

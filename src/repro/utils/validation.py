@@ -31,8 +31,7 @@ def json_payload(
     ``source`` strings starting with ``{`` are treated as the payload
     itself; anything else is read as a file path.  Invalid JSON raises
     ``error_cls`` (a :class:`ReproError` subclass) naming ``what``.
-    Shared by the serialisable containers (`SweepSpec.from_json`,
-    `ResultTable.from_json`) so the sniffing rules cannot diverge.
+    Used by `ResultTable.from_json`.
     """
     if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
         text = Path(source).read_text(encoding="utf-8")

@@ -7,7 +7,7 @@ actual simulators, not a toy task.
 
 import pytest
 
-from repro.campaign.engine import run_campaign
+from repro.campaign.engine import CampaignFailed, run_campaign
 from repro.campaign.spec import SweepSpec, Task
 from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task, unregister_task
@@ -56,12 +56,6 @@ class TestCaching:
         again = run_campaign(tasks, store=str(tmp_path / "store"), jobs=1)
         assert again.executed == 0
 
-    def test_resume_false_reexecutes_everything(self, tmp_path):
-        tasks = _tiny_fig10_tasks()[:2]
-        store = ResultStore(tmp_path / "store")
-        run_campaign(tasks, store=store, jobs=1)
-        fresh = run_campaign(tasks, store=store, jobs=1, resume=False)
-        assert fresh.executed == len(tasks) and fresh.cached == 0
 
 
 class TestResume:
@@ -141,7 +135,7 @@ class TestEngineBasics:
             raise SimulationError("boom")
 
         try:
-            with pytest.raises(SimulationError, match="boom"):
+            with pytest.raises(CampaignFailed, match="1 of 1 tasks failed: .*boom"):
                 run_campaign([Task(kind="test-boom-cell", params={})], jobs=1)
         finally:
             unregister_task("test-boom-cell")

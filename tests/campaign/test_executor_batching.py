@@ -5,8 +5,8 @@ every batching shape that matters — size 1 (the old one-round-trip-per
 -task behaviour), an uneven tail, and a single batch larger than the
 task list — under both the ``fork`` and ``spawn`` start methods, and
 checks the rows against the serial oracle bit for bit.  The crash tests
-check that a failed sweep resumes cleanly and leaves the executor
-reusable.
+check that a failed sweep resumes cleanly and that an aborted run leaves
+the executor reusable.
 """
 
 import multiprocessing
@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.campaign.engine import run_campaign
+from repro.campaign.engine import CampaignFailed, run_campaign
 from repro.campaign.executor import (
     BATCHES_PER_WORKER,
     ProcessExecutor,
@@ -58,24 +58,14 @@ def _collect(executor, tasks):
         results[task.task_hash] = rows
         telemetry.append(task_telemetry)
 
-    executor.run(tasks, on_result)
+    def on_failure(failure):
+        raise AssertionError(failure.describe())
+
+    executor.run(tasks, on_result, on_failure)
     return results, telemetry
 
 
 class TestConfiguration:
-    def test_explicit_zero_max_in_flight_rejected(self):
-        """Regression: ``max_in_flight=0`` used to silently coerce to 4*jobs."""
-        with pytest.raises(ConfigurationError, match="max_in_flight"):
-            ProcessExecutor(2, max_in_flight=0)
-
-    def test_negative_max_in_flight_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_in_flight"):
-            ProcessExecutor(2, max_in_flight=-3)
-
-    def test_none_max_in_flight_defaults_to_four_per_worker(self):
-        assert ProcessExecutor(3).max_in_flight == 12
-        assert ProcessExecutor(3, max_in_flight=1).max_in_flight == 1
-
     def test_non_positive_batch_size_rejected(self):
         with pytest.raises(ConfigurationError, match="batch_size"):
             ProcessExecutor(2, batch_size=0)
@@ -87,7 +77,6 @@ class TestConfiguration:
     def test_make_executor_dispatch(self):
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(2), ProcessExecutor)
-        assert make_executor(2, batch_size=5).batch_size == 5
 
 
 class TestSharding:
@@ -135,13 +124,6 @@ class TestDeterminismMatrix:
         else:
             assert sizes == {len(tasks)}  # one oversized batch
 
-    def test_run_campaign_batch_size_knob(self):
-        tasks = _fig7_tasks(4)
-        serial = run_campaign(tasks, jobs=1)
-        batched = run_campaign(tasks, jobs=2, batch_size=2)
-        assert batched.rows() == serial.rows()
-        assert batched.telemetry.batches == 2
-
 
 class TestTelemetryTiling:
     def test_phases_tile_each_task_wall_exactly(self):
@@ -170,6 +152,14 @@ class TestTelemetryTiling:
             assert entry.compute_s > 0.0
             assert entry.transfer_s >= 0.0
 
+    def test_run_campaign_counts_derived_batches(self):
+        tasks = _fig7_tasks(4)
+        serial = run_campaign(tasks, jobs=1)
+        batched = run_campaign(tasks, jobs=2)
+        assert batched.rows() == serial.rows()
+        # ceil(4 / (BATCHES_PER_WORKER * 2)) = 1 task per batch
+        assert batched.telemetry.batches == 4
+
     def test_serial_tasks_are_their_own_batches(self):
         tasks = _fig7_tasks(2)
         _, telemetry = _collect(SerialExecutor(), tasks)
@@ -179,10 +169,10 @@ class TestTelemetryTiling:
 
 @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
 class TestCrashRecovery:
-    """A worker crash mid-sweep must leave the pool shut down, the stamp
-    map drained, and a store that resumes cleanly."""
+    """A failed task must not stop the sweep, and an aborted run must leave
+    the pool shut down and the executor reusable."""
 
-    def test_worker_exception_propagates_and_store_resumes(self, tmp_path):
+    def test_failed_task_reported_after_the_sweep_and_store_resumes(self, tmp_path):
         flag = tmp_path / "explode"
         flag.write_text("armed")
 
@@ -199,13 +189,14 @@ class TestCrashRecovery:
         )
         store = ResultStore(tmp_path / "store")
         try:
-            with pytest.raises(SimulationError, match="worker crash"):
-                run_campaign(spec, store=store, jobs=2, batch_size=1)
-            persisted = len(store)
+            with pytest.raises(CampaignFailed, match="worker crash") as info:
+                run_campaign(spec, store=store, jobs=2)
+            assert [failure.kind for failure in info.value.failures] == ["error"]
+            assert len(store) == 7  # every other task finished and persisted
             flag.unlink()  # disarm and resume
-            resumed = run_campaign(spec, store=store, jobs=2, batch_size=1)
-            assert resumed.cached == persisted
-            assert resumed.executed == 8 - persisted
+            resumed = run_campaign(spec, store=store, jobs=2)
+            assert resumed.cached == 7
+            assert resumed.executed == 1
             assert [row["value"] for row in resumed.rows()] == [i * 3 for i in range(8)]
         finally:
             unregister_task("test-batch-crash-cell")
@@ -215,17 +206,20 @@ class TestCrashRecovery:
 
         @register_task("test-batch-abort-cell")
         def _cell(params):
-            if params["index"] == 0:
-                raise SimulationError("first batch dies")
             return [{"index": params["index"]}]
+
+        def on_result(task, rows, telemetry):
+            raise SimulationError("callback refuses the first result")
+
+        def on_failure(failure):
+            raise AssertionError(failure.describe())
 
         tasks = [Task(kind="test-batch-abort-cell", params={"index": i}) for i in range(6)]
         executor = ProcessExecutor(2, batch_size=1, start_method="fork")
         try:
-            with pytest.raises(SimulationError, match="first batch dies"):
-                executor.run(tasks, lambda task, rows, telemetry: None)
-            survivors = tasks[1:]
-            results, _ = _collect(executor, survivors)
-            assert len(results) == len(survivors)
+            with pytest.raises(SimulationError, match="callback refuses"):
+                executor.run(tasks, on_result, on_failure)
+            results, _ = _collect(executor, tasks)
+            assert len(results) == len(tasks)
         finally:
             unregister_task("test-batch-abort-cell")

@@ -1,21 +1,17 @@
-"""Determinism, resume and degradation contracts of every figure sweep.
+"""Determinism and resume contracts of every figure sweep.
 
 Every entry of the experiment table that runs campaign tasks is checked
 at a tiny scale: a serial run (``jobs=1``) and a 4-worker campaign
-produce bit-identical rows, a completed sweep resumes from a result
-store with zero executions, and a sweep whose tasks exhaust their
-retries fails with one error naming the figure.
+produce bit-identical rows, and a completed sweep resumes from a result
+store with zero executions.  (A sweep with failed tasks fails with one
+error naming the figure: ``tests/campaign/test_failures.py``.)
 """
 
 import pytest
 
-from repro.campaign.cli import main as campaign_main
-from repro.campaign.engine import RunPolicy, reset_run_policy, set_run_policy
-from repro.campaign.store import ResultStore
 from repro.campaign.tasks import available_task_kinds
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.experiments.registry import get_experiment, run_experiment, sweep_names
-from repro.faults.chaos import ChaosPlan
 from repro.sim.harness import TechniqueSpec
 from repro.sim.lifetime_sim import LifetimeStudyConfig
 
@@ -135,44 +131,3 @@ class TestFigureSweepDeterminism:
         assert second_events["total"] == first_events["total"]
         assert second_events["cached"] == second_events["total"]  # zero executed
         assert first.rows == second.rows
-
-
-#: name -> (CLI knobs shrinking the sweep, its distinct task count).
-_DEGRADED = {
-    "fig7": (["--coset-counts", "32", "--rows", "24", "--num-writes", "20"], 4),
-    "fig11": (["--benchmarks", "lbm"], 7),
-    "fig13": (["--benchmarks", "lbm", "xz"], 2),
-}
-
-
-class TestDegradedSweep:
-    @pytest.mark.parametrize("name", sorted(_DEGRADED))
-    def test_exhausted_retries_exit_2_naming_the_figure(self, name, capsys):
-        """Every worker crashes with no retry: one error, no table, exit 2."""
-        knobs, total = _DEGRADED[name]
-        args = [name, "--jobs", "2", "--no-store", "--quiet", "--retries", "0"]
-        args += ["--chaos-seed", "11", "--chaos-crash-rate", "1.0", *knobs]
-        assert campaign_main(args) == 2
-        captured = capsys.readouterr()
-        assert f"error: {name}: {total} of {total} tasks failed" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
-    def test_completed_tasks_stay_in_the_store(self, tmp_path):
-        """A partly degraded sweep keeps its completed cells; a rerun heals the rest."""
-        store = ResultStore(tmp_path / "store")
-        set_run_policy(RunPolicy(degrade=True, chaos=ChaosPlan(seed=3, crash_rate=0.5)))
-        try:
-            with pytest.raises(SimulationError, match="fig13: [0-9]+ of 12 tasks failed") as info:
-                run_experiment("fig13", jobs=2, store_dir=store)
-        finally:
-            reset_run_policy()
-        failed = int(str(info.value).split(": ")[1].split(" of ")[0])
-        assert 0 < failed < 12
-        assert len(store) == 12 - failed
-
-        events, progress = _progress_counter()
-        healed = run_experiment("fig13", store_dir=store, progress=progress)
-        assert events["total"] - events["cached"] == failed
-        assert healed == run_experiment("fig13")
-

@@ -54,14 +54,6 @@ class TestResultStore:
         target.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
         assert store.get(second) is None
 
-    def test_discard(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        task = _task()
-        store.put(task, [])
-        assert store.discard(task) is True
-        assert store.get(task) is None
-        assert store.discard(task) is False
-
     def test_contains_fast_path_skips_hit_miss_counters(self, tmp_path):
         """Membership probes stat the object — no parse, no hits bump.
 

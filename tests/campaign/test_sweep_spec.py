@@ -88,22 +88,3 @@ class TestSweepSpec:
     def test_duplicate_tasks_deduplicated(self):
         spec = SweepSpec(kind="k", grid={"a": [1, 1]})
         assert len(spec.expand()) == 1
-
-    def test_json_roundtrip(self, tmp_path):
-        spec = SweepSpec(kind="k", base={"b": 2}, grid={"a": [1, 2]}, seeds=(3,))
-        path = tmp_path / "spec.json"
-        spec.to_json(path)
-        loaded = SweepSpec.from_json(path)
-        assert loaded.expand() == spec.expand()
-
-    def test_from_json_accepts_payload_string(self):
-        loaded = SweepSpec.from_json('{"kind": "k", "grid": {"a": [1]}}')
-        assert len(loaded.expand()) == 1
-
-    def test_from_json_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            SweepSpec.from_json(path)
-        with pytest.raises(ConfigurationError):
-            SweepSpec.from_json('{"no_kind": 1}')

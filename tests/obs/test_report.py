@@ -129,6 +129,19 @@ class TestRenderText:
         assert "executor overhead: 40.0% of task wall time spent outside compute" in text
         assert "phase coverage: 100.0% of measured task wall time" in text
         assert "top spans by self-time" in text
+        assert "failures:" not in text
+
+    def test_failures_line_counts_failed_tasks_and_quarantines(self):
+        events = [
+            event("campaign.failed", 1.0, 1.0, span="1:1", attrs={"kind": "error"}),
+            event("campaign.failed", 1.5, 1.5, span="1:2", attrs={"kind": "crash"}),
+            event("store.quarantine", 0.5, 0.5, span="1:3", attrs={"object": "ab"}),
+        ]
+        report = obs.build_report(events)
+        assert report["failures"] == {"failed": 2, "quarantined": 1}
+        stream = io.StringIO()
+        obs.render_text(report, stream)
+        assert "failures: 2 tasks failed, 1 corrupt store objects quarantined" in stream.getvalue()
 
 
 class TestCli:
