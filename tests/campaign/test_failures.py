@@ -17,13 +17,14 @@ import signal
 import pytest
 
 import repro.campaign.engine as engine
-from repro.campaign.engine import CampaignFailed, run_campaign
+from repro import obs
+from repro.campaign.engine import CampaignFailed, TaskFailure, run_campaign
 from repro.campaign.executor import ProcessExecutor
 from repro.campaign.spec import SweepSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.tasks import _KINDS, TaskKind, get_task_kind
 from repro.errors import SimulationError
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import run_experiment, run_experiments
 from repro.experiments.runner import main as runner_main
 
 START_METHODS = multiprocessing.get_all_start_methods()
@@ -56,6 +57,32 @@ def _patch_kind(monkeypatch, name, function):
 
 def _die(params):
     os._exit(13)
+
+
+def _fail_seed(seeds, original):
+    """A task function that raises for the given seeds and runs the rest."""
+
+    def function(params):
+        if params["seed"] in seeds:
+            raise SimulationError(f"injected failure at seed {params['seed']}")
+        return original(params)
+
+    return function
+
+
+def _seeded(tasks, *seeds):
+    """The tasks with one of ``seeds``, in submission order."""
+    return [task for task in tasks if task.params["seed"] in seeds]
+
+
+class TestCampaignFailed:
+    def test_message_counts_failures_and_names_the_first(self):
+        tasks = _fig7_tasks(2)
+        failures = [TaskFailure(task, "error", f"boom {i}") for i, task in enumerate(tasks)]
+        error = CampaignFailed(failures, 5)
+        assert isinstance(error, SimulationError)
+        assert str(error) == f"2 of 5 tasks failed: {failures[0].describe()}"
+        assert error.failures == failures
 
 
 class TestKilledWorker:
@@ -96,13 +123,22 @@ class TestWorkerDiesEveryTime:
         assert telemetry.worker_crashes >= 2
         assert telemetry.degraded == 4
 
-    def test_runner_exits_2_naming_the_figure(self, monkeypatch, capsys):
-        _patch_kind(monkeypatch, "fig7-energy-cell", _die)
-        args = ["fig7", "--jobs", "2", "--set", "coset_counts=32"]
-        args += ["--set", "rows=24", "--set", "num_writes=20"]
+    @pytest.mark.parametrize(
+        "name, kind, knobs, total",
+        [
+            ("fig7", "fig7-energy-cell", ["coset_counts=32", "rows=24", "num_writes=20"], 4),
+            ("fig11", "lifetime-cell", ["benchmarks=lbm"], 7),
+            ("fig13", "fig13-ipc-cell", ["benchmarks=lbm,xz"], 2),
+        ],
+    )
+    def test_runner_exits_2_naming_the_figure(self, monkeypatch, capsys, name, kind, knobs, total):
+        _patch_kind(monkeypatch, kind, _die)
+        args = [name, "--jobs", "2"]
+        for assignment in knobs:
+            args += ["--set", assignment]
         assert runner_main(args) == 2
         captured = capsys.readouterr()
-        assert "error: fig7: 4 of 4 tasks failed" in captured.err
+        assert f"error: {name}: {total} of {total} tasks failed" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -129,6 +165,88 @@ class TestTaskError:
         )
         assert sum(executed) == 1
         assert healed == run_experiment("fig13")
+
+
+    def test_a_failed_task_runs_once_and_is_not_stored(self, monkeypatch, tmp_path):
+        original = get_task_kind("fig7-energy-cell").function
+        calls = []
+
+        def counted(params):
+            calls.append(params["seed"])
+            return _fail_seed({3}, original)(params)
+
+        _patch_kind(monkeypatch, "fig7-energy-cell", counted)
+        tasks = _fig7_tasks(4)
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(CampaignFailed, match="2 of 4 tasks failed") as info:
+            run_campaign(tasks, store=store, jobs=1)
+        assert sorted(calls) == [3, 3, 4, 4]  # each task once, no retry
+        failed = [failure.task for failure in info.value.failures]
+        assert failed == _seeded(tasks, 3)
+        assert {failure.kind for failure in info.value.failures} == {"error"}
+        assert [store.get(task) is None for task in tasks] == [
+            task.params["seed"] == 3 for task in tasks
+        ]
+
+    def test_progress_and_telemetry_report_the_failure(self, monkeypatch):
+        original = get_task_kind("fig7-energy-cell").function
+        _patch_kind(monkeypatch, "fig7-energy-cell", _fail_seed({4}, original))
+        tasks = _fig7_tasks(4)
+        events = []
+        with pytest.raises(CampaignFailed):
+            run_campaign(tasks, jobs=1, progress=events.append)
+        assert [event.done for event in events] == [1, 2, 3, 4]
+        assert [event.task for event in events if event.failed] == _seeded(tasks, 4)
+        telemetry = engine.last_campaign_telemetry()
+        assert telemetry.degraded == 2
+        assert telemetry.batches == 2  # the two executed tasks
+
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
+    def test_rest_of_the_batch_is_delivered(self, monkeypatch):
+        original = get_task_kind("fig7-energy-cell").function
+        _patch_kind(monkeypatch, "fig7-energy-cell", _fail_seed({3}, original))
+        tasks = _fig7_tasks(4)
+        delivered, failures = [], []
+        executor = ProcessExecutor(2, batch_size=4, start_method="fork")
+        crashes = executor.run(
+            tasks, lambda task, rows, telemetry: delivered.append(task), failures.append
+        )
+        assert crashes == 0
+        assert delivered == _seeded(tasks, 4)
+        assert [failure.task for failure in failures] == _seeded(tasks, 3)
+        assert all("injected failure at seed 3" in failure.message for failure in failures)
+
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
+    def test_failures_raised_in_submission_order(self, monkeypatch):
+        original = get_task_kind("fig7-energy-cell").function
+        _patch_kind(monkeypatch, "fig7-energy-cell", _fail_seed({3, 6}, original))
+        tasks = _fig7_tasks(8)
+        with pytest.raises(CampaignFailed, match="4 of 8 tasks failed") as info:
+            run_campaign(tasks, jobs=2)
+        assert [failure.task for failure in info.value.failures] == _seeded(tasks, 3, 6)
+
+    def test_trace_report_counts_the_failed_task(self, monkeypatch, tmp_path):
+        original = get_task_kind("fig7-energy-cell").function
+        _patch_kind(monkeypatch, "fig7-energy-cell", _fail_seed({3}, original))
+        trace = tmp_path / "trace.jsonl"
+        obs.enable_tracing(str(trace))
+        try:
+            with pytest.raises(CampaignFailed):
+                run_campaign(_fig7_tasks(4), jobs=1)
+        finally:
+            obs.disable_tracing()
+        report = obs.build_report(obs.load_trace(str(trace)))
+        assert report["failures"] == {"failed": 2, "quarantined": 0}
+
+    def test_error_names_only_the_figures_that_lost_tasks(self, monkeypatch, tmp_path):
+        _patch_kind(monkeypatch, "fig7-energy-cell", _fail_seed({2022}, lambda params: []))
+        small = {"coset_counts": (32,), "rows": 24, "num_writes": 20}
+        with pytest.raises(SimulationError) as info:
+            run_experiments([("fig7", small), ("fig8", small)], store_dir=tmp_path / "store")
+        message = str(info.value)
+        assert message.startswith("fig7: 4 of 4 tasks failed: ")
+        assert "fig8" not in message
+        assert message.endswith("a rerun executes only the failed ones)")
 
 
 class TestStoreQuarantine:

@@ -114,6 +114,14 @@ class TestBuildReport:
         report = obs.build_report([event("a", 0.0, 1.0)])
         assert "executor" not in report
 
+    def test_clean_trace_has_no_failures_section(self):
+        report = obs.build_report([event("campaign.task", 0.0, 1.0, attrs={"cached": True})])
+        assert "failures" not in report
+
+    def test_quarantine_alone_reports_no_failed_task(self):
+        events = [event("store.quarantine", 0.5, 0.5, span="1:1", attrs={"object": "ab"})]
+        assert obs.build_report(events)["failures"] == {"failed": 0, "quarantined": 1}
+
 
 class TestRenderText:
     def test_contains_ci_asserted_lines(self):
