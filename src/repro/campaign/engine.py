@@ -125,16 +125,6 @@ class CampaignTelemetry:
         self.compute_s += task_telemetry.compute_s
         self.transfer_s += task_telemetry.transfer_s
 
-    def summary(self) -> str:
-        """One-line phase breakdown for the CLI's stderr summary."""
-        batches = f" in {self.batches} batches" if self.batches else ""
-        return (
-            f"phases over {self.task_wall_s:.3f}s of executed-task wall time{batches}: "
-            f"queue-wait {self.queue_wait_s:.3f}s, dispatch {self.dispatch_s:.3f}s, "
-            f"compute {self.compute_s:.3f}s, transfer {self.transfer_s:.3f}s "
-            f"(executor overhead {self.overhead_fraction * 100.0:.1f}%)"
-        )
-
 
 @dataclass
 class CampaignResult:

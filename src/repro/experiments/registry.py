@@ -45,7 +45,6 @@ __all__ = [
     "get_experiment",
     "run_experiment",
     "run_experiments",
-    "sweep_names",
 ]
 
 
@@ -170,11 +169,6 @@ _Plan = Tuple[str, Experiment, Dict[str, Any], List[Task]]
 def available_experiments() -> List[str]:
     """Identifiers accepted by :func:`run_experiment`."""
     return sorted(_EXPERIMENTS)
-
-
-def sweep_names() -> List[str]:
-    """Identifiers of the entries that run campaign tasks (the named sweeps)."""
-    return [name for name in available_experiments() if _EXPERIMENTS[name].tasks is not None]
 
 
 def get_experiment(identifier: str) -> Experiment:

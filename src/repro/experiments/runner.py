@@ -175,6 +175,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    finally:
+        if args.trace is not None:
+            obs.disable_tracing()
     for name, table in zip(names, tables):
         print(table.format())
         print()

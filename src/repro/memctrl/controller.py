@@ -22,14 +22,19 @@ The batched drivers go one level further.  For every non-identity encoder
 a wave scheduler works like a reorder buffer, since per-row write order is
 the only true dependency between writes.  It executes out of order: each
 *wave* takes, from a look-ahead window of queued writes, the earliest
-pending write of each distinct row, gathers their old-cell state in one
-:meth:`repro.pcm.array.PCMArray.read_rows` call, encodes them through
-one :meth:`repro.coding.base.Encoder.encode_lines` call, and applies them with one :meth:`repro.pcm.array.PCMArray.write_rows_fast`
-scatter.  It retires in order: the early-stop predicate and Start-Gap
-bookkeeping see the writes in trace order, a window never reaches past the
-next gap migration, and writes that ran ahead of an early stop are
-squashed by restoring their rows from per-wave snapshots.  The outcome is
-bit-identical to the scalar :meth:`MemoryController.write_line` sequence.
+pending write of each distinct row, reads the cells and stuck masks the
+encoder sees with one :meth:`repro.pcm.array.PCMArray.read_rows` (and
+``stuck_rows``) gather, encodes them through one
+:meth:`repro.coding.base.Encoder.encode_lines` call, and applies them with
+one :meth:`repro.pcm.array.PCMArray.write_rows_fast` call.  That call
+gathers the rows' device state once and hands it back: the pre-write
+cells, stuck masks and wear become the wave's squash snapshot, and its
+changed-cell mask feeds the accounting.  The scheduler retires in order:
+the early-stop predicate and Start-Gap bookkeeping see the writes in
+trace order, a window never reaches past the next gap migration, and
+writes that ran ahead of an early stop are squashed by restoring their
+rows from per-wave snapshots.  The outcome is bit-identical to the scalar
+:meth:`MemoryController.write_line` sequence.
 
 Encryption happens before scheduling.  A trace replay slices its
 ciphertext from the trace's shared
@@ -487,6 +492,9 @@ class MemoryController:
                 ]
             )
         )
+        #: ``_energy_lut`` flattened, indexed by ``old * levels + new``:
+        #: one ``np.take`` gathers a wave's per-cell energies.
+        self._energy_flat = np.ascontiguousarray(self._energy_lut).reshape(-1)
         self._aux_bit_energy = (
             self.mlc_energy.aux_bit_energy_pj
             if array.technology is CellTechnology.MLC
@@ -880,13 +888,16 @@ class MemoryController:
                     break
 
         done = performed - start
+        old_rows = old_buffer[:done]
+        stored_rows = stored_buffer[:done]
         # Identity encoders store no auxiliary bits: aux energy stays 0.
         self._flush_replay_accounting(
             replay,
             slice(start, performed),
-            old_buffer[:done],
-            stored_buffer[:done],
+            old_rows,
+            stored_rows,
             cells_chunk[:done],
+            stored_rows != old_rows,
         )
         return performed, stopped
 
@@ -897,39 +908,41 @@ class MemoryController:
         old_rows: np.ndarray,
         stored_rows: np.ndarray,
         intended_rows: np.ndarray,
+        changed: np.ndarray,
     ) -> None:
         """Vectorised accounting flush for applied replay writes.
 
         ``at`` selects the writes' entries in ``replay`` (a slice or an
-        index vector, one entry per buffered row).  Energy, changed
+        index vector, one entry per buffered row) and ``changed`` is the
+        write's ``stored_rows != old_rows`` mask.  Energy, changed
         bits/cells, and SAW counts are pure functions of the (old, stored,
-        intended) cell rows; row-wise NumPy reductions over the buffered
-        rows are bit-identical to the scalar path's per-row reductions.  A
+        intended) cell rows.  The energy gather is one ``np.take`` into a
+        fresh C-contiguous ``(rows, cells)`` block, so each row's pairwise
+        sum runs in the scalar path's order; the counts are integers.  A
         stored cell differs from the intended value exactly at the
         stuck-at-wrong positions, so SAW counts fall out of the xor.
         """
         lines = len(old_rows)
         if lines == 0:
             return
-        popcount = self._bit_popcount
-        bits_per_cell = self.array.bits_per_cell
-        replay.data_energy_pj[at] = self._energy_lut[old_rows, intended_rows].sum(axis=1)  # repro: allow[NUM001] reason=advanced indexing copies into a fresh C-contiguous (rows, cells) block, so the axis-1 pairwise sums match the per-row oracle (parity-locked by test_replay_parity)
-        changed = stored_rows != old_rows
-        replay.cells_changed[at] = np.count_nonzero(changed, axis=1)
-        if bits_per_cell == 1:
-            replay.bits_changed[at] = np.count_nonzero(old_rows ^ stored_rows, axis=1)
-        else:
-            replay.bits_changed[at] = popcount[old_rows ^ stored_rows].sum(axis=1)
+        levels = self.array.technology.levels
+        replay.data_energy_pj[at] = np.take(
+            self._energy_flat, old_rows * levels + intended_rows
+        ).sum(axis=1)
+        cells_changed = np.count_nonzero(changed, axis=1)
+        replay.cells_changed[at] = cells_changed
         wrong_xor = stored_rows ^ intended_rows
         replay.saw_cells[at] = np.count_nonzero(wrong_xor, axis=1)
-        wrong_bits = (
-            popcount[wrong_xor]
-            if bits_per_cell == 2
-            else (wrong_xor != 0).astype(np.int64)
-        )
+        if self.array.bits_per_cell == 1:
+            replay.bits_changed[at] = cells_changed
+            wrong_bits = wrong_xor
+        else:
+            xor = old_rows ^ stored_rows
+            replay.bits_changed[at] = ((xor & 1) + (xor >> 1)).sum(axis=1, dtype=np.int64)
+            wrong_bits = (wrong_xor & 1) + (wrong_xor >> 1)
         replay.saw_bits_per_word[at] = wrong_bits.reshape(
             lines, self.config.words_per_line, -1
-        ).sum(axis=2)
+        ).sum(axis=2, dtype=np.int64)
 
     def _replay_generic(
         self,
@@ -956,7 +969,7 @@ class MemoryController:
           against one :meth:`repro.pcm.array.PCMArray.read_rows` gather
           through a single :meth:`repro.coding.base.Encoder.encode_lines`
           call, and applying it with one
-          :meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter, is
+          :meth:`repro.pcm.array.PCMArray.write_rows_fast` call, is
           bit-identical to running those writes one by one in trace order.
         * **Retirement.**  After each wave the oldest writes retire in
           trace order while they have executed: Start-Gap's
@@ -965,10 +978,12 @@ class MemoryController:
           next gap move, so no write executes under a mapping that a
           migration is about to rotate.
         * **Squash.**  When ``stop`` fires at write ``k``, every executed
-          write past ``k`` ran speculatively: each wave snapshots its rows
-          (cells, wear, stuck mask, aux bits, fault-repository entries and
-          transient-sense read counts) before applying, and the earliest
-          squashed write of each row restores that row from its snapshot.
+          write past ``k`` ran speculatively: each wave keeps its rows'
+          pre-write state, and the earliest squashed write of each row
+          restores that row from it.  The cells, wear and stuck masks are
+          the ones ``write_rows_fast`` gathered and returned; the aux bits
+          gathered for the encoder, the transient-sense read counts and
+          the fault-repository entries are saved before sensing.
           Encryption counters need no undo: the chunk's ciphertext came
           precomputed and the caller sets the counters from the number of
           writes performed, so the controller ends in exactly the state
@@ -977,7 +992,8 @@ class MemoryController:
 
         Accounting is flushed per wave into the writes' entries of
         ``replay`` by the same vectorised reductions as the identity fast
-        path.  Returns ``(performed, stopped)`` like :meth:`_replay_identity`.
+        path, reusing the changed-cell mask of ``write_rows_fast``.
+        Returns ``(performed, stopped)`` like :meth:`_replay_identity`.
         """
         array = self.array
         leveler = self.wear_leveler
@@ -1047,11 +1063,14 @@ class MemoryController:
             at = local_array + start
             row_array = np.asarray(rows, dtype=np.intp)
             with _OBS_SPAN("replay.wave", lines=lines):
+                old_auxes = self._aux_store[row_array]
                 if stop is not None:
-                    snapshots.append(self._snapshot_wave(picked, row_array))
+                    faults = None if repository is None else repository.snapshot_rows(row_array)
+                    sense_counts = (
+                        None if self._sense_counts is None else self._sense_counts[row_array]
+                    )
                 old_rows = array.read_rows(row_array)
                 stuck_rows = self._stuck_rows(row_array)
-                old_auxes = self._aux_store[row_array]
                 sensed_rows = self._sensed_rows(old_rows, rows)
                 line_shape = (lines, words_per_line, -1)
                 batch = LineBatch(
@@ -1065,23 +1084,27 @@ class MemoryController:
                     encoded.codewords, self.config.word_bits, bits_per_cell
                 ).reshape(lines, array.cells_per_row)
                 new_auxes = encoded.auxes
-                _old, stored_rows, _changed, _saw, newly = array.write_rows_fast(
+                before, stored_rows, changed, newly = array.write_rows_fast(
                     row_array, intended_rows
                 )
+                if stop is not None:
+                    snapshots.append(
+                        _WaveSnapshot(picked, before, old_auxes, faults, sense_counts)
+                    )
                 self._aux_store[row_array] = new_auxes
                 replay.row_indices[at] = rows
                 replay.newly_stuck_cells[at] = newly
+                self._flush_replay_accounting(
+                    replay, at, old_rows, stored_rows, intended_rows, changed
+                )
+                self._flush_aux_energy(replay, at, new_auxes, old_auxes)
                 if repository is not None:
                     # observe_write is a no-op for rows whose stored cells
-                    # all match; only mismatching rows carry discoveries.
-                    for line in np.nonzero((stored_rows != intended_rows).any(axis=1))[0]:
+                    # all match; only rows with SAW cells carry discoveries.
+                    for line in np.nonzero(replay.saw_cells[at])[0]:
                         repository.observe_write(
                             rows[line], intended_rows[line], stored_rows[line]
                         )
-                self._flush_replay_accounting(
-                    replay, at, old_rows, stored_rows, intended_rows
-                )
-                self._flush_aux_energy(replay, at, new_auxes, old_auxes)
             for local in picked:
                 executed[local] = 1
 
@@ -1106,22 +1129,6 @@ class MemoryController:
             while snapshots and snapshots[0].writes[-1] < retired:
                 snapshots.popleft()
         return start + count, False
-
-    def _snapshot_wave(self, picked: List[int], row_array: np.ndarray) -> "_WaveSnapshot":
-        """Save the state of a wave's rows before the wave is applied."""
-        return _WaveSnapshot(
-            writes=picked,
-            array_rows=self.array.snapshot_rows(row_array),
-            auxes=self._aux_store[row_array],
-            faults=(
-                None
-                if self.fault_repository is None
-                else self.fault_repository.snapshot_rows(row_array)
-            ),
-            sense_counts=(
-                None if self._sense_counts is None else self._sense_counts[row_array]
-            ),
-        )
 
     def _squash(self, snapshots: "Deque[_WaveSnapshot]", stop_local: int) -> None:
         """Undo every executed write of the chunk past ``stop_local``.

@@ -121,9 +121,9 @@ class RowWriteResult:
 class RowSnapshot:
     """Saved device state of several rows, for undoing speculative writes.
 
-    Taken by :meth:`PCMArray.snapshot_rows` and put back by
-    :meth:`PCMArray.restore_rows`.  ``wear`` is ``None`` when the array
-    tracks no wear (snapshot mode).
+    Returned by :meth:`PCMArray.write_rows_fast` as the rows' state before
+    the write and put back by :meth:`PCMArray.restore_rows`.  ``wear`` is
+    ``None`` when the array tracks no wear (snapshot mode).
     """
 
     rows: np.ndarray
@@ -351,7 +351,7 @@ class PCMArray:
 
     def write_rows_fast(
         self, row_indices: np.ndarray, intended: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[RowSnapshot, np.ndarray, np.ndarray, np.ndarray]:
         """Apply one write to each of several *distinct* rows at once.
 
         The wave sibling of :meth:`write_row_fast`: ``row_indices`` must
@@ -359,46 +359,34 @@ class PCMArray:
         matching ``(len(row_indices), cells_per_row)`` ``uint8`` matrix of
         in-range cell values.  Because the rows are distinct, the stuck /
         wear semantics of each row are independent and the whole batch
-        reduces to fancy-index gathers and scatters; every returned value
-        is bit-identical to looping :meth:`write_row_fast` in order.
-        Returns ``(old_rows, stored_rows, changed_mask, saw_mask,
-        newly_stuck)`` with a leading batch axis (``newly_stuck`` is an
-        ``int64`` vector).
+        reduces to one gather and one scatter per state array; every
+        returned value is bit-identical to looping :meth:`write_row_fast`
+        in order.  Returns ``(before, stored_rows, changed_mask,
+        newly_stuck)``: ``before`` is the :class:`RowSnapshot` of the rows'
+        cells, stuck masks and wear ahead of the write (so
+        :meth:`restore_rows` of it undoes the write), the rest carry a
+        leading batch axis (``newly_stuck`` is an ``int64`` vector).
         """
         old = self._cells[row_indices]
         stuck = self._stuck[row_indices]
         stored = np.where(stuck, old, intended)
         changed = stored != old
 
+        wear = None
         if self._wear is not None:
             wear = self._wear[row_indices]
-            wear += changed
-            self._wear[row_indices] = wear
-            exceeded = (~stuck) & (wear >= self._endurance[row_indices])
-            newly_stuck = exceeded.sum(axis=1)
+            worn = wear + changed
+            self._wear[row_indices] = worn
+            exceeded = (~stuck) & (worn >= self._endurance[row_indices])
+            newly_stuck = exceeded.sum(axis=1, dtype=np.int64)
             if newly_stuck.any():
                 self._stuck[row_indices] = stuck | exceeded
         else:
             newly_stuck = np.zeros(len(row_indices), dtype=np.int64)
 
         self._cells[row_indices] = stored
-        saw_mask = self._stuck[row_indices] & (stored != intended)
-        return old, stored, changed, saw_mask, newly_stuck
-
-    def snapshot_rows(self, row_indices: np.ndarray) -> RowSnapshot:
-        """Copies of the cells, stuck masks and wear of several rows.
-
-        The memory controller snapshots each replay wave before applying
-        it, so writes that ran ahead of an early stop can be undone with
-        :meth:`restore_rows`.
-        """
-        indices = self._check_rows(row_indices)
-        return RowSnapshot(
-            rows=indices,
-            cells=self._cells[indices],
-            stuck=self._stuck[indices],
-            wear=None if self._wear is None else self._wear[indices],
-        )
+        before = RowSnapshot(rows=row_indices, cells=old, stuck=stuck, wear=wear)
+        return before, stored, changed, newly_stuck
 
     def restore_rows(self, snapshot: RowSnapshot) -> None:
         """Put the rows of ``snapshot`` back to the state it recorded.

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.experiments.registry import available_experiments
 from repro.experiments.runner import _overrides, main
@@ -108,6 +109,21 @@ class TestRunnerSet:
         trace = tmp_path / "trace.jsonl"
         assert main(_fig10_args(tmp_path, "--trace", str(trace))) == 0
         assert "campaign.task" in trace.read_text(encoding="utf-8")
+
+    def test_trace_stops_when_main_returns(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(_fig10_args(tmp_path, "--trace", str(trace))) == 0
+        assert not obs.tracing_enabled()
+        written = trace.read_text(encoding="utf-8")
+        with obs.span("after.main"):
+            pass
+        assert trace.read_text(encoding="utf-8") == written
+
+    def test_trace_stops_when_main_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["fig13", "--set", "writebacks_per_benchmark=5", "--trace", str(trace)]
+        assert main(argv) == 2
+        assert not obs.tracing_enabled()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -17,6 +17,7 @@ from repro.memctrl.controller import MemoryController
 from repro.pcm.array import PCMArray
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
+from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel
 from repro.pcm.faultmap import FaultMap
 from repro.pcm.wearlevel import StartGapWearLeveler
 from repro.sim.harness import TechniqueSpec, build_controller
@@ -213,6 +214,64 @@ class TestReplayParity:
             assert scalar.encryption.counter_for(record.address) == (
                 replayed.encryption.counter_for(record.address)
             )
+
+
+#: Non-integer transition energies: every reassociation of a row's energy
+#: sum shows in the last ulp, which the default 0/2/20 pJ table hides.
+FRACTIONAL_MLC = MLCEnergyModel(
+    low_energy_pj=1.3, high_energy_pj=13.7, same_state_energy_pj=0.1, aux_bit_energy_pj=0.7
+)
+FRACTIONAL_SLC = SLCEnergyModel(set_energy_pj=1.3, reset_energy_pj=2.9, aux_bit_energy_pj=0.7)
+
+
+def _fractional_controller(name, technology):
+    """Stuck cells and wear on a controller charging fractional energies;
+    the encoder keeps its integer default cost."""
+    cells = 512 // technology.bits_per_cell
+    array = PCMArray(
+        rows=ROWS,
+        row_bits=512,
+        technology=technology,
+        fault_map=FaultMap(
+            rows=ROWS, cells_per_row=cells, technology=technology, fault_rate=2e-2, seed=7
+        ),
+        endurance_model=EnduranceModel(mean_writes=30, coefficient_of_variation=0.2),
+        seed=7,
+    )
+    encoder = make_encoder(name, word_bits=64, num_cosets=16, technology=technology)
+    return MemoryController(
+        array=array, encoder=encoder, mlc_energy=FRACTIONAL_MLC, slc_energy=FRACTIONAL_SLC
+    )
+
+
+class TestFractionalEnergyParity:
+    @pytest.mark.parametrize("cut", [29, None])
+    @pytest.mark.parametrize("name", ["unencoded", "rcc", "vcc"])
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    def test_energies_match_write_line_bit_for_bit(self, technology, name, cut):
+        """Wave (rcc, vcc) and identity (unencoded) replays charge exactly
+        the energies of the write_line loop, stopped early or not."""
+        trace = _trace()
+        repetitions = 3
+        writes = repetitions * len(trace)
+        performed = writes if cut is None else cut + 1
+        scalar = _fractional_controller(name, technology)
+        expected = [
+            scalar.write_line(record.address, list(record.words))
+            for record in (list(trace) * repetitions)[:performed]
+        ]
+        replayed = _fractional_controller(name, technology)
+        replay = replayed.replay_trace(
+            trace,
+            repetitions=repetitions,
+            stop=None if cut is None else (lambda index, row, saw, bits: index == cut),
+        )
+        assert replay.stopped_early == (cut is not None)
+        assert sum(line.saw_cells for line in expected) > 0
+        assert any(line.data_energy_pj != round(line.data_energy_pj) for line in expected)
+        assert_parity(expected, replay)
+        assert replay.data_energy_pj.tolist() == [line.data_energy_pj for line in expected]
+        assert replay.aux_energy_pj.tolist() == [line.aux_energy_pj for line in expected]
 
 
 class TestReplayControls:

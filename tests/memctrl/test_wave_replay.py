@@ -146,7 +146,11 @@ def _spy_wave_rows(controller) -> List[List[int]]:
 
     def spy(row_indices, intended):
         waves.append([int(row) for row in row_indices])
-        return original(row_indices, intended)
+        before, stored, changed, newly = original(row_indices, intended)
+        assert before.rows.tolist() == waves[-1]
+        assert stored.shape == changed.shape == intended.shape
+        assert newly.shape == (len(row_indices),)
+        return before, stored, changed, newly
 
     controller.array.write_rows_fast = spy
     return waves
@@ -313,9 +317,12 @@ class TestBatchedArrayHelpers:
         sequential = build()
         expected = [sequential.write_row_fast(int(row), intended[k]) for k, row in enumerate(rows)]
         batched_array = build()
-        old, stored, changed, saw, newly = batched_array.write_rows_fast(rows, intended)
+        before, stored, changed, newly = batched_array.write_rows_fast(rows, intended)
+        # write_row_fast's SAW mask: stuck after the write and not the
+        # intended value.
+        saw = batched_array.stuck_rows(rows) & (stored != intended)
         for k, (e_old, e_stored, e_changed, e_saw, e_newly) in enumerate(expected):
-            assert np.array_equal(old[k], e_old)
+            assert np.array_equal(before.cells[k], e_old)
             assert np.array_equal(stored[k], e_stored)
             assert np.array_equal(changed[k], e_changed)
             assert np.array_equal(saw[k], e_saw)
@@ -323,6 +330,49 @@ class TestBatchedArrayHelpers:
         assert np.array_equal(batched_array._cells, sequential._cells)
         assert np.array_equal(batched_array._stuck, sequential._stuck)
         assert np.array_equal(batched_array._wear, sequential._wear)
+
+    @pytest.mark.parametrize("wear", [True, False])
+    def test_write_rows_fast_returns_prewrite_state(self, wear):
+        """The returned state is the rows' state before the call, and
+        restoring it undoes the write (cells, stuck masks and wear)."""
+
+        def build():
+            return PCMArray(
+                rows=6, row_bits=512, technology=CellTechnology.MLC,
+                fault_map=FaultMap(
+                    rows=6, cells_per_row=256, technology=CellTechnology.MLC,
+                    fault_rate=2e-2, seed=4,
+                ),
+                endurance_model=(
+                    EnduranceModel(mean_writes=1, coefficient_of_variation=0.3)
+                    if wear else None
+                ),
+                seed=4,
+            )
+
+        array = build()
+        rows = np.array([5, 1, 3], dtype=np.intp)
+        cells = array.read_rows(rows)
+        stuck = array.stuck_rows(rows)
+        worn = np.stack([array.wear_of_row(int(row)) for row in rows])
+        intended = (3 - cells).astype(np.uint8)
+        before, _stored, _changed, newly = array.write_rows_fast(rows, intended)
+        assert before.rows.tolist() == rows.tolist()
+        assert np.array_equal(before.cells, cells)
+        assert np.array_equal(before.stuck, stuck)
+        if wear:
+            assert newly.sum() > 0
+            assert np.array_equal(before.wear, worn)
+        else:
+            assert before.wear is None
+        assert not np.array_equal(array.read_rows(rows), cells)
+        array.restore_rows(before)
+        fresh = build()
+        everything = np.arange(6)
+        assert np.array_equal(array.read_rows(everything), fresh.read_rows(everything))
+        assert np.array_equal(array.stuck_rows(everything), fresh.stuck_rows(everything))
+        for row in range(6):
+            assert np.array_equal(array.wear_of_row(row), fresh.wear_of_row(row))
 
 
 # ---------------------------------------------------------------- squash
@@ -369,14 +419,14 @@ def _squash_controller(name, fault_knowledge="oracle", leveler=False, transient=
 def _controller_state(controller):
     """Everything a later write or read can observe, as comparable values."""
     array = controller.array
-    saved = array.snapshot_rows(np.arange(array.rows))
+    rows = np.arange(array.rows)
     repository = controller.fault_repository
     leveler = controller.wear_leveler
     stats = controller.stats
     return {
-        "cells": saved.cells.tolist(),
-        "stuck": saved.stuck.tolist(),
-        "wear": None if saved.wear is None else saved.wear.tolist(),
+        "cells": array.read_rows(rows).tolist(),
+        "stuck": array.stuck_rows(rows).tolist(),
+        "wear": [array.wear_of_row(int(row)).tolist() for row in rows],
         "aux": controller._aux_store.tolist(),
         "counters": {
             address: controller.encryption.counter_for(address) for address in range(4 * ROWS)

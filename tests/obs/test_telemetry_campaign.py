@@ -107,10 +107,9 @@ class TestPhaseAccounting:
         assert phases["transfer_s"] == 0.0
         assert phases["compute_s"] > 0.0
 
-    def test_campaign_telemetry_summary_mentions_overhead(self, tmp_path):
+    def test_last_campaign_telemetry_reports_phases(self, tmp_path):
         run_traced(tmp_path, "summary", 2)
         telemetry = last_campaign_telemetry()
         assert telemetry is not None
-        assert "executor overhead" in telemetry.summary()
         assert telemetry.wall_s > 0.0
         assert telemetry.compute_s > 0.0
