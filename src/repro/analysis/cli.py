@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The analyzer's argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Determinism-, numeric- and parallel-safety static analysis "
+        description="Determinism-, numeric- and registry-contract static analysis "
         "for the repro codebase.",
     )
     parser.add_argument(
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         nargs="+",
         metavar="RULE",
-        help="only run these rule codes or families (e.g. DET NUM PAR001)",
+        help="only run these rule codes or families (e.g. DET NUM REG001)",
     )
     parser.add_argument(
         "--ignore",
@@ -73,7 +73,6 @@ def _rule_catalog_entry(spec: RuleSpec) -> Dict[str, Any]:
     return {
         "code": spec.code,
         "family": spec.family,
-        "scope": spec.scope,
         "summary": spec.summary,
         "doc": doc_line,
         "waiver": f"# repro: allow[{spec.code}] reason=<why this site is exempt>",
@@ -87,7 +86,7 @@ def _render_rules(output_format: str) -> int:
         print(json.dumps({"version": 1, "rules": entries}, indent=2))
         return 0
     for entry in entries:
-        print(f"{entry['code']}  [{entry['family']}, {entry['scope']} scope]")
+        print(f"{entry['code']}  [{entry['family']}]")
         print(f"    {entry['doc']}")
         print(f"    waive with: {entry['waiver']}")
     print(f"{len(entries)} rule(s) registered")

@@ -1,23 +1,20 @@
 """The analysis engine: parse modules, run rules, apply waivers.
 
-The engine runs in two passes.  Pass 1 parses each module, runs the
-``scope="module"`` rules, applies inline waivers, and distils the module
-into a :class:`~repro.analysis.project.ModuleSummary`.  Pass 2 assembles
-every summary into a :class:`~repro.analysis.project.ProjectContext` and
-runs the ``scope="project"`` rules (the ``PAR``/``IMP`` families), whose
-findings each module's :class:`~repro.analysis.waivers.WaiverTable`
-waives the same way.
+The engine runs one pass per module: parse it, run every selected rule
+on it, and drop the findings an inline waiver covers
+(:class:`~repro.analysis.waivers.WaiverTable`).  Each rule sees one
+module at a time, so modules are analyzed independently and in any
+order.
 
 Every run is cold: each module's tree is walked once and the node list
 memoised (:meth:`ModuleContext.walk`), which keeps a full pass over the
 repository fast enough to need no cache.
 
 Public entry points: :func:`analyze_source` (one in-memory module, what
-the per-rule test fixtures use; module scope only), :func:`analyze_sources`
-(an in-memory *set* of modules, both passes), and :func:`analyze_paths`
-(reads every ``.py`` file under files/directories, then runs
-:func:`analyze_sources`).  All return :class:`~repro.analysis.finding.Finding`
-lists sorted by location.
+the per-rule test fixtures use), :func:`analyze_sources` (an in-memory
+*set* of modules), and :func:`analyze_paths` (reads every ``.py`` file
+under files/directories, then runs :func:`analyze_sources`).  All return
+:class:`~repro.analysis.finding.Finding` lists sorted by location.
 """
 
 from __future__ import annotations
@@ -27,20 +24,9 @@ import importlib.util
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.finding import Finding
-from repro.analysis.project import ModuleSummary, ProjectContext, summarize_module
 from repro.analysis.registry import RuleSpec, select_rules
 from repro.analysis.waivers import WaiverTable, parse_waivers
 from repro.errors import ConfigurationError
@@ -64,7 +50,7 @@ WAIVER_RULE = "WVR001"
 
 @dataclass
 class ModuleContext:
-    """Everything a module-scope rule needs to know about one module.
+    """Everything a rule needs to know about one module.
 
     Attributes
     ----------
@@ -175,18 +161,22 @@ def _parse_module(source: Union[str, bytes], path: str) -> Union[ModuleContext, 
     return ModuleContext(path=path, tree=tree, lines=text.splitlines())
 
 
-def _pass1(
-    module: ModuleContext, module_specs: Sequence[RuleSpec]
-) -> Tuple[List[Finding], WaiverTable]:
-    """Run the module-scope rules and build the module's waiver table."""
+def _analyze_module(
+    source: Union[str, bytes], path: str, specs: Sequence[RuleSpec]
+) -> List[Finding]:
+    """Run the rules on one module and drop the findings its waivers cover."""
+    module = _parse_module(source, path)
+    if isinstance(module, Finding):
+        return [module]
     table = WaiverTable(
         parse_waivers(module.lines), _code_lines(module.lines), module.lines
     )
-    findings: List[Finding] = []
-    for spec in module_specs:
-        for item in spec.check(module):
-            if not table.waives(item.rule, item.line):
-                findings.append(item)
+    findings = [
+        item
+        for spec in specs
+        for item in spec.check(module)
+        if not table.waives(item.rule, item.line)
+    ]
     for waiver in table.invalid():
         findings.append(
             module.finding(
@@ -196,24 +186,7 @@ def _pass1(
                 "(write `# repro: allow[RULE] reason=...`)",
             )
         )
-    return findings, table
-
-
-def _pass2(
-    summaries: Sequence[ModuleSummary],
-    project_specs: Sequence[RuleSpec],
-    tables: Mapping[str, WaiverTable],
-) -> List[Finding]:
-    """Run the project-scope rules over the assembled whole-program view."""
-    if not project_specs:
-        return []
-    project = ProjectContext(summaries)
-    return [
-        item
-        for spec in project_specs
-        for item in spec.check(project)
-        if not (item.path in tables and tables[item.path].waives(item.rule, item.line))
-    ]
+    return findings
 
 
 def analyze_source(
@@ -222,20 +195,13 @@ def analyze_source(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Analyze one module given as source text (module-scope rules only).
+    """Analyze one module given as source text.
 
     Runs the selected rules, drops findings covered by a valid inline
     waiver, reports reasonless waivers under ``WVR001``, and returns the
-    remaining findings sorted by location.  Project-scope rules need a
-    whole program — use :func:`analyze_sources` or :func:`analyze_paths`
-    for those.
+    remaining findings sorted by location.
     """
-    parsed = _parse_module(source, path)
-    if isinstance(parsed, Finding):
-        return [parsed]
-    module_specs = [spec for spec in select_rules(select, ignore) if spec.scope == "module"]
-    findings, _table = _pass1(parsed, module_specs)
-    return sorted(findings, key=_location)
+    return sorted(_analyze_module(source, path, select_rules(select, ignore)), key=_location)
 
 
 def analyze_sources(
@@ -243,28 +209,16 @@ def analyze_sources(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Analyze a set of modules with both passes.
+    """Analyze a set of modules.
 
-    ``sources`` maps display paths (used for module-name derivation, e.g.
-    ``"src/mypkg/worker.py"``) to module source: text, or the raw bytes
-    of a file, decoded as the interpreter would.  This is how the
-    project-rule tests seed synthetic packages without touching disk.
+    ``sources`` maps display paths (e.g. ``"src/mypkg/worker.py"``) to
+    module source: text, or the raw bytes of a file, decoded as the
+    interpreter would.
     """
     specs = select_rules(select, ignore)
-    module_specs = [spec for spec in specs if spec.scope == "module"]
-    project_specs = [spec for spec in specs if spec.scope == "project"]
-    findings: List[Finding] = []
-    summaries: List[ModuleSummary] = []
-    tables: Dict[str, WaiverTable] = {}
-    for path in sorted(sources):
-        parsed = _parse_module(sources[path], path)
-        if isinstance(parsed, Finding):
-            findings.append(parsed)
-            continue
-        module_findings, tables[path] = _pass1(parsed, module_specs)
-        findings.extend(module_findings)
-        summaries.append(summarize_module(path, parsed.tree, parsed.lines))
-    findings.extend(_pass2(summaries, project_specs, tables))
+    findings = [
+        item for path in sorted(sources) for item in _analyze_module(sources[path], path, specs)
+    ]
     return sorted(findings, key=_location)
 
 
@@ -303,7 +257,7 @@ def analyze_paths(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Analyze every ``.py`` file under ``paths`` with both passes.
+    """Analyze every ``.py`` file under ``paths``.
 
     ``root`` (default: the current working directory) anchors the
     relative paths findings report.

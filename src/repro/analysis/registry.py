@@ -15,17 +15,21 @@ on first resolution, and everything resolves by code::
 
 A check function receives one :class:`repro.analysis.engine.ModuleContext`
 and yields :class:`repro.analysis.finding.Finding` objects; the engine
-handles waivers and ordering.
+runs it on each module in turn and handles waivers and ordering.  A rule
+sees one module at a time: there is no whole-program view.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.finding import Finding
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only; the engine imports this module
+    from repro.analysis.engine import ModuleContext
 
 __all__ = [
     "RuleSpec",
@@ -44,17 +48,12 @@ _BUILTIN_MODULES = (
     "repro.analysis.rules.registry_contracts",
     "repro.analysis.rules.api_hygiene",
     "repro.analysis.rules.observability",
-    "repro.analysis.rules.parallel_safety",
-    "repro.analysis.rules.imports",
     "repro.analysis.rules.resilience",
 )
 
-#: Valid values for a rule's ``scope``.
-RULE_SCOPES = ("module", "project")
-
 _builtins_loaded = False
 
-CheckFunction = Callable[[Any], Iterable[Finding]]
+CheckFunction = Callable[["ModuleContext"], Iterable[Finding]]
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,8 @@ class RuleSpec:
     summary:
         One-line description shown in the rule catalog.
     check:
-        For ``scope="module"`` rules, a function mapping a
-        :class:`~repro.analysis.engine.ModuleContext` to findings; for
-        ``scope="project"`` rules, one mapping a
-        :class:`~repro.analysis.project.ProjectContext` to findings.
-    scope:
-        ``"module"`` (pass 1, one file at a time — the default) or
-        ``"project"`` (pass 2, receives the whole-program context).
+        A function mapping a :class:`~repro.analysis.engine.ModuleContext`
+        to findings.
     doc:
         Longer description rendered by ``python -m repro.analysis rules``;
         defaults to the check function's docstring.
@@ -83,7 +77,6 @@ class RuleSpec:
     code: str
     summary: str
     check: CheckFunction
-    scope: str = "module"
     doc: str = ""
 
     @property
@@ -96,22 +89,18 @@ _RULES: Dict[str, RuleSpec] = {}
 
 
 def register_rule(
-    code: str, *, summary: str = "", scope: str = "module"
+    code: str, *, summary: str = ""
 ) -> Callable[[CheckFunction], CheckFunction]:
     """Function decorator registering an analysis rule under ``code``."""
     key = code.upper()
     if not key or not key[0].isalpha():
         raise ConfigurationError(f"rule code {code!r} must start with a family letter")
-    if scope not in RULE_SCOPES:
-        raise ConfigurationError(
-            f"rule scope {scope!r} must be one of {', '.join(RULE_SCOPES)}"
-        )
 
     def decorator(check: CheckFunction) -> CheckFunction:
         if key in _RULES:
             raise ConfigurationError(f"rule {key!r} is already registered")
         doc = (check.__doc__ or "").strip()
-        _RULES[key] = RuleSpec(code=key, summary=summary, check=check, scope=scope, doc=doc)
+        _RULES[key] = RuleSpec(code=key, summary=summary, check=check, doc=doc)
         return check
 
     return decorator

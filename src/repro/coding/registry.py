@@ -216,7 +216,6 @@ def _ensure_builtins() -> None:
     # Only mark loaded once every import succeeded, so a transient import
     # failure surfaces again on the next call instead of leaving a silently
     # partial registry.
-    # repro: allow[PAR001] reason=idempotent lazy-import latch; every worker re-imports the same builtin plugin set, so coordinator and workers converge on identical registries
     _builtins_loaded = True
 
 

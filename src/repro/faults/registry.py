@@ -49,7 +49,6 @@ def _ensure_builtins() -> None:
     global _builtins_loaded
     if _builtins_loaded:
         return
-    # repro: allow[PAR001] reason=idempotent lazy-import latch; every worker re-imports the same builtin model set, so coordinator and workers converge on identical registries
     _builtins_loaded = True
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)

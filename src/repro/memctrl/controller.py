@@ -188,6 +188,13 @@ class LineWriteResult:
         return self.data_energy_pj + self.aux_energy_pj
 
 
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right."""
+    if len(values) == 0:
+        return start
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
 @dataclass
 class ReplayResult:
     """Per-write accounting of one :meth:`MemoryController.replay_trace` call.
@@ -244,21 +251,32 @@ class ReplayResult:
     def write_stats(self) -> WriteStats:
         """Aggregate the replay into a :class:`repro.pcm.stats.WriteStats`.
 
-        Integer counters match :meth:`WriteStats.from_line_results` over
-        :meth:`line_results` exactly; the float energy totals are computed
-        with vectorised sums (same values up to floating-point summation
-        order).
+        Every counter matches :meth:`WriteStats.from_line_results` over
+        :meth:`line_results` exactly, the float energy totals included.
         """
-        return WriteStats(
-            words_written=self.writes * self.words_per_line,
-            rows_written=self.writes,
-            bits_changed=int(self.bits_changed.sum()),
-            cells_changed=int(self.cells_changed.sum()),
-            data_energy_pj=float(self.data_energy_pj.sum()),
-            aux_energy_pj=float(self.aux_energy_pj.sum()),
-            saw_cells=int(self.saw_cells.sum()),
-            saw_words=self.saw_words(),
-        )
+        return self.add_to(WriteStats())
+
+    def add_to(self, stats: WriteStats) -> WriteStats:
+        """Add the replay's counters into ``stats`` in place; returns ``stats``.
+
+        Energies are added write by write onto ``stats``' running totals
+        (a sequential ``np.cumsum``, never a pairwise sum), so a
+        controller's totals after a replay equal the running sum of the
+        :meth:`MemoryController.write_line` loop bit for bit, whatever it
+        held before.  Start-Gap migration writes are the one exception:
+        they are charged when they run, ahead of the replay's writes, so
+        with a wear leveler and a non-integer energy table the totals can
+        differ from that loop in the last ulp.
+        """
+        stats.words_written += self.writes * self.words_per_line
+        stats.rows_written += self.writes
+        stats.bits_changed += int(self.bits_changed.sum())
+        stats.cells_changed += int(self.cells_changed.sum())
+        stats.data_energy_pj = _running_sum(stats.data_energy_pj, self.data_energy_pj)
+        stats.aux_energy_pj = _running_sum(stats.aux_energy_pj, self.aux_energy_pj)
+        stats.saw_cells += int(self.saw_cells.sum())
+        stats.saw_words += self.saw_words()
+        return stats
 
     # ------------------------------------------------------ scalar views
     def line_result(self, index: int) -> LineWriteResult:
@@ -765,7 +783,7 @@ class MemoryController:
             if stream is not None:
                 encryption.seek(stream, offset + performed)
         replay._trim(performed, stopped)
-        self.stats.absorb(replay.write_stats())
+        replay.add_to(self.stats)
         return replay
 
     def _replay_chunk(
@@ -1385,7 +1403,7 @@ class MemoryController:
         if encryption is not None:
             _OBS_PADS.inc(performed)
         replay._trim(performed, False)
-        self.stats.absorb(replay.write_stats())
+        replay.add_to(self.stats)
         return replay
 
     def _draw_random_lines(

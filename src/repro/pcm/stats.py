@@ -85,25 +85,6 @@ class WriteStats:
             stats.add_line(line, words_per_line)
         return stats
 
-    def absorb(self, other: "WriteStats") -> "WriteStats":
-        """Add ``other``'s counters into this instance in place.
-
-        The batched replay path accumulates a whole trace into one
-        :class:`WriteStats` and folds it into the controller's running
-        totals with a single call instead of one :meth:`add_line` per
-        write.  Returns ``self`` for chaining.
-        """
-        self.words_written += other.words_written
-        self.rows_written += other.rows_written
-        self.bits_changed += other.bits_changed
-        self.cells_changed += other.cells_changed
-        self.data_energy_pj += other.data_energy_pj
-        self.aux_energy_pj += other.aux_energy_pj
-        self.saw_cells += other.saw_cells
-        self.saw_words += other.saw_words
-        self.masked_faults += other.masked_faults
-        return self
-
     def merge(self, other: "WriteStats") -> "WriteStats":
         """Return a new :class:`WriteStats` with the sums of both operands."""
         return WriteStats(

@@ -69,7 +69,6 @@ def make_rng(seed: SeedLike = None, label: Optional[str] = None) -> np.random.Ge
     if seed is None:
         global _unseeded_warned
         if not _unseeded_warned:
-            # repro: allow[PAR001] reason=warn-once latch, advisory only; the flag never feeds results and a duplicate warning per worker process is acceptable
             _unseeded_warned = True
             warnings.warn(
                 "make_rng() without a seed creates a non-deterministic "

@@ -1,6 +1,6 @@
-"""The engine on disk: source decoding, the memoised AST walk, the
-project pass over files read from a directory tree, and repeated runs
-over a tree edited between them (every run starts from scratch)."""
+"""The engine on disk: source decoding, the memoised AST walk, findings
+from every file of a directory tree, and repeated runs over a tree
+edited between them (every run starts from scratch)."""
 
 import ast
 import textwrap
@@ -73,35 +73,6 @@ class TestWalk:
         assert list(module.walk(ast.Call, ast.Name)) == expected
 
 
-class TestProjectPassOnDisk:
-    def test_project_finding_crosses_files(self, tmp_path):
-        """PAR001 needs both modules: the task kind in one, the global it
-        mutates (where the finding is anchored) in the other."""
-        _write_package(
-            tmp_path,
-            {
-                "worker.py": """
-                    from mypkg.state import remember
-
-
-                    @register_task("cell")
-                    def run_cell(kind: str) -> list:
-                        remember(kind)
-                        return []
-                """,
-                "state.py": """
-                    _SEEN = []
-
-
-                    def remember(kind: str) -> None:
-                        _SEEN.append(kind)
-                """,
-            },
-        )
-        findings = analyze_paths([tmp_path / "src"], root=tmp_path, select=["PAR001"])
-        assert [(f.rule, f.path) for f in findings] == [("PAR001", "src/mypkg/state.py")]
-
-
 _CLEAN = """
     def double(value: int) -> int:
         return 2 * value
@@ -115,22 +86,12 @@ _DIRTY = """
         return time.time()
 """
 
-_WORKER = """
-    from mypkg.state import remember
+_MASK = """
+    import numpy as np
 
 
-    @register_task("cell")
-    def run_cell(kind: str) -> list:
-        remember(kind)
-        return []
-"""
-
-_STATE = """
-    _SEEN = []
-
-
-    def remember(kind: str) -> None:
-        _SEEN.append(kind)
+    def count(values: np.ndarray) -> int:
+        return int((values > 0).sum())
 """
 
 
@@ -141,6 +102,17 @@ def _edit(tmp_path, name, text):
 
 def _rules(findings):
     return [(finding.rule, finding.path) for finding in findings]
+
+
+class TestMultiFileOnDisk:
+    def test_each_file_reports_its_own_findings(self, tmp_path):
+        """Findings from every file of the tree, each anchored in its file."""
+        _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY, "mask.py": _MASK})
+        findings = analyze_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(findings) == [
+            ("DET003", "src/mypkg/dirty.py"),
+            ("NUM002", "src/mypkg/mask.py"),
+        ]
 
 
 class TestRepeatedRuns:
@@ -181,48 +153,28 @@ class TestRepeatedRuns:
         (tmp_path / "src" / "mypkg" / "dirty.py").unlink()
         assert analyze_paths([tmp_path / "src"], root=tmp_path) == []
 
-    def test_editing_one_module_clears_project_finding_in_another(self, tmp_path):
-        """The PAR001 finding sits in state.py but depends on worker.py:
-        once the task no longer calls into state.py, it goes away."""
-        _write_package(tmp_path, {"worker.py": _WORKER, "state.py": _STATE})
-        before = analyze_paths([tmp_path / "src"], root=tmp_path, select=["PAR001"])
-        assert _rules(before) == [("PAR001", "src/mypkg/state.py")]
-        _edit(
-            tmp_path,
-            "worker.py",
-            """
-            @register_task("cell")
-            def run_cell(kind: str) -> list:
-                return [kind]
-            """,
-        )
-        assert analyze_paths([tmp_path / "src"], root=tmp_path, select=["PAR001"]) == []
-
-    def test_waiver_suppresses_project_finding(self, tmp_path):
+    def test_waiver_suppresses_finding(self, tmp_path):
         waived = """
-            _SEEN = []
+            import time
 
 
-            @register_task("cell")
-            def run_cell(kind: str) -> list:
-                # repro: allow[PAR001] reason=append is merged by the executor
-                _SEEN.append(kind)
-                return []
+            def stamp() -> float:
+                # repro: allow[DET003] reason=reporting-only timestamp
+                return time.time()
         """
-        _write_package(tmp_path, {"state.py": waived})
-        assert analyze_paths([tmp_path / "src"], root=tmp_path, select=["PAR001"]) == []
+        _write_package(tmp_path, {"dirty.py": waived})
+        assert analyze_paths([tmp_path / "src"], root=tmp_path) == []
         # Without the waiver the same tree gates.
         unwaived = "\n".join(line for line in waived.splitlines() if "allow[" not in line)
-        _edit(tmp_path, "state.py", unwaived)
-        findings = analyze_paths([tmp_path / "src"], root=tmp_path, select=["PAR001"])
-        assert _rules(findings) == [("PAR001", "src/mypkg/state.py")]
+        _edit(tmp_path, "dirty.py", unwaived)
+        findings = analyze_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(findings) == [("DET003", "src/mypkg/dirty.py")]
 
     def test_disk_matches_in_memory_sources(self, tmp_path):
         modules = {
             "clean.py": _CLEAN,
             "dirty.py": _DIRTY,
-            "worker.py": _WORKER,
-            "state.py": _STATE,
+            "mask.py": _MASK,
         }
         _write_package(tmp_path, modules)
         sources = {
@@ -232,7 +184,7 @@ class TestRepeatedRuns:
         sources["src/mypkg/__init__.py"] = ""
         on_disk = analyze_paths([tmp_path / "src"], root=tmp_path)
         assert on_disk == analyze_sources(sources)
-        assert {"DET003", "PAR001"} <= {finding.rule for finding in on_disk}
+        assert {"DET003", "NUM002"} <= {finding.rule for finding in on_disk}
 
     def test_runs_write_nothing(self, tmp_path, monkeypatch):
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})

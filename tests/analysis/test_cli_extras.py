@@ -12,20 +12,14 @@ class TestRulesSubcommand:
         out = capsys.readouterr().out
         for spec in rule_specs():
             assert spec.code in out
-            assert f"[{spec.family}, {spec.scope} scope]" in out
+            assert f"{spec.code}  [{spec.family}]" in out
             assert f"# repro: allow[{spec.code}]" in out
-
-    def test_catalog_shows_both_scopes(self, capsys):
-        main(["rules"])
-        out = capsys.readouterr().out
-        assert "module scope" in out
-        assert "project scope" in out
 
     def test_json_catalog(self, capsys):
         assert main(["rules", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         codes = {entry["code"] for entry in payload["rules"]}
-        assert {"DET001", "PAR001", "IMP001"} <= codes
+        assert {"DET001", "REG001", "RES001"} <= codes
         for entry in payload["rules"]:
             assert entry["doc"], f"{entry['code']} has an empty catalog doc"
             assert entry["waiver"].startswith("# repro: allow[")

@@ -20,14 +20,17 @@ EXPECTED_RULES = {
     "REG001", "REG002",
     "API001", "API002", "API003",
     "OBS001",
-    "PAR001", "PAR002", "PAR003", "PAR004",
-    "IMP001",
+    "RES001",
 }
 
 
 class TestBuiltinRegistry:
     def test_all_builtin_rules_registered(self):
         assert EXPECTED_RULES <= set(available_rules())
+
+    def test_builtin_families(self):
+        families = {spec.family for spec in rule_specs()}
+        assert families == {"DET", "NUM", "REG", "API", "OBS", "RES"}
 
     def test_specs_have_summaries(self):
         for spec in rule_specs():

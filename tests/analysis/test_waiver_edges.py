@@ -4,13 +4,13 @@ The forwarding rules under test (see
 :class:`repro.analysis.waivers.WaiverTable`): a comment-only waiver
 covers the next code line; when that line is a decorator, coverage
 extends through the decorator chain to the ``def`` itself; and a
-family-level code (``# repro: allow[PAR]``) covers every rule of the
+family-level code (``# repro: allow[DET]``) covers every rule of the
 family.
 """
 
 import textwrap
 
-from repro.analysis.engine import analyze_source, analyze_sources
+from repro.analysis.engine import analyze_source
 
 
 def _source(text):
@@ -109,40 +109,27 @@ class TestMultiLineSignatures:
 
 
 class TestFamilyWaivers:
-    def test_family_waiver_covers_project_scope_rule(self):
-        findings = analyze_sources(
-            {
-                "src/mypkg/worker.py": _source(
-                    """
-                    _SEEN = []
+    _NOISE = """
+        import time
 
-                    @register_task("cell")
-                    def run_cell(kind: str) -> list:
-                        # repro: allow[PAR] reason=executor merges per-task appends
-                        _SEEN.append(kind)
-                        return []
-                    """
-                )
-            },
-            select=["PAR"],
+        import numpy as np
+
+
+        def noise() -> float:
+            {waiver}
+            return float(np.random.default_rng().random()) + time.time()
+    """
+
+    def _findings(self, waiver):
+        return analyze_source(
+            _source(self._NOISE.format(waiver=waiver)), path="src/mypkg/noise.py"
         )
-        assert findings == []
+
+    def test_family_waiver_covers_every_rule_of_the_family(self):
+        assert [f.rule for f in self._findings("")] == ["DET001", "DET003"]
+        waived = self._findings("# repro: allow[DET] reason=exploratory noise source")
+        assert waived == []
 
     def test_family_waiver_does_not_leak_across_families(self):
-        findings = analyze_sources(
-            {
-                "src/mypkg/alpha.py": _source(
-                    """
-                    # repro: allow[PAR] reason=wrong family on purpose
-                    from mypkg.beta import helper
-                    """
-                ),
-                "src/mypkg/beta.py": _source(
-                    """
-                    from mypkg.alpha import thing
-                    """
-                ),
-            },
-            select=["IMP001"],
-        )
-        assert [f.rule for f in findings] == ["IMP001"]
+        findings = self._findings("# repro: allow[NUM] reason=wrong family on purpose")
+        assert [f.rule for f in findings] == ["DET001", "DET003"]

@@ -19,9 +19,11 @@ from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel
 from repro.pcm.faultmap import FaultMap
+from repro.pcm.stats import WriteStats
 from repro.pcm.wearlevel import StartGapWearLeveler
-from repro.sim.harness import TechniqueSpec, build_controller
+from repro.sim.harness import TechniqueSpec, build_controller, scalar_random_line_results
 from repro.traces.synthetic import generate_trace
+from repro.utils.rng import make_rng
 
 ROWS = 16
 TRACE = {"num_writebacks": 12, "memory_lines": ROWS, "line_bits": 512, "word_bits": 64}
@@ -244,23 +246,35 @@ def _fractional_controller(name, technology):
     )
 
 
+def _warm_pair(name, technology, warm):
+    """Two identical fractional-energy controllers; when ``warm`` both
+    already hold the same earlier writes, so running totals start above 0."""
+    pair = (_fractional_controller(name, technology), _fractional_controller(name, technology))
+    for controller in pair:
+        for record in list(_trace(seed=4)) if warm else []:
+            controller.write_line(record.address, list(record.words))
+    return pair
+
+
 class TestFractionalEnergyParity:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("cut", [29, None])
     @pytest.mark.parametrize("name", ["unencoded", "rcc", "vcc"])
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
-    def test_energies_match_write_line_bit_for_bit(self, technology, name, cut):
+    def test_energies_match_write_line_bit_for_bit(self, technology, name, cut, warm):
         """Wave (rcc, vcc) and identity (unencoded) replays charge exactly
-        the energies of the write_line loop, stopped early or not."""
+        the energies of the write_line loop, stopped early or not, and
+        total them in its order: controller.stats and write_stats() equal
+        the loop's running sums, also on a controller holding earlier writes."""
         trace = _trace()
         repetitions = 3
         writes = repetitions * len(trace)
         performed = writes if cut is None else cut + 1
-        scalar = _fractional_controller(name, technology)
+        scalar, replayed = _warm_pair(name, technology, warm)
         expected = [
             scalar.write_line(record.address, list(record.words))
             for record in (list(trace) * repetitions)[:performed]
         ]
-        replayed = _fractional_controller(name, technology)
         replay = replayed.replay_trace(
             trace,
             repetitions=repetitions,
@@ -272,6 +286,18 @@ class TestFractionalEnergyParity:
         assert_parity(expected, replay)
         assert replay.data_energy_pj.tolist() == [line.data_energy_pj for line in expected]
         assert replay.aux_energy_pj.tolist() == [line.aux_energy_pj for line in expected]
+        assert replayed.stats == scalar.stats
+        assert replay.write_stats() == WriteStats.from_line_results(expected, replay.words_per_line)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", ["unencoded", "rcc", "vcc"])
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    def test_random_line_totals_match_write_line_bit_for_bit(self, technology, name, warm):
+        scalar, batched = _warm_pair(name, technology, warm)
+        expected = scalar_random_line_results(scalar, 60, seed=5)
+        result = batched.write_random_lines(60, make_rng(5, "random-lines"))
+        assert batched.stats == scalar.stats
+        assert result.write_stats() == WriteStats.from_line_results(expected, result.words_per_line)
 
 
 class TestReplayControls:
