@@ -21,7 +21,7 @@ from conftest import TableRecorder, run_once
 
 from repro.pcm.cell import CellTechnology
 from repro.pcm.faultmap import FaultMap
-from repro.sim.harness import TechniqueSpec, build_controller, drive_trace
+from repro.sim.harness import TechniqueSpec, build_controller
 from repro.sim.results import ResultTable
 from repro.traces.synthetic import generate_trace
 
@@ -50,7 +50,7 @@ def _saw_cells(fault_knowledge: str) -> int:
         fault_knowledge=fault_knowledge,
     )
     trace = generate_trace("fotonik3d", 120, memory_lines=ROWS, seed=23)
-    drive_trace(controller, trace, repetitions=REPEAT)
+    controller.replay_trace(trace, repetitions=REPEAT)
     return controller.stats.saw_cells
 
 

@@ -15,7 +15,7 @@ Run with ``python examples/encrypted_pipeline.py``.
 from __future__ import annotations
 
 from repro.pcm.cell import CellTechnology
-from repro.sim.harness import TechniqueSpec, build_controller, drive_trace
+from repro.sim.harness import TechniqueSpec, build_controller
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 
@@ -24,7 +24,7 @@ def run_case(label: str, spec: TechniqueSpec, trace: Trace, encrypt: bool, rows:
     controller = build_controller(
         spec, rows=rows, technology=CellTechnology.MLC, seed=5, encrypt=encrypt
     )
-    drive_trace(controller, trace)
+    controller.replay_trace(trace)
     stats = controller.stats
     print(
         f"{label:28s}  bits changed {stats.bits_changed:8d}"

@@ -14,7 +14,7 @@ import sys
 
 from repro.pcm.cell import CellTechnology
 from repro.pcm.faultmap import FaultMap
-from repro.sim.harness import TechniqueSpec, build_controller, drive_trace
+from repro.sim.harness import TechniqueSpec, build_controller
 from repro.traces.synthetic import generate_trace
 
 
@@ -42,7 +42,7 @@ def main(benchmark: str = "lbm") -> None:
             fault_map=fault_map,
             seed=3,
         )
-        drive_trace(controller, trace)
+        controller.replay_trace(trace)
         stats = controller.stats
         if baseline is None:
             baseline = stats.total_energy_pj

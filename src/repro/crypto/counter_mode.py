@@ -124,6 +124,12 @@ class CounterModeEngine:
         self.line_bits = line_bits
         self.word_bits = word_bits
         self.words_per_line = line_bits // word_bits
+        #: Pad bytes per word: word ``i``'s pad is bytes ``[i * k, (i + 1) * k)``
+        #: of the line's pad stream, read big-endian and masked to
+        #: ``word_bits`` (at 8/16/32/64-bit words, exactly ``word_bits / 8``).
+        self.word_bytes = -(-word_bits // 8)
+        #: Pad-stream bytes derived per line.
+        self._pad_length = self.words_per_line * self.word_bytes
         self.fast_pad = fast_pad
         self._counters: Dict[int, int] = {}
         self._aes: Optional[AES128] = None
@@ -134,15 +140,6 @@ class CounterModeEngine:
             self._prf = hashlib.blake2b(key=self.key[:64], digest_size=32)
         else:
             self._aes = AES128((self.key + b"\x00" * 16)[:16])
-
-    @property
-    def batchable(self) -> bool:
-        """Whether :meth:`encrypt_lines` can encrypt this word width.
-
-        Only widths with a fixed-width byte layout (8/16/32/64 bits) pack
-        into the batched pad matrix; other widths need :meth:`encrypt_line`.
-        """
-        return self.word_bits in (8, 16, 32, 64)
 
     # ------------------------------------------------------------- counters
     def counter_for(self, address: int) -> int:
@@ -184,8 +181,8 @@ class CounterModeEngine:
         trace's addresses.  The base is the current counters minus as
         many whole passes over the trace as they hold, and ``position``
         skips those passes, so a fresh engine and one that already
-        replayed the trace ``k`` times read the same stream.  Requires a
-        :attr:`batchable` word width.
+        replayed the trace ``k`` times read the same stream.  Requires
+        words of at most 64 bits.
         """
         addresses, inverse, per_pass = trace.derived(
             "address-index",
@@ -223,17 +220,21 @@ class CounterModeEngine:
 
     # ------------------------------------------------------------------ pad
     def pad_words(self, address: int, counter: int) -> List[int]:
-        """Generate the one-time pad for ``(address, counter)`` as a word list."""
+        """Generate the one-time pad for ``(address, counter)`` as a word list.
+
+        Word ``i`` takes its :attr:`word_bytes` byte slot of the pad
+        stream, so every one of its ``word_bits`` bits is covered.
+        """
         pad_bytes = self._pad_bytes(address, counter)
-        word_bytes = self.word_bits // 8
-        words = []
-        for index in range(self.words_per_line):
-            chunk = pad_bytes[index * word_bytes: (index + 1) * word_bytes]
-            words.append(int.from_bytes(chunk, "big"))
-        return words
+        size = self.word_bytes
+        mask = (1 << self.word_bits) - 1
+        return [
+            int.from_bytes(pad_bytes[index * size: (index + 1) * size], "big") & mask
+            for index in range(self.words_per_line)
+        ]
 
     def _pad_bytes(self, address: int, counter: int) -> bytes:
-        needed = self.line_bits // 8
+        needed = self._pad_length
         out = bytearray()
         block_index = 0
         while len(out) < needed:
@@ -267,13 +268,13 @@ class CounterModeEngine:
         as one ``(lines * blocks_per_line, 16)`` matrix and runs
         :meth:`repro.crypto.aes.AES128.encrypt_blocks` once, so the
         per-line Python cipher invocations that dominated batched
-        replay disappear.  Returns ``(lines, line_bits // 8)`` uint8
-        pad bytes, bit-identical to the scalar derivation.
+        replay disappear.  Returns ``(lines, words_per_line * word_bytes)``
+        uint8 pad bytes, bit-identical to the scalar derivation.
         """
         aes = self._aes
         if aes is None:  # pragma: no cover - callers gate on fast_pad=False
             raise ConfigurationError("AES pad chunking requires fast_pad=False")
-        needed = self.line_bits // 8
+        needed = self._pad_length
         block_size = AES128.BLOCK_SIZE
         blocks_per_line = -(-needed // block_size)
         count = address_values.shape[0]
@@ -299,13 +300,13 @@ class CounterModeEngine:
         each, but every block copies the keyed state built once per
         engine rather than compressing the key block again, and the
         chunk's digests are decoded together.  Returns ``(lines,
-        line_bits // 8)`` uint8 pad bytes, bit-identical to
+        words_per_line * word_bytes)`` uint8 pad bytes, bit-identical to
         :meth:`_pad_bytes`.
         """
         prf = self._prf
         if prf is None:  # pragma: no cover - callers gate on fast_pad=True
             raise ConfigurationError("PRF pad chunking requires fast_pad=True")
-        needed = self.line_bits // 8
+        needed = self._pad_length
         block_suffixes = [
             index.to_bytes(4, "big") for index in range(-(-needed // prf.digest_size))
         ]
@@ -345,7 +346,7 @@ class CounterModeEngine:
 
     def encrypt_lines(
         self, addresses: Sequence[int], plaintext_words: np.ndarray
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """Encrypt many cache lines at once, bumping each per-line counter.
 
         Bit-identical to calling :meth:`encrypt_line` once per row of
@@ -354,14 +355,19 @@ class CounterModeEngine:
         the pads are the same keyed-PRF/AES streams.  Only the word packing
         and the XOR are vectorised — which is exactly the part that
         dominates the scalar path once the caller replays a long trace.
+        Each word's pad bytes go into the low bytes of an 8-byte slot, and
+        the slots are read as big-endian ``uint64`` words, so one layout
+        serves every word width up to 64 bits.
 
         Returns the ciphertext as a ``(lines, words_per_line)`` ``uint64``
-        matrix, or ``None`` when ``word_bits`` has no fixed-width byte
-        layout (not one of 8/16/32/64) — callers then fall back to the
-        scalar :meth:`encrypt_line`.
+        matrix.  Words wider than 64 bits raise
+        :class:`~repro.errors.ConfigurationError` before any counter moves;
+        they take :meth:`encrypt_line`.
         """
-        if not self.batchable:
-            return None
+        if self.word_bits > 64:
+            raise ConfigurationError(
+                f"encrypt_lines takes words of at most 64 bits, got {self.word_bits}"
+            )
         matrix = np.ascontiguousarray(plaintext_words, dtype=np.uint64)
         if matrix.ndim != 2 or matrix.shape[1] != self.words_per_line:
             raise ConfigurationError(
@@ -370,7 +376,6 @@ class CounterModeEngine:
             )
         if len(addresses) != matrix.shape[0]:
             raise ConfigurationError("one address per plaintext line is required")
-        pad_dtype = np.dtype(f">u{self.word_bits // 8}")
         _OBS_PAD_CHUNKS.inc()
         _OBS_DERIVED_PADS.inc(matrix.shape[0])
         counters = self._counters
@@ -390,7 +395,10 @@ class CounterModeEngine:
             # call for the whole chunk — bit-identical to the per-line
             # _pad_bytes stream (see _aes_pad_chunk).
             pad_bytes = self._aes_pad_chunk(address_values, counter_values)
-        cipher = matrix ^ pad_bytes.view(pad_dtype).astype(np.uint64)
+        shape = (count, self.words_per_line)
+        slots = np.zeros(shape + (8,), dtype=np.uint8)
+        slots[:, :, 8 - self.word_bytes:] = pad_bytes.reshape(shape + (self.word_bytes,))
+        cipher = matrix ^ slots.view(">u8").reshape(shape).astype(np.uint64)
         if self.word_bits < 64:
             cipher &= np.uint64((1 << self.word_bits) - 1)
         return cipher
@@ -432,8 +440,6 @@ class CiphertextStream:
         base: np.ndarray,
     ):
         words = trace.words_array()
-        if words is None or not engine.batchable:
-            raise ConfigurationError("a ciphertext stream needs a batchable word width")
         #: Distinct addresses of the trace, ascending.
         self.addresses = addresses
         self._engine = engine

@@ -48,7 +48,7 @@ call.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.traces
@@ -121,9 +121,6 @@ _OBS_SQUASHED_WRITES = obs.counter(
 )
 _OBS_IDENTITY_CHUNKS = obs.counter(
     "replay.identity_chunks", "chunks taken by the identity-encoder fast path"
-)
-_OBS_SCALAR_FALLBACKS = obs.counter(
-    "replay.scalar_fallbacks", "chunk ranges replayed by the scalar (odd-width) fallback"
 )
 _OBS_EARLY_STOPS = obs.counter(
     "replay.early_stops", "replays ended early by the stop predicate"
@@ -224,6 +221,11 @@ class ReplayResult:
     stopped_early:
         True when the ``stop`` predicate ended the replay before the
         requested repetitions (or ``max_writes``) were exhausted.
+    moves:
+        ``(write index, data_energy_pj, aux_energy_pj)`` of each Start-Gap
+        migration a write triggered, in replay order.  A migration's other
+        counters reach the controller's :attr:`MemoryController.stats`
+        when it runs; its energies wait for :meth:`add_to`.
     """
 
     addresses: np.ndarray
@@ -238,6 +240,7 @@ class ReplayResult:
     words_per_line: int
     writes: int = 0
     stopped_early: bool = False
+    moves: List[Tuple[int, float, float]] = field(default_factory=list)
 
     # ------------------------------------------------------- aggregation
     def total_energy_pj(self) -> float:
@@ -252,28 +255,36 @@ class ReplayResult:
         """Aggregate the replay into a :class:`repro.pcm.stats.WriteStats`.
 
         Every counter matches :meth:`WriteStats.from_line_results` over
-        :meth:`line_results` exactly, the float energy totals included.
+        :meth:`line_results` exactly, the float energy totals included;
+        like it, this leaves out the Start-Gap :attr:`moves`.
         """
-        return self.add_to(WriteStats())
+        return self.add_to(WriteStats(), moves=())
 
-    def add_to(self, stats: WriteStats) -> WriteStats:
+    def add_to(
+        self, stats: WriteStats, moves: Optional[Sequence[Tuple[int, float, float]]] = None
+    ) -> WriteStats:
         """Add the replay's counters into ``stats`` in place; returns ``stats``.
 
         Energies are added write by write onto ``stats``' running totals
-        (a sequential ``np.cumsum``, never a pairwise sum), so a
-        controller's totals after a replay equal the running sum of the
-        :meth:`MemoryController.write_line` loop bit for bit, whatever it
-        held before.  Start-Gap migration writes are the one exception:
-        they are charged when they run, ahead of the replay's writes, so
-        with a wear leveler and a non-integer energy table the totals can
-        differ from that loop in the last ulp.
+        (a sequential ``np.cumsum``, never a pairwise sum).  The energies
+        of ``moves`` (by default :attr:`moves`) join that sum just ahead of
+        the write that triggered each, which is where the
+        :meth:`MemoryController.write_line` loop charges a migration.  So a
+        controller's totals after a replay equal the loop's running sum
+        bit for bit, whatever it held before.
         """
+        data, aux = self.data_energy_pj, self.aux_energy_pj
+        if moves is None:
+            moves = self.moves
+        if moves:
+            at, move_data, move_aux = zip(*moves)
+            data, aux = np.insert(data, at, move_data), np.insert(aux, at, move_aux)
         stats.words_written += self.writes * self.words_per_line
         stats.rows_written += self.writes
         stats.bits_changed += int(self.bits_changed.sum())
         stats.cells_changed += int(self.cells_changed.sum())
-        stats.data_energy_pj = _running_sum(stats.data_energy_pj, self.data_energy_pj)
-        stats.aux_energy_pj = _running_sum(stats.aux_energy_pj, self.aux_energy_pj)
+        stats.data_energy_pj = _running_sum(stats.data_energy_pj, data)
+        stats.aux_energy_pj = _running_sum(stats.aux_energy_pj, aux)
         stats.saw_cells += int(self.saw_cells.sum())
         stats.saw_words += self.saw_words()
         return stats
@@ -596,9 +607,9 @@ class MemoryController:
     def _apply_line_write(self, address: int, encrypted: Sequence[int]):
         """Encode and store one already-encrypted line; return raw accounting.
 
-        The shared core of :meth:`write_line` and the generic path of
-        :meth:`replay_trace`: both produce bit-identical accounting because
-        both run exactly this code.  Returns the tuple ``(row_index,
+        The core of :meth:`write_line`, the oracle the batched drivers
+        (:meth:`replay_trace`, :meth:`write_random_lines`) match bit for
+        bit.  Returns the tuple ``(row_index,
         data_energy_pj, aux_energy_pj, cells_changed, bits_changed,
         saw_cells, saw_bits_per_word, newly_stuck)`` with
         ``saw_bits_per_word`` as an ``int64`` array.
@@ -655,7 +666,9 @@ class MemoryController:
         if self.wear_leveler is not None:
             movement = self.wear_leveler.record_write()
             if movement is not None:
-                self._migrate_row(*movement)
+                move_data, move_aux = self._migrate_row(*movement)
+                self.stats.data_energy_pj += move_data
+                self.stats.aux_energy_pj += move_aux
 
         return (
             row_index,
@@ -712,9 +725,13 @@ class MemoryController:
         max_writes:
             Optional hard cap on the total number of writes, applied on
             top of ``repetitions`` (the last repetition may be partial).
+
+        Words wider than 64 bits raise :class:`ConfigurationError`; such
+        lines take :meth:`write_line`.
         """
         if repetitions < 0:
             raise ConfigurationError("repetitions must be non-negative")
+        self._require_batched_width()
         if trace.word_bits != self.config.word_bits:
             raise ConfigurationError(
                 f"trace word size ({trace.word_bits} bits) does not match "
@@ -737,19 +754,13 @@ class MemoryController:
             return replay._trim(0, False)
 
         trace_addresses = trace.addresses_array()
-        words = trace.words_array()
         encryption = self.encryption
         # An encrypted replay reads the trace's shared ciphertext stream
-        # from the position this engine's counters stand at; an odd word
-        # width has no stream and encrypts write by write.
-        stream = None
-        offset = 0
-        if words is not None and encryption is not None and encryption.batchable:
+        # from the position this engine's counters stand at.
+        if encryption is not None:
             stream, offset = encryption.replay_stream(trace)
-
-        def plaintext_for(index: int) -> List[int]:
-            # Wide/odd word sizes: per-record scalar fallback.
-            return list(trace[index % num_records].words)
+        else:
+            words = trace.words_array()
 
         # Chunked issue: addresses, stored words and result arrays exist
         # only for the writes about to run, so a lifetime cell that stops
@@ -764,14 +775,13 @@ class MemoryController:
                 chunk = min(chunk * 2, _MAX_CHUNK)
                 replay._reserve(end, total)
                 record_indices = np.arange(start, end, dtype=np.int64) % num_records
-                if stream is not None:
-                    stored = stream.segment(offset + start, offset + end)
-                elif encryption is None and words is not None:
-                    stored = words[record_indices]
-                else:
-                    stored = None
+                stored = (
+                    words[record_indices]
+                    if encryption is None
+                    else stream.segment(offset + start, offset + end)
+                )
                 performed, stopped = self._replay_chunk(
-                    replay, trace_addresses[record_indices], stored, start, stop, plaintext_for
+                    replay, trace_addresses[record_indices], stored, start, stop
                 )
                 start = end
             if stopped:
@@ -780,20 +790,26 @@ class MemoryController:
             trace_span.set(performed=performed, stopped=stopped)
         if encryption is not None:
             _OBS_PADS.inc(performed)
-            if stream is not None:
-                encryption.seek(stream, offset + performed)
+            encryption.seek(stream, offset + performed)
         replay._trim(performed, stopped)
         replay.add_to(self.stats)
         return replay
+
+    def _require_batched_width(self) -> None:
+        """The batched drivers hold words in ``uint64`` matrices."""
+        if self.config.word_bits > 64:
+            raise ConfigurationError(
+                f"batched writes take words of at most 64 bits, got {self.config.word_bits}; "
+                "drive wider words through write_line"
+            )
 
     def _replay_chunk(
         self,
         replay: ReplayResult,
         chunk_addresses: np.ndarray,
-        stored: Optional[np.ndarray],
+        stored: np.ndarray,
         start: int,
         stop: Optional[ReplayStop],
-        plaintext_for: Callable[[int], List[int]],
     ):
         """Run the writes ``[start, start + len(chunk_addresses))`` of a replay.
 
@@ -801,17 +817,9 @@ class MemoryController:
         matrix of words to store: the ciphertext, or the plaintext when
         the controller does not encrypt.  Identity encoders take
         :meth:`_replay_identity`, every other encoder the wave scheduler
-        :meth:`_replay_generic`.  ``stored`` is ``None`` when the words do
-        not fit a matrix or the counter-mode engine cannot batch their
-        width; the chunk then falls back to :meth:`_replay_generic_scalar`
-        with the words of ``plaintext_for(index)``.  Returns ``(performed,
-        stopped)`` with ``performed`` the global write count.
+        :meth:`_replay_generic`.  Returns ``(performed, stopped)`` with
+        ``performed`` the global write count.
         """
-        if stored is None:
-            _OBS_SCALAR_FALLBACKS.inc()
-            return self._replay_generic_scalar(
-                replay, plaintext_for, chunk_addresses, start, stop
-            )
         if not self.encoder.is_identity:
             return self._replay_generic(replay, chunk_addresses, stored, start, stop)
         _OBS_IDENTITY_CHUNKS.inc()
@@ -887,7 +895,7 @@ class MemoryController:
             if leveler is not None:
                 movement = leveler.record_write()
                 if movement is not None:
-                    self._migrate_row(*movement)
+                    replay.moves.append((index, *self._migrate_row(*movement)))
 
             performed = index + 1
             if stop is not None:
@@ -1130,20 +1138,19 @@ class MemoryController:
             while retired < admitted and executed[retired]:
                 local = retired
                 retired += 1
+                index = start + local
                 if leveler is not None:
                     movement = leveler.record_write()
                     if movement is not None:
-                        self._migrate_row(*movement)
-                if stop is not None:
-                    index = start + local
-                    if stop(
-                        index,
-                        rows_of[local],
-                        int(replay.saw_cells[index]),
-                        replay.saw_bits_per_word[index],
-                    ):
-                        self._squash(snapshots, local)
-                        return index + 1, True
+                        replay.moves.append((index, *self._migrate_row(*movement)))
+                if stop is not None and stop(
+                    index,
+                    rows_of[local],
+                    int(replay.saw_cells[index]),
+                    replay.saw_bits_per_word[index],
+                ):
+                    self._squash(snapshots, local)
+                    return index + 1, True
             while snapshots and snapshots[0].writes[-1] < retired:
                 snapshots.popleft()
         return start + count, False
@@ -1274,55 +1281,6 @@ class MemoryController:
             )
         return None
 
-    def _replay_generic_scalar(
-        self,
-        replay: ReplayResult,
-        plaintext_for: Callable[[int], List[int]],
-        chunk_addresses: np.ndarray,
-        start: int,
-        stop: Optional[ReplayStop],
-    ):
-        """Per-write fallback of :meth:`_replay_generic` (odd word widths).
-
-        Runs when no batched ciphertext chunk exists; each write encrypts
-        scalar-wise and runs the identical :meth:`_apply_line_write` core.
-        """
-        encryption = self.encryption
-        performed = start
-        stopped = False
-        for local, address in enumerate(chunk_addresses.tolist()):
-            index = start + local
-            words = plaintext_for(index)
-            if encryption is not None:
-                encrypted = list(encryption.encrypt_line(address, words).words)
-            else:
-                encrypted = [int(w) for w in words]
-            (
-                row_index,
-                data_energy,
-                aux_energy,
-                cells_changed,
-                bits_changed,
-                saw_count,
-                saw_bits,
-                newly_stuck,
-            ) = self._apply_line_write(address, encrypted)
-            replay.addresses[index] = address
-            replay.row_indices[index] = row_index
-            replay.data_energy_pj[index] = data_energy
-            replay.aux_energy_pj[index] = aux_energy
-            replay.cells_changed[index] = cells_changed
-            replay.bits_changed[index] = bits_changed
-            replay.saw_cells[index] = saw_count
-            replay.saw_bits_per_word[index] = saw_bits
-            replay.newly_stuck_cells[index] = newly_stuck
-
-            performed = index + 1
-            if stop is not None and stop(index, row_index, saw_count, saw_bits):
-                stopped = True
-                break
-        return performed, stopped
-
     # -------------------------------------------------------- random lines
     def write_random_lines(
         self,
@@ -1360,6 +1318,7 @@ class MemoryController:
         """
         if num_lines < 0:
             raise ConfigurationError("num_lines must be non-negative")
+        self._require_batched_width()
         if address_space is None:
             address_space = self.array.rows
         if address_space <= 0:
@@ -1385,20 +1344,12 @@ class MemoryController:
             chunk_addresses, plaintext = self._draw_random_lines(
                 rng, end - start, address_space
             )
-
-            def plaintext_for(index: int, _base=start, _rows=plaintext) -> List[int]:
-                return [int(word) for word in _rows[index - _base]]
-
-            if not isinstance(plaintext, np.ndarray):
-                stored = None
-            elif encryption is None:
-                stored = plaintext
-            else:
-                # None for a word width encrypt_lines cannot batch.
-                stored = encryption.encrypt_lines(chunk_addresses, plaintext)
-            performed, _ = self._replay_chunk(
-                replay, chunk_addresses, stored, start, None, plaintext_for
+            stored = (
+                plaintext
+                if encryption is None
+                else encryption.encrypt_lines(chunk_addresses, plaintext)
             )
+            performed, _ = self._replay_chunk(replay, chunk_addresses, stored, start, None)
             start = end
         if encryption is not None:
             _OBS_PADS.inc(performed)
@@ -1421,8 +1372,7 @@ class MemoryController:
         stream-identically to the scalar calls.
 
         Returns ``(addresses, words)`` with ``words`` a
-        ``(count, words_per_line)`` ``uint64`` matrix when the word width
-        fits, else a list of per-line Python-int word lists.
+        ``(count, words_per_line)`` ``uint64`` matrix.
         """
         word_bits = self.config.word_bits
         words_per_line = self.config.words_per_line
@@ -1433,7 +1383,7 @@ class MemoryController:
             chunk_widths.append(width)
             remaining -= width
         addresses = np.empty(count, dtype=np.int64)
-        if word_bits <= 64 and len(set(chunk_widths)) == 1:
+        if len(set(chunk_widths)) == 1:
             width = chunk_widths[0]
             chunks_per_word = len(chunk_widths)
             draws_per_line = words_per_line * chunks_per_word
@@ -1450,15 +1400,13 @@ class MemoryController:
             for position in range(chunks_per_word):
                 words = (words << np.uint64(width)) | shaped[:, :, position]
             return addresses, words
-        # Mixed chunk widths (word_bits not a multiple of 32) or words
-        # wider than uint64: fall back to the scalar word generator.
+        # Mixed chunk widths (word_bits over 32 and not 64): draw each
+        # word with the scalar word generator.
         lines = []
         for line in range(count):
             addresses[line] = rng.integers(0, address_space)
             lines.append([random_word(rng, word_bits) for _ in range(words_per_line)])
-        if word_bits <= 64:
-            return addresses, np.array(lines, dtype=np.uint64)
-        return addresses, lines
+        return addresses, np.array(lines, dtype=np.uint64)
 
     # ---------------------------------------------------------------- read
     def read_line(self, address: int) -> List[int]:
@@ -1490,14 +1438,19 @@ class MemoryController:
             return self.fault_repository.stuck_mask(row_index)
         return None
 
-    def _migrate_row(self, source_row: int, destination_row: int) -> None:
-        """Copy one row for a Start-Gap movement (a genuine, wearing write)."""
+    def _migrate_row(self, source_row: int, destination_row: int) -> Tuple[float, float]:
+        """Copy one row for a Start-Gap movement (a genuine, wearing write).
+
+        Charges the move's counters to :attr:`stats` and returns its
+        ``(data_energy_pj, aux_energy_pj)``, which the caller adds where
+        the move falls in the sequence of writes.
+        """
         contents = self.array.read_row(source_row)
         result = self.array.write_row(destination_row, contents)
         self.stats.rows_written += 1
         self.stats.cells_changed += result.cells_changed
         self.stats.bits_changed += self._count_changed_bits(result.old_cells, result.stored_cells)
-        self.stats.data_energy_pj += float(
+        data_energy = float(
             self._energy_lut[  # repro: allow[NUM001] reason=migration writes reuse the scalar-oracle gather above; fresh C-contiguous result, parity-locked by the Start-Gap integration tests
                 result.old_cells.astype(np.int64), result.intended_cells.astype(np.int64)
             ].sum()
@@ -1522,12 +1475,12 @@ class MemoryController:
                     moved_auxes.astype(np.uint64) ^ old_dest_auxes.astype(np.uint64)
                 ).sum()
             )
-        self.stats.aux_energy_pj += self._aux_bit_energy * changed_aux_bits
         self._aux_store[destination_row] = moved_auxes
         if self.fault_repository is not None:
             self.fault_repository.observe_write(
                 destination_row, result.intended_cells, result.stored_cells
             )
+        return data_energy, self._aux_bit_energy * changed_aux_bits
 
     def _count_changed_bits(self, old_cells: np.ndarray, new_cells: np.ndarray) -> int:
         xor = old_cells ^ new_cells

@@ -281,13 +281,6 @@ class PCMArray:
         self._check_row(row_index)
         return self._stuck[row_index].copy()
 
-    def word_stuck_info(self, row_index: int, word_index: int) -> np.ndarray:
-        """Return the stuck mask of the cells backing one word (copy)."""
-        self._check_row(row_index)
-        self._check_word(word_index)
-        start = word_index * self.cells_per_word
-        return self._stuck[row_index, start: start + self.cells_per_word].copy()
-
     # --------------------------------------------------------------- writes
     def write_row(self, row_index: int, intended_cells: Sequence[int]) -> RowWriteResult:
         """Write a full row of cell values, honouring stuck cells and wear.

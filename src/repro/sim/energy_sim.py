@@ -34,7 +34,6 @@ from repro.sim.harness import (
     cached_trace,
     checked_coset_counts,
     drive_random_lines,
-    drive_trace,
 )
 from repro.sim.results import ResultTable
 from repro.utils.rng import derive_seed
@@ -205,7 +204,7 @@ def _fig9_energy_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
         seed=derive_seed(seed, f"fig9-{benchmark}-{spec.label}"),
         encrypt=True,
     )
-    replay = drive_trace(controller, trace)
+    replay = controller.replay_trace(trace)
     energy = replay.total_energy_pj()
     return [
         {

@@ -30,7 +30,7 @@ from repro.ecc import ECP, ErrorCorrector, HammingSecded
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.registry import make_fault_model
 from repro.memctrl.config import ControllerConfig
-from repro.memctrl.controller import LineWriteResult, MemoryController, ReplayResult
+from repro.memctrl.controller import LineWriteResult, MemoryController
 from repro.pcm.array import PCMArray
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
@@ -52,7 +52,6 @@ __all__ = [
     "checked_coset_counts",
     "drive_random_lines",
     "drive_random_lines_scalar",
-    "drive_trace",
     "make_cost",
     "make_read_corrector",
     "scalar_random_line_results",
@@ -340,7 +339,7 @@ def drive_random_lines(
     accounting arrays.
 
     Returns a fresh :class:`WriteStats` covering exactly this call's writes
-    (mirroring :func:`drive_trace`'s per-call results), so callers consume
+    (like ``replay_trace``'s per-call results), so callers consume
     the result directly instead of reaching into ``controller.stats`` by
     side effect — and phased drives on one controller don't alias.
     """
@@ -396,32 +395,3 @@ def drive_random_lines_scalar(
     """
     results = scalar_random_line_results(controller, num_lines, address_space, seed)
     return WriteStats.from_line_results(results, controller.config.words_per_line)
-
-
-def drive_trace(
-    controller: MemoryController, trace: Trace, repetitions: int = 1
-) -> ReplayResult:
-    """Replay a writeback trace through the controller ``repetitions`` times.
-
-    Runs the batched :meth:`~repro.memctrl.controller.MemoryController.replay_trace`
-    engine and returns its :class:`~repro.memctrl.controller.ReplayResult`:
-    per-write accounting in preallocated arrays (bit-identical to a
-    scalar ``write_line`` loop), with ``write_stats()`` /
-    ``total_energy_pj()`` aggregation helpers and ``line_results()`` for
-    the scalar view.  Trace geometry is validated up front so a mismatched
-    trace fails with a clear error instead of deep inside the write path.
-    """
-    if repetitions < 0:
-        raise SimulationError("repetitions must be non-negative")
-    if trace.word_bits != controller.config.word_bits:
-        raise SimulationError(
-            f"trace word size ({trace.word_bits} bits) does not match the "
-            f"controller ({controller.config.word_bits} bits)"
-        )
-    if trace.words_per_line != controller.config.words_per_line:
-        raise SimulationError(
-            f"trace line geometry ({trace.words_per_line} words of "
-            f"{trace.word_bits} bits per line) does not match the controller "
-            f"({controller.config.words_per_line} words per line)"
-        )
-    return controller.replay_trace(trace, repetitions=repetitions)

@@ -32,7 +32,6 @@ from repro.sim.harness import (
     cached_trace,
     checked_coset_counts,
     drive_random_lines,
-    drive_trace,
 )
 from repro.sim.results import ResultTable
 from repro.traces.trace import Trace
@@ -88,7 +87,7 @@ def _run_spec(
         return drive_random_lines(
             controller, params["num_writes"], seed=derive_seed(seed, seed_label + "-writes")
         )
-    return drive_trace(controller, trace).write_stats()
+    return controller.replay_trace(trace).write_stats()
 
 
 def _random_base(rows: int, num_writes: int, seed: int) -> Dict[str, Any]:

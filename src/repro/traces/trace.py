@@ -102,15 +102,15 @@ class Trace:
             )
         return self._addresses
 
-    def words_array(self) -> Optional[np.ndarray]:
+    def words_array(self) -> np.ndarray:
         """All record words as a ``(records, words_per_line)`` ``uint64`` matrix.
 
-        Cached like :meth:`addresses_array`.  Returns ``None`` when
-        ``word_bits`` exceeds 64 (such traces keep Python-int words and
-        batch drivers fall back to per-record access).
+        Cached like :meth:`addresses_array`.  Words wider than 64 bits do
+        not fit and raise :class:`~repro.errors.TraceError`; such traces
+        are read record by record.
         """
         if self.word_bits > 64:
-            return None
+            raise TraceError(f"{self.word_bits}-bit words do not fit a uint64 matrix")
         if self._words is None:
             matrix = np.empty((len(self.records), self.words_per_line), dtype=np.uint64)
             for index, record in enumerate(self.records):

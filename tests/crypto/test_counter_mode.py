@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.obs as obs
 from repro.crypto.counter_mode import CounterModeEngine, EncryptedLine
 from repro.errors import ConfigurationError
 
@@ -171,11 +172,16 @@ class TestBatchedEncryptLines:
         assert cipher.shape == (0, engine.words_per_line)
         assert engine._counters == {}
 
-    def test_unsupported_word_width_falls_back(self):
+    def test_words_wider_than_64_bits_raise(self):
         engine = CounterModeEngine(line_bits=512, word_bits=128)
-        assert engine.encrypt_lines([0], np.zeros((1, 4), dtype=np.uint64)) is None
-        # Fallback must not have bumped any counter.
+        telemetry = [obs.counter(name).value for name in ("crypto.pad_chunks", "crypto.derived_pads")]
+        with pytest.raises(ConfigurationError, match="64 bits"):
+            engine.encrypt_lines([0], np.zeros((1, 4), dtype=np.uint64))
+        # The refusal bumps no counter.
         assert engine.counter_for(0) == 0
+        assert [
+            obs.counter(name).value for name in ("crypto.pad_chunks", "crypto.derived_pads")
+        ] == telemetry
 
     def test_shape_validation(self):
         engine = CounterModeEngine()
@@ -183,6 +189,43 @@ class TestBatchedEncryptLines:
             engine.encrypt_lines([0], np.zeros((1, 3), dtype=np.uint64))
         with pytest.raises(ConfigurationError):
             engine.encrypt_lines([0, 1], np.zeros((1, 8), dtype=np.uint64))
+
+
+class TestPadCoverage:
+    """Every bit of every word is padded, at any width up to 64 bits: word
+    ``i`` takes bytes ``[i * k, (i + 1) * k)`` of the pad stream,
+    ``k = ceil(word_bits / 8)``, big-endian and masked to the word."""
+
+    @pytest.mark.parametrize("fast_pad", [True, False])
+    @pytest.mark.parametrize(
+        "line_bits, word_bits",
+        [(512, 4), (480, 12), (480, 24), (66, 33), (528, 33), (480, 48), (512, 64)],
+    )
+    def test_zero_lines_cover_every_word_bit(self, fast_pad, line_bits, word_bits):
+        def engine():
+            return CounterModeEngine(
+                key=b"coverage", line_bits=line_bits, word_bits=word_bits, fast_pad=fast_pad
+            )
+
+        batched, scalar = engine(), engine()
+        words = batched.words_per_line
+        addresses = [0x40 * (index % 3) for index in range(8)]
+        zeros = np.zeros((len(addresses), words), dtype=np.uint64)
+        mask = (1 << word_bits) - 1
+        plaintext = np.random.default_rng(word_bits).integers(
+            0, mask, size=zeros.shape, dtype=np.uint64, endpoint=True
+        )
+        for matrix in (zeros, plaintext):
+            cipher = batched.encrypt_lines(addresses, matrix)
+            lines = [
+                scalar.encrypt_line(address, [int(word) for word in row])
+                for address, row in zip(addresses, matrix)
+            ]
+            assert [tuple(row) for row in cipher.tolist()] == [line.words for line in lines]
+            assert [scalar.decrypt_line(line) for line in lines] == matrix.tolist()
+        assert batched._counters == scalar._counters
+        covered = np.bitwise_or.reduce(batched.encrypt_lines(addresses, zeros), axis=None)
+        assert int(covered) == mask
 
 
 class TestValidation:

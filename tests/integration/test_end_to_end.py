@@ -16,7 +16,7 @@ from repro.memctrl.controller import MemoryController
 from repro.pcm.array import PCMArray
 from repro.pcm.cell import CellTechnology
 from repro.pcm.faultmap import FaultMap
-from repro.sim.harness import TechniqueSpec, build_controller, drive_trace
+from repro.sim.harness import TechniqueSpec, build_controller
 from repro.traces.synthetic import generate_trace
 
 
@@ -105,7 +105,7 @@ class TestCostFunctionConsistency:
                 fault_map=fault_map,
                 seed=7,
             )
-            drive_trace(controller, trace)
+            controller.replay_trace(trace)
             energies[label] = controller.stats.total_energy_pj
         ratio = energies["saw-first"] / energies["energy-first"]
         assert 0.9 < ratio < 1.35
@@ -122,6 +122,6 @@ class TestCostFunctionConsistency:
                 fault_map=fault_map,
                 seed=8,
             )
-            drive_trace(controller, trace)
+            controller.replay_trace(trace)
             saw[label] = controller.stats.saw_cells
         assert saw["saw-first"] <= saw["energy-first"]

@@ -18,13 +18,19 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.coding.registry import available_encoders
 from repro.crypto import counter_mode
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.memctrl.controller import MemoryController
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.pcm.faultmap import FaultMap
-from repro.sim.harness import TechniqueSpec, build_controller, cached_trace
+from repro.sim.harness import (
+    TechniqueSpec,
+    build_controller,
+    cached_trace,
+    scalar_random_line_results,
+)
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 from repro.utils.rng import make_rng
@@ -43,9 +49,22 @@ REPLAY_FIELDS = (
 )
 
 
-def _trace(seed=5, writebacks=40):
+#: Word widths off the 8/16/32/64-bit grid, on 480-bit lines: 24-bit
+#: words with every registry encoder, 12-bit words with those that
+#: construct at that width.
+ODD_WIDTHS = [(24, name) for name in available_encoders()] + [
+    (12, name) for name in ("bcc", "dbi", "flipcy", "rcc", "unencoded", "vcc")
+]
+
+
+def _trace(seed=5, writebacks=40, line_bits=512, word_bits=64):
     return generate_trace(
-        "mcf", num_writebacks=writebacks, memory_lines=ROWS, line_bits=512, word_bits=64, seed=seed
+        "mcf",
+        num_writebacks=writebacks,
+        memory_lines=ROWS,
+        line_bits=line_bits,
+        word_bits=word_bits,
+        seed=seed,
     )
 
 
@@ -54,12 +73,14 @@ def _copy(trace):
     return Trace(name=trace.name, records=list(trace.records), line_bits=512, word_bits=64)
 
 
-def _controller(name="rcc", faults=True, seed=5):
+def _controller(name="rcc", faults=True, seed=5, line_bits=512, word_bits=64):
     return build_controller(
         TechniqueSpec(encoder=name, cost="saw-then-energy", num_cosets=16),
         rows=ROWS,
+        line_bits=line_bits,
+        word_bits=word_bits,
         fault_map=FaultMap(
-            rows=ROWS, cells_per_row=256, technology=CellTechnology.MLC,
+            rows=ROWS, cells_per_row=line_bits // 2, technology=CellTechnology.MLC,
             fault_rate=1e-2, seed=seed,
         ) if faults else None,
         endurance_model=(
@@ -88,6 +109,11 @@ def _derived_pads():
 
 def _written_pads():
     return obs.counter("crypto.pads").value - obs.counter("crypto.rolled_back_counters").value
+
+
+def _batched_runs():
+    """Waves of the wave scheduler plus chunks of the identity fast path."""
+    return obs.counter("replay.waves").value + obs.counter("replay.identity_chunks").value
 
 
 class TestSharedStream:
@@ -297,18 +323,45 @@ class TestPadAccounting:
         replay = _controller(name).write_random_lines(700, make_rng(3, "pads"))
         assert _written_pads() - before == replay.writes == 700
 
-    def test_scalar_writes_and_odd_widths(self):
+    @pytest.mark.parametrize("word_bits, name", ODD_WIDTHS)
+    def test_scalar_writes_and_odd_widths(self, word_bits, name):
+        """write_line counts one pad.  At an odd word width, an encrypted
+        replay (in full and stopped early) and a random-line drive take
+        the batched drivers, count one pad per write, and match the
+        write_line loop bit for bit, controller.stats and counters included."""
         before = _written_pads()
         controller = _controller()
         record = _trace()[0]
         controller.write_line(record.address, list(record.words))
         assert _written_pads() - before == 1
 
-        odd = build_controller(
-            TechniqueSpec(encoder="unencoded", cost="saw-then-energy"),
-            rows=ROWS, word_bits=24, line_bits=480, encrypt=True,
-        )
-        assert isinstance(odd, MemoryController) and not odd.encryption.batchable
-        before = _written_pads()
-        replay = odd.write_random_lines(9, make_rng(4, "odd"))
-        assert _written_pads() - before == replay.writes == 9
+        geometry = {"line_bits": 480, "word_bits": word_bits}
+        trace = _trace(**geometry)
+        for cut in (None, 70):
+            scalar = _controller(name, **geometry)
+            assert isinstance(scalar, MemoryController)
+            expected = [
+                scalar.write_line(record.address, list(record.words))
+                for record in (list(trace) * 3)[: 3 * len(trace) if cut is None else cut + 1]
+            ]
+            replayed = _controller(name, **geometry)
+            before, runs = _written_pads(), _batched_runs()
+            replay = replayed.replay_trace(
+                trace,
+                repetitions=3,
+                stop=None if cut is None else (lambda index, row, saw, bits: index == cut),
+            )
+            assert _batched_runs() > runs
+            assert _written_pads() - before == replay.writes == len(expected)
+            assert replay.line_results() == expected
+            assert replayed.stats == scalar.stats
+            assert _counters(replayed, trace) == _counters(scalar, trace)
+
+        scalar, batched = _controller(name, **geometry), _controller(name, **geometry)
+        expected = scalar_random_line_results(scalar, 60, seed=5)
+        before, runs = _written_pads(), _batched_runs()
+        result = batched.write_random_lines(60, make_rng(5, "random-lines"))
+        assert _batched_runs() > runs
+        assert _written_pads() - before == result.writes == 60
+        assert result.line_results() == expected
+        assert batched.stats == scalar.stats

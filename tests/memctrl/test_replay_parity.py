@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.coding.registry import available_encoders, make_encoder
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.memctrl.config import ControllerConfig
 from repro.memctrl.controller import MemoryController
 from repro.pcm.array import PCMArray
@@ -23,6 +23,7 @@ from repro.pcm.stats import WriteStats
 from repro.pcm.wearlevel import StartGapWearLeveler
 from repro.sim.harness import TechniqueSpec, build_controller, scalar_random_line_results
 from repro.traces.synthetic import generate_trace
+from repro.traces.trace import Trace, WritebackRecord
 from repro.utils.rng import make_rng
 
 ROWS = 16
@@ -226,51 +227,63 @@ FRACTIONAL_MLC = MLCEnergyModel(
 FRACTIONAL_SLC = SLCEnergyModel(set_energy_pj=1.3, reset_energy_pj=2.9, aux_bit_energy_pj=0.7)
 
 
-def _fractional_controller(name, technology):
+def _fractional_controller(name, technology, leveled):
     """Stuck cells and wear on a controller charging fractional energies;
-    the encoder keeps its integer default cost."""
+    the encoder keeps its integer default cost.  ``leveled`` adds a
+    Start-Gap leveler that moves a row every 5 writes."""
     cells = 512 // technology.bits_per_cell
+    leveler = StartGapWearLeveler(rows=ROWS, gap_write_interval=5) if leveled else None
+    rows = ROWS if leveler is None else leveler.physical_rows_required
     array = PCMArray(
-        rows=ROWS,
+        rows=rows,
         row_bits=512,
         technology=technology,
         fault_map=FaultMap(
-            rows=ROWS, cells_per_row=cells, technology=technology, fault_rate=2e-2, seed=7
+            rows=rows, cells_per_row=cells, technology=technology, fault_rate=2e-2, seed=7
         ),
         endurance_model=EnduranceModel(mean_writes=30, coefficient_of_variation=0.2),
         seed=7,
     )
     encoder = make_encoder(name, word_bits=64, num_cosets=16, technology=technology)
     return MemoryController(
-        array=array, encoder=encoder, mlc_energy=FRACTIONAL_MLC, slc_energy=FRACTIONAL_SLC
+        array=array,
+        encoder=encoder,
+        mlc_energy=FRACTIONAL_MLC,
+        slc_energy=FRACTIONAL_SLC,
+        wear_leveler=leveler,
     )
 
 
-def _warm_pair(name, technology, warm):
+def _warm_pair(name, technology, warm, leveled=False):
     """Two identical fractional-energy controllers; when ``warm`` both
     already hold the same earlier writes, so running totals start above 0."""
-    pair = (_fractional_controller(name, technology), _fractional_controller(name, technology))
+    pair = tuple(_fractional_controller(name, technology, leveled) for _ in range(2))
     for controller in pair:
         for record in list(_trace(seed=4)) if warm else []:
             controller.write_line(record.address, list(record.words))
     return pair
 
 
+LEVELED = pytest.mark.parametrize("leveled", [False, True], ids=["flat", "start-gap"])
+
+
 class TestFractionalEnergyParity:
+    @LEVELED
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("cut", [29, None])
     @pytest.mark.parametrize("name", ["unencoded", "rcc", "vcc"])
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
-    def test_energies_match_write_line_bit_for_bit(self, technology, name, cut, warm):
+    def test_energies_match_write_line_bit_for_bit(self, technology, name, cut, warm, leveled):
         """Wave (rcc, vcc) and identity (unencoded) replays charge exactly
         the energies of the write_line loop, stopped early or not, and
         total them in its order: controller.stats and write_stats() equal
-        the loop's running sums, also on a controller holding earlier writes."""
+        the loop's running sums, also on a controller holding earlier
+        writes, and with Start-Gap moves charged where the loop charges them."""
         trace = _trace()
         repetitions = 3
         writes = repetitions * len(trace)
         performed = writes if cut is None else cut + 1
-        scalar, replayed = _warm_pair(name, technology, warm)
+        scalar, replayed = _warm_pair(name, technology, warm, leveled)
         expected = [
             scalar.write_line(record.address, list(record.words))
             for record in (list(trace) * repetitions)[:performed]
@@ -288,12 +301,16 @@ class TestFractionalEnergyParity:
         assert replay.aux_energy_pj.tolist() == [line.aux_energy_pj for line in expected]
         assert replayed.stats == scalar.stats
         assert replay.write_stats() == WriteStats.from_line_results(expected, replay.words_per_line)
+        assert bool(replay.moves) == leveled
 
+    @LEVELED
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("name", ["unencoded", "rcc", "vcc"])
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
-    def test_random_line_totals_match_write_line_bit_for_bit(self, technology, name, warm):
-        scalar, batched = _warm_pair(name, technology, warm)
+    def test_random_line_totals_match_write_line_bit_for_bit(
+        self, technology, name, warm, leveled
+    ):
+        scalar, batched = _warm_pair(name, technology, warm, leveled)
         expected = scalar_random_line_results(scalar, 60, seed=5)
         result = batched.write_random_lines(60, make_rng(5, "random-lines"))
         assert batched.stats == scalar.stats
@@ -344,10 +361,35 @@ class TestReplayControls:
         narrow = generate_trace(
             "mcf", num_writebacks=4, memory_lines=ROWS, line_bits=256, word_bits=64, seed=1
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="geometry"):
             controller.replay_trace(narrow)
+        half_words = generate_trace(
+            "mcf", num_writebacks=4, memory_lines=ROWS, line_bits=512, word_bits=32, seed=1
+        )
+        with pytest.raises(ConfigurationError, match="word size"):
+            controller.replay_trace(half_words)
         with pytest.raises(ConfigurationError):
             controller.replay_trace(_trace(), repetitions=-1)
+        assert controller.stats == WriteStats()
+
+    def test_words_wider_than_64_bits_take_write_line(self):
+        """The batched drivers refuse 128-bit words before touching any
+        state; write_line still writes them."""
+        controller = build_controller(
+            TechniqueSpec(encoder="unencoded"), rows=ROWS, word_bits=128, encrypt=True
+        )
+        wide = Trace(name="wide", word_bits=128)
+        wide.append(WritebackRecord(address=3, words=(1 << 100, 5, 7, 1 << 127)))
+        with pytest.raises(TraceError):
+            wide.words_array()
+        with pytest.raises(ConfigurationError, match="64 bits"):
+            controller.replay_trace(wide)
+        with pytest.raises(ConfigurationError, match="64 bits"):
+            controller.write_random_lines(4, make_rng(1, "wide"))
+        assert controller.stats == WriteStats()
+        assert controller.encryption.counter_for(3) == 0
+        controller.write_line(3, list(wide[0].words))
+        assert controller.read_line(3) == list(wide[0].words)
 
     def test_write_stats_matches_line_results(self):
         trace = _trace()

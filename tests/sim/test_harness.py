@@ -4,7 +4,6 @@ import pytest
 
 from repro.coding.cost import BitChangeCost, EnergyCost, LexicographicCost, OnesCost, SawCost
 from repro.errors import ConfigurationError, SimulationError
-from repro.memctrl.controller import LineWriteResult
 from repro.pcm.cell import CellTechnology
 from repro.pcm.faultmap import FaultMap
 from repro.pcm.stats import WriteStats
@@ -13,11 +12,9 @@ from repro.sim.harness import (
     build_controller,
     drive_random_lines,
     drive_random_lines_scalar,
-    drive_trace,
     make_cost,
     make_read_corrector,
 )
-from repro.traces.synthetic import generate_trace
 
 
 class TestMakeCost:
@@ -199,40 +196,3 @@ class TestDrivers:
         assert batched.saw_words == scalar.saw_words
         assert batched.data_energy_pj == pytest.approx(scalar.data_energy_pj)
         assert batched.aux_energy_pj == pytest.approx(scalar.aux_energy_pj)
-
-    def test_drive_trace(self):
-        controller = build_controller(TechniqueSpec(encoder="unencoded"), rows=32, seed=4)
-        trace = generate_trace("xz", 15, memory_lines=32, seed=4)
-        drive_trace(controller, trace, repetitions=2)
-        assert controller.stats.rows_written == 30
-
-    def test_drive_trace_returns_replay_result(self):
-        controller = build_controller(TechniqueSpec(encoder="rcc", num_cosets=16), rows=32, seed=4)
-        trace = generate_trace("xz", 15, memory_lines=32, seed=4)
-        replay = drive_trace(controller, trace, repetitions=2)
-        assert replay.writes == 30
-        assert not replay.stopped_early
-        # The replay carries the whole accounting: re-aggregating it
-        # reproduces the controller's accumulated statistics, and the
-        # scalar view yields per-write LineWriteResult summaries.
-        assert replay.write_stats().as_dict() == controller.stats.as_dict()
-        results = replay.line_results()
-        assert len(results) == 30
-        assert all(isinstance(result, LineWriteResult) for result in results)
-        rebuilt = WriteStats.from_line_results(results, controller.config.words_per_line)
-        for key, value in rebuilt.as_dict().items():
-            assert value == pytest.approx(controller.stats.as_dict()[key])
-
-    def test_drive_trace_word_size_checked(self):
-        controller = build_controller(TechniqueSpec(encoder="unencoded"), rows=8)
-        trace = generate_trace("xz", 5, memory_lines=8, word_bits=32, line_bits=512, seed=5)
-        with pytest.raises(SimulationError):
-            drive_trace(controller, trace)
-
-    def test_drive_trace_line_geometry_checked(self):
-        # Same word size but a different line width must fail up front
-        # with a clear SimulationError, not deep inside the write path.
-        controller = build_controller(TechniqueSpec(encoder="unencoded"), rows=8)
-        trace = generate_trace("xz", 5, memory_lines=8, word_bits=64, line_bits=256, seed=5)
-        with pytest.raises(SimulationError, match="line geometry"):
-            drive_trace(controller, trace)
