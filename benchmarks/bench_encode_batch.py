@@ -11,7 +11,8 @@ This benchmark checks the wave engine's parity and tracks its throughput:
   encoders × SLC/MLC under the Opt.-SAW objective and × MLC under the
   energy and Opt.-Energy objectives, with stuck cells, wear, and
   encryption in play, and additionally under Start-Gap wear leveling (waves must flush at gap
-  migrations) and across the fault-knowledge modes;
+  migrations), across the fault-knowledge modes, and for a one-partition
+  stored-ROM VCC whose kernels are 64 bits wide;
 * **throughput** — on the paper's headline coset configurations (VCC-256,
   the stored-ROM VCC-256 of the lifetime figures' "VCC" series, and
   RCC-256, all under the Opt.-SAW objective), ``replay_trace`` and the
@@ -45,13 +46,15 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_util import write_bench_json
 
 from repro.coding.registry import available_encoders, make_encoder
+from repro.core.config import VCCConfig
+from repro.core.vcc import VCCEncoder
 from repro.memctrl.controller import MemoryController
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.pcm.faultmap import FaultMap
 from repro.pcm.wearlevel import StartGapWearLeveler
 from repro.pcm.array import PCMArray
-from repro.sim.harness import TechniqueSpec, build_controller
+from repro.sim.harness import TechniqueSpec, build_controller, make_cost
 from repro.traces.synthetic import generate_trace
 from repro.utils.rng import derive_seed
 
@@ -212,6 +215,32 @@ def check_parity() -> int:
         _assert_replay_parity(scalar, replay)
         checked += 1
 
+    # One partition of the full word: 64-bit stored kernels, the widest
+    # the oracle's uint64 kernel arrays hold.
+    def build_wide_kernels():
+        technology = CellTechnology.MLC
+        array = PCMArray(
+            rows=PARITY_ROWS,
+            row_bits=512,
+            technology=technology,
+            fault_map=FaultMap(
+                rows=PARITY_ROWS, cells_per_row=256, technology=technology,
+                fault_rate=1e-2, seed=9,
+            ),
+            endurance_model=EnduranceModel(mean_writes=30, coefficient_of_variation=0.2),
+            seed=9,
+        )
+        encoder = VCCEncoder(
+            VCCConfig.for_cosets(16, partitions=1, stored_kernels=True),
+            cost_function=make_cost("saw-then-energy", technology),
+        )
+        return MemoryController(array=array, encoder=encoder)
+
+    scalar = _drive_scalar(build_wide_kernels(), trace, PARITY_REPETITIONS)
+    replay = build_wide_kernels().replay_trace(trace, repetitions=PARITY_REPETITIONS)
+    _assert_replay_parity(scalar, replay)
+    checked += 1
+
     return checked
 
 
@@ -313,16 +342,17 @@ def run_benchmark() -> Dict[str, Dict[str, float]]:
 def test_encode_batch_parity() -> None:
     # Bit-identical per-write accounting over the full matrix (9 encoders
     # x SLC/MLC under Opt. SAW, x MLC under energy and Opt. Energy, wear
-    # leveling, fault-knowledge modes).
+    # leveling, fault-knowledge modes, 64-bit VCC kernels).
     checked = check_parity()
-    assert checked == 4 * len(available_encoders()) + 5
+    assert checked == 4 * len(available_encoders()) + 6
 
 
 def main() -> None:
     run_benchmark()
     print(
         "parity: replay waves vs write_line oracle "
-        "(all encoders x SLC/MLC and energy objectives, wear leveling, fault knowledge) ...",
+        "(all encoders x SLC/MLC and energy objectives, wear leveling, fault knowledge, "
+        "64-bit kernels) ...",
         end=" ",
     )
     checked = check_parity()

@@ -49,8 +49,9 @@ import numpy as np
 
 import repro.obs as obs
 from repro.errors import ConfigurationError, EncodingError
-from repro.pcm.array import cells_to_word, word_to_cells
+from repro.pcm.array import word_to_cells
 from repro.pcm.cell import CellTechnology
+from repro.utils.validation import require_word_bits
 
 # Lines encoded through the word-at-a-time oracle instead of a vectorised
 # encode_lines — the replay engine's "fallback path taken" signal.
@@ -85,21 +86,8 @@ def words_to_cell_matrix(words: Sequence[int], word_bits: int, bits_per_cell: in
     function in one vectorised call.  Cell 0 holds the most significant
     bits of each word, matching :func:`repro.pcm.array.word_to_cells`.
     """
-    cells = word_bits // bits_per_cell
-    mask = (1 << bits_per_cell) - 1
-    if word_bits <= 64:
-        values = np.fromiter((int(w) for w in words), dtype=np.uint64, count=len(words))
-        shifts = np.array(
-            [bits_per_cell * (cells - 1 - index) for index in range(cells)], dtype=np.uint64
-        )
-        matrix = (values[:, None] >> shifts[None, :]) & np.uint64(mask)
-        return matrix.astype(np.uint8)
-    matrix = np.empty((len(words), cells), dtype=np.uint8)
-    for row, word in enumerate(words):
-        for index in range(cells):
-            shift = bits_per_cell * (cells - 1 - index)
-            matrix[row, index] = (word >> shift) & mask
-    return matrix
+    values = np.fromiter((int(w) for w in words), dtype=np.uint64, count=len(words))
+    return words_matrix_to_cells(values, word_bits, bits_per_cell)
 
 
 def words_matrix_to_cells(words: np.ndarray, word_bits: int, bits_per_cell: int) -> np.ndarray:
@@ -110,19 +98,12 @@ def words_matrix_to_cells(words: np.ndarray, word_bits: int, bits_per_cell: int)
     significant bits, matching :func:`repro.pcm.array.word_to_cells`.
     """
     cells = word_bits // bits_per_cell
-    mask = (1 << bits_per_cell) - 1
-    if word_bits <= 64:
-        values = np.asarray(words, dtype=np.uint64)
-        shifts = np.array(
-            [bits_per_cell * (cells - 1 - index) for index in range(cells)], dtype=np.uint64
-        )
-        matrix = (values[..., None] >> shifts) & np.uint64(mask)
-        return matrix.astype(np.uint8)
-    values = np.asarray(words, dtype=object)
-    out = np.empty(values.shape + (cells,), dtype=np.uint8)
-    for position in np.ndindex(values.shape):
-        out[position] = word_to_cells(int(values[position]), word_bits, bits_per_cell)
-    return out
+    values = np.asarray(words, dtype=np.uint64)
+    shifts = np.array(
+        [bits_per_cell * (cells - 1 - index) for index in range(cells)], dtype=np.uint64
+    )
+    matrix = (values[..., None] >> shifts) & np.uint64((1 << bits_per_cell) - 1)
+    return matrix.astype(np.uint8)
 
 
 def cells_matrix_to_words(cells: np.ndarray, bits_per_cell: int) -> List[int]:
@@ -135,15 +116,13 @@ def cells_matrix_to_words(cells: np.ndarray, bits_per_cell: int) -> List[int]:
     if matrix.ndim != 2:
         raise ConfigurationError("cells_matrix_to_words expects a (words, cells) matrix")
     num_cells = matrix.shape[1]
-    word_bits = num_cells * bits_per_cell
-    if word_bits <= 64:
-        shifts = np.array(
-            [bits_per_cell * (num_cells - 1 - index) for index in range(num_cells)],
-            dtype=np.uint64,
-        )
-        packed = (matrix << shifts).sum(axis=1, dtype=np.uint64)
-        return [int(value) for value in packed]
-    return [cells_to_word(row, bits_per_cell) for row in matrix]
+    require_word_bits(num_cells * bits_per_cell)
+    shifts = np.array(
+        [bits_per_cell * (num_cells - 1 - index) for index in range(num_cells)],
+        dtype=np.uint64,
+    )
+    packed = (matrix << shifts).sum(axis=1, dtype=np.uint64)
+    return [int(value) for value in packed]
 
 
 def _init_cells(context, ndim: Optional[int] = None, layout: str = "") -> np.ndarray:
@@ -167,23 +146,14 @@ def _init_cells(context, ndim: Optional[int] = None, layout: str = "") -> np.nda
     return old
 
 
-def _int_array(values, dtype) -> np.ndarray:
-    """``values`` as a ``dtype`` array, or Python ints when they do not fit.
-
-    Techniques with >= 64 auxiliary bits per word (e.g. FNW over wide
-    words) and words wider than 64 bits carry Python ints in object arrays.
-    """
-    try:
-        return np.asarray(values, dtype=dtype)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _old_aux_array(old_auxes, shape: Tuple[int, ...]) -> np.ndarray:
-    """Stored auxiliary values as a non-negative array of ``shape`` (None: zeros)."""
+    """Stored auxiliary values as a non-negative int64 array of ``shape`` (None: zeros)."""
     if old_auxes is None:
         return np.zeros(shape, dtype=np.int64)
-    auxes = _int_array(old_auxes, np.int64)
+    try:
+        auxes = np.asarray(old_auxes, dtype=np.int64)
+    except OverflowError:
+        raise ConfigurationError("auxiliary values must fit in 63 bits") from None
     if auxes.shape != shape:
         raise ConfigurationError("old_auxes must hold one value per word")
     if auxes.size and auxes.min() < 0:
@@ -408,8 +378,9 @@ class LineBatch:
     bits_per_cell:
         1 for SLC, 2 for MLC.
     old_auxes:
-        ``(lines, words)`` previously stored auxiliary values (int64, or
-        Python ints for >= 64 auxiliary bits).  Defaults to all zeros.
+        ``(lines, words)`` previously stored auxiliary values (int64; a
+        value that does not fit raises :class:`ConfigurationError`).
+        Defaults to all zeros.
     """
 
     old_cells: np.ndarray
@@ -614,11 +585,9 @@ class EncodedBatch:
     Attributes
     ----------
     codewords:
-        ``(lines, words)`` values to store in the data cells (uint64, or
-        Python ints for words wider than 64 bits).
+        ``(lines, words)`` uint64 values to store in the data cells.
     auxes:
-        ``(lines, words)`` auxiliary values (int64, or Python ints for
-        >= 64 auxiliary bits).
+        ``(lines, words)`` int64 auxiliary values.
     aux_bits:
         Number of auxiliary bits per word used by the technique.
     costs:
@@ -665,8 +634,8 @@ class EncodedBatch:
     def from_lines(cls, lines: Sequence[EncodedLine]) -> "EncodedBatch":
         """Stack per-line results (of one technique) into a batch result."""
         return cls(
-            codewords=_int_array([line.codewords for line in lines], np.uint64),
-            auxes=_int_array([line.auxes for line in lines], np.int64),
+            codewords=np.array([line.codewords for line in lines], dtype=np.uint64),
+            auxes=np.array([line.auxes for line in lines], dtype=np.int64),
             aux_bits=lines[0].aux_bits,
             costs=[line.costs for line in lines],
             technique=lines[0].technique,
@@ -676,9 +645,10 @@ class EncodedBatch:
 class Encoder(abc.ABC):
     """Common interface of every write-encoding technique.
 
-    Concrete encoders are constructed with a word width, a cell technology,
-    and a :class:`repro.coding.cost.CostFunction`; ``encode`` then selects
-    the candidate codeword minimising that cost for each write.
+    Concrete encoders are constructed with a word width of at most 64
+    bits, a cell technology, and a :class:`repro.coding.cost.CostFunction`;
+    ``encode`` then selects the candidate codeword minimising that cost for
+    each write.
     """
 
     #: Human-readable technique name (overridden by subclasses).
@@ -691,8 +661,7 @@ class Encoder(abc.ABC):
     is_identity: bool = False
 
     def __init__(self, word_bits: int, technology: CellTechnology, cost_function) -> None:
-        if word_bits <= 0:
-            raise ConfigurationError("word_bits must be positive")
+        require_word_bits(word_bits)
         if word_bits % technology.bits_per_cell != 0:
             raise ConfigurationError("word_bits must hold an integer number of cells")
         self.word_bits = word_bits
@@ -772,7 +741,7 @@ class Encoder(abc.ABC):
         bit-identical to :meth:`encode_line_scalar` on each line — the
         memory controller's replay waves rely on that contract.
         """
-        values = self._check_lines_batch(words, batch, dtype=object)
+        values = self._check_lines_batch(words, batch)
         _OBS_FALLBACK_LINES.inc(len(batch))
         return EncodedBatch.from_lines(
             [
@@ -804,16 +773,12 @@ class Encoder(abc.ABC):
                 f"but {num_words} words were supplied"
             )
 
-    def _check_lines_batch(
-        self, words: WordsMatrix, batch: LineBatch, dtype=np.uint64
-    ) -> np.ndarray:
+    def _check_lines_batch(self, words: WordsMatrix, batch: LineBatch) -> np.ndarray:
         """Validate a ``(lines, words)`` data batch against ``batch``.
 
-        Returns the words as a ``dtype`` matrix: uint64 for the vectorised
-        paths, object (Python ints) for the scalar fallback, whose
-        :meth:`encode` range-checks each word itself.  A uint64 word outside
-        ``[0, 2**word_bits)`` raises :class:`EncodingError`, exactly like
-        the scalar oracle, and so does a negative entry of a signed array.
+        Returns the words as a uint64 matrix.  A word outside ``[0,
+        2**word_bits)`` raises :class:`EncodingError`, exactly like the
+        scalar oracle, and so does a negative entry of a signed array.
         """
         if not isinstance(batch, LineBatch):
             raise EncodingError("encode_lines expects a LineBatch (see LineBatch.from_lines)")
@@ -824,7 +789,7 @@ class Encoder(abc.ABC):
             if lowest < 0:
                 self._check_data(lowest)
         try:
-            values = np.asarray(words, dtype=dtype)
+            values = np.asarray(words, dtype=np.uint64)
         except OverflowError:
             # A negative or >= 2**64 word: name it like _check_data does.
             for row in words:
@@ -840,11 +805,7 @@ class Encoder(abc.ABC):
                 f"encode_lines got {values.shape[0]} lines of {values.shape[1]} words "
                 f"for a batch of {len(batch)} lines of {batch.words_per_line} words"
             )
-        if (
-            values.dtype == np.uint64
-            and self.word_bits < 64
-            and bool((values >> np.uint64(self.word_bits)).any())
-        ):
+        if self.word_bits < 64 and bool((values >> np.uint64(self.word_bits)).any()):
             bad = values[(values >> np.uint64(self.word_bits)) != 0].flat[0]
             raise EncodingError(
                 f"data word {int(bad):#x} does not fit in {self.word_bits} bits"

@@ -68,8 +68,6 @@ class FlipcyEncoder(Encoder):
         return self._select_best(candidates, auxes, context)
 
     def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
-        if self.word_bits > 64:
-            return super().encode_lines(words, batch)
         values = self._check_lines_batch(words, batch)
         mask = np.uint64(self._mask)
         # Same three forms as encode, stacked along the candidate axis.

@@ -69,7 +69,9 @@ class FNWEncoder(Encoder):
         cost_function: CostFunction = None,
     ):
         super().__init__(word_bits, technology, cost_function or BitChangeCost())
-        require(partitions > 0, "partitions must be positive")
+        # One flag bit per partition: 64 partitions would overflow the
+        # int64 auxiliary field.
+        require(0 < partitions < 64, f"partitions must be in [1, 63], got {partitions}")
         require_divisible(word_bits, partitions, "word_bits must be divisible by partitions")
         self.partitions = partitions
         self.sub_bits = word_bits // partitions
@@ -118,8 +120,6 @@ class FNWEncoder(Encoder):
     def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
         # One batch_line_cell_costs call scores the direct and inverted form
         # of every partition of every word of every queued write.
-        if self.word_bits > 64 or self.aux_bits >= 64:
-            return super().encode_lines(words, batch)
         values = self._check_lines_batch(words, batch)
         lines, num_words = values.shape
         p = self.partitions

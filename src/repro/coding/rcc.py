@@ -94,20 +94,16 @@ class RCCEncoder(Encoder):
             seen.add(candidate)
             cosets.append(candidate)
         self.cosets: List[int] = cosets
-        if word_bits <= 64:
-            self._coset_array = np.array(cosets, dtype=np.uint64)
-            # One-hot coset matrix of the scoring product: column c has a 1
-            # in row ``cell * levels + coset_cell`` for every cell of coset c.
-            coset_cells = words_to_cell_matrix(cosets, word_bits, self.bits_per_cell)
-            levels = 1 << self.bits_per_cell
-            self._coset_onehot = np.zeros((self.cells_per_word * levels, num_cosets))
-            self._coset_onehot[
-                coset_cells + np.arange(self.cells_per_word) * levels,
-                np.arange(num_cosets)[:, None],
-            ] = 1.0
-        else:
-            self._coset_array = None
-            self._coset_onehot = None
+        self._coset_array = np.array(cosets, dtype=np.uint64)
+        # One-hot coset matrix of the scoring product: column c has a 1 in
+        # row ``cell * levels + coset_cell`` for every cell of coset c.
+        coset_cells = words_to_cell_matrix(cosets, word_bits, self.bits_per_cell)
+        levels = 1 << self.bits_per_cell
+        self._coset_onehot = np.zeros((self.cells_per_word * levels, num_cosets))
+        self._coset_onehot[
+            coset_cells + np.arange(self.cells_per_word) * levels,
+            np.arange(num_cosets)[:, None],
+        ] = 1.0
 
     @property
     def aux_bits(self) -> int:
@@ -121,8 +117,6 @@ class RCCEncoder(Encoder):
         return self._select_best(candidates, auxes, context)
 
     def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
-        if self._coset_array is None:
-            return super().encode_lines(words, batch)
         values = self._check_lines_batch(words, batch)
         lines, words_per_line = values.shape
         total_words = lines * words_per_line

@@ -62,8 +62,6 @@ class UnencodedEncoder(Encoder):
         )
 
     def encode_lines(self, words: WordsMatrix, batch: LineBatch) -> EncodedBatch:
-        if self.word_bits > 64:
-            return super().encode_lines(words, batch)
         values = self._check_lines_batch(words, batch)
         lines, words_per_line = values.shape
         # A single one-candidate batch kernel call reports the cost of

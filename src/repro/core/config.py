@@ -27,7 +27,12 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
-from repro.utils.validation import require, require_divisible, require_power_of_two
+from repro.utils.validation import (
+    require,
+    require_divisible,
+    require_power_of_two,
+    require_word_bits,
+)
 
 __all__ = ["EncodeRegion", "VCCConfig"]
 
@@ -58,7 +63,7 @@ class VCCConfig:
     stored_kernels: bool = False
 
     def __post_init__(self) -> None:
-        require(self.word_bits > 0, "word_bits must be positive")
+        require_word_bits(self.word_bits)
         require(self.kernel_bits > 0, "kernel_bits must be positive")
         require_power_of_two(self.num_kernels, "num_kernels")
         require_divisible(

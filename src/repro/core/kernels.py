@@ -229,8 +229,6 @@ class GeneratedKernelProvider(KernelProvider):
         ]
 
     def kernels_for_batch(self, words: np.ndarray) -> np.ndarray:
-        if self.config.word_bits > 64:
-            return super().kernels_for_batch(words)
         values = np.asarray(words, dtype=np.uint64).ravel()
         left_planes, _right = split_planes_array(values, self.config.word_bits)
         shifts = np.array(

@@ -104,15 +104,13 @@ class VCCEncoder(Encoder):
             self.name = "vcc-stored"
         self._kernel_mask = (1 << config.kernel_bits) - 1
         self._plane_bits = config.word_bits // 2
-        self._kernel_shifts = np.arange(
-            config.kernel_bits - 1, -1, -1, dtype=np.uint32
-        )
+        self._kernel_shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=np.uint64)
         # One-hot matrix of the full-word ROM product (see encode_lines):
         # column i (XOR form of kernel i) has a 1 in row ``cell * levels +
         # kernel_cell`` for every cell of a partition; column r + i, the
         # XNOR form, the same for the complemented kernel cells.
         self._rom_onehot = None
-        if config.encode_region is EncodeRegion.FULL_WORD and config.word_bits <= 64:
+        if config.encode_region is EncodeRegion.FULL_WORD:
             levels = 1 << self.bits_per_cell
             kernel_cells = words_matrix_to_cells(
                 np.asarray(kernel_provider.kernels_for(0), dtype=np.uint64),
@@ -152,7 +150,7 @@ class VCCEncoder(Encoder):
         encoded_region, left_plane = self._split_regions(data)
         subblocks = split_subblocks(encoded_region, config.encoded_bits, config.kernel_bits)
 
-        kernel_array = np.asarray(kernels, dtype=np.uint32)
+        kernel_array = np.asarray(kernels, dtype=np.uint64)
         xor_costs = np.empty((r, p), dtype=np.float64)
         xnor_costs = np.empty((r, p), dtype=np.float64)
 
@@ -217,8 +215,6 @@ class VCCEncoder(Encoder):
         word.
         """
         config = self.config
-        if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
-            return super().encode_lines(words, batch)
         values = self._check_lines_batch(words, batch)
         lines, words_per_line = values.shape
         num_words = lines * words_per_line
@@ -401,8 +397,8 @@ class VCCEncoder(Encoder):
         """
         config = self.config
         r = config.num_kernels
-        xor_values = np.bitwise_xor(np.uint32(subblock), kernel_array)
-        xnor_values = np.bitwise_xor(xor_values, np.uint32(self._kernel_mask))
+        xor_values = np.bitwise_xor(np.uint64(subblock), kernel_array)
+        xnor_values = np.bitwise_xor(xor_values, np.uint64(self._kernel_mask))
         all_values = np.concatenate([xor_values, xnor_values])
 
         start, stop = self._partition_cells(j)
@@ -411,13 +407,13 @@ class VCCEncoder(Encoder):
         if config.encode_region is EncodeRegion.RIGHT_PLANE:
             # Each kernel bit is the right digit of one cell; the left digit
             # comes, unchanged, from the passthrough plane.
-            right_bits = (all_values[:, None] >> self._kernel_shifts[None, :]) & np.uint32(1)
+            right_bits = (all_values[:, None] >> self._kernel_shifts[None, :]) & np.uint64(1)
             left_sub = (
                 left_plane >> (config.encoded_bits - (j + 1) * config.kernel_bits)
             ) & self._kernel_mask
             left_bits = np.array(
                 [(left_sub >> shift) & 1 for shift in range(config.kernel_bits - 1, -1, -1)],
-                dtype=np.uint32,
+                dtype=np.uint64,
             )
             cell_matrix = ((left_bits[None, :] << 1) | right_bits).astype(np.uint8)
         else:

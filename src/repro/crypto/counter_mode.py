@@ -6,17 +6,10 @@ using four AES engines, XORs it with the plaintext line, and bumps the
 counter so every stored value sees a fresh pad.  Reads regenerate the same
 pad from the stored counter and XOR it away.
 
-:class:`CounterModeEngine` reproduces that behaviour.  Two pad generators
-are available:
-
-* ``fast_pad=False`` — the real :class:`repro.crypto.aes.AES128` cipher in
-  counter mode (one block per 128 pad bits), faithful but slow in pure
-  Python;
-* ``fast_pad=True`` (default for bulk simulation) — a keyed BLAKE2b PRF
-  that produces statistically identical (uniform, address- and
-  counter-unique) pads at a fraction of the cost.  The downstream encoders
-  only care that the ciphertext is unbiased, so this substitution does not
-  change any experimental conclusion; it is documented in DESIGN.md.
+:class:`CounterModeEngine` reproduces that behaviour with a keyed BLAKE2b
+PRF in place of AES: its pads are uniform and unique per address and
+counter, which is all the downstream encoders depend on (they only need
+the ciphertext to be unbiased).
 
 :meth:`CounterModeEngine.encrypt_line` is the per-line oracle and
 :meth:`CounterModeEngine.encrypt_lines` its batched twin.  A replayed
@@ -35,14 +28,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 import repro.obs as obs
-from repro.crypto.aes import AES128
 from repro.errors import ConfigurationError
-from repro.utils.validation import require
+from repro.utils.validation import require, require_word_bits
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.traces
     from repro.traces.trace import Trace
@@ -56,7 +48,7 @@ _OBS_PAD_CHUNKS = obs.counter(
     "crypto.pad_chunks", "batched encrypt_lines calls (one pad chunk each)"
 )
 _OBS_DERIVED_PADS = obs.counter(
-    "crypto.derived_pads", "one-time pads derived by the PRF or AES (encrypt_line/encrypt_lines)"
+    "crypto.derived_pads", "one-time pads derived by the PRF (encrypt_line/encrypt_lines)"
 )
 _OBS_ROLLBACKS = obs.counter(
     "crypto.rollbacks", "rollback_counters calls (no replay path makes one)"
@@ -96,14 +88,12 @@ class CounterModeEngine:
     Parameters
     ----------
     key:
-        Encryption key bytes.  Any length is accepted; it is folded into the
-        pad derivation (the AES path uses the first 16 bytes).
+        Encryption key bytes.  Any length is accepted; the first 64 bytes
+        key the pad derivation.
     line_bits:
         Cache-line size in bits (default 512, matching the paper).
     word_bits:
-        Word granularity used by the encoders (default 64).
-    fast_pad:
-        Use the keyed-PRF pad generator instead of pure-Python AES.
+        Word granularity used by the encoders (default 64, at most 64).
     """
 
     def __init__(
@@ -111,9 +101,9 @@ class CounterModeEngine:
         key: bytes = b"\x00" * 32,
         line_bits: int = 512,
         word_bits: int = 64,
-        fast_pad: bool = True,
     ):
-        require(line_bits > 0 and word_bits > 0, "line_bits and word_bits must be positive")
+        require_word_bits(word_bits)
+        require(line_bits > 0, "line_bits must be positive")
         require(
             line_bits % word_bits == 0,
             f"line_bits ({line_bits}) must be a multiple of word_bits ({word_bits})",
@@ -130,16 +120,10 @@ class CounterModeEngine:
         self.word_bytes = -(-word_bits // 8)
         #: Pad-stream bytes derived per line.
         self._pad_length = self.words_per_line * self.word_bytes
-        self.fast_pad = fast_pad
         self._counters: Dict[int, int] = {}
-        self._aes: Optional[AES128] = None
-        # The keyed PRF with its key block already compressed; encrypt_lines
-        # copies it per pad block instead of re-keying.
-        self._prf: Optional[hashlib.blake2b] = None
-        if fast_pad:
-            self._prf = hashlib.blake2b(key=self.key[:64], digest_size=32)
-        else:
-            self._aes = AES128((self.key + b"\x00" * 16)[:16])
+        # The keyed PRF with its key block already compressed; pad
+        # derivations copy it per pad block instead of re-keying.
+        self._prf = hashlib.blake2b(key=self.key[:64], digest_size=32)
 
     # ------------------------------------------------------------- counters
     def counter_for(self, address: int) -> int:
@@ -181,8 +165,7 @@ class CounterModeEngine:
         trace's addresses.  The base is the current counters minus as
         many whole passes over the trace as they hold, and ``position``
         skips those passes, so a fresh engine and one that already
-        replayed the trace ``k`` times read the same stream.  Requires
-        words of at most 64 bits.
+        replayed the trace ``k`` times read the same stream.
         """
         addresses, inverse, per_pass = trace.derived(
             "address-index",
@@ -196,10 +179,10 @@ class CounterModeEngine:
         )
         passes = int((current // per_pass).min()) if len(addresses) else 0
         base = current - passes * per_pass
-        key = ("ciphertext", self.key, self.line_bits, self.word_bits, self.fast_pad, base.tobytes())
+        key = ("ciphertext", self.key, self.line_bits, self.word_bits, base.tobytes())
 
         def build() -> CiphertextStream:
-            engine = CounterModeEngine(self.key, self.line_bits, self.word_bits, self.fast_pad)
+            engine = CounterModeEngine(self.key, self.line_bits, self.word_bits)
             return CiphertextStream(engine, trace, addresses, inverse, per_pass, base)
 
         return trace.derived(key, build), passes * len(trace)
@@ -238,58 +221,16 @@ class CounterModeEngine:
         out = bytearray()
         block_index = 0
         while len(out) < needed:
-            if self.fast_pad:
-                digest = hashlib.blake2b(
-                    address.to_bytes(8, "big")
-                    + counter.to_bytes(8, "big")
-                    + block_index.to_bytes(4, "big"),
-                    key=self.key[:64],
-                    digest_size=32,
-                ).digest()
-                out.extend(digest)
-            else:
-                block = (
-                    address.to_bytes(8, "big")
-                    + counter.to_bytes(4, "big")
-                    + block_index.to_bytes(4, "big")
-                )
-                out.extend(self._aes.encrypt_block(block))
+            digest = hashlib.blake2b(
+                address.to_bytes(8, "big")
+                + counter.to_bytes(8, "big")
+                + block_index.to_bytes(4, "big"),
+                key=self.key[:64],
+                digest_size=32,
+            ).digest()
+            out.extend(digest)
             block_index += 1
         return bytes(out[:needed])
-
-    def _aes_pad_chunk(
-        self, address_values: np.ndarray, counter_values: np.ndarray
-    ) -> np.ndarray:
-        """Pad bytes for a whole chunk via one multi-block AES call.
-
-        Assembles every line's counter blocks —
-        ``address (8B big-endian) | counter (4B) | block index (4B)``,
-        exactly the layout :meth:`_pad_bytes` feeds ``encrypt_block`` —
-        as one ``(lines * blocks_per_line, 16)`` matrix and runs
-        :meth:`repro.crypto.aes.AES128.encrypt_blocks` once, so the
-        per-line Python cipher invocations that dominated batched
-        replay disappear.  Returns ``(lines, words_per_line * word_bytes)``
-        uint8 pad bytes, bit-identical to the scalar derivation.
-        """
-        aes = self._aes
-        if aes is None:  # pragma: no cover - callers gate on fast_pad=False
-            raise ConfigurationError("AES pad chunking requires fast_pad=False")
-        needed = self._pad_length
-        block_size = AES128.BLOCK_SIZE
-        blocks_per_line = -(-needed // block_size)
-        count = address_values.shape[0]
-        blocks = np.empty((count, blocks_per_line, block_size), dtype=np.uint8)
-        blocks[:, :, 0:8] = address_values.astype(">u8").view(np.uint8).reshape(count, 1, 8)
-        blocks[:, :, 8:12] = counter_values.astype(">u4").view(np.uint8).reshape(count, 1, 4)
-        blocks[:, :, 12:16] = (
-            np.arange(blocks_per_line, dtype=">u4")
-            .view(np.uint8)
-            .reshape(1, blocks_per_line, 4)
-        )
-        cipher = aes.encrypt_blocks(blocks.reshape(-1, block_size))
-        return np.ascontiguousarray(
-            cipher.reshape(count, blocks_per_line * block_size)[:, :needed]
-        )
 
     def _prf_pad_chunk(
         self, address_values: np.ndarray, counter_values: np.ndarray
@@ -304,8 +245,6 @@ class CounterModeEngine:
         :meth:`_pad_bytes`.
         """
         prf = self._prf
-        if prf is None:  # pragma: no cover - callers gate on fast_pad=True
-            raise ConfigurationError("PRF pad chunking requires fast_pad=True")
         needed = self._pad_length
         block_suffixes = [
             index.to_bytes(4, "big") for index in range(-(-needed // prf.digest_size))
@@ -352,7 +291,7 @@ class CounterModeEngine:
         Bit-identical to calling :meth:`encrypt_line` once per row of
         ``plaintext_words`` (a ``(lines, words_per_line)`` unsigned-integer
         matrix) in order: counters advance per occurrence of an address and
-        the pads are the same keyed-PRF/AES streams.  Only the word packing
+        the pads are the same keyed-PRF streams.  Only the word packing
         and the XOR are vectorised — which is exactly the part that
         dominates the scalar path once the caller replays a long trace.
         Each word's pad bytes go into the low bytes of an 8-byte slot, and
@@ -360,14 +299,8 @@ class CounterModeEngine:
         serves every word width up to 64 bits.
 
         Returns the ciphertext as a ``(lines, words_per_line)`` ``uint64``
-        matrix.  Words wider than 64 bits raise
-        :class:`~repro.errors.ConfigurationError` before any counter moves;
-        they take :meth:`encrypt_line`.
+        matrix.
         """
-        if self.word_bits > 64:
-            raise ConfigurationError(
-                f"encrypt_lines takes words of at most 64 bits, got {self.word_bits}"
-            )
         matrix = np.ascontiguousarray(plaintext_words, dtype=np.uint64)
         if matrix.ndim != 2 or matrix.shape[1] != self.words_per_line:
             raise ConfigurationError(
@@ -388,13 +321,7 @@ class CounterModeEngine:
             counters[address] = counter
             address_values[index] = address
             counter_values[index] = counter
-        if self.fast_pad:
-            pad_bytes = self._prf_pad_chunk(address_values, counter_values)
-        else:
-            # Vectorised counter-block assembly + one multi-block AES
-            # call for the whole chunk — bit-identical to the per-line
-            # _pad_bytes stream (see _aes_pad_chunk).
-            pad_bytes = self._aes_pad_chunk(address_values, counter_values)
+        pad_bytes = self._prf_pad_chunk(address_values, counter_values)
         shape = (count, self.words_per_line)
         slots = np.zeros(shape + (8,), dtype=np.uint8)
         slots[:, :, 8 - self.word_bytes:] = pad_bytes.reshape(shape + (self.word_bytes,))

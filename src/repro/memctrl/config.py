@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import require_word_bits
 
 __all__ = ["ControllerConfig"]
 
@@ -18,7 +19,7 @@ class ControllerConfig:
     line_bits:
         Cache-line size in bits (512 in the paper).
     word_bits:
-        Encoding granularity (64 in the paper, 32 supported).
+        Encoding granularity (64 in the paper, at most 64).
     encrypt:
         Whether the counter-mode encryption unit is in the path.  Disabling
         it models the unencrypted systems the motivation section compares
@@ -30,8 +31,9 @@ class ControllerConfig:
     encrypt: bool = True
 
     def __post_init__(self) -> None:
-        if self.line_bits <= 0 or self.word_bits <= 0:
-            raise ConfigurationError("line_bits and word_bits must be positive")
+        require_word_bits(self.word_bits)
+        if self.line_bits <= 0:
+            raise ConfigurationError("line_bits must be positive")
         if self.line_bits % self.word_bits != 0:
             raise ConfigurationError("line_bits must be a multiple of word_bits")
 

@@ -192,6 +192,13 @@ def _running_sum(start: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([start], values)))[-1])
 
 
+def _changed_aux_bits(new_auxes: np.ndarray, old_auxes: np.ndarray) -> np.ndarray:
+    """Auxiliary bits that differ between two int64 aux arrays, summed over words (last axis)."""
+    return popcount64_array(new_auxes.astype(np.uint64) ^ old_auxes.astype(np.uint64)).sum(
+        axis=-1
+    )
+
+
 @dataclass
 class ReplayResult:
     """Per-write accounting of one :meth:`MemoryController.replay_trace` call.
@@ -499,17 +506,12 @@ class MemoryController:
         self.stats = WriteStats()
         # Auxiliary bits stored per (row, word); modelled as living in a
         # dedicated side region (the SECDED-budget bits of Section V).
-        # Techniques with >= 64 auxiliary bits per word don't fit int64 and
-        # fall back to Python ints in an object array.
-        self._wide_aux = encoder.aux_bits >= 64
-        if self._wide_aux:
-            self._aux_store = np.zeros(
-                (array.rows, self.config.words_per_line), dtype=object
+        if encoder.aux_bits >= 64:
+            raise ConfigurationError(
+                f"{encoder.name} stores {encoder.aux_bits} auxiliary bits per word; "
+                "the auxiliary store holds at most 63"
             )
-        else:
-            self._aux_store = np.zeros(
-                (array.rows, self.config.words_per_line), dtype=np.int64
-            )
+        self._aux_store = np.zeros((array.rows, self.config.words_per_line), dtype=np.int64)
         self._bit_popcount = np.array([0, 1, 1, 2], dtype=np.int64)
         self._energy_lut = (
             self.mlc_energy.lut()
@@ -629,26 +631,12 @@ class MemoryController:
         )
         encoded = self.encoder.encode_line(encrypted, context)
         intended_row = words_matrix_to_cells(
-            np.array(encoded.codewords, dtype=np.uint64)
-            if self.config.word_bits <= 64
-            else list(encoded.codewords),
+            np.array(encoded.codewords, dtype=np.uint64),
             self.config.word_bits,
             self.array.bits_per_cell,
         ).reshape(-1)
-        if self._wide_aux:
-            new_auxes = np.array(encoded.auxes, dtype=object)
-            changed_aux_bits = sum(
-                bin(int(new) ^ int(old)).count("1")
-                for new, old in zip(encoded.auxes, old_auxes)
-            )
-        else:
-            new_auxes = np.array(encoded.auxes, dtype=np.int64)
-            changed_aux_bits = int(
-                popcount64_array(
-                    new_auxes.astype(np.uint64) ^ old_auxes.astype(np.uint64)
-                ).sum()
-            )
-        aux_energy = self._aux_bit_energy * changed_aux_bits
+        new_auxes = np.array(encoded.auxes, dtype=np.int64)
+        aux_energy = self._aux_bit_energy * int(_changed_aux_bits(new_auxes, old_auxes))
 
         result = self.array.write_row(row_index, intended_row)
         data_energy = float(
@@ -725,13 +713,9 @@ class MemoryController:
         max_writes:
             Optional hard cap on the total number of writes, applied on
             top of ``repetitions`` (the last repetition may be partial).
-
-        Words wider than 64 bits raise :class:`ConfigurationError`; such
-        lines take :meth:`write_line`.
         """
         if repetitions < 0:
             raise ConfigurationError("repetitions must be non-negative")
-        self._require_batched_width()
         if trace.word_bits != self.config.word_bits:
             raise ConfigurationError(
                 f"trace word size ({trace.word_bits} bits) does not match "
@@ -794,14 +778,6 @@ class MemoryController:
         replay._trim(performed, stopped)
         replay.add_to(self.stats)
         return replay
-
-    def _require_batched_width(self) -> None:
-        """The batched drivers hold words in ``uint64`` matrices."""
-        if self.config.word_bits > 64:
-            raise ConfigurationError(
-                f"batched writes take words of at most 64 bits, got {self.config.word_bits}; "
-                "drive wider words through write_line"
-            )
 
     def _replay_chunk(
         self,
@@ -1204,19 +1180,7 @@ class MemoryController:
         """
         if len(new_auxes) == 0:
             return
-        if self._wide_aux:
-            changed = np.array(
-                [
-                    sum(bin(int(new) ^ int(old)).count("1") for new, old in zip(news, olds))
-                    for news, olds in zip(new_auxes, old_auxes)
-                ],
-                dtype=np.int64,
-            )
-        else:
-            changed = popcount64_array(
-                new_auxes.astype(np.uint64) ^ old_auxes.astype(np.uint64)
-            ).sum(axis=1)
-        replay.aux_energy_pj[at] = self._aux_bit_energy * changed
+        replay.aux_energy_pj[at] = self._aux_bit_energy * _changed_aux_bits(new_auxes, old_auxes)
 
     def _sensed_view(self, old_row: np.ndarray, row_index: int) -> np.ndarray:
         """The old-row state the encoder observes for one read-before-write.
@@ -1318,7 +1282,6 @@ class MemoryController:
         """
         if num_lines < 0:
             raise ConfigurationError("num_lines must be non-negative")
-        self._require_batched_width()
         if address_space is None:
             address_space = self.array.rows
         if address_space <= 0:
@@ -1462,19 +1425,8 @@ class MemoryController:
         self.stats.saw_words += int(np.count_nonzero(saw_bits))
         # The auxiliary bits of the migrated row travel with the data and
         # are rewritten in the side region: charge the bits that change.
-        old_dest_auxes = self._aux_store[destination_row]
         moved_auxes = self._aux_store[source_row]
-        if self._wide_aux:
-            changed_aux_bits = sum(
-                bin(int(new) ^ int(old)).count("1")
-                for new, old in zip(moved_auxes, old_dest_auxes)
-            )
-        else:
-            changed_aux_bits = int(
-                popcount64_array(
-                    moved_auxes.astype(np.uint64) ^ old_dest_auxes.astype(np.uint64)
-                ).sum()
-            )
+        changed_aux_bits = int(_changed_aux_bits(moved_auxes, self._aux_store[destination_row]))
         self._aux_store[destination_row] = moved_auxes
         if self.fault_repository is not None:
             self.fault_repository.observe_write(

@@ -30,7 +30,7 @@ from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.pcm.faultmap import FaultMap
 from repro.utils.rng import make_rng
-from repro.utils.validation import require, require_divisible
+from repro.utils.validation import require, require_divisible, require_word_bits
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.faults imports repro.pcm
     from repro.faults.models import FaultModel
@@ -42,15 +42,9 @@ def word_to_cells(word: int, word_bits: int, bits_per_cell: int) -> np.ndarray:
     """Convert a word integer into an array of cell values (MSB cell first)."""
     require_divisible(word_bits, bits_per_cell, "word_bits must be a multiple of bits_per_cell")
     cells = word_bits // bits_per_cell
-    mask = (1 << bits_per_cell) - 1
-    if word_bits <= 64:
-        shifts = np.arange(cells - 1, -1, -1, dtype=np.uint64) * np.uint64(bits_per_cell)
-        return ((np.uint64(word) >> shifts) & np.uint64(mask)).astype(np.uint8)
-    values = np.empty(cells, dtype=np.uint8)
-    for index in range(cells):
-        shift = bits_per_cell * (cells - 1 - index)
-        values[index] = (word >> shift) & mask
-    return values
+    shifts = np.arange(cells - 1, -1, -1, dtype=np.uint64) * np.uint64(bits_per_cell)
+    mask = np.uint64((1 << bits_per_cell) - 1)
+    return ((np.uint64(word) >> shifts) & mask).astype(np.uint8)
 
 
 def cells_to_word(cells: Sequence[int], bits_per_cell: int) -> int:
@@ -184,6 +178,7 @@ class PCMArray:
     ):
         require(rows > 0, "rows must be positive")
         require(row_bits > 0, "row_bits must be positive")
+        require_word_bits(word_bits)
         require_divisible(row_bits, technology.bits_per_cell, "row_bits must hold whole cells")
         require_divisible(row_bits, word_bits, "row_bits must hold whole words")
         require_divisible(word_bits, technology.bits_per_cell, "word_bits must hold whole cells")

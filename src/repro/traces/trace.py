@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tupl
 import numpy as np
 
 from repro.errors import TraceError
+from repro.utils.validation import require_word_bits
 
 __all__ = ["WritebackRecord", "Trace"]
 
@@ -65,8 +66,9 @@ class Trace:
     )
 
     def __post_init__(self) -> None:
-        if self.line_bits <= 0 or self.word_bits <= 0:
-            raise TraceError("line_bits and word_bits must be positive")
+        require_word_bits(self.word_bits, TraceError)
+        if self.line_bits <= 0:
+            raise TraceError("line_bits must be positive")
         if self.line_bits % self.word_bits != 0:
             raise TraceError("line_bits must be a multiple of word_bits")
 
@@ -105,12 +107,8 @@ class Trace:
     def words_array(self) -> np.ndarray:
         """All record words as a ``(records, words_per_line)`` ``uint64`` matrix.
 
-        Cached like :meth:`addresses_array`.  Words wider than 64 bits do
-        not fit and raise :class:`~repro.errors.TraceError`; such traces
-        are read record by record.
+        Cached like :meth:`addresses_array`.
         """
-        if self.word_bits > 64:
-            raise TraceError(f"{self.word_bits}-bit words do not fit a uint64 matrix")
         if self._words is None:
             matrix = np.empty((len(self.records), self.words_per_line), dtype=np.uint64)
             for index, record in enumerate(self.records):

@@ -18,7 +18,11 @@ __all__ = [
     "require_divisible",
     "require_in_range",
     "require_power_of_two",
+    "require_word_bits",
 ]
+
+#: Widest data word any layer holds: batched words and pads are ``uint64``.
+MAX_WORD_BITS = 64
 
 
 def json_payload(
@@ -59,6 +63,23 @@ def require_divisible(numerator: int, denominator: int, message: str) -> None:
     """Require ``numerator`` to be an exact multiple of ``denominator``."""
     if denominator == 0 or numerator % denominator != 0:
         raise ConfigurationError(message)
+
+
+def require_word_bits(
+    word_bits: int, error_cls: Type[ReproError] = ConfigurationError
+) -> None:
+    """Require ``1 <= word_bits <= MAX_WORD_BITS``, raising ``error_cls`` otherwise.
+
+    The one word-width check of every constructor that fixes a word
+    geometry (encoders, :class:`repro.pcm.array.PCMArray`, the controller
+    config, traces and the counter-mode engine), so no later path meets a
+    word that does not fit a ``uint64``.
+    """
+    if not 0 < word_bits <= MAX_WORD_BITS:
+        raise error_cls(
+            f"word_bits must be between 1 and {MAX_WORD_BITS} (words are stored as "
+            f"uint64), got {word_bits}"
+        )
 
 
 def require_in_range(value: Any, low: Any, high: Any, name: str) -> None:

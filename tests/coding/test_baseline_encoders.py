@@ -113,6 +113,11 @@ class TestFNW:
         with pytest.raises(ConfigurationError):
             FNWEncoder(partitions=5)
 
+    def test_64_partitions_rejected(self):
+        # One flag per partition: 64 flags would not fit the int64 aux field.
+        with pytest.raises(ConfigurationError, match="partitions"):
+            FNWEncoder(64, 64, CellTechnology.SLC, BitChangeCost())
+
     def test_decode_rejects_bad_aux(self):
         encoder = FNWEncoder(partitions=2)
         with pytest.raises(ConfigurationError):

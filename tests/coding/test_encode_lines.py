@@ -455,6 +455,30 @@ class TestVCCScoringPaths:
         ]
         assert list(batched) == oracle
 
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    @pytest.mark.parametrize("cost_name", ["bit-changes", "energy-then-saw", "saw-then-energy"])
+    @pytest.mark.parametrize("num_kernels", [2, 4, 16])
+    def test_64_bit_kernels_match_scalar_oracle(self, technology, cost_name, num_kernels):
+        # One partition of the full word: every kernel is 64 bits wide, so
+        # the oracle must hold kernels and sub-blocks as uint64.
+        encoder = VCCEncoder(
+            VCCConfig.for_cosets(
+                2 * num_kernels, technology=technology, stored_kernels=True, partitions=1
+            ),
+            cost_function=make_cost(cost_name, technology),
+        )
+        assert encoder.config.kernel_bits == 64
+        rng = make_rng(18, f"vcc-64-bit-kernels-{technology.value}-{cost_name}-{num_kernels}")
+        contexts = _contexts(rng, technology, encoder, lines=20)
+        words = _lines(rng, lines=20)
+        batched = encoder.encode_lines(words, LineBatch.from_lines(contexts))
+        oracle = [
+            encoder.encode_line_scalar(line, context) for line, context in zip(words, contexts)
+        ]
+        assert list(batched) == oracle
+        for line, encoded in zip(words, oracle):
+            assert encoder.decode_line(encoded.codewords, encoded.auxes) == line
+
 
 #: Every builtin cost with the ``bits_per_cell`` of the cells it scores.
 ALL_COSTS = [

@@ -72,25 +72,6 @@ class TestScalarBatchParity:
             assert encoded.word(index) == single
 
 
-class TestWideAuxFallback:
-    def test_fnw_64_partitions_matches_scalar(self, rng):
-        # Regression: bit-granular FNW has aux_bits == 64, which overflows
-        # the vectorized int64 flag packing; encode_lines must fall back.
-        from repro.coding.fnw import FNWEncoder
-
-        encoder = FNWEncoder(64, 64, CellTechnology.SLC, BitChangeCost())
-        assert encoder.aux_bits == 64
-        context = _random_context(rng, encoder, stuck=True)
-        words = _random_line(rng)
-        batch = encoder.encode_line(words, context)
-        scalar = encoder.encode_line_scalar(words, context)
-        assert batch == scalar
-        batched = encoder.encode_lines([words, words], LineBatch.from_lines([context, context]))
-        assert batched.auxes.dtype == object
-        assert list(batched) == [scalar, scalar]
-        assert encoder.decode_line(batch.codewords, batch.auxes) == words
-
-
 class _ScalarOnlyEncoder(Encoder):
     """A third-party-style encoder implementing only the word interface."""
 
@@ -240,11 +221,15 @@ class TestLineBatch:
         with pytest.raises(ConfigurationError):
             LineBatch(old_cells=cells, bits_per_cell=3)
 
-    def test_wide_auxes_kept_as_python_ints(self):
-        auxes = np.array([[1 << 63, 1]], dtype=object)
-        batch = LineBatch(old_cells=np.zeros((1, 2, 4), dtype=np.uint8), old_auxes=auxes)
-        assert batch.old_auxes.dtype == object
-        assert batch.line(0).word_context(0).old_aux == 1 << 63
+    @pytest.mark.parametrize("container", [list, lambda rows: np.array(rows, dtype=object)])
+    def test_aux_over_63_bits_rejected(self, container):
+        # Aux fields are int64: a stored value of 2**63 is a configuration
+        # error, not an OverflowError.
+        with pytest.raises(ConfigurationError, match="63 bits"):
+            LineBatch(
+                old_cells=np.zeros((1, 2, 4), dtype=np.uint8),
+                old_auxes=container([[1 << 63, 1]]),
+            )
 
     def test_split_partitions(self, rng):
         old = rng.integers(0, 4, size=(2, 8, 32)).astype(np.uint8)
@@ -305,8 +290,7 @@ class TestCellMatrixHelpers:
         for i in range(3):
             assert cells_matrix_to_words(cells[i], 2) == [int(w) for w in words[i]]
 
-    def test_wide_word_fallback(self):
-        words = [[1 << 100, 3]]
-        cells = words_matrix_to_cells(words, 128, 2)
-        assert cells.shape == (1, 2, 64)
-        assert cells_matrix_to_words(cells[0], 2) == [1 << 100, 3]
+    def test_words_over_64_bits_rejected(self):
+        # 64 MLC cells make a 128-bit word, which no uint64 holds.
+        with pytest.raises(ConfigurationError, match="between 1 and 64"):
+            cells_matrix_to_words(np.zeros((2, 64), dtype=np.uint8), 2)

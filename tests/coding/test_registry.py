@@ -39,6 +39,14 @@ class TestRegistry:
         encoded = encoder.encode(data, context)
         assert encoder.decode(encoded.codeword, encoded.aux) == data
 
+    @pytest.mark.parametrize("name", available_encoders())
+    @pytest.mark.parametrize(
+        "word_bits, technology", [(65, CellTechnology.SLC), (128, CellTechnology.MLC)]
+    )
+    def test_words_over_64_bits_rejected(self, name, word_bits, technology):
+        with pytest.raises(ConfigurationError, match="between 1 and 64"):
+            make_encoder(name, word_bits=word_bits, num_cosets=16, technology=technology)
+
     def test_cost_function_passed_through(self):
         cost = EnergyCost(CellTechnology.MLC)
         encoder = make_encoder("rcc", num_cosets=32, cost_function=cost)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.obs as obs
 from repro.crypto.counter_mode import CounterModeEngine, EncryptedLine
 from repro.errors import ConfigurationError
 
@@ -19,12 +18,6 @@ class TestRoundTrip:
         engine = CounterModeEngine(key=b"k")
         plaintext = _line(1)
         encrypted = engine.encrypt_line(0x10, plaintext)
-        assert engine.decrypt_line(encrypted) == plaintext
-
-    def test_roundtrip_with_aes_pad(self):
-        engine = CounterModeEngine(key=b"0123456789abcdef", fast_pad=False)
-        plaintext = _line(2)
-        encrypted = engine.encrypt_line(0x20, plaintext)
         assert engine.decrypt_line(encrypted) == plaintext
 
     @settings(max_examples=25, deadline=None)
@@ -95,13 +88,10 @@ class TestPadProperties:
 
 
 class TestBatchedEncryptLines:
-    """``encrypt_lines`` must be bit-identical to an ``encrypt_line``
-    loop — including the AES path, whose pads now come from one
-    multi-block cipher call per chunk."""
+    """``encrypt_lines`` must be bit-identical to an ``encrypt_line`` loop."""
 
-    @pytest.mark.parametrize("fast_pad", [True, False])
     @pytest.mark.parametrize("word_bits", [8, 16, 32, 64])
-    def test_matches_scalar_loop(self, fast_pad, word_bits):
+    def test_matches_scalar_loop(self, word_bits):
         key = b"0123456789abcdef"
         line_bits = 512
         words = line_bits // word_bits
@@ -111,12 +101,8 @@ class TestBatchedEncryptLines:
         matrix = rng.integers(0, 1 << min(word_bits, 63), size=(12, words)).astype(
             np.uint64
         )
-        scalar = CounterModeEngine(
-            key=key, line_bits=line_bits, word_bits=word_bits, fast_pad=fast_pad
-        )
-        batched = CounterModeEngine(
-            key=key, line_bits=line_bits, word_bits=word_bits, fast_pad=fast_pad
-        )
+        scalar = CounterModeEngine(key=key, line_bits=line_bits, word_bits=word_bits)
+        batched = CounterModeEngine(key=key, line_bits=line_bits, word_bits=word_bits)
         expected = [
             scalar.encrypt_line(address, [int(w) for w in row]).words
             for address, row in zip(addresses, matrix)
@@ -164,24 +150,12 @@ class TestBatchedEncryptLines:
         assert batched._counters == scalar._counters
         assert [batched.counter_for(a) for a in (0, 0x40, 0x80, 0xC0)] == [4, 3, 3, 0]
 
-    @pytest.mark.parametrize("fast_pad", [True, False])
-    def test_zero_lines_give_an_empty_matrix(self, fast_pad):
-        engine = CounterModeEngine(fast_pad=fast_pad)
+    def test_zero_lines_give_an_empty_matrix(self):
+        engine = CounterModeEngine()
         cipher = engine.encrypt_lines([], np.zeros((0, engine.words_per_line), dtype=np.uint64))
         assert cipher is not None
         assert cipher.shape == (0, engine.words_per_line)
         assert engine._counters == {}
-
-    def test_words_wider_than_64_bits_raise(self):
-        engine = CounterModeEngine(line_bits=512, word_bits=128)
-        telemetry = [obs.counter(name).value for name in ("crypto.pad_chunks", "crypto.derived_pads")]
-        with pytest.raises(ConfigurationError, match="64 bits"):
-            engine.encrypt_lines([0], np.zeros((1, 4), dtype=np.uint64))
-        # The refusal bumps no counter.
-        assert engine.counter_for(0) == 0
-        assert [
-            obs.counter(name).value for name in ("crypto.pad_chunks", "crypto.derived_pads")
-        ] == telemetry
 
     def test_shape_validation(self):
         engine = CounterModeEngine()
@@ -196,16 +170,13 @@ class TestPadCoverage:
     ``i`` takes bytes ``[i * k, (i + 1) * k)`` of the pad stream,
     ``k = ceil(word_bits / 8)``, big-endian and masked to the word."""
 
-    @pytest.mark.parametrize("fast_pad", [True, False])
     @pytest.mark.parametrize(
         "line_bits, word_bits",
         [(512, 4), (480, 12), (480, 24), (66, 33), (528, 33), (480, 48), (512, 64)],
     )
-    def test_zero_lines_cover_every_word_bit(self, fast_pad, line_bits, word_bits):
+    def test_zero_lines_cover_every_word_bit(self, line_bits, word_bits):
         def engine():
-            return CounterModeEngine(
-                key=b"coverage", line_bits=line_bits, word_bits=word_bits, fast_pad=fast_pad
-            )
+            return CounterModeEngine(key=b"coverage", line_bits=line_bits, word_bits=word_bits)
 
         batched, scalar = engine(), engine()
         words = batched.words_per_line
@@ -232,6 +203,11 @@ class TestValidation:
     def test_bad_geometry(self):
         with pytest.raises(ConfigurationError):
             CounterModeEngine(line_bits=500, word_bits=64)
+
+    @pytest.mark.parametrize("line_bits, word_bits", [(260, 65), (512, 128)])
+    def test_words_over_64_bits_rejected(self, line_bits, word_bits):
+        with pytest.raises(ConfigurationError, match="between 1 and 64"):
+            CounterModeEngine(line_bits=line_bits, word_bits=word_bits)
 
     def test_empty_key(self):
         with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ import pytest
 from repro.coding.base import Encoder
 from repro.coding.cost import BitChangeCost, saw_then_energy
 from repro.coding.registry import make_encoder
+from repro.errors import ConfigurationError
 from repro.memctrl.config import ControllerConfig
 from repro.memctrl.controller import MemoryController
 from repro.pcm.array import PCMArray
@@ -81,26 +82,22 @@ class TestLinePath:
             expected = encoder.encode(word, context)
             assert controller._aux_store[row][index] == expected.aux
 
-    def test_wide_aux_encoder_round_trips(self, rng):
-        # Regression: an encoder with >= 64 aux bits per word (128-bit FNW
-        # with bit-granular partitions) must not overflow the aux store.
-        from repro.coding.fnw import FNWEncoder
-        from repro.coding.cost import BitChangeCost
+    @pytest.mark.parametrize("line_bits, word_bits", [(520, 65), (512, 128)])
+    def test_words_over_64_bits_rejected(self, line_bits, word_bits):
+        with pytest.raises(ConfigurationError, match="between 1 and 64"):
+            ControllerConfig(line_bits=line_bits, word_bits=word_bits)
 
-        encoder = FNWEncoder(word_bits=128, partitions=64,
-                             technology=CellTechnology.MLC,
-                             cost_function=BitChangeCost())
-        assert encoder.aux_bits == 64
-        array = PCMArray(rows=4, row_bits=512, seed=11, word_bits=128)
-        controller = MemoryController(
-            array=array, encoder=encoder,
-            config=ControllerConfig(word_bits=128, encrypt=False),
-        )
-        words = [int(a) << 64 | int(b)
-                 for a, b in zip(rng.integers(0, 1 << 62, size=4),
-                                 rng.integers(0, 1 << 62, size=4))]
-        controller.write_line(1, words)
-        assert controller.read_line(1) == words
+    def test_aux_fields_over_63_bits_rejected(self):
+        # The aux store is int64: a third-party encoder with a 64-bit aux
+        # field is refused when the controller is built.
+        class _WideAuxEncoder(_ScalarOnlyEncoder):
+            @property
+            def aux_bits(self):
+                return 64
+
+        encoder = _WideAuxEncoder(64, CellTechnology.MLC, BitChangeCost())
+        with pytest.raises(ConfigurationError, match="at most 63"):
+            _build(encoder)
 
     def test_saw_bits_per_word_accounting(self, rng):
         fault_map = FaultMap(rows=8, cells_per_row=256, fault_rate=0.05, seed=7)

@@ -23,7 +23,7 @@ from repro.pcm.stats import WriteStats
 from repro.pcm.wearlevel import StartGapWearLeveler
 from repro.sim.harness import TechniqueSpec, build_controller, scalar_random_line_results
 from repro.traces.synthetic import generate_trace
-from repro.traces.trace import Trace, WritebackRecord
+from repro.traces.trace import Trace
 from repro.utils.rng import make_rng
 
 ROWS = 16
@@ -372,24 +372,14 @@ class TestReplayControls:
             controller.replay_trace(_trace(), repetitions=-1)
         assert controller.stats == WriteStats()
 
-    def test_words_wider_than_64_bits_take_write_line(self):
-        """The batched drivers refuse 128-bit words before touching any
-        state; write_line still writes them."""
-        controller = build_controller(
-            TechniqueSpec(encoder="unencoded"), rows=ROWS, word_bits=128, encrypt=True
-        )
-        wide = Trace(name="wide", word_bits=128)
-        wide.append(WritebackRecord(address=3, words=(1 << 100, 5, 7, 1 << 127)))
-        with pytest.raises(TraceError):
-            wide.words_array()
-        with pytest.raises(ConfigurationError, match="64 bits"):
-            controller.replay_trace(wide)
-        with pytest.raises(ConfigurationError, match="64 bits"):
-            controller.write_random_lines(4, make_rng(1, "wide"))
-        assert controller.stats == WriteStats()
-        assert controller.encryption.counter_for(3) == 0
-        controller.write_line(3, list(wide[0].words))
-        assert controller.read_line(3) == list(wide[0].words)
+    @pytest.mark.parametrize("name", ["unencoded", "vcc"])
+    def test_words_wider_than_64_bits_rejected_at_construction(self, name):
+        """No controller or trace with 128-bit words can be built, so no
+        write path meets one."""
+        with pytest.raises(ConfigurationError, match="between 1 and 64"):
+            build_controller(TechniqueSpec(encoder=name), rows=ROWS, word_bits=128)
+        with pytest.raises(TraceError, match="between 1 and 64"):
+            Trace(name="wide", word_bits=128)
 
     def test_write_stats_matches_line_results(self):
         trace = _trace()

@@ -35,6 +35,14 @@ class TestBasicReadWrite:
         assert array.words_per_row == 8
         assert array.cells_per_word == 32
 
+    @pytest.mark.parametrize(
+        "row_bits, word_bits, technology",
+        [(520, 65, CellTechnology.SLC), (512, 128, CellTechnology.MLC)],
+    )
+    def test_words_over_64_bits_rejected(self, row_bits, word_bits, technology):
+        with pytest.raises(ConfigurationError, match="between 1 and 64"):
+            PCMArray(rows=2, row_bits=row_bits, technology=technology, word_bits=word_bits)
+
     def test_write_then_read_row(self):
         array = PCMArray(rows=4, row_bits=64, technology=CellTechnology.MLC, seed=1)
         intended = np.arange(32) % 4

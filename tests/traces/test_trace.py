@@ -33,6 +33,11 @@ class TestTrace:
         with pytest.raises(TraceError):
             Trace(name="bad", line_bits=100, word_bits=64)
 
+    @pytest.mark.parametrize("line_bits, word_bits", [(520, 65), (512, 128)])
+    def test_words_over_64_bits_rejected(self, line_bits, word_bits):
+        with pytest.raises(TraceError, match="between 1 and 64"):
+            Trace(name="wide", line_bits=line_bits, word_bits=word_bits)
+
     def test_append_checks_word_count(self):
         trace = Trace(name="t", line_bits=128, word_bits=64)
         with pytest.raises(TraceError):
