@@ -11,12 +11,25 @@ submission order, so callers never observe scheduling.
 The parallel path is *batched*: tasks shard into :class:`TaskBatch`
 units — contiguous slices of the submission order, sized
 ``ceil(n_tasks / (BATCHES_PER_WORKER * jobs))`` — and each batch is one
-pool round-trip.  A warm :class:`concurrent.futures.ProcessPoolExecutor`
-stays alive for the whole run; the worker loops
-:func:`repro.campaign.tasks.run_task` over its batch so the per-task
-process round-trips that made fig-sized sweeps *slower* under ``--jobs``
-(0.84x at 4 workers before this rework) disappear into one dispatch,
-one queue transit, and one result transfer per batch.
+pool round-trip.  The worker loops :func:`repro.campaign.tasks.run_task`
+over its batch so the per-task process round-trips that made fig-sized
+sweeps *slower* under ``--jobs`` (0.84x at 4 workers before this rework)
+disappear into one dispatch, one queue transit, and one result transfer
+per batch.
+
+**One warm pool per process.**  The
+:class:`concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers lives
+for the process, not for one ``run``: successive sweeps reuse its
+workers, their imports and their pure memos.  The pool is reused while
+its key is unchanged — ``jobs``, the start method, the obs trace path
+and the contents of every registry a worker resolves by name (task
+kinds, encoder plugins and their aliases, fault models) — because forked
+workers inherit all of these at start-up.  When the key changes (say
+:func:`~repro.campaign.tasks.register_task` ran, or tracing was
+enabled), the idle pool is joined and a fresh one forked.  At
+interpreter exit :mod:`concurrent.futures` joins the pool, and an idle
+worker whose coordinator has gone without that (``os._exit``,
+``SIGKILL``) ends itself within :data:`_ORPHAN_POLL_S` seconds.
 
 **Failures.**  One fixed policy, with no knob:
 
@@ -29,6 +42,11 @@ one queue transit, and one result transfer per batch.
   If a worker dies again while a re-run batch is in flight, that batch's
   tasks fail as ``"crash"``;
 * every other task always runs to completion.
+
+Any other error mid-sweep — a callback that raises, a batch the pool
+cannot pickle, ``KeyboardInterrupt`` — discards the pool: queued batches
+are cancelled, the workers are killed and the next sweep forks a fresh
+pool.  The error propagates unchanged.
 
 The :class:`TaskTelemetry` handed to ``on_result`` is pure measurement —
 it never feeds back into rows or seeds.  Batch-level costs (dispatch,
@@ -52,6 +70,9 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import threading
+import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -60,8 +81,10 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tu
 
 import repro.obs as obs
 from repro.campaign.spec import Task
-from repro.campaign.tasks import _ensure_builtins, run_task
+from repro.campaign.tasks import _ensure_builtins, available_task_kinds, run_task
+from repro.coding.registry import encoder_plugins
 from repro.errors import ConfigurationError, ReproError
+from repro.faults.registry import available_fault_models
 from repro.obs import metrics_snapshot, monotonic, reset_metrics
 from repro.utils.blas import set_blas_threads
 
@@ -193,15 +216,36 @@ class SerialExecutor:
         return 0
 
 
+#: Seconds between an idle worker's checks that its coordinator lives.
+_ORPHAN_POLL_S = 0.25
+
+
 def _worker_init() -> None:
-    """Pool initializer: make the builtin task kinds resolvable, pin BLAS.
+    """Pool initializer: make the builtin task kinds resolvable, pin BLAS,
+    and end the worker once its coordinator is gone.
 
     ``jobs`` workers each running a BLAS thread per CPU oversubscribe the
     host, and RCC's small coset GEMMs are fastest single-threaded anyway.
     The coordinator's own BLAS threading is left alone.
+
+    A warm pool's workers wait on the call queue between sweeps.  Under
+    fork every sibling holds that queue's write end, so a coordinator
+    that ends without joining the pool would leave them waiting forever;
+    a daemon thread watches the parent pid instead.  The parent is the
+    coordinator, or under ``forkserver`` the fork server, which ends
+    with it.
     """
     _ensure_builtins()
     set_blas_threads(1)
+    if multiprocessing.parent_process() is not None:
+        threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """End this worker once it has been re-parented away from ``parent_pid``."""
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(0)
 
 
 #: Per-task worker measurement: compute start/finish stamps plus the
@@ -248,9 +292,25 @@ _CRASHED_TWICE = "a worker died running its batch, then again on the re-run"
 #: and its submit-call start/end stamps.
 _InFlight = Tuple[TaskBatch, bool, float, float]
 
+#: The process's warm pool as ``(key, pool, registered)``, or None: the
+#: key it was forked under, and the registry entries whose ids the key
+#: holds (kept alive so that no new entry can reuse one of those ids).
+_warm_pool: Optional[Tuple[Tuple[Any, ...], ProcessPoolExecutor, Tuple[Any, ...]]] = None
+
+
+def _forget_pool() -> None:
+    """Empty the slot: after a crash or an abort, and in a forked child
+    (a pool worker included), which owns none of its parent's pool."""
+    global _warm_pool
+    _warm_pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; platforms without fork never copy the slot
+    os.register_at_fork(after_in_child=_forget_pool)
+
 
 class ProcessExecutor:
-    """Execute tasks in batches on a warm pool of ``jobs`` workers.
+    """Execute tasks in batches on the process's warm pool of ``jobs`` workers.
 
     Parameters
     ----------
@@ -305,12 +365,35 @@ class ProcessExecutor:
             for index, offset in enumerate(range(0, len(tasks), size))
         ]
 
-    def _make_pool(self, batches: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=min(self.jobs, max(1, batches)),
-            mp_context=self._context(),
-            initializer=_worker_init,
+    def _pool(self) -> ProcessPoolExecutor:
+        """The process's warm pool, or a fresh one if its key has changed.
+
+        The key is everything a worker takes from the coordinator when it
+        starts: ``jobs``, the start method, the trace path and the identity
+        of every entry of the task kind, encoder and fault-model registries
+        (builtins loaded first, so loading them later does not count as a
+        change).  An idle pool with another key is joined before the new
+        one forks.
+        """
+        global _warm_pool
+        context = self._context()
+        registered = (*available_task_kinds(), *encoder_plugins(), *available_fault_models())
+        key = (
+            self.jobs,
+            context.get_start_method(),
+            obs.trace_path(),
+            tuple(map(id, registered)),
         )
+        if _warm_pool is not None:
+            warm_key, pool, _ = _warm_pool
+            if warm_key == key:
+                return pool
+            pool.shutdown(wait=True)
+        pool = ProcessPoolExecutor(
+            max_workers=self.jobs, mp_context=context, initializer=_worker_init
+        )
+        _warm_pool = (key, pool, registered)
+        return pool
 
     def run(self, tasks: Sequence[Task], on_result: OnResult, on_failure: OnFailure) -> int:
         """Run every task; returns how many times a dead worker broke the pool."""
@@ -321,7 +404,7 @@ class ProcessExecutor:
         # Batches still to submit, each with whether it is a crash re-run.
         queue: Deque[Tuple[TaskBatch, bool]] = deque((batch, False) for batch in batches)
         in_flight: Dict["Future[_BatchResult]", _InFlight] = {}
-        pool = self._make_pool(len(batches))
+        pool = self._pool()
         try:
             while queue or in_flight:
                 try:
@@ -358,32 +441,41 @@ class ProcessExecutor:
                     lost = list(in_flight.values())
                     in_flight.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._make_pool(len(lost) + len(queue))
+                    _forget_pool()
+                    pool = self._pool()
                     for batch, rerun, _, _ in lost:
                         if not rerun:
                             queue.append((batch, True))
                             continue
                         for task in batch.tasks:
                             on_failure(TaskFailure(task, "crash", _CRASHED_TWICE))
-        # repro: allow[API001] reason=deterministic teardown on any failure (KeyboardInterrupt, an exception raised by a callback): cancel queued batches, stop the pool, then re-raise unchanged
+        # repro: allow[API001] reason=deterministic teardown on any failure (KeyboardInterrupt, an exception raised by a callback, a batch the pool cannot pickle): discard the pool, then re-raise unchanged
         except BaseException:
             self._abort(pool, in_flight)
             raise
-        pool.shutdown(wait=True)
         return crashes
 
     @staticmethod
     def _abort(
         pool: ProcessPoolExecutor, in_flight: Dict["Future[_BatchResult]", _InFlight]
     ) -> None:
-        """Deterministic teardown after a failure mid-sweep.
+        """Discard the pool after a failure mid-sweep, without waiting on it.
 
-        Cancels every queued batch, waits for running ones to finish (a
-        worker cannot be interrupted mid-task), and drains the in-flight
-        map — so an aborted sweep leaves no abandoned futures and a store
-        whose already-persisted tasks resume cleanly on the next run.
+        Cancels every queued batch, kills the pool's workers (a batch still
+        running is cut short: its tasks were never delivered, so they
+        re-run on resume), drops the pool from the process slot so the
+        next sweep forks a fresh one, and drains the in-flight map.  It
+        never joins the pool's manager thread: after a batch fails to
+        pickle in the feeder thread, that thread can wait forever for a
+        result that will not come.
         """
-        pool.shutdown(wait=True, cancel_futures=True)
+        workers = list((pool._processes or {}).values())
+        _forget_pool()
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.kill()
+        for worker in workers:
+            worker.join()
         in_flight.clear()
 
 
@@ -408,7 +500,8 @@ def _deliver_batch(
     synthesised around its own compute stamps so the four phases tile it
     exactly and the batch's walls telescope to the true batch interval.
     Positions in ``skip`` (failed tasks) are not delivered but still
-    advance the timeline.
+    advance the timeline.  A warm worker can begin the batch before the
+    submit call returns; dispatch then ends where the batch began.
     """
     if len(rows_per_task) != len(batch.tasks) or len(runs) != len(batch.tasks):
         raise ConfigurationError(
@@ -416,6 +509,7 @@ def _deliver_batch(
             f"{len(runs)} runs for {len(batch.tasks)} tasks"
         )
     count = len(batch.tasks)
+    dispatched_s = min(dispatched_s, runs[0][0])
     dispatch_share = (dispatched_s - submitted_s) / count
     queue_share = (runs[0][0] - dispatched_s) / count
     transfer_share = (received_s - runs[-1][1]) / count

@@ -51,7 +51,7 @@ import repro.obs as obs
 from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.array import word_to_cells
 from repro.pcm.cell import CellTechnology
-from repro.utils.validation import require_word_bits
+from repro.utils.validation import require_word_bits, require_word_fits
 
 # Lines encoded through the word-at-a-time oracle instead of a vectorised
 # encode_lines — the replay engine's "fallback path taken" signal.
@@ -752,10 +752,7 @@ class Encoder(abc.ABC):
 
     # ------------------------------------------------------------- helpers
     def _check_data(self, data: int) -> None:
-        if data < 0 or data >= (1 << self.word_bits):
-            raise EncodingError(
-                f"data word {data:#x} does not fit in {self.word_bits} bits"
-            )
+        require_word_fits(data, self.word_bits, EncodingError, "data word")
 
     def _check_context(self, context: Union[WordContext, LineContext, LineBatch]) -> None:
         if context.word_bits != self.word_bits or context.bits_per_cell != self.bits_per_cell:

@@ -24,6 +24,7 @@ from repro.core.config import EncodeRegion, VCCConfig
 from repro.errors import ConfigurationError
 from repro.utils.bitops import random_word, split_planes, split_planes_array, split_subblocks
 from repro.utils.rng import make_rng
+from repro.utils.validation import require_word_fits
 
 __all__ = ["KernelProvider", "StoredKernelProvider", "GeneratedKernelProvider"]
 
@@ -217,10 +218,7 @@ class GeneratedKernelProvider(KernelProvider):
         return tiled
 
     def kernels_for(self, word: int) -> List[int]:
-        if word < 0 or word >= (1 << self.config.word_bits):
-            raise ConfigurationError(
-                f"word {word:#x} does not fit in {self.config.word_bits} bits"
-            )
+        require_word_fits(word, self.config.word_bits)
         left_plane, _right_plane = split_planes(word, self.config.word_bits)
         bases = split_subblocks(left_plane, self.plane_bits, self.kernel_bits)
         return [

@@ -25,7 +25,9 @@ string).  Structured parameters (``config``, ``techniques``, ``system``,
 Tables go to stdout; the ``campaign finished: N tasks, E executed, C
 from cache`` summary goes to stderr, so stdout is identical between a
 fresh and a resumed run.  Any library error exits with status 2 and one
-``error: ...`` line instead of a traceback.
+``error: ...`` line instead of a traceback.  A pool-level error (a batch
+the worker pool cannot pickle, say) is not a library error: it
+propagates with its traceback, exit status 1.
 """
 
 from __future__ import annotations

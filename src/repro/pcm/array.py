@@ -30,7 +30,7 @@ from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.pcm.faultmap import FaultMap
 from repro.utils.rng import make_rng
-from repro.utils.validation import require, require_divisible, require_word_bits
+from repro.utils.validation import require, require_divisible, require_word_bits, require_word_fits
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.faults imports repro.pcm
     from repro.faults.models import FaultModel
@@ -387,9 +387,13 @@ class PCMArray:
             self._wear[snapshot.rows] = snapshot.wear
 
     def write_word(self, row_index: int, word_index: int, word: int) -> RowWriteResult:
-        """Write a single word, leaving the rest of the row untouched."""
+        """Write a single word, leaving the rest of the row untouched.
+
+        A word outside ``[0, 2**word_bits)`` raises :class:`MemoryModelError`.
+        """
         self._check_row(row_index)
         self._check_word(word_index)
+        require_word_fits(word, self.word_bits, MemoryModelError)
         intended_row = self._cells[row_index].copy()
         start = word_index * self.cells_per_word
         intended_row[start: start + self.cells_per_word] = word_to_cells(

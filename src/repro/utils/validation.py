@@ -19,6 +19,7 @@ __all__ = [
     "require_in_range",
     "require_power_of_two",
     "require_word_bits",
+    "require_word_fits",
 ]
 
 #: Widest data word any layer holds: batched words and pads are ``uint64``.
@@ -80,6 +81,21 @@ def require_word_bits(
             f"word_bits must be between 1 and {MAX_WORD_BITS} (words are stored as "
             f"uint64), got {word_bits}"
         )
+
+
+def require_word_fits(
+    word: int,
+    word_bits: int,
+    error_cls: Type[ReproError] = ConfigurationError,
+    what: str = "word",
+) -> None:
+    """Require ``0 <= word < 2**word_bits``, raising ``error_cls`` otherwise.
+
+    The scalar word check of every path that takes one word as an int, so
+    a word too wide for its geometry is refused rather than truncated.
+    """
+    if not 0 <= word < 1 << word_bits:
+        raise error_cls(f"{what} {word:#x} does not fit in {word_bits} bits")
 
 
 def require_in_range(value: Any, low: Any, high: Any, name: str) -> None:

@@ -58,6 +58,19 @@ class TestBasicReadWrite:
         assert (after[:32] == before[:32]).all()
         assert cells_to_word(after[32:], 2) == 0x0123456789ABCDEF
 
+    @pytest.mark.parametrize("word_bits", [32, 64])
+    @pytest.mark.parametrize("offset", [-1, 0, 1 << 40])
+    def test_write_word_out_of_range_rejected(self, word_bits, offset):
+        """A negative word or one of 2**word_bits or more is refused, not truncated."""
+        array = PCMArray(rows=2, row_bits=512, word_bits=word_bits, seed=3)
+        word = -1 if offset < 0 else (1 << word_bits) + offset
+        before = array.read_row(0)
+        with pytest.raises(MemoryModelError, match=f"does not fit in {word_bits} bits"):
+            array.write_word(0, 0, word)
+        assert (array.read_row(0) == before).all()
+        array.write_word(0, 0, (1 << word_bits) - 1)
+        assert array.read_word(0, 0) == (1 << word_bits) - 1
+
     def test_read_word_matches_row_slice(self):
         array = PCMArray(rows=2, row_bits=128, seed=3)
         row = array.read_row(1)
