@@ -30,8 +30,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.faults import available_fault_models
 from repro.pcm.faultmap import FaultMap
 from repro.sim.harness import TechniqueSpec, build_controller, cached_trace
@@ -69,13 +67,14 @@ def _replay(fault_model: Optional[str], corrector: Optional[str] = None):
 
 
 def _signature(replay) -> Dict[str, float]:
-    """The per-write accounting collapsed to exact sums (int-valued)."""
+    """The per-write accounting collapsed to exact sums (energy from int fJ)."""
+    stats = replay.write_stats()
     return {
         "writes": int(replay.writes),
-        "data_energy_pj": float(np.sum(replay.data_energy_pj)),
-        "aux_energy_pj": float(np.sum(replay.aux_energy_pj)),
-        "bits_changed": int(np.sum(replay.bits_changed)),
-        "saw_cells": int(np.sum(replay.saw_cells)),
+        "data_energy_pj": stats.data_energy_pj,
+        "aux_energy_pj": stats.aux_energy_pj,
+        "bits_changed": stats.bits_changed,
+        "saw_cells": stats.saw_cells,
     }
 
 

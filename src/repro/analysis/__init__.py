@@ -11,9 +11,7 @@ per-module preconditions statically, before the code runs:
 * ``DET`` — unseeded randomness, stdlib ``random``, wall-clock values,
   unordered-set iteration (``repro/utils/rng.py`` is the whitelisted home
   of generator construction);
-* ``NUM`` — advanced-indexing gathers feeding pairwise reductions (the
-  PR-5 1-ulp lesson, now a rule instead of a comment), boolean sums
-  without an explicit dtype, float ``==``;
+* ``NUM`` — boolean sums without an explicit dtype, float ``==``;
 * ``REG`` — the encoder and task-kind registry contracts (batched
   overrides present, signatures matching ``coding/base.py``, literal
   content-addressable task names);

@@ -2,8 +2,8 @@
 
 * :mod:`repro.analysis.rules.determinism` — ``DET``: unseeded randomness,
   time-derived values, unordered-set iteration.
-* :mod:`repro.analysis.rules.numeric` — ``NUM``: gather/reduction ulp
-  hazards, boolean accumulations without a dtype, float ``==``.
+* :mod:`repro.analysis.rules.numeric` — ``NUM``: boolean accumulations
+  without a dtype, float ``==``.
 * :mod:`repro.analysis.rules.registry_contracts` — ``REG``: encoder and
   task-kind registry contracts.
 * :mod:`repro.analysis.rules.api_hygiene` — ``API``: blanket exception

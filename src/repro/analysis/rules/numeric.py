@@ -1,11 +1,10 @@
 """NUM — numeric-safety rules.
 
-The batched kernels must match the scalar oracle *bit for bit*; PR 5
-established that the layout of a gather decides whether numpy's pairwise
-reductions accumulate in the same order as the reference path (a single
-non-contiguous advanced-indexing gather flipped RCC's coset sums by
-1 ulp — see ``src/repro/coding/rcc.py``).  These rules freeze that lesson
-and two adjacent hazards into lint-time checks.
+Accounting and cost scoring are integer-exact by construction (energies
+are int64 femtojoules, cost tables hold integers under the ``2**53``
+bound), so no rule polices reduction order.  These rules catch the two
+hazards that remain: boolean accumulations whose width depends on the
+platform, and float ``==`` comparisons.
 """
 
 from __future__ import annotations
@@ -18,25 +17,8 @@ from repro.analysis.finding import Finding
 from repro.analysis.registry import register_rule
 from repro.analysis.rules.common import call_name
 
-#: Reductions whose accumulation order (and therefore last-ulp value)
-#: depends on the memory layout of their operand.
-_PAIRWISE_REDUCTIONS = {"sum", "mean"}
-
-
-def _is_advanced_index(index: ast.expr) -> bool:
-    """True when a subscript index triggers numpy advanced indexing.
-
-    Plain integers, slices, and tuples of those keep the result a view (or
-    a trivially contiguous copy); names, calls, and array expressions are
-    gather indices.
-    """
-    if isinstance(index, ast.Tuple):
-        return any(_is_advanced_index(element) for element in index.elts)
-    if isinstance(index, (ast.Slice, ast.Constant)):
-        return False
-    if isinstance(index, ast.UnaryOp) and isinstance(index.operand, ast.Constant):
-        return False  # negative literal index
-    return isinstance(index, (ast.Name, ast.Attribute, ast.Call, ast.List, ast.Compare))
+#: Reductions whose accumulator width matters for a boolean operand.
+_SUM_REDUCTIONS = {"sum", "mean"}
 
 
 def _reduced_operand(node: ast.Call) -> Optional[ast.expr]:
@@ -47,40 +29,13 @@ def _reduced_operand(node: ast.Call) -> Optional[ast.expr]:
     name = call_name(node)
     if name in {"np.sum", "numpy.sum", "np.mean", "numpy.mean"}:
         return node.args[0] if node.args else None
-    if isinstance(node.func, ast.Attribute) and node.func.attr in _PAIRWISE_REDUCTIONS:
+    if isinstance(node.func, ast.Attribute) and node.func.attr in _SUM_REDUCTIONS:
         return node.func.value
     return None
 
 
 def _has_dtype_kw(node: ast.Call) -> bool:
     return any(kw.arg == "dtype" for kw in node.keywords)
-
-
-@register_rule(
-    "NUM001",
-    summary="advanced-indexing gather feeding a pairwise reduction "
-    "(use contiguous np.take; 1-ulp hazard)",
-)
-def check_gather_reduction(module: ModuleContext) -> Iterator[Finding]:
-    """Flag pairwise reductions (``sum``/``dot``/...) applied directly to
-    an advanced-indexing gather; re-association across the gather
-    cost PR 5 a 1-ulp oracle mismatch — reduce over a contiguous
-    intermediate instead."""
-    for node in module.walk(ast.Call):
-        operand = _reduced_operand(node)
-        if (
-            operand is not None
-            and isinstance(operand, ast.Subscript)
-            and _is_advanced_index(operand.slice)
-        ):
-            yield module.finding(
-                "NUM001",
-                node,
-                "advanced-indexing gather feeds a pairwise sum/mean; its "
-                "layout is not guaranteed contiguous, so the reduction order "
-                "— and the last ulp — can differ from the scalar oracle. "
-                "Gather with np.take (C-contiguous result) instead",
-            )
 
 
 @register_rule(

@@ -71,10 +71,11 @@ Each product sums table entries (and their differences) times exact 0/1
 or +1/-1 weights, so it equals the scalar path's sum bit for bit because
 every cell table holds finite integers: :meth:`CostFunction._table` checks
 that once per technology and raises
-:class:`~repro.errors.ConfigurationError` otherwise, so a cost with
-fractional energies is rescaled to integers (fractional pJ to integer fJ,
-say) before any encoder uses it.  Every encoder also bounds the table at
-construction, ``2 * cells_per_word * max|entry| < 2**53``
+:class:`~repro.errors.ConfigurationError` otherwise.  The energy models
+hold whole femtojoules and reject anything else at construction, but
+:class:`EnergyCost` scores in pJ, so an energy model with a fractional
+pJ entry cannot drive an encoder through it.  Every encoder also bounds
+the table at construction, ``2 * cells_per_word * max|entry| < 2**53``
 (:class:`repro.coding.base.Encoder`): every partial sum, including VCC's
 ``a0 + a1`` sums and ``a1 - a0`` differences, is then an exactly
 representable integer, whatever order BLAS adds in.  Every builtin cost
@@ -462,17 +463,11 @@ class EnergyCost(CostFunction):
         self.technology = technology
         self.mlc_model = mlc_model
         self.slc_model = slc_model
-        if technology is CellTechnology.MLC:
-            self._lut = mlc_model.lut()
-            self._aux_bit_energy = mlc_model.aux_bit_energy_pj
-        else:
-            self._lut = np.array(
-                [
-                    [0.0, slc_model.set_energy_pj],
-                    [slc_model.reset_energy_pj, 0.0],
-                ]
-            )
-            self._aux_bit_energy = slc_model.aux_bit_energy_pj
+        model = mlc_model if technology is CellTechnology.MLC else slc_model
+        # Scores are in pJ: the model's whole-fJ table over 1000 gives each
+        # field back exactly, and keeps LexicographicCost's scale meaningful.
+        self._lut = model.lut() / 1000
+        self._aux_bit_energy = model.aux_bit_energy_pj
 
     def cell_table(self, bits_per_cell: int) -> np.ndarray:
         if bits_per_cell != self.technology.bits_per_cell:

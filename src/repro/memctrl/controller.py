@@ -48,7 +48,7 @@ call.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.traces
@@ -155,8 +155,10 @@ class LineWriteResult:
         Line address written.
     row_index:
         Array row the line mapped to.
-    data_energy_pj / aux_energy_pj:
-        Write energy spent on the data cells and on the auxiliary bits.
+    data_energy_fj / aux_energy_fj:
+        Write energy spent on the data cells and on the auxiliary bits, in
+        whole femtojoules (``data_energy_pj``/``aux_energy_pj`` read them
+        in pJ).
     cells_changed / bits_changed:
         How many cells (and bits) actually changed state in the array.
     saw_cells:
@@ -171,8 +173,8 @@ class LineWriteResult:
 
     address: int
     row_index: int
-    data_energy_pj: float
-    aux_energy_pj: float
+    data_energy_fj: int
+    aux_energy_fj: int
     cells_changed: int
     bits_changed: int
     saw_cells: int
@@ -180,16 +182,19 @@ class LineWriteResult:
     newly_stuck_cells: int
 
     @property
+    def data_energy_pj(self) -> float:
+        """Write energy spent on the data cells, in pJ."""
+        return self.data_energy_fj / 1000
+
+    @property
+    def aux_energy_pj(self) -> float:
+        """Write energy spent on the auxiliary bits, in pJ."""
+        return self.aux_energy_fj / 1000
+
+    @property
     def total_energy_pj(self) -> float:
-        """Total energy of the line write including auxiliary bits."""
-        return self.data_energy_pj + self.aux_energy_pj
-
-
-def _running_sum(start: float, values: np.ndarray) -> float:
-    """``start + values[0] + values[1] + ...``, added left to right."""
-    if len(values) == 0:
-        return start
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+        """Total energy of the line write including auxiliary bits, in pJ."""
+        return (self.data_energy_fj + self.aux_energy_fj) / 1000
 
 
 def _changed_aux_bits(new_auxes: np.ndarray, old_auxes: np.ndarray) -> np.ndarray:
@@ -213,8 +218,10 @@ class ReplayResult:
     ----------
     addresses / row_indices:
         Line address written and the physical row it mapped to.
-    data_energy_pj / aux_energy_pj:
-        Write energy spent on the data cells and the auxiliary bits.
+    data_energy_fj / aux_energy_fj:
+        Write energy spent on the data cells and the auxiliary bits, as
+        int64 femtojoules (``data_energy_pj``/``aux_energy_pj`` read them
+        as float64 pJ).
     cells_changed / bits_changed:
         Cells (and bits) that actually changed state in the array.
     saw_cells:
@@ -228,17 +235,15 @@ class ReplayResult:
     stopped_early:
         True when the ``stop`` predicate ended the replay before the
         requested repetitions (or ``max_writes``) were exhausted.
-    moves:
-        ``(write index, data_energy_pj, aux_energy_pj)`` of each Start-Gap
-        migration a write triggered, in replay order.  A migration's other
-        counters reach the controller's :attr:`MemoryController.stats`
-        when it runs; its energies wait for :meth:`add_to`.
+
+    Start-Gap migrations have no entry: the controller charges each one to
+    its :attr:`MemoryController.stats` when it runs.
     """
 
     addresses: np.ndarray
     row_indices: np.ndarray
-    data_energy_pj: np.ndarray
-    aux_energy_pj: np.ndarray
+    data_energy_fj: np.ndarray
+    aux_energy_fj: np.ndarray
     cells_changed: np.ndarray
     bits_changed: np.ndarray
     saw_cells: np.ndarray
@@ -247,12 +252,21 @@ class ReplayResult:
     words_per_line: int
     writes: int = 0
     stopped_early: bool = False
-    moves: List[Tuple[int, float, float]] = field(default_factory=list)
+
+    @property
+    def data_energy_pj(self) -> np.ndarray:
+        """Per-write data-cell energy in pJ (float64)."""
+        return self.data_energy_fj / 1000
+
+    @property
+    def aux_energy_pj(self) -> np.ndarray:
+        """Per-write auxiliary-bit energy in pJ (float64)."""
+        return self.aux_energy_fj / 1000
 
     # ------------------------------------------------------- aggregation
     def total_energy_pj(self) -> float:
-        """Total write energy of the replay including auxiliary bits."""
-        return float(self.data_energy_pj.sum() + self.aux_energy_pj.sum())
+        """Total write energy of the replay including auxiliary bits, in pJ."""
+        return (int(self.data_energy_fj.sum()) + int(self.aux_energy_fj.sum())) / 1000
 
     def saw_words(self) -> int:
         """Number of written words left with at least one wrong bit."""
@@ -262,36 +276,19 @@ class ReplayResult:
         """Aggregate the replay into a :class:`repro.pcm.stats.WriteStats`.
 
         Every counter matches :meth:`WriteStats.from_line_results` over
-        :meth:`line_results` exactly, the float energy totals included;
-        like it, this leaves out the Start-Gap :attr:`moves`.
+        :meth:`line_results` exactly; like it, this leaves out Start-Gap
+        migrations.
         """
-        return self.add_to(WriteStats(), moves=())
+        return self.add_to(WriteStats())
 
-    def add_to(
-        self, stats: WriteStats, moves: Optional[Sequence[Tuple[int, float, float]]] = None
-    ) -> WriteStats:
-        """Add the replay's counters into ``stats`` in place; returns ``stats``.
-
-        Energies are added write by write onto ``stats``' running totals
-        (a sequential ``np.cumsum``, never a pairwise sum).  The energies
-        of ``moves`` (by default :attr:`moves`) join that sum just ahead of
-        the write that triggered each, which is where the
-        :meth:`MemoryController.write_line` loop charges a migration.  So a
-        controller's totals after a replay equal the loop's running sum
-        bit for bit, whatever it held before.
-        """
-        data, aux = self.data_energy_pj, self.aux_energy_pj
-        if moves is None:
-            moves = self.moves
-        if moves:
-            at, move_data, move_aux = zip(*moves)
-            data, aux = np.insert(data, at, move_data), np.insert(aux, at, move_aux)
+    def add_to(self, stats: WriteStats) -> WriteStats:
+        """Add the replay's counters into ``stats`` in place; returns ``stats``."""
         stats.words_written += self.writes * self.words_per_line
         stats.rows_written += self.writes
         stats.bits_changed += int(self.bits_changed.sum())
         stats.cells_changed += int(self.cells_changed.sum())
-        stats.data_energy_pj = _running_sum(stats.data_energy_pj, data)
-        stats.aux_energy_pj = _running_sum(stats.aux_energy_pj, aux)
+        stats.data_energy_fj += int(self.data_energy_fj.sum())
+        stats.aux_energy_fj += int(self.aux_energy_fj.sum())
         stats.saw_cells += int(self.saw_cells.sum())
         stats.saw_words += self.saw_words()
         return stats
@@ -304,8 +301,8 @@ class ReplayResult:
         return LineWriteResult(
             address=int(self.addresses[index]),
             row_index=int(self.row_indices[index]),
-            data_energy_pj=float(self.data_energy_pj[index]),
-            aux_energy_pj=float(self.aux_energy_pj[index]),
+            data_energy_fj=int(self.data_energy_fj[index]),
+            aux_energy_fj=int(self.aux_energy_fj[index]),
             cells_changed=int(self.cells_changed[index]),
             bits_changed=int(self.bits_changed[index]),
             saw_cells=int(self.saw_cells[index]),
@@ -323,8 +320,8 @@ class ReplayResult:
         return cls(
             addresses=np.zeros(capacity, dtype=np.int64),
             row_indices=np.zeros(capacity, dtype=np.int64),
-            data_energy_pj=np.zeros(capacity, dtype=np.float64),
-            aux_energy_pj=np.zeros(capacity, dtype=np.float64),
+            data_energy_fj=np.zeros(capacity, dtype=np.int64),
+            aux_energy_fj=np.zeros(capacity, dtype=np.int64),
             cells_changed=np.zeros(capacity, dtype=np.int64),
             bits_changed=np.zeros(capacity, dtype=np.int64),
             saw_cells=np.zeros(capacity, dtype=np.int64),
@@ -356,20 +353,9 @@ class ReplayResult:
         A copy (not a view) when the arrays hold spare capacity, so a
         result of a few hundred writes does not pin larger arrays in memory.
         """
-        compact = (
-            (lambda array: array[:writes].copy())
-            if writes < len(self.addresses)
-            else (lambda array: array)
-        )
-        self.addresses = compact(self.addresses)
-        self.row_indices = compact(self.row_indices)
-        self.data_energy_pj = compact(self.data_energy_pj)
-        self.aux_energy_pj = compact(self.aux_energy_pj)
-        self.cells_changed = compact(self.cells_changed)
-        self.bits_changed = compact(self.bits_changed)
-        self.saw_cells = compact(self.saw_cells)
-        self.saw_bits_per_word = compact(self.saw_bits_per_word)
-        self.newly_stuck_cells = compact(self.newly_stuck_cells)
+        if writes < len(self.addresses):
+            for name in _REPLAY_ARRAYS:
+                setattr(self, name, getattr(self, name)[:writes].copy())
         self.writes = writes
         self.stopped_early = stopped_early
         return self
@@ -379,8 +365,8 @@ class ReplayResult:
 _REPLAY_ARRAYS = (
     "addresses",
     "row_indices",
-    "data_energy_pj",
-    "aux_energy_pj",
+    "data_energy_fj",
+    "aux_energy_fj",
     "cells_changed",
     "bits_changed",
     "saw_cells",
@@ -513,24 +499,13 @@ class MemoryController:
             )
         self._aux_store = np.zeros((array.rows, self.config.words_per_line), dtype=np.int64)
         self._bit_popcount = np.array([0, 1, 1, 2], dtype=np.int64)
-        self._energy_lut = (
-            self.mlc_energy.lut()
-            if array.technology is CellTechnology.MLC
-            else np.array(
-                [
-                    [0.0, self.slc_energy.set_energy_pj],
-                    [self.slc_energy.reset_energy_pj, 0.0],
-                ]
-            )
-        )
+        energy = mlc_energy if array.technology is CellTechnology.MLC else slc_energy
+        #: int64 fJ per ``[old, new]`` cell transition and per changed aux bit.
+        self._energy_lut = energy.lut()
+        self._aux_bit_energy = energy.aux_bit_energy_fj
         #: ``_energy_lut`` flattened, indexed by ``old * levels + new``:
         #: one ``np.take`` gathers a wave's per-cell energies.
-        self._energy_flat = np.ascontiguousarray(self._energy_lut).reshape(-1)
-        self._aux_bit_energy = (
-            self.mlc_energy.aux_bit_energy_pj
-            if array.technology is CellTechnology.MLC
-            else self.slc_energy.aux_bit_energy_pj
-        )
+        self._energy_flat = self._energy_lut.reshape(-1)
         #: Cap on the lines encoded per replay wave (see REPLAY_WAVE_LINES);
         #: exposed as an attribute so studies with huge candidate sets can
         #: trade peak memory against batching.
@@ -595,8 +570,8 @@ class MemoryController:
         line_result = LineWriteResult(
             address=address,
             row_index=row_index,
-            data_energy_pj=data_energy,
-            aux_energy_pj=aux_energy,
+            data_energy_fj=data_energy,
+            aux_energy_fj=aux_energy,
             cells_changed=cells_changed,
             bits_changed=bits_changed,
             saw_cells=saw_count,
@@ -612,7 +587,7 @@ class MemoryController:
         The core of :meth:`write_line`, the oracle the batched drivers
         (:meth:`replay_trace`, :meth:`write_random_lines`) match bit for
         bit.  Returns the tuple ``(row_index,
-        data_energy_pj, aux_energy_pj, cells_changed, bits_changed,
+        data_energy_fj, aux_energy_fj, cells_changed, bits_changed,
         saw_cells, saw_bits_per_word, newly_stuck)`` with
         ``saw_bits_per_word`` as an ``int64`` array.
         """
@@ -639,9 +614,7 @@ class MemoryController:
         aux_energy = self._aux_bit_energy * int(_changed_aux_bits(new_auxes, old_auxes))
 
         result = self.array.write_row(row_index, intended_row)
-        data_energy = float(
-            self._energy_lut[old_row.astype(np.int64), intended_row.astype(np.int64)].sum()  # repro: allow[NUM001] reason=this IS the scalar oracle; the gather materialises a fresh C-contiguous row, and test_replay_parity locks the batched paths to it
-        )
+        data_energy = int(self._energy_lut[old_row, intended_row].sum())
         bits_changed = self._count_changed_bits(result.old_cells, result.stored_cells)
         saw_bits = self._saw_bits_per_word(result.stored_cells, intended_row)
 
@@ -654,9 +627,7 @@ class MemoryController:
         if self.wear_leveler is not None:
             movement = self.wear_leveler.record_write()
             if movement is not None:
-                move_data, move_aux = self._migrate_row(*movement)
-                self.stats.data_energy_pj += move_data
-                self.stats.aux_energy_pj += move_aux
+                self._migrate_row(*movement)
 
         return (
             row_index,
@@ -871,7 +842,7 @@ class MemoryController:
             if leveler is not None:
                 movement = leveler.record_write()
                 if movement is not None:
-                    replay.moves.append((index, *self._migrate_row(*movement)))
+                    self._migrate_row(*movement)
 
             performed = index + 1
             if stop is not None:
@@ -918,9 +889,8 @@ class MemoryController:
         index vector, one entry per buffered row) and ``changed`` is the
         write's ``stored_rows != old_rows`` mask.  Energy, changed
         bits/cells, and SAW counts are pure functions of the (old, stored,
-        intended) cell rows.  The energy gather is one ``np.take`` into a
-        fresh C-contiguous ``(rows, cells)`` block, so each row's pairwise
-        sum runs in the scalar path's order; the counts are integers.  A
+        intended) cell rows, and all of them are integers (energy in fJ),
+        so each row's sum equals the scalar path's in any order.  A
         stored cell differs from the intended value exactly at the
         stuck-at-wrong positions, so SAW counts fall out of the xor.
         """
@@ -928,7 +898,7 @@ class MemoryController:
         if lines == 0:
             return
         levels = self.array.technology.levels
-        replay.data_energy_pj[at] = np.take(
+        replay.data_energy_fj[at] = np.take(
             self._energy_flat, old_rows * levels + intended_rows
         ).sum(axis=1)
         cells_changed = np.count_nonzero(changed, axis=1)
@@ -1118,7 +1088,7 @@ class MemoryController:
                 if leveler is not None:
                     movement = leveler.record_write()
                     if movement is not None:
-                        replay.moves.append((index, *self._migrate_row(*movement)))
+                        self._migrate_row(*movement)
                 if stop is not None and stop(
                     index,
                     rows_of[local],
@@ -1175,12 +1145,12 @@ class MemoryController:
         """Auxiliary-bit write energy for applied wave writes selected by ``at``.
 
         Charges the bits that changed between the stored and the new
-        auxiliary values, exactly as :meth:`_apply_line_write` does per
-        write (same popcounts, same float multiply).
+        auxiliary values times the integer fJ per bit, exactly as
+        :meth:`_apply_line_write` does per write.
         """
         if len(new_auxes) == 0:
             return
-        replay.aux_energy_pj[at] = self._aux_bit_energy * _changed_aux_bits(new_auxes, old_auxes)
+        replay.aux_energy_fj[at] = self._aux_bit_energy * _changed_aux_bits(new_auxes, old_auxes)
 
     def _sensed_view(self, old_row: np.ndarray, row_index: int) -> np.ndarray:
         """The old-row state the encoder observes for one read-before-write.
@@ -1401,22 +1371,18 @@ class MemoryController:
             return self.fault_repository.stuck_mask(row_index)
         return None
 
-    def _migrate_row(self, source_row: int, destination_row: int) -> Tuple[float, float]:
+    def _migrate_row(self, source_row: int, destination_row: int) -> None:
         """Copy one row for a Start-Gap movement (a genuine, wearing write).
 
-        Charges the move's counters to :attr:`stats` and returns its
-        ``(data_energy_pj, aux_energy_pj)``, which the caller adds where
-        the move falls in the sequence of writes.
+        Charges every counter of the move, energy included, to :attr:`stats`.
         """
         contents = self.array.read_row(source_row)
         result = self.array.write_row(destination_row, contents)
         self.stats.rows_written += 1
         self.stats.cells_changed += result.cells_changed
         self.stats.bits_changed += self._count_changed_bits(result.old_cells, result.stored_cells)
-        data_energy = float(
-            self._energy_lut[  # repro: allow[NUM001] reason=migration writes reuse the scalar-oracle gather above; fresh C-contiguous result, parity-locked by the Start-Gap integration tests
-                result.old_cells.astype(np.int64), result.intended_cells.astype(np.int64)
-            ].sum()
+        self.stats.data_energy_fj += int(
+            self._energy_lut[result.old_cells, result.intended_cells].sum()
         )
         # The migration write can itself land on stuck destination cells;
         # its SAW outcome counts like any other row write.
@@ -1427,18 +1393,18 @@ class MemoryController:
         # are rewritten in the side region: charge the bits that change.
         moved_auxes = self._aux_store[source_row]
         changed_aux_bits = int(_changed_aux_bits(moved_auxes, self._aux_store[destination_row]))
+        self.stats.aux_energy_fj += self._aux_bit_energy * changed_aux_bits
         self._aux_store[destination_row] = moved_auxes
         if self.fault_repository is not None:
             self.fault_repository.observe_write(
                 destination_row, result.intended_cells, result.stored_cells
             )
-        return data_energy, self._aux_bit_energy * changed_aux_bits
 
     def _count_changed_bits(self, old_cells: np.ndarray, new_cells: np.ndarray) -> int:
         xor = old_cells ^ new_cells
         if self.array.bits_per_cell == 1:
             return int(np.count_nonzero(xor))
-        return int(self._bit_popcount[xor].sum())  # repro: allow[NUM001] reason=integer popcount accumulation is exact at any reduction order
+        return int(self._bit_popcount[xor].sum())
 
     def _saw_bits_per_word(
         self, stored_cells: np.ndarray, intended_cells: np.ndarray

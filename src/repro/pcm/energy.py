@@ -15,38 +15,75 @@ change, and is *low* otherwise.  The absolute picojoule values are model
 parameters; the defaults follow the prototype MLC device used by the paper
 (intermediate states cost roughly an order of magnitude more than a plain
 SET/RESET).
+
+Fields are given in pJ but must be whole femtojoules: each model's
+:meth:`~MLCEnergyModel.lut` is an int64 fJ table, and the memory
+controller charges writes in int64 fJ, so energy totals are exact in any
+summation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.bitops import split_symbols
 
-__all__ = ["MLCEnergyModel", "SLCEnergyModel", "DEFAULT_MLC_ENERGY", "DEFAULT_SLC_ENERGY"]
+__all__ = [
+    "MLCEnergyModel",
+    "SLCEnergyModel",
+    "DEFAULT_MLC_ENERGY",
+    "DEFAULT_SLC_ENERGY",
+    "MAX_ENERGY_PJ",
+]
 
 
-def _check_energies(model) -> None:
-    """Reject any energy field that is negative, NaN or infinite.
+#: Largest energy a model accepts for one transition or aux bit, in pJ:
+#: 1e9 fJ, so an int64 fJ total holds over 9e9 charges at the maximum.
+MAX_ENERGY_PJ = 1e6
 
-    Every field becomes a cost-table entry verbatim, so one NaN would
-    silently poison every candidate's cost.
+
+def _fj(energy_pj: float) -> int:
+    """``energy_pj`` in whole femtojoules (exact for a checked model field)."""
+    return round(energy_pj * 1000)
+
+
+class _EnergyModel:
+    """The checks and auxiliary-bit charge shared by both energy models.
+
+    Accounting charges int64 femtojoules, so an energy total is exact in
+    any summation order.  Every field is therefore a whole number of fJ in
+    ``[0, MAX_ENERGY_PJ]`` pJ; anything else (a negative, NaN or infinite
+    value included) raises :class:`~repro.errors.ConfigurationError` at
+    construction.
     """
-    for item in fields(model):
-        value = getattr(model, item.name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigurationError(
-                f"{item.name} must be a finite non-negative energy, got {value!r}"
-            )
+
+    aux_bit_energy_pj: float
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and 0 <= value <= MAX_ENERGY_PJ):
+                raise ConfigurationError(
+                    f"{name} must be a finite energy in [0, {MAX_ENERGY_PJ:g}] pJ, got {value!r}"
+                )
+            if _fj(value) / 1000 != value:
+                raise ConfigurationError(f"{name} must be a whole number of fJ, got {value!r} pJ")
+
+    @property
+    def aux_bit_energy_fj(self) -> int:
+        """Energy charged per changed auxiliary bit, in fJ."""
+        return _fj(self.aux_bit_energy_pj)
+
+    def aux_energy(self, old_aux: int, new_aux: int) -> float:
+        """Energy (pJ) to update the auxiliary bits from ``old_aux`` to ``new_aux``."""
+        return bin(old_aux ^ new_aux).count("1") * self.aux_bit_energy_fj / 1000
 
 
 @dataclass(frozen=True)
-class MLCEnergyModel:
+class MLCEnergyModel(_EnergyModel):
     """Symbol-transition write energy for a 4-level Gray-coded PCM cell.
 
     Parameters
@@ -72,7 +109,7 @@ class MLCEnergyModel:
     aux_bit_energy_pj: float = 2.0
 
     def __post_init__(self) -> None:
-        _check_energies(self)
+        super().__post_init__()
         if self.high_energy_pj < self.low_energy_pj:
             raise ConfigurationError(
                 "high_energy_pj must be >= low_energy_pj (intermediate states are the "
@@ -81,16 +118,15 @@ class MLCEnergyModel:
 
     # ----------------------------------------------------------------- LUT
     def lut(self) -> np.ndarray:
-        """Return the 4x4 transition-energy lookup table.
+        """Return the 4x4 int64 transition-energy lookup table in fJ.
 
-        ``lut()[old, new]`` is the energy (pJ) of programming a cell that
+        ``lut()[old, new]`` is the energy (fJ) of programming a cell that
         currently holds symbol ``old`` to symbol ``new``.
         """
-        table = np.empty((4, 4), dtype=np.float64)
-        for old in range(4):
-            for new in range(4):
-                table[old, new] = self.transition_energy(old, new)
-        return table
+        return np.array(
+            [[_fj(self.transition_energy(old, new)) for new in range(4)] for old in range(4)],
+            dtype=np.int64,
+        )
 
     def transition_energy(self, old_symbol: int, new_symbol: int) -> float:
         """Energy (pJ) to program one cell from ``old_symbol`` to ``new_symbol``."""
@@ -102,38 +138,16 @@ class MLCEnergyModel:
             return self.high_energy_pj
         return self.low_energy_pj
 
-    # ------------------------------------------------------------- vectors
-    def symbols_energy(self, old_symbols: np.ndarray, new_symbols: np.ndarray) -> float:
-        """Total energy to program arrays of old symbols to new symbols."""
-        old = np.asarray(old_symbols, dtype=np.int64)
-        new = np.asarray(new_symbols, dtype=np.int64)
-        if old.shape != new.shape:
-            raise ConfigurationError("old and new symbol arrays must have the same shape")
-        return float(self.lut()[old, new].sum())  # repro: allow[NUM001] reason=the LUT gather copies into a fresh C-contiguous array, so the pairwise sum is layout-stable; per-word parity with symbol_energy is tested
-
-    def symbols_energy_array(self, old_symbols: np.ndarray, new_symbols: np.ndarray) -> np.ndarray:
-        """Per-cell energy array for arrays of old and new symbols."""
-        old = np.asarray(old_symbols, dtype=np.int64)
-        new = np.asarray(new_symbols, dtype=np.int64)
-        return self.lut()[old, new]
-
     # --------------------------------------------------------------- words
     def word_energy(self, old_word: int, new_word: int, word_bits: int = 64) -> float:
-        """Energy to overwrite ``old_word`` with ``new_word`` (both MLC encoded)."""
+        """Energy (pJ) to overwrite ``old_word`` with ``new_word`` (both MLC encoded)."""
         old_syms = split_symbols(old_word, word_bits)
         new_syms = split_symbols(new_word, word_bits)
-        return float(
-            sum(self.transition_energy(o, n) for o, n in zip(old_syms, new_syms))
-        )
-
-    def aux_energy(self, old_aux: int, new_aux: int) -> float:
-        """Energy to update the auxiliary bits from ``old_aux`` to ``new_aux``."""
-        changed = bin(old_aux ^ new_aux).count("1")
-        return changed * self.aux_bit_energy_pj
+        return sum(_fj(self.transition_energy(o, n)) for o, n in zip(old_syms, new_syms)) / 1000
 
 
 @dataclass(frozen=True)
-class SLCEnergyModel:
+class SLCEnergyModel(_EnergyModel):
     """Per-bit write energy for single-level cells.
 
     SET (programming a '1') and RESET (programming a '0') energies are
@@ -145,8 +159,12 @@ class SLCEnergyModel:
     reset_energy_pj: float = 2.0
     aux_bit_energy_pj: float = 1.0
 
-    def __post_init__(self) -> None:
-        _check_energies(self)
+    def lut(self) -> np.ndarray:
+        """Return the 2x2 int64 bit-transition lookup table in fJ (``[old, new]``)."""
+        return np.array(
+            [[_fj(self.bit_energy(old, new)) for new in (0, 1)] for old in (0, 1)],
+            dtype=np.int64,
+        )
 
     def bit_energy(self, old_bit: int, new_bit: int) -> float:
         """Energy (pJ) to program one SLC cell from ``old_bit`` to ``new_bit``."""
@@ -157,16 +175,11 @@ class SLCEnergyModel:
         return self.set_energy_pj if new_bit == 1 else self.reset_energy_pj
 
     def word_energy(self, old_word: int, new_word: int, word_bits: int = 64) -> float:
-        """Energy to overwrite an SLC word (differential write)."""
+        """Energy (pJ) to overwrite an SLC word (differential write)."""
         changed = old_word ^ new_word
         set_bits = bin(changed & new_word).count("1")
         reset_bits = bin(changed & ~new_word & ((1 << word_bits) - 1)).count("1")
-        return set_bits * self.set_energy_pj + reset_bits * self.reset_energy_pj
-
-    def aux_energy(self, old_aux: int, new_aux: int) -> float:
-        """Energy to update the auxiliary bits from ``old_aux`` to ``new_aux``."""
-        changed = bin(old_aux ^ new_aux).count("1")
-        return changed * self.aux_bit_energy_pj
+        return (set_bits * _fj(self.set_energy_pj) + reset_bits * _fj(self.reset_energy_pj)) / 1000
 
 
 #: Default MLC energy model used by every experiment unless overridden.

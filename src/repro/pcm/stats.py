@@ -4,12 +4,14 @@ Every simulator accumulates the same small set of statistics for each
 technique under test: how many words/rows were written, how many cells
 changed state, how much write energy was spent (data plus auxiliary bits),
 and how many stuck-at-wrong (SAW) cells were produced.  Keeping them in a
-single dataclass makes result tables uniform across experiments.
+single dataclass makes result tables uniform across experiments.  Energy
+is counted in whole femtojoules, so its totals do not depend on the order
+writes are added in; the pJ values are read-only views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Dict, Iterable
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.memctrl
@@ -26,16 +28,26 @@ class WriteStats:
     rows_written: int = 0
     bits_changed: int = 0
     cells_changed: int = 0
-    data_energy_pj: float = 0.0
-    aux_energy_pj: float = 0.0
+    data_energy_fj: int = 0
+    aux_energy_fj: int = 0
     saw_cells: int = 0
     saw_words: int = 0
     masked_faults: int = 0
 
     @property
+    def data_energy_pj(self) -> float:
+        """Write energy spent on the data cells, in pJ."""
+        return self.data_energy_fj / 1000
+
+    @property
+    def aux_energy_pj(self) -> float:
+        """Write energy spent on the auxiliary bits, in pJ."""
+        return self.aux_energy_fj / 1000
+
+    @property
     def total_energy_pj(self) -> float:
-        """Total write energy including the auxiliary bits."""
-        return self.data_energy_pj + self.aux_energy_pj
+        """Total write energy including the auxiliary bits, in pJ."""
+        return (self.data_energy_fj + self.aux_energy_fj) / 1000
 
     @property
     def mean_bits_changed_per_word(self) -> float:
@@ -62,8 +74,8 @@ class WriteStats:
         self.rows_written += 1
         self.bits_changed += line.bits_changed
         self.cells_changed += line.cells_changed
-        self.data_energy_pj += line.data_energy_pj
-        self.aux_energy_pj += line.aux_energy_pj
+        self.data_energy_fj += line.data_energy_fj
+        self.aux_energy_fj += line.aux_energy_fj
         self.saw_cells += line.saw_cells
         self.saw_words += sum(1 for w in line.saw_bits_per_word if w)
 
@@ -88,28 +100,9 @@ class WriteStats:
     def merge(self, other: "WriteStats") -> "WriteStats":
         """Return a new :class:`WriteStats` with the sums of both operands."""
         return WriteStats(
-            words_written=self.words_written + other.words_written,
-            rows_written=self.rows_written + other.rows_written,
-            bits_changed=self.bits_changed + other.bits_changed,
-            cells_changed=self.cells_changed + other.cells_changed,
-            data_energy_pj=self.data_energy_pj + other.data_energy_pj,
-            aux_energy_pj=self.aux_energy_pj + other.aux_energy_pj,
-            saw_cells=self.saw_cells + other.saw_cells,
-            saw_words=self.saw_words + other.saw_words,
-            masked_faults=self.masked_faults + other.masked_faults,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
     def as_dict(self) -> Dict[str, float]:
         """Return a flat dictionary, convenient for tabulation."""
-        return {
-            "words_written": self.words_written,
-            "rows_written": self.rows_written,
-            "bits_changed": self.bits_changed,
-            "cells_changed": self.cells_changed,
-            "data_energy_pj": self.data_energy_pj,
-            "aux_energy_pj": self.aux_energy_pj,
-            "total_energy_pj": self.total_energy_pj,
-            "saw_cells": self.saw_cells,
-            "saw_words": self.saw_words,
-            "masked_faults": self.masked_faults,
-        }
+        return dict(asdict(self), total_energy_pj=self.total_energy_pj)

@@ -92,7 +92,7 @@ def _fig7_energy_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
             "cosets": cosets,
             "technique": spec.label,
             "encoder": spec.encoder,
-            "total_energy_pj": float(stats.total_energy_pj),
+            "total_energy_pj": stats.total_energy_pj,
         }
     ]
 

@@ -16,67 +16,6 @@ def run(source, path="src/repro/example.py", **kwargs):
     return analyze_source(textwrap.dedent(source), path=path, **kwargs)
 
 
-class TestNUM001AdvancedIndexGatherReduction:
-    def test_violating_fancy_index_sum(self):
-        findings = run(
-            """
-            def energy(lut, old, new):
-                return lut[old, new].sum()
-            """
-        )
-        assert codes(findings) == ["NUM001"]
-        assert "gather" in findings[0].message or "indexing" in findings[0].message
-
-    def test_violating_np_sum_of_gather(self):
-        findings = run(
-            """
-            import numpy as np
-
-            def total(costs, idx):
-                return np.sum(costs[idx])
-            """
-        )
-        assert codes(findings) == ["NUM001"]
-
-    def test_violating_mean_of_gather(self):
-        findings = run(
-            """
-            def avg(values, mask_idx):
-                return values[mask_idx].mean()
-            """
-        )
-        assert codes(findings) == ["NUM001"]
-
-    def test_clean_basic_slice(self):
-        findings = run(
-            """
-            def head_total(values):
-                return values[:16].sum()
-            """
-        )
-        assert findings == []
-
-    def test_clean_contiguous_take(self):
-        findings = run(
-            """
-            import numpy as np
-
-            def total(costs, idx):
-                return np.ascontiguousarray(np.take(costs, idx)).sum()
-            """
-        )
-        assert findings == []
-
-    def test_waived(self):
-        findings = run(
-            """
-            def energy(lut, old, new):
-                return lut[old, new].sum()  # repro: allow[NUM001] reason=scalar oracle, order-independent ints
-            """
-        )
-        assert findings == []
-
-
 class TestNUM002BoolSumWithoutDtype:
     def test_violating_comparison_sum(self):
         findings = run(

@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 
 EXPECTED_RULES = {
     "DET001", "DET002", "DET003", "DET004", "DET005",
-    "NUM001", "NUM002", "NUM003",
+    "NUM002", "NUM003",
     "REG001", "REG002",
     "API001", "API002", "API003",
     "OBS001",

@@ -42,7 +42,7 @@ class TestWaiverScope:
     def test_waiver_does_not_cover_other_rules(self):
         findings = run(
             """
-            import random  # repro: allow[NUM001] reason=wrong family on purpose
+            import random  # repro: allow[NUM002] reason=wrong family on purpose
 
             x = 1
             """

@@ -113,7 +113,7 @@ class TestAccounting:
         new = controller.array.read_row(row)
         # Unencoded, no faults: intended == stored.
         expected = lut[old.astype(int), new.astype(int)].sum()
-        assert result.data_energy_pj == pytest.approx(expected)
+        assert result.data_energy_fj == expected
 
     def test_encoded_write_spends_less_energy(self, rng):
         cost = EnergyCost(CellTechnology.MLC)

@@ -65,8 +65,8 @@ def assert_parity(scalar_results, replay):
     for index, line in enumerate(scalar_results):
         assert line.address == replay.addresses[index]
         assert line.row_index == replay.row_indices[index]
-        assert line.data_energy_pj == replay.data_energy_pj[index]
-        assert line.aux_energy_pj == replay.aux_energy_pj[index]
+        assert line.data_energy_fj == replay.data_energy_fj[index]
+        assert line.aux_energy_fj == replay.aux_energy_fj[index]
         assert line.cells_changed == replay.cells_changed[index]
         assert line.bits_changed == replay.bits_changed[index]
         assert line.saw_cells == replay.saw_cells[index]
@@ -284,6 +284,7 @@ class TestFractionalEnergyParity:
         writes = repetitions * len(trace)
         performed = writes if cut is None else cut + 1
         scalar, replayed = _warm_pair(name, technology, warm, leveled)
+        rows_before = replayed.stats.rows_written
         expected = [
             scalar.write_line(record.address, list(record.words))
             for record in (list(trace) * repetitions)[:performed]
@@ -301,7 +302,7 @@ class TestFractionalEnergyParity:
         assert replay.aux_energy_pj.tolist() == [line.aux_energy_pj for line in expected]
         assert replayed.stats == scalar.stats
         assert replay.write_stats() == WriteStats.from_line_results(expected, replay.words_per_line)
-        assert bool(replay.moves) == leveled
+        assert (replayed.stats.rows_written - rows_before > replay.writes) == leveled
 
     @LEVELED
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -315,6 +316,39 @@ class TestFractionalEnergyParity:
         result = batched.write_random_lines(60, make_rng(5, "random-lines"))
         assert batched.stats == scalar.stats
         assert result.write_stats() == WriteStats.from_line_results(expected, result.words_per_line)
+
+
+class TestEnergyOrderIndependence:
+    @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
+    def test_shuffled_energy_sums_equal_controller_stats(self, technology):
+        """Fractional-table energies, Start-Gap moves included, add up to
+        controller.stats in any order: nothing depends on where a move
+        falls among the writes or on how a reduction associates."""
+        trace = _trace()
+        scalar, replayed = _warm_pair("rcc", technology, warm=False, leveled=True)
+        charges = []  # (data fJ, aux fJ) of every write and every gap move
+        for record in list(trace) * 3:
+            before = (scalar.stats.data_energy_fj, scalar.stats.aux_energy_fj)
+            line = scalar.write_line(record.address, list(record.words))
+            charges.append((line.data_energy_fj, line.aux_energy_fj))
+            move = (
+                scalar.stats.data_energy_fj - before[0] - line.data_energy_fj,
+                scalar.stats.aux_energy_fj - before[1] - line.aux_energy_fj,
+            )
+            if move != (0, 0):
+                charges.append(move)
+        replay = replayed.replay_trace(trace, repetitions=3)
+        assert len(charges) > replay.writes, "no Start-Gap move was charged"
+        assert replayed.stats == scalar.stats
+        totals = (replayed.stats.data_energy_fj, replayed.stats.aux_energy_fj)
+        rng = make_rng(3, "shuffle")
+        for _ in range(8):
+            shuffled = [charges[i] for i in rng.permutation(len(charges))]
+            assert tuple(sum(column) for column in zip(*shuffled)) == totals
+            order = rng.permutation(replay.writes)
+            assert sum(replay.data_energy_fj[order].tolist()) == (
+                replay.write_stats().data_energy_fj
+            )
 
 
 class TestReplayControls:
@@ -385,17 +419,7 @@ class TestReplayControls:
         trace = _trace()
         controller = _controller("rcc", CellTechnology.MLC)
         replay = controller.replay_trace(trace, repetitions=2)
-        from repro.pcm.stats import WriteStats
-
         rebuilt = WriteStats.from_line_results(
             replay.line_results(), controller.config.words_per_line
         )
-        batch = replay.write_stats()
-        assert rebuilt.rows_written == batch.rows_written
-        assert rebuilt.words_written == batch.words_written
-        assert rebuilt.bits_changed == batch.bits_changed
-        assert rebuilt.cells_changed == batch.cells_changed
-        assert rebuilt.saw_cells == batch.saw_cells
-        assert rebuilt.saw_words == batch.saw_words
-        assert rebuilt.data_energy_pj == pytest.approx(batch.data_energy_pj)
-        assert rebuilt.aux_energy_pj == pytest.approx(batch.aux_energy_pj)
+        assert rebuilt == replay.write_stats()

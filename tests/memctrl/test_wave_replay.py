@@ -76,8 +76,8 @@ def assert_parity(scalar_results, replay):
     for index, line in enumerate(scalar_results):
         assert line.address == replay.addresses[index]
         assert line.row_index == replay.row_indices[index]
-        assert line.data_energy_pj == replay.data_energy_pj[index]
-        assert line.aux_energy_pj == replay.aux_energy_pj[index]
+        assert line.data_energy_fj == replay.data_energy_fj[index]
+        assert line.aux_energy_fj == replay.aux_energy_fj[index]
         assert line.cells_changed == replay.cells_changed[index]
         assert line.bits_changed == replay.bits_changed[index]
         assert line.saw_cells == replay.saw_cells[index]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.pcm.energy import DEFAULT_MLC_ENERGY, MLCEnergyModel, SLCEnergyModel
+from repro.pcm.energy import DEFAULT_MLC_ENERGY, MAX_ENERGY_PJ, MLCEnergyModel, SLCEnergyModel
+from repro.utils.bitops import split_symbols
 
 
 class TestMLCTransitionStructure:
@@ -32,12 +33,13 @@ class TestMLCTransitionStructure:
                 if old != new:
                     assert model.transition_energy(old, new) == model.low_energy_pj
 
-    def test_lut_matches_scalar(self):
-        model = MLCEnergyModel()
+    def test_lut_matches_scalar_in_fj(self):
+        model = MLCEnergyModel(low_energy_pj=1.3, high_energy_pj=13.7, same_state_energy_pj=0.1)
         lut = model.lut()
+        assert lut.dtype == np.int64
         for old in range(4):
             for new in range(4):
-                assert lut[old, new] == model.transition_energy(old, new)
+                assert lut[old, new] / 1000 == model.transition_energy(old, new)
 
     def test_invalid_symbol_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -63,29 +65,53 @@ class TestMLCValidation:
             MLCEnergyModel(low_energy_pj=5.0, high_energy_pj=1.0)
 
 
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        (MLCEnergyModel, "low_energy_pj"),
+        (MLCEnergyModel, "high_energy_pj"),
+        (MLCEnergyModel, "same_state_energy_pj"),
+        (MLCEnergyModel, "aux_bit_energy_pj"),
+        (SLCEnergyModel, "set_energy_pj"),
+        (SLCEnergyModel, "reset_energy_pj"),
+        (SLCEnergyModel, "aux_bit_energy_pj"),
+    ],
+)
+class TestWholeFemtojoules:
+    """Accounting charges int64 fJ, so a model must hold whole fJ."""
+
+    @pytest.mark.parametrize("value", [1.0001, 0.0005, 2.5e-4])
+    def test_sub_fj_energy_rejected(self, model, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a whole number of fJ"):
+            model(**{field: value})
+
+    def test_energy_past_int64_bound_rejected(self, model, field):
+        with pytest.raises(ConfigurationError, match=field):
+            model(**{field: MAX_ENERGY_PJ * 2})
+
+    @pytest.mark.parametrize("value", [2.001, 13.7])
+    def test_whole_fj_energy_accepted(self, model, field, value):
+        instance = model(**{field: value})
+        charges = set(instance.lut().ravel().tolist()) | {instance.aux_bit_energy_fj}
+        assert round(value * 1000) in charges
+
+
 class TestMLCAggregation:
-    def test_symbols_energy_sum(self):
+    def test_lut_gather_sum(self):
         model = MLCEnergyModel(low_energy_pj=1.0, high_energy_pj=10.0)
         old = np.array([0, 0, 0, 0])
-        new = np.array([0, 1, 2, 3])  # same, high, low, high? (2 -> '10' low, 3 -> '11' high)
-        expected = 0.0 + 10.0 + 1.0 + 10.0
-        assert model.symbols_energy(old, new) == pytest.approx(expected)
+        new = np.array([0, 1, 2, 3])  # same, high, low, high (2 -> '10' low, 3 -> '11' high)
+        assert model.lut()[old, new].sum() == 0 + 10_000 + 1_000 + 10_000
 
-    def test_symbols_energy_shape_mismatch(self):
-        model = MLCEnergyModel()
-        with pytest.raises(ConfigurationError):
-            model.symbols_energy(np.zeros(3), np.zeros(4))
-
-    def test_word_energy_matches_symbols(self, rng):
-        model = MLCEnergyModel()
+    @pytest.mark.parametrize(
+        "model", [MLCEnergyModel(), MLCEnergyModel(low_energy_pj=1.3, high_energy_pj=13.7)]
+    )
+    def test_word_energy_matches_lut(self, rng, model):
         old_word = int(rng.integers(0, 1 << 63))
         new_word = int(rng.integers(0, 1 << 63))
-        from repro.utils.bitops import split_symbols
-
-        by_symbols = model.symbols_energy(
-            np.array(split_symbols(old_word, 64)), np.array(split_symbols(new_word, 64))
-        )
-        assert model.word_energy(old_word, new_word) == pytest.approx(by_symbols)
+        old = np.array(split_symbols(old_word, 64))
+        new = np.array(split_symbols(new_word, 64))
+        assert model.word_energy(old_word, new_word) == model.lut()[old, new].sum() / 1000
 
     def test_identical_word_costs_nothing(self):
         model = MLCEnergyModel()
@@ -114,6 +140,15 @@ class TestSLCEnergy:
     def test_invalid_bit_rejected(self):
         with pytest.raises(ConfigurationError):
             SLCEnergyModel().bit_energy(2, 0)
+
+    def test_lut_matches_bit_energy_in_fj(self):
+        model = SLCEnergyModel(set_energy_pj=1.3, reset_energy_pj=2.9)
+        lut = model.lut()
+        assert lut.dtype == np.int64
+        assert lut.tolist() == [[0, 1300], [2900, 0]]
+        for old in (0, 1):
+            for new in (0, 1):
+                assert lut[old, new] / 1000 == model.bit_energy(old, new)
 
     def test_word_energy(self):
         model = SLCEnergyModel(set_energy_pj=1.0, reset_energy_pj=2.0)

@@ -12,8 +12,9 @@ class TestWriteStats:
         assert stats.words_written == 0
 
     def test_total_energy_sums_data_and_aux(self):
-        stats = WriteStats(data_energy_pj=10.0, aux_energy_pj=2.5)
-        assert stats.total_energy_pj == pytest.approx(12.5)
+        stats = WriteStats(data_energy_fj=10_000, aux_energy_fj=2_500)
+        assert stats.total_energy_pj == 12.5
+        assert (stats.data_energy_pj, stats.aux_energy_pj) == (10.0, 2.5)
 
     def test_mean_bits_changed(self):
         stats = WriteStats(words_written=4, bits_changed=40)
@@ -23,17 +24,16 @@ class TestWriteStats:
         assert WriteStats().mean_bits_changed_per_word == 0.0
 
     def test_mean_energy_per_word(self):
-        stats = WriteStats(words_written=2, data_energy_pj=6.0, aux_energy_pj=2.0)
+        stats = WriteStats(words_written=2, data_energy_fj=6_000, aux_energy_fj=2_000)
         assert stats.mean_energy_per_word_pj == pytest.approx(4.0)
 
     def test_merge_sums_fields(self):
-        a = WriteStats(words_written=1, bits_changed=2, data_energy_pj=3.0, saw_cells=1)
-        b = WriteStats(words_written=2, bits_changed=5, data_energy_pj=4.0, saw_cells=2)
+        a = WriteStats(words_written=1, bits_changed=2, data_energy_fj=3_000, saw_cells=1)
+        b = WriteStats(words_written=2, bits_changed=5, data_energy_fj=4_000, saw_cells=2)
         merged = a.merge(b)
-        assert merged.words_written == 3
-        assert merged.bits_changed == 7
-        assert merged.data_energy_pj == pytest.approx(7.0)
-        assert merged.saw_cells == 3
+        assert merged == WriteStats(
+            words_written=3, bits_changed=7, data_energy_fj=7_000, saw_cells=3
+        )
 
     def test_merge_does_not_mutate(self):
         a = WriteStats(words_written=1)
