@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from typing import Dict, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_util import write_bench_json
 
+from repro import obs
 from repro.coding.registry import available_encoders, make_encoder
 from repro.core.config import VCCConfig
 from repro.core.vcc import VCCEncoder
@@ -289,17 +289,17 @@ def measure(spec: TechniqueSpec) -> Tuple[float, float, float]:
     position = 0
     repetitions = -(-SEGMENT_WRITES // len(records))
     for _ in range(SEGMENTS):
-        start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+        start = obs.monotonic()
         for _ in range(SEGMENT_WRITES):
             record = records[position % len(records)]
             scalar_controller.write_line(record.address, list(record.words))
             position += 1
-        scalar_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
-        start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+        scalar_s = obs.monotonic() - start
+        start = obs.monotonic()
         replay = replay_controller.replay_trace(
             trace, repetitions=repetitions, max_writes=SEGMENT_WRITES
         )
-        replay_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+        replay_s = obs.monotonic() - start
         assert replay.writes == SEGMENT_WRITES
         best_scalar = min(best_scalar, scalar_s)
         best_replay = min(best_replay, replay_s)

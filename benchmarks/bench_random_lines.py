@@ -27,9 +27,9 @@ or under pytest to enforce the contracts::
 from __future__ import annotations
 
 import os
-import time
 from typing import Tuple
 
+from repro import obs
 from repro.pcm.endurance import EnduranceModel
 from repro.sim.harness import TechniqueSpec, build_controller, scalar_random_line_results
 from repro.utils.rng import make_rng
@@ -85,14 +85,14 @@ def _assert_parity(spec: TechniqueSpec, total: int) -> None:
 def measure(spec: TechniqueSpec, total: int) -> Tuple[float, float]:
     """Writes/second of the scalar loop and of the batched driver."""
     controller = _controller(spec)
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    start = obs.monotonic()
     _drive_scalar(controller, total)
-    scalar_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    scalar_s = obs.monotonic() - start
 
     controller = _controller(spec)
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    start = obs.monotonic()
     replay = _drive_batched(controller, total)
-    batched_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    batched_s = obs.monotonic() - start
     assert replay.writes == total
     return total / scalar_s, total / batched_s
 

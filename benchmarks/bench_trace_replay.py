@@ -26,9 +26,9 @@ or under pytest to enforce the contracts::
 from __future__ import annotations
 
 import os
-import time
 from typing import Tuple
 
+from repro import obs
 from repro.pcm.endurance import EnduranceModel
 from repro.sim.harness import TechniqueSpec, build_controller
 from repro.traces.synthetic import generate_trace
@@ -104,19 +104,19 @@ def measure(spec: TechniqueSpec, total: int) -> Tuple[float, float]:
     predicate wired, as the lifetime study drives it)."""
     trace = _trace()
     controller = _controller(spec)
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    start = obs.monotonic()
     _drive_scalar(controller, trace, total)
-    scalar_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    scalar_s = obs.monotonic() - start
 
     controller = _controller(spec)
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    start = obs.monotonic()
     replay = controller.replay_trace(
         trace,
         repetitions=-(-total // len(trace)),
         max_writes=total,
         stop=lambda index, row, saw, bits: False,
     )
-    replay_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    replay_s = obs.monotonic() - start
     assert replay.writes == total
     return total / scalar_s, total / replay_s
 

@@ -64,7 +64,7 @@ def write_bench_json(
     path = RESULTS_DIR / f"BENCH_{name}.json"
     payload = {
         "name": name,
-        "created_unix": int(time.time()),  # repro: allow[DET003,OBS001] reason=records when the benchmark ran; never feeds back into any measurement or result
+        "created_unix": int(time.time()),
         "cpu_count": os.cpu_count() or 1,
         "host": host_metadata(),
         "config": config,

@@ -12,8 +12,8 @@ Run with ``python examples/lifetime_study.py [benchmark]``.
 from __future__ import annotations
 
 import sys
-import time
 
+from repro import obs
 from repro.sim.harness import TechniqueSpec
 from repro.sim.lifetime_sim import LifetimeStudyConfig, simulate_lifetime
 
@@ -35,7 +35,7 @@ def main(benchmark: str = "mcf") -> None:
           "failure = 4 rows with unmaskable/uncorrectable errors\n")
     baseline = None
     for spec in techniques:
-        start = time.time()  # repro: allow[DET003] reason=progress timing for console output only; elapsed time is printed, never recorded in results
+        start = obs.monotonic()
         outcome = simulate_lifetime(spec, benchmark, config)
         if baseline is None:
             baseline = outcome.writes
@@ -44,7 +44,7 @@ def main(benchmark: str = "mcf") -> None:
         print(
             f"{spec.label:10s}  writes to failure {outcome.writes:7d}"
             f"  vs unencoded {improvement:+6.1f} %"
-            f"  ({time.time() - start:4.1f}s){censored}"  # repro: allow[DET003] reason=progress timing for console output only; elapsed time is printed, never recorded in results
+            f"  ({obs.monotonic() - start:4.1f}s){censored}"
         )
 
 

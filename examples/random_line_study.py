@@ -13,9 +13,9 @@ Run with ``python examples/random_line_study.py``.
 from __future__ import annotations
 
 import tempfile
-import time
 from pathlib import Path
 
+from repro import obs
 from repro.experiments import run_experiment
 from repro.sim.harness import TechniqueSpec, build_controller
 from repro.utils.rng import make_rng
@@ -28,9 +28,9 @@ def batched_driver_demo() -> None:
         rows=128,
         seed=2022,
     )
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=demo throughput printout; elapsed time never enters stored results
+    start = obs.monotonic()
     replay = controller.write_random_lines(10_000, make_rng(2022, "random-lines"))
-    elapsed = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=demo throughput printout; elapsed time never enters stored results
+    elapsed = obs.monotonic() - start
     stats = replay.write_stats()
     print(
         f"wrote {replay.writes} random lines in {elapsed:.2f}s "
@@ -45,9 +45,9 @@ def batched_driver_demo() -> None:
 def fig7_campaign_demo(store: Path) -> None:
     """The Fig. 7 sweep as a two-worker campaign with cached resume."""
     for attempt in ("first run (executes every cell)", "second run (all from cache)"):
-        start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=demo throughput printout; elapsed time never enters stored results
+        start = obs.monotonic()
         table = run_experiment("fig7", num_writes=150, jobs=2, store_dir=store)
-        print(f"{attempt}: {time.perf_counter() - start:.2f}s")  # repro: allow[DET003,OBS001] reason=demo throughput printout; elapsed time never enters stored results
+        print(f"{attempt}: {obs.monotonic() - start:.2f}s")
     print()
     print(table.format())
 

@@ -1,8 +1,8 @@
-"""Module entry point: ``python -m repro.analysis <paths>``."""
+"""Module entry point: ``python -m repro.analysis PATH...``."""
 
 import sys
 
-from repro.analysis.cli import main
+from repro.analysis.engine import main
 
 if __name__ == "__main__":
     sys.exit(main())

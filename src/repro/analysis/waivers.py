@@ -1,14 +1,16 @@
-"""Inline waiver comments: ``# repro: allow[RULE] reason=...``.
+"""Inline waiver comments: ``# repro: allow[<CODE>] reason=...``.
 
 A waiver suppresses findings of the named rule(s) on its own line, or —
 when the comment stands alone — on the next code line.  The reason string
 is **mandatory**: a waiver without one does not suppress anything and is
 itself reported under ``WVR001``, so every suppressed finding carries a
-human-readable justification next to the code it excuses.
+human-readable justification next to the code it excuses.  A waiver
+naming a code or family that no check has is reported under ``WVR001``
+too, so a waiver cannot outlive the rule it names.
 
 Syntax (one comment, one or more comma-separated codes)::
 
-    x = risky()  # repro: allow[DET001] reason=exploratory tool, not an experiment
+    start = time.monotonic()  # repro: allow[OBS001] reason=the clock repro.obs wraps
 
     # repro: allow[API001,API003] reason=cleanup handler must catch everything
     except Exception:
@@ -106,10 +108,6 @@ class WaiverTable:
     def waives(self, rule: str, line: int) -> bool:
         """True when a valid waiver covers ``rule`` at ``line``."""
         return any(waiver.covers(rule) for waiver in self._by_line.get(line, ()))
-
-    def invalid(self) -> List[Waiver]:
-        """Waivers missing their mandatory reason string."""
-        return [waiver for waiver in self.waivers if not waiver.valid]
 
 
 def parse_waivers(lines: Sequence[str]) -> List[Waiver]:

@@ -26,11 +26,22 @@ defaults) and are imported lazily on first resolution, mirroring
 For multi-process execution the registering module must be importable in
 the worker (a plain module-level decorator suffices; kinds defined in
 ``__main__`` only work with the ``fork`` start method).
+
+:func:`register_task` checks a kind when it registers, so a broken
+plugin fails at import in every entry point: the name must be a
+non-empty ``str`` (it is hashed into every task's content address), and
+the function must take exactly one positional parameter with no
+``*args``, ``**kwargs`` or keyword-only parameters, because
+:func:`run_task` calls it as ``function(dict(task.params))``.  Anything
+else raises :class:`~repro.errors.ConfigurationError`.  The name should
+also be a literal: one computed differently in another process gives the
+same task another hash, so a resumed sweep finds none of its stored rows.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -84,8 +95,17 @@ def register_task(
     name: str, *, description: str = ""
 ) -> Callable[[TaskFunction], TaskFunction]:
     """Function decorator registering a campaign task kind."""
+    if not isinstance(name, str) or not name:
+        raise ConfigurationError(f"task kind name must be a non-empty str, got {name!r}")
 
     def decorator(function: TaskFunction) -> TaskFunction:
+        parameters = list(inspect.signature(function).parameters.values())
+        positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        if len(parameters) != 1 or parameters[0].kind not in positional:
+            raise ConfigurationError(
+                f"task kind {name!r} must take exactly one positional params argument "
+                f"(run_task calls function(dict(task.params))), not {inspect.signature(function)}"
+            )
         key = name.lower()
         if key in _KINDS:
             raise ConfigurationError(f"task kind {name!r} is already registered")

@@ -24,11 +24,23 @@ The shared construction parameters are ``word_bits``, ``num_cosets``,
 ``technology``, ``cost_function``, and ``seed``; a plugin's ``params``
 tuple records which of them its technique actually consumes (the rest are
 accepted and ignored, so every simulator can build its line-up uniformly).
+
+A decorated :class:`~repro.coding.base.Encoder` subclass is checked when
+the decorator runs, so a broken plugin fails at import in every entry
+point; :class:`~repro.errors.ConfigurationError` is raised when
+
+* the class derives from ``Encoder`` alone and does not override
+  ``encode_lines`` (the batched path would fall back to the scalar
+  reference loop, 3-15x slower), or
+* an ``encode_line``, ``encode_lines`` or ``decode_line`` it defines or
+  inherits renames the base class's positional parameters (the replay
+  engine calls them positionally, callers and docs by those names).
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
@@ -163,6 +175,8 @@ def register_encoder(
         )
 
     def decorator(obj: _FactoryT) -> _FactoryT:
+        if isinstance(obj, type) and issubclass(obj, Encoder):
+            _check_encoder_class(obj)
         plugin = EncoderPlugin(
             name=name.lower(),
             factory=obj,
@@ -175,6 +189,35 @@ def register_encoder(
         return obj
 
     return decorator
+
+
+#: The line API whose positional parameter names every override keeps.
+_LINE_API: Tuple[str, ...] = ("encode_line", "encode_lines", "decode_line")
+
+
+def _positional_names(function: Callable[..., Any]) -> List[str]:
+    """Positional parameter names of a method, ``self`` excluded."""
+    kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    names = [p.name for p in inspect.signature(function).parameters.values() if p.kind in kinds]
+    return names[1:]
+
+
+def _check_encoder_class(cls: type) -> None:
+    """Reject an encoder class that breaks the line-API contract."""
+    if cls.__bases__ == (Encoder,) and "encode_lines" not in vars(cls):
+        raise ConfigurationError(
+            f"encoder class {cls.__name__} derives from Encoder alone and must override "
+            "encode_lines; otherwise the batched path falls back to the scalar reference "
+            "loop (or derive from a concrete encoder that overrides it)"
+        )
+    for name in _LINE_API:
+        expected = _positional_names(getattr(Encoder, name))
+        actual = _positional_names(getattr(cls, name))
+        if actual != expected:
+            raise ConfigurationError(
+                f"{cls.__name__}.{name}({', '.join(actual)}) must keep the positional "
+                f"parameters of Encoder.{name}({', '.join(expected)})"
+            )
 
 
 def _register(plugin: EncoderPlugin) -> None:

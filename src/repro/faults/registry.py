@@ -1,8 +1,7 @@
 """Decorator-driven registry of fault models.
 
-Mirrors the encoder registry (:mod:`repro.coding.registry`), the task
-registry (:mod:`repro.campaign.tasks`), and the analysis-rule registry
-(:mod:`repro.analysis.registry`): a fault model registers itself by
+Mirrors the encoder registry (:mod:`repro.coding.registry`) and the task
+registry (:mod:`repro.campaign.tasks`): a fault model registers itself by
 decorating its class, builtin models are imported lazily on first
 resolution, and everything resolves by name::
 

@@ -20,7 +20,7 @@ The observability layer of the reproduction.  Three pieces:
 
 Telemetry never feeds back into simulation results: every clock read
 goes through :func:`repro.obs.clock.monotonic` (the OBS001 analysis
-rule enforces this for the rest of ``src/repro``) and campaign rows are
+rule flags any other stopwatch clock) and campaign rows are
 bit-identical with tracing on or off.
 """
 

@@ -71,7 +71,7 @@ def _run_report(trace: str, output_format: str, top: int) -> int:
 
 def _run_metrics() -> int:
     # Importing the instrumented packages is what registers their
-    # metrics — same lazy pattern as the analysis rule modules.
+    # metrics — same lazy pattern as the builtin encoders and task kinds.
     import repro.campaign  # noqa: F401
     import repro.coding  # noqa: F401
     import repro.crypto.counter_mode  # noqa: F401

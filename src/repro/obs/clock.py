@@ -1,10 +1,11 @@
 """The sanctioned clock of the instrumentation layer.
 
-Every timing measurement in library code routes through this module so
-the OBS001 analysis rule can hold the rest of ``src/repro`` to a single
-discipline: wall-clock values never leak into results (DET003), and
-hot-path timings always land in the aggregatable telemetry layer instead
-of ad-hoc ``time.perf_counter()`` deltas.
+Every timing measurement in ``src``, ``benchmarks`` and ``examples``
+routes through this module, so hot-path timings land in the aggregatable
+telemetry layer instead of ad-hoc ``time.perf_counter()`` deltas (the
+``OBS001`` analysis rule flags any other stopwatch clock).  A clock value
+that reached a result row would break the jobs=1 vs jobs=4 row comparison
+every figure sweep must pass.
 
 :func:`monotonic` reads ``CLOCK_MONOTONIC``, which on every supported
 platform is shared between processes on the same host — the campaign
@@ -21,4 +22,4 @@ __all__ = ["monotonic"]
 
 def monotonic() -> float:
     """Seconds on the host-wide monotonic clock (comparable across processes)."""
-    return time.monotonic()  # repro: allow[DET003,OBS001] reason=repro.obs is the sanctioned clock; every value stays in telemetry and never reaches a result row or a seed
+    return time.monotonic()  # repro: allow[OBS001] reason=repro.obs is the sanctioned clock; every value stays in telemetry and never reaches a result row or a seed

@@ -1,9 +1,8 @@
 """Process-local metrics: named counters, gauges, and histograms.
 
 Mirrors the decorator-driven registries of the encoders
-(:mod:`repro.coding.registry`), the campaign task kinds
-(:mod:`repro.campaign.tasks`), and the analysis rules
-(:mod:`repro.analysis.registry`): an instrumented module registers its
+(:mod:`repro.coding.registry`) and the campaign task kinds
+(:mod:`repro.campaign.tasks`): an instrumented module registers its
 metrics once at import time and holds on to the returned handle::
 
     from repro import obs
@@ -387,8 +386,7 @@ def timed(
 
     The registration happens at decoration time — importing the module is
     what makes the metric appear, exactly like ``@register_encoder`` /
-    ``@register_task`` / ``@register_rule`` make their subjects
-    resolvable::
+    ``@register_task`` make their subjects resolvable::
 
         @obs.timed("store.put_s", "seconds spent persisting task results")
         def put(self, task, rows): ...

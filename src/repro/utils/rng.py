@@ -5,12 +5,13 @@ correlated streams (for example, the fault map reusing the same draws as
 the workload generator) the helpers here derive independent child seeds
 from a parent seed and a textual label using ``numpy``'s ``SeedSequence``.
 
-This module is the one sanctioned home of ``np.random.default_rng``: the
-``DET001`` static-analysis rule (:mod:`repro.analysis`) forbids direct
-generator construction everywhere else, and ``DET005`` forbids unseeded
-:func:`make_rng` calls in experiment and campaign code.  Unseeded use
-outside those paths stays possible for exploration, but it is loud — the
-first ``make_rng(None)`` of a process emits an :class:`UnseededRNGWarning`.
+Every generator in the library comes from :func:`make_rng`.  A task
+that draws from anything else (numpy's or the stdlib's global state, an
+unseeded generator) gives rows that differ between a serial and a
+parallel run, which the jobs=1 vs jobs=4 comparison of every figure
+sweep rejects.  Unseeded use stays possible for exploration, but it is
+loud — the first ``make_rng(None)`` of a process emits an
+:class:`UnseededRNGWarning`.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def make_rng(seed: SeedLike = None, label: Optional[str] = None) -> np.random.Ge
         Parent seed.  ``None`` produces a non-deterministic generator —
         acceptable for exploratory use, and loud about it: the first such
         call of a process emits an :class:`UnseededRNGWarning`.  Every
-        experiment entry point passes an explicit seed (the ``DET005``
-        analysis rule enforces this for experiment and campaign code).
+        experiment entry point passes an explicit seed.
     label:
         Optional label mixed into the seed via :func:`derive_seed` so that
         different subsystems sharing one experiment seed still receive

@@ -1,13 +1,15 @@
-"""The engine on disk: source decoding, the memoised AST walk, findings
-from every file of a directory tree, and repeated runs over a tree
-edited between them (every run starts from scratch)."""
+"""The engine on disk: source decoding, the memoised AST walk, the fixed
+set of checks, findings from every file of a directory tree, and
+repeated runs over a tree edited between them (every run starts from
+scratch)."""
 
 import ast
 import textwrap
 
 import pytest
 
-from repro.analysis.engine import ModuleContext, analyze_paths, analyze_sources
+from repro.analysis.engine import ModuleContext, analyze_paths, analyze_source
+from repro.analysis.rules import CHECKS
 
 
 def _write_package(tmp_path, modules):
@@ -50,10 +52,17 @@ class TestSourceDecoding:
             ),
         ],
     )
-    def test_files_decode_as_python_does(self, tmp_path, data, expected):
+    def test_files_decode_as_python_does(self, tmp_path, monkeypatch, data, expected):
         (tmp_path / "mod.py").write_bytes(data)
-        findings = analyze_paths([tmp_path], root=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        findings = analyze_paths([tmp_path])
         assert [(finding.rule, finding.line) for finding in findings] == expected
+
+
+def test_checks_are_a_fixed_set():
+    assert [code for code, _ in CHECKS] == [
+        "API001", "API003", "DET004", "NUM002", "NUM003", "OBS001",
+    ]
 
 
 class TestWalk:
@@ -83,7 +92,7 @@ _DIRTY = """
 
 
     def stamp() -> float:
-        return time.time()
+        return time.perf_counter()
 """
 
 _MASK = """
@@ -104,13 +113,20 @@ def _rules(findings):
     return [(finding.rule, finding.path) for finding in findings]
 
 
+@pytest.fixture
+def analyze(tmp_path, monkeypatch):
+    """Analyze the package's ``src`` tree, paths relative to ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    return lambda: analyze_paths(["src"])
+
+
 class TestMultiFileOnDisk:
-    def test_each_file_reports_its_own_findings(self, tmp_path):
+    def test_each_file_reports_its_own_findings(self, tmp_path, analyze):
         """Findings from every file of the tree, each anchored in its file."""
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY, "mask.py": _MASK})
-        findings = analyze_paths([tmp_path / "src"], root=tmp_path)
+        findings = analyze()
         assert _rules(findings) == [
-            ("DET003", "src/mypkg/dirty.py"),
+            ("OBS001", "src/mypkg/dirty.py"),
             ("NUM002", "src/mypkg/mask.py"),
         ]
 
@@ -119,77 +135,72 @@ class TestRepeatedRuns:
     """Each run reads and analyzes every file afresh, so a run over an
     edited tree reports exactly what a first run over it would."""
 
-    def test_repeated_runs_are_identical(self, tmp_path):
+    def test_repeated_runs_are_identical(self, tmp_path, analyze):
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})
-        first = analyze_paths([tmp_path / "src"], root=tmp_path)
-        second = analyze_paths([tmp_path / "src"], root=tmp_path)
-        assert _rules(first) == [("DET003", "src/mypkg/dirty.py")]
-        assert [f.to_json() for f in second] == [f.to_json() for f in first]
+        first = analyze()
+        second = analyze()
+        assert _rules(first) == [("OBS001", "src/mypkg/dirty.py")]
+        assert second == first
 
-    def test_edit_between_runs_is_seen(self, tmp_path):
+    def test_edit_between_runs_is_seen(self, tmp_path, analyze):
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})
-        analyze_paths([tmp_path / "src"], root=tmp_path)
+        analyze()
         _edit(tmp_path, "clean.py", _DIRTY)
         _edit(tmp_path, "dirty.py", _CLEAN)
-        findings = analyze_paths([tmp_path / "src"], root=tmp_path)
-        assert _rules(findings) == [("DET003", "src/mypkg/clean.py")]
+        findings = analyze()
+        assert _rules(findings) == [("OBS001", "src/mypkg/clean.py")]
 
-    def test_unchanged_file_keeps_gating_after_another_edit(self, tmp_path):
+    def test_unchanged_file_keeps_gating_after_another_edit(self, tmp_path, analyze):
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})
-        analyze_paths([tmp_path / "src"], root=tmp_path)
+        analyze()
         _edit(tmp_path, "clean.py", "def triple(value: int) -> int:\n    return 3 * value\n")
-        findings = analyze_paths([tmp_path / "src"], root=tmp_path)
-        assert _rules(findings) == [("DET003", "src/mypkg/dirty.py")]
+        findings = analyze()
+        assert _rules(findings) == [("OBS001", "src/mypkg/dirty.py")]
 
-    def test_selection_changes_between_runs(self, tmp_path):
+    def test_deleted_file_drops_its_findings(self, tmp_path, analyze):
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})
-        assert analyze_paths([tmp_path / "src"], root=tmp_path, select=["NUM"]) == []
-        widened = analyze_paths([tmp_path / "src"], root=tmp_path, select=["DET"])
-        assert _rules(widened) == [("DET003", "src/mypkg/dirty.py")]
-
-    def test_deleted_file_drops_its_findings(self, tmp_path):
-        _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})
-        analyze_paths([tmp_path / "src"], root=tmp_path)
+        analyze()
         (tmp_path / "src" / "mypkg" / "dirty.py").unlink()
-        assert analyze_paths([tmp_path / "src"], root=tmp_path) == []
+        assert analyze() == []
 
-    def test_waiver_suppresses_finding(self, tmp_path):
+    def test_waiver_suppresses_finding(self, tmp_path, analyze):
         waived = """
             import time
 
 
             def stamp() -> float:
-                # repro: allow[DET003] reason=reporting-only timestamp
-                return time.time()
+                # repro: allow[OBS001] reason=reporting-only timestamp
+                return time.perf_counter()
         """
         _write_package(tmp_path, {"dirty.py": waived})
-        assert analyze_paths([tmp_path / "src"], root=tmp_path) == []
+        assert analyze() == []
         # Without the waiver the same tree gates.
         unwaived = "\n".join(line for line in waived.splitlines() if "allow[" not in line)
         _edit(tmp_path, "dirty.py", unwaived)
-        findings = analyze_paths([tmp_path / "src"], root=tmp_path)
-        assert _rules(findings) == [("DET003", "src/mypkg/dirty.py")]
+        findings = analyze()
+        assert _rules(findings) == [("OBS001", "src/mypkg/dirty.py")]
 
-    def test_disk_matches_in_memory_sources(self, tmp_path):
+    def test_disk_matches_in_memory_sources(self, tmp_path, analyze):
         modules = {
             "clean.py": _CLEAN,
             "dirty.py": _DIRTY,
             "mask.py": _MASK,
         }
         _write_package(tmp_path, modules)
-        sources = {
-            f"src/mypkg/{name}": textwrap.dedent(text).lstrip("\n")
-            for name, text in modules.items()
-        }
-        sources["src/mypkg/__init__.py"] = ""
-        on_disk = analyze_paths([tmp_path / "src"], root=tmp_path)
-        assert on_disk == analyze_sources(sources)
-        assert {"DET003", "NUM002"} <= {finding.rule for finding in on_disk}
+        in_memory = [
+            finding
+            for name, text in sorted(modules.items())
+            for finding in analyze_source(
+                textwrap.dedent(text).lstrip("\n"), path=f"src/mypkg/{name}"
+            )
+        ]
+        on_disk = analyze()
+        assert on_disk == in_memory
+        assert {"OBS001", "NUM002"} <= {finding.rule for finding in on_disk}
 
-    def test_runs_write_nothing(self, tmp_path, monkeypatch):
+    def test_runs_write_nothing(self, tmp_path, analyze):
         _write_package(tmp_path, {"clean.py": _CLEAN, "dirty.py": _DIRTY})
-        monkeypatch.chdir(tmp_path)
         before = sorted(path.as_posix() for path in tmp_path.rglob("*"))
-        analyze_paths(["src"])
-        analyze_paths(["src"])
+        analyze()
+        analyze()
         assert sorted(path.as_posix() for path in tmp_path.rglob("*")) == before

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.coding.base import Encoder
 from repro.coding.cost import EnergyCost
+from repro.coding.fnw import FNWEncoder
 from repro.coding.registry import (
     available_encoders,
     encoder_plugins,
@@ -138,3 +140,124 @@ class TestPluginSystem:
     def test_unregister_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             unregister_encoder("never-registered")
+
+
+def _encoder_class(base, **methods):
+    return type("ToyEncoder", (base,), dict(methods))
+
+
+class TestRegistrationChecks:
+    """A plugin class that breaks the line-API contract fails when the
+    decorator runs, and nothing is registered."""
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            pytest.param(
+                _encoder_class(Encoder, encode_line=lambda self, words, context: None),
+                "must override encode_lines",
+                id="encoder-base-without-encode_lines",
+            ),
+            pytest.param(
+                _encoder_class(FNWEncoder, encode_line=lambda self, data, ctx: None),
+                r"encode_line\(data, ctx\)",
+                id="encode_line-renamed",
+            ),
+            pytest.param(
+                _encoder_class(Encoder, encode_lines=lambda self, words, contexts: None),
+                r"encode_lines\(words, contexts\)",
+                id="encode_lines-renamed",
+            ),
+            pytest.param(
+                _encoder_class(FNWEncoder, decode_line=lambda self, words: None),
+                r"decode_line\(words\)",
+                id="decode_line-dropped-param",
+            ),
+        ],
+    )
+    def test_contract_breach_rejected(self, cls, message):
+        with pytest.raises(ConfigurationError, match=message):
+            register_encoder("test-breach")(cls)
+        assert "test-breach" not in available_encoders()
+
+    def test_encoder_base_with_encode_lines_accepted(self):
+        register_encoder("test-batched")(
+            _encoder_class(Encoder, encode_lines=lambda self, words, batch: None)
+        )
+        unregister_encoder("test-batched")
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            pytest.param(
+                _encoder_class(
+                    FNWEncoder, encode_line=lambda self, words, context, extra=None: None
+                ),
+                r"encode_line\(words, context, extra\)",
+                id="encode_line-extra-positional",
+            ),
+            pytest.param(
+                _encoder_class(FNWEncoder, encode_lines=lambda self, words, batch, /, n=1: None),
+                r"encode_lines\(words, batch, n\)",
+                id="encode_lines-extra-positional",
+            ),
+            pytest.param(
+                _encoder_class(
+                    _encoder_class(FNWEncoder, decode_line=lambda self, words, aux: None),
+                    encode_line=lambda self, words, context: None,
+                ),
+                r"decode_line\(words, aux\)",
+                id="rename-inherited-from-unregistered-base",
+            ),
+        ],
+    )
+    def test_more_contract_breaches_rejected(self, cls, message):
+        with pytest.raises(ConfigurationError, match=message):
+            register_encoder("test-breach")(cls)
+        assert "test-breach" not in available_encoders()
+
+    def test_rejected_class_registers_no_alias(self):
+        cls = _encoder_class(FNWEncoder, decode_line=lambda self, words: None)
+        with pytest.raises(ConfigurationError):
+            register_encoder("test-breach", aliases=("test-breach-alias",))(cls)
+        assert {"test-breach", "test-breach-alias"}.isdisjoint(available_encoders())
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            pytest.param(_encoder_class(FNWEncoder), id="concrete-base-inherits-batch-path"),
+            pytest.param(
+                _encoder_class(
+                    FNWEncoder, encode_line=lambda self, words, context, *, trace=None: None
+                ),
+                id="keyword-only-extra",
+            ),
+            pytest.param(
+                _encoder_class(FNWEncoder, decode_line=lambda self, codewords, auxes, /: None),
+                id="positional-only-same-names",
+            ),
+        ],
+    )
+    def test_compatible_class_accepted(self, cls):
+        register_encoder("test-compatible")(cls)
+        try:
+            assert "test-compatible" in available_encoders()
+        finally:
+            unregister_encoder("test-compatible")
+
+    def test_factory_function_is_not_checked(self):
+        def factory(word_bits, num_cosets, technology, cost_function, seed):
+            return UnencodedEncoder(word_bits)
+
+        register_encoder("test-factory")(factory)
+        try:
+            assert "test-factory" in available_encoders()
+        finally:
+            unregister_encoder("test-factory")
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in encoder_plugins()))
+    def test_builtin_plugin_passes_the_checks(self, name):
+        """Every builtin factory re-registers cleanly under a fresh name."""
+        plugin = next(p for p in encoder_plugins() if p.name == name)
+        register_encoder(f"test-copy-{name}", params=plugin.params)(plugin.factory)
+        unregister_encoder(f"test-copy-{name}")
