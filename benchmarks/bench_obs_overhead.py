@@ -4,7 +4,7 @@ The :mod:`repro.obs` layer stays importable and registered on every hot
 path; what must be (nearly) free is its *disabled* mode — counters
 bumped at wave granularity and ``obs.span`` returning its shared no-op.
 This benchmark measures that cost directly: it replays the same
-generic-path workload as ``bench_trace_replay.py`` twice, once with the
+RCC workload as ``bench_trace_replay.py`` twice, once with the
 real module-level ``_OBS_*`` handles (telemetry disabled, the shipping
 configuration) and once with true no-op stand-ins swapped into the
 instrumented modules, and gates the relative slowdown under
@@ -22,23 +22,27 @@ or under pytest to enforce the floor::
 from __future__ import annotations
 
 import os
+import time
 from typing import Callable, List, Tuple
 
 from repro import obs
 from repro.pcm.endurance import EnduranceModel
 from repro.sim.harness import TechniqueSpec, build_controller
 from repro.traces.synthetic import generate_trace
+from repro.utils.blas import set_blas_threads
 from repro.utils.rng import derive_seed
 
 ROWS = 48
 TRACE_WRITEBACKS = 400
 SEED = derive_seed(11, "lifetime-lbm")
-#: Generic-path writes per timed run — the path carrying the wave
-#: counters, the span call, and the candidate-counting cost kernels.
+#: Writes per replay — the path carrying the wave counters, the span
+#: call, and the candidate-counting cost kernels.
 MEASURE_WRITES = 4_000
+#: Replays per timed unit: longer units average out short host hiccups.
+UNIT_REPLAYS = 2
 #: Back-to-back (real, null) timing pairs; the median per-pair ratio is
 #: the reported overhead, which cancels host-speed drift between pairs.
-PAIRS = 9
+PAIRS = 15
 
 #: Maximum tolerated slowdown of the disabled telemetry layer relative
 #: to true no-op handles.
@@ -70,13 +74,19 @@ def _null_span(name: str, **attrs: object) -> _NullSpan:
 
 
 def _instrumented_modules() -> List[object]:
+    """Every replay-path module that binds ``_OBS_*`` handles.
+
+    ``tests/obs/test_obs_overhead_modules.py`` fails when a module that a
+    stacked lifetime replay runs binds a handle and is missing here.
+    """
     import repro.coding.base as coding_base
     import repro.coding.cost as coding_cost
     import repro.coding.rcc as coding_rcc
+    import repro.core.vcc as core_vcc
     import repro.crypto.counter_mode as counter_mode
     import repro.memctrl.controller as controller
 
-    return [coding_base, coding_cost, coding_rcc, counter_mode, controller]
+    return [coding_base, coding_cost, coding_rcc, core_vcc, counter_mode, controller]
 
 
 def swap_null_handles() -> Callable[[], None]:
@@ -111,7 +121,8 @@ def swap_null_handles() -> Callable[[], None]:
     return restore
 
 
-def _replay_once() -> None:
+def _prepare() -> Tuple[object, object]:
+    """A fresh controller and the trace it replays (untimed set-up)."""
     trace = generate_trace(
         "lbm",
         num_writebacks=TRACE_WRITEBACKS,
@@ -127,16 +138,32 @@ def _replay_once() -> None:
         seed=SEED,
         encrypt=True,
     )
+    return controller, trace
+
+
+def _replay(controller, trace) -> None:
     replay = controller.replay_trace(
         trace, repetitions=-(-MEASURE_WRITES // len(trace)), max_writes=MEASURE_WRITES
     )
     assert replay.writes == MEASURE_WRITES
 
 
+def _replay_once() -> None:
+    _replay(*_prepare())
+
+
 def _time_once() -> float:
-    start = obs.monotonic()
-    _replay_once()
-    return obs.monotonic() - start
+    """CPU seconds of ``UNIT_REPLAYS`` replays; their set-up is untimed.
+
+    The calling thread's CPU time, with BLAS pinned to that thread by
+    :func:`measure`, leaves out the time the host runs other processes
+    in place of this one, which wall time would count.
+    """
+    prepared = [_prepare() for _ in range(UNIT_REPLAYS)]
+    start = time.thread_time()
+    for controller, trace in prepared:
+        _replay(controller, trace)
+    return time.thread_time() - start
 
 
 def measure() -> Tuple[float, float, float]:
@@ -149,9 +176,12 @@ def measure() -> Tuple[float, float, float]:
     stand-ins back to back (alternating which goes first to cancel
     cache/ordering bias) and the overhead is the **median of the
     per-pair ratios**: within one pair the two runs are adjacent in
-    time, so drift between pairs divides out.
+    time, so drift between pairs divides out.  Each run is the thread
+    CPU time of ``UNIT_REPLAYS`` replays with BLAS on one thread, so
+    preemption by other processes does not enter it.
     """
     assert not obs.tracing_enabled(), "overhead must be measured with tracing off"
+    set_blas_threads(1)
     reals: List[float] = []
     nulls: List[float] = []
     ratios: List[float] = []
@@ -207,13 +237,14 @@ def main() -> None:
     from bench_util import write_bench_json
 
     print(
-        f"obs overhead benchmark: {MEASURE_WRITES} generic-path writes, "
-        f"{ROWS} rows, rcc-16, telemetry disabled vs null handles"
+        f"obs overhead benchmark: {UNIT_REPLAYS} x {MEASURE_WRITES} replayed writes per "
+        f"timed unit, {PAIRS} pairs, {ROWS} rows, rcc-16, telemetry disabled vs null handles"
     )
     real_s, null_s, overhead = measure()
+    writes = UNIT_REPLAYS * MEASURE_WRITES
     print(f"{'mode':24s} {'median s':>10} {'writes/s':>10}")
-    print(f"{'real handles (disabled)':24s} {real_s:>10.3f} {MEASURE_WRITES / real_s:>10.0f}")
-    print(f"{'null handles':24s} {null_s:>10.3f} {MEASURE_WRITES / null_s:>10.0f}")
+    print(f"{'real handles (disabled)':24s} {real_s:>10.3f} {writes / real_s:>10.0f}")
+    print(f"{'null handles':24s} {null_s:>10.3f} {writes / null_s:>10.0f}")
     print(
         f"disabled-mode overhead (median paired ratio): "
         f"{overhead * 100.0:+.2f}% (floor {OVERHEAD_FLOOR * 100.0:.0f}%)"
@@ -223,6 +254,7 @@ def main() -> None:
         config={
             "rows": ROWS,
             "measure_writes": MEASURE_WRITES,
+            "unit_replays": UNIT_REPLAYS,
             "pairs": PAIRS,
             "overhead_floor": OVERHEAD_FLOOR,
         },

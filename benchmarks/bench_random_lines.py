@@ -7,10 +7,11 @@ and checks the driver's contracts:
 
 * **parity** — every per-write accounting value of the batched drive is
   bit-identical to the scalar path (which draws the identical addresses
-  and words from the shared seeded stream), for the identity fast path
-  (``unencoded``) and the generic encoder path (``rcc``);
+  and words from the shared seeded stream), for an identity encoder
+  (``unencoded``, which skips only the encode call) and a coding one
+  (``rcc``);
 * **throughput** — the batched driver sustains at least ``3x`` the scalar
-  random-line throughput on the unencoded identity path.  The floor is
+  random-line throughput on the unencoded baseline.  The floor is
   enforced only on hosts with a spare core (``os.cpu_count() >= 2``,
   mirroring ``bench_trace_replay.py``); single-core hosts report the
   measurement for tracking.
@@ -98,7 +99,7 @@ def measure(spec: TechniqueSpec, total: int) -> Tuple[float, float]:
 
 
 def test_random_lines_parity_and_speedup() -> None:
-    # Contract 1: bit-identical per-write accounting on both driver paths.
+    # Contract 1: bit-identical per-write accounting for both encoders.
     _assert_parity(
         TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), PARITY_WRITES
     )
@@ -106,7 +107,7 @@ def test_random_lines_parity_and_speedup() -> None:
         TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=16), PARITY_WRITES
     )
 
-    # Contract 2: the unencoded identity path clears the throughput floor.
+    # Contract 2: the unencoded baseline clears the throughput floor.
     scalar_wps, batched_wps = measure(
         TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES
     )
@@ -132,8 +133,8 @@ def main() -> None:
         f"random-line benchmark: {MEASURE_WRITES} writes, {ROWS} rows, encrypted"
     )
     specs = [
-        ("unencoded (identity fast path)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
-        ("rcc-256 (generic path)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
+        ("unencoded (identity encoder)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
+        ("rcc-256 (coding encoder)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
     ]
     print(f"{'technique':32s} {'scalar w/s':>11} {'batched w/s':>12} {'speedup':>8}")
     results = {}

@@ -6,8 +6,9 @@ every lifetime figure) through the scalar ``write_line`` loop and through
 the engine's contracts:
 
 * **parity** — every per-write accounting value of the replay is
-  bit-identical to the scalar path, for the identity fast path
-  (``unencoded``) and the generic encoder path (``rcc``);
+  bit-identical to the scalar path, for an identity encoder
+  (``unencoded``, which skips only the encode call) and a coding one
+  (``rcc``);
 * **throughput** — the replay engine sustains at least ``3x`` the scalar
   lifetime-cell throughput.  The floor is enforced only on hosts with a
   spare core (``os.cpu_count() >= 2``, mirroring
@@ -157,8 +158,8 @@ def main() -> None:
         f"{TRACE_WRITEBACKS}-writeback lbm trace, encrypted"
     )
     specs = [
-        ("unencoded (identity fast path)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
-        ("rcc-256 (generic path)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
+        ("unencoded (identity encoder)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
+        ("rcc-256 (coding encoder)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
     ]
     print(f"{'technique':32s} {'scalar w/s':>11} {'replay w/s':>11} {'speedup':>8}")
     results = {}

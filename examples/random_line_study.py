@@ -3,7 +3,7 @@
 Drives uniformly random encrypted lines through the full memory
 controller with ``MemoryController.write_random_lines`` — the batched
 sibling of a ``write_line`` loop, bit-identical in accounting but several
-times faster on the unencoded identity path — and then runs the Fig. 7
+times faster on the unencoded baseline — and then runs the Fig. 7
 sweep through the campaign engine with two workers and a result store
 (re-running the script resumes every cell from cache).
 

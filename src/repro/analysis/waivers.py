@@ -18,14 +18,16 @@ Syntax (one comment, one or more comma-separated codes)::
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Waiver", "WaiverTable", "parse_waivers"]
 
-#: Matches a waiver comment anywhere in a line; the reason runs to the end
-#: of the line (it is prose, not code).
+#: Matches a waiver in a comment token; the reason runs to the end of the
+#: comment (it is prose, not code).
 _WAIVER_RE = re.compile(
     r"#\s*repro:\s*allow\[(?P<codes>[A-Za-z0-9_,\s]+)\]\s*(?:reason\s*=\s*(?P<reason>.*))?"
 )
@@ -111,17 +113,26 @@ class WaiverTable:
 
 
 def parse_waivers(lines: Sequence[str]) -> List[Waiver]:
-    """Extract every waiver comment from a module's source lines."""
+    """Extract every waiver comment from a module's source lines.
+
+    Only real comment tokens count: text that looks like a waiver inside
+    a string literal or docstring waives nothing.  Source that stops
+    tokenizing (it does not parse) yields the waivers before that point.
+    """
     waivers: List[Waiver] = []
-    for number, text in enumerate(lines, start=1):
-        if "repro:" not in text:
-            continue
-        match = _WAIVER_RE.search(text)
-        if match is None:
-            continue
-        codes = tuple(
-            code.strip().upper() for code in match.group("codes").split(",") if code.strip()
-        )
-        reason = (match.group("reason") or "").strip()
-        waivers.append(Waiver(line=number, codes=codes, reason=reason))
+    readline = io.StringIO("\n".join(lines) + "\n").readline
+    try:
+        for token in tokenize.generate_tokens(readline):
+            if token.type != tokenize.COMMENT or "repro:" not in token.string:
+                continue
+            match = _WAIVER_RE.search(token.string)
+            if match is None:
+                continue
+            codes = tuple(
+                code.strip().upper() for code in match.group("codes").split(",") if code.strip()
+            )
+            reason = (match.group("reason") or "").strip()
+            waivers.append(Waiver(line=token.start[0], codes=codes, reason=reason))
+    except (tokenize.TokenError, SyntaxError):
+        pass
     return waivers

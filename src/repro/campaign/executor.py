@@ -11,11 +11,18 @@ submission order, so callers never observe scheduling.
 The parallel path is *batched*: tasks shard into :class:`TaskBatch`
 units — contiguous slices of the submission order, sized
 ``ceil(n_tasks / (BATCHES_PER_WORKER * jobs))`` — and each batch is one
-pool round-trip.  The worker loops :func:`repro.campaign.tasks.run_task`
-over its batch so the per-task process round-trips that made fig-sized
-sweeps *slower* under ``--jobs`` (0.84x at 4 workers before this rework)
-disappear into one dispatch, one queue transit, and one result transfer
-per batch.
+pool round-trip.  The worker runs its batch's tasks itself, so the
+per-task process round-trips that made fig-sized sweeps *slower* under
+``--jobs`` (0.84x at 4 workers before this rework) disappear into one
+dispatch, one queue transit, and one result transfer per batch.
+
+**Stacks.**  Both executors run consecutive tasks of a kind that has a
+stack runner (``lifetime-cell``) as one
+:func:`repro.campaign.tasks.run_stack` call, and every other task
+through :func:`repro.campaign.tasks.run_task`
+(:func:`repro.campaign.tasks.task_stacks` draws the line).  A stack that
+raises a :class:`~repro.errors.ReproError` runs again task by task, so
+only the failing task fails.
 
 **One warm pool per process.**  The
 :class:`concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers lives
@@ -77,11 +84,17 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import repro.obs as obs
 from repro.campaign.spec import Task
-from repro.campaign.tasks import _ensure_builtins, available_task_kinds, run_task
+from repro.campaign.tasks import (
+    _ensure_builtins,
+    available_task_kinds,
+    run_stack,
+    run_task,
+    task_stacks,
+)
 from repro.coding.registry import encoder_plugins
 from repro.errors import ConfigurationError, ReproError
 from repro.faults.registry import available_fault_models
@@ -185,20 +198,18 @@ class TaskBatch:
 
 
 class SerialExecutor:
-    """Execute tasks one after another in the calling process."""
+    """Execute tasks one stack after another in the calling process."""
 
     jobs = 1
 
     def run(self, tasks: Sequence[Task], on_result: OnResult, on_failure: OnFailure) -> int:
         """Run every task; returns the worker crashes survived (always 0)."""
-        for index, task in enumerate(tasks):
-            begin = monotonic()
-            try:
-                rows = run_task(task)
-            except ReproError as error:
-                on_failure(TaskFailure(task=task, kind="error", message=str(error)))
+        for index, (task, (rows, error, begin, end, _)) in enumerate(
+            zip(tasks, _run_stacks(tasks, isolate=False))
+        ):
+            if error is not None:
+                on_failure(TaskFailure(task=task, kind="error", message=error))
                 continue
-            end = monotonic()
             on_result(
                 task,
                 rows,
@@ -214,6 +225,63 @@ class SerialExecutor:
                 ),
             )
         return 0
+
+
+#: One task's run: rows, the message of the ReproError it raised (or
+#: None), compute start/finish stamps and its metrics snapshot.
+_TaskRun = Tuple[List[Dict[str, Any]], Optional[str], float, float, Dict[str, Dict[str, Any]]]
+
+
+def _run_stacks(tasks: Sequence[Task], isolate: bool) -> Iterator[_TaskRun]:
+    """Run ``tasks`` in order, each stack of :func:`task_stacks` as one call.
+
+    Yields one run per task.  A stack's compute interval is split evenly
+    over its tasks and its metrics go with its first task, so per-task
+    compute and merged metrics still add up to what ran.  A stack that
+    raises a :class:`ReproError` runs again task by task, so only the
+    failing task fails and the others get their own rows.  With
+    ``isolate`` the metrics registry is reset before each run and the
+    snapshot taken after it is that run's delta (the worker's case);
+    without, metrics land in the registry directly, those of an
+    abandoned stack included, and snapshots are empty.
+    """
+    for stack in task_stacks(tasks):
+        if len(stack) > 1:
+            if isolate:
+                reset_metrics()
+            started_s = monotonic()
+            try:
+                results = run_stack(stack)
+            except ReproError:
+                results = None
+            if results is not None:
+                finished_s = monotonic()
+                snapshot = metrics_snapshot() if isolate else {}
+                bounds = [
+                    started_s + (finished_s - started_s) * position / len(stack)
+                    for position in range(len(stack))
+                ] + [finished_s]
+                for position, rows in enumerate(results):
+                    yield (
+                        rows,
+                        None,
+                        bounds[position],
+                        bounds[position + 1],
+                        snapshot if position == 0 else {},
+                    )
+                continue
+        for task in stack:
+            if isolate:
+                reset_metrics()
+            started_s = monotonic()
+            rows: List[Dict[str, Any]] = []
+            error = None
+            try:
+                rows = run_task(task)
+            except ReproError as failure:
+                error = str(failure)
+            finished_s = monotonic()
+            yield rows, error, started_s, finished_s, metrics_snapshot() if isolate else {}
 
 
 #: Seconds between an idle worker's checks that its coordinator lives.
@@ -250,39 +318,36 @@ def _exit_when_orphaned(parent_pid: int) -> None:
 
 #: Per-task worker measurement: compute start/finish stamps plus the
 #: worker registry's per-task metric snapshot.
-_TaskRun = Tuple[float, float, Dict[str, Dict[str, Any]]]
+_TaskStamps = Tuple[float, float, Dict[str, Dict[str, Any]]]
 
-#: What one worker batch invocation sends back: (rows per task, runs,
+#: What one worker batch invocation sends back: (rows per task, stamps,
 #: ``{position: error message}`` of the tasks that raised).
-_BatchResult = Tuple[List[List[Dict[str, Any]]], List[_TaskRun], Dict[int, str]]
+_BatchResult = Tuple[List[List[Dict[str, Any]]], List[_TaskStamps], Dict[int, str]]
 
 
 def _execute_batch(batch: TaskBatch) -> _BatchResult:
     """Top-level worker entry point (must be picklable).
 
-    Loops ``run_task`` over the batch so its tasks share one process
-    round-trip.  The worker's metrics registry is reset before each task
-    so every returned snapshot is that task's delta — fork-started
-    workers inherit the coordinator's counter values, which must not be
-    re-merged — and compute is stamped per task so batch telemetry can
-    amortise only the true batch-level overheads.  A task that raises a
+    Runs the batch's tasks, a stack of consecutive stackable tasks at a
+    time (:func:`_run_stacks`), so its tasks share one process
+    round-trip.  The worker's metrics registry is reset before each run
+    so every returned snapshot is a delta — fork-started workers inherit
+    the coordinator's counter values, which must not be re-merged — and
+    compute is stamped per task so batch telemetry can amortise only the
+    true batch-level overheads.  A task that raises a
     :class:`ReproError` leaves an empty rows placeholder (positions stay
     aligned) and its message; the remaining tasks still execute.
     """
     rows_per_task: List[List[Dict[str, Any]]] = []
-    runs: List[_TaskRun] = []
+    runs: List[_TaskStamps] = []
     errors: Dict[int, str] = {}
-    for position, task in enumerate(batch.tasks):
-        reset_metrics()
-        started_s = monotonic()
-        rows: List[Dict[str, Any]] = []
-        try:
-            rows = run_task(task)
-        except ReproError as error:
-            errors[position] = str(error)
-        finished_s = monotonic()
+    for position, (rows, error, started_s, finished_s, snapshot) in enumerate(
+        _run_stacks(batch.tasks, isolate=True)
+    ):
+        if error is not None:
+            errors[position] = error
         rows_per_task.append(rows)
-        runs.append((started_s, finished_s, metrics_snapshot()))
+        runs.append((started_s, finished_s, snapshot))
     return rows_per_task, runs, errors
 
 
@@ -482,7 +547,7 @@ class ProcessExecutor:
 def _deliver_batch(
     batch: TaskBatch,
     rows_per_task: List[List[Dict[str, Any]]],
-    runs: List[_TaskRun],
+    runs: List[_TaskStamps],
     submitted_s: float,
     dispatched_s: float,
     received_s: float,

@@ -43,24 +43,31 @@ from __future__ import annotations
 import importlib
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.campaign.spec import Task, _canonical_value
 from repro.errors import ConfigurationError, SimulationError
 
 __all__ = [
+    "StackFunction",
     "TaskFunction",
     "TaskKind",
     "available_task_kinds",
     "get_task_kind",
     "register_task",
+    "run_stack",
     "run_task",
+    "task_stacks",
     "unregister_task",
 ]
 
 #: Signature of a task-kind function: one params mapping in, row dicts out.
 TaskFunction = Callable[[Dict[str, Any]], List[Dict[str, Any]]]
+
+#: Signature of a task kind's stack runner: the params of several tasks of
+#: the kind in, each task's rows out, in the same order.
+StackFunction = Callable[[List[Dict[str, Any]]], List[List[Dict[str, Any]]]]
 
 #: Modules whose import registers the builtin task kinds.
 _BUILTIN_MODULES: Tuple[str, ...] = (
@@ -81,38 +88,56 @@ _OBS_TASKS = obs.counter("campaign.tasks_run", "campaign task-kind executions")
 
 @dataclass(frozen=True)
 class TaskKind:
-    """One registered task kind: a name plus its ``params -> rows`` function."""
+    """One registered task kind: a name plus its ``params -> rows`` function.
+
+    ``stack``, when set, runs several tasks of the kind in one call and
+    must give each exactly the rows ``function`` gives it alone.
+    """
 
     name: str
     function: Callable[[Dict[str, Any]], List[Dict[str, Any]]]
     description: str = ""
+    stack: Optional[StackFunction] = None
 
 
 _KINDS: Dict[str, TaskKind] = {}
 
 
 def register_task(
-    name: str, *, description: str = ""
+    name: str, *, description: str = "", stack: Optional[StackFunction] = None
 ) -> Callable[[TaskFunction], TaskFunction]:
-    """Function decorator registering a campaign task kind."""
+    """Function decorator registering a campaign task kind.
+
+    ``stack`` optionally runs several consecutive tasks of the kind at
+    once (see :func:`run_stack`).
+    """
     if not isinstance(name, str) or not name:
         raise ConfigurationError(f"task kind name must be a non-empty str, got {name!r}")
+    if stack is not None:
+        _require_one_argument(name, stack, "stack runner", "run_stack calls stack(params_list)")
 
     def decorator(function: TaskFunction) -> TaskFunction:
-        parameters = list(inspect.signature(function).parameters.values())
-        positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        if len(parameters) != 1 or parameters[0].kind not in positional:
-            raise ConfigurationError(
-                f"task kind {name!r} must take exactly one positional params argument "
-                f"(run_task calls function(dict(task.params))), not {inspect.signature(function)}"
-            )
+        _require_one_argument(
+            name, function, "function", "run_task calls function(dict(task.params))"
+        )
         key = name.lower()
         if key in _KINDS:
             raise ConfigurationError(f"task kind {name!r} is already registered")
-        _KINDS[key] = TaskKind(name=key, function=function, description=description)
+        _KINDS[key] = TaskKind(name=key, function=function, description=description, stack=stack)
         return function
 
     return decorator
+
+
+def _require_one_argument(name: str, function: Callable[..., Any], role: str, call: str) -> None:
+    """Reject a task-kind callable that cannot be called with one positional argument."""
+    parameters = list(inspect.signature(function).parameters.values())
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    if len(parameters) != 1 or parameters[0].kind not in positional:
+        raise ConfigurationError(
+            f"task kind {name!r} {role} must take exactly one positional params argument "
+            f"({call}), not {inspect.signature(function)}"
+        )
 
 
 def unregister_task(name: str) -> None:
@@ -152,7 +177,49 @@ def run_task(task: Task) -> List[Dict[str, Any]]:
     """Execute one task and validate its rows are JSON-serialisable."""
     _OBS_TASKS.inc()
     kind = get_task_kind(task.kind)
-    rows = kind.function(dict(task.params))
+    return _checked_rows(task, kind.function(dict(task.params)))
+
+
+def task_stacks(tasks: Sequence[Task]) -> List[List[Task]]:
+    """Split ``tasks`` in order into the stacks :func:`run_stack` runs.
+
+    A stack is a maximal run of consecutive tasks of one kind that has a
+    stack runner; every other task is a stack of its own.
+    """
+    stacks: List[List[Task]] = []
+    for task in tasks:
+        if stacks and stacks[-1][0].kind == task.kind and get_task_kind(task.kind).stack:
+            stacks[-1].append(task)
+        else:
+            stacks.append([task])
+    return stacks
+
+
+def run_stack(tasks: Sequence[Task]) -> List[List[Dict[str, Any]]]:
+    """Execute one stack of :func:`task_stacks`; returns each task's rows.
+
+    A lone task runs through :func:`run_task`; several run through their
+    kind's stack runner in one call, and must get exactly the rows each
+    would get alone.  Any error propagates, so a caller that must fail
+    only the failing task runs the stack's tasks one by one then.
+    """
+    if len(tasks) == 1:
+        return [run_task(tasks[0])]
+    kind = get_task_kind(tasks[0].kind)
+    if kind.stack is None or any(task.kind != tasks[0].kind for task in tasks):
+        raise SimulationError(f"tasks of kind {tasks[0].kind!r} cannot run as one stack")
+    _OBS_TASKS.inc(len(tasks))
+    results = kind.stack([dict(task.params) for task in tasks])
+    if not isinstance(results, list) or len(results) != len(tasks):
+        raise SimulationError(
+            f"the stack runner of task kind {kind.name!r} must return one row list per "
+            f"task ({len(tasks)})"
+        )
+    return [_checked_rows(task, rows) for task, rows in zip(tasks, results)]
+
+
+def _checked_rows(task: Task, rows: Any) -> List[Dict[str, Any]]:
+    """Validate a task's rows and canonicalise them (JSON-serialisable)."""
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise SimulationError(
             f"task kind {task.kind!r} must return a list of row dicts, got {type(rows).__name__}"

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -97,13 +98,18 @@ def words_matrix_to_cells(words: np.ndarray, word_bits: int, bits_per_cell: int)
     ``(...,)`` becomes ``(..., cells)`` with cell 0 holding the most
     significant bits, matching :func:`repro.pcm.array.word_to_cells`.
     """
-    cells = word_bits // bits_per_cell
     values = np.asarray(words, dtype=np.uint64)
-    shifts = np.array(
-        [bits_per_cell * (cells - 1 - index) for index in range(cells)], dtype=np.uint64
-    )
-    matrix = (values[..., None] >> shifts) & np.uint64((1 << bits_per_cell) - 1)
-    return matrix.astype(np.uint8)
+    shifts, mask = _cell_shifts(word_bits, bits_per_cell)
+    return ((values[..., None] >> shifts) & mask).astype(np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _cell_shifts(word_bits: int, bits_per_cell: int) -> Tuple[np.ndarray, np.uint64]:
+    """Per-cell right shifts (MSB cell first) and the cell mask of a word layout."""
+    cells = word_bits // bits_per_cell
+    shifts = np.arange(cells - 1, -1, -1, dtype=np.uint64) * np.uint64(bits_per_cell)
+    shifts.flags.writeable = False
+    return shifts, np.uint64((1 << bits_per_cell) - 1)
 
 
 def cells_matrix_to_words(cells: np.ndarray, bits_per_cell: int) -> List[int]:

@@ -10,6 +10,12 @@ then decrypt with the stored counter.
 """
 
 from repro.memctrl.config import ControllerConfig
-from repro.memctrl.controller import LineWriteResult, MemoryController, ReplayResult
+from repro.memctrl.controller import LineWriteResult, MemoryController, ReplayResult, replay_stacked
 
-__all__ = ["ControllerConfig", "LineWriteResult", "MemoryController", "ReplayResult"]
+__all__ = [
+    "ControllerConfig",
+    "LineWriteResult",
+    "MemoryController",
+    "ReplayResult",
+    "replay_stacked",
+]

@@ -18,23 +18,29 @@ auxiliary bits live in a preallocated
 ``(rows, words_per_line)`` array, and the energy / SAW accounting is
 computed with NumPy over the whole row.
 
-The batched drivers go one level further.  For every non-identity encoder
-a wave scheduler works like a reorder buffer, since per-row write order is
-the only true dependency between writes.  It executes out of order: each
-*wave* takes, from a look-ahead window of queued writes, the earliest
-pending write of each distinct row, reads the cells and stuck masks the
-encoder sees with one :meth:`repro.pcm.array.PCMArray.read_rows` (and
-``stuck_rows``) gather, encodes them through one
-:meth:`repro.coding.base.Encoder.encode_lines` call, and applies them with
-one :meth:`repro.pcm.array.PCMArray.write_rows_fast` call.  That call
-gathers the rows' device state once and hands it back: the pre-write
-cells, stuck masks and wear become the wave's squash snapshot, and its
-changed-cell mask feeds the accounting.  The scheduler retires in order:
-the early-stop predicate and Start-Gap bookkeeping see the writes in
-trace order, a window never reaches past the next gap migration, and
-writes that ran ahead of an early stop are squashed by restoring their
-rows from per-wave snapshots.  The outcome is bit-identical to the scalar
-:meth:`MemoryController.write_line` sequence.
+The batched drivers go one level further.  A wave scheduler works like a
+reorder buffer, since per-row write order is the only true dependency
+between writes.  It executes out of order: each *wave* takes, from a
+look-ahead window of queued writes, the earliest pending write of each
+distinct row, reads the cells and stuck masks the encoder sees with one
+:meth:`repro.pcm.array.PCMArray.read_rows` (and ``stuck_rows``) gather,
+encodes them through one :meth:`repro.coding.base.Encoder.encode_lines`
+call (an identity encoder's codewords are the words themselves), and
+applies them with one :meth:`repro.pcm.array.PCMArray.write_rows_fast`
+call.  That call gathers the rows' device state once and hands it back:
+the pre-write cells, stuck masks and wear become the wave's squash
+snapshot, and its changed-cell mask feeds the accounting.  The scheduler
+retires in order: the early-stop predicate and Start-Gap bookkeeping see
+the writes in trace order, a window never reaches past the next gap
+migration, and writes that ran ahead of an early stop are squashed by
+restoring their rows from per-wave snapshots.  The outcome is
+bit-identical to the scalar :meth:`MemoryController.write_line` sequence.
+
+The schedule never depends on the encoder, so :func:`replay_stacked`
+runs one trace on several controllers as the *bands* of one replay: one
+schedule, and per wave one gather, one encode call per coding band, one
+scatter and one accounting flush over every band's rows.  A lone
+controller's :meth:`MemoryController.replay_trace` is its one-band case.
 
 Encryption happens before scheduling.  A trace replay slices its
 ciphertext from the trace's shared
@@ -78,7 +84,7 @@ from repro.pcm.wearlevel import StartGapWearLeveler
 from repro.utils.bitops import popcount64_array, random_word
 from repro.utils.rng import derive_seed, make_rng
 
-__all__ = ["LineWriteResult", "ReplayResult", "MemoryController"]
+__all__ = ["LineWriteResult", "ReplayResult", "MemoryController", "replay_stacked"]
 
 #: Accepted values for the controller's ``fault_knowledge`` parameter.
 FAULT_KNOWLEDGE_MODES = ("oracle", "discovered", "none")
@@ -109,7 +115,9 @@ ReplayStop = Callable[[int, int, int, np.ndarray], bool]
 # per-write) granularity; bench_obs_overhead.py swaps these handles for
 # null stand-ins to prove the whole layer costs <2% when tracing is off.
 _OBS_WAVES = obs.counter("replay.waves", "encode waves executed by the generic replay path")
-_OBS_WAVE_LINES = obs.histogram("replay.wave_lines", "lines encoded per replay wave")
+_OBS_WAVE_LINES = obs.histogram(
+    "replay.wave_lines", "rows written per replay wave, over every band of a stacked replay"
+)
 _OBS_CONFLICT_CUTS = obs.counter(
     "replay.conflict_cuts", "waves that deferred a write whose row was already in the wave"
 )
@@ -118,9 +126,6 @@ _OBS_GAP_FLUSHES = obs.counter(
 )
 _OBS_SQUASHED_WRITES = obs.counter(
     "replay.squashed_writes", "speculatively executed writes undone by an early stop"
-)
-_OBS_IDENTITY_CHUNKS = obs.counter(
-    "replay.identity_chunks", "chunks taken by the identity-encoder fast path"
 )
 _OBS_EARLY_STOPS = obs.counter(
     "replay.early_stops", "replays ended early by the stop predicate"
@@ -314,52 +319,6 @@ class ReplayResult:
         """All writes as scalar :class:`LineWriteResult` objects (slow path)."""
         return [self.line_result(index) for index in range(self.writes)]
 
-    @classmethod
-    def empty(cls, capacity: int, words_per_line: int) -> "ReplayResult":
-        """Preallocate accounting arrays for up to ``capacity`` writes."""
-        return cls(
-            addresses=np.zeros(capacity, dtype=np.int64),
-            row_indices=np.zeros(capacity, dtype=np.int64),
-            data_energy_fj=np.zeros(capacity, dtype=np.int64),
-            aux_energy_fj=np.zeros(capacity, dtype=np.int64),
-            cells_changed=np.zeros(capacity, dtype=np.int64),
-            bits_changed=np.zeros(capacity, dtype=np.int64),
-            saw_cells=np.zeros(capacity, dtype=np.int64),
-            saw_bits_per_word=np.zeros((capacity, words_per_line), dtype=np.int64),
-            newly_stuck_cells=np.zeros(capacity, dtype=np.int64),
-            words_per_line=words_per_line,
-        )
-
-    def _reserve(self, writes: int, limit: int) -> None:
-        """Grow every array to hold at least ``writes`` entries.
-
-        Capacity at least doubles on each growth (never past ``limit``), so
-        a replay copies O(writes) entries in total while an early-stopped
-        replay only ever allocates for the chunks it issued.
-        """
-        capacity = len(self.addresses)
-        if writes <= capacity:
-            return
-        capacity = min(max(writes, 2 * capacity), limit)
-        for name in _REPLAY_ARRAYS:
-            array = getattr(self, name)
-            grown = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
-            grown[: len(array)] = array
-            setattr(self, name, grown)
-
-    def _trim(self, writes: int, stopped_early: bool) -> "ReplayResult":
-        """Shrink every array down to the writes actually performed.
-
-        A copy (not a view) when the arrays hold spare capacity, so a
-        result of a few hundred writes does not pin larger arrays in memory.
-        """
-        if writes < len(self.addresses):
-            for name in _REPLAY_ARRAYS:
-                setattr(self, name, getattr(self, name)[:writes].copy())
-        self.writes = writes
-        self.stopped_early = stopped_early
-        return self
-
 
 #: The per-write arrays of a :class:`ReplayResult`.
 _REPLAY_ARRAYS = (
@@ -375,21 +334,86 @@ _REPLAY_ARRAYS = (
 )
 
 
+class _BandResults:
+    """The per-write accounting of every band of one replay.
+
+    Each :class:`ReplayResult` array gets a leading band axis here
+    (``(bands, capacity)``, or ``(bands, capacity, words_per_line)``) and
+    grows as the replay issues writes.  :attr:`flat` views the same
+    arrays with the band and write axes merged, so a wave's accounting
+    reaches every band through one store per field, at
+    ``band * capacity + write``.
+    """
+
+    def __init__(self, bands: int, words_per_line: int):
+        self.bands = bands
+        self.words_per_line = words_per_line
+        self.capacity = 0
+        self.arrays: Dict[str, np.ndarray] = {}
+        self.flat: Dict[str, np.ndarray] = {}
+        for name in _REPLAY_ARRAYS:
+            tail = (words_per_line,) if name == "saw_bits_per_word" else ()
+            self._adopt(name, np.zeros((bands, 0) + tail, dtype=np.int64))
+
+    def _adopt(self, name: str, array: np.ndarray) -> None:
+        self.arrays[name] = array
+        self.flat[name] = array.reshape((-1,) + array.shape[2:])
+
+    def reserve(self, writes: int, limit: int) -> None:
+        """Grow every array to hold at least ``writes`` entries per band.
+
+        Capacity at least doubles on each growth (never past ``limit``), so
+        a replay copies O(writes) entries in total while an early-stopped
+        replay only ever allocates for the chunks it issued.
+        """
+        if writes <= self.capacity:
+            return
+        capacity = min(max(writes, 2 * self.capacity), limit)
+        for name, array in list(self.arrays.items()):
+            grown = np.zeros(array.shape[:1] + (capacity,) + array.shape[2:], dtype=np.int64)
+            grown[:, : self.capacity] = array
+            self._adopt(name, grown)
+        self.capacity = capacity
+
+    def result(self, band: int, writes: int, stopped_early: bool) -> ReplayResult:
+        """The :class:`ReplayResult` of one band's first ``writes`` writes.
+
+        Its arrays are copies unless they would be the whole of a lone
+        band's arrays, so a result of a few hundred writes pins no larger
+        arrays in memory.
+        """
+        whole = self.bands == 1 and writes == self.capacity
+        return ReplayResult(
+            **{
+                name: array[band, :writes] if whole else array[band, :writes].copy()
+                for name, array in self.arrays.items()
+            },
+            words_per_line=self.words_per_line,
+            writes=writes,
+            stopped_early=stopped_early,
+        )
+
+
 @dataclass(frozen=True)
 class _WaveSnapshot:
     """The state of one replay wave's rows before the wave was applied.
 
-    ``writes`` lists the wave's chunk-local write indices (ascending); the
-    other fields hold, per wave line, the row's device state, auxiliary
-    bits, fault-repository table and transient-sense read count (``None``
-    when the controller has no repository or transient model).
+    ``writes`` lists the wave's chunk-local write indices (ascending) and
+    ``bands`` the bands that ran them, in wave order; the wave's rows are
+    band-major, ``len(writes)`` rows per band.  ``array_rows`` and
+    ``auxes`` hold each row's device state and auxiliary bits;
+    ``faults`` and ``sense_counts`` hold, per band, its fault-repository
+    tables and transient-sense read counts of the wave's rows (``None``
+    for all bands when no band has a repository or a transient model,
+    and for a band that has neither).
     """
 
     writes: List[int]
+    bands: Tuple[int, ...]
     array_rows: RowSnapshot
     auxes: np.ndarray
-    faults: Optional[Dict[int, Optional[Dict[int, int]]]]
-    sense_counts: Optional[np.ndarray]
+    faults: Optional[List[Optional[Dict[int, Optional[Dict[int, int]]]]]]
+    sense_counts: Optional[List[Optional[np.ndarray]]]
 
 
 class MemoryController:
@@ -650,17 +674,18 @@ class MemoryController:
     ) -> ReplayResult:
         """Replay a writeback trace ``repetitions`` times through the write path.
 
-        The batched sibling of a :meth:`write_line` loop: the whole replay
-        runs inside the controller, accumulating per-write accounting into
-        the arrays of a :class:`ReplayResult` instead of one
-        :class:`LineWriteResult` (plus several lists and tuples) per write.
-        Every accounting value is bit-identical to the scalar path — the
-        wave scheduler runs the same encode / write / accounting steps on
-        batches of writes whose rows cannot observe each other, and the
-        identity-encoder fast path skips only work whose outcome is fixed
-        (the unencoded baseline stores the ciphertext unchanged with no
-        auxiliary bits).  The controller's running :attr:`stats` are
-        updated once at the end with the batch totals.
+        The batched sibling of a :meth:`write_line` loop, and the one-band
+        case of :func:`replay_stacked`: the whole replay runs inside the
+        controller, accumulating per-write accounting into the arrays of
+        a :class:`ReplayResult` instead of one :class:`LineWriteResult`
+        (plus several lists and tuples) per write.  Every accounting value
+        is bit-identical to the scalar path: the wave scheduler runs the
+        same encode / write / accounting steps on batches of writes whose
+        rows cannot observe each other, and identity encoders (the
+        unencoded baseline stores the ciphertext unchanged with no
+        auxiliary bits) skip only the encode call.  The controller's
+        running :attr:`stats` are updated once at the end with the batch
+        totals.
 
         Parameters
         ----------
@@ -685,472 +710,7 @@ class MemoryController:
             Optional hard cap on the total number of writes, applied on
             top of ``repetitions`` (the last repetition may be partial).
         """
-        if repetitions < 0:
-            raise ConfigurationError("repetitions must be non-negative")
-        if trace.word_bits != self.config.word_bits:
-            raise ConfigurationError(
-                f"trace word size ({trace.word_bits} bits) does not match "
-                f"the controller ({self.config.word_bits} bits)"
-            )
-        if trace.words_per_line != self.config.words_per_line:
-            raise ConfigurationError(
-                f"trace geometry ({trace.words_per_line} words per line) does not "
-                f"match the controller ({self.config.words_per_line} words per line)"
-            )
-        if max_writes is not None and max_writes < 0:
-            raise ConfigurationError("max_writes must be non-negative")
-
-        num_records = len(trace)
-        total = num_records * repetitions
-        if max_writes is not None:
-            total = min(total, max_writes)
-        replay = ReplayResult.empty(0, self.config.words_per_line)
-        if total == 0:
-            return replay._trim(0, False)
-
-        trace_addresses = trace.addresses_array()
-        encryption = self.encryption
-        # An encrypted replay reads the trace's shared ciphertext stream
-        # from the position this engine's counters stand at.
-        if encryption is not None:
-            stream, offset = encryption.replay_stream(trace)
-        else:
-            words = trace.words_array()
-
-        # Chunked issue: addresses, stored words and result arrays exist
-        # only for the writes about to run, so a lifetime cell that stops
-        # after a few hundred writes never materialises its 200k-write cap.
-        chunk = _FIRST_CHUNK
-        start = 0
-        performed = 0
-        stopped = False
-        with _OBS_SPAN("replay.trace", total_writes=total) as trace_span:
-            while start < total and not stopped:
-                end = min(start + chunk, total)
-                chunk = min(chunk * 2, _MAX_CHUNK)
-                replay._reserve(end, total)
-                record_indices = np.arange(start, end, dtype=np.int64) % num_records
-                stored = (
-                    words[record_indices]
-                    if encryption is None
-                    else stream.segment(offset + start, offset + end)
-                )
-                performed, stopped = self._replay_chunk(
-                    replay, trace_addresses[record_indices], stored, start, stop
-                )
-                start = end
-            if stopped:
-                _OBS_EARLY_STOPS.inc()
-                _OBS_EARLY_STOP_INDEX.set(performed)
-            trace_span.set(performed=performed, stopped=stopped)
-        if encryption is not None:
-            _OBS_PADS.inc(performed)
-            encryption.seek(stream, offset + performed)
-        replay._trim(performed, stopped)
-        replay.add_to(self.stats)
-        return replay
-
-    def _replay_chunk(
-        self,
-        replay: ReplayResult,
-        chunk_addresses: np.ndarray,
-        stored: np.ndarray,
-        start: int,
-        stop: Optional[ReplayStop],
-    ):
-        """Run the writes ``[start, start + len(chunk_addresses))`` of a replay.
-
-        ``stored`` is the chunk's ``(writes, words_per_line)`` ``uint64``
-        matrix of words to store: the ciphertext, or the plaintext when
-        the controller does not encrypt.  Identity encoders take
-        :meth:`_replay_identity`, every other encoder the wave scheduler
-        :meth:`_replay_generic`.  Returns ``(performed, stopped)`` with
-        ``performed`` the global write count.
-        """
-        if not self.encoder.is_identity:
-            return self._replay_generic(replay, chunk_addresses, stored, start, stop)
-        _OBS_IDENTITY_CHUNKS.inc()
-        # The identity path holds (writes, cells) matrices for the writes
-        # it runs, so it takes a long chunk in blocks of _FIRST_CHUNK
-        # writes: a few MB at most, instead of ~16 MB per matrix.
-        for first in range(0, len(chunk_addresses), _FIRST_CHUNK):
-            block = slice(first, first + _FIRST_CHUNK)
-            performed, stopped = self._replay_identity(
-                replay, chunk_addresses[block], stored[block], start + first, stop
-            )
-            if stopped:
-                break
-        return performed, stopped
-
-    def _replay_identity(
-        self,
-        replay: ReplayResult,
-        chunk_addresses: np.ndarray,
-        encrypted_chunk: np.ndarray,
-        start: int,
-        stop: Optional[ReplayStop],
-    ):
-        """Replay fast path for identity encoders over one chunk of writes.
-
-        The stored values are the ciphertext words themselves and no
-        auxiliary bits exist, so the per-write work reduces to the array
-        write; everything else (energy, changed bits/cells, SAW) is a pure
-        function of the (old, stored, intended) cell rows and is computed
-        in one vectorised flush per chunk — row-wise NumPy reductions are
-        bit-identical to the scalar path's per-row reductions.  Returns
-        ``(performed, stopped)`` with ``performed`` the global write count.
-        """
-        count = len(chunk_addresses)
-        array = self.array
-        bits_per_cell = array.bits_per_cell
-        words_per_line = self.config.words_per_line
-        cells_chunk = words_matrix_to_cells(
-            encrypted_chunk, self.config.word_bits, bits_per_cell
-        ).reshape(count, array.cells_per_row)
-        popcount = self._bit_popcount
-        write_row_fast = array.write_row_fast
-        repository = self.fault_repository
-        leveler = self.wear_leveler
-        row_indices = None if leveler is not None else chunk_addresses % array.rows
-        np.copyto(replay.addresses[start:start + count], chunk_addresses)
-        out_rows = replay.row_indices
-        out_newly = replay.newly_stuck_cells
-
-        old_buffer = np.empty((count, array.cells_per_row), dtype=np.uint8)
-        stored_buffer = np.empty_like(old_buffer)
-        zero_saw_bits = np.zeros(words_per_line, dtype=np.int64)
-
-        performed = start
-        stopped = False
-        for local in range(count):
-            index = start + local
-            if row_indices is not None:
-                row_index = row_indices[local]
-            else:
-                row_index = self.row_for_address(int(chunk_addresses[local]))
-            intended = cells_chunk[local]
-            old, stored, changed_mask, saw_mask, newly_stuck = write_row_fast(
-                row_index, intended
-            )
-            old_buffer[local] = old
-            stored_buffer[local] = stored
-            out_rows[index] = row_index
-            out_newly[index] = newly_stuck
-
-            if repository is not None:
-                repository.observe_write(row_index, intended, stored)
-            if leveler is not None:
-                movement = leveler.record_write()
-                if movement is not None:
-                    self._migrate_row(*movement)
-
-            performed = index + 1
-            if stop is not None:
-                saw_count = int(saw_mask.sum())
-                if saw_count:
-                    wrong = stored ^ intended
-                    saw_bits = (
-                        popcount[wrong]
-                        if bits_per_cell == 2
-                        else (wrong != 0).astype(np.int64)
-                    ).reshape(words_per_line, -1).sum(axis=1)
-                else:
-                    saw_bits = zero_saw_bits
-                if stop(index, int(row_index), saw_count, saw_bits):
-                    stopped = True
-                    break
-
-        done = performed - start
-        old_rows = old_buffer[:done]
-        stored_rows = stored_buffer[:done]
-        # Identity encoders store no auxiliary bits: aux energy stays 0.
-        self._flush_replay_accounting(
-            replay,
-            slice(start, performed),
-            old_rows,
-            stored_rows,
-            cells_chunk[:done],
-            stored_rows != old_rows,
-        )
-        return performed, stopped
-
-    def _flush_replay_accounting(
-        self,
-        replay: ReplayResult,
-        at,
-        old_rows: np.ndarray,
-        stored_rows: np.ndarray,
-        intended_rows: np.ndarray,
-        changed: np.ndarray,
-    ) -> None:
-        """Vectorised accounting flush for applied replay writes.
-
-        ``at`` selects the writes' entries in ``replay`` (a slice or an
-        index vector, one entry per buffered row) and ``changed`` is the
-        write's ``stored_rows != old_rows`` mask.  Energy, changed
-        bits/cells, and SAW counts are pure functions of the (old, stored,
-        intended) cell rows, and all of them are integers (energy in fJ),
-        so each row's sum equals the scalar path's in any order.  A
-        stored cell differs from the intended value exactly at the
-        stuck-at-wrong positions, so SAW counts fall out of the xor.
-        """
-        lines = len(old_rows)
-        if lines == 0:
-            return
-        levels = self.array.technology.levels
-        replay.data_energy_fj[at] = np.take(
-            self._energy_flat, old_rows * levels + intended_rows
-        ).sum(axis=1)
-        cells_changed = np.count_nonzero(changed, axis=1)
-        replay.cells_changed[at] = cells_changed
-        wrong_xor = stored_rows ^ intended_rows
-        replay.saw_cells[at] = np.count_nonzero(wrong_xor, axis=1)
-        if self.array.bits_per_cell == 1:
-            replay.bits_changed[at] = cells_changed
-            wrong_bits = wrong_xor
-        else:
-            xor = old_rows ^ stored_rows
-            replay.bits_changed[at] = ((xor & 1) + (xor >> 1)).sum(axis=1, dtype=np.int64)
-            wrong_bits = (wrong_xor & 1) + (wrong_xor >> 1)
-        replay.saw_bits_per_word[at] = wrong_bits.reshape(
-            lines, self.config.words_per_line, -1
-        ).sum(axis=2, dtype=np.int64)
-
-    def _replay_generic(
-        self,
-        replay: ReplayResult,
-        chunk_addresses: np.ndarray,
-        stored: np.ndarray,
-        start: int,
-        stop: Optional[ReplayStop],
-    ):
-        """Wave scheduler for arbitrary encoders over one chunk of writes.
-
-        The only true dependency between writes is per-row order, so the
-        scheduler works like a reorder buffer: it executes out of order
-        and retires in order.
-
-        * **Wave rule.**  The look-ahead window spans
-          ``REPLAY_LOOKAHEAD_WAVES * replay_wave_lines`` writes from the
-          oldest pending write.  A wave takes, in trace order, the earliest
-          pending write of each distinct row in the window, up to
-          ``replay_wave_lines`` lines; a later write to a row already in
-          the wave is deferred to a later wave instead of ending this one.
-          Every earlier write to a picked row has therefore executed, so
-          encoding the wave's rows of ``stored`` (the chunk's ciphertext)
-          against one :meth:`repro.pcm.array.PCMArray.read_rows` gather
-          through a single :meth:`repro.coding.base.Encoder.encode_lines`
-          call, and applying it with one
-          :meth:`repro.pcm.array.PCMArray.write_rows_fast` call, is
-          bit-identical to running those writes one by one in trace order.
-        * **Retirement.**  After each wave the oldest writes retire in
-          trace order while they have executed: Start-Gap's
-          ``record_write`` and any gap migration run here, then ``stop``.
-          Under Start-Gap the window ends at the write that triggers the
-          next gap move, so no write executes under a mapping that a
-          migration is about to rotate.
-        * **Squash.**  When ``stop`` fires at write ``k``, every executed
-          write past ``k`` ran speculatively: each wave keeps its rows'
-          pre-write state, and the earliest squashed write of each row
-          restores that row from it.  The cells, wear and stuck masks are
-          the ones ``write_rows_fast`` gathered and returned; the aux bits
-          gathered for the encoder, the transient-sense read counts and
-          the fault-repository entries are saved before sensing.
-          Encryption counters need no undo: the chunk's ciphertext came
-          precomputed and the caller sets the counters from the number of
-          writes performed, so the controller ends in exactly the state
-          of the ``write_line`` sequence stopped at ``k``.  Without a
-          ``stop`` nothing is snapshotted.
-
-        Accounting is flushed per wave into the writes' entries of
-        ``replay`` by the same vectorised reductions as the identity fast
-        path, reusing the changed-cell mask of ``write_rows_fast``.
-        Returns ``(performed, stopped)`` like :meth:`_replay_identity`.
-        """
-        array = self.array
-        leveler = self.wear_leveler
-        repository = self.fault_repository
-        words_per_line = self.config.words_per_line
-        bits_per_cell = array.bits_per_cell
-        cap = self.replay_wave_lines
-        lookahead = cap * REPLAY_LOOKAHEAD_WAVES
-        count = len(chunk_addresses)
-        np.copyto(replay.addresses[start:start + count], chunk_addresses)
-        # Without wear leveling the address-to-row mapping is fixed, so the
-        # whole chunk's rows come from one vectorised modulo; under
-        # Start-Gap each write is mapped as it enters the window.
-        rows_of: List[int] = (
-            (chunk_addresses % array.rows).tolist() if leveler is None else []
-        )
-        executed = bytearray(count)
-        pending: List[int] = []
-        snapshots: Deque[_WaveSnapshot] = deque()
-        admitted = 0
-        retired = 0
-        while retired < count:
-            # ---- admission: the window starts at the oldest pending write.
-            head = pending[0] if pending else admitted
-            limit = min(count, head + lookahead)
-            gap_capped = False
-            if leveler is not None:
-                gap_end = retired + leveler.writes_until_gap_move
-                if gap_end < limit:
-                    limit = gap_end
-                    gap_capped = True
-                for local in range(admitted, limit):
-                    rows_of.append(self.row_for_address(int(chunk_addresses[local])))
-            if limit > admitted:
-                pending.extend(range(admitted, limit))
-                admitted = limit
-
-            # ---- selection: the earliest pending write of each distinct row.
-            picked: List[int] = []
-            rows: List[int] = []
-            seen = set()
-            deferred: List[int] = []
-            conflicted = False
-            for position, local in enumerate(pending):
-                if len(picked) == cap:
-                    deferred.extend(pending[position:])
-                    break
-                row_index = rows_of[local]
-                if row_index in seen:
-                    deferred.append(local)
-                    conflicted = True
-                    continue
-                seen.add(row_index)
-                picked.append(local)
-                rows.append(row_index)
-            pending = deferred
-            lines = len(picked)
-            _OBS_WAVES.inc()
-            _OBS_WAVE_LINES.observe(lines)
-            if conflicted:
-                _OBS_CONFLICT_CUTS.inc()
-            if gap_capped:
-                _OBS_GAP_FLUSHES.inc()
-
-            # ---- execution: one gather, encode and scatter.
-            local_array = np.asarray(picked, dtype=np.intp)
-            at = local_array + start
-            row_array = np.asarray(rows, dtype=np.intp)
-            with _OBS_SPAN("replay.wave", lines=lines):
-                old_auxes = self._aux_store[row_array]
-                if stop is not None:
-                    faults = None if repository is None else repository.snapshot_rows(row_array)
-                    sense_counts = (
-                        None if self._sense_counts is None else self._sense_counts[row_array]
-                    )
-                old_rows = array.read_rows(row_array)
-                stuck_rows = self._stuck_rows(row_array)
-                sensed_rows = self._sensed_rows(old_rows, rows)
-                line_shape = (lines, words_per_line, -1)
-                batch = LineBatch(
-                    old_cells=sensed_rows.reshape(line_shape),
-                    stuck_mask=None if stuck_rows is None else stuck_rows.reshape(line_shape),
-                    bits_per_cell=bits_per_cell,
-                    old_auxes=old_auxes,
-                )
-                encoded = self.encoder.encode_lines(stored[local_array], batch)
-                intended_rows = words_matrix_to_cells(
-                    encoded.codewords, self.config.word_bits, bits_per_cell
-                ).reshape(lines, array.cells_per_row)
-                new_auxes = encoded.auxes
-                before, stored_rows, changed, newly = array.write_rows_fast(
-                    row_array, intended_rows
-                )
-                if stop is not None:
-                    snapshots.append(
-                        _WaveSnapshot(picked, before, old_auxes, faults, sense_counts)
-                    )
-                self._aux_store[row_array] = new_auxes
-                replay.row_indices[at] = rows
-                replay.newly_stuck_cells[at] = newly
-                self._flush_replay_accounting(
-                    replay, at, old_rows, stored_rows, intended_rows, changed
-                )
-                self._flush_aux_energy(replay, at, new_auxes, old_auxes)
-                if repository is not None:
-                    # observe_write is a no-op for rows whose stored cells
-                    # all match; only rows with SAW cells carry discoveries.
-                    for line in np.nonzero(replay.saw_cells[at])[0]:
-                        repository.observe_write(
-                            rows[line], intended_rows[line], stored_rows[line]
-                        )
-            for local in picked:
-                executed[local] = 1
-
-            # ---- retirement, in trace order.
-            while retired < admitted and executed[retired]:
-                local = retired
-                retired += 1
-                index = start + local
-                if leveler is not None:
-                    movement = leveler.record_write()
-                    if movement is not None:
-                        self._migrate_row(*movement)
-                if stop is not None and stop(
-                    index,
-                    rows_of[local],
-                    int(replay.saw_cells[index]),
-                    replay.saw_bits_per_word[index],
-                ):
-                    self._squash(snapshots, local)
-                    return index + 1, True
-            while snapshots and snapshots[0].writes[-1] < retired:
-                snapshots.popleft()
-        return start + count, False
-
-    def _squash(self, snapshots: "Deque[_WaveSnapshot]", stop_local: int) -> None:
-        """Undo every executed write of the chunk past ``stop_local``.
-
-        Waves are visited in execution order, so the first squashed write
-        met for a row is that row's earliest one and its snapshot holds the
-        row's state at the stop.  Only rows are restored: encryption
-        counters are set by the replay from the writes it performed.
-        """
-        restored = set()
-        squashed = 0
-        for snapshot in snapshots:
-            positions = []
-            for position, local in enumerate(snapshot.writes):
-                if local <= stop_local:
-                    continue
-                squashed += 1
-                row_index = int(snapshot.array_rows.rows[position])
-                if row_index not in restored:
-                    restored.add(row_index)
-                    positions.append(position)
-            if not positions:
-                continue
-            chosen = np.asarray(positions, dtype=np.intp)
-            saved = snapshot.array_rows.select(chosen)
-            self.array.restore_rows(saved)
-            self._aux_store[saved.rows] = snapshot.auxes[chosen]
-            if snapshot.faults is not None and self.fault_repository is not None:
-                self.fault_repository.restore_rows(
-                    {int(row): snapshot.faults[int(row)] for row in saved.rows}
-                )
-            if snapshot.sense_counts is not None and self._sense_counts is not None:
-                self._sense_counts[saved.rows] = snapshot.sense_counts[chosen]
-        _OBS_SQUASHED_WRITES.inc(squashed)
-
-    def _flush_aux_energy(
-        self,
-        replay: ReplayResult,
-        at,
-        new_auxes: np.ndarray,
-        old_auxes: np.ndarray,
-    ) -> None:
-        """Auxiliary-bit write energy for applied wave writes selected by ``at``.
-
-        Charges the bits that changed between the stored and the new
-        auxiliary values times the integer fJ per bit, exactly as
-        :meth:`_apply_line_write` does per write.
-        """
-        if len(new_auxes) == 0:
-            return
-        replay.aux_energy_fj[at] = self._aux_bit_energy * _changed_aux_bits(new_auxes, old_auxes)
+        return replay_stacked([self], trace, repetitions, [stop], max_writes)[0]
 
     def _sensed_view(self, old_row: np.ndarray, row_index: int) -> np.ndarray:
         """The old-row state the encoder observes for one read-before-write.
@@ -1205,16 +765,6 @@ class MemoryController:
             sensed[line] = self._sensed_view(old_rows[line], row_index)
         return sensed
 
-    def _stuck_rows(self, row_indices: np.ndarray) -> Optional[np.ndarray]:
-        """The stuck masks the encoder may see for a wave of rows."""
-        if self.fault_knowledge == "oracle":
-            return self.array.stuck_rows(row_indices)
-        if self.fault_knowledge == "discovered":
-            return np.stack(
-                [self.fault_repository.stuck_mask(int(row)) for row in row_indices]
-            )
-        return None
-
     # -------------------------------------------------------- random lines
     def write_random_lines(
         self,
@@ -1230,10 +780,8 @@ class MemoryController:
         with the *exact same generator call sequence* — so the addresses
         and words are bit-identical to the scalar loop's — and driven
         through :meth:`replay_trace`'s internals: one batched counter-mode
-        ``encrypt_lines`` call per chunk, the wave scheduler, the
-        identity-encoder fast path for the
-        unencoded baselines, and per-write accounting in the arrays of a
-        :class:`ReplayResult`.  Controller state (array contents,
+        ``encrypt_lines`` call per chunk, the wave scheduler, and per-write
+        accounting in the arrays of a :class:`ReplayResult`.  Controller state (array contents,
         encryption counters, auxiliary bits, wear) after the call matches
         the scalar sequence exactly, so scalar and batched drives can
         interleave.
@@ -1256,10 +804,8 @@ class MemoryController:
             address_space = self.array.rows
         if address_space <= 0:
             raise ConfigurationError("address_space must be positive")
-        words_per_line = self.config.words_per_line
-        replay = ReplayResult.empty(num_lines, words_per_line)
-        if num_lines == 0:
-            return replay._trim(0, False)
+        stack = _BandStack([self], [None])
+        stack.results.reserve(num_lines, num_lines)
 
         # Chunked like a replay_trace that runs to completion: line data
         # and cell conversions are only produced for a bounded window of
@@ -1270,7 +816,6 @@ class MemoryController:
         encryption = self.encryption
         chunk = _FIRST_CHUNK
         start = 0
-        performed = 0
         while start < num_lines:
             end = min(start + chunk, num_lines)
             chunk = min(chunk * 2, _MAX_CHUNK)
@@ -1282,11 +827,11 @@ class MemoryController:
                 if encryption is None
                 else encryption.encrypt_lines(chunk_addresses, plaintext)
             )
-            performed, _ = self._replay_chunk(replay, chunk_addresses, stored, start, None)
+            stack.run_chunk(chunk_addresses, [stored], start)
             start = end
         if encryption is not None:
-            _OBS_PADS.inc(performed)
-        replay._trim(performed, False)
+            _OBS_PADS.inc(num_lines)
+        replay = stack.results.result(0, num_lines, False)
         replay.add_to(self.stats)
         return replay
 
@@ -1420,3 +965,524 @@ class MemoryController:
 
     def _accumulate(self, line: LineWriteResult) -> None:
         self.stats.add_line(line, self.config.words_per_line)
+
+
+def replay_stacked(
+    controllers: Sequence[MemoryController],
+    trace: "Trace",
+    repetitions: int = 1,
+    stops: Optional[Sequence[Optional[ReplayStop]]] = None,
+    max_writes: Optional[int] = None,
+) -> List[ReplayResult]:
+    """Replay one trace on several controllers as one stacked replay.
+
+    Each controller is a *band*: it replays ``trace`` exactly as its own
+    :meth:`MemoryController.replay_trace` with ``stops[band]`` would, and
+    gets its own :class:`ReplayResult`, controller state and running
+    :attr:`MemoryController.stats`; a band whose stop fires leaves the
+    stack while the others go on.  The wave schedule depends only on the
+    trace's addresses, the wave cap and Start-Gap, never on the encoder,
+    so one admission, selection and retirement pass serves every band,
+    and each wave makes one gather, one ``encode_lines`` call per coding
+    band, one :meth:`repro.pcm.array.PCMArray.write_rows_fast` scatter
+    and one accounting flush over all bands' rows.  For that the bands'
+    arrays and auxiliary stores are stacked into one store
+    (:meth:`repro.pcm.array.PCMArray.stack`) that the controllers keep
+    viewing afterwards.
+
+    The controllers must be distinct and share their configuration,
+    array geometry, energy models, wave cap and Start-Gap state (or all
+    have no wear leveler); a :class:`~repro.errors.ConfigurationError`
+    says which is not so.  ``stops`` defaults to no stop for every band;
+    ``repetitions`` and ``max_writes`` are as for ``replay_trace`` and
+    apply to every band.
+    """
+    if stops is None:
+        stops = [None] * len(controllers)
+    if len(stops) != len(controllers) or not controllers:
+        raise ConfigurationError(
+            f"a stacked replay needs one stop per controller and at least one controller, "
+            f"got {len(controllers)} controllers and {len(stops)} stops"
+        )
+    first = controllers[0]
+    if repetitions < 0:
+        raise ConfigurationError("repetitions must be non-negative")
+    if trace.word_bits != first.config.word_bits:
+        raise ConfigurationError(
+            f"trace word size ({trace.word_bits} bits) does not match "
+            f"the controller ({first.config.word_bits} bits)"
+        )
+    if trace.words_per_line != first.config.words_per_line:
+        raise ConfigurationError(
+            f"trace geometry ({trace.words_per_line} words per line) does not "
+            f"match the controller ({first.config.words_per_line} words per line)"
+        )
+    if max_writes is not None and max_writes < 0:
+        raise ConfigurationError("max_writes must be non-negative")
+
+    stack = _BandStack(controllers, stops)
+    num_records = len(trace)
+    total = num_records * repetitions
+    if max_writes is not None:
+        total = min(total, max_writes)
+    bands = range(len(controllers))
+    if total == 0:
+        return [stack.results.result(band, 0, False) for band in bands]
+
+    trace_addresses = trace.addresses_array()
+    # An encrypted replay reads the trace's shared ciphertext stream from
+    # the position each engine's counters stand at; bands whose engines
+    # agree share one stream and one segment per chunk.
+    streams = (
+        [controller.encryption.replay_stream(trace) for controller in controllers]
+        if first.encryption is not None
+        else None
+    )
+    words = trace.words_array() if streams is None else None
+
+    # Chunked issue: addresses, stored words and result arrays exist
+    # only for the writes about to run, so a lifetime cell that stops
+    # after a few hundred writes never materialises its 200k-write cap.
+    chunk = _FIRST_CHUNK
+    start = 0
+    with _OBS_SPAN("replay.trace", total_writes=total, bands=len(controllers)) as trace_span:
+        while start < total and stack.live:
+            end = min(start + chunk, total)
+            chunk = min(chunk * 2, _MAX_CHUNK)
+            stack.results.reserve(end, total)
+            record_indices = np.arange(start, end, dtype=np.int64) % num_records
+            if streams is None:
+                stored = [words[record_indices]] * len(controllers)
+            else:
+                stored = [None] * len(controllers)
+                segments: Dict[Tuple[int, int], np.ndarray] = {}
+                for band in stack.live:
+                    stream, offset = streams[band]
+                    key = (id(stream), offset)
+                    if key not in segments:
+                        segments[key] = stream.segment(offset + start, offset + end)
+                    stored[band] = segments[key]
+            stack.run_chunk(trace_addresses[record_indices], stored, start)
+            start = end
+        trace_span.set(performed=sum(stack.performed), stopped=any(stack.stopped))
+
+    results = []
+    for band, controller in enumerate(controllers):
+        performed = stack.performed[band]
+        if stack.stopped[band]:
+            _OBS_EARLY_STOPS.inc()
+            _OBS_EARLY_STOP_INDEX.set(performed)
+        if streams is not None:
+            _OBS_PADS.inc(performed)
+            stream, offset = streams[band]
+            controller.encryption.seek(stream, offset + performed)
+        replay = stack.results.result(band, performed, stack.stopped[band])
+        replay.add_to(controller.stats)
+        results.append(replay)
+    return results
+
+
+def _check_stackable(controllers: Sequence[MemoryController]) -> None:
+    """Reject controllers that cannot share one wave schedule and store."""
+    first = controllers[0]
+    if len({id(controller) for controller in controllers}) != len(controllers):
+        raise ConfigurationError("stacked controllers must be distinct")
+    for controller in controllers[1:]:
+        if controller.config != first.config:
+            raise ConfigurationError("stacked controllers must share their configuration")
+        if controller.replay_wave_lines != first.replay_wave_lines:
+            raise ConfigurationError("stacked controllers must share replay_wave_lines")
+        if controller._aux_bit_energy != first._aux_bit_energy or not np.array_equal(
+            controller._energy_lut, first._energy_lut
+        ):
+            raise ConfigurationError("stacked controllers must share their energy models")
+        leveler, reference = controller.wear_leveler, first.wear_leveler
+        if (leveler is None) != (reference is None) or (
+            leveler is not None
+            and reference is not None
+            and (
+                leveler is reference
+                or (leveler.rows, leveler.gap_write_interval, leveler.gap_position)
+                != (reference.rows, reference.gap_write_interval, reference.gap_position)
+                or leveler.writes_until_gap_move != reference.writes_until_gap_move
+                or leveler.mapping_snapshot() != reference.mapping_snapshot()
+            )
+        ):
+            raise ConfigurationError(
+                "stacked controllers must each have their own Start-Gap leveler in one "
+                "state, or none"
+            )
+
+
+class _BandStack:
+    """The memories of one replay: its controllers as bands of one store.
+
+    A lone controller is its own band and keeps its array and auxiliary
+    store.  Several controllers are stacked: band ``k``'s rows are rows
+    ``k * rows`` onward of one :meth:`repro.pcm.array.PCMArray.stack`
+    array and one auxiliary store, which the controllers view from then
+    on.  :attr:`live` lists the bands still replaying, in band order.
+    """
+
+    def __init__(
+        self, controllers: Sequence[MemoryController], stops: Sequence[Optional[ReplayStop]]
+    ):
+        first = controllers[0]
+        self.controllers = list(controllers)
+        self.stops = list(stops)
+        self.band_rows = first.array.rows
+        if len(controllers) == 1:
+            self.array = first.array
+            self.aux = first._aux_store
+        else:
+            _check_stackable(controllers)
+            self.array = PCMArray.stack([controller.array for controller in controllers])
+            self.aux = np.concatenate([controller._aux_store for controller in controllers])
+            for band, controller in enumerate(controllers):
+                controller._aux_store = self.aux[band * self.band_rows: (band + 1) * self.band_rows]
+        self.results = _BandResults(len(controllers), first.config.words_per_line)
+        self.performed = [0] * len(controllers)
+        self.stopped = [False] * len(controllers)
+        self.cap = first.replay_wave_lines
+        self.leveled = first.wear_leveler is not None
+        self.word_bits = first.config.word_bits
+        self.words_per_line = first.config.words_per_line
+        self.bits_per_cell = first.array.bits_per_cell
+        self.cells_per_row = first.array.cells_per_row
+        self.levels = first.array.technology.levels
+        self.energy_flat = first._energy_flat
+        self.aux_bit_energy = first._aux_bit_energy
+        #: Whether any band encodes against the oracle stuck masks, keeps
+        #: a fault repository, or senses reads through a transient model.
+        self.oracle = any(
+            c.fault_knowledge == "oracle" and not c.encoder.is_identity for c in controllers
+        )
+        self.repositories = any(c.fault_repository is not None for c in controllers)
+        self.tracked = self.repositories or any(c._sense_counts is not None for c in controllers)
+        self._set_live(list(range(len(controllers))))
+
+    def _set_live(self, live: List[int]) -> None:
+        self.live = live
+        self.live_array = np.asarray(live, dtype=np.intp)
+        #: Live bands with a stop predicate, in band order.
+        self.checked = [band for band in live if self.stops[band] is not None]
+
+    # ------------------------------------------------------------- waves
+    def run_chunk(
+        self, chunk_addresses: np.ndarray, stored: Sequence[Optional[np.ndarray]], start: int
+    ) -> None:
+        """Run the writes ``[start, start + len(chunk_addresses))`` on every live band.
+
+        ``stored[band]`` is the band's ``(writes, words_per_line)``
+        ``uint64`` matrix of words to store: the ciphertext, or the
+        plaintext when the controllers do not encrypt.  The scheduler
+        works like a reorder buffer, since per-row order is the only true
+        dependency between writes: it executes out of order and retires
+        in order.
+
+        * **Wave rule.**  The look-ahead window spans
+          ``REPLAY_LOOKAHEAD_WAVES * replay_wave_lines`` writes from the
+          oldest pending write.  A wave takes, in trace order, the earliest
+          pending write of each distinct row in the window, up to
+          ``replay_wave_lines`` lines; a later write to a row already in
+          the wave is deferred to a later wave instead of ending this one.
+          Every earlier write to a picked row has therefore executed, so
+          encoding the wave's rows against one gather through a single
+          :meth:`repro.coding.base.Encoder.encode_lines` call per band, and
+          applying them with one
+          :meth:`repro.pcm.array.PCMArray.write_rows_fast` call, is
+          bit-identical to running those writes one by one in trace order.
+        * **Retirement.**  After each wave the oldest writes retire in
+          trace order while they have executed: each band's Start-Gap
+          ``record_write`` and any gap migration run here, then each
+          band's ``stop``.  Under Start-Gap the window ends at the write
+          that triggers the next gap move, so no write executes under a
+          mapping that a migration is about to rotate.
+        * **Squash.**  When a band's ``stop`` fires at write ``k``, every
+          executed write of that band past ``k`` ran speculatively: each
+          wave keeps its rows' pre-write state, and the earliest squashed
+          write of each row restores that row from it (:meth:`_squash`).
+          The band then leaves the stack.  Without a live band that has a
+          ``stop`` nothing is snapshotted.
+
+        Bands record their performed writes and whether they stopped in
+        :attr:`performed` and :attr:`stopped`.
+        """
+        cap = self.cap
+        lookahead = cap * REPLAY_LOOKAHEAD_WAVES
+        count = len(chunk_addresses)
+        capacity = self.results.capacity
+        addresses = self.results.arrays["addresses"]
+        saw_cells = self.results.arrays["saw_cells"]
+        saw_bits = self.results.arrays["saw_bits_per_word"]
+        addresses[self.live_array, start:start + count] = chunk_addresses
+        # Without wear leveling the address-to-row mapping is fixed, so the
+        # whole chunk's rows come from one vectorised modulo; under
+        # Start-Gap each write is mapped as it enters the window.
+        rows_of: List[int] = [] if self.leveled else (chunk_addresses % self.band_rows).tolist()
+        executed = bytearray(count)
+        pending: List[int] = []
+        snapshots: Deque[_WaveSnapshot] = deque()
+        admitted = 0
+        retired = 0
+        while retired < count:
+            # ---- admission: the window starts at the oldest pending write.
+            head = pending[0] if pending else admitted
+            limit = min(count, head + lookahead)
+            gap_capped = False
+            if self.leveled:
+                # Every live band's leveler is in the same state.
+                scheduler = self.controllers[self.live[0]]
+                gap_end = retired + scheduler.wear_leveler.writes_until_gap_move
+                if gap_end < limit:
+                    limit = gap_end
+                    gap_capped = True
+                for local in range(admitted, limit):
+                    rows_of.append(scheduler.row_for_address(int(chunk_addresses[local])))
+            if limit > admitted:
+                pending.extend(range(admitted, limit))
+                admitted = limit
+
+            # ---- selection: the earliest pending write of each distinct row.
+            picked: List[int] = []
+            rows: List[int] = []
+            seen = set()
+            deferred: List[int] = []
+            conflicted = False
+            for position, local in enumerate(pending):
+                if len(picked) == cap:
+                    deferred.extend(pending[position:])
+                    break
+                row_index = rows_of[local]
+                if row_index in seen:
+                    deferred.append(local)
+                    conflicted = True
+                    continue
+                seen.add(row_index)
+                picked.append(local)
+                rows.append(row_index)
+            pending = deferred
+            _OBS_WAVES.inc()
+            if conflicted:
+                _OBS_CONFLICT_CUTS.inc()
+            if gap_capped:
+                _OBS_GAP_FLUSHES.inc()
+
+            # ---- execution: one gather, encode per band and one scatter.
+            self._wave(picked, rows, stored, start, capacity, snapshots)
+            for local in picked:
+                executed[local] = 1
+
+            # ---- retirement, in trace order.
+            while retired < admitted and executed[retired]:
+                local = retired
+                retired += 1
+                index = start + local
+                if self.leveled:
+                    for band in self.live:
+                        controller = self.controllers[band]
+                        movement = controller.wear_leveler.record_write()
+                        if movement is not None:
+                            controller._migrate_row(*movement)
+                for band in self.checked:
+                    if self.stops[band](
+                        index,
+                        rows_of[local],
+                        int(saw_cells[band, index]),
+                        saw_bits[band, index],
+                    ):
+                        self._stop(band, local, index + 1, snapshots)
+                if not self.live:
+                    return
+            while snapshots and snapshots[0].writes[-1] < retired:
+                snapshots.popleft()
+        for band in self.live:
+            self.performed[band] = start + count
+
+    def _wave(
+        self,
+        picked: List[int],
+        rows: List[int],
+        stored: Sequence[Optional[np.ndarray]],
+        start: int,
+        capacity: int,
+        snapshots: "Deque[_WaveSnapshot]",
+    ) -> None:
+        """Execute one wave's writes on every live band."""
+        live = self.live
+        lines = len(picked)
+        local_array = np.asarray(picked, dtype=np.intp)
+        row_array = np.asarray(rows, dtype=np.intp)
+        if len(live) == 1:
+            band = live[0]
+            global_rows = row_array + band * self.band_rows if band else row_array
+            at = local_array + (band * capacity + start)
+            row_values = row_array
+        else:
+            global_rows = (self.live_array[:, None] * self.band_rows + row_array).reshape(-1)
+            at = (self.live_array[:, None] * capacity + (local_array + start)).reshape(-1)
+            row_values = np.tile(row_array, len(live))
+        _OBS_WAVE_LINES.observe(len(global_rows))
+        with _OBS_SPAN("replay.wave", lines=len(global_rows)):
+            old_auxes = self.aux[global_rows]
+            faults = sense_counts = None
+            if self.checked and self.tracked:
+                bands = [self.controllers[band] for band in live]
+                faults = [
+                    None if c.fault_repository is None
+                    else c.fault_repository.snapshot_rows(row_array)
+                    for c in bands
+                ]
+                sense_counts = [
+                    None if c._sense_counts is None else c._sense_counts[row_array] for c in bands
+                ]
+            old_rows = self.array.read_rows(global_rows)
+            stuck_rows = self.array.stuck_rows(global_rows) if self.oracle else None
+            line_shape = (lines, self.words_per_line, -1)
+            codeword_parts: List[np.ndarray] = []
+            aux_parts: List[np.ndarray] = []
+            for position, band in enumerate(live):
+                controller = self.controllers[band]
+                part = slice(position * lines, (position + 1) * lines)
+                words = stored[band][local_array]
+                if controller.encoder.is_identity:
+                    # The codewords are the words themselves; nothing is
+                    # sensed and the auxiliary bits (none) stay as they are.
+                    codeword_parts.append(words)
+                    aux_parts.append(old_auxes[part])
+                    continue
+                if controller.fault_knowledge == "oracle":
+                    stuck = stuck_rows[part]
+                elif controller.fault_knowledge == "discovered":
+                    stuck = np.stack([controller._stuck_knowledge(row) for row in rows])
+                else:
+                    stuck = None
+                batch = LineBatch(
+                    old_cells=controller._sensed_rows(old_rows[part], rows).reshape(line_shape),
+                    stuck_mask=None if stuck is None else stuck.reshape(line_shape),
+                    bits_per_cell=self.bits_per_cell,
+                    old_auxes=old_auxes[part],
+                )
+                encoded = controller.encoder.encode_lines(words, batch)
+                codeword_parts.append(encoded.codewords)
+                aux_parts.append(encoded.auxes)
+            if len(live) == 1:
+                codewords, new_auxes = codeword_parts[0], aux_parts[0]
+            else:
+                codewords, new_auxes = np.concatenate(codeword_parts), np.concatenate(aux_parts)
+            intended = words_matrix_to_cells(codewords, self.word_bits, self.bits_per_cell).reshape(
+                len(global_rows), self.cells_per_row
+            )
+            before, stored_rows, changed, newly = self.array.write_rows_fast(global_rows, intended)
+            if self.checked:
+                snapshots.append(
+                    _WaveSnapshot(picked, tuple(live), before, old_auxes, faults, sense_counts)
+                )
+            self.aux[global_rows] = new_auxes
+            flat = self.results.flat
+            flat["row_indices"][at] = row_values
+            flat["newly_stuck_cells"][at] = newly
+            self._flush_accounting(flat, at, old_rows, stored_rows, intended, changed)
+            aux_bits = _changed_aux_bits(new_auxes, old_auxes)
+            flat["aux_energy_fj"][at] = self.aux_bit_energy * aux_bits
+            if self.repositories:
+                # observe_write is a no-op for rows whose stored cells all
+                # match; only rows with SAW cells carry discoveries.
+                for line in np.nonzero(flat["saw_cells"][at])[0]:
+                    repository = self.controllers[live[line // lines]].fault_repository
+                    if repository is not None:
+                        repository.observe_write(
+                            rows[line % lines], intended[line], stored_rows[line]
+                        )
+
+    def _flush_accounting(
+        self,
+        flat: Dict[str, np.ndarray],
+        at: np.ndarray,
+        old_rows: np.ndarray,
+        stored_rows: np.ndarray,
+        intended_rows: np.ndarray,
+        changed: np.ndarray,
+    ) -> None:
+        """Vectorised accounting of a wave's applied writes.
+
+        ``at`` selects the writes' entries in the flat result arrays (one
+        per row) and ``changed`` is the write's ``stored_rows != old_rows``
+        mask.  Energy, changed bits/cells, and SAW counts are pure
+        functions of the (old, stored, intended) cell rows, and all of them
+        are integers (energy in fJ), so each row's sum equals the scalar
+        path's in any order.  A stored cell differs from the intended
+        value exactly at the stuck-at-wrong positions, so SAW counts fall
+        out of the xor.
+        """
+        flat["data_energy_fj"][at] = np.take(
+            self.energy_flat, old_rows * self.levels + intended_rows
+        ).sum(axis=1)
+        cells_changed = np.count_nonzero(changed, axis=1)
+        flat["cells_changed"][at] = cells_changed
+        wrong_xor = stored_rows ^ intended_rows
+        flat["saw_cells"][at] = np.count_nonzero(wrong_xor, axis=1)
+        if self.bits_per_cell == 1:
+            flat["bits_changed"][at] = cells_changed
+            wrong_bits = wrong_xor
+        else:
+            xor = old_rows ^ stored_rows
+            flat["bits_changed"][at] = ((xor & 1) + (xor >> 1)).sum(axis=1, dtype=np.int64)
+            wrong_bits = (wrong_xor & 1) + (wrong_xor >> 1)
+        flat["saw_bits_per_word"][at] = wrong_bits.reshape(
+            len(old_rows), self.words_per_line, -1
+        ).sum(axis=2, dtype=np.int64)
+
+    # ------------------------------------------------------------ stops
+    def _stop(self, band: int, stop_local: int, performed: int, snapshots) -> None:
+        """End one band's replay after its chunk-local write ``stop_local``."""
+        self.performed[band] = performed
+        self.stopped[band] = True
+        self._squash(band, stop_local, snapshots)
+        self._set_live([live for live in self.live if live != band])
+
+    def _squash(self, band: int, stop_local: int, snapshots: "Deque[_WaveSnapshot]") -> None:
+        """Undo every executed write of ``band`` in the chunk past ``stop_local``.
+
+        Waves are visited in execution order, so the first squashed write
+        met for a row is that row's earliest one and its snapshot holds the
+        row's state at the stop.  Only rows are restored: encryption
+        counters are set by the replay from the writes it performed.  The
+        cells, wear and stuck masks are the ones ``write_rows_fast``
+        gathered and returned; the aux bits gathered for the encoder, the
+        transient-sense read counts and the fault-repository entries were
+        saved before sensing.
+        """
+        controller = self.controllers[band]
+        offset = band * self.band_rows
+        restored = set()
+        squashed = 0
+        for snapshot in snapshots:
+            if band not in snapshot.bands:
+                continue
+            position = snapshot.bands.index(band)
+            base = position * len(snapshot.writes)
+            entries = []
+            for line, local in enumerate(snapshot.writes):
+                if local <= stop_local:
+                    continue
+                squashed += 1
+                row_index = int(snapshot.array_rows.rows[base + line])
+                if row_index not in restored:
+                    restored.add(row_index)
+                    entries.append(base + line)
+            if not entries:
+                continue
+            chosen = np.asarray(entries, dtype=np.intp)
+            saved = snapshot.array_rows.select(chosen)
+            self.array.restore_rows(saved)
+            self.aux[saved.rows] = snapshot.auxes[chosen]
+            band_rows = saved.rows - offset
+            if snapshot.faults is not None and snapshot.faults[position] is not None:
+                faults = snapshot.faults[position]
+                controller.fault_repository.restore_rows(
+                    {int(row): faults[int(row)] for row in band_rows}
+                )
+            if snapshot.sense_counts is not None and snapshot.sense_counts[position] is not None:
+                controller._sense_counts[band_rows] = snapshot.sense_counts[position][chosen - base]
+        _OBS_SQUASHED_WRITES.inc(squashed)

@@ -9,7 +9,7 @@ metrics once at import time and holds on to the returned handle::
 
     _OBS_WAVES = obs.counter("replay.waves", "encode waves executed")
 
-    def _replay_generic(...):
+    def run_chunk(...):
         _OBS_WAVES.inc()
 
 Handles are registered in the process-local :data:`REGISTRY` keyed by
@@ -19,7 +19,7 @@ different metric kind is a configuration error.  The
 :func:`~MetricsRegistry.snapshot` /
 :func:`~MetricsRegistry.merge` pair is what carries worker-side
 measurements back to the campaign coordinator: a worker snapshots its
-registry after each task and the engine merges the payload into the main
+registry after each task (or stack of tasks) and the engine merges the payload into the main
 process, so ``run_campaign`` can report cache hits, wave counts, and pad
 chunks no matter where they were incremented.
 

@@ -238,6 +238,49 @@ class PCMArray:
                 self._endurance = thresholds
                 self._wear = np.zeros((rows, self.cells_per_row), dtype=np.int64)
 
+    @classmethod
+    def stack(cls, arrays: Sequence["PCMArray"]) -> "PCMArray":
+        """One array whose rows are the rows of ``arrays``, band after band.
+
+        Row ``r`` of ``arrays[k]`` is row ``k * rows + r`` of the result.
+        The inputs must be distinct arrays of one geometry that all track
+        wear or none does.  Each input keeps working on its band: its
+        cells, stuck masks, wear and endurance become views into the
+        stacked array's, so a write through either is seen by both, and a
+        batch call on the stacked array (:meth:`read_rows`,
+        :meth:`write_rows_fast`, :meth:`restore_rows`) serves every band
+        at once.  The stacked array carries no fault map, endurance model
+        or seed of its own.
+        """
+        first = arrays[0]
+        shape = (first.rows, first.row_bits, first.word_bits, first.technology, first._wear is None)
+        for array in arrays:
+            if (
+                array.rows,
+                array.row_bits,
+                array.word_bits,
+                array.technology,
+                array._wear is None,
+            ) != shape:
+                raise ConfigurationError(
+                    "stacked arrays must share rows, row and word bits, technology "
+                    "and whether they track wear"
+                )
+        if len({id(array) for array in arrays}) != len(arrays):
+            raise ConfigurationError("stacked arrays must be distinct")
+        stacked = cls.__new__(cls)
+        stacked.__dict__.update(first.__dict__)
+        stacked.rows = first.rows * len(arrays)
+        stacked.fault_map = stacked.endurance_model = stacked.fault_model = stacked.seed = None
+        for name in ("_cells", "_stuck", "_wear", "_endurance"):
+            if getattr(first, name) is None:
+                continue
+            joined = np.concatenate([getattr(array, name) for array in arrays])
+            setattr(stacked, name, joined)
+            for band, array in enumerate(arrays):
+                setattr(array, name, joined[band * first.rows: (band + 1) * first.rows])
+        return stacked
+
     # ---------------------------------------------------------------- reads
     def read_row(self, row_index: int) -> np.ndarray:
         """Return a copy of the current cell values of ``row_index``."""

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaign.spec import Task
 from repro.campaign.tasks import register_task
+from repro.errors import SimulationError
 from repro.pcm.cell import CellTechnology
 from repro.sim.harness import (
     FIGURE_GEOMETRY,
@@ -121,15 +122,23 @@ def random_energy_table(
     (data + auxiliary bits) and the saving relative to the unencoded
     baseline at the same count.
     """
+    counts = checked_coset_counts(coset_counts, minimum=2)
+    cells = [(cosets, label) for cosets in counts for _, label in _FIG7_TECHNIQUES]
+    arrived = [(row["cosets"], row["technique"]) for row in results]
+    if arrived != cells:
+        raise SimulationError(
+            f"Fig. 7 takes one row per (coset count, technique) cell in task order: "
+            f"expected {len(cells)} rows {cells}, got {len(arrived)} rows {arrived}"
+        )
     energy_by_cell: Dict[Any, float] = {
-        (row["cosets"], row["technique"]): row["total_energy_pj"] for row in results
+        cell: row["total_energy_pj"] for cell, row in zip(cells, results)
     }
     table = ResultTable(
         title="Fig. 7 — write energy vs. coset count (random data, MLC PCM)",
         columns=["cosets", "technique", "total_energy_pj", "saving_percent"],
         notes="scaled-down memory/write count; savings are relative to unencoded",
     )
-    for cosets in checked_coset_counts(coset_counts, minimum=2):
+    for cosets in counts:
         baseline_energy = energy_by_cell[(cosets, "Unencoded")]
         for _, label in _FIG7_TECHNIQUES:
             energy = energy_by_cell[(cosets, label)]

@@ -334,8 +334,8 @@ def drive_random_lines(
     driver: random line data is drawn in chunks (with the exact generator
     call sequence of the scalar loop, so addresses and words match
     :func:`drive_random_lines_scalar` bit for bit) and written through
-    ``replay_trace``'s internals — chunked counter-mode pads, the
-    identity-encoder fast path for unencoded baselines, and preallocated
+    ``replay_trace``'s internals — chunked counter-mode pads, replay waves
+    (an unencoded baseline skips only the encode call), and preallocated
     accounting arrays.
 
     Returns a fresh :class:`WriteStats` covering exactly this call's writes

@@ -37,6 +37,7 @@ from repro.campaign.spec import Task
 from repro.campaign.tasks import register_task
 from repro.coding.registry import get_encoder_plugin
 from repro.errors import ConfigurationError, SimulationError
+from repro.memctrl.controller import MemoryController, ReplayResult, ReplayStop, replay_stacked
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.sim.harness import TechniqueSpec, build_controller, cached_trace, make_read_corrector
@@ -53,6 +54,7 @@ __all__ = [
     "mean_lifetime_table",
     "mean_lifetime_tasks",
     "simulate_lifetime",
+    "simulate_lifetimes",
 ]
 
 #: The Fig. 11 technique line-up.  The "VCC" series uses stored kernels over
@@ -146,23 +148,66 @@ def simulate_lifetime(
     :meth:`~repro.memctrl.controller.MemoryController.replay_trace` engine
     with an early-stop predicate, so the write sequence (and therefore the
     lifetime) is bit-identical to the historical scalar loop while only
-    the writes actually needed are paid for.
+    the writes actually needed are paid for.  :func:`simulate_lifetimes`
+    runs several techniques of one benchmark and repetition as one
+    stacked replay with exactly these outcomes.
+    """
+    return simulate_lifetimes([spec], benchmark, config, seed_offset)[0]
+
+
+def simulate_lifetimes(
+    specs: Sequence[TechniqueSpec],
+    benchmark: str,
+    config: LifetimeStudyConfig = LifetimeStudyConfig(),
+    seed_offset: int = 0,
+) -> List[LifetimeOutcome]:
+    """:func:`simulate_lifetime` of several techniques, as one stacked replay.
+
+    The techniques of one benchmark and repetition share the trace, the
+    ciphertext stream and the endurance landscape, and the replay's wave
+    schedule does not depend on the encoder, so their memories run as
+    the bands of one :func:`~repro.memctrl.controller.replay_stacked`
+    call: each wave gathers, scatters and accounts every band's rows at
+    once, each band keeps its own stop predicate and leaves the stack
+    when its memory fails.  Outcome ``i`` equals
+    ``simulate_lifetime(specs[i], ...)`` exactly.
+    """
+    return [
+        LifetimeOutcome(writes=replay.writes, censored=not replay.stopped_early)
+        for _, replay in _lifetime_replays(specs, benchmark, config, seed_offset)
+    ]
+
+
+def _lifetime_replays(
+    specs: Sequence[TechniqueSpec],
+    benchmark: str,
+    config: LifetimeStudyConfig,
+    seed_offset: int,
+) -> List[Tuple[MemoryController, ReplayResult]]:
+    """Build one controller per spec and replay them to failure together.
+
+    A lone spec replays through its controller's
+    :meth:`~repro.memctrl.controller.MemoryController.replay_trace`, the
+    one-band case of the stacked replay.
     """
     seed = derive_seed(config.seed + seed_offset, f"lifetime-{benchmark}")
     endurance = EnduranceModel(
         mean_writes=config.mean_endurance_writes,
         coefficient_of_variation=config.endurance_cov,
     )
-    controller = build_controller(
-        spec,
-        rows=config.rows,
-        technology=config.technology,
-        word_bits=config.word_bits,
-        line_bits=config.line_bits,
-        endurance_model=endurance,
-        seed=seed,
-        encrypt=True,
-    )
+    controllers = [
+        build_controller(
+            spec,
+            rows=config.rows,
+            technology=config.technology,
+            word_bits=config.word_bits,
+            line_bits=config.line_bits,
+            endurance_model=endurance,
+            seed=seed,
+            encrypt=True,
+        )
+        for spec in specs
+    ]
     trace = cached_trace(
         benchmark,
         config.trace_writebacks,
@@ -173,7 +218,23 @@ def simulate_lifetime(
     )
     if len(trace) == 0:
         raise SimulationError("lifetime simulation needs a non-empty trace")
+    stops = [_failure_stop(spec, config) for spec in specs]
+    repetitions = -(-config.max_line_writes // len(trace))
+    if len(controllers) == 1:
+        replays = [
+            controllers[0].replay_trace(
+                trace, repetitions=repetitions, stop=stops[0], max_writes=config.max_line_writes
+            )
+        ]
+    else:
+        replays = replay_stacked(
+            controllers, trace, repetitions, stops, max_writes=config.max_line_writes
+        )
+    return list(zip(controllers, replays))
 
+
+def _failure_stop(spec: TechniqueSpec, config: LifetimeStudyConfig) -> ReplayStop:
+    """The replay stop of one cell: true at the ``failed_rows_limit``-th failed row."""
     failed_rows: set = set()
     limit = config.failed_rows_limit
     fatal = _failure_judge(spec, config.line_bits)
@@ -189,14 +250,7 @@ def simulate_lifetime(
             return len(failed_rows) >= limit
         return False
 
-    repetitions = -(-config.max_line_writes // len(trace))
-    replay = controller.replay_trace(
-        trace,
-        repetitions=repetitions,
-        stop=stop,
-        max_writes=config.max_line_writes,
-    )
-    return LifetimeOutcome(writes=replay.writes, censored=not replay.stopped_early)
+    return stop
 
 
 def _check_repetitions(repetitions: int) -> None:
@@ -248,19 +302,55 @@ def _lifetime_cell_inputs(params: Dict[str, Any]) -> Tuple[TechniqueSpec, Lifeti
     return spec, LifetimeStudyConfig(**values)
 
 
+#: The ``lifetime-cell`` params that name the technique; the others name
+#: the memory, trace and repetition a cell replays.
+_TECHNIQUE_PARAMS = ("encoder", "cost", "corrector", "num_cosets")
+
+
+def _outcome_rows(outcome: LifetimeOutcome) -> List[Dict[str, Any]]:
+    return [{"writes_to_failure": int(outcome.writes), "censored": bool(outcome.censored)}]
+
+
+def _lifetime_cell_stack(params_list: List[Dict[str, Any]]) -> List[List[Dict[str, Any]]]:
+    """Consecutive lifetime cells, those of one memory and repetition stacked.
+
+    Cells whose params differ only in the technique (one config,
+    benchmark, repetition and fault model) replay as one
+    :func:`simulate_lifetimes` call; each cell's rows are exactly those
+    :func:`_lifetime_cell` gives it alone.
+    """
+    groups: Dict[str, List[int]] = {}
+    for position, params in enumerate(params_list):
+        memory = sorted(item for item in params.items() if item[0] not in _TECHNIQUE_PARAMS)
+        groups.setdefault(repr(memory), []).append(position)
+    rows: List[List[Dict[str, Any]]] = [[] for _ in params_list]
+    for positions in groups.values():
+        inputs = [_lifetime_cell_inputs(params_list[position]) for position in positions]
+        first = params_list[positions[0]]
+        outcomes = simulate_lifetimes(
+            [spec for spec, _ in inputs], first["benchmark"], inputs[0][1], seed_offset=first["rep"]
+        )
+        for position, outcome in zip(positions, outcomes, strict=True):
+            rows[position] = _outcome_rows(outcome)
+    return rows
+
+
 @register_task(
     "lifetime-cell",
     description="writes-to-failure of one technique × benchmark × repetition (Figs. 11-12 cell)",
+    stack=_lifetime_cell_stack,
 )
 def _lifetime_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """One lifetime cell; the figure table that built the task places its row.
 
     Seed derivation is :func:`simulate_lifetime`'s (benchmark and
-    repetition only), so repetitions are paired across techniques.
+    repetition only), so repetitions are paired across techniques, and
+    a batch's consecutive cells run stacked (:func:`_lifetime_cell_stack`).
     """
     spec, config = _lifetime_cell_inputs(params)
-    outcome = simulate_lifetime(spec, params["benchmark"], config, seed_offset=params["rep"])
-    return [{"writes_to_failure": int(outcome.writes), "censored": bool(outcome.censored)}]
+    return _outcome_rows(
+        simulate_lifetime(spec, params["benchmark"], config, seed_offset=params["rep"])
+    )
 
 
 #: The cells' rows in task order: one ``{writes_to_failure, censored}``
@@ -273,7 +363,7 @@ def _outcomes(
 ) -> Dict[Tuple[Any, str], List[Tuple[int, bool]]]:
     """Group the occurrences' outcomes under their table cells' keys."""
     outcomes: Dict[Tuple[Any, str], List[Tuple[int, bool]]] = {}
-    for key, row in zip(keys, results):
+    for key, row in zip(keys, results, strict=True):
         outcomes.setdefault(key, []).append((row["writes_to_failure"], row["censored"]))
     return outcomes
 
@@ -310,17 +400,19 @@ def lifetime_study_tasks(
     repetitions: int,
     fault_model: Optional[str],
 ) -> List[Task]:
-    """The Fig. 11 sweep as campaign tasks (benchmark × technique × rep).
+    """The Fig. 11 sweep as campaign tasks (benchmark × rep × technique).
 
-    ``fault_model`` (or a per-spec ``TechniqueSpec.fault_model``) selects
-    a :mod:`repro.faults` model; ``None`` keeps the static stuck-at model.
+    The cells of one benchmark and repetition are adjacent, so a batch
+    runs them stacked.  ``fault_model`` (or a per-spec
+    ``TechniqueSpec.fault_model``) selects a :mod:`repro.faults` model;
+    ``None`` keeps the static stuck-at model.
     """
     _check_repetitions(repetitions)
     return [
         _lifetime_cell_task(spec, benchmark, num_cosets, config, rep, fault_model)
         for benchmark in benchmarks
-        for spec in techniques
         for rep in range(repetitions)
+        for spec in techniques
     ]
 
 
@@ -342,8 +434,8 @@ def lifetime_table(
     keys = (
         (benchmark, spec.display_name())
         for benchmark in benchmarks
-        for spec in techniques
         for _ in range(repetitions)
+        for spec in techniques
     )
     outcomes = _outcomes(keys, results)
     notes = (
@@ -382,19 +474,21 @@ def mean_lifetime_tasks(
     repetitions: int,
     fault_model: Optional[str],
 ) -> List[Task]:
-    """The Fig. 12 sweep as campaign tasks (cosets × technique × benchmark × rep).
+    """The Fig. 12 sweep as campaign tasks (benchmark × rep × cosets × technique).
 
     One task per occurrence; occurrences that simulate the same cell
     (a coset-independent technique at several counts, or a cell Fig. 11
     also runs) are equal tasks, which the campaign engine runs once.
+    The cells of one benchmark and repetition are adjacent, so a batch
+    runs them stacked.
     """
     _check_repetitions(repetitions)
     return [
         _lifetime_cell_task(spec, benchmark, cosets, config, rep, fault_model)
-        for cosets in coset_counts
-        for spec in techniques
         for benchmark in benchmarks
         for rep in range(repetitions)
+        for cosets in coset_counts
+        for spec in techniques
     ]
 
 
@@ -421,9 +515,9 @@ def mean_lifetime_table(
     """
     keys = (
         (cosets, spec.display_name())
+        for _ in range(len(benchmarks) * repetitions)
         for cosets in coset_counts
         for spec in techniques
-        for _ in range(len(benchmarks) * repetitions)
     )
     outcomes = _outcomes(keys, results)
     table = ResultTable(

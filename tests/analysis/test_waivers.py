@@ -126,3 +126,29 @@ class TestParseWaivers:
 
     def test_non_waiver_comments_ignored(self):
         assert parse_waivers(["x = 1  # plain comment", "# repro: tracked"]) == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            't = (time.perf_counter(), "# repro: allow[OBS001] reason=only text")',
+            "t = (time.perf_counter(), '''# repro: allow[OBS001] reason=only text''')",
+            't = (time.perf_counter(), f"# repro: allow[OBS001] reason={1}")',
+        ],
+        ids=["string", "triple-quoted", "f-string"],
+    )
+    def test_waiver_text_in_a_string_waives_nothing(self, line):
+        assert parse_waivers([line]) == []
+        findings = run("import time\n\n" + line + "\n")
+        assert codes(findings) == ["OBS001"]
+
+    def test_waiver_in_a_docstring_waives_nothing(self):
+        findings = run(
+            'import time\n\n\ndef f() -> float:\n    """Example:\n\n'
+            "    t = 1  # repro: allow[OBS001] reason=shown, not meant\n"
+            '    """\n    return time.perf_counter()\n'
+        )
+        assert codes(findings) == ["OBS001"]
+
+    def test_comment_after_a_string_still_waives(self):
+        waivers = parse_waivers(['x = "#"  # repro: allow[OBS001] reason=real comment'])
+        assert [waiver.codes for waiver in waivers] == [("OBS001",)]

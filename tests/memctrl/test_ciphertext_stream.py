@@ -112,8 +112,8 @@ def _written_pads():
 
 
 def _batched_runs():
-    """Waves of the wave scheduler plus chunks of the identity fast path."""
-    return obs.counter("replay.waves").value + obs.counter("replay.identity_chunks").value
+    """Waves of the wave scheduler (identity encoders ride them too)."""
+    return obs.counter("replay.waves").value
 
 
 class TestSharedStream:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments.registry import run_experiment
+from repro.sim.energy_sim import random_energy_table
 
 #: A deliberately tiny memory so the full figure logic runs in seconds.
 _TINY = {"rows": 24, "seed": 5}
@@ -18,6 +20,38 @@ def fig9_table():
     return run_experiment(
         "fig9", benchmarks=("lbm", "xz"), num_cosets=64, writebacks_per_benchmark=30, **_TINY
     )
+
+
+def _fig7_rows(coset_counts):
+    """One synthetic Fig. 7 task row per cell, in task order."""
+    labels = ("Unencoded", "RCC", "VCC-Generated", "VCC-Stored")
+    return [
+        {"cosets": cosets, "technique": label, "total_energy_pj": 100.0 - index}
+        for cosets in coset_counts
+        for index, label in enumerate(labels)
+    ]
+
+
+class TestFig7RowContract:
+    """Every (coset count, technique) cell must arrive exactly once, in order."""
+
+    def test_one_row_per_cell_builds_the_table(self):
+        table = random_energy_table(_fig7_rows((32, 64)), coset_counts=(32, 64))
+        assert len(table) == 8
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda rows: rows + [dict(rows[1], total_energy_pj=1.0)],
+            lambda rows: rows[:2] + [dict(rows[2], total_energy_pj=1.0)] + rows[2:],
+            lambda rows: rows[:-1],
+            lambda rows: [rows[1], rows[0]] + rows[2:],
+        ],
+        ids=["extra-duplicate", "duplicated-cell", "missing-cell", "swapped"],
+    )
+    def test_other_rows_are_rejected(self, mangle):
+        with pytest.raises(SimulationError, match="one row per"):
+            random_energy_table(mangle(_fig7_rows((32, 64))), coset_counts=(32, 64))
 
 
 class TestFig7:
